@@ -102,11 +102,21 @@ def load_bundle(text_or_dict) -> Bundle:
             if mid not in mor_id:
                 _fail(path, f"unknown morphism {mid!r}")
         g, f, gf = (mor_id[m] for m in triple)
+        if mor_tgt[f] != mor_src[g]:
+            _fail(path, f"{triple[0]!r} and {triple[1]!r} are not composable")
+        if mor_src[gf] != mor_src[f] or mor_tgt[gf] != mor_tgt[g]:
+            _fail(path, f"composite {triple[2]!r} of [{triple[0]!r}, "
+                        f"{triple[1]!r}] has the wrong endpoints")
         if (g, f) in comp:
             _fail(path, "duplicate composition entry")
         comp[(g, f)] = gf
     cat = FinCategory(len(objects), mor_src, mor_tgt, identity, comp,
                       obj_names=objects, mor_names=mor_names)
+    for g in cat.morphisms():
+        for f in cat.into(mor_src[g]):
+            if (g, f) not in comp:
+                _fail("$.comp", f"no entry for the composable pair "
+                                f"[{mor_names[g]!r}, {mor_names[f]!r}]")
     bundle = Bundle(cat)
     if "restriction" in data:
         bar = [None] * cat.n_morphisms

@@ -5,8 +5,8 @@ total table on composable pairs; limits and colimits are found by exhaustive
 search and verified against every (co)cone, so a returned answer is a
 certificate, not a guess.  All canonical choices break ties by smallest id.
 
-Everything here is immutable after construction and safe for concurrent
-read-only use.
+A category's tables are fixed at construction, but its pullback and
+isomorphism caches fill lazily on first use.  The code is single-threaded.
 """
 
 from __future__ import annotations
@@ -247,31 +247,57 @@ def _is_terminal_cone(c, cones, apex, p, q):
 
 
 def cocones_at(c: FinCategory, d: Diagram, apex):
-    """All cocones under d with the given apex, by backtracking."""
+    """All cocones under d with the given apex, by backtracking.
+
+    Choosing leg_j forces leg_i = leg_j ∘ d(u) for every arrow u: i -> j, so
+    the search branches only on shape objects that no choice has forced yet,
+    taking those without an outgoing non-identity arrow first.  Forced legs
+    are propagated at once and each arrow is checked as soon as its target
+    leg is known, so a clash prunes the branch where it arises.
+    """
     s = d.shape
     n = s.n_objects
-    arrows = [u for u in s.morphisms() if not s.is_identity(u)]
+    arrows_into = [[] for _ in range(n)]   # j -> [(i, d(u)) for u: i -> j]
+    has_out = [False] * n
+    for u in s.morphisms():
+        if not s.is_identity(u):
+            arrows_into[s.mor_tgt[u]].append((s.mor_src[u], d.mor_map[u]))
+            has_out[s.mor_src[u]] = True
+    order = sorted(range(n), key=lambda k: has_out[k])
     out = []
     legs = [None] * n
 
-    def extend(k):
-        if k == n:
+    def assign(k, leg, trail):
+        """Set leg_k and every leg it forces, recording each in trail;
+        False on a clash."""
+        legs[k] = leg
+        trail.append(k)
+        stack = [k]
+        while stack:
+            j = stack.pop()
+            for i, du in arrows_into[j]:
+                forced = c.comp[(legs[j], du)]
+                if legs[i] is None:
+                    legs[i] = forced
+                    trail.append(i)
+                    stack.append(i)
+                elif legs[i] != forced:
+                    return False
+        return True
+
+    def extend(pos):
+        while pos < n and legs[order[pos]] is not None:
+            pos += 1
+        if pos == n:
             out.append(tuple(legs))
             return
+        k = order[pos]
         for leg in c.hom(d.obj_map[k], apex):
-            legs[k] = leg
-            ok = True
-            for u in arrows:
-                i, j = s.mor_src[u], s.mor_tgt[u]
-                if legs[i] is None or legs[j] is None:
-                    continue
-                if (i == k or j == k) and \
-                        c.comp[(legs[j], d.mor_map[u])] != legs[i]:
-                    ok = False
-                    break
-            if ok:
-                extend(k + 1)
-        legs[k] = None
+            trail = []
+            if assign(k, leg, trail):
+                extend(pos + 1)
+            for i in trail:
+                legs[i] = None
 
     extend(0)
     return out

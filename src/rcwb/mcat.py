@@ -8,7 +8,7 @@ ids after explicit iso search), so equality is plain component equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fincat import (Cocone, Diagram, FinCategory, Functor, PullbackCone,
                      Subcategory, colimit, is_mono, mediating, pullback,
@@ -21,8 +21,16 @@ from .restriction import (RestrictionCategory, is_restriction_idempotent,
 
 @dataclass(frozen=True)
 class MCategory:
+    """A finite category with a class of monics.
+
+    matching_memo caches matching_colimit results by (family, object).  It
+    fills lazily, takes no part in equality or hashing, and hands the same
+    result object to every caller, so cached results must not be mutated.
+    """
     base: FinCategory
     monics: frozenset
+    matching_memo: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
 
 def check_m_system(mc: MCategory) -> LawReport:
@@ -177,11 +185,20 @@ class MatchingColimit:
 
 
 def matching_colimit(mc: MCategory, family, obj=None):
-    """Colimit of the matching diagram plus the induced map, or None."""
+    """Colimit of the matching diagram plus the induced map, or None.
+    Memoised in mc.matching_memo."""
     c = mc.base
     family = tuple(family)
     if obj is None:
         obj = c.mor_tgt[family[0]]
+    key = (family, obj)
+    if key not in mc.matching_memo:
+        mc.matching_memo[key] = _matching_colimit(mc, family, obj)
+    return mc.matching_memo[key]
+
+
+def _matching_colimit(mc: MCategory, family, obj):
+    c = mc.base
     md = matching_diagram(mc, family, obj)
     coc = colimit(c, md.diagram)
     if coc is None:

@@ -208,23 +208,28 @@ def yoneda_map(c: FinCategory, f, ya=None, yb=None) -> NatTrans:
 
 # -- sieves and topologies -----------------------------------------------------
 
-def is_sieve(c: FinCategory, a, s) -> bool:
-    for f in s:
-        if c.mor_tgt[f] != a:
-            return False
-        for g in c.into(c.mor_src[f]):
-            if c.comp[(f, g)] not in s:
-                return False
-    return True
-
-
 def sieves_on(c: FinCategory, a):
-    """All sieves on a, by closing each subset of generators."""
+    """All sieves on a.  A sieve is a union of principal sieves, so the
+    sieves are grown from the empty one by adding one principal sieve at a
+    time, each held as a bitmask over into(a)."""
     into = c.into(a)
-    out = set()
-    for r in range(len(into) + 1):
-        for gens in itertools.combinations(into, r):
-            out.add(generate_sieve(c, a, gens))
+    bit = {f: 1 << i for i, f in enumerate(into)}
+    principal = set()
+    for f in into:
+        mask = 0
+        for g in c.into(c.mor_src[f]):
+            mask |= bit[c.comp[(f, g)]]
+        principal.add(mask)
+    found = {0}
+    todo = [0]
+    while todo:
+        s = todo.pop()
+        for p in principal:
+            t = s | p
+            if t not in found:
+                found.add(t)
+                todo.append(t)
+    out = (frozenset(f for f in into if bit[f] & s) for s in found)
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
 

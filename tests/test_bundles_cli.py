@@ -5,7 +5,7 @@ import pytest
 from rcwb.bundles import (BundleError, build_fixture, bundle_dict,
                           dump_bundle, load_bundle, resolve_bundle)
 from rcwb.cli import main
-from rcwb.fixtures import build_finset_p
+from rcwb.fixtures import build_finset_mcat, build_finset_p
 
 
 def _finset_p2_text():
@@ -54,6 +54,27 @@ def test_loader_flags_non_endo_identity():
 def test_loader_rejects_garbage():
     with pytest.raises(BundleError, match="not valid JSON"):
         load_bundle("{nope")
+
+
+def _finset_inj2_data():
+    mc = build_finset_mcat(2, "inj")
+    return json.loads(dump_bundle(bundle_dict(mc.base, monics=mc.monics)))
+
+
+def _non_identity_entry(data):
+    ids = set(data["identities"].values())
+    return next(i for i, (g, f, gf) in enumerate(data["comp"])
+                if g not in ids and f not in ids)
+
+
+def test_loader_flags_non_composable_entry():
+    data = _finset_inj2_data()
+    data["comp"].append([data["identities"]["set0"],
+                         data["identities"]["set1"],
+                         data["identities"]["set0"]])
+    with pytest.raises(BundleError,
+                       match=r"^\$\.comp\[\d+\]: .*not composable"):
+        load_bundle(data)
 
 
 def test_fixture_registry_names():
@@ -138,3 +159,30 @@ def test_cli_unit(capsys):
 def test_cli_needs_matching_sections(capsys):
     # geometric needs monics; finset_p_2 only carries a restriction
     assert main(["geometric", "finset_p_2"]) == 2
+
+
+@pytest.mark.parametrize("defect", ["missing", "endpoints"])
+@pytest.mark.parametrize("command", ["check-laws", "topology", "geometric"])
+def test_cli_bad_comp_table_exits_2(tmp_path, capsys, command, defect):
+    data = _finset_inj2_data()
+    i = _non_identity_entry(data)
+    g, f, _ = data["comp"][i]
+    if defect == "missing":
+        del data["comp"][i]
+        path = "$.comp:"
+    else:
+        data["comp"][i][2] = data["identities"]["set0"]
+        path = f"$.comp[{i}]:"
+    bundle = tmp_path / "bad.json"
+    bundle.write_text(dump_bundle(data))
+    assert main([command, str(bundle)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bundle error: {path}")
+    assert f"[{g!r}, {f!r}]" in err
+    assert "Traceback" not in err
+
+
+def test_cli_topology_finset_inj_3(capsys):
+    # a size-3 site: 40 maps into set3, beyond closing every generator set
+    assert main(["topology", "finset_inj_3"]) == 0
+    assert "PASS\ttopology\tfinset_inj_3" in capsys.readouterr().out

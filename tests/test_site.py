@@ -1,5 +1,6 @@
 import pytest
 
+from rcwb.fixtures import build_finset
 from rcwb.mcat import sub_m
 from rcwb.site import (all_nat_trans, basis_covers, characteristic_map,
                        check_presheaf, classification_report,
@@ -30,6 +31,12 @@ def test_sieves_are_closed(mc_inj):
             for f in s:
                 for g in c.into(c.mor_src[f]):
                     assert c.comp[(f, g)] in s
+
+
+def test_sieve_counts_on_finset_3_are_dedekind_numbers():
+    # a sieve on set_n is fixed by a down-closed family of image subsets
+    c = build_finset(3)
+    assert [len(sieves_on(c, a)) for a in c.objects] == [2, 3, 6, 20]
 
 
 def test_empty_family_covers_initial_object(mc_inj):
