@@ -11,18 +11,19 @@ found by plain search.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .fincat import Functor, compose_functors
+from .fincat import Functor, compose_functors, pullback
 from .mcat import (MCategory, ParCategory, karoubi_r, matching_colimit,
-                   split_unit_functor, subobject_rep)
+                   split_unit_functor, sub_m, subobject_rep)
 from .reports import InternalInvariantError, LawReport
 from .restriction import RestrictionCategory, is_restriction_idempotent
 from .rpsh import (RestrictionPresheaf, check_jrp_axioms,
                    compatible_element_subsets, element_join, find_rp_iso,
                    yoneda_jr)
-from .site import (Presheaf, Topology, find_presheaf_iso, is_sheaf,
-                   generate_topology, subcanonical_report, yoneda)
+from .site import (Presheaf, Topology, basis_covers, find_presheaf_iso,
+                   generate_topology, is_sheaf, subcanonical_report, yoneda)
 
 
 # -- sheaf -> join restriction presheaf ----------------------------------------
@@ -35,17 +36,19 @@ class TransferredJRP:
     elems: tuple                # per object: tuple of (monic, element) pairs
     index: tuple                # per object: dict (monic, element) -> index
 
-    def canonical_pair(self, a, mu, e):
-        """Index of the class of (mu, e) at object a, after normalising the
-        monic to its canonical representative."""
-        c = self.pc.mc.base
-        m = subobject_rep(self.pc.mc, mu)
-        if m == mu:
-            return self.index[a][(m, e)]
-        for phi in c.hom(c.mor_src[m], c.mor_src[mu]):
-            if c.comp[(mu, phi)] == m:
-                return self.index[a][(m, self.sheaf.act(phi, e))]
-        raise InternalInvariantError("canonical monic is not a retitling")
+
+def canonical_pair(mc: MCategory, p: Presheaf, index, mu, e):
+    """The position of the class of (mu, e) in index, the dict (monic,
+    element) -> position at one object, after normalising the monic to its
+    canonical representative."""
+    c = mc.base
+    m = subobject_rep(mc, mu)
+    if m == mu:
+        return index[(m, e)]
+    for phi in c.hom(c.mor_src[m], c.mor_src[mu]):
+        if c.comp[(mu, phi)] == m:
+            return index[(m, p.act(phi, e))]
+    raise InternalInvariantError("canonical monic is not a retitling")
 
 
 def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
@@ -57,20 +60,13 @@ def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
     elems = []
     index = []
     for a in c.objects:
-        monics = sorted({subobject_rep(mc, m) for m in mc.monics
-                         if c.mor_tgt[m] == a})
-        pairs = [(m, e) for m in monics for e in p.elements(c.mor_src[m])]
+        pairs = [(m, e) for m in sub_m(mc, a).elements
+                 for e in p.elements(c.mor_src[m])]
         elems.append(tuple(pairs))
         index.append({pe: i for i, pe in enumerate(pairs)})
     sizes = tuple(len(es) for es in elems)
-    tr = TransferredJRP.__new__(TransferredJRP)
-    object.__setattr__(tr, "pc", pc)
-    object.__setattr__(tr, "sheaf", p)
-    object.__setattr__(tr, "elems", tuple(elems))
-    object.__setattr__(tr, "index", tuple(index))
     action = {}
     rcb = pc.rc.base
-    from .fincat import pullback
     for j in rcb.morphisms():
         n, g = pc.spans[j]          # a span src(j) <- D -> tgt(j)
         src_obj, tgt_obj = rcb.mor_src[j], rcb.mor_tgt[j]
@@ -79,16 +75,15 @@ def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
             if cone is None:
                 raise InternalInvariantError("missing pullback in transfer")
             mu = c.comp[(n, cone.p)]
-            action[(j, i)] = tr.canonical_pair(src_obj, mu,
-                                               p.act(cone.q, e))
+            action[(j, i)] = canonical_pair(mc, p, index[src_obj], mu,
+                                            p.act(cone.q, e))
     psh = Presheaf(rcb, sizes, action,
                    tuple(tuple(f"({c.mor_names[m]},{p.name(c.mor_src[m], e)})"
                                for (m, e) in es) for es in elems))
     bar_elem = tuple(tuple(pc.id_of_span(m, m) for (m, e) in es)
                      for es in elems)
-    rp = RestrictionPresheaf(pc.rc, psh, bar_elem)
-    object.__setattr__(tr, "rp", rp)
-    return tr
+    return TransferredJRP(RestrictionPresheaf(pc.rc, psh, bar_elem), pc, p,
+                          tuple(elems), tuple(index))
 
 
 def recipe_join(tr: TransferredJRP, a, members):
@@ -111,7 +106,7 @@ def recipe_join(tr: TransferredJRP, a, members):
              if all(p.act(legs[i], e) == felems[i] for i in range(len(family)))]
     if len(amalg) != 1:
         return None, f"{len(amalg)} amalgamations"
-    return tr.canonical_pair(a, mcol.mu, amalg[0]), None
+    return canonical_pair(pc.mc, p, tr.index[a], mcol.mu, amalg[0]), None
 
 
 def transfer_report(pc: ParCategory, top: Topology, p: Presheaf,
@@ -186,7 +181,6 @@ def amalgamation_formula_report(pc: ParCategory, top: Topology,
     report = LawReport("amalgamation")
     dot = jrp_to_sheaf(pc, rp)
     report.extend(is_sheaf(dot.presheaf, top))
-    from .site import basis_covers
     for a, fams in enumerate(basis_covers(pc.mc)):
         for fam in fams:
             if not fam or (max_family is not None and len(fam) > max_family):
@@ -198,9 +192,6 @@ def amalgamation_formula_report(pc: ParCategory, top: Topology,
 def _check_formula(pc, rp, dot, report, a, fam):
     """Every matching family for the cover amalgamates to the join of the
     partial inverses of its legs, uniquely."""
-    import itertools
-
-    from .fincat import pullback
     c = pc.mc.base
     doms = [c.mor_src[m] for m in fam]
     for felems in itertools.product(*[range(dot.presheaf.sizes[d])
@@ -241,8 +232,7 @@ def _check_formula(pc, rp, dot, report, a, fam):
 
 # -- round trips ------------------------------------------------------------------
 
-def roundtrip_report(pc: ParCategory, top: Topology,
-                     max_family=None) -> LawReport:
+def roundtrip_report(pc: ParCategory, top: Topology) -> LawReport:
     """Representable fixtures go around both ways up to natural isomorphism."""
     report = LawReport("roundtrip")
     c = pc.mc.base
@@ -274,7 +264,7 @@ class UnitResult:
     transferred: tuple          # per object of x: the pulled-back presheaf
 
 
-def cocompletion_unit(x: RestrictionCategory, max_family=None) -> UnitResult:
+def cocompletion_unit(x: RestrictionCategory) -> UnitResult:
     """Route an object of x through idempotent splitting, the span category
     of its total maps, the (sheaf) representable there, and the transfer back;
     compare against the representable restriction presheaf of x."""

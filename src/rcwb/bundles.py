@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import fixtures
 from .fincat import FinCategory
 from .mcat import MCategory
 from .restriction import RestrictionCategory
@@ -263,7 +264,6 @@ def dump_bundle(data: dict) -> str:
 def build_fixture(name: str) -> Bundle:
     """Named fixtures accepted anywhere a bundle path is: finset_p_<n>,
     finset_inj_<n>, finset_iso_<n>, nojoin."""
-    from . import fixtures
     if name == "nojoin":
         rc = fixtures.build_nojoin_fixture()
         return Bundle(rc.base, restriction=rc)
@@ -277,9 +277,6 @@ def build_fixture(name: str) -> Bundle:
             mc = fixtures.build_finset_mcat(n, maker)
             return Bundle(mc.base, mcat=mc)
     raise KeyError(name)
-
-
-FIXTURE_NAMES = ("finset_p_2", "finset_inj_2", "finset_iso_2", "nojoin")
 
 
 def resolve_bundle(name_or_path: str) -> Bundle:

@@ -2,16 +2,18 @@
 
 Every subcommand takes a bundle (a registered fixture name or a JSON file),
 prints sorted law-report lines, writes a machine-readable JSON summary when
---out is given, and exits 0 on success, 1 on a law failure, 2 on an
-unreadable bundle, 3 on an internal invariant breach.
+--out is given, and exits 0 on success, 1 on a law failure or a failed
+precondition, 2 on an unreadable bundle, 3 on an internal invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from .bridge import (amalgamation_formula_report, cocompletion_unit,
+                     jrp_to_sheaf, roundtrip_report, sheaf_to_jrp,
+                     transfer_report)
 from .bundles import (Bundle, BundleError, bundle_dict, dump_bundle,
                       resolve_bundle)
 from .fincat import validate_category
@@ -19,7 +21,8 @@ from .joins import check_join_axioms
 from .mcat import check_m_system, is_geometric, karoubi_r, par
 from .reports import InternalInvariantError, LawReport
 from .restriction import check_restriction_axioms
-from .rpsh import RestrictionPresheaf, check_jrp_axioms, check_rp_axioms
+from .rpsh import (RestrictionPresheaf, check_jrp_axioms, check_rp_axioms,
+                   yoneda_jr)
 from .site import (check_presheaf, generate_topology, is_separated, is_sheaf,
                    saturation_is_fixpoint, sheafify, subcanonical_report,
                    yoneda)
@@ -29,8 +32,6 @@ def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-family", type=int, default=None,
                         help="bound on the size of families in join suites")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the summary (sampled suites)")
     common.add_argument("--out", default=None,
                         help="path for the machine-readable JSON summary")
     top = argparse.ArgumentParser(
@@ -59,11 +60,20 @@ def _parser():
     return top
 
 
-def _need(bundle: Bundle, what):
-    if what == "restriction" and bundle.restriction is None:
-        raise BundleError("$: this command needs a restriction section")
-    if what == "mcat" and bundle.mcat is None:
+def _gate(bundle: Bundle, cmd):
+    """The precondition of a construction: the law report of the bundle
+    section it builds on (the restriction for karoubi and unit, the monics
+    for the others), or None for check-laws.  A missing section is a bundle
+    error."""
+    if cmd == "check-laws":
+        return None
+    if cmd in ("karoubi", "unit"):
+        if bundle.restriction is None:
+            raise BundleError("$: this command needs a restriction section")
+        return check_restriction_axioms(bundle.restriction)
+    if bundle.mcat is None:
         raise BundleError("$: this command needs a monics section")
+    return check_m_system(bundle.mcat)
 
 
 def _resolve_presheaf(bundle: Bundle, cat, name):
@@ -86,6 +96,9 @@ def _run(args) -> list:
     reports = []
     extra = {}
     cmd = args.command
+    gate = _gate(bundle, cmd)
+    if gate is not None and not gate.ok:
+        return [gate], extra
 
     if cmd == "check-laws":
         reports.append(validate_category(bundle.cat))
@@ -108,24 +121,20 @@ def _run(args) -> list:
                     reports.append(check_jrp_axioms(rp, args.max_family))
 
     elif cmd == "build-par":
-        _need(bundle, "mcat")
         pc = par(bundle.mcat)
         reports.append(check_restriction_axioms(pc.rc))
         extra["artifact"] = bundle_dict(pc.rc.base, restriction=pc.rc.bar)
 
     elif cmd == "karoubi":
-        _need(bundle, "restriction")
         kr = karoubi_r(bundle.restriction)
         reports.append(check_restriction_axioms(kr.rc))
         extra["artifact"] = bundle_dict(kr.rc.base, restriction=kr.rc.bar)
 
     elif cmd == "geometric":
-        _need(bundle, "mcat")
-        reports.append(check_m_system(bundle.mcat))
+        reports.append(gate)
         reports.append(is_geometric(bundle.mcat, args.max_family))
 
     elif cmd == "topology":
-        _need(bundle, "mcat")
         top = generate_topology(bundle.mcat)
         rep = LawReport("topology")
         if not saturation_is_fixpoint(top):
@@ -139,7 +148,6 @@ def _run(args) -> list:
             for a in c.objects}
 
     elif cmd in ("sheaf-check", "sheafify"):
-        _need(bundle, "mcat")
         top = generate_topology(bundle.mcat)
         psh, _ = _resolve_presheaf(bundle, bundle.cat, args.presheaf)
         reports.append(is_separated(psh, top))
@@ -158,10 +166,6 @@ def _run(args) -> list:
                 bundle.cat, presheaves={"sheafified": (res.presheaf, None)})
 
     elif cmd == "transfer":
-        _need(bundle, "mcat")
-        from .bridge import (amalgamation_formula_report, sheaf_to_jrp,
-                             transfer_report)
-        from .rpsh import yoneda_jr
         pc = par(bundle.mcat)
         top = generate_topology(bundle.mcat)
         if args.direction == "to-jrp":
@@ -181,23 +185,18 @@ def _run(args) -> list:
             rp = yoneda_jr(pc.rc, pc.rc.base.obj_names.index(cand))
             reports.append(amalgamation_formula_report(pc, top, rp,
                                                        args.max_family))
-            from .bridge import jrp_to_sheaf
             dot = jrp_to_sheaf(pc, rp)
             extra["artifact"] = bundle_dict(
                 bundle.cat, presheaves={"transferred": (dot.presheaf, None)})
 
     elif cmd == "roundtrip":
-        _need(bundle, "mcat")
-        from .bridge import roundtrip_report
+        _resolve_presheaf(bundle, bundle.cat, args.presheaf)
         pc = par(bundle.mcat)
         top = generate_topology(bundle.mcat)
-        reports.append(roundtrip_report(pc, top, args.max_family))
+        reports.append(roundtrip_report(pc, top))
 
     elif cmd == "unit":
-        _need(bundle, "restriction")
-        from .bridge import cocompletion_unit
-        res = cocompletion_unit(bundle.restriction, args.max_family)
-        reports.append(res.report)
+        reports.append(cocompletion_unit(bundle.restriction).report)
 
     return reports, extra
 
@@ -222,7 +221,6 @@ def main(argv=None) -> int:
     summary = {
         "command": args.command,
         "bundle": args.bundle,
-        "seed": args.seed,
         "max_family": args.max_family,
         "ok": ok,
         "reports": [rep.summary() for rep in reports],

@@ -11,10 +11,9 @@ isomorphism caches fill lazily on first use.  The code is single-threaded.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .reports import LawReport, Violation
+from .reports import LawReport
 
 
 class FinCategory:
@@ -49,12 +48,6 @@ class FinCategory:
 
     # -- basic accessors ---------------------------------------------------
 
-    def src(self, f):
-        return self.mor_src[f]
-
-    def tgt(self, f):
-        return self.mor_tgt[f]
-
     def hom(self, a, b):
         return self._hom.get((a, b), ())
 
@@ -65,19 +58,12 @@ class FinCategory:
     def morphisms(self):
         return range(self.n_morphisms)
 
-    def compose(self, g, f):
-        """g ∘ f.  KeyError on a non-composable pair."""
-        return self.comp[(g, f)]
-
     def composable(self, g, f):
         return self.mor_tgt[f] == self.mor_src[g]
 
     def is_identity(self, f):
         return self.identity[self.mor_src[f]] == f and \
             self.mor_src[f] == self.mor_tgt[f]
-
-    def mor_name(self, f):
-        return self.mor_names[f]
 
     # -- isomorphisms ------------------------------------------------------
 
@@ -169,20 +155,7 @@ class Diagram:
     mor_map: tuple
 
     def check(self, c: FinCategory) -> bool:
-        s = self.shape
-        for u in s.morphisms():
-            du = self.mor_map[u]
-            if c.mor_src[du] != self.obj_map[s.mor_src[u]]:
-                return False
-            if c.mor_tgt[du] != self.obj_map[s.mor_tgt[u]]:
-                return False
-        for a in s.objects:
-            if self.mor_map[s.identity[a]] != c.identity[self.obj_map[a]]:
-                return False
-        for (g, f), gf in s.comp.items():
-            if c.comp[(self.mor_map[g], self.mor_map[f])] != self.mor_map[gf]:
-                return False
-        return True
+        return Functor(self.shape, c, self.obj_map, self.mor_map).check()
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .fincat import FinCategory, Functor, subcategory
+from .joins import least_upper_bound
 from .mcat import MCategory
-from .restriction import RestrictionCategory
+from .restriction import RestrictionCategory, leq, restriction_idempotents
 
 
 def _total_maps(a, b):
@@ -154,12 +156,9 @@ def nojoin_certified_pair(x: RestrictionCategory):
 
 
 def _least_idempotent(x, a):
-    from .restriction import leq, restriction_idempotents
-    idems = restriction_idempotents(x, a)
-    for e in idems:
-        if all(leq(x, e, f) for f in idems):
-            return e
-    return None
+    # the least upper bound of the empty family is the least element
+    return least_upper_bound(restriction_idempotents(x, a), partial(leq, x),
+                             ())
 
 
 def subsets_category(k) -> RestrictionCategory:

@@ -1,7 +1,9 @@
 """Joins of compatible families in finite restriction categories.
 
-Joins are located by scanning the (finite) hom-set for a least upper bound;
-no construction is attempted here.  The join axioms J1/J2 are checked over
+Joins are located by scanning a finite poset for a least upper bound, and
+compatible families are grown one member at a time; the same two routines
+serve hom-sets here and the elements of a restriction presheaf in rpsh.  No
+construction is attempted here.  The join axioms J1/J2 are checked over
 every compatible family (optionally bounded in size for large fixtures).
 """
 
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .fincat import Functor
 from .reports import LawReport
@@ -34,6 +37,41 @@ class CompatibleFamily:
         return CompatibleFamily(src, tgt, members)
 
 
+def least_upper_bound(elements, leq, members):
+    """The least of the elements lying above every member in the order
+    leq(s, u), or None.  The one scan behind hom-set and element joins."""
+    ubs = [u for u in elements if all(leq(s, u) for s in members)]
+    for u in ubs:
+        if all(leq(u, v) for v in ubs):
+            return u
+    return None
+
+
+def compatible_families(elements, compatible, max_family=None):
+    """Every pairwise-compatible subset of elements, the empty one included,
+    as tuples ordered by size and then by position in elements."""
+    elements = tuple(elements)
+    n = len(elements)
+    ok = [[compatible(e, f) for f in elements] for e in elements]
+    out = [()]
+    frontier = [()]       # positions, kept increasing
+    while frontier and (max_family is None or len(frontier[0]) < max_family):
+        frontier = [fam + (j,) for fam in frontier
+                    for j in range(fam[-1] + 1 if fam else 0, n)
+                    if all(ok[j][i] for i in fam)]
+        out.extend(frontier)
+    return [tuple(elements[i] for i in fam) for fam in out]
+
+
+def families(elements, max_family=None):
+    """Every subset of elements in combinations order, smallest first,
+    up to max_family members."""
+    top = len(elements) if max_family is None else min(max_family,
+                                                       len(elements))
+    for r in range(top + 1):
+        yield from itertools.combinations(elements, r)
+
+
 def upper_bounds(x: RestrictionCategory, fam: CompatibleFamily):
     hom = x.base.hom(fam.src, fam.tgt)
     return tuple(u for u in hom if all(leq(x, s, u) for s in fam.members))
@@ -41,32 +79,15 @@ def upper_bounds(x: RestrictionCategory, fam: CompatibleFamily):
 
 def join(x: RestrictionCategory, fam: CompatibleFamily):
     """Least upper bound of the family in the hom order, or None."""
-    ubs = upper_bounds(x, fam)
-    for u in ubs:
-        if all(leq(x, u, v) for v in ubs):
-            return u
-    return None
+    return least_upper_bound(x.base.hom(fam.src, fam.tgt), partial(leq, x),
+                             fam.members)
 
 
 def compatible_subsets(x: RestrictionCategory, a, b, max_family=None):
     """All pairwise-compatible subsets of hom(a, b), the empty one included."""
-    hom = x.base.hom(a, b)
-    compat = {(f, g) for f in hom for g in hom if compatible(x, f, g)}
-    out = [()]
-    # grow compatible subsets one morphism at a time (members kept sorted)
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for fam in frontier:
-            start = hom.index(fam[-1]) + 1 if fam else 0
-            for f in hom[start:]:
-                if all((f, g) in compat for g in fam):
-                    bigger = fam + (f,)
-                    if max_family is None or len(bigger) <= max_family:
-                        nxt.append(bigger)
-        out.extend(nxt)
-        frontier = nxt
-    return [CompatibleFamily(a, b, frozenset(fam)) for fam in out]
+    return [CompatibleFamily(a, b, frozenset(fam)) for fam in
+            compatible_families(x.base.hom(a, b), partial(compatible, x),
+                                max_family)]
 
 
 def check_join_axioms(x: RestrictionCategory, max_family=None) -> LawReport:

@@ -7,14 +7,13 @@ ids after explicit iso search), so equality is plain component equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .fincat import (Cocone, Diagram, FinCategory, Functor, PullbackCone,
-                     Subcategory, colimit, is_mono, mediating, pullback,
-                     subcategory)
+from .fincat import (Cocone, Diagram, FinCategory, Functor, Subcategory,
+                     colimit, is_mono, mediating, pullback)
+from .joins import families
 from .reports import InternalInvariantError, LawReport
-from .restriction import (RestrictionCategory, is_restriction_idempotent,
+from .restriction import (RestrictionCategory, check_restriction_axioms,
                           is_total, restriction_idempotents,
                           total_subcategory)
 
@@ -94,11 +93,6 @@ class SubMPoset:
 
     def top(self):
         return self.mc.base.identity[self.obj]
-
-    def leq(self, m, n) -> bool:
-        c = self.mc.base
-        return any(c.comp[(n, f)] == m
-                   for f in c.hom(c.mor_src[m], c.mor_src[n]))
 
     def meet(self, m, n) -> int:
         c = self.mc.base
@@ -203,25 +197,26 @@ def _matching_colimit(mc: MCategory, family, obj):
     coc = colimit(c, md.diagram)
     if coc is None:
         return None
-    k = len(family)
-    target_legs = list(family)
-    for (i, j), idx in sorted(md.pair_objects.items(), key=lambda kv: kv[1]):
-        arrow_to_i = md.diagram.mor_map[
-            _pair_arrow(md, idx, i)]
-        target_legs.append(c.comp[(family[i], arrow_to_i)])
-    mu = mediating(c, md.diagram, coc, Cocone(obj, tuple(target_legs)))
+    mu = _induced_map(c, md, coc, family, obj)
     if mu is None:
         raise InternalInvariantError("no unique induced map from matching colimit")
     return MatchingColimit(md, coc, mu)
 
 
-def _pair_arrow(md: MatchingDiagram, pair_idx, target):
-    s = md.diagram.shape
-    for u in s.morphisms():
-        if not s.is_identity(u) and s.mor_src[u] == pair_idx \
-                and s.mor_tgt[u] == target:
-            return u
-    raise InternalInvariantError("matching diagram arrow missing")
+def _induced_map(c: FinCategory, md: MatchingDiagram, coc: Cocone, legs,
+                 apex):
+    """The map out of the colimit coc that composes with its leg at member i
+    to legs[i], or None when there is no unique one.  The target cocone's
+    leg at the pair object (i, j) is legs[i] after the projection onto i."""
+    d = md.diagram
+    n = d.shape.n_objects
+    k = len(legs)
+    target = list(legs)
+    for (i, j), idx in sorted(md.pair_objects.items(), key=lambda kv: kv[1]):
+        # matching_diagram puts the arrow from pair object idx to i at
+        # shape morphism n + 2 * (idx - k), after the n identities
+        target.append(c.comp[(legs[i], d.mor_map[n + 2 * (idx - k)])])
+    return mediating(c, d, coc, Cocone(apex, tuple(target)))
 
 
 def is_geometric(mc: MCategory, max_family=None) -> LawReport:
@@ -231,28 +226,20 @@ def is_geometric(mc: MCategory, max_family=None) -> LawReport:
     c = mc.base
     report = LawReport("geometric")
     for obj in c.objects:
-        poset = sub_m(mc, obj)
-        failed = False
-        for r in range(len(poset.elements) + 1):
-            if failed or (max_family is not None and r > max_family):
+        for family in families(sub_m(mc, obj).elements, max_family):
+            mcol = matching_colimit(mc, family, obj)
+            if mcol is None:
+                report.add("GEO-COLIM", (obj,) + family,
+                           "matching colimit does not exist")
                 break
-            for family in itertools.combinations(poset.elements, r):
-                mcol = matching_colimit(mc, family, obj)
-                if mcol is None:
-                    report.add("GEO-COLIM", (obj,) + family,
-                               "matching colimit does not exist")
-                    failed = True
-                    break
-                if mcol.mu not in mc.monics:
-                    report.add("GEO-MU", (obj,) + family + (mcol.mu,),
-                               "induced map not in M")
-                    failed = True
-                    break
-                if not _stable_family(mc, obj, family, mcol.mu):
-                    report.add("GEO-STAB", (obj,) + family,
-                               "matching colimit not stable under pullback")
-                    failed = True
-                    break
+            if mcol.mu not in mc.monics:
+                report.add("GEO-MU", (obj,) + family + (mcol.mu,),
+                           "induced map not in M")
+                break
+            if not _stable_family(mc, obj, family, mcol.mu):
+                report.add("GEO-STAB", (obj,) + family,
+                           "matching colimit not stable under pullback")
+                break
     return report
 
 
@@ -273,20 +260,17 @@ def heyting_check(mc: MCategory, obj, max_family=None) -> LawReport:
     report = LawReport("heyting")
     poset = sub_m(mc, obj)
     for m in poset.elements:
-        for r in range(len(poset.elements) + 1):
-            if max_family is not None and r > max_family:
-                break
-            for family in itertools.combinations(poset.elements, r):
-                lhs_join = poset.join(family)
-                if lhs_join is None:
-                    report.add("HEYT-JOIN", (obj,) + family, "join missing")
-                    continue
-                lhs = poset.meet(m, lhs_join)
-                meets = tuple(sorted({poset.meet(m, n) for n in family}))
-                rhs = poset.join(meets)
-                if lhs != rhs:
-                    report.add("HEYT-DIST", (obj, m) + family,
-                               "m ∧ ⋁n_i != ⋁(m ∧ n_i)")
+        for family in families(poset.elements, max_family):
+            lhs_join = poset.join(family)
+            if lhs_join is None:
+                report.add("HEYT-JOIN", (obj,) + family, "join missing")
+                continue
+            lhs = poset.meet(m, lhs_join)
+            meets = tuple(sorted({poset.meet(m, n) for n in family}))
+            rhs = poset.join(meets)
+            if lhs != rhs:
+                report.add("HEYT-DIST", (obj, m) + family,
+                           "m ∧ ⋁n_i != ⋁(m ∧ n_i)")
     return report
 
 
@@ -297,24 +281,46 @@ def pullback_preserves_joins(mc: MCategory, f, max_family=None) -> LawReport:
     obj = c.mor_tgt[f]
     poset = sub_m(mc, obj)
     dom_poset = sub_m(mc, c.mor_src[f])
-    for r in range(len(poset.elements) + 1):
-        if max_family is not None and r > max_family:
-            break
-        for family in itertools.combinations(poset.elements, r):
-            j = poset.join(family)
-            if j is None:
-                report.add("PBJ-JOIN", (obj,) + family, "join missing")
-                continue
-            lhs = pullback_subobject(mc, f, j)
-            pulled = tuple(sorted({pullback_subobject(mc, f, m)
-                                   for m in family}))
-            rhs = dom_poset.join(pulled)
-            if lhs != rhs:
-                report.add("PBJ", (f,) + family, "f*(⋁m_i) != ⋁f*(m_i)")
+    for family in families(poset.elements, max_family):
+        j = poset.join(family)
+        if j is None:
+            report.add("PBJ-JOIN", (obj,) + family, "join missing")
+            continue
+        lhs = pullback_subobject(mc, f, j)
+        pulled = tuple(sorted({pullback_subobject(mc, f, m)
+                               for m in family}))
+        rhs = dom_poset.join(pulled)
+        if lhs != rhs:
+            report.add("PBJ", (f,) + family, "f*(⋁m_i) != ⋁f*(m_i)")
     return report
 
 
 # -- the Par construction ----------------------------------------------------
+
+def canonical_span(mc: MCategory, m, f):
+    """The representative of the span (m, f) up to an iso of its apex: the
+    one with the smallest (apex, m∘phi, f∘phi)."""
+    c = mc.base
+    dom = c.mor_src[m]
+    best = (dom, m, f)
+    for phi in c.isos():
+        if c.mor_tgt[phi] == dom:
+            cand = (c.mor_src[phi], c.comp[(m, phi)], c.comp[(f, phi)])
+            if cand < best:
+                best = cand
+    return best[1], best[2]
+
+
+def compose_spans(mc: MCategory, second, first):
+    """(n, g) ∘ (m, f) by pullback, canonicalised."""
+    c = mc.base
+    m, f = first
+    n, g = second
+    cone = pullback(c, f, n)
+    if cone is None:
+        raise InternalInvariantError("missing pullback in Par composition")
+    return canonical_span(mc, c.comp[(m, cone.p)], c.comp[(g, cone.q)])
+
 
 @dataclass(frozen=True)
 class ParCategory:
@@ -328,104 +334,58 @@ class ParCategory:
     spans: tuple
     span_id: dict  # canonical (m, f) -> morphism id
 
-    def canonical_span(self, m, f):
-        c = self.mc.base
-        dom = c.mor_src[m]
-        best = (c.mor_src[m], m, f)
-        for phi, _ in c.isos().items():
-            if c.mor_tgt[phi] == dom:
-                cand = (c.mor_src[phi], c.comp[(m, phi)], c.comp[(f, phi)])
-                if cand < best:
-                    best = cand
-        return best[1], best[2]
-
     def id_of_span(self, m, f):
-        return self.span_id[self.canonical_span(m, f)]
-
-    def compose_spans(self, second, first):
-        """(n, g) ∘ (m, f) by pullback, canonicalised."""
-        c = self.mc.base
-        m, f = first
-        n, g = second
-        cone = pullback(c, f, n)
-        if cone is None:
-            raise InternalInvariantError("missing pullback in Par composition")
-        return self.canonical_span(c.comp[(m, cone.p)], c.comp[(g, cone.q)])
+        return self.span_id[canonical_span(self.mc, m, f)]
 
 
-def par(mc: MCategory, verify=True) -> ParCategory:
+def par(mc: MCategory) -> ParCategory:
     """The partial map category: spans (m, f) with m in M, composition by
-    pullback, restriction (m, f) -> (m, m)."""
+    pullback, restriction (m, f) -> (m, m).  Its restriction axioms and the
+    splitting of its restriction idempotents are verified."""
     c = mc.base
-    seen = {}
-    # collect canonical spans grouped deterministically
-    raw = []
-    for m in sorted(mc.monics):
-        a = c.mor_tgt[m]
-        dom = c.mor_src[m]
-        for f in c.morphisms():
-            if c.mor_src[f] == dom:
-                raw.append((m, f))
-    canon = set()
-    helper = ParCategory.__new__(ParCategory)
-    object.__setattr__(helper, "mc", mc)
-    for m, f in raw:
-        canon.add(helper.canonical_span(m, f))
-    spans = sorted(canon, key=lambda s: (c.mor_tgt[s[0]], c.mor_tgt[s[1]],
-                                         s[0], s[1]))
+    canon = {canonical_span(mc, m, f) for m in mc.monics
+             for f in c.morphisms() if c.mor_src[f] == c.mor_src[m]}
+    spans = tuple(sorted(canon, key=lambda s: (c.mor_tgt[s[0]],
+                                               c.mor_tgt[s[1]], s[0], s[1])))
     span_id = {s: i for i, s in enumerate(spans)}
     mor_src = tuple(c.mor_tgt[m] for (m, f) in spans)
     mor_tgt = tuple(c.mor_tgt[f] for (m, f) in spans)
-    identity = []
-    for a in c.objects:
-        ida = c.identity[a]
-        key = helper.canonical_span(ida, ida)
-        identity.append(span_id[key])
-    pc_partial = ParCategory.__new__(ParCategory)
-    object.__setattr__(pc_partial, "mc", mc)
-    object.__setattr__(pc_partial, "spans", tuple(spans))
-    object.__setattr__(pc_partial, "span_id", span_id)
-    comp = {}
-    for j, second in enumerate(spans):
-        for i, first in enumerate(spans):
-            if mor_tgt[i] != mor_src[j]:
-                continue
-            comp[(j, i)] = span_id[pc_partial.compose_spans(second, first)]
+    identity = [span_id[canonical_span(mc, c.identity[a], c.identity[a])]
+                for a in c.objects]
+    comp = {(j, i): span_id[compose_spans(mc, second, first)]
+            for j, second in enumerate(spans)
+            for i, first in enumerate(spans) if mor_tgt[i] == mor_src[j]}
     cat = FinCategory(c.n_objects, mor_src, mor_tgt, identity, comp,
                       obj_names=c.obj_names,
                       mor_names=tuple(
                           f"({c.mor_names[m]},{c.mor_names[f]})"
                           for (m, f) in spans))
-    bar = tuple(span_id[helper.canonical_span(m, m)] for (m, f) in spans)
+    bar = tuple(span_id[canonical_span(mc, m, m)] for (m, f) in spans)
     rc = RestrictionCategory(cat, bar)
-    pc = ParCategory(rc, mc, tuple(spans), span_id)
-    if verify:
-        from .restriction import check_restriction_axioms
-        rep = check_restriction_axioms(rc)
-        if not rep.ok:
-            raise InternalInvariantError(
-                f"Par output fails restriction axioms:\n{rep}")
-        _verify_split(rc)
-    return pc
+    rep = check_restriction_axioms(rc)
+    if not rep.ok:
+        raise InternalInvariantError(
+            f"Par output fails restriction axioms:\n{rep}")
+    _verify_split(rc)
+    return ParCategory(rc, mc, spans, span_id)
 
 
 def _verify_split(rc: RestrictionCategory):
     for e in rc.base.morphisms():
-        if rc.bar[e] != e:
-            continue
-        if not _splits(rc.base, e):
+        if rc.bar[e] == e and _splitting(rc.base, e) is None:
             raise InternalInvariantError(
                 f"restriction idempotent {e} does not split")
 
 
-def _splits(c: FinCategory, e):
+def _splitting(c: FinCategory, e):
+    """Some (s, r) with s∘r == e and r∘s an identity, or None."""
     a = c.mor_src[e]
     for obj in c.objects:
         for s in c.hom(obj, a):
             for r in c.hom(a, obj):
                 if c.comp[(s, r)] == e and c.comp[(r, s)] == c.identity[obj]:
-                    return True
-    return False
+                    return s, r
+    return None
 
 
 def par_leq_oracle(pc: ParCategory, i, j) -> bool:
@@ -460,20 +420,12 @@ def par_join_construction(pc: ParCategory, members, src=None, tgt=None):
     elif src is None or tgt is None:
         raise ValueError("empty family needs explicit hom endpoints")
     family = tuple(pc.spans[i][0] for i in members)
-    obj = src
-    mcol = matching_colimit(pc.mc, family, obj)
+    mcol = matching_colimit(pc.mc, family, src)
     if mcol is None or mcol.mu not in pc.mc.monics:
         return None
     # gamma: induced by the cocone of the f_i legs
-    k = len(family)
-    legs = [pc.spans[i][1] for i in members]
-    target_legs = list(legs)
-    for (i, j), idx in sorted(mcol.md.pair_objects.items(),
-                              key=lambda kv: kv[1]):
-        arrow_to_i = mcol.md.diagram.mor_map[_pair_arrow(mcol.md, idx, i)]
-        target_legs.append(c.comp[(legs[i], arrow_to_i)])
-    gamma = mediating(c, mcol.md.diagram, mcol.cocone,
-                      Cocone(tgt, tuple(target_legs)))
+    gamma = _induced_map(c, mcol.md, mcol.cocone,
+                         [pc.spans[i][1] for i in members], tgt)
     if gamma is None:
         return None
     return pc.id_of_span(mcol.mu, gamma)
@@ -508,7 +460,7 @@ def mtotal(x: RestrictionCategory) -> MTotalResult:
     of x to split."""
     c = x.base
     for e in c.morphisms():
-        if x.bar[e] == e and not _splits(c, e):
+        if x.bar[e] == e and _splitting(c, e) is None:
             raise ValueError(f"restriction idempotent {e} does not split")
     sub = total_subcategory(x)
     monics_old = restriction_monic_candidates(x)
@@ -525,9 +477,10 @@ class KaroubiResult:
     embedding: Functor  # x -> karoubi_r(x)
 
 
-def karoubi_r(x: RestrictionCategory, verify=True) -> KaroubiResult:
+def karoubi_r(x: RestrictionCategory) -> KaroubiResult:
     """Split restriction category on objects (A, e): morphisms f with
-    f∘e == f and e'∘f == f, bar inherited."""
+    f∘e == f and e'∘f == f, bar inherited.  The splitting and the full and
+    faithful embedding of x are verified."""
     c = x.base
     objects = []
     for a in c.objects:
@@ -567,12 +520,10 @@ def karoubi_r(x: RestrictionCategory, verify=True) -> KaroubiResult:
                                  obj_idx[(c.mor_tgt[f], c.identity[c.mor_tgt[f]])],
                                  f)]
                         for f in c.morphisms()))
-    result = KaroubiResult(rc, tuple(objects), tuple(morphisms), emb)
-    if verify:
-        _verify_split(rc)
-        if not emb.check() or not emb.is_full_and_faithful():
-            raise InternalInvariantError("Karoubi embedding not full/faithful")
-    return result
+    _verify_split(rc)
+    if not emb.check() or not emb.is_full_and_faithful():
+        raise InternalInvariantError("Karoubi embedding not full/faithful")
+    return KaroubiResult(rc, tuple(objects), tuple(morphisms), emb)
 
 
 def _idem(objects, i):
@@ -586,29 +537,24 @@ class SplitUnitResult:
     pc: ParCategory
 
 
-def split_unit_functor(x: RestrictionCategory, verify=True) -> SplitUnitResult:
+def split_unit_functor(x: RestrictionCategory) -> SplitUnitResult:
     """The comparison x -> Par(Total(x), restriction monics) for a split
     restriction category: f maps to the span (m, f∘m) where (m, r) is the
-    canonical splitting of bar(f)."""
+    canonical splitting of bar(f).  The comparison is verified to be an
+    isomorphism of restriction categories."""
     c = x.base
     mt = mtotal(x)
-    pc = par(mt.mcat, verify=verify)
+    pc = par(mt.mcat)
     sub = mt.sub
     if sub.obj_old != c.objects:
         raise InternalInvariantError("total subcategory must keep all objects")
-
-    def splitting(e):
-        for obj in c.objects:
-            for m in c.hom(obj, c.mor_src[e]):
-                for r in c.hom(c.mor_src[e], obj):
-                    if c.comp[(m, r)] == e and \
-                            c.comp[(r, m)] == c.identity[obj]:
-                        return m, r
-        raise InternalInvariantError(f"idempotent {e} does not split")
-
     mor_map = []
     for f in c.morphisms():
-        m, r = splitting(x.bar[f])
+        split = _splitting(c, x.bar[f])
+        if split is None:
+            raise InternalInvariantError(
+                f"idempotent {x.bar[f]} does not split")
+        m = split[0]
         fm = c.comp[(f, m)]
         if m not in sub.mor_new or fm not in sub.mor_new:
             raise InternalInvariantError(
@@ -618,13 +564,12 @@ def split_unit_functor(x: RestrictionCategory, verify=True) -> SplitUnitResult:
             raise InternalInvariantError("splitting monic not a restriction monic")
         mor_map.append(pc.id_of_span(mm, sub.mor_new[fm]))
     fun = Functor(c, pc.rc.base, tuple(c.objects), tuple(mor_map))
-    if verify:
-        if not fun.check() or not fun.is_full_and_faithful() or \
-                len(set(mor_map)) != pc.rc.base.n_morphisms or \
-                c.n_objects != pc.rc.base.n_objects:
-            raise InternalInvariantError(
-                "comparison with the span category is not an isomorphism")
-        for f in c.morphisms():
-            if mor_map[x.bar[f]] != pc.rc.bar[mor_map[f]]:
-                raise InternalInvariantError("comparison does not preserve bar")
+    if not fun.check() or not fun.is_full_and_faithful() or \
+            len(set(mor_map)) != pc.rc.base.n_morphisms or \
+            c.n_objects != pc.rc.base.n_objects:
+        raise InternalInvariantError(
+            "comparison with the span category is not an isomorphism")
+    for f in c.morphisms():
+        if mor_map[x.bar[f]] != pc.rc.bar[mor_map[f]]:
+            raise InternalInvariantError("comparison does not preserve bar")
     return SplitUnitResult(fun, mt, pc)

@@ -21,12 +21,6 @@ class RestrictionCategory:
         if len(self.bar) != self.base.n_morphisms:
             raise ValueError("bar table must cover every morphism")
 
-    def hom(self, a, b):
-        return self.base.hom(a, b)
-
-    def compose(self, g, f):
-        return self.base.compose(g, f)
-
 
 def check_restriction_axioms(x: RestrictionCategory) -> LawReport:
     """Exhaustive R1-R4 check; also flags bars with the wrong endpoints."""

@@ -11,14 +11,16 @@ its collage satisfies the corresponding category axioms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .fincat import FinCategory
-from .joins import CompatibleFamily, join as hom_join
+from .joins import (CompatibleFamily, compatible_families,
+                    compatible_subsets, join as hom_join, least_upper_bound)
 from .reports import LawReport
 from .restriction import RestrictionCategory, is_restriction_idempotent
-from .site import NatTrans, Presheaf, check_presheaf
+from .site import (NatTrans, Presheaf, check_presheaf, find_presheaf_iso,
+                   yoneda)
 
 
 @dataclass(frozen=True)
@@ -94,32 +96,14 @@ def element_compatible(rp: RestrictionPresheaf, a, x, y) -> bool:
 
 def element_join(rp: RestrictionPresheaf, a, members):
     """Least upper bound in P(a), or None."""
-    p = rp.presheaf
-    ubs = [u for u in p.elements(a)
-           if all(element_leq(rp, a, s, u) for s in members)]
-    for u in ubs:
-        if all(element_leq(rp, a, u, v) for v in ubs):
-            return u
-    return None
+    return least_upper_bound(rp.presheaf.elements(a),
+                             partial(element_leq, rp, a), members)
 
 
 def compatible_element_subsets(rp: RestrictionPresheaf, a, max_family=None):
     """All pairwise-compatible subsets of P(a), the empty one included."""
-    elems = list(rp.presheaf.elements(a))
-    out = [()]
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for fam in frontier:
-            start = fam[-1] + 1 if fam else 0
-            for e in elems[start:]:
-                if all(element_compatible(rp, a, e, s) for s in fam):
-                    bigger = fam + (e,)
-                    if max_family is None or len(bigger) <= max_family:
-                        nxt.append(bigger)
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    return compatible_families(rp.presheaf.elements(a),
+                               partial(element_compatible, rp, a), max_family)
 
 
 def check_jrp_axioms(rp: RestrictionPresheaf, max_family=None) -> LawReport:
@@ -157,7 +141,6 @@ def check_jrp_axioms(rp: RestrictionPresheaf, max_family=None) -> LawReport:
                     report.add("JRP2", (a,) + fam + (g,), "(⋁S)·g != ⋁(s·g)")
     # sanity: x·(⋁T) == ⋁(x·t) for hom-joins (a theorem given the above)
     if report.ok:
-        from .joins import compatible_subsets
         for a in c.objects:
             for e in p.elements(a):
                 for b in c.objects:
@@ -252,27 +235,6 @@ def hom_restriction(rp_src: RestrictionPresheaf, rp_tgt: RestrictionPresheaf,
     return NatTrans(alpha.source, alpha.source, tuple(comps))
 
 
-def nat_leq(rp_src, rp_tgt, alpha: NatTrans, beta: NatTrans) -> bool:
-    bar_a = hom_restriction(rp_src, rp_tgt, alpha)
-    comps = tuple(
-        tuple(beta.components[a][bar_a.components[a][e]]
-              for e in rp_src.presheaf.elements(a))
-        for a in rp_src.rc.base.objects)
-    return comps == alpha.components
-
-
-def nat_compatible(rp_src, rp_tgt, alpha: NatTrans, beta: NatTrans) -> bool:
-    bar_a = hom_restriction(rp_src, rp_tgt, alpha)
-    bar_b = hom_restriction(rp_src, rp_tgt, beta)
-    left = tuple(tuple(alpha.components[a][bar_b.components[a][e]]
-                       for e in rp_src.presheaf.elements(a))
-                 for a in rp_src.rc.base.objects)
-    right = tuple(tuple(beta.components[a][bar_a.components[a][e]]
-                        for e in rp_src.presheaf.elements(a))
-                  for a in rp_src.rc.base.objects)
-    return left == right
-
-
 def nat_join(rp_src, rp_tgt, alphas) -> NatTrans:
     """Componentwise join of a compatible set of presheaf maps."""
     alphas = list(alphas)
@@ -297,8 +259,6 @@ def nat_join(rp_src, rp_tgt, alphas) -> NatTrans:
 def find_rp_iso(rp1: RestrictionPresheaf, rp2: RestrictionPresheaf):
     """A natural isomorphism of the underlying presheaves that also matches
     the element restrictions, or None."""
-    from .site import find_presheaf_iso
-
     def same_bar(a, x, y):
         return rp1.bar_elem[a][x] == rp2.bar_elem[a][y]
 
@@ -307,7 +267,6 @@ def find_rp_iso(rp1: RestrictionPresheaf, rp2: RestrictionPresheaf):
 
 def yoneda_jr(x: RestrictionCategory, a) -> RestrictionPresheaf:
     """hom(-, a) with the element restriction inherited from the category."""
-    from .site import yoneda
     p = yoneda(x.base, a)
     bar_elem = tuple(
         tuple(x.bar[f] for f in x.base.hom(b, a))

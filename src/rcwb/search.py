@@ -1,4 +1,4 @@
-"""Explicit isomorphism search between finite (restriction) categories.
+"""Explicit isomorphism search between finite restriction categories.
 
 Identity of objects is never assumed: isomorphisms are found by backtracking
 over object bijections and hom-wise morphism bijections, pruned by degree
@@ -34,10 +34,9 @@ def _extend_morphisms(c, d, bar_c, bar_d, obj_map):
     def consistent(f, ff):
         if c.is_identity(f) and not d.is_identity(ff):
             return False
-        if bar_c is not None:
-            bf = bar_c[f]
-            if mor_map[bf] is not None and mor_map[bf] != bar_d[ff]:
-                return False
+        bf = bar_c[f]
+        if mor_map[bf] is not None and mor_map[bf] != bar_d[ff]:
+            return False
         for g in c.morphisms():
             gg = mor_map[g]
             if gg is None:
@@ -74,7 +73,7 @@ def _extend_morphisms(c, d, bar_c, bar_d, obj_map):
     return None
 
 
-def _iso_search(c, d, bar_c=None, bar_d=None):
+def _iso_search(c, d, bar_c, bar_d):
     if c.n_objects != d.n_objects or c.n_morphisms != d.n_morphisms:
         return None
     inv_c = [_obj_invariant(c, a) for a in c.objects]
@@ -95,23 +94,7 @@ def _iso_search(c, d, bar_c=None, bar_d=None):
     return None
 
 
-def find_category_iso(c: FinCategory, d: FinCategory):
-    """An invertible functor c -> d, or None."""
-    return _iso_search(c, d)
-
-
 def find_restriction_iso(x: RestrictionCategory, y: RestrictionCategory):
     """An invertible bar-preserving functor x -> y, or None."""
     return _iso_search(x.base, y.base, x.bar, y.bar)
 
-
-def inverse_functor(fun: Functor) -> Functor:
-    obj_inv = [None] * fun.target.n_objects
-    for a, aa in enumerate(fun.obj_map):
-        obj_inv[aa] = a
-    mor_inv = [None] * fun.target.n_morphisms
-    for f, ff in enumerate(fun.mor_map):
-        mor_inv[ff] = f
-    if None in obj_inv or None in mor_inv:
-        raise ValueError("functor is not bijective")
-    return Functor(fun.target, fun.source, tuple(obj_inv), tuple(mor_inv))

@@ -9,11 +9,11 @@ with classes kept as canonical representatives so equality is plain.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .fincat import FinCategory, Functor
-from .mcat import MCategory, pullback_subobject, sub_m, subobject_rep
+from .fincat import FinCategory
+from .joins import families
+from .mcat import MCategory, pullback_subobject, sub_m
 from .reports import InternalInvariantError, LawReport
 
 
@@ -95,10 +95,6 @@ def compose_nat(beta: NatTrans, alpha: NatTrans) -> NatTrans:
     return NatTrans(alpha.source, beta.target,
                     tuple(tuple(beta.components[a][x] for x in comp)
                           for a, comp in enumerate(alpha.components)))
-
-
-def identity_nat(p: Presheaf) -> NatTrans:
-    return NatTrans(p, p, tuple(tuple(p.elements(a)) for a in p.cat.objects))
 
 
 def _nat_backtrack(p: Presheaf, q: Presheaf, injective, elem_constraint,
@@ -187,11 +183,6 @@ def yoneda(c: FinCategory, a) -> Presheaf:
     return Presheaf(c, sizes, action, names)
 
 
-def yoneda_elem(c: FinCategory, a, f):
-    """Index of the morphism f inside yoneda(c, a) at src(f)."""
-    return c.hom(c.mor_src[f], a).index(f)
-
-
 def yoneda_map(c: FinCategory, f, ya=None, yb=None) -> NatTrans:
     """y(f): hom(-, src f) -> hom(-, tgt f)."""
     a, b = c.mor_src[f], c.mor_tgt[f]
@@ -261,12 +252,8 @@ def basis_covers(mc: MCategory):
     out = []
     for a in c.objects:
         poset = sub_m(mc, a)
-        fams = []
-        for r in range(len(poset.elements) + 1):
-            for fam in itertools.combinations(poset.elements, r):
-                if poset.join(fam) == poset.top():
-                    fams.append(fam)
-        out.append(tuple(fams))
+        out.append(tuple(fam for fam in families(poset.elements)
+                         if poset.join(fam) == poset.top()))
     return tuple(out)
 
 
@@ -375,35 +362,31 @@ def amalgamations(p: Presheaf, a, fs, fam):
             if all(p.act(f, x) == fam[i] for i, f in enumerate(fs))]
 
 
-def restrict_matching(p: Presheaf, fs, fam):
-    """Dict f -> x_f for convenience."""
-    return dict(zip(fs, fam))
+def _amalgamation_counts(p: Presheaf, top: Topology):
+    """(a, fs, n) for each matching family over each covering sieve on a,
+    where fs lists the sieve and n counts the family's amalgamations."""
+    for a in p.cat.objects:
+        for sieve in sorted(top.covers[a], key=sorted):
+            fs, fams = matching_families(p, a, sieve)
+            for fam in fams:
+                yield a, fs, len(amalgamations(p, a, fs, fam))
 
 
 def is_separated(p: Presheaf, top: Topology) -> LawReport:
     report = LawReport("separated")
-    c = p.cat
-    for a in c.objects:
-        for sieve in sorted(top.covers[a], key=sorted):
-            fs, fams = matching_families(p, a, sieve)
-            for fam in fams:
-                if len(amalgamations(p, a, fs, fam)) > 1:
-                    report.add("SEP", (a,) + tuple(fs),
-                               "matching family with several amalgamations")
+    for a, fs, n in _amalgamation_counts(p, top):
+        if n > 1:
+            report.add("SEP", (a,) + tuple(fs),
+                       "matching family with several amalgamations")
     return report
 
 
 def is_sheaf(p: Presheaf, top: Topology) -> LawReport:
     report = LawReport("sheaf")
-    c = p.cat
-    for a in c.objects:
-        for sieve in sorted(top.covers[a], key=sorted):
-            fs, fams = matching_families(p, a, sieve)
-            for fam in fams:
-                n = len(amalgamations(p, a, fs, fam))
-                if n != 1:
-                    report.add("SHEAF", (a,) + tuple(fs),
-                               f"matching family with {n} amalgamations")
+    for a, fs, n in _amalgamation_counts(p, top):
+        if n != 1:
+            report.add("SHEAF", (a,) + tuple(fs),
+                       f"matching family with {n} amalgamations")
     return report
 
 
@@ -415,20 +398,33 @@ class PlusData:
 
     classes[a] is the tuple of canonical representatives (fs, fam); fs is the
     sorted tuple of the sieve's morphisms, fam the matching family over it.
+    lookup memoises class_of by (a, fs, fam); it takes no part in equality.
     """
     source: Presheaf
     presheaf: Presheaf
     top: Topology
     classes: tuple
     unit: NatTrans
+    lookup: dict = field(default_factory=dict, repr=False, compare=False)
 
     def class_of(self, a, fs, fam):
-        c = self.source.cat
-        p = self.source
-        for i, (fs2, fam2) in enumerate(self.classes[a]):
-            if _agree_on_refinement(p, self.top, a, fs, fam, fs2, fam2):
-                return i
-        raise InternalInvariantError("matching family matches no plus class")
+        return _class_of(self.source, self.top, self.classes, self.lookup,
+                         a, fs, fam)
+
+
+def _class_of(p, top, classes, lookup, a, fs, fam):
+    """Index of the plus class at a holding the matching family fam over
+    fs, memoised in lookup."""
+    key = (a, fs, fam)
+    if key not in lookup:
+        for i, (fs2, fam2) in enumerate(classes[a]):
+            if _agree_on_refinement(p, top, a, fs, fam, fs2, fam2):
+                lookup[key] = i
+                break
+        else:
+            raise InternalInvariantError(
+                "matching family matches no plus class")
+    return lookup[key]
 
 
 def _agree_on_refinement(p, top, a, fs1, fam1, fs2, fam2):
@@ -457,30 +453,16 @@ def plus(p: Presheaf, top: Topology) -> PlusData:
                 reps.append(pair)
         classes.append(tuple(reps))
     sizes = tuple(len(cl) for cl in classes)
-    # build the action before wrapping, via direct refinement lookup
+    lookup = {}
     action = {}
-    lookup_cache = {}
-
-    def cls(a, fs, fam):
-        key = (a, fs, fam)
-        if key not in lookup_cache:
-            idx = None
-            for i, (fs2, fam2) in enumerate(classes[a]):
-                if _agree_on_refinement(p, top, a, fs, fam, fs2, fam2):
-                    idx = i
-                    break
-            if idx is None:
-                raise InternalInvariantError("plus class lookup failed")
-            lookup_cache[key] = idx
-        return lookup_cache[key]
-
     for f in c.morphisms():
         a, b = c.mor_src[f], c.mor_tgt[f]
         for x, (fs, fam) in enumerate(classes[b]):
             d = dict(zip(fs, fam))
             pulled = sorted(sieve_pullback(c, frozenset(fs), f))
             pfam = tuple(d[c.comp[(f, g)]] for g in pulled)
-            action[(f, x)] = cls(a, tuple(pulled), pfam)
+            action[(f, x)] = _class_of(p, top, classes, lookup,
+                                       a, tuple(pulled), pfam)
     plus_p = Presheaf(c, sizes, action)
     # unit: x |-> class of (maximal sieve, restrictions of x)
     comps = []
@@ -489,10 +471,10 @@ def plus(p: Presheaf, top: Topology) -> PlusData:
         col = []
         for x in p.elements(a):
             fam = tuple(p.act(f, x) for f in ms)
-            col.append(cls(a, ms, fam))
+            col.append(_class_of(p, top, classes, lookup, a, ms, fam))
         comps.append(tuple(col))
     unit = NatTrans(p, plus_p, tuple(comps))
-    data = PlusData(p, plus_p, top, tuple(classes), unit)
+    data = PlusData(p, plus_p, top, tuple(classes), unit, lookup)
     if not check_presheaf(plus_p) or not unit.check():
         raise InternalInvariantError("plus construction produced bad data")
     return data

@@ -226,13 +226,13 @@ def test_10_transfer_and_roundtrip(pc_inj, top_inj):
     for w in c.objects:
         rep = transfer_report(pc_inj, top_inj, yoneda(c, w), max_family=3)
         assert rep.ok  # includes RECIPE: constructed join == searched lub
-    assert roundtrip_report(pc_inj, top_inj, max_family=2).ok
+    assert roundtrip_report(pc_inj, top_inj).ok
 
 
 # -- 11: the embedding into presheaves matches the representables ---------------
 
 def test_11_cocompletion_unit(finset_p2):
-    res = cocompletion_unit(finset_p2, max_family=2)
+    res = cocompletion_unit(finset_p2)
     assert res.report.ok
     assert len(res.transferred) == finset_p2.base.n_objects
 

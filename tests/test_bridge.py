@@ -56,7 +56,7 @@ def test_amalgamation_formula(pc_inj, top_inj):
 
 
 def test_roundtrips_are_natural_isos(pc_inj, top_inj):
-    assert roundtrip_report(pc_inj, top_inj, max_family=2).ok
+    assert roundtrip_report(pc_inj, top_inj).ok
 
 
 def test_roundtrip_sheaf_side_explicitly(pc_inj, top_inj):
@@ -74,12 +74,12 @@ def test_roundtrip_presheaf_side_explicitly(pc_inj, top_inj):
 
 
 def test_cocompletion_unit_matches_representables(finset_p2):
-    res = cocompletion_unit(finset_p2, max_family=2)
+    res = cocompletion_unit(finset_p2)
     assert res.report.ok
     assert len(res.transferred) == finset_p2.base.n_objects
 
 
 def test_cocompletion_unit_on_small_join_category():
     from rcwb.fixtures import subsets_category
-    res = cocompletion_unit(subsets_category(2), max_family=2)
+    res = cocompletion_unit(subsets_category(2))
     assert res.report.ok

@@ -186,3 +186,50 @@ def test_cli_topology_finset_inj_3(capsys):
     # a size-3 site: 40 maps into set3, beyond closing every generator set
     assert main(["topology", "finset_inj_3"]) == 0
     assert "PASS\ttopology\tfinset_inj_3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("monics, tag", [("identities", "M-ISO"),
+                                         ("all", "M-MONO")])
+@pytest.mark.parametrize("command", ["build-par", "topology", "geometric"])
+def test_cli_gate_stops_on_a_bad_m_system(tmp_path, capsys, command, monics,
+                                          tag):
+    # finset_inj_2 with M the identities only (the swap of set2 is an iso
+    # missing from M) or every map (some of them not monic)
+    data = _finset_inj2_data()
+    if monics == "identities":
+        data["monics"] = sorted(data["identities"].values())
+    else:
+        data["monics"] = sorted(m["id"] for m in data["morphisms"])
+    bundle = tmp_path / "bad_m.json"
+    bundle.write_text(dump_bundle(data))
+    assert main([command, str(bundle)]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert f"\t{tag}\t" in out
+    assert all(line.startswith("m-system\t") for line in lines[:-1])
+    assert lines[-1] == f"FAIL\t{command}\t{bundle}"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["karoubi", "unit"])
+def test_cli_gate_stops_on_bad_restriction_axioms(tmp_path, capsys, command):
+    rc = build_finset_p(2)
+    c = rc.base
+    # the identity of set1 gets the empty map as its restriction: R1 fails
+    empty = next(f for f in c.hom(1, 1) if f != c.identity[1])
+    bar = list(rc.bar)
+    bar[c.identity[1]] = empty
+    bundle = tmp_path / "bad_bar.json"
+    bundle.write_text(dump_bundle(bundle_dict(c, restriction=bar)))
+    assert main([command, str(bundle)]) == 1
+    out, err = capsys.readouterr()
+    assert "restriction\tR1\t" in out
+    assert out.splitlines()[-1] == f"FAIL\t{command}\t{bundle}"
+    assert "Traceback" not in err
+
+
+def test_cli_roundtrip_rejects_an_unknown_presheaf(capsys):
+    assert main(["roundtrip", "finset_inj_2", "nosuchthing"]) == 2
+    assert capsys.readouterr().err == (
+        "bundle error: $.presheaves: no presheaf or object named "
+        "'nosuchthing'\n")

@@ -1,0 +1,67 @@
+"""Every smoke suite of scripts/run_suites.py, pinned byte for byte.
+
+Each SUITES command runs in-process with the suite runner's default
+--max-family 3 and an --out file; the exit code, the stdout lines and the
+--out JSON must equal tests/cli_golden.json.  Regenerate the goldens only
+when a change is meant to alter output:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from rcwb.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "cli_golden.json")
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "scripts"))
+
+from run_suites import SUITES  # noqa: E402
+
+MAX_FAMILY = "3"   # the default of run_suites.py
+
+
+def _key(cmd):
+    return " ".join(cmd)
+
+
+def run_suite(cmd):
+    """{"exit", "stdout", "out"} of one suite command run in-process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(cmd + ["--max-family", MAX_FAMILY, "--out", path])
+        with open(path, encoding="utf-8") as fh:
+            out = json.load(fh)
+    return {"exit": code, "stdout": stdout.getvalue().splitlines(),
+            "out": out}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_every_suite_has_a_golden(golden):
+    assert sorted(golden) == sorted(_key(cmd) for cmd, _ in SUITES)
+
+
+@pytest.mark.parametrize("cmd", [cmd for cmd, _ in SUITES], ids=_key)
+def test_suite_output_matches_golden(golden, cmd):
+    assert run_suite(cmd) == golden[_key(cmd)]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump({_key(cmd): run_suite(cmd) for cmd, _ in SUITES}, fh,
+                  indent=1, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")

@@ -99,7 +99,7 @@ def test_par_join_recipe_matches_search(pc_inj):
 
 
 def test_karoubi_splits_and_embeds(finset_p2):
-    kr = karoubi_r(finset_p2)  # verify=True re-checks splitting + embedding
+    kr = karoubi_r(finset_p2)  # re-checks splitting + embedding
     assert len(kr.objects) == 7
     assert kr.rc.base.n_morphisms == 81
     assert check_restriction_axioms(kr.rc).ok

@@ -90,6 +90,16 @@ def test_constant_presheaf_fails_at_empty_cover(mc_inj, top_inj):
     assert any(v.ids == (0,) for v in rep.violations)
 
 
+def test_constant_presheaf_report_lines(mc_inj, top_inj):
+    # the empty sieve on set0 has one (empty) matching family, and both
+    # constant elements amalgamate it
+    p = constant_presheaf(mc_inj.base, 2)
+    assert is_separated(p, top_inj).lines() == \
+        ["SEP\t0\tmatching family with several amalgamations"]
+    assert is_sheaf(p, top_inj).lines() == \
+        ["SHEAF\t0\tmatching family with 2 amalgamations"]
+
+
 def test_matching_families_of_maximal_sieve_are_elements(mc_inj, top_inj):
     p = yoneda(mc_inj.base, 2)
     for a in mc_inj.base.objects:
