@@ -25,11 +25,13 @@ SUITES = [
     (["transfer", "finset_inj_2", "yset2", "--direction", "to-sheaf"], 0),
     (["roundtrip", "finset_inj_2", "yset1"], 0),
     (["unit", "finset_p_2"], 0),
-    # size-3 fixtures: guard the cocone and sieve searches against a return
-    # to brute force
+    # size-3 fixtures: guard the cocone, sieve, matching-family and iso
+    # searches against a return to brute force
     (["topology", "finset_inj_3"], 0),
     (["geometric", "finset_inj_3"], 0),
     (["sheafify", "finset_inj_3", "yset1"], 0),
+    (["sheaf-check", "finset_inj_3", "yset3"], 0),
+    (["roundtrip", "finset_inj_3", "yset1"], 0),
     # negative controls: these are supposed to fail with exit code 1
     (["check-laws", "nojoin"], 1),
     (["geometric", "finset_iso_2"], 1),

@@ -22,8 +22,9 @@ from .restriction import RestrictionCategory, is_restriction_idempotent
 from .rpsh import (RestrictionPresheaf, check_jrp_axioms,
                    compatible_element_subsets, element_join, find_rp_iso,
                    yoneda_jr)
-from .site import (Presheaf, Topology, basis_covers, find_presheaf_iso,
-                   generate_topology, is_sheaf, subcanonical_report, yoneda)
+from .site import (Presheaf, Topology, amalgamations, basis_covers,
+                   find_presheaf_iso, generate_topology, is_sheaf,
+                   subcanonical_report, yoneda)
 
 
 # -- sheaf -> join restriction presheaf ----------------------------------------
@@ -102,8 +103,7 @@ def recipe_join(tr: TransferredJRP, a, members):
         return None, "induced map not a monic of the system"
     legs = mcol.cocone.legs[:len(family)]
     apex = mcol.cocone.apex
-    amalg = [e for e in p.elements(apex)
-             if all(p.act(legs[i], e) == felems[i] for i in range(len(family)))]
+    amalg = amalgamations(p, apex, legs, felems)
     if len(amalg) != 1:
         return None, f"{len(amalg)} amalgamations"
     return canonical_pair(pc.mc, p, tr.index[a], mcol.mu, amalg[0]), None
@@ -193,22 +193,13 @@ def _check_formula(pc, rp, dot, report, a, fam):
     """Every matching family for the cover amalgamates to the join of the
     partial inverses of its legs, uniquely."""
     c = pc.mc.base
+    p = dot.presheaf
     doms = [c.mor_src[m] for m in fam]
-    for felems in itertools.product(*[range(dot.presheaf.sizes[d])
-                                      for d in doms]):
-        ok = True
-        for i, mi in enumerate(fam):
-            for j2, mj in enumerate(fam):
-                if i == j2:
-                    continue
-                cone = pullback(c, mi, mj)
-                if dot.presheaf.act(cone.p, felems[i]) != \
-                        dot.presheaf.act(cone.q, felems[j2]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+    cones = [(i, j, pullback(c, mi, mj)) for i, mi in enumerate(fam)
+             for j, mj in enumerate(fam) if i != j]
+    for felems in itertools.product(*[p.elements(d) for d in doms]):
+        if any(p.act(cone.p, felems[i]) != p.act(cone.q, felems[j])
+               for i, j, cone in cones):
             continue
         # x = join of f_i · (m_i, 1), computed inside the source presheaf
         parts = []
@@ -222,17 +213,14 @@ def _check_formula(pc, rp, dot, report, a, fam):
         if rp.bar(a, x) != pc.rc.base.identity[a]:
             report.add("AMALG-TOTAL", (a,) + fam, "join is not a total element")
             continue
-        matches = [y for y in dot.presheaf.elements(a)
-                   if all(dot.presheaf.act(fam[i], y) == felems[i]
-                          for i in range(len(fam)))]
-        if matches != [dot.orig[a].index(x)]:
+        if amalgamations(p, a, fam, felems) != [dot.orig[a].index(x)]:
             report.add("AMALG-UNIQUE", (a,) + fam,
                        "join is not the unique amalgamation")
 
 
 # -- round trips ------------------------------------------------------------------
 
-def roundtrip_report(pc: ParCategory, top: Topology) -> LawReport:
+def roundtrip_report(pc: ParCategory) -> LawReport:
     """Representable fixtures go around both ways up to natural isomorphism."""
     report = LawReport("roundtrip")
     c = pc.mc.base

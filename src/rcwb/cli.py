@@ -76,11 +76,21 @@ def _gate(bundle: Bundle, cmd):
     return check_m_system(bundle.mcat)
 
 
-def _resolve_presheaf(bundle: Bundle, cat, name):
-    """A named presheaf from the bundle, or y<object> / <object> for the
-    representable; returns (Presheaf, element bars or None)."""
-    if cat is bundle.cat and name in bundle.presheaves:
-        return bundle.presheaves[name]
+def _presheaf_report(name, psh) -> LawReport:
+    rep = LawReport(f"presheaf:{name}")
+    if not check_presheaf(psh):
+        rep.add("PSH", (), "not a presheaf")
+    return rep
+
+
+def _resolve_presheaf(bundle: Bundle, name):
+    """(presheaf, precondition report): a named presheaf from the bundle
+    with its presheaf-law report, or the representable for y<object> /
+    <object>, which needs no report."""
+    if name in bundle.presheaves:
+        psh = bundle.presheaves[name][0]
+        return psh, _presheaf_report(name, psh)
+    cat = bundle.cat
     candidates = [name]
     if name.startswith("y"):
         candidates.append(name[1:])
@@ -99,6 +109,11 @@ def _run(args) -> list:
     gate = _gate(bundle, cmd)
     if gate is not None and not gate.ok:
         return [gate], extra
+    if cmd in ("sheaf-check", "sheafify") or (
+            cmd == "transfer" and args.direction == "to-jrp"):
+        psh, psh_gate = _resolve_presheaf(bundle, args.presheaf)
+        if psh_gate is not None and not psh_gate.ok:
+            return [psh_gate], extra
 
     if cmd == "check-laws":
         reports.append(validate_category(bundle.cat))
@@ -110,10 +125,7 @@ def _run(args) -> list:
         if bundle.mcat is not None:
             reports.append(check_m_system(bundle.mcat))
         for name, (psh, bars) in sorted(bundle.presheaves.items()):
-            rep = LawReport(f"presheaf:{name}")
-            if not check_presheaf(psh):
-                rep.add("PSH", (), "not a presheaf")
-            reports.append(rep)
+            reports.append(_presheaf_report(name, psh))
             if bars is not None and bundle.restriction is not None:
                 rp = RestrictionPresheaf(bundle.restriction, psh, bars)
                 reports.append(check_rp_axioms(rp))
@@ -149,7 +161,6 @@ def _run(args) -> list:
 
     elif cmd in ("sheaf-check", "sheafify"):
         top = generate_topology(bundle.mcat)
-        psh, _ = _resolve_presheaf(bundle, bundle.cat, args.presheaf)
         reports.append(is_separated(psh, top))
         sheaf_rep = is_sheaf(psh, top)
         if cmd == "sheaf-check":
@@ -169,7 +180,6 @@ def _run(args) -> list:
         pc = par(bundle.mcat)
         top = generate_topology(bundle.mcat)
         if args.direction == "to-jrp":
-            psh, _ = _resolve_presheaf(bundle, bundle.cat, args.presheaf)
             reports.append(transfer_report(pc, top, psh, args.max_family))
             tr = sheaf_to_jrp(pc, psh)
             extra["artifact"] = bundle_dict(
@@ -190,10 +200,8 @@ def _run(args) -> list:
                 bundle.cat, presheaves={"transferred": (dot.presheaf, None)})
 
     elif cmd == "roundtrip":
-        _resolve_presheaf(bundle, bundle.cat, args.presheaf)
-        pc = par(bundle.mcat)
-        top = generate_topology(bundle.mcat)
-        reports.append(roundtrip_report(pc, top))
+        _resolve_presheaf(bundle, args.presheaf)
+        reports.append(roundtrip_report(par(bundle.mcat)))
 
     elif cmd == "unit":
         reports.append(cocompletion_unit(bundle.restriction).report)

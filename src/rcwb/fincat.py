@@ -219,61 +219,73 @@ def _is_terminal_cone(c, cones, apex, p, q):
     return True
 
 
-def cocones_at(c: FinCategory, d: Diagram, apex):
-    """All cocones under d with the given apex, by backtracking.
+def forced_assignments(n, domain, forces, push, order=None):
+    """Every assignment of a value to each of the slots 0..n-1 in which
+    every forcing edge holds, as tuples, lazily.
 
-    Choosing leg_j forces leg_i = leg_j ∘ d(u) for every arrow u: i -> j, so
-    the search branches only on shape objects that no choice has forced yet,
-    taking those without an outgoing non-identity arrow first.  Forced legs
-    are propagated at once and each arrow is checked as soon as its target
-    leg is known, so a clash prunes the branch where it arises.
+    forces[k] lists the edges (i, label) out of slot k: once slot k holds v,
+    slot i must hold push(label, v).  The search branches only on slots no
+    earlier choice has forced, in the given order (id order by default),
+    trying the values of domain(k) in turn.  Forced values are pushed at
+    once and a clash prunes the branch where it arises.  The assignments
+    come out in lexicographic order of the slots taken in that order.
     """
-    s = d.shape
-    n = s.n_objects
-    arrows_into = [[] for _ in range(n)]   # j -> [(i, d(u)) for u: i -> j]
-    has_out = [False] * n
-    for u in s.morphisms():
-        if not s.is_identity(u):
-            arrows_into[s.mor_tgt[u]].append((s.mor_src[u], d.mor_map[u]))
-            has_out[s.mor_src[u]] = True
-    order = sorted(range(n), key=lambda k: has_out[k])
-    out = []
-    legs = [None] * n
+    order = range(n) if order is None else order
+    values = [None] * n
+    trail = []
 
-    def assign(k, leg, trail):
-        """Set leg_k and every leg it forces, recording each in trail;
+    def assign(k, v):
+        """Set slot k and every slot it forces, recording each in trail;
         False on a clash."""
-        legs[k] = leg
+        values[k] = v
         trail.append(k)
         stack = [k]
         while stack:
             j = stack.pop()
-            for i, du in arrows_into[j]:
-                forced = c.comp[(legs[j], du)]
-                if legs[i] is None:
-                    legs[i] = forced
+            for i, label in forces[j]:
+                forced = push(label, values[j])
+                if values[i] is None:
+                    values[i] = forced
                     trail.append(i)
                     stack.append(i)
-                elif legs[i] != forced:
+                elif values[i] != forced:
                     return False
         return True
 
     def extend(pos):
-        while pos < n and legs[order[pos]] is not None:
+        while pos < n and values[order[pos]] is not None:
             pos += 1
         if pos == n:
-            out.append(tuple(legs))
+            yield tuple(values)
             return
         k = order[pos]
-        for leg in c.hom(d.obj_map[k], apex):
-            trail = []
-            if assign(k, leg, trail):
-                extend(pos + 1)
-            for i in trail:
-                legs[i] = None
+        for v in domain(k):
+            mark = len(trail)
+            if assign(k, v):
+                yield from extend(pos + 1)
+            while len(trail) > mark:
+                values[trail.pop()] = None
 
-    extend(0)
-    return out
+    return extend(0)
+
+
+def cocones_at(c: FinCategory, d: Diagram, apex):
+    """All cocones under d with the given apex.
+
+    Choosing leg_j forces leg_i = leg_j ∘ d(u) for every arrow u: i -> j, so
+    the search branches first on shape objects without an outgoing
+    non-identity arrow.
+    """
+    s = d.shape
+    forces = [[] for _ in s.objects]   # j -> [(i, d(u)) for u: i -> j]
+    for u in s.morphisms():
+        if not s.is_identity(u):
+            forces[s.mor_tgt[u]].append((s.mor_src[u], d.mor_map[u]))
+    sources = {i for edges in forces for i, _ in edges}
+    return list(forced_assignments(
+        s.n_objects, lambda k: c.hom(d.obj_map[k], apex), forces,
+        lambda du, leg: c.comp[(leg, du)],
+        sorted(s.objects, key=lambda k: k in sources)))
 
 
 def colimit(c: FinCategory, d: Diagram):

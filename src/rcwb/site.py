@@ -10,8 +10,9 @@ with classes kept as canonical representatives so equality is plain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .fincat import FinCategory
+from .fincat import FinCategory, forced_assignments
 from .joins import families
 from .mcat import MCategory, pullback_subobject, sub_m
 from .reports import InternalInvariantError, LawReport
@@ -97,68 +98,39 @@ def compose_nat(beta: NatTrans, alpha: NatTrans) -> NatTrans:
                           for a, comp in enumerate(alpha.components)))
 
 
-def _nat_backtrack(p: Presheaf, q: Presheaf, injective, elem_constraint,
-                   first_only):
-    """Element-wise backtracking over natural transformations p -> q.
-
-    Assignments are propagated per element so naturality prunes early; with
-    injective=True only componentwise bijections are produced (sizes must
-    already agree)."""
+def _nat_trans(p: Presheaf, q: Presheaf):
+    """Every natural transformation p -> q, lazily.  A slot is an element
+    x of some P(B); its value a_B(x) forces a_A(P(f)x) = Q(f)(a_B(x)) for
+    every f: A -> B.  Slots are tried object by object, smallest P(A)
+    first."""
     c = p.cat
-    comps = [[None] * p.sizes[a] for a in c.objects]
-    used = [set() for _ in c.objects]
-    slots = [(a, x) for a in sorted(c.objects, key=lambda a: p.sizes[a])
-             for x in p.elements(a)]
-    out = []
-
-    def consistent(t, x, y):
-        # naturality squares touching the fresh assignment (t, x) -> y
-        for f in c.into(t):
-            s = c.mor_src[f]
-            xi = p.act(f, x)
-            img = comps[s][xi]
-            if img is not None and img != q.act(f, y):
-                return False
-        for f in c.morphisms():
-            if c.mor_src[f] != t:
-                continue
-            b = c.mor_tgt[f]
-            for z in p.elements(b):
-                if p.act(f, z) == x and comps[b][z] is not None \
-                        and q.act(f, comps[b][z]) != y:
-                    return False
-        return True
-
-    def place(k):
-        if k == len(slots):
-            out.append(NatTrans(p, q, tuple(tuple(col) for col in comps)))
-            return first_only
-        a, x = slots[k]
-        for y in q.elements(a):
-            if injective and y in used[a]:
-                continue
-            if elem_constraint is not None and not elem_constraint(a, x, y):
-                continue
-            if not consistent(a, x, y):
-                continue
-            comps[a][x] = y
-            used[a].add(y)
-            if place(k + 1):
-                return True
-            comps[a][x] = None
-            used[a].discard(y)
-        return False
-
-    place(0)
-    return out
+    offset = (0, *accumulate(p.sizes))
+    obj_of = [a for a in c.objects for _ in p.elements(a)]
+    forces = [[] for _ in obj_of]
+    for f in c.morphisms():
+        a, b = c.mor_src[f], c.mor_tgt[f]
+        for x in p.elements(b):
+            forces[offset[b] + x].append((offset[a] + p.act(f, x), f))
+    order = sorted(range(len(obj_of)), key=lambda k: p.sizes[obj_of[k]])
+    for values in forced_assignments(
+            len(obj_of), lambda k: q.elements(obj_of[k]), forces, q.act,
+            order):
+        yield NatTrans(p, q, tuple(values[offset[a]:offset[a + 1]]
+                                   for a in c.objects))
 
 
 def find_presheaf_iso(p: Presheaf, q: Presheaf, elem_constraint=None):
-    """A natural isomorphism p -> q found by backtracking, or None."""
+    """The first natural isomorphism p -> q, in search order, whose every
+    component pair (a, x, y) passes elem_constraint, or None."""
     if p.sizes != q.sizes:
         return None
-    found = _nat_backtrack(p, q, True, elem_constraint, True)
-    return found[0] if found else None
+    allowed = elem_constraint or (lambda a, x, y: True)
+    for nat in _nat_trans(p, q):
+        if nat.is_monic_componentwise() and all(
+                allowed(a, x, y) for a, comp in enumerate(nat.components)
+                for x, y in enumerate(comp)):
+            return nat
+    return None
 
 
 def constant_presheaf(c: FinCategory, k) -> Presheaf:
@@ -315,46 +287,15 @@ def saturation_is_fixpoint(top: Topology) -> bool:
 # -- matching families, sheaves ------------------------------------------------
 
 def matching_families(p: Presheaf, a, sieve):
-    """All matching families for the sieve: assignments x_f with
-    x_{f∘g} = P(g)(x_f)."""
+    """(fs, families): fs is the sorted sieve, families every assignment
+    x_f in P(src f) with x_{f∘g} = P(g)(x_f), in lexicographic order."""
     c = p.cat
     fs = sorted(sieve)
     pos = {f: i for i, f in enumerate(fs)}
-    out = []
-    assign = [None] * len(fs)
-
-    def place(k):
-        if k == len(fs):
-            out.append(tuple(assign))
-            return
-        f = fs[k]
-        for x in p.elements(c.mor_src[f]):
-            ok = True
-            # x_{f∘g} must equal P(g)(x) for every already-placed composite
-            for g in c.into(c.mor_src[f]):
-                h = pos[c.comp[(f, g)]]
-                if h < k and assign[h] != p.act(g, x):
-                    ok = False
-                    break
-                if h == k and p.act(g, x) != x:
-                    ok = False
-                    break
-            # and x must match P(g)(x_{f_i}) whenever f == f_i∘g
-            for i in range(k):
-                if not ok:
-                    break
-                fi = fs[i]
-                for g in c.into(c.mor_src[fi]):
-                    if c.comp[(fi, g)] == f and p.act(g, assign[i]) != x:
-                        ok = False
-                        break
-            if ok:
-                assign[k] = x
-                place(k + 1)
-                assign[k] = None
-
-    place(0)
-    return fs, out
+    forces = [[(pos[c.comp[(f, g)]], g) for g in c.into(c.mor_src[f])]
+              for f in fs]
+    return fs, list(forced_assignments(
+        len(fs), lambda k: p.elements(c.mor_src[fs[k]]), forces, p.act))
 
 
 def amalgamations(p: Presheaf, a, fs, fam):
@@ -666,5 +607,5 @@ def classification_report(mc: MCategory, sigma: Presheaf,
 
 
 def all_nat_trans(p: Presheaf, q: Presheaf):
-    """Every natural transformation p -> q, by element-wise backtracking."""
-    return _nat_backtrack(p, q, False, None, False)
+    """Every natural transformation p -> q."""
+    return list(_nat_trans(p, q))

@@ -57,3 +57,34 @@ def cocones_at(c, d, apex):
 
     extend(0)
     return out
+
+
+def matching_families(p, a, sieve):
+    """(fs, families) for the sorted sieve fs: every tuple of elements
+    x_f in P(src f), in product order, kept when x_{f∘g} = P(g)(x_f) for
+    every f in the sieve and every g into src(f)."""
+    c = p.cat
+    fs = sorted(sieve)
+    out = []
+    for fam in itertools.product(*(p.elements(c.mor_src[f]) for f in fs)):
+        x = dict(zip(fs, fam))
+        if all(x[c.comp[(f, g)]] == p.act(g, x[f])
+               for f in fs for g in c.into(c.mor_src[f])):
+            out.append(fam)
+    return fs, out
+
+
+def nat_trans(p, q):
+    """Every natural transformation p -> q as its tuple of components: each
+    choice of one function P(A) -> Q(A) per object, kept when
+    Q(f)(a_B(x)) = a_A(P(f)(x)) for every f: A -> B and x in P(B)."""
+    c = p.cat
+    out = []
+    for comps in itertools.product(
+            *(itertools.product(q.elements(a), repeat=p.sizes[a])
+              for a in c.objects)):
+        if all(q.act(f, comps[c.mor_tgt[f]][x]) ==
+               comps[c.mor_src[f]][p.act(f, x)]
+               for f in c.morphisms() for x in p.elements(c.mor_tgt[f])):
+            out.append(comps)
+    return out

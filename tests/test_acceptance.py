@@ -226,7 +226,7 @@ def test_10_transfer_and_roundtrip(pc_inj, top_inj):
     for w in c.objects:
         rep = transfer_report(pc_inj, top_inj, yoneda(c, w), max_family=3)
         assert rep.ok  # includes RECIPE: constructed join == searched lub
-    assert roundtrip_report(pc_inj, top_inj).ok
+    assert roundtrip_report(pc_inj).ok
 
 
 # -- 11: the embedding into presheaves matches the representables ---------------

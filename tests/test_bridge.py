@@ -55,8 +55,8 @@ def test_amalgamation_formula(pc_inj, top_inj):
         assert rep.ok
 
 
-def test_roundtrips_are_natural_isos(pc_inj, top_inj):
-    assert roundtrip_report(pc_inj, top_inj).ok
+def test_roundtrips_are_natural_isos(pc_inj):
+    assert roundtrip_report(pc_inj).ok
 
 
 def test_roundtrip_sheaf_side_explicitly(pc_inj, top_inj):

@@ -6,6 +6,7 @@ from rcwb.bundles import (BundleError, build_fixture, bundle_dict,
                           dump_bundle, load_bundle, resolve_bundle)
 from rcwb.cli import main
 from rcwb.fixtures import build_finset_mcat, build_finset_p
+from rcwb.site import Presheaf, check_presheaf, constant_presheaf
 
 
 def _finset_p2_text():
@@ -233,3 +234,33 @@ def test_cli_roundtrip_rejects_an_unknown_presheaf(capsys):
     assert capsys.readouterr().err == (
         "bundle error: $.presheaves: no presheaf or object named "
         "'nosuchthing'\n")
+
+
+def _non_functorial_bundle(tmp_path):
+    # the constant presheaf with two elements on finset_inj_2, with one
+    # injection set1 -> set2 acting by the swap: P(f∘g) != P(g)∘P(f)
+    mc = build_finset_mcat(2, "inj")
+    c = mc.base
+    p = constant_presheaf(c, 2)
+    f = c.hom(1, 2)[0]
+    action = dict(p.action)
+    action[(f, 0)], action[(f, 1)] = 1, 0
+    bad = Presheaf(c, p.sizes, action)
+    assert not check_presheaf(bad)
+    bundle = tmp_path / "bad_psh.json"
+    bundle.write_text(dump_bundle(bundle_dict(
+        c, monics=mc.monics, presheaves={"bad": (bad, None)})))
+    return str(bundle)
+
+
+@pytest.mark.parametrize("command", [["sheaf-check"], ["sheafify"],
+                                     ["transfer", "--direction", "to-jrp"]],
+                         ids=["sheaf-check", "sheafify", "transfer-to-jrp"])
+def test_cli_gate_stops_on_a_non_functorial_presheaf(tmp_path, capsys,
+                                                     command):
+    bundle = _non_functorial_bundle(tmp_path)
+    assert main(command[:1] + [bundle, "bad"] + command[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["presheaf:bad\tPSH\t\tnot a presheaf",
+                                f"FAIL\t{command[0]}\t{bundle}"]
+    assert "Traceback" not in err

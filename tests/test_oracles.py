@@ -3,6 +3,7 @@ oracles.py on small fixtures."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -10,7 +11,8 @@ from rcwb.fincat import (Diagram, FinCategory, cocones_at, empty_diagram,
                          subcategory)
 from rcwb.fixtures import build_finset, build_finset_mcat, build_finset_p
 from rcwb.mcat import MCategory, matching_colimit, matching_diagram, sub_m
-from rcwb.site import sieves_on
+from rcwb.site import (all_nat_trans, constant_presheaf, find_presheaf_iso,
+                       matching_families, sieves_on, sigma_classifier, yoneda)
 
 MCATS = {"finset_inj_2": build_finset_mcat(2, "inj"),
          "finset_iso_2": build_finset_mcat(2, "iso")}
@@ -143,3 +145,92 @@ def test_memoised_matching_colimit_equals_fresh_computation():
                         assert again is None
                         continue
                     assert _parts(first) == _parts(again)
+
+
+# -- matching families and natural transformations ------------------------------
+
+def _presheaves(c):
+    return [yoneda(c, a) for a in c.objects] + \
+        [constant_presheaf(c, k) for k in (1, 2)]
+
+
+def _fixture_presheaves(name):
+    if name in CATS:
+        return _presheaves(CATS[name])
+    mc = MCATS[name]
+    return _presheaves(mc.base) + [sigma_classifier(mc)]
+
+
+def _same_matching_families(p):
+    c = p.cat
+    for a in c.objects:
+        for sieve in sieves_on(c, a):
+            assert matching_families(p, a, sieve) == \
+                oracles.matching_families(p, a, sieve)
+
+
+def _moves_zero(a, x, y):
+    # an element constraint that some isos pass and others fail
+    return a == 0 or (x, y) != (0, 0)
+
+
+def _same_nat_trans(p, q):
+    want = oracles.nat_trans(p, q)
+    nats = all_nat_trans(p, q)
+    got = [nat.components for nat in nats]
+    assert len(got) == len(set(got)) and set(got) == set(want)
+    assert all(nat.check() for nat in nats)
+    # the iso search tries objects with the fewest elements first, so it
+    # returns the first bijection in that order
+    objs = sorted(p.cat.objects, key=lambda a: p.sizes[a])
+    bijections = [t for t in want
+                  if all(sorted(comp) == list(q.elements(a))
+                         for a, comp in enumerate(t))]
+    for constraint in (None, _moves_zero):
+        allowed = [t for t in bijections if constraint is None or all(
+            constraint(a, x, y) for a, comp in enumerate(t)
+            for x, y in enumerate(comp))]
+        iso = find_presheaf_iso(p, q, constraint)
+        assert (iso is None) == (not allowed)
+        if iso is not None:
+            assert iso.components == min(
+                allowed, key=lambda t: tuple(t[a] for a in objs))
+
+
+@pytest.mark.parametrize("name", sorted(MCATS) + ["finset_2"])
+def test_matching_families_match_oracle_on_fixtures(name):
+    for p in _fixture_presheaves(name):
+        _same_matching_families(p)
+
+
+@pytest.mark.parametrize("name", sorted(MCATS) + ["finset_2"])
+def test_nat_trans_match_oracle_on_fixtures(name):
+    presheaves = _fixture_presheaves(name)
+    for p in presheaves:
+        for q in presheaves:
+            _same_nat_trans(p, q)
+
+
+def test_searches_match_oracle_on_sparse_subcategories():
+    # in a sparse category few forcing edges follow from the others
+    c = CATS["finset_2"]
+    for gens in itertools.combinations(c.morphisms(), 2):
+        sub = subcategory(c, c.objects, _closure(c, gens)).cat
+        presheaves = _presheaves(sub)
+        for p in presheaves:
+            _same_matching_families(p)
+            for q in presheaves:
+                _same_nat_trans(p, q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.sampled_from(range(CATS["finset_2"].n_morphisms))),
+       st.data())
+def test_searches_match_oracle_on_generated_subcategories(gens, data):
+    c = CATS["finset_2"]
+    sub = subcategory(c, c.objects, _closure(c, gens)).cat
+    presheaves = _presheaves(sub)
+    p = data.draw(st.sampled_from(presheaves))
+    q = data.draw(st.sampled_from(presheaves))
+    _same_matching_families(p)
+    _same_nat_trans(p, q)
