@@ -11,7 +11,6 @@ found by plain search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .fincat import Functor, compose_functors, pullback
@@ -195,12 +194,7 @@ def _check_formula(pc, rp, dot, report, a, fam):
     c = pc.mc.base
     p = dot.presheaf
     doms = [c.mor_src[m] for m in fam]
-    cones = [(i, j, pullback(c, mi, mj)) for i, mi in enumerate(fam)
-             for j, mj in enumerate(fam) if i != j]
-    for felems in itertools.product(*[p.elements(d) for d in doms]):
-        if any(p.act(cone.p, felems[i]) != p.act(cone.q, felems[j])
-               for i, j, cone in cones):
-            continue
+    for felems in _matching_tuples(c, p, fam):
         # x = join of f_i · (m_i, 1), computed inside the source presheaf
         parts = []
         for i, mi in enumerate(fam):
@@ -216,6 +210,30 @@ def _check_formula(pc, rp, dot, report, a, fam):
         if amalgamations(p, a, fam, felems) != [dot.orig[a].index(x)]:
             report.add("AMALG-UNIQUE", (a,) + fam,
                        "join is not the unique amalgamation")
+
+
+def _matching_tuples(c, p, fam):
+    """Every tuple (x_0, .., x_{n-1}) with x_i in P(dom m_i) that agrees on
+    the pullback of each ordered pair m_i, m_j (i != j), in lexicographic
+    order.  Grown one member at a time: member k is checked against the
+    pullbacks with every earlier member, so a clash prunes its subtree."""
+    n = len(fam)
+    checks = [[(i, j, pullback(c, fam[i], fam[j]))
+               for e in range(k) for i, j in ((e, k), (k, e))]
+              for k in range(n)]
+    chosen = [None] * n
+
+    def grow(k):
+        if k == n:
+            yield tuple(chosen)
+            return
+        for x in p.elements(c.mor_src[fam[k]]):
+            chosen[k] = x
+            if all(p.act(cone.p, chosen[i]) == p.act(cone.q, chosen[j])
+                   for i, j, cone in checks[k]):
+                yield from grow(k + 1)
+
+    return grow(0)
 
 
 # -- round trips ------------------------------------------------------------------

@@ -101,7 +101,8 @@ def _resolve_presheaf(bundle: Bundle, name):
 
 
 def _run(args) -> list:
-    """Returns the list of LawReports; artifacts are attached as summaries."""
+    """Returns the list of LawReports and the extra --out keys, each with a
+    function that formats its value; main calls them only for --out."""
     bundle = resolve_bundle(args.bundle)
     reports = []
     extra = {}
@@ -135,12 +136,14 @@ def _run(args) -> list:
     elif cmd == "build-par":
         pc = par(bundle.mcat)
         reports.append(check_restriction_axioms(pc.rc))
-        extra["artifact"] = bundle_dict(pc.rc.base, restriction=pc.rc.bar)
+        extra["artifact"] = lambda: bundle_dict(pc.rc.base,
+                                                restriction=pc.rc.bar)
 
     elif cmd == "karoubi":
         kr = karoubi_r(bundle.restriction)
         reports.append(check_restriction_axioms(kr.rc))
-        extra["artifact"] = bundle_dict(kr.rc.base, restriction=kr.rc.bar)
+        extra["artifact"] = lambda: bundle_dict(kr.rc.base,
+                                                restriction=kr.rc.bar)
 
     elif cmd == "geometric":
         reports.append(gate)
@@ -154,7 +157,7 @@ def _run(args) -> list:
         reports.append(rep)
         reports.append(subcanonical_report(top))
         c = bundle.cat
-        extra["topology"] = {
+        extra["topology"] = lambda: {
             c.obj_names[a]: [sorted(c.mor_names[f] for f in s)
                              for s in sorted(top.covers[a], key=sorted)]
             for a in c.objects}
@@ -173,7 +176,7 @@ def _run(args) -> list:
             if sheaf_rep.ok and not res.unit.is_iso():
                 rep.add("SHFY-UNIT", (), "unit not an iso on a sheaf")
             reports.append(rep)
-            extra["artifact"] = bundle_dict(
+            extra["artifact"] = lambda: bundle_dict(
                 bundle.cat, presheaves={"sheafified": (res.presheaf, None)})
 
     elif cmd == "transfer":
@@ -182,7 +185,7 @@ def _run(args) -> list:
         if args.direction == "to-jrp":
             reports.append(transfer_report(pc, top, psh, args.max_family))
             tr = sheaf_to_jrp(pc, psh)
-            extra["artifact"] = bundle_dict(
+            extra["artifact"] = lambda: bundle_dict(
                 pc.rc.base, restriction=pc.rc.bar,
                 presheaves={"transferred": (tr.rp.presheaf, tr.rp.bar_elem)})
         else:
@@ -196,7 +199,7 @@ def _run(args) -> list:
             reports.append(amalgamation_formula_report(pc, top, rp,
                                                        args.max_family))
             dot = jrp_to_sheaf(pc, rp)
-            extra["artifact"] = bundle_dict(
+            extra["artifact"] = lambda: bundle_dict(
                 bundle.cat, presheaves={"transferred": (dot.presheaf, None)})
 
     elif cmd == "roundtrip":
@@ -226,15 +229,15 @@ def main(argv=None) -> int:
         print(line)
     ok = all(rep.ok for rep in reports)
     print(f"{'PASS' if ok else 'FAIL'}\t{args.command}\t{args.bundle}")
-    summary = {
-        "command": args.command,
-        "bundle": args.bundle,
-        "max_family": args.max_family,
-        "ok": ok,
-        "reports": [rep.summary() for rep in reports],
-    }
-    summary.update(extra)
     if args.out:
+        summary = {
+            "command": args.command,
+            "bundle": args.bundle,
+            "max_family": args.max_family,
+            "ok": ok,
+            "reports": [rep.summary() for rep in reports],
+        }
+        summary.update((key, build()) for key, build in extra.items())
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dump_bundle(summary))
     return 0 if ok else 1

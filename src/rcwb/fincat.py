@@ -37,12 +37,15 @@ class FinCategory:
             str(f) for f in range(self.n_morphisms))
 
         hom = {}
-        for f in range(self.n_morphisms):
-            hom.setdefault((self.mor_src[f], self.mor_tgt[f]), []).append(f)
+        into = {b: [] for b in self.objects}
+        out = {a: [] for a in self.objects}
+        for f, (a, b) in enumerate(zip(self.mor_src, self.mor_tgt)):
+            hom.setdefault((a, b), []).append(f)
+            out[a].append(f)
+            into[b].append(f)
         self._hom = {k: tuple(v) for k, v in hom.items()}
-        self._into = {b: tuple(f for f in range(self.n_morphisms)
-                               if self.mor_tgt[f] == b)
-                      for b in self.objects}
+        self._into = {b: tuple(fs) for b, fs in into.items()}
+        self._out = {a: tuple(fs) for a, fs in out.items()}
         self._pullback_cache = {}
         self._isos = None
 
@@ -54,6 +57,10 @@ class FinCategory:
     def into(self, b):
         """All morphisms with target b."""
         return self._into[b]
+
+    def out_of(self, a):
+        """All morphisms with source a, in ascending id order."""
+        return self._out[a]
 
     def morphisms(self):
         return range(self.n_morphisms)
@@ -115,14 +122,12 @@ def validate_category(c: FinCategory) -> LawReport:
                 report.add("COMP-MISSING", (g, f), "composable pair without entry")
     # associativity: h ∘ (g ∘ f) == (h ∘ g) ∘ f
     for g in c.morphisms():
-        b = c.mor_tgt[g]
+        after = c.out_of(c.mor_tgt[g])
         for f in c.into(c.mor_src[g]):
             gf = c.comp.get((g, f))
             if gf is None:
                 continue
-            for h in c.morphisms():
-                if c.mor_src[h] != b:
-                    continue
+            for h in after:
                 lhs = c.comp.get((h, gf))
                 hg = c.comp.get((h, g))
                 rhs = None if hg is None else c.comp.get((hg, f))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .fincat import FinCategory, Functor, subcategory
-from .joins import least_upper_bound
+from .joins import FinitePoset
 from .mcat import MCategory
 from .restriction import RestrictionCategory, leq, restriction_idempotents
 
@@ -157,8 +157,7 @@ def nojoin_certified_pair(x: RestrictionCategory):
 
 def _least_idempotent(x, a):
     # the least upper bound of the empty family is the least element
-    return least_upper_bound(restriction_idempotents(x, a), partial(leq, x),
-                             ())
+    return FinitePoset(restriction_idempotents(x, a), partial(leq, x)).join(())
 
 
 def subsets_category(k) -> RestrictionCategory:

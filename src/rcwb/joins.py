@@ -1,10 +1,14 @@
 """Joins of compatible families in finite restriction categories.
 
-Joins are located by scanning a finite poset for a least upper bound, and
-compatible families are grown one member at a time; the same two routines
-serve hom-sets here and the elements of a restriction presheaf in rpsh.  No
-construction is attempted here.  The join axioms J1/J2 are checked over
-every compatible family (optionally bounded in size for large fixtures).
+One kernel, FinitePoset, holds a finite order with every element's up-set
+as an int bitmask: upper bounds are an AND of up-sets and joins are
+memoised by the members' mask.  It is built once per hom-set (kept on the
+RestrictionCategory, see hom_poset) and once per P(a) of a restriction
+presheaf (kept on the RestrictionPresheaf, see rpsh).  Compatible families
+are grown one member at a time by AND-ing compatibility bitmasks, in one
+routine that serves both.  No construction is attempted here.  The join
+axioms J1/J2 are checked over every compatible family (optionally bounded
+in size for large fixtures).
 """
 
 from __future__ import annotations
@@ -37,14 +41,64 @@ class CompatibleFamily:
         return CompatibleFamily(src, tgt, members)
 
 
-def least_upper_bound(elements, leq, members):
-    """The least of the elements lying above every member in the order
-    leq(s, u), or None.  The one scan behind hom-set and element joins."""
-    ubs = [u for u in elements if all(leq(s, u) for s in members)]
-    for u in ubs:
-        if all(leq(u, v) for v in ubs):
-            return u
-    return None
+def _bits(mask):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class FinitePoset:
+    """A finite order on elements, given by leq(s, u) and read once.
+
+    up[i] is the bitmask of the positions j with leq(elements[i],
+    elements[j]).  The join of a set of members is the lowest-position upper
+    bound whose up-set contains every upper bound: the least upper bound
+    when leq is a partial order, and the first such element in element order
+    when leq is only a preorder.  Joins are memoised by the members' mask.
+    Posets are shared by every caller and must not be mutated.
+    """
+
+    def __init__(self, elements, leq):
+        self.elements = tuple(elements)
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.up = tuple(sum(1 << j for j, v in enumerate(self.elements)
+                            if leq(u, v))
+                        for u in self.elements)
+        self._joins = {}
+
+    def _mask(self, members):
+        """The bitmask of the members' positions; ValueError for a member
+        that is not an element."""
+        out = 0
+        for s in members:
+            i = self.index.get(s)
+            if i is None:
+                raise ValueError(f"{s!r} is not an element of the poset")
+            out |= 1 << i
+        return out
+
+    def _upper(self, mask):
+        ubs = (1 << len(self.elements)) - 1
+        for i in _bits(mask):
+            ubs &= self.up[i]
+        return ubs
+
+    def upper_bounds(self, members):
+        """The elements above every member, in element order."""
+        return tuple(self.elements[i]
+                     for i in _bits(self._upper(self._mask(members))))
+
+    def join(self, members):
+        """The least upper bound of the members, or None."""
+        key = self._mask(members)
+        if key not in self._joins:
+            ubs = self._upper(key)
+            self._joins[key] = next(
+                (self.elements[i] for i in _bits(ubs)
+                 if self.up[i] & ubs == ubs), None)
+        return self._joins[key]
 
 
 def compatible_families(elements, compatible, max_family=None):
@@ -52,14 +106,18 @@ def compatible_families(elements, compatible, max_family=None):
     as tuples ordered by size and then by position in elements."""
     elements = tuple(elements)
     n = len(elements)
-    ok = [[compatible(e, f) for f in elements] for e in elements]
+    # ok[i]: the positions of the elements compatible with elements[i]
+    ok = [sum(1 << j for j, f in enumerate(elements) if compatible(f, e))
+          for e in elements]
     out = [()]
-    frontier = [()]       # positions, kept increasing
-    while frontier and (max_family is None or len(frontier[0]) < max_family):
-        frontier = [fam + (j,) for fam in frontier
-                    for j in range(fam[-1] + 1 if fam else 0, n)
-                    if all(ok[j][i] for i in fam)]
-        out.extend(frontier)
+    # each entry: a family's positions, increasing, and the mask of the
+    # later positions compatible with every member
+    frontier = [((), (1 << n) - 1)]
+    while frontier and (max_family is None or
+                        len(frontier[0][0]) < max_family):
+        frontier = [(fam + (j,), allowed & ok[j] & (-1 << (j + 1)))
+                    for fam, allowed in frontier for j in _bits(allowed)]
+        out.extend(fam for fam, _ in frontier)
     return [tuple(elements[i] for i in fam) for fam in out]
 
 
@@ -72,15 +130,22 @@ def families(elements, max_family=None):
         yield from itertools.combinations(elements, r)
 
 
+def hom_poset(x: RestrictionCategory, a, b) -> FinitePoset:
+    """The hom order on hom(a, b), built on first use and kept in
+    x.posets."""
+    key = (a, b)
+    if key not in x.posets:
+        x.posets[key] = FinitePoset(x.base.hom(a, b), partial(leq, x))
+    return x.posets[key]
+
+
 def upper_bounds(x: RestrictionCategory, fam: CompatibleFamily):
-    hom = x.base.hom(fam.src, fam.tgt)
-    return tuple(u for u in hom if all(leq(x, s, u) for s in fam.members))
+    return hom_poset(x, fam.src, fam.tgt).upper_bounds(fam.members)
 
 
 def join(x: RestrictionCategory, fam: CompatibleFamily):
     """Least upper bound of the family in the hom order, or None."""
-    return least_upper_bound(x.base.hom(fam.src, fam.tgt), partial(leq, x),
-                             fam.members)
+    return hom_poset(x, fam.src, fam.tgt).join(fam.members)
 
 
 def compatible_subsets(x: RestrictionCategory, a, b, max_family=None):
@@ -136,9 +201,7 @@ def check_join_axioms(x: RestrictionCategory, max_family=None) -> LawReport:
                     if jg is None or c.comp[(j, g)] != jg:
                         report.add("J2", (g,) + key, "(⋁S)∘g != ⋁(s∘g)")
                 # sanity: post-composition distributes (a theorem given J1/J2)
-                for f in c.morphisms():
-                    if c.mor_src[f] != b:
-                        continue
+                for f in c.out_of(b):
                     fs = [c.comp[(f, s)] for s in fam.members]
                     try:
                         famf = CompatibleFamily.of(x, a, c.mor_tgt[f], fs)

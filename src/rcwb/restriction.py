@@ -6,7 +6,7 @@ restriction axioms are checked exhaustively over all composable tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fincat import FinCategory, Functor, Subcategory, subcategory
 from .reports import LawReport
@@ -14,8 +14,17 @@ from .reports import LawReport
 
 @dataclass(frozen=True)
 class RestrictionCategory:
+    """A finite category with a bar table.
+
+    posets caches the hom order of each hom-set as a joins.FinitePoset,
+    keyed by (src, tgt) and built by joins.hom_poset on first use.  It fills
+    lazily, takes no part in equality or hashing, and hands the same poset
+    to every caller, so cached posets must not be mutated.
+    """
     base: FinCategory
     bar: tuple  # morphism id -> morphism id, an endomorphism of the source
+    posets: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if len(self.bar) != self.base.n_morphisms:
@@ -39,9 +48,7 @@ def check_restriction_axioms(x: RestrictionCategory) -> LawReport:
             report.add("R1", (f,), "f∘f̄ != f")
     for f in c.morphisms():
         a = c.mor_src[f]
-        for g in c.morphisms():
-            if c.mor_src[g] != a:
-                continue
+        for g in c.out_of(a):
             if c.comp[(bar[g], bar[f])] != c.comp[(bar[f], bar[g])]:
                 report.add("R2", (g, f), "ḡ∘f̄ != f̄∘ḡ")
             gbf = c.comp[(g, bar[f])]
@@ -49,9 +56,7 @@ def check_restriction_axioms(x: RestrictionCategory) -> LawReport:
                 report.add("R3", (g, f), "bar(g∘f̄) != ḡ∘f̄")
     for f in c.morphisms():
         b = c.mor_tgt[f]
-        for h in c.morphisms():
-            if c.mor_src[h] != b:
-                continue
+        for h in c.out_of(b):
             hf = c.comp[(h, f)]
             if c.comp[(bar[h], f)] != c.comp[(f, bar[hf])]:
                 report.add("R4", (h, f), "h̄∘f != f∘bar(h∘f)")
@@ -65,7 +70,8 @@ def _require_parallel(x: RestrictionCategory, f, g):
 
 
 def leq(x: RestrictionCategory, f, g) -> bool:
-    """f ≤ g iff f == g∘f̄."""
+    """f ≤ g iff f == g∘f̄.  Joins read the order from joins.hom_poset,
+    which calls this once per pair of a hom-set."""
     _require_parallel(x, f, g)
     return f == x.base.comp[(g, x.bar[f])]
 

@@ -11,12 +11,12 @@ its collage satisfies the corresponding category axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .fincat import FinCategory
-from .joins import (CompatibleFamily, compatible_families,
-                    compatible_subsets, join as hom_join, least_upper_bound)
+from .joins import (CompatibleFamily, FinitePoset, compatible_families,
+                    compatible_subsets, join as hom_join)
 from .reports import LawReport
 from .restriction import RestrictionCategory, is_restriction_idempotent
 from .site import (NatTrans, Presheaf, check_presheaf, find_presheaf_iso,
@@ -25,9 +25,18 @@ from .site import (NatTrans, Presheaf, check_presheaf, find_presheaf_iso,
 
 @dataclass(frozen=True)
 class RestrictionPresheaf:
+    """A presheaf over rc.base with a restriction idempotent per element.
+
+    posets caches the element order of each P(a) as a joins.FinitePoset,
+    keyed by object and built by element_poset on first use.  It fills
+    lazily, takes no part in equality or hashing, and hands the same poset
+    to every caller, so cached posets must not be mutated.
+    """
     rc: RestrictionCategory
     presheaf: Presheaf          # over rc.base
     bar_elem: tuple             # per object: tuple, element -> morphism id
+    posets: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def bar(self, a, x):
         return self.bar_elem[a][x]
@@ -60,9 +69,7 @@ def check_rp_axioms(rp: RestrictionPresheaf) -> LawReport:
             be = rp.bar(a, e)
             if p.act(be, e) != e:
                 report.add("RP1", (a, e), "x·x̄ != x")
-            for f in c.morphisms():
-                if c.mor_src[f] != a:
-                    continue
+            for f in c.out_of(a):
                 # RP2: bar(x·f̄) == x̄ ∘ f̄
                 xf = p.act(x.bar[f], e)
                 if rp.bar(a, xf) != c.comp[(be, x.bar[f])]:
@@ -94,10 +101,18 @@ def element_compatible(rp: RestrictionPresheaf, a, x, y) -> bool:
     return rp.act(rp.bar(a, y), x) == rp.act(rp.bar(a, x), y)
 
 
+def element_poset(rp: RestrictionPresheaf, a) -> FinitePoset:
+    """The element order on P(a), built on first use and kept in
+    rp.posets."""
+    if a not in rp.posets:
+        rp.posets[a] = FinitePoset(rp.presheaf.elements(a),
+                                   partial(element_leq, rp, a))
+    return rp.posets[a]
+
+
 def element_join(rp: RestrictionPresheaf, a, members):
     """Least upper bound in P(a), or None."""
-    return least_upper_bound(rp.presheaf.elements(a),
-                             partial(element_leq, rp, a), members)
+    return element_poset(rp, a).join(members)
 
 
 def compatible_element_subsets(rp: RestrictionPresheaf, a, max_family=None):

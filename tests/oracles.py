@@ -4,7 +4,37 @@ fixtures."""
 
 import itertools
 
+from rcwb.fincat import pullback
 from rcwb.site import generate_sieve
+
+
+def least_upper_bound(elements, leq, members):
+    """The least of the elements lying above every member in the order
+    leq(s, u), or None, by scanning every pair; the reference for
+    joins.FinitePoset.join."""
+    ubs = [u for u in elements if all(leq(s, u) for s in members)]
+    for u in ubs:
+        if all(leq(u, v) for v in ubs):
+            return u
+    return None
+
+
+def compatible_families(elements, compatible, max_family=None):
+    """Every pairwise-compatible subset of elements, the empty one included,
+    as tuples ordered by size and then by position in elements, each grown
+    by testing the new member against every member; the reference for
+    joins.compatible_families."""
+    elements = tuple(elements)
+    n = len(elements)
+    ok = [[compatible(e, f) for f in elements] for e in elements]
+    out = [()]
+    frontier = [()]       # positions, kept increasing
+    while frontier and (max_family is None or len(frontier[0]) < max_family):
+        frontier = [fam + (j,) for fam in frontier
+                    for j in range(fam[-1] + 1 if fam else 0, n)
+                    if all(ok[j][i] for i in fam)]
+        out.extend(frontier)
+    return [tuple(elements[i] for i in fam) for fam in out]
 
 
 def is_sieve(c, a, s) -> bool:
@@ -87,4 +117,37 @@ def nat_trans(p, q):
                comps[c.mor_src[f]][p.act(f, x)]
                for f in c.morphisms() for x in p.elements(c.mor_tgt[f])):
             out.append(comps)
+    return out
+
+
+def matching_tuples(c, p, fam):
+    """Every tuple of elements x_i in P(dom m_i), in product order, kept
+    when it agrees on the pullback of each ordered pair m_i, m_j (i != j)."""
+    doms = [c.mor_src[m] for m in fam]
+    cones = [(i, j, pullback(c, mi, mj)) for i, mi in enumerate(fam)
+             for j, mj in enumerate(fam) if i != j]
+    return [felems for felems in
+            itertools.product(*[p.elements(d) for d in doms])
+            if all(p.act(cone.p, felems[i]) == p.act(cone.q, felems[j])
+                   for i, j, cone in cones)]
+
+
+def assoc_violations(c):
+    """(h, g, f) for every composable triple with h(gf) != (hg)f or a
+    missing composite, scanning every morphism for h."""
+    out = []
+    for g in c.morphisms():
+        b = c.mor_tgt[g]
+        for f in c.into(c.mor_src[g]):
+            gf = c.comp.get((g, f))
+            if gf is None:
+                continue
+            for h in c.morphisms():
+                if c.mor_src[h] != b:
+                    continue
+                lhs = c.comp.get((h, gf))
+                hg = c.comp.get((h, g))
+                rhs = None if hg is None else c.comp.get((hg, f))
+                if lhs != rhs or lhs is None:
+                    out.append((h, g, f))
     return out

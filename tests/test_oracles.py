@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from rcwb.bridge import _matching_tuples, jrp_to_sheaf, sheaf_to_jrp
 from rcwb.fincat import (Diagram, FinCategory, cocones_at, empty_diagram,
-                         subcategory)
-from rcwb.fixtures import build_finset, build_finset_mcat, build_finset_p
-from rcwb.mcat import MCategory, matching_colimit, matching_diagram, sub_m
-from rcwb.site import (all_nat_trans, constant_presheaf, find_presheaf_iso,
-                       matching_families, sieves_on, sigma_classifier, yoneda)
+                         subcategory, validate_category)
+from rcwb.fixtures import (build_finset, build_finset_mcat, build_finset_p,
+                           build_nojoin_fixture, subsets_category)
+from rcwb.joins import FinitePoset, compatible_families, hom_poset
+from rcwb.mcat import MCategory, matching_colimit, matching_diagram, par, sub_m
+from rcwb.restriction import compatible, leq
+from rcwb.rpsh import (collage, element_compatible, element_join, element_leq,
+                       element_poset, yoneda_jr)
+from rcwb.site import (all_nat_trans, basis_covers, constant_presheaf,
+                       find_presheaf_iso, matching_families, sieves_on,
+                       sigma_classifier, yoneda)
 
 MCATS = {"finset_inj_2": build_finset_mcat(2, "inj"),
          "finset_iso_2": build_finset_mcat(2, "iso")}
@@ -34,6 +41,28 @@ def _closure(c, gens):
         if not more:
             return mors
         mors |= more
+
+
+# -- associativity ------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_assoc_violations_match_oracle(data):
+    # a finset_p_2 table with some composites redirected within their
+    # hom-set and some deleted
+    c = CATS["finset_p_2"]
+    comp = dict(c.comp)
+    keys = sorted(comp)
+    for k in data.draw(st.lists(st.sampled_from(keys), max_size=4)):
+        g, f = k
+        comp[k] = data.draw(st.sampled_from(
+            c.hom(c.mor_src[f], c.mor_tgt[g])))
+    for k in data.draw(st.lists(st.sampled_from(keys), max_size=2)):
+        comp.pop(k, None)
+    d = FinCategory(c.n_objects, c.mor_src, c.mor_tgt, c.identity, comp)
+    got = [v.ids for v in validate_category(d).violations
+           if v.tag == "ASSOC"]
+    assert got == oracles.assoc_violations(d)
 
 
 # -- sieves -------------------------------------------------------------------
@@ -234,3 +263,119 @@ def test_searches_match_oracle_on_generated_subcategories(gens, data):
     q = data.draw(st.sampled_from(presheaves))
     _same_matching_families(p)
     _same_nat_trans(p, q)
+
+
+# -- joins --------------------------------------------------------------------
+
+PAR_INJ2 = par(MCATS["finset_inj_2"])
+P2 = build_finset_p(2)
+RCATS = {"finset_p_2": P2, "nojoin": build_nojoin_fixture(),
+         "subsets_3": subsets_category(3),
+         "collage": collage(yoneda_jr(P2, 2)).rc}
+
+
+def _transferred():
+    c = PAR_INJ2.mc.base
+    return [sheaf_to_jrp(PAR_INJ2, yoneda(c, w)).rp for w in c.objects]
+
+
+def _same_joins(poset, order):
+    """join and upper_bounds equal the scan on every subset of at most three
+    elements, the empty, incompatible and joinless ones included."""
+    elements = poset.elements
+    for r in range(min(3, len(elements)) + 1):
+        for fam in itertools.combinations(elements, r):
+            assert poset.join(fam) == \
+                oracles.least_upper_bound(elements, order, fam)
+            assert poset.upper_bounds(fam) == tuple(
+                u for u in elements if all(order(s, u) for s in fam))
+
+
+def _same_families(elements, compat):
+    """The family grower equals the reference, order included."""
+    for max_family in (None, 1, 2):
+        assert compatible_families(elements, compat, max_family) == \
+            oracles.compatible_families(elements, compat, max_family)
+
+
+@pytest.mark.parametrize("name", sorted(RCATS))
+def test_hom_joins_match_oracle(name):
+    x = RCATS[name]
+    for a in x.base.objects:
+        for b in x.base.objects:
+            poset = hom_poset(x, a, b)
+            assert poset.elements == x.base.hom(a, b)
+            assert hom_poset(x, a, b) is poset
+            _same_joins(poset, lambda f, g: leq(x, f, g))
+            _same_families(poset.elements,
+                           lambda f, g: compatible(x, f, g))
+
+
+def test_element_joins_match_oracle():
+    for rp in _transferred():
+        for a in rp.rc.base.objects:
+            poset = element_poset(rp, a)
+            assert poset.elements == tuple(rp.presheaf.elements(a))
+            _same_joins(poset, lambda s, u: element_leq(rp, a, s, u))
+            _same_families(poset.elements,
+                           lambda s, u: element_compatible(rp, a, s, u))
+
+
+def _preorder(n, pairs):
+    """The reflexive-transitive closure of pairs on range(n)."""
+    rel = {(i, i) for i in range(n)} | set(pairs)
+    for k in range(n):
+        rel |= {(i, j) for i in range(n) for j in range(n)
+                if (i, k) in rel and (k, j) in rel}
+    return rel
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_joins_match_oracle_on_random_preorders(data):
+    # a preorder need not be antisymmetric: among equivalent least upper
+    # bounds the join is the first one in element order, as in the scan
+    n = data.draw(st.integers(1, 6))
+    elements = data.draw(st.permutations(range(n)))
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1))))
+    rel = _preorder(n, pairs)
+    order = lambda s, u: (s, u) in rel  # noqa: E731
+    _same_joins(FinitePoset(elements, order), order)
+    # pairs also serve as a compatibility relation, not even symmetric
+    _same_families(elements, lambda s, u: (s, u) in pairs)
+
+
+def test_join_of_equivalent_elements_is_the_first():
+    # "a" and "b" lie below each other and below "top", which comes first
+    rel = {("a", "b"), ("b", "a"), ("a", "top"), ("b", "top")} | \
+        {(e, e) for e in ("a", "b", "top")}
+    poset = FinitePoset(["top", "b", "a"], lambda s, u: (s, u) in rel)
+    assert poset.join([]) == "b"
+    assert poset.join(["a"]) == "b"
+    assert poset.join(["top"]) == "top"
+    assert poset.upper_bounds(["a"]) == ("top", "b", "a")
+    assert FinitePoset([], lambda s, u: True).join([]) is None
+
+
+def test_join_rejects_a_member_outside_the_poset():
+    poset = FinitePoset([1, 2], lambda s, u: s <= u)
+    with pytest.raises(ValueError):
+        poset.join([3])
+    with pytest.raises(ValueError):
+        poset.upper_bounds([1, 3])
+    rp = _transferred()[0]
+    with pytest.raises(ValueError):
+        element_join(rp, 0, [rp.presheaf.sizes[0]])
+
+
+# -- the amalgamation check --------------------------------------------------
+
+def test_matching_tuples_match_oracle():
+    c = PAR_INJ2.mc.base
+    for rp in _transferred():
+        p = jrp_to_sheaf(PAR_INJ2, rp).presheaf
+        for fams in basis_covers(PAR_INJ2.mc):
+            for fam in fams:
+                assert list(_matching_tuples(c, p, fam)) == \
+                    oracles.matching_tuples(c, p, fam)
