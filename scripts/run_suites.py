@@ -37,6 +37,9 @@ SUITES = [
     # negative controls: these are supposed to fail with exit code 1
     (["check-laws", "nojoin"], 1),
     (["geometric", "finset_iso_2"], 1),
+    # size 3: the colimit of the empty family, the empty set, maps into each
+    # non-empty set by a map outside M (GEO-MU)
+    (["geometric", "finset_iso_3"], 1),
 ]
 
 

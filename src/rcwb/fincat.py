@@ -5,6 +5,12 @@ total table on composable pairs; limits and colimits are found by exhaustive
 search and verified against every (co)cone, so a returned answer is a
 certificate, not a guess.  All canonical choices break ties by smallest id.
 
+Pullbacks and colimits share one certificate, `_universal`, which counts
+maps against (co)cones.  It is sound only because the (co)cones at each
+object are listed exhaustively and without duplicates, and composing a
+(co)cone with a map gives a (co)cone again; a caller that breaks any of the
+three gets answers that are not certified.
+
 A category's tables are fixed at construction, but its pullback and
 isomorphism caches fill lazily on first use.  The code is single-threaded.
 """
@@ -180,48 +186,60 @@ class PullbackCone:
 def pullback(c: FinCategory, f, g):
     """Canonical pullback of the cospan (f, g), or None.
 
-    Terminality is certified against every commuting square; the winner is
-    the first terminal cone in (apex, p, q) order.
+    The cones at each object t are the pairs (p, q) with f∘p == g∘q, found
+    by indexing hom(t, src g) by g∘q.  The winner is the first cone in
+    (apex, p, q) order that every cone factors through uniquely, certified
+    by `_universal`; the result is cached per cospan.
     """
     if c.mor_tgt[f] != c.mor_tgt[g]:
         raise ValueError("pullback needs a cospan: tgt(f) != tgt(g)")
     key = (f, g)
     if key in c._pullback_cache:
         return c._pullback_cache[key]
+    comp = c.comp
     x, y = c.mor_src[f], c.mor_src[g]
-    cones = {}
-    for pb in c.objects:
-        cs = []
-        for p in c.hom(pb, x):
-            fp = c.comp[(f, p)]
-            for q in c.hom(pb, y):
-                if fp == c.comp[(g, q)]:
-                    cs.append((p, q))
-        cones[pb] = cs
-    result = None
-    for apex in c.objects:
-        for (p, q) in cones[apex]:
-            if _is_terminal_cone(c, cones, apex, p, q):
-                result = PullbackCone(apex, p, q)
-                break
-        if result is not None:
-            break
+    cones = []
+    for t in c.objects:
+        by_gq = {}
+        for q in c.hom(t, y):
+            by_gq.setdefault(comp[(g, q)], []).append(q)
+        cones.append([(p, q) for p in c.hom(t, x)
+                      for q in by_gq.get(comp[(f, p)], ())])
+    found = _universal(c, cones, c.hom,
+                       lambda h, pq: (comp[(pq[0], h)], comp[(pq[1], h)]))
+    result = None if found is None else PullbackCone(found[0], *found[1])
     c._pullback_cache[key] = result
     return result
 
 
-def _is_terminal_cone(c, cones, apex, p, q):
-    for other in c.objects:
-        if not cones[other]:
+def _universal(c, cones, homs, act):
+    """The first (apex, cone), in apex order and then in sorted cone order,
+    that is universal, or None.
+
+    cones[t] lists the cones at object t, homs(t, apex) is a hom-set, and
+    act(h, cone) is the cone at t that h carries the cone at apex to.  A
+    cone is universal iff h ↦ act(h, cone) is a bijection from
+    homs(t, apex) onto cones[t] for every t: limits and colimits represent
+    their cone functors (Mac Lane, CWM §III.4).  That is certified by
+    counting, |homs(t, apex)| == |cones[t]| for every t (it depends only on
+    the apex, so it is tested once per apex), plus h ↦ act(h, cone) being
+    one-to-one.  The count is sound only if every cones[t] is exhaustive
+    and free of duplicates, and every act(h, cone) is a cone at t: then a
+    one-to-one map between finite sets of one size is onto.
+    """
+    sizes = [len(ct) for ct in cones]
+    for apex in c.objects:
+        if not sizes[apex]:
             continue
-        counts = {}
-        for h in c.hom(other, apex):
-            k = (c.comp[(p, h)], c.comp[(q, h)])
-            counts[k] = counts.get(k, 0) + 1
-        for cone in cones[other]:
-            if counts.get(cone, 0) != 1:
-                return False
-    return True
+        hsets = [homs(t, apex) for t in c.objects]
+        if [len(hs) for hs in hsets] != sizes:
+            continue
+        # a map out of at most one element is one-to-one
+        hsets = [hs for hs in hsets if len(hs) > 1]
+        for cone in sorted(cones[apex]):
+            if all(len({act(h, cone) for h in hs}) == len(hs) for hs in hsets):
+                return apex, cone
+    return None
 
 
 def forced_assignments(n, domain, forces, push, order=None):
@@ -294,36 +312,19 @@ def cocones_at(c: FinCategory, d: Diagram, apex):
 
 
 def colimit(c: FinCategory, d: Diagram):
-    """Canonical initial cocone under d, or None.
+    """Canonical colimit of d, or None.
 
-    Initiality is certified: the candidate admits exactly one mediating
-    morphism to every cocone (checked via a bijection count per apex).
+    Every cocone under d at every object is enumerated by `cocones_at`; the
+    winner is the first cocone in (apex, legs) order that factors uniquely
+    into every cocone by h ↦ (h∘leg_i), certified by `_universal`.
     """
     if not d.check(c):
         raise ValueError("invalid diagram")
-    all_cocones = {apex: cocones_at(c, d, apex) for apex in c.objects}
-    n = d.shape.n_objects
-    for apex in c.objects:
-        for legs in sorted(all_cocones[apex]):
-            if _is_initial_cocone(c, all_cocones, apex, legs, n):
-                return Cocone(apex, legs)
-    return None
-
-
-def _is_initial_cocone(c, all_cocones, apex, legs, n):
-    for other in c.objects:
-        homs = c.hom(apex, other)
-        targets = all_cocones[other]
-        if len(homs) != len(targets):
-            return False
-        counts = {}
-        for h in homs:
-            k = tuple(c.comp[(h, leg)] for leg in legs)
-            counts[k] = counts.get(k, 0) + 1
-        for t in targets:
-            if counts.get(t, 0) != 1:
-                return False
-    return True
+    comp = c.comp
+    found = _universal(c, [cocones_at(c, d, apex) for apex in c.objects],
+                       lambda t, apex: c.hom(apex, t),
+                       lambda h, legs: tuple([comp[(h, leg)] for leg in legs]))
+    return None if found is None else Cocone(*found)
 
 
 def mediating(c: FinCategory, d: Diagram, coc: Cocone, other: Cocone):

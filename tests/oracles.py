@@ -4,7 +4,7 @@ fixtures."""
 
 import itertools
 
-from rcwb.fincat import pullback
+from rcwb.fincat import Cocone, PullbackCone, pullback
 from rcwb.site import generate_sieve
 
 
@@ -87,6 +87,49 @@ def cocones_at(c, d, apex):
 
     extend(0)
     return out
+
+
+def pullback_cone(c, f, g):
+    """The first cone (apex, p, q) over the cospan (f, g), in that order, to
+    which every commuting square f∘p' == g∘q' maps by exactly one h, found
+    by building every square at every object by a p × q double loop and
+    counting mediating maps per square; the reference for fincat.pullback.
+    """
+    x, y = c.mor_src[f], c.mor_src[g]
+    cones = {t: [(p, q) for p in c.hom(t, x) for q in c.hom(t, y)
+                 if c.comp[(f, p)] == c.comp[(g, q)]] for t in c.objects}
+    for apex in c.objects:
+        for p, q in cones[apex]:
+            if all(_one_each(cones[t], [(c.comp[(p, h)], c.comp[(q, h)])
+                                        for h in c.hom(t, apex)])
+                   for t in c.objects if cones[t]):
+                return PullbackCone(apex, p, q)
+    return None
+
+
+def colimit(c, d):
+    """The first cocone under d, in (apex, sorted legs) order, that maps to
+    every cocone by exactly one h, with cocones from the brute-force
+    cocones_at and mediating maps counted per cocone; the reference for
+    fincat.colimit."""
+    cocones = {apex: cocones_at(c, d, apex) for apex in c.objects}
+    for apex in c.objects:
+        for legs in sorted(cocones[apex]):
+            if all(len(c.hom(apex, t)) == len(cocones[t]) and
+                   _one_each(cocones[t], [tuple(c.comp[(h, leg)]
+                                                for leg in legs)
+                                          for h in c.hom(apex, t)])
+                   for t in c.objects):
+                return Cocone(apex, legs)
+    return None
+
+
+def _one_each(cones, images):
+    """Whether every cone occurs exactly once among images."""
+    counts = {}
+    for k in images:
+        counts[k] = counts.get(k, 0) + 1
+    return all(counts.get(cone, 0) == 1 for cone in cones)
 
 
 def matching_families(p, a, sieve):

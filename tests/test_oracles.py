@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from rcwb.bridge import _matching_tuples, jrp_to_sheaf, sheaf_to_jrp
-from rcwb.fincat import (Diagram, FinCategory, cocones_at, empty_diagram,
-                         subcategory, validate_category)
+from rcwb.fincat import (Diagram, FinCategory, cocones_at, colimit,
+                         empty_diagram, pullback, subcategory,
+                         validate_category)
 from rcwb.fixtures import (build_finset, build_finset_mcat, build_finset_p,
                            build_nojoin_fixture, subsets_category)
 from rcwb.joins import FinitePoset, compatible_families, hom_poset
@@ -23,13 +24,19 @@ from rcwb.site import (all_nat_trans, basis_covers, constant_presheaf,
 
 MCATS = {"finset_inj_2": build_finset_mcat(2, "inj"),
          "finset_iso_2": build_finset_mcat(2, "iso")}
-CATS = {"finset_2": build_finset(2), "finset_p_2": build_finset_p(2).base}
+CATS = {"finset_2": build_finset(2), "finset_p_2": build_finset_p(2).base,
+        # most colimits are missing in these two
+        "nojoin": build_nojoin_fixture().base,
+        "subsets_3": subsets_category(3).base}
 
 
 def _same_cocones(c, d):
+    """Cocones at every apex, and the colimit (None included), equal the
+    brute-force references."""
     for apex in c.objects:
         assert sorted(cocones_at(c, d, apex)) == \
             sorted(oracles.cocones_at(c, d, apex))
+    assert colimit(c, d) == oracles.colimit(c, d)
 
 
 def _closure(c, gens):
@@ -85,7 +92,45 @@ def test_sieves_match_oracle_on_generated_subcategories(gens):
         assert sieves_on(sub, a) == oracles.sieves_on(sub, a)
 
 
-# -- cocones ------------------------------------------------------------------
+# -- pullbacks ----------------------------------------------------------------
+
+def _same_pullbacks(c):
+    """Every cospan of c has the reference pullback; returns how many have
+    none."""
+    missing = 0
+    for b in c.objects:
+        for f in c.into(b):
+            for g in c.into(b):
+                want = oracles.pullback_cone(c, f, g)
+                assert pullback(c, f, g) == want
+                missing += want is None
+    return missing
+
+
+# name -> (category builder, number of cospans without a pullback)
+PULLBACK_CATS = {
+    # finset_inj_3 and finset_iso_3 share this base category
+    "finset_3": (lambda: build_finset(3), 318),
+    "finset_p_2": (lambda: build_finset_p(2).base, 71),
+    "nojoin": (lambda: build_nojoin_fixture().base, 28),
+    "subsets_3": (lambda: subsets_category(3).base, 37),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_CATS))
+def test_pullbacks_match_oracle_on_fixtures(name):
+    build, missing = PULLBACK_CATS[name]
+    assert _same_pullbacks(build()) == missing
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(range(CATS["finset_2"].n_morphisms))))
+def test_pullbacks_match_oracle_on_generated_subcategories(gens):
+    c = CATS["finset_2"]
+    _same_pullbacks(subcategory(c, c.objects, _closure(c, gens)).cat)
+
+
+# -- cocones and colimits -----------------------------------------------------
 
 def test_cocones_of_empty_diagram_match_oracle():
     for c in list(CATS.values()):
@@ -134,20 +179,55 @@ def test_cocones_of_parallel_pairs_match_oracle(name, data):
     _same_cocones(c, d)
 
 
+def _idempotents(c):
+    return [e for e in c.morphisms() if not c.is_identity(e)
+            and c.mor_src[e] == c.mor_tgt[e] and c.comp[(e, e)] == e]
+
+
+def _idempotent(c, e):
+    # a shape whose only object has an outgoing non-identity arrow, so no
+    # leg is forced before the search branches on it
+    shape = FinCategory(1, (0, 0), (0, 0), (0,),
+                        {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    return Diagram(shape, (c.mor_src[e],), (c.identity[c.mor_src[e]], e))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(CATS)), st.data())
 def test_cocones_of_idempotents_match_oracle(name, data):
-    # a shape whose only object has an outgoing non-identity arrow, so no
-    # leg is forced before the search branches on it
     c = CATS[name]
-    idems = [e for e in c.morphisms() if not c.is_identity(e)
-             and c.mor_src[e] == c.mor_tgt[e] and c.comp[(e, e)] == e]
-    e = data.draw(st.sampled_from(idems))
-    shape = FinCategory(1, (0, 0), (0, 0), (0,),
-                        {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
-    d = Diagram(shape, (c.mor_src[e],), (c.identity[c.mor_src[e]], e))
+    d = _idempotent(c, data.draw(st.sampled_from(_idempotents(c))))
     assert d.check(c)
     _same_cocones(c, d)
+
+
+def test_colimits_of_every_small_diagram_match_oracle():
+    # the empty diagram, every parallel pair and every idempotent
+    missing = 0
+    for c in CATS.values():
+        for d in ([empty_diagram()] +
+                  [_parallel_pair(c, f, g) for f in c.morphisms()
+                   for g in c.hom(c.mor_src[f], c.mor_tgt[f])] +
+                  [_idempotent(c, e) for e in _idempotents(c)]):
+            want = oracles.colimit(c, d)
+            assert colimit(c, d) == want
+            missing += want is None
+    assert missing == 25 + 64    # nojoin, subsets_3
+
+
+def test_matching_colimits_of_size_3_match_oracle():
+    # every family of at most 3 canonical subobjects: 114 in finset_inj_3
+    # and 8 in finset_iso_3
+    count = 0
+    for kind in ("inj", "iso"):
+        mc = build_finset_mcat(3, kind)
+        for obj in mc.base.objects:
+            for r in range(4):
+                for fam in itertools.combinations(sub_m(mc, obj).elements, r):
+                    d = matching_diagram(mc, fam, obj).diagram
+                    assert colimit(mc.base, d) == oracles.colimit(mc.base, d)
+                    count += 1
+    assert count == 122
 
 
 # -- the matching-colimit memo ------------------------------------------------
