@@ -18,9 +18,8 @@ from .mcat import (MCategory, ParCategory, karoubi_r, matching_colimit,
                    split_unit_functor, sub_m, subobject_rep)
 from .reports import InternalInvariantError, LawReport
 from .restriction import RestrictionCategory, is_restriction_idempotent
-from .rpsh import (RestrictionPresheaf, check_jrp_axioms,
-                   compatible_element_subsets, element_join, find_rp_iso,
-                   yoneda_jr)
+from .rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
+                   element_poset, find_rp_iso, yoneda_jr)
 from .site import (Presheaf, Topology, amalgamations, basis_covers,
                    find_presheaf_iso, generate_topology, is_sheaf,
                    subcanonical_report, yoneda)
@@ -122,7 +121,7 @@ def transfer_report(pc: ParCategory, top: Topology, p: Presheaf,
     tr = sheaf_to_jrp(pc, p)
     report.extend(check_jrp_axioms(tr.rp, max_family))
     for a in pc.rc.base.objects:
-        for fam in compatible_element_subsets(tr.rp, a, max_family):
+        for fam in element_poset(tr.rp, a).families(max_family):
             if not fam:
                 continue
             got, reason = recipe_join(tr, a, fam)

@@ -16,7 +16,8 @@ from functools import partial
 from .fincat import FinCategory, Functor, subcategory
 from .joins import FinitePoset
 from .mcat import MCategory
-from .restriction import RestrictionCategory, leq, restriction_idempotents
+from .restriction import (RestrictionCategory, compatible, leq,
+                          restriction_idempotents)
 
 
 def _total_maps(a, b):
@@ -157,7 +158,8 @@ def nojoin_certified_pair(x: RestrictionCategory):
 
 def _least_idempotent(x, a):
     # the least upper bound of the empty family is the least element
-    return FinitePoset(restriction_idempotents(x, a), partial(leq, x)).join(())
+    return FinitePoset(restriction_idempotents(x, a), partial(leq, x),
+                       partial(compatible, x)).join(())
 
 
 def subsets_category(k) -> RestrictionCategory:

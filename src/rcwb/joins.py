@@ -1,14 +1,14 @@
 """Joins of compatible families in finite restriction categories.
 
-One kernel, FinitePoset, holds a finite order with every element's up-set
-as an int bitmask: upper bounds are an AND of up-sets and joins are
-memoised by the members' mask.  It is built once per hom-set (kept on the
-RestrictionCategory, see hom_poset) and once per P(a) of a restriction
-presheaf (kept on the RestrictionPresheaf, see rpsh).  Compatible families
-are grown one member at a time by AND-ing compatibility bitmasks, in one
-routine that serves both.  No construction is attempted here.  The join
-axioms J1/J2 are checked over every compatible family (optionally bounded
-in size for large fixtures).
+One kernel, FinitePoset, decides compatibility and joins of finite sets of
+elements.  It reads the order and the compatibility relation once, as one
+int bitmask per element (its up-set and its compatible set), grows
+compatible families by AND-ing compatibility masks, and memoises each
+member set's compatibility and join together, keyed by the set.  It is
+built once per hom-set (kept on the RestrictionCategory, see hom_poset) and
+once per P(a) of a restriction presheaf (kept on the RestrictionPresheaf,
+see rpsh).  The join axioms J1/J2 are checked over every compatible family
+(optionally bounded in size for large fixtures).
 """
 
 from __future__ import annotations
@@ -25,20 +25,11 @@ from .restriction import (RestrictionCategory, compatible,
 
 @dataclass(frozen=True)
 class CompatibleFamily:
+    """A set of members of hom(src, tgt); hom_poset(x, src, tgt).compatible
+    decides whether it is compatible."""
     src: int
     tgt: int
     members: frozenset
-
-    @staticmethod
-    def of(x: RestrictionCategory, src, tgt, members) -> "CompatibleFamily":
-        members = frozenset(members)
-        for f in members:
-            if x.base.mor_src[f] != src or x.base.mor_tgt[f] != tgt:
-                raise ValueError(f"morphism {f} not in hom({src},{tgt})")
-        for f, g in itertools.combinations(sorted(members), 2):
-            if not compatible(x, f, g):
-                raise ValueError(f"family is not compatible: {f} vs {g}")
-        return CompatibleFamily(src, tgt, members)
 
 
 def _bits(mask):
@@ -50,23 +41,30 @@ def _bits(mask):
 
 
 class FinitePoset:
-    """A finite order on elements, given by leq(s, u) and read once.
+    """A finite order with a compatibility relation, given by leq(s, u)
+    and compatible(s, u) and each read once.
 
     up[i] is the bitmask of the positions j with leq(elements[i],
-    elements[j]).  The join of a set of members is the lowest-position upper
-    bound whose up-set contains every upper bound: the least upper bound
-    when leq is a partial order, and the first such element in element order
-    when leq is only a preorder.  Joins are memoised by the members' mask.
+    elements[j]), and ok[i] that of the positions j with
+    compatible(elements[j], elements[i]).  A set is compatible when each
+    member lies in the ok mask of every member before it in element order.
+    Its join is the lowest-position upper bound whose up-set contains every
+    upper bound: the least upper bound when leq is a partial order, and the
+    first such element in element order when leq is only a preorder.  One
+    memo, keyed by the member set as a frozenset, holds both answers.
     Posets are shared by every caller and must not be mutated.
     """
 
-    def __init__(self, elements, leq):
+    def __init__(self, elements, leq, compatible):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.up = tuple(sum(1 << j for j, v in enumerate(self.elements)
                             if leq(u, v))
                         for u in self.elements)
-        self._joins = {}
+        self.ok = tuple(sum(1 << j for j, v in enumerate(self.elements)
+                            if compatible(v, u))
+                        for u in self.elements)
+        self._memo = {}
 
     def _mask(self, members):
         """The bitmask of the members' positions; ValueError for a member
@@ -85,40 +83,46 @@ class FinitePoset:
             ubs &= self.up[i]
         return ubs
 
+    def _facts(self, members):
+        """(compatible, join) of the member set, memoised by the set."""
+        key = frozenset(members)
+        facts = self._memo.get(key)
+        if facts is None:
+            mask = self._mask(key)
+            ubs = self._upper(mask)
+            facts = self._memo[key] = (
+                all(not (mask & ~self.ok[i]) >> (i + 1) for i in _bits(mask)),
+                next((self.elements[i] for i in _bits(ubs)
+                      if self.up[i] & ubs == ubs), None))
+        return facts
+
+    def compatible(self, members):
+        """True iff the members form a compatible family."""
+        return self._facts(members)[0]
+
+    def join(self, members):
+        """The least upper bound of the members, or None."""
+        return self._facts(members)[1]
+
     def upper_bounds(self, members):
         """The elements above every member, in element order."""
         return tuple(self.elements[i]
                      for i in _bits(self._upper(self._mask(members))))
 
-    def join(self, members):
-        """The least upper bound of the members, or None."""
-        key = self._mask(members)
-        if key not in self._joins:
-            ubs = self._upper(key)
-            self._joins[key] = next(
-                (self.elements[i] for i in _bits(ubs)
-                 if self.up[i] & ubs == ubs), None)
-        return self._joins[key]
-
-
-def compatible_families(elements, compatible, max_family=None):
-    """Every pairwise-compatible subset of elements, the empty one included,
-    as tuples ordered by size and then by position in elements."""
-    elements = tuple(elements)
-    n = len(elements)
-    # ok[i]: the positions of the elements compatible with elements[i]
-    ok = [sum(1 << j for j, f in enumerate(elements) if compatible(f, e))
-          for e in elements]
-    out = [()]
-    # each entry: a family's positions, increasing, and the mask of the
-    # later positions compatible with every member
-    frontier = [((), (1 << n) - 1)]
-    while frontier and (max_family is None or
-                        len(frontier[0][0]) < max_family):
-        frontier = [(fam + (j,), allowed & ok[j] & (-1 << (j + 1)))
-                    for fam, allowed in frontier for j in _bits(allowed)]
-        out.extend(fam for fam, _ in frontier)
-    return [tuple(elements[i] for i in fam) for fam in out]
+    def families(self, max_family=None):
+        """Every compatible subset of the elements, the empty one included,
+        as tuples ordered by size and then by position, with at most
+        max_family members; grown afresh from the ok masks on every call."""
+        out = [()]
+        # each entry: a family's positions, increasing, and the mask of the
+        # later positions compatible with every member
+        frontier = [((), (1 << len(self.elements)) - 1)]
+        while frontier and (max_family is None or
+                            len(frontier[0][0]) < max_family):
+            frontier = [(fam + (j,), allowed & self.ok[j] & (-1 << (j + 1)))
+                        for fam, allowed in frontier for j in _bits(allowed)]
+            out.extend(fam for fam, _ in frontier)
+        return [tuple(self.elements[i] for i in fam) for fam in out]
 
 
 def families(elements, max_family=None):
@@ -135,7 +139,8 @@ def hom_poset(x: RestrictionCategory, a, b) -> FinitePoset:
     x.posets."""
     key = (a, b)
     if key not in x.posets:
-        x.posets[key] = FinitePoset(x.base.hom(a, b), partial(leq, x))
+        x.posets[key] = FinitePoset(x.base.hom(a, b), partial(leq, x),
+                                    partial(compatible, x))
     return x.posets[key]
 
 
@@ -150,9 +155,8 @@ def join(x: RestrictionCategory, fam: CompatibleFamily):
 
 def compatible_subsets(x: RestrictionCategory, a, b, max_family=None):
     """All pairwise-compatible subsets of hom(a, b), the empty one included."""
-    return [CompatibleFamily(a, b, frozenset(fam)) for fam in
-            compatible_families(x.base.hom(a, b), partial(compatible, x),
-                                max_family)]
+    return [CompatibleFamily(a, b, frozenset(fam))
+            for fam in hom_poset(x, a, b).families(max_family)]
 
 
 def check_join_axioms(x: RestrictionCategory, max_family=None) -> LawReport:
@@ -183,17 +187,15 @@ def check_join_axioms(x: RestrictionCategory, max_family=None) -> LawReport:
                                "compatible family without a join")
                     continue
                 # J1: bar(join S) == join of bars
-                bars = CompatibleFamily.of(x, a, a,
-                                           [x.bar[s] for s in fam.members])
-                jbar = join(x, bars)
+                jbar = join(x, CompatibleFamily(
+                    a, a, frozenset(x.bar[s] for s in fam.members)))
                 if jbar is None or x.bar[j] != jbar:
                     report.add("J1", (a, b) + key, "bar(⋁S) != ⋁ s̄")
                 # J2: (join S)∘g == join(s∘g)
                 for g in c.into(a):
-                    sg = [c.comp[(s, g)] for s in fam.members]
-                    try:
-                        famg = CompatibleFamily.of(x, c.mor_src[g], b, sg)
-                    except ValueError:
+                    famg = CompatibleFamily(c.mor_src[g], b, frozenset(
+                        c.comp[(s, g)] for s in fam.members))
+                    if not hom_poset(x, famg.src, b).compatible(famg.members):
                         report.add("J2", (g,) + key,
                                    "precomposed family not compatible")
                         continue
@@ -202,10 +204,9 @@ def check_join_axioms(x: RestrictionCategory, max_family=None) -> LawReport:
                         report.add("J2", (g,) + key, "(⋁S)∘g != ⋁(s∘g)")
                 # sanity: post-composition distributes (a theorem given J1/J2)
                 for f in c.out_of(b):
-                    fs = [c.comp[(f, s)] for s in fam.members]
-                    try:
-                        famf = CompatibleFamily.of(x, a, c.mor_tgt[f], fs)
-                    except ValueError:
+                    famf = CompatibleFamily(a, c.mor_tgt[f], frozenset(
+                        c.comp[(f, s)] for s in fam.members))
+                    if not hom_poset(x, a, famf.tgt).compatible(famf.members):
                         report.add("POSTCOMP", (f,) + key,
                                    "postcomposed family not compatible")
                         continue
@@ -238,9 +239,9 @@ def is_join_restriction_functor(fun: Functor, x: RestrictionCategory,
                 j = join(x, fam)
                 if j is None:
                     continue
-                image = CompatibleFamily.of(
-                    y, fun.obj_map[a], fun.obj_map[b],
-                    [fun.mor_map[s] for s in fam.members])
+                image = CompatibleFamily(
+                    fun.obj_map[a], fun.obj_map[b],
+                    frozenset(fun.mor_map[s] for s in fam.members))
                 if join(y, image) != fun.mor_map[j]:
                     return False
     return True

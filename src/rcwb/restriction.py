@@ -77,7 +77,8 @@ def leq(x: RestrictionCategory, f, g) -> bool:
 
 
 def compatible(x: RestrictionCategory, f, g) -> bool:
-    """f ⌣ g iff f∘ḡ == g∘f̄."""
+    """f ⌣ g iff f∘ḡ == g∘f̄.  joins.hom_poset reads it once per pair of a
+    hom-set."""
     _require_parallel(x, f, g)
     c = x.base
     return c.comp[(f, x.bar[g])] == c.comp[(g, x.bar[f])]

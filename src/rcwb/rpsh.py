@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .fincat import FinCategory
-from .joins import (CompatibleFamily, FinitePoset, compatible_families,
-                    compatible_subsets, join as hom_join)
+from .joins import (CompatibleFamily, FinitePoset, compatible_subsets,
+                    join as hom_join)
 from .reports import LawReport
 from .restriction import RestrictionCategory, is_restriction_idempotent
 from .site import (NatTrans, Presheaf, check_presheaf, find_presheaf_iso,
@@ -106,19 +106,14 @@ def element_poset(rp: RestrictionPresheaf, a) -> FinitePoset:
     rp.posets."""
     if a not in rp.posets:
         rp.posets[a] = FinitePoset(rp.presheaf.elements(a),
-                                   partial(element_leq, rp, a))
+                                   partial(element_leq, rp, a),
+                                   partial(element_compatible, rp, a))
     return rp.posets[a]
 
 
 def element_join(rp: RestrictionPresheaf, a, members):
     """Least upper bound in P(a), or None."""
     return element_poset(rp, a).join(members)
-
-
-def compatible_element_subsets(rp: RestrictionPresheaf, a, max_family=None):
-    """All pairwise-compatible subsets of P(a), the empty one included."""
-    return compatible_families(rp.presheaf.elements(a),
-                               partial(element_compatible, rp, a), max_family)
 
 
 def check_jrp_axioms(rp: RestrictionPresheaf, max_family=None) -> LawReport:
@@ -135,7 +130,7 @@ def check_jrp_axioms(rp: RestrictionPresheaf, max_family=None) -> LawReport:
     for a in c.objects:
         if p.sizes[a] == 0:
             continue
-        for fam in compatible_element_subsets(rp, a, max_family):
+        for fam in element_poset(rp, a).families(max_family):
             if not fam:
                 continue  # same nonempty convention as the category-level check
             j = element_join(rp, a, fam)
@@ -144,8 +139,8 @@ def check_jrp_axioms(rp: RestrictionPresheaf, max_family=None) -> LawReport:
                            "compatible element set without a join")
                 continue
             # JRP1: bar(⋁S) == ⋁ s̄ (a join of morphisms in X)
-            bars = CompatibleFamily.of(x, a, a, [rp.bar(a, s) for s in fam])
-            jbar = hom_join(x, bars)
+            jbar = hom_join(x, CompatibleFamily(
+                a, a, frozenset(rp.bar(a, s) for s in fam)))
             if jbar is None or rp.bar(a, j) != jbar:
                 report.add("JRP1", (a,) + fam, "bar(⋁S) != ⋁ s̄")
             # JRP2: (⋁S)·g == ⋁ (s·g)

@@ -23,7 +23,7 @@ def compatible_families(elements, compatible, max_family=None):
     """Every pairwise-compatible subset of elements, the empty one included,
     as tuples ordered by size and then by position in elements, each grown
     by testing the new member against every member; the reference for
-    joins.compatible_families."""
+    joins.FinitePoset.families."""
     elements = tuple(elements)
     n = len(elements)
     ok = [[compatible(e, f) for f in elements] for e in elements]

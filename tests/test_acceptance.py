@@ -244,7 +244,7 @@ def test_12a_nojoin_certifies_a_joinless_pair(nojoin):
     c = nojoin.base
     a, b = c.mor_src[f], c.mor_tgt[f]
     assert compatible(nojoin, f, g)
-    fam = CompatibleFamily.of(nojoin, a, b, (f, g))
+    fam = CompatibleFamily(a, b, frozenset((f, g)))
     assert not upper_bounds(nojoin, fam)
     rep = check_join_axioms(nojoin, max_family=2)
     assert any(v.tag == "JOIN-MISSING" and set(v.ids) >= {f, g}

@@ -3,8 +3,8 @@ import pytest
 from rcwb.bridge import (amalgamation_formula_report, cocompletion_unit,
                          jrp_to_sheaf, recipe_join, roundtrip_report,
                          sheaf_to_jrp, transfer_report)
-from rcwb.rpsh import (check_jrp_axioms, compatible_element_subsets,
-                       element_join, find_rp_iso, yoneda_jr)
+from rcwb.rpsh import (check_jrp_axioms, element_join, element_poset,
+                       find_rp_iso, yoneda_jr)
 from rcwb.site import find_presheaf_iso, is_sheaf, yoneda
 
 
@@ -26,7 +26,7 @@ def test_recipe_join_matches_search(pc_inj, top_inj):
     c = pc_inj.mc.base
     tr = sheaf_to_jrp(pc_inj, yoneda(c, 2))
     for a in pc_inj.rc.base.objects:
-        for fam in compatible_element_subsets(tr.rp, a, max_family=2):
+        for fam in element_poset(tr.rp, a).families(max_family=2):
             if not fam:
                 continue
             got, reason = recipe_join(tr, a, fam)

@@ -4,7 +4,7 @@ from rcwb.fixtures import (build_finset_p, build_finset_p_data,
                            join_collapsing_functor, nojoin_certified_pair,
                            subsets_category)
 from rcwb.joins import (CompatibleFamily, NotRestrictionFunctorError,
-                        check_join_axioms, compatible_subsets,
+                        check_join_axioms, compatible_subsets, hom_poset,
                         is_join_restriction_functor, join, upper_bounds)
 from rcwb.restriction import check_restriction_axioms
 
@@ -18,12 +18,13 @@ def test_join_is_graph_union(finset_p2, finset_p2_data):
     # the two singleton-domain restrictions of the identity on the 2-set
     f = fd.mor_id[(2, 2, (0, None))]
     g = fd.mor_id[(2, 2, (None, 1))]
-    fam = CompatibleFamily.of(x, 2, 2, (f, g))
+    fam = CompatibleFamily(2, 2, frozenset((f, g)))
+    assert hom_poset(x, 2, 2).compatible(fam.members)
     assert join(x, fam) == x.base.identity[2]
 
 
 def test_empty_family_join_is_nowhere_defined(finset_p2, finset_p2_data):
-    fam = CompatibleFamily.of(finset_p2, 2, 1, ())
+    fam = CompatibleFamily(2, 1, frozenset())
     assert join(finset_p2, fam) == \
         finset_p2_data.mor_id[(2, 1, (None, None))]
 
@@ -31,8 +32,7 @@ def test_empty_family_join_is_nowhere_defined(finset_p2, finset_p2_data):
 def test_incompatible_family_rejected(finset_p2, finset_p2_data):
     f = finset_p2_data.mor_id[(2, 2, (0, 0))]
     g = finset_p2_data.mor_id[(2, 2, (1, 1))]
-    with pytest.raises(ValueError):
-        CompatibleFamily.of(finset_p2, 2, 2, (f, g))
+    assert not hom_poset(finset_p2, 2, 2).compatible((f, g))
 
 
 def test_nojoin_fixture_fails_only_by_missing_joins(nojoin):
@@ -43,7 +43,8 @@ def test_nojoin_fixture_fails_only_by_missing_joins(nojoin):
 
 def test_certified_pair_is_compatible_without_upper_bound(nojoin):
     f, g = nojoin_certified_pair(nojoin)
-    fam = CompatibleFamily.of(nojoin, 1, 0, (f, g))
+    fam = CompatibleFamily(1, 0, frozenset((f, g)))
+    assert hom_poset(nojoin, 1, 0).compatible(fam.members)
     assert upper_bounds(nojoin, fam) == ()
 
 

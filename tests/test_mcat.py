@@ -1,9 +1,10 @@
 import pytest
 
+from rcwb.fincat import FinCategory, validate_category
 from rcwb.fixtures import build_finset_mcat, build_finset_p
 from rcwb.joins import check_join_axioms
-from rcwb.mcat import (check_m_system, heyting_check, is_geometric,
-                       karoubi_r, matching_colimit, mtotal, par,
+from rcwb.mcat import (MCategory, check_m_system, heyting_check,
+                       is_geometric, karoubi_r, matching_colimit, mtotal, par,
                        par_join_construction, par_leq_oracle,
                        pullback_preserves_joins, split_unit_functor, sub_m,
                        subobject_rep)
@@ -16,7 +17,6 @@ def test_m_system_checks(mc_inj, mc_iso):
 
 
 def test_m_system_flags_non_mono(mc_inj):
-    from rcwb.mcat import MCategory
     c = mc_inj.base
     non_mono = next(f for f in c.morphisms()
                     if f not in mc_inj.monics)
@@ -56,6 +56,25 @@ def test_geometric_rejects_iso_citing_empty_family(mc_iso):
     empty_family_failures = [v for v in rep.violations
                              if v.tag == "GEO-MU" and len(v.ids) == 2]
     assert empty_family_failures  # (object, mu) with no family members
+
+
+def test_geometric_reports_a_missing_matching_colimit():
+    # objects P, A, B, X, Z; maps p1: P->A, p2: P->B, m1: A->X, m2: B->X,
+    # a: A->Z, b: B->Z with m1∘p1 = m2∘p2 (11) and a∘p1 = b∘p2 (12)
+    src = (0, 1, 2, 3, 4, 0, 0, 1, 2, 1, 2, 0, 0)
+    tgt = (0, 1, 2, 3, 4, 1, 2, 3, 3, 4, 4, 3, 4)
+    comp = {(7, 5): 11, (8, 6): 11, (9, 5): 12, (10, 6): 12}
+    for f in range(len(src)):
+        comp[(tgt[f], f)] = comp[(f, src[f])] = f
+    c = FinCategory(5, src, tgt, range(5), comp)
+    assert validate_category(c).ok
+    mc = MCategory(c, frozenset(range(9)) | {11})
+    assert check_m_system(mc).ok
+    # the cocone (a, b) at Z factors through no map X->Z, so m1 and m2 have
+    # no matching colimit; at Z the empty family's induced map a∘p1 is not
+    # in M
+    assert [(v.tag, v.ids) for v in is_geometric(mc).violations] == \
+        [("GEO-COLIM", (3, 7, 8)), ("GEO-MU", (4, 12))]
 
 
 def test_heyting_distributivity(mc_inj):

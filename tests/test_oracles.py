@@ -13,7 +13,7 @@ from rcwb.fincat import (Diagram, FinCategory, cocones_at, colimit,
                          validate_category)
 from rcwb.fixtures import (build_finset, build_finset_mcat, build_finset_p,
                            build_nojoin_fixture, subsets_category)
-from rcwb.joins import FinitePoset, compatible_families, hom_poset
+from rcwb.joins import FinitePoset, hom_poset
 from rcwb.mcat import MCategory, matching_colimit, matching_diagram, par, sub_m
 from rcwb.restriction import compatible, leq
 from rcwb.rpsh import (collage, element_compatible, element_join, element_leq,
@@ -347,21 +347,30 @@ def test_searches_match_oracle_on_generated_subcategories(gens, data):
 
 # -- joins --------------------------------------------------------------------
 
-PAR_INJ2 = par(MCATS["finset_inj_2"])
 P2 = build_finset_p(2)
 RCATS = {"finset_p_2": P2, "nojoin": build_nojoin_fixture(),
          "subsets_3": subsets_category(3),
          "collage": collage(yoneda_jr(P2, 2)).rc}
 
 
-def _transferred():
-    c = PAR_INJ2.mc.base
-    return [sheaf_to_jrp(PAR_INJ2, yoneda(c, w)).rp for w in c.objects]
+@pytest.fixture(scope="module")
+def par_inj2():
+    # built on first use, so a fault in pullback fails the tests that need
+    # Par(finset_inj_2) instead of the collection of this module
+    return par(MCATS["finset_inj_2"])
 
 
-def _same_joins(poset, order):
-    """join and upper_bounds equal the scan on every subset of at most three
-    elements, the empty, incompatible and joinless ones included."""
+@pytest.fixture(scope="module")
+def transferred(par_inj2):
+    """The transfers of the representable sheaves on finset_inj_2."""
+    c = par_inj2.mc.base
+    return [sheaf_to_jrp(par_inj2, yoneda(c, w)).rp for w in c.objects]
+
+
+def _same_as_scans(poset, order, compat):
+    """join, upper_bounds and compatible equal the scans on every subset of
+    at most three elements, the empty, incompatible and joinless ones
+    included, and the family grower equals the reference, order included."""
     elements = poset.elements
     for r in range(min(3, len(elements)) + 1):
         for fam in itertools.combinations(elements, r):
@@ -369,12 +378,11 @@ def _same_joins(poset, order):
                 oracles.least_upper_bound(elements, order, fam)
             assert poset.upper_bounds(fam) == tuple(
                 u for u in elements if all(order(s, u) for s in fam))
-
-
-def _same_families(elements, compat):
-    """The family grower equals the reference, order included."""
+            # fam keeps element order: each member against the earlier ones
+            assert poset.compatible(fam) == all(
+                compat(u, s) for s, u in itertools.combinations(fam, 2))
     for max_family in (None, 1, 2):
-        assert compatible_families(elements, compat, max_family) == \
+        assert poset.families(max_family) == \
             oracles.compatible_families(elements, compat, max_family)
 
 
@@ -386,18 +394,16 @@ def test_hom_joins_match_oracle(name):
             poset = hom_poset(x, a, b)
             assert poset.elements == x.base.hom(a, b)
             assert hom_poset(x, a, b) is poset
-            _same_joins(poset, lambda f, g: leq(x, f, g))
-            _same_families(poset.elements,
+            _same_as_scans(poset, lambda f, g: leq(x, f, g),
                            lambda f, g: compatible(x, f, g))
 
 
-def test_element_joins_match_oracle():
-    for rp in _transferred():
+def test_element_joins_match_oracle(transferred):
+    for rp in transferred:
         for a in rp.rc.base.objects:
             poset = element_poset(rp, a)
             assert poset.elements == tuple(rp.presheaf.elements(a))
-            _same_joins(poset, lambda s, u: element_leq(rp, a, s, u))
-            _same_families(poset.elements,
+            _same_as_scans(poset, lambda s, u: element_leq(rp, a, s, u),
                            lambda s, u: element_compatible(rp, a, s, u))
 
 
@@ -421,41 +427,51 @@ def test_joins_match_oracle_on_random_preorders(data):
                                         st.integers(0, n - 1))))
     rel = _preorder(n, pairs)
     order = lambda s, u: (s, u) in rel  # noqa: E731
-    _same_joins(FinitePoset(elements, order), order)
     # pairs also serve as a compatibility relation, not even symmetric
-    _same_families(elements, lambda s, u: (s, u) in pairs)
+    compat = lambda s, u: (s, u) in pairs  # noqa: E731
+    _same_as_scans(FinitePoset(elements, order, compat), order, compat)
 
 
 def test_join_of_equivalent_elements_is_the_first():
     # "a" and "b" lie below each other and below "top", which comes first
     rel = {("a", "b"), ("b", "a"), ("a", "top"), ("b", "top")} | \
         {(e, e) for e in ("a", "b", "top")}
-    poset = FinitePoset(["top", "b", "a"], lambda s, u: (s, u) in rel)
+    poset = FinitePoset(["top", "b", "a"], lambda s, u: (s, u) in rel,
+                        lambda s, u: True)
     assert poset.join([]) == "b"
     assert poset.join(["a"]) == "b"
     assert poset.join(["top"]) == "top"
     assert poset.upper_bounds(["a"]) == ("top", "b", "a")
-    assert FinitePoset([], lambda s, u: True).join([]) is None
+    assert FinitePoset([], lambda s, u: True, lambda s, u: True).join([]) \
+        is None
 
 
-def test_join_rejects_a_member_outside_the_poset():
-    poset = FinitePoset([1, 2], lambda s, u: s <= u)
+def test_join_rejects_a_member_outside_the_poset(transferred):
+    poset = FinitePoset([1, 2], lambda s, u: s <= u, lambda s, u: True)
     with pytest.raises(ValueError):
         poset.join([3])
     with pytest.raises(ValueError):
+        poset.compatible([3])
+    # a set met before does not let an outside member through
+    assert poset.compatible([1, 2]) and poset.join([1]) == 1
+    with pytest.raises(ValueError):
+        poset.compatible([1, 2, 3])
+    with pytest.raises(ValueError):
         poset.upper_bounds([1, 3])
-    rp = _transferred()[0]
+    rp = transferred[0]
     with pytest.raises(ValueError):
         element_join(rp, 0, [rp.presheaf.sizes[0]])
+    with pytest.raises(ValueError):
+        element_poset(rp, 0).compatible([rp.presheaf.sizes[0]])
 
 
 # -- the amalgamation check --------------------------------------------------
 
-def test_matching_tuples_match_oracle():
-    c = PAR_INJ2.mc.base
-    for rp in _transferred():
-        p = jrp_to_sheaf(PAR_INJ2, rp).presheaf
-        for fams in basis_covers(PAR_INJ2.mc):
+def test_matching_tuples_match_oracle(par_inj2, transferred):
+    c = par_inj2.mc.base
+    for rp in transferred:
+        p = jrp_to_sheaf(par_inj2, rp).presheaf
+        for fams in basis_covers(par_inj2.mc):
             for fam in fams:
                 assert list(_matching_tuples(c, p, fam)) == \
                     oracles.matching_tuples(c, p, fam)

@@ -4,8 +4,8 @@ from rcwb.fincat import validate_category
 from rcwb.joins import check_join_axioms
 from rcwb.restriction import check_restriction_axioms
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, check_rp_axioms,
-                       collage, compatible_element_subsets, element_compatible,
-                       element_join, element_leq, find_rp_iso,
+                       collage, element_compatible, element_join,
+                       element_leq, element_poset, find_rp_iso,
                        hom_restriction, nat_join, yoneda_jr)
 from rcwb.site import NatTrans, yoneda
 
@@ -29,17 +29,17 @@ def test_element_order_mirrors_hom_order(finset_p2):
 
 
 def test_element_join_mirrors_hom_join(finset_p2):
-    from rcwb.joins import CompatibleFamily, join
+    from rcwb.joins import CompatibleFamily, hom_poset, join
     rp = yoneda_jr(finset_p2, 2)
     c = finset_p2.base
     hom = c.hom(2, 2)
-    for fam in compatible_element_subsets(rp, 2, max_family=2):
+    for fam in element_poset(rp, 2).families(max_family=2):
         if not fam:
             continue
         got = element_join(rp, 2, fam)
-        want = join(finset_p2, CompatibleFamily.of(
-            finset_p2, 2, 2, [hom[i] for i in fam]))
-        assert hom[got] == want
+        members = frozenset(hom[i] for i in fam)
+        assert hom_poset(finset_p2, 2, 2).compatible(members)
+        assert hom[got] == join(finset_p2, CompatibleFamily(2, 2, members))
 
 
 def test_collage_of_representable_is_join_restriction(finset_p2):
