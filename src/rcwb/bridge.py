@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fincat import Functor, compose_functors, pullback
-from .mcat import (MCategory, ParCategory, karoubi_r, matching_colimit,
-                   split_unit_functor, sub_m, subobject_rep)
+from .mcat import (MCategory, ParCategory, canonical_iso, karoubi_r,
+                   matching_colimit, split_unit_functor, sub_m)
 from .reports import InternalInvariantError, LawReport
 from .restriction import RestrictionCategory, is_restriction_idempotent
 from .rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
@@ -38,16 +38,10 @@ class TransferredJRP:
 
 def canonical_pair(mc: MCategory, p: Presheaf, index, mu, e):
     """The position of the class of (mu, e) in index, the dict (monic,
-    element) -> position at one object, after normalising the monic to its
-    canonical representative."""
-    c = mc.base
-    m = subobject_rep(mc, mu)
-    if m == mu:
-        return index[(m, e)]
-    for phi in c.hom(c.mor_src[m], c.mor_src[mu]):
-        if c.comp[(mu, phi)] == m:
-            return index[(m, p.act(phi, e))]
-    raise InternalInvariantError("canonical monic is not a retitling")
+    element) -> position at one object: (mu∘phi, P(phi)(e)) for the iso phi
+    that makes mu∘phi the canonical monic."""
+    phi = canonical_iso(mc, mu)
+    return index[(mc.base.comp[(mu, phi)], p.act(phi, e))]
 
 
 def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
@@ -159,7 +153,7 @@ def jrp_to_sheaf(pc: ParCategory, rp: RestrictionPresheaf) -> DotPresheaf:
         b, a = c.mor_src[f], c.mor_tgt[f]
         j = pc.id_of_span(c.identity[b], f)
         for i, e in enumerate(orig[a]):
-            img = rp.act(j, e)
+            img = rp.presheaf.act(j, e)
             if img not in pos[b]:
                 raise ValueError(
                     "action of a total map left the total elements; "
@@ -198,7 +192,7 @@ def _check_formula(pc, rp, dot, report, a, fam):
         parts = []
         for i, mi in enumerate(fam):
             j = pc.id_of_span(mi, c.identity[c.mor_src[mi]])
-            parts.append(rp.act(j, dot.orig[doms[i]][felems[i]]))
+            parts.append(rp.presheaf.act(j, dot.orig[doms[i]][felems[i]]))
         x = element_join(rp, a, parts)
         if x is None:
             report.add("AMALG-JOIN", (a,) + fam, "join of partial inverses missing")

@@ -35,6 +35,20 @@ def _fail(path, msg):
     raise BundleError(f"{path}: {msg}")
 
 
+def _id(value, path):
+    """value, which must be a string id."""
+    if not isinstance(value, str):
+        _fail(path, f"expected a string id, not {value!r}")
+    return value
+
+
+def _table(value, path):
+    """value, which must be an object."""
+    if not isinstance(value, dict):
+        _fail(path, "expected dict")
+    return value
+
+
 def _expect(data, key, kind, path):
     if key not in data:
         _fail(path, f"missing required field {key!r}")
@@ -84,7 +98,7 @@ def load_bundle(text_or_dict) -> Bundle:
         path = f"$.identities.{name}"
         if name not in obj_id:
             _fail(path, f"unknown object {name!r}")
-        if mid not in mor_id:
+        if _id(mid, path) not in mor_id:
             _fail(path, f"unknown morphism {mid!r}")
         f = mor_id[mid]
         a = obj_id[name]
@@ -100,7 +114,7 @@ def load_bundle(text_or_dict) -> Bundle:
         if not (isinstance(triple, list) and len(triple) == 3):
             _fail(path, "each entry must be [g, f, gf]")
         for mid in triple:
-            if mid not in mor_id:
+            if _id(mid, path) not in mor_id:
                 _fail(path, f"unknown morphism {mid!r}")
         g, f, gf = (mor_id[m] for m in triple)
         if mor_tgt[f] != mor_src[g]:
@@ -126,7 +140,7 @@ def load_bundle(text_or_dict) -> Bundle:
             path = f"$.restriction.{mid}"
             if mid not in mor_id:
                 _fail(path, f"unknown morphism {mid!r}")
-            if bid not in mor_id:
+            if _id(bid, path) not in mor_id:
                 _fail(path, f"unknown morphism {bid!r}")
             bar[mor_id[mid]] = mor_id[bid]
         for mid, f in mor_id.items():
@@ -136,24 +150,29 @@ def load_bundle(text_or_dict) -> Bundle:
     if "monics" in data:
         monics = set()
         for i, mid in enumerate(_expect(data, "monics", list, "$")):
-            if mid not in mor_id:
+            if _id(mid, f"$.monics[{i}]") not in mor_id:
                 _fail(f"$.monics[{i}]", f"unknown morphism {mid!r}")
             monics.add(mor_id[mid])
         bundle.mcat = MCategory(cat, frozenset(monics))
-    for name, pdata in data.get("presheaves", {}).items():
-        bundle.presheaves[name] = _load_presheaf(
-            cat, obj_id, mor_id, name, pdata)
+    if "presheaves" in data:
+        for name, pdata in _expect(data, "presheaves", dict, "$").items():
+            bundle.presheaves[name] = _load_presheaf(
+                cat, obj_id, mor_id, name, pdata)
     return bundle
 
 
 def _load_presheaf(cat, obj_id, mor_id, name, pdata):
     path = f"$.presheaves.{name}"
-    sections = _expect(pdata, "sections", dict, path)
+    sections = _expect(_table(pdata, path), "sections", dict, path)
     elems = [None] * cat.n_objects
     for oname, lst in sections.items():
+        spath = f"{path}.sections.{oname}"
         if oname not in obj_id:
-            _fail(f"{path}.sections.{oname}", f"unknown object {oname!r}")
-        elems[obj_id[oname]] = list(lst)
+            _fail(spath, f"unknown object {oname!r}")
+        if not isinstance(lst, list):
+            _fail(spath, "expected list")
+        elems[obj_id[oname]] = [_id(e, f"{spath}[{i}]")
+                                for i, e in enumerate(lst)]
     for oname, a in obj_id.items():
         if elems[a] is None:
             _fail(f"{path}.sections", f"object {oname!r} has no section list")
@@ -166,10 +185,10 @@ def _load_presheaf(cat, obj_id, mor_id, name, pdata):
             _fail(mpath, f"unknown morphism {mid!r}")
         f = mor_id[mid]
         a, b = cat.mor_src[f], cat.mor_tgt[f]
-        for e, img in mapping.items():
+        for e, img in _table(mapping, mpath).items():
             if e not in pos[b]:
                 _fail(mpath, f"unknown element {e!r} at the target object")
-            if img not in pos[a]:
+            if _id(img, mpath) not in pos[a]:
                 _fail(mpath, f"unknown image {img!r} at the source object")
             action[(f, pos[b][e])] = pos[a][img]
     for f in cat.morphisms():
@@ -183,16 +202,17 @@ def _load_presheaf(cat, obj_id, mor_id, name, pdata):
     bars = None
     if "element_bar" in pdata:
         bars = [None] * cat.n_objects
-        for oname, mapping in pdata["element_bar"].items():
+        for oname, mapping in _table(pdata["element_bar"],
+                                     f"{path}.element_bar").items():
             bpath = f"{path}.element_bar.{oname}"
             if oname not in obj_id:
                 _fail(bpath, f"unknown object {oname!r}")
             a = obj_id[oname]
             col = [None] * len(elems[a])
-            for e, mid in mapping.items():
+            for e, mid in _table(mapping, bpath).items():
                 if e not in pos[a]:
                     _fail(bpath, f"unknown element {e!r}")
-                if mid not in mor_id:
+                if _id(mid, bpath) not in mor_id:
                     _fail(bpath, f"unknown morphism {mid!r}")
                 col[pos[a][e]] = mor_id[mid]
             if None in col:

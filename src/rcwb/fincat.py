@@ -11,6 +11,12 @@ object are listed exhaustively and without duplicates, and composing a
 (co)cone with a map gives a (co)cone again; a caller that breaks any of the
 three gets answers that are not certified.
 
+Constructed categories (Par, the Karoubi splitting, subcategories, collages,
+matching-diagram shapes, the fixtures) come from `build_category`.  It
+refuses an endpoint, identity or composite outside its keys and leaves the
+category laws to `validate_category`; only bundles, whose tables are given
+explicitly, and the empty shape make a `FinCategory` directly.
+
 A category's tables are fixed at construction, but its pullback and
 isomorphism caches fill lazily on first use.  The code is single-threaded.
 """
@@ -96,6 +102,49 @@ class FinCategory:
 
     def is_iso(self, f):
         return f in self.isos()
+
+
+def build_category(objects, morphisms, ends, identity, compose,
+                   obj_names=None, mor_names=None):
+    """The category on sequences of distinct object and morphism keys,
+    numbered in the order given, as (FinCategory, object key -> id,
+    morphism key -> id).
+
+    ends(f) is the (source, target) pair of object keys of morphism f,
+    identity(a) the key of the identity on a, and compose(g, f) the key of
+    g∘f.  compose runs once per composable pair, found through the morphisms
+    into each object, and the table is filled g-major in id order.  Raises
+    ValueError when an endpoint, identity or composite is not a key.
+    """
+    obj_id = {a: i for i, a in enumerate(objects)}
+    mor_id = {f: i for i, f in enumerate(morphisms)}
+    if len(obj_id) != len(objects) or len(mor_id) != len(morphisms):
+        raise ValueError("duplicate object or morphism key")
+    src, tgt = [], []
+    into = [[] for _ in obj_id]     # per object: (key, id) of each map in
+    for i, f in enumerate(mor_id):
+        a, b = ends(f)
+        if a not in obj_id or b not in obj_id:
+            raise ValueError(f"an endpoint of {f!r} is not an object")
+        src.append(obj_id[a])
+        tgt.append(obj_id[b])
+        into[obj_id[b]].append((f, i))
+    ids = []
+    for a in obj_id:
+        i = identity(a)
+        if i not in mor_id:
+            raise ValueError(f"identity {i!r} of {a!r} is not a morphism")
+        ids.append(mor_id[i])
+    comp = {}
+    for g, j in mor_id.items():
+        for f, i in into[src[j]]:
+            gf = mor_id.get(compose(g, f))
+            if gf is None:
+                raise ValueError(f"composite {compose(g, f)!r} of {g!r}, "
+                                 f"{f!r} is not a morphism")
+            comp[(j, i)] = gf
+    cat = FinCategory(len(obj_id), src, tgt, ids, comp, obj_names, mor_names)
+    return cat, obj_id, mor_id
 
 
 def validate_category(c: FinCategory) -> LawReport:
@@ -413,33 +462,13 @@ class Subcategory:
 
 
 def subcategory(c: FinCategory, objs, mors) -> Subcategory:
-    """Restrict c to the given objects and morphisms (must be closed)."""
+    """Restrict c to the given objects and morphisms; ValueError unless they
+    are closed under endpoints, identities and composition."""
     objs = sorted(objs)
     mors = sorted(mors)
-    obj_new = {a: i for i, a in enumerate(objs)}
-    mor_new = {f: i for i, f in enumerate(mors)}
-    for f in mors:
-        if c.mor_src[f] not in obj_new or c.mor_tgt[f] not in obj_new:
-            raise ValueError(f"morphism {f} has endpoints outside the subcategory")
-    for a in objs:
-        if c.identity[a] not in mor_new:
-            raise ValueError(f"identity of object {a} missing")
-    comp = {}
-    for g in mors:
-        for f in mors:
-            if c.mor_tgt[f] == c.mor_src[g]:
-                gf = c.comp[(g, f)]
-                if gf not in mor_new:
-                    raise ValueError(
-                        f"composite of {g} and {f} escapes the subcategory")
-                comp[(mor_new[g], mor_new[f])] = mor_new[gf]
-    cat = FinCategory(
-        len(objs),
-        tuple(obj_new[c.mor_src[f]] for f in mors),
-        tuple(obj_new[c.mor_tgt[f]] for f in mors),
-        tuple(mor_new[c.identity[a]] for a in objs),
-        comp,
+    cat, obj_new, mor_new = build_category(
+        objs, mors, lambda f: (c.mor_src[f], c.mor_tgt[f]),
+        c.identity.__getitem__, lambda g, f: c.comp[(g, f)],
         obj_names=tuple(c.obj_names[a] for a in objs),
-        mor_names=tuple(c.mor_names[f] for f in mors),
-    )
+        mor_names=tuple(c.mor_names[f] for f in mors))
     return Subcategory(cat, tuple(objs), tuple(mors), obj_new, mor_new)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .fincat import FinCategory, Functor, subcategory
+from .fincat import FinCategory, Functor, build_category, subcategory
 from .joins import FinitePoset
 from .mcat import MCategory
 from .restriction import (RestrictionCategory, compatible, leq,
@@ -45,28 +45,15 @@ class FinSetData:
 
 
 def _build_maps_category(n, maps_of, prefix):
-    graphs = []
-    src, tgt = [], []
-    names = []
-    mor_id = {}
-    for a in range(n + 1):
-        for b in range(n + 1):
-            for m in maps_of(a, b):
-                mor_id[(a, b, m)] = len(graphs)
-                names.append(f"{prefix}{a}->{b}:{m}")
-                graphs.append(m)
-                src.append(a)
-                tgt.append(b)
-    identity = [mor_id[(a, a, tuple(range(a)))] for a in range(n + 1)]
-    comp = {}
-    for g, gg in enumerate(graphs):
-        for f, fg in enumerate(graphs):
-            if tgt[f] == src[g]:
-                comp[(g, f)] = mor_id[(src[f], tgt[g], _compose_graph(gg, fg))]
-    cat = FinCategory(n + 1, src, tgt, identity, comp,
-                      obj_names=[f"set{a}" for a in range(n + 1)],
-                      mor_names=names)
-    return FinSetData(cat, tuple(graphs), mor_id)
+    keys = [(a, b, m) for a in range(n + 1) for b in range(n + 1)
+            for m in maps_of(a, b)]
+    cat, _, mor_id = build_category(
+        range(n + 1), keys, lambda f: f[:2],
+        lambda a: (a, a, tuple(range(a))),
+        lambda g, f: (f[0], g[1], _compose_graph(g[2], f[2])),
+        obj_names=[f"set{a}" for a in range(n + 1)],
+        mor_names=[f"{prefix}{a}->{b}:{m}" for a, b, m in keys])
+    return FinSetData(cat, tuple(m for _, _, m in keys), mor_id)
 
 
 def build_finset_data(n) -> FinSetData:
@@ -169,15 +156,11 @@ def subsets_category(k) -> RestrictionCategory:
     subsets = [frozenset(s) for r in range(k + 1)
                for s in itertools.combinations(range(k), r)]
     subsets.sort(key=lambda s: (len(s), sorted(s)))
-    index = {s: i for i, s in enumerate(subsets)}
-    n = len(subsets)
-    comp = {(g, f): index[subsets[g] & subsets[f]]
-            for g in range(n) for f in range(n)}
-    cat = FinCategory(1, [0] * n, [0] * n, [index[frozenset(range(k))]], comp,
-                      obj_names=["*"],
-                      mor_names=[f"{{{','.join(map(str, sorted(s)))}}}"
-                                 for s in subsets])
-    return RestrictionCategory(cat, tuple(range(n)))
+    cat, _, _ = build_category(
+        ["*"], subsets, lambda s: ("*", "*"), lambda _: frozenset(range(k)),
+        frozenset.__and__, obj_names=["*"],
+        mor_names=[f"{{{','.join(map(str, sorted(s)))}}}" for s in subsets])
+    return RestrictionCategory(cat, tuple(range(len(subsets))))
 
 
 def join_collapsing_functor():

@@ -8,9 +8,10 @@ ids after explicit iso search), so equality is plain component equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .fincat import (Cocone, Diagram, FinCategory, Functor, Subcategory,
-                     colimit, is_mono, mediating, pullback)
+                     build_category, colimit, is_mono, mediating, pullback)
 from .joins import families
 from .reports import InternalInvariantError, LawReport
 from .restriction import (RestrictionCategory, check_restriction_axioms,
@@ -61,17 +62,21 @@ def check_m_system(mc: MCategory) -> LawReport:
 
 # -- M-subobjects ------------------------------------------------------------
 
-def subobject_rep(mc: MCategory, m) -> int:
-    """Canonical representative of the iso-class of the monic m."""
+def canonical_iso(mc: MCategory, m) -> int:
+    """The iso phi into dom m that minimises m∘phi, the identity when m is
+    already the smallest."""
     c = mc.base
     dom = c.mor_src[m]
-    best = m
-    for phi, _ in c.isos().items():
-        if c.mor_tgt[phi] == dom:
-            cand = c.comp[(m, phi)]
-            if cand < best:
-                best = cand
-    return best
+    best, best_phi = m, c.identity[dom]
+    for phi in c.isos():
+        if c.mor_tgt[phi] == dom and c.comp[(m, phi)] < best:
+            best, best_phi = c.comp[(m, phi)], phi
+    return best_phi
+
+
+def subobject_rep(mc: MCategory, m) -> int:
+    """Canonical representative of the iso-class of the monic m."""
+    return mc.base.comp[(m, canonical_iso(mc, m))]
 
 
 def pullback_subobject(mc: MCategory, f, m) -> int:
@@ -139,7 +144,7 @@ def matching_diagram(mc: MCategory, family, obj=None) -> MatchingDiagram:
     k = len(family)
     shape_objs = [c.mor_src[m] for m in family]
     pair_objects = {}
-    arrows_src, arrows_tgt, arrow_images = [], [], []
+    arrows, arrow_images = [], []
     for i in range(k):
         for j in range(k):
             if i == j:
@@ -151,19 +156,14 @@ def matching_diagram(mc: MCategory, family, obj=None) -> MatchingDiagram:
             idx = len(shape_objs)
             pair_objects[(i, j)] = idx
             shape_objs.append(cone.apex)
-            arrows_src.extend([idx, idx])
-            arrows_tgt.extend([i, j])
+            arrows.extend([(idx, i), (idx, j)])
             arrow_images.extend([cone.p, cone.q])
     n = len(shape_objs)
-    # identities first, then the projection arrows
-    mor_src = list(range(n)) + arrows_src
-    mor_tgt = list(range(n)) + arrows_tgt
-    identity = list(range(n))
-    comp = {}
-    for f in range(len(mor_src)):
-        comp[(identity[mor_tgt[f]], f)] = f
-        comp[(f, identity[mor_src[f]])] = f
-    shape = FinCategory(n, mor_src, mor_tgt, identity, comp)
+    # an arrow's key is its (source, target) pair: the identities first,
+    # then the projection arrows; no two projections compose
+    shape, _, _ = build_category(
+        range(n), [(a, a) for a in range(n)] + arrows, lambda u: u,
+        lambda a: (a, a), lambda g, f: f if g[0] == g[1] else g)
     obj_map = tuple(shape_objs)
     mor_map = tuple(c.identity[shape_objs[a]] for a in range(n)) + \
         tuple(arrow_images)
@@ -344,22 +344,14 @@ def par(mc: MCategory) -> ParCategory:
     splitting of its restriction idempotents are verified."""
     c = mc.base
     canon = {canonical_span(mc, m, f) for m in mc.monics
-             for f in c.morphisms() if c.mor_src[f] == c.mor_src[m]}
+             for f in c.out_of(c.mor_src[m])}
     spans = tuple(sorted(canon, key=lambda s: (c.mor_tgt[s[0]],
                                                c.mor_tgt[s[1]], s[0], s[1])))
-    span_id = {s: i for i, s in enumerate(spans)}
-    mor_src = tuple(c.mor_tgt[m] for (m, f) in spans)
-    mor_tgt = tuple(c.mor_tgt[f] for (m, f) in spans)
-    identity = [span_id[canonical_span(mc, c.identity[a], c.identity[a])]
-                for a in c.objects]
-    comp = {(j, i): span_id[compose_spans(mc, second, first)]
-            for j, second in enumerate(spans)
-            for i, first in enumerate(spans) if mor_tgt[i] == mor_src[j]}
-    cat = FinCategory(c.n_objects, mor_src, mor_tgt, identity, comp,
-                      obj_names=c.obj_names,
-                      mor_names=tuple(
-                          f"({c.mor_names[m]},{c.mor_names[f]})"
-                          for (m, f) in spans))
+    cat, _, span_id = build_category(
+        c.objects, spans, lambda s: (c.mor_tgt[s[0]], c.mor_tgt[s[1]]),
+        lambda a: canonical_span(mc, c.identity[a], c.identity[a]),
+        partial(compose_spans, mc), obj_names=c.obj_names,
+        mor_names=[f"({c.mor_names[m]},{c.mor_names[f]})" for m, f in spans])
     bar = tuple(span_id[canonical_span(mc, m, m)] for (m, f) in spans)
     rc = RestrictionCategory(cat, bar)
     rep = check_restriction_axioms(rc)
@@ -488,30 +480,20 @@ def karoubi_r(x: RestrictionCategory) -> KaroubiResult:
             objects.append((a, e))
     objects.sort()
     obj_idx = {o: i for i, o in enumerate(objects)}
-    morphisms = []
-    for i, (a, e) in enumerate(objects):
-        for j, (b, e2) in enumerate(objects):
-            for f in c.hom(a, b):
-                if c.comp[(f, e)] == f and c.comp[(e2, f)] == f:
-                    morphisms.append((i, j, f))
-    morphisms.sort()
-    mor_idx = {m: k for k, m in enumerate(morphisms)}
-    comp = {}
-    for k2, (i2, j2, g) in enumerate(morphisms):
-        for k1, (i1, j1, f) in enumerate(morphisms):
-            if j1 == i2:
-                comp[(k2, k1)] = mor_idx[(i1, j2, c.comp[(g, f)])]
-    identity = tuple(mor_idx[(i, i, e)] for i, (a, e) in enumerate(objects))
-    cat = FinCategory(
-        len(objects),
-        tuple(m[0] for m in morphisms),
-        tuple(m[1] for m in morphisms),
-        identity, comp,
-        obj_names=tuple(f"({c.obj_names[a]},{c.mor_names[e]})"
-                        for (a, e) in objects),
-        mor_names=tuple(f"{c.mor_names[f]}@{i}->{j}"
-                        for (i, j, f) in morphisms))
-    bar = tuple(mor_idx[(i, i, c.comp[(x.bar[f], _idem(objects, i))])]
+    # a morphism (i, j, f) is f from objects[i] to objects[j]
+    morphisms = [(i, j, f)
+                 for i, (a, e) in enumerate(objects)
+                 for j, (b, e2) in enumerate(objects)
+                 for f in c.hom(a, b)
+                 if c.comp[(f, e)] == f and c.comp[(e2, f)] == f]
+    cat, _, mor_idx = build_category(
+        range(len(objects)), morphisms, lambda m: m[:2],
+        lambda i: (i, i, objects[i][1]),
+        lambda g, f: (f[0], g[1], c.comp[(g[2], f[2])]),
+        obj_names=[f"({c.obj_names[a]},{c.mor_names[e]})"
+                   for (a, e) in objects],
+        mor_names=[f"{c.mor_names[f]}@{i}->{j}" for (i, j, f) in morphisms])
+    bar = tuple(mor_idx[(i, i, c.comp[(x.bar[f], objects[i][1])])]
                 for (i, j, f) in morphisms)
     rc = RestrictionCategory(cat, bar)
     emb = Functor(c, cat,
@@ -524,10 +506,6 @@ def karoubi_r(x: RestrictionCategory) -> KaroubiResult:
     if not emb.check() or not emb.is_full_and_faithful():
         raise InternalInvariantError("Karoubi embedding not full/faithful")
     return KaroubiResult(rc, tuple(objects), tuple(morphisms), emb)
-
-
-def _idem(objects, i):
-    return objects[i][1]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .fincat import FinCategory
+from .fincat import build_category
 from .joins import (CompatibleFamily, FinitePoset, compatible_subsets,
                     join as hom_join)
 from .reports import LawReport
@@ -40,9 +40,6 @@ class RestrictionPresheaf:
 
     def bar(self, a, x):
         return self.bar_elem[a][x]
-
-    def act(self, f, x):
-        return self.presheaf.act(f, x)
 
 
 def check_rp_axioms(rp: RestrictionPresheaf) -> LawReport:
@@ -93,12 +90,13 @@ def check_rp_axioms(rp: RestrictionPresheaf) -> LawReport:
 
 def element_leq(rp: RestrictionPresheaf, a, x, y) -> bool:
     """x <= y iff x == y·x̄."""
-    return x == rp.act(rp.bar(a, x), y)
+    return x == rp.presheaf.act(rp.bar(a, x), y)
 
 
 def element_compatible(rp: RestrictionPresheaf, a, x, y) -> bool:
     """x ⌣ y iff x·ȳ == y·x̄."""
-    return rp.act(rp.bar(a, y), x) == rp.act(rp.bar(a, x), y)
+    act = rp.presheaf.act
+    return act(rp.bar(a, y), x) == act(rp.bar(a, x), y)
 
 
 def element_poset(rp: RestrictionPresheaf, a) -> FinitePoset:
@@ -146,8 +144,8 @@ def check_jrp_axioms(rp: RestrictionPresheaf, max_family=None) -> LawReport:
             # JRP2: (⋁S)·g == ⋁ (s·g)
             for g in c.into(a):
                 b = c.mor_src[g]
-                jg = element_join(rp, b, [rp.act(g, s) for s in fam])
-                if jg is None or rp.act(g, j) != jg:
+                jg = element_join(rp, b, [p.act(g, s) for s in fam])
+                if jg is None or p.act(g, j) != jg:
                     report.add("JRP2", (a,) + fam + (g,), "(⋁S)·g != ⋁(s·g)")
     # sanity: x·(⋁T) == ⋁(x·t) for hom-joins (a theorem given the above);
     # the non-empty hom families with a join are built once per (b, a)
@@ -160,8 +158,8 @@ def check_jrp_axioms(rp: RestrictionPresheaf, max_family=None) -> LawReport:
                       if fam.members and (t := hom_join(x, fam)) is not None]
             for e in p.elements(a):
                 for b, members, t in joined:
-                    want = element_join(rp, b, [rp.act(s, e) for s in members])
-                    if want is None or rp.act(t, e) != want:
+                    want = element_join(rp, b, [p.act(s, e) for s in members])
+                    if want is None or p.act(t, e) != want:
                         report.add("JRP-ACT", (a, e) + tuple(sorted(members)),
                                    "x·(⋁T) != ⋁(x·t): implementation bug")
     return report
@@ -181,51 +179,39 @@ def collage(rp: RestrictionPresheaf) -> Collage:
     """One extra object; elements of P(A) become the maps A -> point.
 
     Built from the raw tables without checking any axioms, so mutants can be
-    collaged and judged by the category-level law checkers.
+    collaged and judged by the category-level law checkers.  A composite
+    outside the collage, such as an action value out of range, is refused
+    with ValueError.
     """
     x = rp.rc
     c = x.base
     p = rp.presheaf
-    point = c.n_objects
-    mor_old = {f: f for f in c.morphisms()}
-    elem_mor = []
-    next_id = c.n_morphisms
-    src = list(c.mor_src)
-    tgt = list(c.mor_tgt)
-    names = list(c.mor_names)
-    for a in c.objects:
-        ids = []
-        for e in p.elements(a):
-            ids.append(next_id)
-            src.append(a)
-            tgt.append(point)
-            names.append(f"elem:{p.name(a, e)}@{c.obj_names[a]}")
-            next_id += 1
-        elem_mor.append(tuple(ids))
-    id_point = next_id
-    src.append(point)
-    tgt.append(point)
-    names.append("1*")
-    next_id += 1
-    comp = dict(c.comp)
-    for a in c.objects:
-        for e in p.elements(a):
-            xe = elem_mor[a][e]
-            comp[(id_point, xe)] = xe
-            for f in c.into(a):
-                comp[(xe, f)] = elem_mor[c.mor_src[f]][p.act(f, e)]
-    comp[(id_point, id_point)] = id_point
-    cat = FinCategory(c.n_objects + 1, src, tgt,
-                      tuple(c.identity) + (id_point,), comp,
-                      obj_names=tuple(c.obj_names) + ("*",),
-                      mor_names=names)
-    bar = list(x.bar) + [None] * (next_id - c.n_morphisms)
-    for a in c.objects:
-        for e in p.elements(a):
-            bar[elem_mor[a][e]] = rp.bar(a, e)
-    bar[id_point] = id_point
-    return Collage(RestrictionCategory(cat, tuple(bar)), point,
-                   mor_old, tuple(elem_mor))
+    point = "*"
+    # keys: base morphisms by id, the element e of P(a) as (a, e), then 1*
+    elems = [(a, e) for a in c.objects for e in p.elements(a)]
+    ends = {f: (c.mor_src[f], c.mor_tgt[f]) for f in c.morphisms()}
+    ends.update({k: (k[0], point) for k in elems})
+    ends[point] = (point, point)
+
+    def compose(g, f):
+        if g == point:
+            return f
+        if isinstance(g, tuple):
+            return c.mor_src[f], p.act(f, g[1])
+        return c.comp[(g, f)]
+
+    cat, _, mor_id = build_category(
+        list(c.objects) + [point], list(ends), ends.__getitem__,
+        lambda a: point if a == point else c.identity[a], compose,
+        obj_names=tuple(c.obj_names) + ("*",),
+        mor_names=list(c.mor_names) +
+        [f"elem:{p.name(a, e)}@{c.obj_names[a]}" for a, e in elems] + ["1*"])
+    bar = tuple(x.bar) + tuple(rp.bar(a, e) for a, e in elems) + \
+        (mor_id[point],)
+    return Collage(RestrictionCategory(cat, bar), c.n_objects,
+                   {f: f for f in c.morphisms()},
+                   tuple(tuple(mor_id[(a, e)] for e in p.elements(a))
+                         for a in c.objects))
 
 
 # -- the restriction category of presheaf maps --------------------------------
@@ -236,7 +222,7 @@ def hom_restriction(rp_src: RestrictionPresheaf, rp_tgt: RestrictionPresheaf,
     comps = []
     for a in rp_src.rc.base.objects:
         comps.append(tuple(
-            rp_src.act(rp_tgt.bar(a, alpha.components[a][e]), e)
+            rp_src.presheaf.act(rp_tgt.bar(a, alpha.components[a][e]), e)
             for e in rp_src.presheaf.elements(a)))
     return NatTrans(alpha.source, alpha.source, tuple(comps))
 

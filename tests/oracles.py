@@ -37,6 +37,22 @@ def compatible_families(elements, compatible, max_family=None):
     return [tuple(elements[i] for i in fam) for fam in out]
 
 
+def built_by_pair_scan(objects, morphisms, ends, identity, compose):
+    """(object key -> id, morphism key -> id, sources, targets, identities,
+    comp) of the category on the given keys, with comp filled by calling
+    compose on every ordered pair of morphism keys whose ends meet; the
+    reference for fincat.build_category."""
+    obj_id = {a: i for i, a in enumerate(objects)}
+    mor_id = {f: i for i, f in enumerate(morphisms)}
+    comp = {(mor_id[g], mor_id[f]): mor_id[compose(g, f)]
+            for g in morphisms for f in morphisms
+            if ends(f)[1] == ends(g)[0]}
+    return (obj_id, mor_id,
+            tuple(obj_id[ends(f)[0]] for f in morphisms),
+            tuple(obj_id[ends(f)[1]] for f in morphisms),
+            tuple(mor_id[identity(a)] for a in objects), comp)
+
+
 def is_sieve(c, a, s) -> bool:
     for f in s:
         if c.mor_tgt[f] != a:

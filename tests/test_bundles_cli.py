@@ -264,3 +264,48 @@ def test_cli_gate_stops_on_a_non_functorial_presheaf(tmp_path, capsys,
     assert out.splitlines() == ["presheaf:bad\tPSH\t\tnot a presheaf",
                                 f"FAIL\t{command[0]}\t{bundle}"]
     assert "Traceback" not in err
+
+
+def _first(table):
+    return next(iter(table))
+
+
+# each malformed bundle: how it is broken from the finset_p_1 bundle below,
+# and the JSON path its error must name
+MALFORMED = {
+    "presheaves-list": (lambda d: d.update(presheaves=[]), "$.presheaves"),
+    "presheaf-int": (lambda d: d["presheaves"].update(P=5),
+                     "$.presheaves.P"),
+    "section-int": (lambda d: d["presheaves"]["P"]["sections"].update(
+        set0=5), "$.presheaves.P.sections.set0"),
+    "identity-list": (lambda d: d["identities"].update(set0=["x"]),
+                      "$.identities.set0"),
+    "monic-list": (lambda d: d["monics"].__setitem__(0, ["x"]),
+                   "$.monics[0]"),
+    "comp-list": (lambda d: d["comp"][0].__setitem__(0, ["x"]), "$.comp[0]"),
+    "restriction-list": (lambda d: d["restriction"].update(
+        {_first(d["restriction"]): ["x"]}),
+        "$.restriction.p0->0:()"),
+    "action-list": (lambda d: d["presheaves"]["P"]["action"].update(
+        {"p0->0:()": ["x"]}), "$.presheaves.P.action.p0->0:()"),
+    "element-bar-list": (lambda d: d["presheaves"]["P"].update(
+        element_bar=[]), "$.presheaves.P.element_bar"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_malformed_bundle_exits_2_with_its_path(tmp_path, capsys, case):
+    from rcwb.rpsh import yoneda_jr
+    rc = build_finset_p(1)
+    rp = yoneda_jr(rc, 1)
+    data = json.loads(dump_bundle(bundle_dict(
+        rc.base, restriction=rc.bar, monics=[rc.base.identity[0]],
+        presheaves={"P": (rp.presheaf, rp.bar_elem)})))
+    breaks, path = MALFORMED[case]
+    breaks(data)
+    bundle = tmp_path / "malformed.json"
+    bundle.write_text(json.dumps(data))
+    assert main(["check-laws", str(bundle)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bundle error: {path}: ")
+    assert "Traceback" not in err

@@ -75,5 +75,16 @@ def test_subcategory_rejects_non_closed():
     only_ids = [c.identity[a] for a in c.objects]
     sub = subcategory(c, c.objects, only_ids)
     assert validate_category(sub.cat).ok
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="endpoint"):
         subcategory(c, (0,), only_ids)  # morphism endpoints escape
+    with pytest.raises(ValueError, match="identity"):
+        subcategory(c, c.objects, only_ids[:1])  # the identity of set1
+    # the point into set2 at 0, then the swap of set2: the point at 1 escapes
+    data = build_finset_data(2)
+    point, swap = data.mor_id[(1, 2, (0,))], data.mor_id[(2, 2, (1, 0))]
+    ids = [data.cat.identity[a] for a in data.cat.objects]
+    with pytest.raises(ValueError, match="composite"):
+        subcategory(data.cat, data.cat.objects, ids + [point, swap])
+    assert validate_category(subcategory(
+        data.cat, data.cat.objects,
+        ids + [point, swap, data.mor_id[(1, 2, (1,))]]).cat).ok

@@ -1,20 +1,25 @@
 """The pruned searches in src agree with the brute-force references in
 oracles.py on small fixtures."""
 
+import contextlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from rcwb import fincat, fixtures, mcat, rpsh
 from rcwb.bridge import _matching_tuples, jrp_to_sheaf, sheaf_to_jrp
 from rcwb.fincat import (Diagram, FinCategory, cocones_at, colimit,
                          empty_diagram, pullback, subcategory,
                          validate_category)
-from rcwb.fixtures import (build_finset, build_finset_mcat, build_finset_p,
+from rcwb.fixtures import (build_finset, build_finset_data, build_finset_mcat,
+                           build_finset_p, build_finset_p_data,
                            build_nojoin_fixture, subsets_category)
 from rcwb.joins import FinitePoset, hom_poset
-from rcwb.mcat import MCategory, matching_colimit, matching_diagram, par, sub_m
+from rcwb.mcat import (MCategory, karoubi_r, matching_colimit,
+                       matching_diagram, par, sub_m)
 from rcwb.restriction import compatible, leq
 from rcwb.rpsh import (collage, element_compatible, element_join, element_leq,
                        element_poset, yoneda_jr)
@@ -48,6 +53,82 @@ def _closure(c, gens):
         if not more:
             return mors
         mors |= more
+
+
+# -- the category builder -----------------------------------------------------
+
+@contextlib.contextmanager
+def _pair_scan_checked_builder():
+    """Check every build_category call the library makes, in this block,
+    against the pair-scan reference; yields the list of the morphism counts
+    of the categories checked."""
+    real = fincat.build_category
+    built = []
+
+    def checked(objects, morphisms, ends, identity, compose, **names):
+        cat, obj_id, mor_id = real(objects, morphisms, ends, identity,
+                                   compose, **names)
+        assert (obj_id, mor_id, cat.mor_src, cat.mor_tgt, cat.identity,
+                cat.comp) == oracles.built_by_pair_scan(
+                    objects, morphisms, ends, identity, compose)
+        built.append(cat.n_morphisms)
+        return cat, obj_id, mor_id
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (fincat, fixtures, mcat, rpsh):
+            mp.setattr(module, "build_category", checked)
+        yield built
+
+
+def _generated(c, gens):
+    """The subcategory of c generated by gens, its build checked against the
+    pair-scan reference."""
+    with _pair_scan_checked_builder() as built:
+        sub = subcategory(c, c.objects, _closure(c, gens)).cat
+    assert built == [sub.n_morphisms]
+    return sub
+
+
+@pytest.mark.parametrize("name", sorted(MCATS))
+def test_par_builds_like_the_pair_scan(name):
+    with _pair_scan_checked_builder() as built:
+        pc = par(MCATS[name])
+    assert built == [pc.rc.base.n_morphisms]
+
+
+@pytest.mark.parametrize("name", ["finset_p_2", "nojoin"])
+def test_karoubi_builds_like_the_pair_scan(name):
+    x = build_finset_p(2) if name == "finset_p_2" else build_nojoin_fixture()
+    with _pair_scan_checked_builder() as built:
+        kr = karoubi_r(x)
+    assert built == [kr.rc.base.n_morphisms]
+
+
+def test_collages_build_like_the_pair_scan():
+    from test_acceptance import _mutants
+    x = build_finset_p(2)
+    rps = [yoneda_jr(x, a) for a in x.base.objects]
+    # the acceptance test's mutants, drawn with its seed
+    rng = random.Random(20260823)
+    rps += _mutants(yoneda_jr(x, 2), rng, 6) + \
+        _mutants(yoneda_jr(x, 1), rng, 2)
+    with _pair_scan_checked_builder() as built:
+        for rp in rps:
+            collage(rp)
+    assert len(built) == len(rps) == 11
+
+
+def test_fixtures_and_matching_diagrams_build_like_the_pair_scan():
+    with _pair_scan_checked_builder() as built:
+        for n in range(3):
+            build_finset_data(n)
+            build_finset_p_data(n)
+            subsets_category(n)
+        build_nojoin_fixture()
+        mc = build_finset_mcat(2, "inj")
+        for fam in itertools.combinations(sub_m(mc, 2).elements, 3):
+            matching_diagram(mc, fam, 2)
+    assert len(built) > 10
 
 
 # -- associativity ------------------------------------------------------------
@@ -87,7 +168,7 @@ def test_sieves_match_oracle_on_fixtures():
 @given(st.sets(st.sampled_from(range(CATS["finset_2"].n_morphisms))))
 def test_sieves_match_oracle_on_generated_subcategories(gens):
     c = CATS["finset_2"]
-    sub = subcategory(c, c.objects, _closure(c, gens)).cat
+    sub = _generated(c, gens)
     for a in sub.objects:
         assert sieves_on(sub, a) == oracles.sieves_on(sub, a)
 
@@ -127,7 +208,7 @@ def test_pullbacks_match_oracle_on_fixtures(name):
 @given(st.sets(st.sampled_from(range(CATS["finset_2"].n_morphisms))))
 def test_pullbacks_match_oracle_on_generated_subcategories(gens):
     c = CATS["finset_2"]
-    _same_pullbacks(subcategory(c, c.objects, _closure(c, gens)).cat)
+    _same_pullbacks(_generated(c, gens))
 
 
 # -- cocones and colimits -----------------------------------------------------
@@ -324,7 +405,7 @@ def test_searches_match_oracle_on_sparse_subcategories():
     # in a sparse category few forcing edges follow from the others
     c = CATS["finset_2"]
     for gens in itertools.combinations(c.morphisms(), 2):
-        sub = subcategory(c, c.objects, _closure(c, gens)).cat
+        sub = _generated(c, gens)
         presheaves = _presheaves(sub)
         for p in presheaves:
             _same_matching_families(p)
@@ -337,7 +418,7 @@ def test_searches_match_oracle_on_sparse_subcategories():
        st.data())
 def test_searches_match_oracle_on_generated_subcategories(gens, data):
     c = CATS["finset_2"]
-    sub = subcategory(c, c.objects, _closure(c, gens)).cat
+    sub = _generated(c, gens)
     presheaves = _presheaves(sub)
     p = data.draw(st.sampled_from(presheaves))
     q = data.draw(st.sampled_from(presheaves))

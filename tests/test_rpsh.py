@@ -61,6 +61,19 @@ def test_collage_hom_sets(finset_p2):
         assert len(c.hom(star, a)) == 0
 
 
+def test_collage_refuses_an_action_value_out_of_range(finset_p2):
+    from rcwb.site import Presheaf
+    rp = yoneda_jr(finset_p2, 1)
+    p = rp.presheaf
+    f, x = next(iter(p.action))
+    action = dict(p.action)
+    action[(f, x)] = p.sizes[finset_p2.base.mor_src[f]]
+    mut = RestrictionPresheaf(finset_p2, Presheaf(p.cat, p.sizes, action),
+                              rp.bar_elem)
+    with pytest.raises(ValueError, match="composite"):
+        collage(mut)
+
+
 def test_mutant_bar_fails_both_sides(finset_p2):
     rp = yoneda_jr(finset_p2, 2)
     c = finset_p2.base
