@@ -32,6 +32,9 @@ SUITES = [
     (["sheafify", "finset_inj_3", "yset1"], 0),
     (["sheaf-check", "finset_inj_3", "yset3"], 0),
     (["roundtrip", "finset_inj_3", "yset1"], 0),
+    # guards sheaf_to_jrp, jrp_to_sheaf and the recipe join at size 3
+    (["transfer", "finset_inj_3", "yset3", "--direction", "to-jrp"], 0),
+    (["transfer", "finset_inj_3", "yset3", "--direction", "to-sheaf"], 0),
     # guards the hom-set join kernel against a return to linear scans
     (["check-laws", "finset_p_3"], 0),
     # guards karoubi_r, subcategory (through mtotal) and par at size 3

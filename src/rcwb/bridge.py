@@ -21,8 +21,8 @@ from .restriction import RestrictionCategory, is_restriction_idempotent
 from .rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
                    element_poset, find_rp_iso, yoneda_jr)
 from .site import (Presheaf, Topology, amalgamations, basis_covers,
-                   find_presheaf_iso, generate_topology, is_sheaf,
-                   subcanonical_report, yoneda)
+                   build_presheaf, find_presheaf_iso, generate_topology,
+                   is_sheaf, subcanonical_report, yoneda)
 
 
 # -- sheaf -> join restriction presheaf ----------------------------------------
@@ -36,12 +36,11 @@ class TransferredJRP:
     index: tuple                # per object: dict (monic, element) -> index
 
 
-def canonical_pair(mc: MCategory, p: Presheaf, index, mu, e):
-    """The position of the class of (mu, e) in index, the dict (monic,
-    element) -> position at one object: (mu∘phi, P(phi)(e)) for the iso phi
-    that makes mu∘phi the canonical monic."""
+def canonical_pair(mc: MCategory, p: Presheaf, mu, e):
+    """The canonical pair in the class of (mu, e): (mu∘phi, P(phi)(e)) for
+    the iso phi that makes mu∘phi the canonical monic."""
     phi = canonical_iso(mc, mu)
-    return index[(mc.base.comp[(mu, phi)], p.act(phi, e))]
+    return mc.base.comp[(mu, phi)], p.act(phi, e)
 
 
 def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
@@ -50,33 +49,27 @@ def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
     span (m, m)."""
     mc = pc.mc
     c = mc.base
-    elems = []
-    index = []
-    for a in c.objects:
-        pairs = [(m, e) for m in sub_m(mc, a).elements
-                 for e in p.elements(c.mor_src[m])]
-        elems.append(tuple(pairs))
-        index.append({pe: i for i, pe in enumerate(pairs)})
-    sizes = tuple(len(es) for es in elems)
-    action = {}
-    rcb = pc.rc.base
-    for j in rcb.morphisms():
+
+    def act(j, pair):
         n, g = pc.spans[j]          # a span src(j) <- D -> tgt(j)
-        src_obj, tgt_obj = rcb.mor_src[j], rcb.mor_tgt[j]
-        for i, (m, e) in enumerate(elems[tgt_obj]):
-            cone = pullback(c, g, m)
-            if cone is None:
-                raise InternalInvariantError("missing pullback in transfer")
-            mu = c.comp[(n, cone.p)]
-            action[(j, i)] = canonical_pair(mc, p, index[src_obj], mu,
-                                            p.act(cone.q, e))
-    psh = Presheaf(rcb, sizes, action,
-                   tuple(tuple(f"({c.mor_names[m]},{p.name(c.mor_src[m], e)})"
-                               for (m, e) in es) for es in elems))
+        m, e = pair
+        cone = pullback(c, g, m)
+        if cone is None:
+            raise InternalInvariantError("missing pullback in transfer")
+        return canonical_pair(mc, p, c.comp[(n, cone.p)], p.act(cone.q, e))
+
+    def name(a, pair):
+        m, e = pair
+        return f"({c.mor_names[m]},{p.name(c.mor_src[m], e)})"
+
+    psh, index = build_presheaf(
+        pc.rc.base, lambda a: [(m, e) for m in sub_m(mc, a).elements
+                               for e in p.elements(c.mor_src[m])], act, name)
+    elems = tuple(tuple(ix) for ix in index)
     bar_elem = tuple(tuple(pc.id_of_span(m, m) for (m, e) in es)
                      for es in elems)
     return TransferredJRP(RestrictionPresheaf(pc.rc, psh, bar_elem), pc, p,
-                          tuple(elems), tuple(index))
+                          elems, index)
 
 
 def recipe_join(tr: TransferredJRP, a, members):
@@ -98,7 +91,7 @@ def recipe_join(tr: TransferredJRP, a, members):
     amalg = amalgamations(p, apex, legs, felems)
     if len(amalg) != 1:
         return None, f"{len(amalg)} amalgamations"
-    return canonical_pair(pc.mc, p, tr.index[a], mcol.mu, amalg[0]), None
+    return tr.index[a][canonical_pair(pc.mc, p, mcol.mu, amalg[0])], None
 
 
 def transfer_report(pc: ParCategory, top: Topology, p: Presheaf,
@@ -138,31 +131,19 @@ class DotPresheaf:
 
 def jrp_to_sheaf(pc: ParCategory, rp: RestrictionPresheaf) -> DotPresheaf:
     """Keep only the total elements (restriction the identity span); the
-    action of f is the action of the span (1, f)."""
+    action of f is the action of the span (1, f).  Raises ValueError, from
+    build_presheaf, when that action takes a total element to one that is
+    not total: then rp is not a restriction presheaf."""
     rcb = pc.rc.base
     c = pc.mc.base
-    orig = []
-    pos = []
-    for a in rcb.objects:
-        keep = [e for e in rp.presheaf.elements(a)
-                if rp.bar(a, e) == rcb.identity[a]]
-        orig.append(tuple(keep))
-        pos.append({e: i for i, e in enumerate(keep)})
-    action = {}
-    for f in c.morphisms():
-        b, a = c.mor_src[f], c.mor_tgt[f]
-        j = pc.id_of_span(c.identity[b], f)
-        for i, e in enumerate(orig[a]):
-            img = rp.presheaf.act(j, e)
-            if img not in pos[b]:
-                raise ValueError(
-                    "action of a total map left the total elements; "
-                    "input is not a restriction presheaf")
-            action[(f, i)] = pos[b][img]
-    psh = Presheaf(c, tuple(len(o) for o in orig), action,
-                   tuple(tuple(rp.presheaf.name(a, e) for e in orig[a])
-                         for a in rcb.objects))
-    return DotPresheaf(psh, tuple(orig))
+    q = rp.presheaf
+    total_span = [pc.id_of_span(c.identity[c.mor_src[f]], f)
+                  for f in c.morphisms()]
+    psh, index = build_presheaf(
+        c, lambda a: [e for e in q.elements(a)
+                      if rp.bar(a, e) == rcb.identity[a]],
+        lambda f, e: q.act(total_span[f], e), q.name)
+    return DotPresheaf(psh, tuple(tuple(ix) for ix in index))
 
 
 def amalgamation_formula_report(pc: ParCategory, top: Topology,
@@ -301,24 +282,18 @@ def _pull_back_rp(x: RestrictionCategory, fun: Functor,
     each element restriction through the (faithful) functor."""
     c = x.base
     p = rp.presheaf
-    sizes = tuple(p.sizes[fun.obj_map[a]] for a in c.objects)
-    action = {}
-    for f in c.morphisms():
-        ff = fun.mor_map[f]
-        for e in range(sizes[c.mor_tgt[f]]):
-            action[(f, e)] = p.act(ff, e)
+    pulled = build_presheaf(c, lambda a: p.elements(fun.obj_map[a]),
+                            lambda f, e: p.act(fun.mor_map[f], e),
+                            lambda a, e: p.name(fun.obj_map[a], e))[0]
     bar_elem = []
     for a in c.objects:
         fa = fun.obj_map[a]
         col = []
-        for e in range(sizes[a]):
+        for e in pulled.elements(a):
             b = rp.bar_elem[fa][e]
             back = [g for g in c.hom(a, a) if fun.mor_map[g] == b]
             if len(back) != 1 or not is_restriction_idempotent(x, back[0]):
                 return None
             col.append(back[0])
         bar_elem.append(tuple(col))
-    names = tuple(tuple(p.name(fun.obj_map[a], e) for e in range(sizes[a]))
-                  for a in c.objects)
-    return RestrictionPresheaf(x, Presheaf(c, sizes, action, names),
-                               tuple(bar_elem))
+    return RestrictionPresheaf(x, pulled, tuple(bar_elem))

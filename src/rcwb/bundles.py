@@ -16,7 +16,7 @@ from . import fixtures
 from .fincat import FinCategory
 from .mcat import MCategory
 from .restriction import RestrictionCategory
-from .site import Presheaf
+from .site import Presheaf, build_presheaf
 
 
 class BundleError(ValueError):
@@ -171,13 +171,15 @@ def _load_presheaf(cat, obj_id, mor_id, name, pdata):
             _fail(spath, f"unknown object {oname!r}")
         if not isinstance(lst, list):
             _fail(spath, "expected list")
-        elems[obj_id[oname]] = [_id(e, f"{spath}[{i}]")
-                                for i, e in enumerate(lst)]
+        elems[obj_id[oname]] = es = {}
+        for i, e in enumerate(lst):
+            if _id(e, f"{spath}[{i}]") in es:
+                _fail(f"{spath}[{i}]", f"duplicate element {e!r}")
+            es[e] = i
     for oname, a in obj_id.items():
         if elems[a] is None:
             _fail(f"{path}.sections", f"object {oname!r} has no section list")
-    pos = [{e: i for i, e in enumerate(es)} for es in elems]
-    action = {}
+    images = {}
     table = _expect(pdata, "action", dict, path)
     for mid, mapping in table.items():
         mpath = f"{path}.action.{mid}"
@@ -186,19 +188,19 @@ def _load_presheaf(cat, obj_id, mor_id, name, pdata):
         f = mor_id[mid]
         a, b = cat.mor_src[f], cat.mor_tgt[f]
         for e, img in _table(mapping, mpath).items():
-            if e not in pos[b]:
+            if e not in elems[b]:
                 _fail(mpath, f"unknown element {e!r} at the target object")
-            if _id(img, mpath) not in pos[a]:
+            if _id(img, mpath) not in elems[a]:
                 _fail(mpath, f"unknown image {img!r} at the source object")
-            action[(f, pos[b][e])] = pos[a][img]
+            images[(f, e)] = img
     for f in cat.morphisms():
-        for x in range(len(elems[cat.mor_tgt[f]])):
-            if (f, x) not in action:
+        for e in elems[cat.mor_tgt[f]]:
+            if (f, e) not in images:
                 _fail(f"{path}.action",
                       f"morphism {cat.mor_names[f]!r} has no entry for "
-                      f"element {elems[cat.mor_tgt[f]][x]!r}")
-    psh = Presheaf(cat, tuple(len(es) for es in elems), action,
-                   tuple(tuple(es) for es in elems))
+                      f"element {e!r}")
+    psh, pos = build_presheaf(cat, elems.__getitem__,
+                              lambda f, e: images[(f, e)], lambda a, e: e)
     bars = None
     if "element_bar" in pdata:
         bars = [None] * cat.n_objects

@@ -1,15 +1,22 @@
 """Sites of monic covers, presheaves, sheaves and sheafification.
 
 A presheaf stores element counts per object and an explicit contravariant
-action table.  The topology on an M-category is generated by the families of
-monics whose subobject join is the whole object, then saturated to a fixpoint
-over all sieves.  Sheafification is the plus construction applied twice,
+action table.  Constructed presheaves (representables, constant presheaves,
+sieve subpresheaves, Sigma, the plus construction, both transfers, pulled-back
+and loaded presheaves) come from `build_presheaf`.  It numbers the element
+keys it is given and refuses a duplicate key or an image that is not a key;
+the presheaf laws are left to `check_presheaf`.
+
+The topology on an M-category is generated by the families of monics whose
+subobject join is the whole object, then saturated to a fixpoint over all
+sieves.  Sheafification is the plus construction applied twice,
 with classes kept as canonical representatives so equality is plain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 
 from .fincat import FinCategory, forced_assignments
@@ -39,6 +46,34 @@ class Presheaf:
         if self.elem_names is None:
             return str(x)
         return self.elem_names[a][x]
+
+
+def build_presheaf(c: FinCategory, elements, act, names=None):
+    """The presheaf over c on the distinct element keys elements(a) at each
+    object a, numbered in the order given, as (Presheaf, per object: key ->
+    index).
+
+    act(f, x) is the key of P(f)(x) at A, for f: A -> B and a key x at B; it
+    runs once per such pair, maps in id order.  names(a, x), if given, names
+    key x at a.  Raises ValueError for a duplicate key or an image that is
+    not a key at A.
+    """
+    keys = [tuple(elements(a)) for a in c.objects]
+    index = tuple({x: i for i, x in enumerate(ks)} for ks in keys)
+    if any(len(ix) != len(ks) for ix, ks in zip(index, keys)):
+        raise ValueError("duplicate element key")
+    action = {}
+    for f in c.morphisms():
+        at = index[c.mor_src[f]]
+        for i, x in enumerate(keys[c.mor_tgt[f]]):
+            y = act(f, x)
+            if y not in at:
+                raise ValueError(f"image {y!r} of {x!r} under "
+                                 f"{c.mor_names[f]!r} is not an element key")
+            action[(f, i)] = at[y]
+    elem_names = None if names is None else tuple(
+        tuple(names(a, x) for x in ks) for a, ks in zip(c.objects, keys))
+    return Presheaf(c, tuple(map(len, keys)), action, elem_names), index
 
 
 def check_presheaf(p: Presheaf) -> bool:
@@ -135,24 +170,16 @@ def find_presheaf_iso(p: Presheaf, q: Presheaf, elem_constraint=None):
 
 def constant_presheaf(c: FinCategory, k) -> Presheaf:
     """k elements at every object, every action the identity."""
-    action = {(f, x): x for f in c.morphisms() for x in range(k)}
-    return Presheaf(c, (k,) * c.n_objects, action)
+    return build_presheaf(c, lambda a: range(k), lambda f, x: x)[0]
 
 
 # -- representables -----------------------------------------------------------
 
 def yoneda(c: FinCategory, a) -> Presheaf:
     """The representable presheaf hom(-, a)."""
-    sizes = tuple(len(c.hom(b, a)) for b in c.objects)
-    index = {b: {f: i for i, f in enumerate(c.hom(b, a))} for b in c.objects}
-    action = {}
-    for f in c.morphisms():
-        s, t = c.mor_src[f], c.mor_tgt[f]
-        for i, h in enumerate(c.hom(t, a)):
-            action[(f, i)] = index[s][c.comp[(h, f)]]
-    names = tuple(tuple(c.mor_names[f] for f in c.hom(b, a))
-                  for b in c.objects)
-    return Presheaf(c, sizes, action, names)
+    return build_presheaf(c, lambda b: c.hom(b, a),
+                          lambda f, h: c.comp[(h, f)],
+                          lambda b, h: c.mor_names[h])[0]
 
 
 def yoneda_map(c: FinCategory, f, ya=None, yb=None) -> NatTrans:
@@ -393,18 +420,18 @@ def plus(p: Presheaf, top: Topology) -> PlusData:
                                             r[0], r[1]) for r in reps):
                 reps.append(pair)
         classes.append(tuple(reps))
-    sizes = tuple(len(cl) for cl in classes)
     lookup = {}
-    action = {}
-    for f in c.morphisms():
-        a, b = c.mor_src[f], c.mor_tgt[f]
-        for x, (fs, fam) in enumerate(classes[b]):
-            d = dict(zip(fs, fam))
-            pulled = sorted(sieve_pullback(c, frozenset(fs), f))
-            pfam = tuple(d[c.comp[(f, g)]] for g in pulled)
-            action[(f, x)] = _class_of(p, top, classes, lookup,
-                                       a, tuple(pulled), pfam)
-    plus_p = Presheaf(c, sizes, action)
+
+    def act(f, cls):
+        a = c.mor_src[f]
+        fs, fam = cls
+        d = dict(zip(fs, fam))
+        pulled = sorted(sieve_pullback(c, frozenset(fs), f))
+        pfam = tuple(d[c.comp[(f, g)]] for g in pulled)
+        return classes[a][_class_of(p, top, classes, lookup,
+                                    a, tuple(pulled), pfam)]
+
+    plus_p = build_presheaf(c, classes.__getitem__, act)[0]
     # unit: x |-> class of (maximal sieve, restrictions of x)
     comps = []
     for a in c.objects:
@@ -463,28 +490,15 @@ def sheafify_map(alpha: NatTrans, src: SheafifyResult,
 
 def sieve_subpresheaf(c: FinCategory, a, sieve):
     """The subpresheaf of yoneda(c, a) picked out by a sieve, with its
-    inclusion."""
+    inclusion.  Raises ValueError when the maps into a that lie in sieve
+    are not closed under precomposition."""
     ya = yoneda(c, a)
-    sizes = []
-    index = []
-    for b in c.objects:
-        members = [f for f in c.hom(b, a) if f in sieve]
-        sizes.append(len(members))
-        index.append({f: i for i, f in enumerate(members)})
-    action = {}
-    for f in c.morphisms():
-        s, t = c.mor_src[f], c.mor_tgt[f]
-        for h, i in index[t].items():
-            action[(f, i)] = index[s][c.comp[(h, f)]]
-    sub = Presheaf(c, tuple(sizes), action,
-                   tuple(tuple(c.mor_names[f] for f in sorted(ix, key=ix.get))
-                         for ix in index))
-    comps = []
-    for b in c.objects:
-        hom = c.hom(b, a)
-        pos = {f: i for i, f in enumerate(hom)}
-        comps.append(tuple(pos[f] for f in sorted(index[b], key=index[b].get)))
-    return sub, NatTrans(sub, ya, tuple(comps)), ya
+    sub = build_presheaf(c, lambda b: [h for h in c.hom(b, a) if h in sieve],
+                         lambda f, h: c.comp[(h, f)],
+                         lambda b, h: c.mor_names[h])[0]
+    comps = tuple(tuple(i for i, h in enumerate(c.hom(b, a)) if h in sieve)
+                  for b in c.objects)
+    return sub, NatTrans(sub, ya, comps), ya
 
 
 # -- subcanonicity ----------------------------------------------------------------
@@ -540,16 +554,9 @@ def m_sh_member(mc: MCategory, top: Topology, alpha: NatTrans) -> bool:
 def sigma_classifier(mc: MCategory) -> Presheaf:
     """Sigma(A) = canonical M-subobjects of A; action by pullback."""
     c = mc.base
-    posets = [sub_m(mc, a) for a in c.objects]
-    sizes = tuple(len(p.elements) for p in posets)
-    index = [{m: i for i, m in enumerate(p.elements)} for p in posets]
-    action = {}
-    for f in c.morphisms():
-        s, t = c.mor_src[f], c.mor_tgt[f]
-        for m, i in index[t].items():
-            action[(f, i)] = index[s][pullback_subobject(mc, f, m)]
-    names = tuple(tuple(c.mor_names[m] for m in p.elements) for p in posets)
-    return Presheaf(c, sizes, action, names)
+    return build_presheaf(c, lambda a: sub_m(mc, a).elements,
+                          partial(pullback_subobject, mc),
+                          lambda a, m: c.mor_names[m])[0]
 
 
 def characteristic_map(mc: MCategory, sigma: Presheaf,

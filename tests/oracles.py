@@ -5,7 +5,7 @@ fixtures."""
 import itertools
 
 from rcwb.fincat import Cocone, PullbackCone, pullback
-from rcwb.site import generate_sieve
+from rcwb.site import Presheaf, generate_sieve
 
 
 def least_upper_bound(elements, leq, members):
@@ -51,6 +51,18 @@ def built_by_pair_scan(objects, morphisms, ends, identity, compose):
             tuple(obj_id[ends(f)[0]] for f in morphisms),
             tuple(obj_id[ends(f)[1]] for f in morphisms),
             tuple(mor_id[identity(a)] for a in objects), comp)
+
+
+def representable(c, a):
+    """hom(-, a): the maps b -> a in id order at each b, h acted on by f to
+    h∘f, its position found by list.index; the reference for site.yoneda."""
+    homs = [[h for h in c.morphisms()
+             if (c.mor_src[h], c.mor_tgt[h]) == (b, a)] for b in c.objects]
+    action = {(f, i): homs[c.mor_src[f]].index(c.comp[(h, f)])
+              for f in c.morphisms()
+              for i, h in enumerate(homs[c.mor_tgt[f]])}
+    return Presheaf(c, tuple(map(len, homs)), action,
+                    tuple(tuple(c.mor_names[h] for h in hs) for hs in homs))
 
 
 def is_sieve(c, a, s) -> bool:

@@ -278,6 +278,10 @@ MALFORMED = {
                      "$.presheaves.P"),
     "section-int": (lambda d: d["presheaves"]["P"]["sections"].update(
         set0=5), "$.presheaves.P.sections.set0"),
+    # a repeated element name, which the action table cannot tell apart
+    "section-duplicate": (lambda d: d["presheaves"]["P"]["sections"][
+        "set1"].append(d["presheaves"]["P"]["sections"]["set1"][0]),
+        "$.presheaves.P.sections.set1[2]"),
     "identity-list": (lambda d: d["identities"].update(set0=["x"]),
                       "$.identities.set0"),
     "monic-list": (lambda d: d["monics"].__setitem__(0, ["x"]),

@@ -23,9 +23,9 @@ from rcwb.mcat import (MCategory, karoubi_r, matching_colimit,
 from rcwb.restriction import compatible, leq
 from rcwb.rpsh import (collage, element_compatible, element_join, element_leq,
                        element_poset, yoneda_jr)
-from rcwb.site import (all_nat_trans, basis_covers, constant_presheaf,
-                       find_presheaf_iso, matching_families, sieves_on,
-                       sigma_classifier, yoneda)
+from rcwb.site import (all_nat_trans, basis_covers, check_presheaf,
+                       constant_presheaf, find_presheaf_iso,
+                       matching_families, sieves_on, sigma_classifier, yoneda)
 
 MCATS = {"finset_inj_2": build_finset_mcat(2, "inj"),
          "finset_iso_2": build_finset_mcat(2, "iso")}
@@ -335,6 +335,39 @@ def test_memoised_matching_colimit_equals_fresh_computation():
                         assert again is None
                         continue
                     assert _parts(first) == _parts(again)
+
+
+# -- representables and constructed presheaves ---------------------------------
+
+def _same_representables(c):
+    for a in c.objects:
+        assert yoneda(c, a) == oracles.representable(c, a)
+
+
+def test_yoneda_matches_oracle_on_fixtures():
+    cats = list(CATS.values()) + [mc.base for mc in MCATS.values()] + \
+        [par(mc).rc.base for mc in MCATS.values()]
+    for c in cats:
+        _same_representables(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(range(CATS["finset_2"].n_morphisms))))
+def test_yoneda_matches_oracle_on_generated_subcategories(gens):
+    _same_representables(_generated(CATS["finset_2"], gens))
+
+
+@pytest.mark.parametrize("name", sorted(MCATS))
+def test_sigma_and_both_transfers_are_presheaves(name):
+    mc = MCATS[name]
+    pc = par(mc)
+    assert check_presheaf(sigma_classifier(mc))
+    for a in mc.base.objects:
+        assert check_presheaf(sheaf_to_jrp(pc, yoneda(mc.base, a))
+                              .rp.presheaf)
+    for a in pc.rc.base.objects:
+        assert check_presheaf(jrp_to_sheaf(pc, yoneda_jr(pc.rc, a))
+                              .presheaf)
 
 
 # -- matching families and natural transformations ------------------------------

@@ -1,8 +1,11 @@
 import pytest
 
+from rcwb.bridge import jrp_to_sheaf
 from rcwb.fixtures import build_finset
 from rcwb.mcat import sub_m
-from rcwb.site import (all_nat_trans, basis_covers, characteristic_map,
+from rcwb.rpsh import RestrictionPresheaf, yoneda_jr
+from rcwb.site import (Presheaf, all_nat_trans, basis_covers,
+                       build_presheaf, characteristic_map,
                        check_presheaf, classification_report,
                        constant_presheaf, find_presheaf_iso, generate_sieve,
                        generate_topology, is_separated, is_sheaf,
@@ -161,3 +164,64 @@ def test_plus_on_separated_presheaf_gives_sheaf(mc_inj, top_inj):
     p = yoneda(mc_inj.base, 2)
     d = plus(p, top_inj)
     assert is_sheaf(d.presheaf, top_inj).ok
+
+
+# -- the presheaf builder ---------------------------------------------------------
+
+def test_build_presheaf_numbers_keys_and_acts_once_per_pair(mc_inj):
+    c = mc_inj.base
+    calls = []
+
+    def act(f, h):
+        calls.append((f, h))
+        return c.comp[(h, f)]
+
+    p, index = build_presheaf(c, lambda b: c.hom(b, 2), act,
+                              lambda b, h: c.mor_names[h])
+    assert p == yoneda(c, 2)
+    assert index == tuple({h: i for i, h in enumerate(c.hom(b, 2))}
+                          for b in c.objects)
+    assert calls == [(f, h) for f in c.morphisms()
+                     for h in c.hom(c.mor_tgt[f], 2)]
+
+
+def test_build_presheaf_refuses_a_duplicate_key(mc_inj):
+    with pytest.raises(ValueError, match="duplicate element key"):
+        build_presheaf(mc_inj.base, lambda a: ["x", "x"], lambda f, x: x)
+
+
+def test_build_presheaf_refuses_an_image_outside_the_keys(mc_inj):
+    # the key at each object is the object itself, and every map keeps it
+    with pytest.raises(ValueError, match="not an element key"):
+        build_presheaf(mc_inj.base, lambda a: [a], lambda f, x: x)
+
+
+def test_sieve_subpresheaf_refuses_a_set_that_is_not_a_sieve(mc_inj):
+    c = mc_inj.base
+    f = c.hom(1, 2)[0]     # f∘g for g: set0 -> set1 is missing
+    with pytest.raises(ValueError, match="not an element key"):
+        sieve_subpresheaf(c, 2, {f})
+
+
+def test_jrp_to_sheaf_refuses_an_action_that_left_the_total_elements(
+        pc_inj):
+    # the span (1, f) for an injection f: set1 -> set2 sends the total
+    # element 1_set2 of y(set2) to a partial map instead of to f
+    c = pc_inj.mc.base
+    rcb = pc_inj.rc.base
+    rp = yoneda_jr(pc_inj.rc, 2)
+    p = rp.presheaf
+
+    def total(a, e):
+        return rp.bar(a, e) == rcb.identity[a]
+
+    j = pc_inj.id_of_span(c.identity[1], c.hom(1, 2)[0])
+    e = next(e for e in p.elements(2) if total(2, e))
+    action = dict(p.action)
+    action[(j, e)] = next(y for y in p.elements(1) if not total(1, y))
+    mut = RestrictionPresheaf(pc_inj.rc,
+                              Presheaf(rcb, p.sizes, action, p.elem_names),
+                              rp.bar_elem)
+    assert jrp_to_sheaf(pc_inj, rp).presheaf.sizes[1] == 2
+    with pytest.raises(ValueError, match="not an element key"):
+        jrp_to_sheaf(pc_inj, mut)
