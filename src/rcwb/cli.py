@@ -28,9 +28,19 @@ from .site import (check_presheaf, generate_topology, is_separated, is_sheaf,
                    yoneda)
 
 
+def _family_bound(text):
+    """A --max-family value: a non-negative int.  A negative bound would
+    admit no family at all, not even the empty one, and every scan would
+    pass vacuously."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-family", type=int, default=None,
+    common.add_argument("--max-family", type=_family_bound, default=None,
                         help="bound on the size of families in join suites")
     common.add_argument("--out", default=None,
                         help="path for the machine-readable JSON summary")
@@ -184,10 +194,13 @@ def _run(args) -> list:
         top = generate_topology(bundle.mcat)
         if args.direction == "to-jrp":
             reports.append(transfer_report(pc, top, psh, args.max_family))
-            tr = sheaf_to_jrp(pc, psh)
-            extra["artifact"] = lambda: bundle_dict(
-                pc.rc.base, restriction=pc.rc.bar,
-                presheaves={"transferred": (tr.rp.presheaf, tr.rp.bar_elem)})
+
+            def artifact():
+                rp = sheaf_to_jrp(pc, psh).rp
+                return bundle_dict(
+                    pc.rc.base, restriction=pc.rc.bar,
+                    presheaves={"transferred": (rp.presheaf, rp.bar_elem)})
+            extra["artifact"] = artifact
         else:
             name = args.presheaf
             cand = name[1:] if name.startswith("y") else name
@@ -198,9 +211,9 @@ def _run(args) -> list:
             rp = yoneda_jr(pc.rc, pc.rc.base.obj_names.index(cand))
             reports.append(amalgamation_formula_report(pc, top, rp,
                                                        args.max_family))
-            dot = jrp_to_sheaf(pc, rp)
             extra["artifact"] = lambda: bundle_dict(
-                bundle.cat, presheaves={"transferred": (dot.presheaf, None)})
+                bundle.cat, presheaves={
+                    "transferred": (jrp_to_sheaf(pc, rp).presheaf, None)})
 
     elif cmd == "roundtrip":
         _resolve_presheaf(bundle, args.presheaf)

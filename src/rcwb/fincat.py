@@ -12,10 +12,11 @@ object are listed exhaustively and without duplicates, and composing a
 three gets answers that are not certified.
 
 Constructed categories (Par, the Karoubi splitting, subcategories, collages,
-matching-diagram shapes, the fixtures) come from `build_category`.  It
-refuses an endpoint, identity or composite outside its keys and leaves the
-category laws to `validate_category`; only bundles, whose tables are given
-explicitly, and the empty shape make a `FinCategory` directly.
+the fixtures) come from `build_category`.  It refuses an endpoint, identity
+or composite outside its keys and leaves the category laws to
+`validate_category`; only bundles, whose tables are given explicitly, make a
+`FinCategory` directly.  A diagram needs no shape category: it is a graph of
+objects and maps, and a cocone is one condition per arrow.
 
 A category's tables are fixed at construction, but its pullback and
 isomorphism caches fill lazily on first use.  The code is single-threaded.
@@ -209,19 +210,28 @@ def is_mono(c: FinCategory, m) -> bool:
 
 @dataclass(frozen=True)
 class Diagram:
-    """A functor from a finite shape category into a target category."""
-    shape: FinCategory
+    """A diagram given by a graph that generates its shape: obj_map[v] is
+    the object at vertex v, and each arrow (i, j, f) is a map f from
+    obj_map[i] to obj_map[j].  A cocone needs leg_j∘f == leg_i for each
+    arrow only (Mac Lane, CWM §II.7, §III.3)."""
     obj_map: tuple
-    mor_map: tuple
+    arrows: tuple
 
     def check(self, c: FinCategory) -> bool:
-        return Functor(self.shape, c, self.obj_map, self.mor_map).check()
+        """Whether every vertex is an object of c and every arrow a map of c
+        between the objects at its ends."""
+        objs = self.obj_map
+        return all(0 <= a < c.n_objects for a in objs) and all(
+            0 <= i < len(objs) and 0 <= j < len(objs) and
+            0 <= f < c.n_morphisms and
+            (c.mor_src[f], c.mor_tgt[f]) == (objs[i], objs[j])
+            for i, j, f in self.arrows)
 
 
 @dataclass(frozen=True)
 class Cocone:
     apex: int
-    legs: tuple  # indexed by shape object
+    legs: tuple  # indexed by vertex
 
 
 @dataclass(frozen=True)
@@ -344,20 +354,18 @@ def forced_assignments(n, domain, forces, push, order=None):
 def cocones_at(c: FinCategory, d: Diagram, apex):
     """All cocones under d with the given apex.
 
-    Choosing leg_j forces leg_i = leg_j ∘ d(u) for every arrow u: i -> j, so
-    the search branches first on shape objects without an outgoing
-    non-identity arrow.
+    Choosing leg_j forces leg_i = leg_j∘f for every arrow (i, j, f), so the
+    search branches first on vertices that are the source of no arrow.
     """
-    s = d.shape
-    forces = [[] for _ in s.objects]   # j -> [(i, d(u)) for u: i -> j]
-    for u in s.morphisms():
-        if not s.is_identity(u):
-            forces[s.mor_tgt[u]].append((s.mor_src[u], d.mor_map[u]))
-    sources = {i for edges in forces for i, _ in edges}
+    n = len(d.obj_map)
+    forces = [[] for _ in range(n)]     # j -> [(i, f) for (i, j, f)]
+    for i, j, f in d.arrows:
+        forces[j].append((i, f))
+    sources = {i for i, _, _ in d.arrows}
     return list(forced_assignments(
-        s.n_objects, lambda k: c.hom(d.obj_map[k], apex), forces,
-        lambda du, leg: c.comp[(leg, du)],
-        sorted(s.objects, key=lambda k: k in sources)))
+        n, lambda k: c.hom(d.obj_map[k], apex), forces,
+        lambda f, leg: c.comp[(leg, f)],
+        sorted(range(n), key=lambda k: k in sources)))
 
 
 def colimit(c: FinCategory, d: Diagram):
@@ -376,12 +384,18 @@ def colimit(c: FinCategory, d: Diagram):
     return None if found is None else Cocone(*found)
 
 
-def mediating(c: FinCategory, d: Diagram, coc: Cocone, other: Cocone):
-    """The unique morphism h with h∘leg_i == other.legs[i]; None if absent."""
+def mediating(c: FinCategory, coc: Cocone, apex, legs):
+    """The unique map h: coc.apex -> apex with h∘coc.legs[i] == legs[i] for
+    each given leg, or None when there is none or more than one.
+
+    legs may cover only the first vertices of coc.  That loses nothing when
+    each vertex left out is the source of an arrow (v, i, f) into a covered
+    vertex i, as the pair vertices of a matching diagram are: h∘leg_v is
+    then h∘leg_i∘f.
+    """
     found = None
-    for h in c.hom(coc.apex, other.apex):
-        if all(c.comp[(h, coc.legs[i])] == other.legs[i]
-               for i in range(len(coc.legs))):
+    for h in c.hom(coc.apex, apex):
+        if all(c.comp[(h, leg)] == want for leg, want in zip(coc.legs, legs)):
             if found is not None:
                 return None
             found = h
@@ -389,8 +403,7 @@ def mediating(c: FinCategory, d: Diagram, coc: Cocone, other: Cocone):
 
 
 def empty_diagram() -> Diagram:
-    shape = FinCategory(0, (), (), (), {})
-    return Diagram(shape, (), ())
+    return Diagram((), ())
 
 
 def initial_object(c: FinCategory):

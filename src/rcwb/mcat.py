@@ -3,6 +3,8 @@ the geometric criterion, MTotal and the Karoubi splitting.
 
 Subobjects and spans are normalised to canonical representatives (smallest
 ids after explicit iso search), so equality is plain component equality.
+A matching diagram is a graph of pairwise pullbacks, a `fincat.Diagram`;
+it builds no shape category.
 """
 
 from __future__ import annotations
@@ -123,15 +125,11 @@ def sub_m(mc: MCategory, obj) -> SubMPoset:
 
 # -- matching diagrams -------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatchingDiagram:
-    diagram: Diagram
-    family: tuple          # the monics m_i, shape objects 0..k-1
-    pair_objects: dict     # (i, j) -> shape object id, for i != j
-
-
-def matching_diagram(mc: MCategory, family, obj=None) -> MatchingDiagram:
-    """The diagram of pairwise pullbacks of a family of M-subobjects."""
+def matching_diagram(mc: MCategory, family, obj=None) -> Diagram:
+    """The diagram of pairwise pullbacks of a family of M-subobjects: the
+    members m_0..m_{k-1} are vertices 0..k-1, and each ordered pair i != j,
+    in turn, adds the apex of the pullback (p, q) of m_i and m_j as a vertex
+    v with the arrows (v, i, p) and (v, j, q)."""
     c = mc.base
     family = tuple(family)
     if obj is None:
@@ -142,9 +140,8 @@ def matching_diagram(mc: MCategory, family, obj=None) -> MatchingDiagram:
         if m not in mc.monics or c.mor_tgt[m] != obj:
             raise ValueError(f"{m} is not an M-subobject of {obj}")
     k = len(family)
-    shape_objs = [c.mor_src[m] for m in family]
-    pair_objects = {}
-    arrows, arrow_images = [], []
+    objs = [c.mor_src[m] for m in family]
+    arrows = []
     for i in range(k):
         for j in range(k):
             if i == j:
@@ -153,27 +150,14 @@ def matching_diagram(mc: MCategory, family, obj=None) -> MatchingDiagram:
             if cone is None:
                 raise InternalInvariantError(
                     "missing pairwise pullback in matching diagram")
-            idx = len(shape_objs)
-            pair_objects[(i, j)] = idx
-            shape_objs.append(cone.apex)
-            arrows.extend([(idx, i), (idx, j)])
-            arrow_images.extend([cone.p, cone.q])
-    n = len(shape_objs)
-    # an arrow's key is its (source, target) pair: the identities first,
-    # then the projection arrows; no two projections compose
-    shape, _, _ = build_category(
-        range(n), [(a, a) for a in range(n)] + arrows, lambda u: u,
-        lambda a: (a, a), lambda g, f: f if g[0] == g[1] else g)
-    obj_map = tuple(shape_objs)
-    mor_map = tuple(c.identity[shape_objs[a]] for a in range(n)) + \
-        tuple(arrow_images)
-    return MatchingDiagram(Diagram(shape, obj_map, mor_map),
-                           family, pair_objects)
+            arrows += [(len(objs), i, cone.p), (len(objs), j, cone.q)]
+            objs.append(cone.apex)
+    return Diagram(tuple(objs), tuple(arrows))
 
 
 @dataclass(frozen=True)
 class MatchingColimit:
-    md: MatchingDiagram
+    diagram: Diagram
     cocone: Cocone      # the colimit: legs a_i into the union
     mu: int             # induced map from the union into the target object
 
@@ -193,30 +177,14 @@ def matching_colimit(mc: MCategory, family, obj=None):
 
 def _matching_colimit(mc: MCategory, family, obj):
     c = mc.base
-    md = matching_diagram(mc, family, obj)
-    coc = colimit(c, md.diagram)
+    d = matching_diagram(mc, family, obj)
+    coc = colimit(c, d)
     if coc is None:
         return None
-    mu = _induced_map(c, md, coc, family, obj)
+    mu = mediating(c, coc, obj, family)
     if mu is None:
         raise InternalInvariantError("no unique induced map from matching colimit")
-    return MatchingColimit(md, coc, mu)
-
-
-def _induced_map(c: FinCategory, md: MatchingDiagram, coc: Cocone, legs,
-                 apex):
-    """The map out of the colimit coc that composes with its leg at member i
-    to legs[i], or None when there is no unique one.  The target cocone's
-    leg at the pair object (i, j) is legs[i] after the projection onto i."""
-    d = md.diagram
-    n = d.shape.n_objects
-    k = len(legs)
-    target = list(legs)
-    for (i, j), idx in sorted(md.pair_objects.items(), key=lambda kv: kv[1]):
-        # matching_diagram puts the arrow from pair object idx to i at
-        # shape morphism n + 2 * (idx - k), after the n identities
-        target.append(c.comp[(legs[i], d.mor_map[n + 2 * (idx - k)])])
-    return mediating(c, d, coc, Cocone(apex, tuple(target)))
+    return MatchingColimit(d, coc, mu)
 
 
 def is_geometric(mc: MCategory, max_family=None) -> LawReport:
@@ -404,7 +372,6 @@ def par_join_construction(pc: ParCategory, members, src=None, tgt=None):
     matching colimit of the monic legs, gamma induced by the f_i legs.
     Returns a Par morphism id, or None when the construction fails.
     src/tgt are required for the empty family."""
-    c = pc.mc.base
     members = sorted(members)
     if members:
         src = pc.rc.base.mor_src[members[0]]
@@ -416,8 +383,8 @@ def par_join_construction(pc: ParCategory, members, src=None, tgt=None):
     if mcol is None or mcol.mu not in pc.mc.monics:
         return None
     # gamma: induced by the cocone of the f_i legs
-    gamma = _induced_map(c, mcol.md, mcol.cocone,
-                         [pc.spans[i][1] for i in members], tgt)
+    gamma = mediating(pc.mc.base, mcol.cocone, tgt,
+                      [pc.spans[i][1] for i in members])
     if gamma is None:
         return None
     return pc.id_of_span(mcol.mu, gamma)

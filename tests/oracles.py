@@ -87,10 +87,8 @@ def sieves_on(c, a):
 
 def cocones_at(c, d, apex):
     """All cocones under d with the given apex, by backtracking over every
-    shape object in id order."""
-    s = d.shape
-    n = s.n_objects
-    arrows = [u for u in s.morphisms() if not s.is_identity(u)]
+    vertex in id order."""
+    n = len(d.obj_map)
     out = []
     legs = [None] * n
 
@@ -101,12 +99,10 @@ def cocones_at(c, d, apex):
         for leg in c.hom(d.obj_map[k], apex):
             legs[k] = leg
             ok = True
-            for u in arrows:
-                i, j = s.mor_src[u], s.mor_tgt[u]
+            for i, j, f in d.arrows:
                 if legs[i] is None or legs[j] is None:
                     continue
-                if (i == k or j == k) and \
-                        c.comp[(legs[j], d.mor_map[u])] != legs[i]:
+                if (i == k or j == k) and c.comp[(legs[j], f)] != legs[i]:
                     ok = False
                     break
             if ok:
@@ -150,6 +146,23 @@ def colimit(c, d):
                    for t in c.objects):
                 return Cocone(apex, legs)
     return None
+
+
+def induced_map(c, d, coc, apex, legs):
+    """The map h: coc.apex -> apex that carries the whole colimit cocone coc
+    of a matching diagram d to the cocone with legs[i] at member i and
+    legs[i]∘p at each pair vertex v, where (v, i, p) is the first arrow out
+    of v; None when there is no such map or more than one.  The reference
+    for fincat.mediating, which checks the member vertices only."""
+    first = {}
+    for v, i, p in d.arrows:
+        first.setdefault(v, (i, p))
+    target = list(legs) + [c.comp[(legs[first[v][0]], first[v][1])]
+                           for v in range(len(legs), len(d.obj_map))]
+    found = [h for h in c.hom(coc.apex, apex)
+             if all(c.comp[(h, leg)] == want
+                    for leg, want in zip(coc.legs, target))]
+    return found[0] if len(found) == 1 else None
 
 
 def _one_each(cones, images):

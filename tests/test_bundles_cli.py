@@ -119,6 +119,22 @@ def test_cli_geometric_rejects_iso(capsys):
     assert "GEO-MU" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["check-laws", "nojoin"],
+                                     ["geometric", "finset_iso_2"]])
+def test_cli_refuses_a_negative_max_family(capsys, command):
+    # both fail unbounded; a bound of -1 would admit no family, not even the
+    # empty one, and pass
+    assert main(command) == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--max-family", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "Traceback" not in err
+    assert "--max-family: expected a non-negative integer, got '-1'" in err
+    assert main(command + ["--max-family", "0"]) in (0, 1)
+
+
 def test_cli_unreadable_bundle(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -61,7 +61,19 @@ def test_colimit_certifies_initiality():
     coc = colimit(c, empty_diagram())
     assert coc is not None and coc.apex == 0
     # the mediating map to any other cocone exists and is found
-    assert mediating(c, empty_diagram(), coc, type(coc)(2, ())) is not None
+    assert mediating(c, coc, 2, ()) is not None
+
+
+def test_colimit_refuses_an_arrow_with_the_wrong_endpoints():
+    c = build_finset(2)
+    f = next(f for f in c.morphisms() if c.mor_src[f] != c.mor_tgt[f])
+    ends = (c.mor_src[f], c.mor_tgt[f])
+    assert Diagram(ends, ((0, 1, f),)).check(c)
+    for d in (Diagram(ends[::-1], ((0, 1, f),)),    # f runs the other way
+              Diagram(ends, ((1, 0, f),)),
+              Diagram(ends, ((0, 2, f),))):         # no vertex 2
+        with pytest.raises(ValueError, match="invalid diagram"):
+            colimit(c, d)
 
 
 def test_identity_functor_checks_and_is_full_faithful():
