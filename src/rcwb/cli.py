@@ -71,12 +71,15 @@ def _parser():
 
 
 def _gate(bundle: Bundle, cmd):
-    """The precondition of a construction: the law report of the bundle
-    section it builds on (the restriction for karoubi and unit, the monics
-    for the others), or None for check-laws.  A missing section is a bundle
-    error."""
+    """The precondition of a construction: the category laws of the bundle
+    when they fail, else the law report of the section it builds on (the
+    restriction for karoubi and unit, the monics for the others), or None
+    for check-laws.  A missing section is a bundle error."""
     if cmd == "check-laws":
         return None
+    category = validate_category(bundle.cat)
+    if not category.ok:
+        return category
     if cmd in ("karoubi", "unit"):
         if bundle.restriction is None:
             raise BundleError("$: this command needs a restriction section")

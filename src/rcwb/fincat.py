@@ -15,8 +15,11 @@ Constructed categories (Par, the Karoubi splitting, subcategories, collages,
 the fixtures) come from `build_category`.  It refuses an endpoint, identity
 or composite outside its keys and leaves the category laws to
 `validate_category`; only bundles, whose tables are given explicitly, make a
-`FinCategory` directly.  A diagram needs no shape category: it is a graph of
-objects and maps, and a cocone is one condition per arrow.
+`FinCategory` directly.  `validate_category` certifies associativity on a
+generating set (Light's test, see `FinCategory.generators`) and scans every
+triple only when that certificate fails.  A diagram needs no shape
+category: it is a graph of objects and maps, and a cocone is one condition
+per arrow.
 
 A category's tables are fixed at construction, but its pullback and
 isomorphism caches fill lazily on first use.  The code is single-threaded.
@@ -27,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .reports import LawReport
+
+_UNKNOWN = object()     # FinCategory.generators not yet computed
 
 
 class FinCategory:
@@ -61,6 +66,7 @@ class FinCategory:
         self._out = {a: tuple(fs) for a, fs in out.items()}
         self._pullback_cache = {}
         self._isos = None
+        self._generators = _UNKNOWN
 
     # -- basic accessors ---------------------------------------------------
 
@@ -103,6 +109,31 @@ class FinCategory:
 
     def is_iso(self, f):
         return f in self.isos()
+
+    # -- generators ----------------------------------------------------------
+
+    def generators(self):
+        """A generating set certified by Light's associativity test, as a
+        frozenset of morphism ids, or None when this is not a category.
+
+        The maps are scanned in id order, and each one outside the
+        composition closure of the identities and the generators before it
+        becomes a generator.  The set is returned only when the identity
+        laws and the comp-table checks of `validate_category` hold and
+        (h∘g)∘f == h∘(g∘f) for every generator g and every composable h, f.
+
+        That certifies every triple (F. W. Light's test; Clifford & Preston,
+        *The Algebraic Theory of Semigroups* I, 1961).  Call g
+        associative when (h∘g)∘f == h∘(g∘f) for all composable h, f.  An
+        identity is, by the identity laws.  If g and g' are, so is g∘g':
+        (h∘(g∘g'))∘f = ((h∘g)∘g')∘f = (h∘g)∘(g'∘f) = h∘(g∘(g'∘f))
+        = h∘((g∘g')∘f), using g, g', g and g' in turn.  So the associative
+        maps are closed under composition, contain the identities and the
+        generators, and hence are all maps.
+        """
+        if self._generators is _UNKNOWN:
+            self._generators = _certified_generators(self)
+        return self._generators
 
 
 def build_category(objects, morphisms, ends, identity, compose,
@@ -152,7 +183,19 @@ def validate_category(c: FinCategory) -> LawReport:
     """Check identity and associativity laws plus comp-table totality.
 
     Violations are report entries; an empty report means c is a category.
+    When c.generators() certifies c, no triple is scanned again; otherwise
+    every triple is, so the entries and their order do not depend on the
+    generators.
     """
+    if c.generators() is not None:
+        return LawReport("category")
+    report = _table_report(c)
+    _associativity(c, c.morphisms(), report)
+    return report
+
+
+def _table_report(c: FinCategory) -> LawReport:
+    """The identity laws and the shape and totality of the comp table."""
     report = LawReport("category")
     n = c.n_morphisms
     for a in c.objects:
@@ -176,20 +219,57 @@ def validate_category(c: FinCategory) -> LawReport:
         for f in c.into(c.mor_src[g]):
             if (g, f) not in c.comp:
                 report.add("COMP-MISSING", (g, f), "composable pair without entry")
-    # associativity: h ∘ (g ∘ f) == (h ∘ g) ∘ f
-    for g in c.morphisms():
-        after = c.out_of(c.mor_tgt[g])
+    return report
+
+
+def _associativity(c: FinCategory, middles, report: LawReport):
+    """Add an ASSOC entry for each composable (h, g, f) with g in middles
+    and h∘(g∘f) != (h∘g)∘f or a composite missing, in (g, f, h) order."""
+    # after[f][h] is h∘f: one dict per right factor, read a row at a time
+    after = [{} for _ in c.morphisms()]
+    for (g, f), gf in c.comp.items():
+        after[f][g] = gf
+    for g in middles:
+        hs = c.out_of(c.mor_tgt[g])
+        hgs = list(map(after[g].get, hs))
         for f in c.into(c.mor_src[g]):
-            gf = c.comp.get((g, f))
+            gf = after[f].get(g)
             if gf is None:
                 continue
-            for h in after:
-                lhs = c.comp.get((h, gf))
-                hg = c.comp.get((h, g))
-                rhs = None if hg is None else c.comp.get((hg, f))
-                if lhs != rhs or lhs is None:
-                    report.add("ASSOC", (h, g, f), "h(gf) != (hg)f")
-    return report
+            lhs = list(map(after[gf].get, hs))
+            rhs = list(map(after[f].get, hgs))
+            if lhs != rhs or None in lhs:
+                for h, l, r in zip(hs, lhs, rhs):
+                    if l != r or l is None:
+                        report.add("ASSOC", (h, g, f), "h(gf) != (hg)f")
+
+
+def _certified_generators(c: FinCategory):
+    """FinCategory.generators, computed afresh."""
+    report = _table_report(c)
+    if not report.ok:
+        return None
+    comp = c.comp
+    closed = set(c.identity)
+    gens = []
+    for m in c.morphisms():
+        if m in closed:
+            continue
+        gens.append(m)
+        closed.add(m)
+        todo = [m]
+        # every pair of closed maps is composed once the later one is taken
+        while todo:
+            x = todo.pop()
+            for z in [comp[(x, y)] for y in c.into(c.mor_src[x])
+                      if y in closed] + \
+                    [comp[(y, x)] for y in c.out_of(c.mor_tgt[x])
+                     if y in closed]:
+                if z not in closed:
+                    closed.add(z)
+                    todo.append(z)
+    _associativity(c, gens, report)
+    return frozenset(gens) if report.ok else None
 
 
 def is_mono(c: FinCategory, m) -> bool:
@@ -406,12 +486,6 @@ def empty_diagram() -> Diagram:
     return Diagram((), ())
 
 
-def initial_object(c: FinCategory):
-    """The initial object as the colimit of the empty diagram, or None."""
-    coc = colimit(c, empty_diagram())
-    return None if coc is None else coc.apex
-
-
 # -- functors ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -448,10 +522,6 @@ class Functor:
                 if set(images) != set(codomain):
                     return False
         return True
-
-
-def identity_functor(c: FinCategory) -> Functor:
-    return Functor(c, c, tuple(c.objects), tuple(c.morphisms()))
 
 
 def compose_functors(g: Functor, f: Functor) -> Functor:

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 
-from .fincat import FinCategory, Functor, build_category, subcategory
-from .joins import FinitePoset
+from .fincat import FinCategory, build_category, subcategory
 from .mcat import MCategory
-from .restriction import (RestrictionCategory, compatible, leq,
-                          restriction_idempotents)
+from .restriction import RestrictionCategory
 
 
 def _total_maps(a, b):
@@ -130,25 +127,6 @@ def build_nojoin_fixture() -> RestrictionCategory:
     return RestrictionCategory(sub.cat, bar)
 
 
-def nojoin_certified_pair(x: RestrictionCategory):
-    """The compatible, joinless pair in the no-join fixture: the two maps
-    from the 2-set to the point defined on exactly one element.
-
-    After reindexing, object 0 is the 1-set and object 1 is the 2-set."""
-    c = x.base
-    a, b = 1, 0
-    least = _least_idempotent(x, a)
-    singles = [f for f in c.hom(a, b)
-               if x.bar[f] != c.identity[a] and x.bar[f] != least]
-    return tuple(sorted(singles))
-
-
-def _least_idempotent(x, a):
-    # the least upper bound of the empty family is the least element
-    return FinitePoset(restriction_idempotents(x, a), partial(leq, x),
-                       partial(compatible, x)).join(())
-
-
 def subsets_category(k) -> RestrictionCategory:
     """One object; morphisms are the subsets of {0..k-1} with composition by
     intersection and bar(f) = f.  A join restriction category (joins are
@@ -161,25 +139,3 @@ def subsets_category(k) -> RestrictionCategory:
         frozenset.__and__, obj_names=["*"],
         mor_names=[f"{{{','.join(map(str, sorted(s)))}}}" for s in subsets])
     return RestrictionCategory(cat, tuple(range(len(subsets))))
-
-
-def join_collapsing_functor():
-    """A restriction functor between join restriction categories that fails
-    to preserve joins: subsets of a 2-set into subsets of a 3-set, sending
-    the top to the top but singletons to themselves."""
-    x = subsets_category(2)
-    y = subsets_category(3)
-
-    def as_set(c, f):
-        name = c.base.mor_names[f]
-        inner = name.strip("{}")
-        return frozenset(int(v) for v in inner.split(",") if v != "")
-
-    y_index = {as_set(y, f): f for f in y.base.morphisms()}
-    mor_map = []
-    for f in x.base.morphisms():
-        s = as_set(x, f)
-        mor_map.append(y_index[frozenset(range(3))] if s == frozenset(range(2))
-                       else y_index[s])
-    fun = Functor(x.base, y.base, (0,), tuple(mor_map))
-    return fun, x, y

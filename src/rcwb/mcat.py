@@ -348,25 +348,6 @@ def _splitting(c: FinCategory, e):
     return None
 
 
-def par_leq_oracle(pc: ParCategory, i, j) -> bool:
-    """(m, f) <= (n, g) iff a mediating arrow phi with n∘phi == m and
-    g∘phi == f exists (it is then unique; uniqueness is re-checked)."""
-    c = pc.mc.base
-    rcb = pc.rc.base
-    if rcb.mor_src[i] != rcb.mor_src[j] or rcb.mor_tgt[i] != rcb.mor_tgt[j]:
-        raise ValueError("spans are not parallel")
-    m, f = pc.spans[i]
-    n, g = pc.spans[j]
-    found = 0
-    for phi in c.hom(c.mor_src[m], c.mor_src[n]):
-        if c.comp[(n, phi)] == m and c.comp[(g, phi)] == f:
-            found += 1
-    if found > 1:
-        raise InternalInvariantError(
-            f"mediating arrow between spans {i} and {j} is not unique")
-    return found == 1
-
-
 def par_join_construction(pc: ParCategory, members, src=None, tgt=None):
     """The (mu, gamma) join recipe for a compatible family of spans:
     matching colimit of the monic legs, gamma induced by the f_i legs.

@@ -107,12 +107,6 @@ def total_subcategory(x: RestrictionCategory) -> Subcategory:
     return subcategory(x.base, x.base.objects, totals)
 
 
-def trivial_restriction(c: FinCategory) -> RestrictionCategory:
-    """bar(f) = id_src(f): every map total."""
-    return RestrictionCategory(
-        c, tuple(c.identity[c.mor_src[f]] for f in c.morphisms()))
-
-
 def is_restriction_functor(fun: Functor, x: RestrictionCategory,
                            y: RestrictionCategory) -> bool:
     """fun preserves bar (fun must already be a functor between the bases)."""

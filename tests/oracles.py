@@ -3,8 +3,15 @@ checked against.  They enumerate everything and are only fit for small
 fixtures."""
 
 import itertools
+from functools import partial
 
-from rcwb.fincat import Cocone, PullbackCone, pullback
+from rcwb.fincat import (Cocone, Functor, PullbackCone, colimit,
+                         empty_diagram, pullback)
+from rcwb.fixtures import subsets_category
+from rcwb.joins import FinitePoset, compatible_subsets
+from rcwb.reports import InternalInvariantError, LawReport
+from rcwb.restriction import (RestrictionCategory, compatible, leq,
+                              restriction_idempotents)
 from rcwb.site import Presheaf, generate_sieve
 
 
@@ -235,3 +242,128 @@ def assoc_violations(c):
                 if lhs != rhs or lhs is None:
                     out.append((h, g, f))
     return out
+
+
+def join_axioms(x, max_family=None):
+    """JOIN-MISSING, J1, J2 and POSTCOMP over every compatible family of at
+    most max_family members, J2 for every map into a and POSTCOMP for every
+    map out of b, each family's join found by scanning its upper bounds;
+    the reference for joins.check_join_axioms."""
+    c = x.base
+
+    def lub(a, b, members):
+        return least_upper_bound(c.hom(a, b), partial(leq, x), members)
+
+    report = LawReport("join")
+    for a in c.objects:
+        for b in c.objects:
+            if not c.hom(a, b):
+                continue
+            for fam in compatible_subsets(x, a, b, max_family):
+                if not fam.members:
+                    continue
+                j = lub(a, b, fam.members)
+                key = tuple(sorted(fam.members))
+                if j is None:
+                    report.add("JOIN-MISSING", (a, b) + key,
+                               "compatible family without a join")
+                    continue
+                jbar = lub(a, a, {x.bar[s] for s in fam.members})
+                if jbar is None or x.bar[j] != jbar:
+                    report.add("J1", (a, b) + key, "bar(⋁S) != ⋁ s̄")
+                for g in c.into(a):
+                    famg = {c.comp[(s, g)] for s in fam.members}
+                    if not all(compatible(x, s, t) for s in famg
+                               for t in famg):
+                        report.add("J2", (g,) + key,
+                                   "precomposed family not compatible")
+                        continue
+                    jg = lub(c.mor_src[g], b, famg)
+                    if jg is None or c.comp[(j, g)] != jg:
+                        report.add("J2", (g,) + key, "(⋁S)∘g != ⋁(s∘g)")
+                for f in c.out_of(b):
+                    famf = {c.comp[(f, s)] for s in fam.members}
+                    if not all(compatible(x, s, t) for s in famf
+                               for t in famf):
+                        report.add("POSTCOMP", (f,) + key,
+                                   "postcomposed family not compatible")
+                        continue
+                    jf = lub(a, c.mor_tgt[f], famf)
+                    if jf is None or c.comp[(f, j)] != jf:
+                        report.add("POSTCOMP", (f,) + key,
+                                   "f∘(⋁S) != ⋁(f∘s): implementation bug")
+    return report
+
+
+# -- test-only helpers ----------------------------------------------------------
+
+def initial_object(c):
+    """The initial object as the colimit of the empty diagram, or None."""
+    coc = colimit(c, empty_diagram())
+    return None if coc is None else coc.apex
+
+
+def identity_functor(c):
+    return Functor(c, c, tuple(c.objects), tuple(c.morphisms()))
+
+
+def trivial_restriction(c):
+    """bar(f) = id_src(f): every map total."""
+    return RestrictionCategory(
+        c, tuple(c.identity[c.mor_src[f]] for f in c.morphisms()))
+
+
+def par_leq_oracle(pc, i, j) -> bool:
+    """(m, f) <= (n, g) iff a mediating arrow phi with n∘phi == m and
+    g∘phi == f exists (it is then unique; uniqueness is re-checked)."""
+    c = pc.mc.base
+    rcb = pc.rc.base
+    if rcb.mor_src[i] != rcb.mor_src[j] or rcb.mor_tgt[i] != rcb.mor_tgt[j]:
+        raise ValueError("spans are not parallel")
+    m, f = pc.spans[i]
+    n, g = pc.spans[j]
+    found = 0
+    for phi in c.hom(c.mor_src[m], c.mor_src[n]):
+        if c.comp[(n, phi)] == m and c.comp[(g, phi)] == f:
+            found += 1
+    if found > 1:
+        raise InternalInvariantError(
+            f"mediating arrow between spans {i} and {j} is not unique")
+    return found == 1
+
+
+def nojoin_certified_pair(x):
+    """The compatible, joinless pair in the no-join fixture: the two maps
+    from the 2-set to the point defined on exactly one element.
+
+    After reindexing, object 0 is the 1-set and object 1 is the 2-set."""
+    c = x.base
+    a, b = 1, 0
+    # the least upper bound of the empty family is the least element
+    least = FinitePoset(restriction_idempotents(x, a), partial(leq, x),
+                        partial(compatible, x)).join(())
+    singles = [f for f in c.hom(a, b)
+               if x.bar[f] != c.identity[a] and x.bar[f] != least]
+    return tuple(sorted(singles))
+
+
+def join_collapsing_functor():
+    """A restriction functor between join restriction categories that fails
+    to preserve joins: subsets of a 2-set into subsets of a 3-set, sending
+    the top to the top but singletons to themselves."""
+    x = subsets_category(2)
+    y = subsets_category(3)
+
+    def as_set(c, f):
+        name = c.base.mor_names[f]
+        inner = name.strip("{}")
+        return frozenset(int(v) for v in inner.split(",") if v != "")
+
+    y_index = {as_set(y, f): f for f in y.base.morphisms()}
+    mor_map = []
+    for f in x.base.morphisms():
+        s = as_set(x, f)
+        mor_map.append(y_index[frozenset(range(3))] if s == frozenset(range(2))
+                       else y_index[s])
+    fun = Functor(x.base, y.base, (0,), tuple(mor_map))
+    return fun, x, y

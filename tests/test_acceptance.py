@@ -10,14 +10,14 @@ import time
 
 import pytest
 
+from oracles import nojoin_certified_pair, par_leq_oracle
 from rcwb.bridge import (cocompletion_unit, roundtrip_report, sheaf_to_jrp,
                          transfer_report)
 from rcwb.fincat import validate_category
-from rcwb.fixtures import (build_finset, build_finset_p, nojoin_certified_pair,
-                           subsets_category)
+from rcwb.fixtures import build_finset_p, subsets_category
 from rcwb.joins import CompatibleFamily, check_join_axioms, upper_bounds
 from rcwb.mcat import (heyting_check, is_geometric, karoubi_r, mtotal, par,
-                       par_leq_oracle, split_unit_functor, sub_m)
+                       split_unit_functor, sub_m)
 from rcwb.restriction import (check_restriction_axioms, compatible, leq,
                               restriction_idempotents)
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, check_rp_axioms,

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from oracles import trivial_restriction
 from rcwb.bundles import (BundleError, build_fixture, bundle_dict,
                           dump_bundle, load_bundle, resolve_bundle)
 from rcwb.cli import main
+from rcwb.fincat import FinCategory
 from rcwb.fixtures import build_finset_mcat, build_finset_p
 from rcwb.site import Presheaf, check_presheaf, constant_presheaf
 
@@ -279,6 +281,40 @@ def test_cli_gate_stops_on_a_non_functorial_presheaf(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out.splitlines() == ["presheaf:bad\tPSH\t\tnot a presheaf",
                                 f"FAIL\t{command[0]}\t{bundle}"]
+    assert "Traceback" not in err
+
+
+def _non_associative_bundle(tmp_path):
+    # finset_inj_2 with every map total and M the injections, and one
+    # composite of two non-identities redirected within its hom-set: the
+    # loader accepts the table, but (h∘g)∘f != h∘(g∘f) for some triples
+    mc = build_finset_mcat(2, "inj")
+    c = mc.base
+    comp = dict(c.comp)
+    g, f = next((g, f) for g, f in sorted(comp)
+                if not c.is_identity(g) and not c.is_identity(f)
+                and len(c.hom(c.mor_src[f], c.mor_tgt[g])) > 1)
+    comp[(g, f)] = next(h for h in c.hom(c.mor_src[f], c.mor_tgt[g])
+                        if h != comp[(g, f)])
+    bad = FinCategory(c.n_objects, c.mor_src, c.mor_tgt, c.identity, comp,
+                      c.obj_names, c.mor_names)
+    bundle = tmp_path / "bad_assoc.json"
+    bundle.write_text(dump_bundle(bundle_dict(
+        bad, restriction=trivial_restriction(bad).bar, monics=mc.monics)))
+    return str(bundle)
+
+
+@pytest.mark.parametrize("command", ["build-par", "topology", "karoubi",
+                                     "unit"])
+def test_cli_gate_stops_on_a_non_associative_table(tmp_path, capsys,
+                                                   command):
+    bundle = _non_associative_bundle(tmp_path)
+    assert main([command, bundle]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert "category\tASSOC\t" in out
+    assert all(line.startswith("category\t") for line in lines[:-1])
+    assert lines[-1] == f"FAIL\t{command}\t{bundle}"
     assert "Traceback" not in err
 
 

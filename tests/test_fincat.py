@@ -1,9 +1,9 @@
 import pytest
 
+from oracles import identity_functor, initial_object
 from rcwb.fincat import (Diagram, FinCategory, Functor, colimit,
-                         empty_diagram, identity_functor, initial_object,
-                         is_mono, mediating, pullback, subcategory,
-                         validate_category)
+                         empty_diagram, is_mono, mediating, pullback,
+                         subcategory, validate_category)
 from rcwb.fixtures import build_finset, build_finset_data
 
 

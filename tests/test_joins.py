@@ -1,8 +1,8 @@
 import pytest
 
-from rcwb.fixtures import (build_finset_p, build_finset_p_data,
-                           join_collapsing_functor, nojoin_certified_pair,
-                           subsets_category)
+from oracles import (identity_functor, join_collapsing_functor,
+                     nojoin_certified_pair)
+from rcwb.fixtures import build_finset_p, build_finset_p_data, subsets_category
 from rcwb.joins import (CompatibleFamily, NotRestrictionFunctorError,
                         check_join_axioms, compatible_subsets, hom_poset,
                         is_join_restriction_functor, join, upper_bounds)
@@ -61,7 +61,6 @@ def test_join_collapsing_functor_detected():
 
 
 def test_identity_is_join_restriction_functor(finset_p2):
-    from rcwb.fincat import identity_functor
     fun = identity_functor(finset_p2.base)
     assert is_join_restriction_functor(fun, finset_p2, finset_p2,
                                        max_family=2)

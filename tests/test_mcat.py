@@ -1,13 +1,13 @@
 import pytest
 
+from oracles import par_leq_oracle
 from rcwb.fincat import FinCategory, validate_category
 from rcwb.fixtures import build_finset_mcat, build_finset_p
 from rcwb.joins import check_join_axioms
 from rcwb.mcat import (MCategory, check_m_system, heyting_check,
                        is_geometric, karoubi_r, matching_colimit, mtotal, par,
-                       par_join_construction, par_leq_oracle,
-                       pullback_preserves_joins, split_unit_functor, sub_m,
-                       subobject_rep)
+                       par_join_construction, pullback_preserves_joins,
+                       split_unit_functor, sub_m, subobject_rep)
 from rcwb.restriction import check_restriction_axioms, leq
 
 

@@ -17,10 +17,11 @@ from rcwb.fincat import (Diagram, FinCategory, cocones_at, colimit,
 from rcwb.fixtures import (build_finset, build_finset_data, build_finset_mcat,
                            build_finset_p, build_finset_p_data,
                            build_nojoin_fixture, subsets_category)
-from rcwb.joins import FinitePoset, hom_poset
+from rcwb.joins import FinitePoset, check_join_axioms, hom_poset
 from rcwb.mcat import (MCategory, karoubi_r, matching_colimit,
                        matching_diagram, par, sub_m)
-from rcwb.restriction import compatible, leq
+from rcwb.restriction import (RestrictionCategory, check_restriction_axioms,
+                              compatible, leq)
 from rcwb.rpsh import (collage, element_compatible, element_join, element_leq,
                        element_poset, yoneda_jr)
 from rcwb.site import (all_nat_trans, basis_covers, check_presheaf,
@@ -44,12 +45,16 @@ def _same_cocones(c, d):
     assert colimit(c, d) == oracles.colimit(c, d)
 
 
-def _closure(c, gens):
-    """The morphisms of the subcategory of c generated by gens."""
+def _closure(c, gens, bar=None):
+    """The morphisms of the subcategory of c generated by gens, closed
+    under the restriction bar too when it is given."""
     mors = set(gens) | set(c.identity)
     while True:
         more = {c.comp[(g, f)] for g in mors for f in mors
-                if c.mor_tgt[f] == c.mor_src[g]} - mors
+                if c.mor_tgt[f] == c.mor_src[g]}
+        if bar is not None:
+            more |= {bar[f] for f in mors}
+        more -= mors
         if not more:
             return mors
         mors |= more
@@ -133,7 +138,38 @@ def test_fixtures_and_matching_diagrams_build_like_the_pair_scan():
     assert len(built) == fixtures_built > 10
 
 
-# -- associativity ------------------------------------------------------------
+# -- associativity and generators ---------------------------------------------
+
+def _same_assoc(d):
+    """validate_category's ASSOC entries are the scan's, in its order, and
+    d has certified generators exactly when the report is clean."""
+    rep = validate_category(d)
+    assert [v.ids for v in rep.violations if v.tag == "ASSOC"] == \
+        oracles.assoc_violations(d)
+    assert (d.generators() is None) == (not rep.ok)
+
+
+def _redirected(c, key, value):
+    """c with the composite at key set to value."""
+    comp = dict(c.comp)
+    comp[key] = value
+    return FinCategory(c.n_objects, c.mor_src, c.mor_tgt, c.identity, comp)
+
+
+def _others(c, g, f):
+    """The maps that g∘f can be redirected to: the rest of its hom-set."""
+    return [h for h in c.hom(c.mor_src[f], c.mor_tgt[g])
+            if h != c.comp[(g, f)]]
+
+
+def _between_non_generators(c):
+    """The composable pairs (g, f) of non-identity maps outside
+    c.generators() whose composite can be redirected."""
+    gens = c.generators()
+    return [(g, f) for g, f in sorted(c.comp)
+            if not ({g, f} & gens or c.is_identity(g) or c.is_identity(f))
+            and _others(c, g, f)]
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
@@ -149,10 +185,79 @@ def test_assoc_violations_match_oracle(data):
             c.hom(c.mor_src[f], c.mor_tgt[g])))
     for k in data.draw(st.lists(st.sampled_from(keys), max_size=2)):
         comp.pop(k, None)
-    d = FinCategory(c.n_objects, c.mor_src, c.mor_tgt, c.identity, comp)
-    got = [v.ids for v in validate_category(d).violations
-           if v.tag == "ASSOC"]
-    assert got == oracles.assoc_violations(d)
+    _same_assoc(FinCategory(c.n_objects, c.mor_src, c.mor_tgt, c.identity,
+                            comp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_assoc_of_a_redirect_between_non_generators_matches_oracle(data):
+    # Light's test reads triples with a generator in the middle only; a
+    # composite of two non-generators is caught through the others
+    c = CATS["finset_p_2"]
+    g, f = data.draw(st.sampled_from(_between_non_generators(c)))
+    _same_assoc(_redirected(c, (g, f),
+                            data.draw(st.sampled_from(_others(c, g, f)))))
+
+
+def test_assoc_of_a_redirect_seen_by_one_generator_matches_oracle():
+    # s∘s redirected, for s the last generator (the swap of the 2-set):
+    # among the generators only s sits in the middle of a broken triple, so
+    # Light's test must read the triples of every generator
+    c = CATS["finset_p_2"]
+    gens = c.generators()
+    s = max(gens)
+    for h in _others(c, s, s):
+        d = _redirected(c, (s, s), h)
+        _same_assoc(d)
+        assert {g for _, g, _ in oracles.assoc_violations(d)} & gens == {s}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_assoc_of_a_redirect_on_finset_p_3_matches_oracle(seed):
+    c = build_finset_p(3).base
+    rng = random.Random(seed)
+    g, f = rng.choice(_between_non_generators(c))
+    d = _redirected(c, (g, f), rng.choice(_others(c, g, f)))
+    _same_assoc(d)
+    assert d.generators() is None
+
+
+def _generator_fixtures():
+    """Every category fixture, by name."""
+    x = build_finset_p(2)
+    out = {f"finset_{n}": build_finset(n) for n in range(4)}
+    out.update({f"finset_p_{n}": build_finset_p(n).base for n in range(4)})
+    out.update({"nojoin": CATS["nojoin"], "subsets_3": CATS["subsets_3"],
+                "karoubi_p_2": karoubi_r(x).rc.base,
+                "par_inj_2": par(MCATS["finset_inj_2"]).rc.base})
+    out.update({f"collage_{a}": collage(yoneda_jr(x, a)).rc.base
+                for a in x.base.objects})
+    return out
+
+
+# name -> number of generators; finset_inj_3 has the base finset_3
+GENERATOR_COUNTS = {"finset_p_2": 10, "finset_p_3": 33, "finset_3": 19}
+
+
+def test_generators_close_to_every_map_on_fixtures():
+    for name, c in _generator_fixtures().items():
+        gens = c.generators()
+        assert _closure(c, gens) == set(c.morphisms()), name
+        if name in GENERATOR_COUNTS:
+            assert len(gens) == GENERATOR_COUNTS[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(range(CATS["finset_p_2"].n_morphisms))))
+def test_generators_are_the_maps_outside_the_closure_of_earlier_ones(gens):
+    # the scan in id order: a map is a generator iff the identities and the
+    # generators before it do not generate it
+    sub = _generated(CATS["finset_p_2"], gens)
+    found = sub.generators()
+    for m in sub.morphisms():
+        assert (m in found) == \
+            (m not in _closure(sub, [g for g in found if g < m]))
 
 
 # -- sieves -------------------------------------------------------------------
@@ -597,6 +702,73 @@ def test_join_rejects_a_member_outside_the_poset(transferred):
         element_join(rp, 0, [rp.presheaf.sizes[0]])
     with pytest.raises(ValueError):
         element_poset(rp, 0).compatible([rp.presheaf.sizes[0]])
+
+
+# -- the join laws ------------------------------------------------------------
+
+def _same_join_reports(x):
+    """check_join_axioms equals the all-maps scan, entries and order, for
+    every bound; returns whether the base has generators and fails."""
+    for max_family in (None, 1, 2):
+        assert check_join_axioms(x, max_family) == \
+            oracles.join_axioms(x, max_family)
+    return x.base.generators() is not None and \
+        not check_join_axioms(x).ok
+
+
+JOIN_RCATS = {
+    "finset_p_2": lambda: P2,
+    "nojoin": build_nojoin_fixture,
+    "subsets_3": lambda: subsets_category(3),
+    "karoubi_p_2": lambda: karoubi_r(P2).rc,
+    "par_inj_2": lambda: par(MCATS["finset_inj_2"]).rc,
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOIN_RCATS))
+def test_join_reports_match_oracle_on_fixtures(name):
+    _same_join_reports(JOIN_RCATS[name]())
+
+
+def test_join_reports_match_oracle_on_collages():
+    from test_acceptance import _mutants
+    rps = [yoneda_jr(P2, a) for a in P2.base.objects]
+    # the mutants of acceptance test 12b, drawn with its seed
+    rps += _mutants(yoneda_jr(P2, 2), random.Random(7), 5)
+    reruns = [_same_join_reports(collage(rp).rc) for rp in rps]
+    # four mutants are categories that fail the join laws: the generator
+    # pass reports something and the scan over every map runs; the other
+    # mutant's collage is no category and has no generators
+    assert reruns == [False] * 3 + [True, False, True, True, True]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(range(P2.base.n_morphisms)), max_size=6))
+def test_join_reports_match_oracle_on_sub_restriction_categories(gens):
+    # the closure of gens under composition and bar, with the inherited bar
+    sub = subcategory(P2.base, P2.base.objects,
+                      _closure(P2.base, gens, P2.bar))
+    y = RestrictionCategory(sub.cat, tuple(sub.mor_new[P2.bar[f]]
+                                           for f in sub.mor_old))
+    assert check_restriction_axioms(y).ok
+    assert _closure(y.base, y.base.generators()) == set(y.base.morphisms())
+    _same_join_reports(y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_join_reports_match_oracle_with_one_bar_redirected(data):
+    # finset_p_2 with one map's restriction set to another endomap of its
+    # source: still a category, so the generator pass runs first, but J1,
+    # J2 and POSTCOMP now fail at maps outside the generators too
+    c = P2.base
+    f = data.draw(st.sampled_from([f for f in c.morphisms()
+                                   if len(c.hom(c.mor_src[f],
+                                                c.mor_src[f])) > 1]))
+    bar = list(P2.bar)
+    bar[f] = data.draw(st.sampled_from(
+        [e for e in c.hom(c.mor_src[f], c.mor_src[f]) if e != P2.bar[f]]))
+    _same_join_reports(RestrictionCategory(c, tuple(bar)))
 
 
 # -- the amalgamation check --------------------------------------------------

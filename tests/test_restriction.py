@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import trivial_restriction
 from rcwb.fixtures import build_finset, build_finset_p, build_finset_p_data
 from rcwb.restriction import (RestrictionCategory, check_restriction_axioms,
                               compatible, is_total, leq,
-                              restriction_idempotents, total_subcategory,
-                              trivial_restriction)
+                              restriction_idempotents, total_subcategory)
 
 
 def test_finset_p_satisfies_axioms(finset_p2):
