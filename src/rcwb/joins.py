@@ -7,9 +7,11 @@ compatible families by AND-ing compatibility masks, and memoises each
 member set's compatibility and join together, keyed by the set.  It is
 built once per hom-set (kept on the RestrictionCategory, see hom_poset) and
 once per P(a) of a restriction presheaf (kept on the RestrictionPresheaf,
-see rpsh).  The join axioms J1/J2 are checked over every compatible family
-(optionally bounded in size for large fixtures), with J2 and POSTCOMP
-certified on the generators of the base category (see check_join_axioms).
+see rpsh).  One scan checks the join laws over every compatible family
+(optionally bounded in size for large fixtures), in the hom-sets for
+check_join_axioms and in the element sets for rpsh.check_jrp_axioms, with
+the laws at a map certified on the generators of the base category (see
+certified_scan).
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .fincat import Functor
-from .reports import LawReport
-from .restriction import (RestrictionCategory, compatible,
-                          is_restriction_functor, leq)
+from .reports import LawReport, Violation
+from .restriction import RestrictionCategory, compatible, leq
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,6 @@ def hom_poset(x: RestrictionCategory, a, b) -> FinitePoset:
     return x.posets[key]
 
 
-def upper_bounds(x: RestrictionCategory, fam: CompatibleFamily):
-    return hom_poset(x, fam.src, fam.tgt).upper_bounds(fam.members)
-
-
 def join(x: RestrictionCategory, fam: CompatibleFamily):
     """Least upper bound of the family in the hom order, or None."""
     return hom_poset(x, fam.src, fam.tgt).join(fam.members)
@@ -160,122 +156,109 @@ def compatible_subsets(x: RestrictionCategory, a, b, max_family=None):
             for fam in hom_poset(x, a, b).families(max_family)]
 
 
-def check_join_axioms(x: RestrictionCategory, max_family=None) -> LawReport:
-    """Join existence, J1 and J2 over all compatible families, with at most
-    max_family members when a bound is given.
+# -- the join laws ------------------------------------------------------------
 
-    J2, (⋁S)∘g == ⋁(S∘g), is scanned for g in the generators of the base
-    (FinCategory.generators) only, and so is the sanity check POSTCOMP,
-    f∘(⋁S) == ⋁(f∘S) (a theorem when J1/J2 hold, flagged with its own
-    tag if it alone fails).  When that pass reports anything, or the base
-    has no certified generators, every map into a and out of b is scanned
-    instead, so the entries and their order do not depend on the
-    generators.
+def scan(x: RestrictionCategory, fibres, text):
+    """The Violations of the join laws on fibres, read once and in order.
 
-    A clean pass over the generators is a proof for every map, by
-    induction on the length of a word in the generators, for all families
-    at once (the join lemmas of Guo, *Products, joins, meets, and ranges in
-    restriction categories*, PhD thesis, Calgary, 2012).  Composition is
-    associative, as the generators certify.  J2 holds for an identity.
-    For g = g1∘w with g1 a generator, (⋁S)∘g1∘w = ⋁(S∘g1)∘w = ⋁(S∘g1∘w):
-    the first step is J2 for g1 on S, and the second is J2 for the shorter
-    word w on S∘g1, which holds by induction: S∘g1 is compatible and has a
-    join, as the pass checked at g1, and has no more members than S, so it
-    is one of the families the pass ran over.  POSTCOMP is the mirror
-    image, for f = w∘f1.
+    A fibre is (ids, a, poset, families, bar, maps): compatible sets of the
+    poset's elements, bar (or None) from the elements to hom(a, a) of x, and
+    maps (role, before, after, image, target), each a map w given by its
+    image dict into the poset target.  For each non-empty family S, text
+    gives the (tag, detail) of each finding, with ids ids + S or, at a map,
+    before + S + after:
+    - "missing" when S has no join (no entry if None), and no more on S;
+    - "bar" when bar[⋁S] is not the hom-join of the bar[s];
+    - at each map, (role, "compatible") when w·S is not compatible, or else
+      (role, "join") when w·⋁S != ⋁(w·S).
     """
+    for ids, a, poset, fams, bar, maps in fibres:
+        for fam in fams:
+            # empty joins (restriction zeroes) are excluded: demanding them
+            # fails every collage, where 1 on the extra point would have to
+            # be a zero
+            if not fam:
+                continue
+            j = poset.join(fam)
+            if j is None:
+                if text["missing"]:
+                    tag, detail = text["missing"]
+                    yield Violation(tag, ids + fam, detail)
+                continue
+            if bar is not None:
+                jbar = join(x, CompatibleFamily(a, a, frozenset(
+                    bar[s] for s in fam)))
+                if jbar is None or bar[j] != jbar:
+                    tag, detail = text["bar"]
+                    yield Violation(tag, ids + fam, detail)
+            for role, before, after, image, target in maps:
+                ok, jw = target._facts([image[s] for s in fam])
+                if not ok or jw is None or image[j] != jw:
+                    tag, detail = text[role, "join" if ok else "compatible"]
+                    yield Violation(tag, before + fam + after, detail)
+
+
+def certified_scan(x: RestrictionCategory, fibres, text):
+    """The Violations of scan(x, fibres(pick), text), with pick(ms) the
+    generators of x.base among the maps ms (FinCategory.generators), when
+    that pass is clean; otherwise those of the scan over every map,
+    pick(ms) = ms, so that the entries do not depend on the generators.
+
+    A map acts on its fibre by a composite, s ↦ s∘g, f∘s or P(g)(s), and
+    functorially: by associativity, which the generators certify, or as P
+    is a presheaf (check_presheaf, the gate of check_rp_axioms).  So a clean
+    pass over the generators proves the laws at every map by induction on
+    the length of a word in them, for all families at once (the join lemmas
+    of Guo, *Products, joins, meets, and ranges in restriction categories*,
+    PhD thesis, Calgary, 2012).  The law holds at an identity.  For g =
+    g1∘w with g1 a generator, (⋁S)∘g1∘w = ⋁(S∘g1)∘w = ⋁(S∘g1∘w): the law
+    at g1 on S, then at the shorter word w on S∘g1, which is compatible and
+    has a join (the pass checked it at g1) and has no more members than S,
+    so the pass ran over it.  P(g) and postcomposition, f = w∘f1, go the
+    same way.
+    """
+    gens = x.base.generators()
+    if gens is not None:
+        found = list(scan(x, fibres(lambda ms: [m for m in ms if m in gens]),
+                          text))
+        if not found:
+            return found
+    return list(scan(x, fibres(list), text))
+
+
+# (tag, detail) of each finding of scan on a hom-set
+JOIN_TEXT = {
+    "missing": ("JOIN-MISSING", "compatible family without a join"),
+    "bar": ("J1", "bar(⋁S) != ⋁ s̄"),
+    ("pre", "compatible"): ("J2", "precomposed family not compatible"),
+    ("pre", "join"): ("J2", "(⋁S)∘g != ⋁(s∘g)"),
+    ("post", "compatible"): ("POSTCOMP",
+                             "postcomposed family not compatible"),
+    ("post", "join"): ("POSTCOMP", "f∘(⋁S) != ⋁(f∘s): implementation bug"),
+}
+
+
+def check_join_axioms(x: RestrictionCategory, max_family=None) -> LawReport:
+    """Join existence, J1, J2 and the sanity check POSTCOMP (a theorem
+    when J1/J2 hold, flagged with its own tag if it alone fails) over all
+    compatible families, with at most max_family members when a bound is
+    given; J2 and POSTCOMP are scanned on the generators first
+    (certified_scan)."""
     c = x.base
     # an empty hom-set has no compatible families to check; requiring an
     # empty join there would wrongly fail every collage, whose hom-sets out
     # of the extra point are empty
-    fams = [(a, b, compatible_subsets(x, a, b, max_family))
+    homs = [(a, b, hom_poset(x, a, b).families(max_family))
             for a in c.objects for b in c.objects if c.hom(a, b)]
-    gens = c.generators()
-    if gens is not None:
-        report = _join_scan(
-            x, fams, [[g for g in c.into(a) if g in gens] for a in c.objects],
-            [[f for f in c.out_of(b) if f in gens] for b in c.objects])
-        if report.ok:
-            return report
-    return _join_scan(x, fams, [c.into(a) for a in c.objects],
-                      [c.out_of(b) for b in c.objects])
 
+    def fibres(pick):
+        for a, b, fams in homs:
+            hom = c.hom(a, b)
+            yield ((a, b), a, hom_poset(x, a, b), fams, x.bar,
+                   [("pre", (g,), (), {s: c.comp[(s, g)] for s in hom},
+                     hom_poset(x, c.mor_src[g], b)) for g in pick(c.into(a))]
+                   + [("post", (f,), (), {s: c.comp[(f, s)] for s in hom},
+                       hom_poset(x, a, c.mor_tgt[f]))
+                      for f in pick(c.out_of(b))])
 
-def _join_scan(x: RestrictionCategory, fams, into, out_of) -> LawReport:
-    """JOIN-MISSING and J1 on every family of fams, a list of (a, b,
-    families of hom(a, b)), J2 for each g in into[a] and POSTCOMP for each
-    f in out_of[b]."""
-    c = x.base
-    report = LawReport("join")
-    for a, b, families in fams:
-        for fam in families:
-            # empty joins (restriction zeroes) are excluded: demanding them
-            # fails every collage, where 1 on the extra point would have to
-            # be a zero
-            if not fam.members:
-                continue
-            j = join(x, fam)
-            key = tuple(sorted(fam.members))
-            if j is None:
-                report.add("JOIN-MISSING", (a, b) + key,
-                           "compatible family without a join")
-                continue
-            # J1: bar(join S) == join of bars
-            jbar = join(x, CompatibleFamily(
-                a, a, frozenset(x.bar[s] for s in fam.members)))
-            if jbar is None or x.bar[j] != jbar:
-                report.add("J1", (a, b) + key, "bar(⋁S) != ⋁ s̄")
-            # J2: (join S)∘g == join(s∘g)
-            for g in into[a]:
-                famg = CompatibleFamily(c.mor_src[g], b, frozenset(
-                    c.comp[(s, g)] for s in fam.members))
-                if not hom_poset(x, famg.src, b).compatible(famg.members):
-                    report.add("J2", (g,) + key,
-                               "precomposed family not compatible")
-                    continue
-                jg = join(x, famg)
-                if jg is None or c.comp[(j, g)] != jg:
-                    report.add("J2", (g,) + key, "(⋁S)∘g != ⋁(s∘g)")
-            # sanity: post-composition distributes (a theorem given J1/J2)
-            for f in out_of[b]:
-                famf = CompatibleFamily(a, c.mor_tgt[f], frozenset(
-                    c.comp[(f, s)] for s in fam.members))
-                if not hom_poset(x, a, famf.tgt).compatible(famf.members):
-                    report.add("POSTCOMP", (f,) + key,
-                               "postcomposed family not compatible")
-                    continue
-                jf = join(x, famf)
-                if jf is None or c.comp[(f, j)] != jf:
-                    report.add("POSTCOMP", (f,) + key,
-                               "f∘(⋁S) != ⋁(f∘s): implementation bug")
-    return report
-
-
-class NotRestrictionFunctorError(ValueError):
-    """The given functor is not a (bar-preserving) restriction functor."""
-
-
-def is_join_restriction_functor(fun: Functor, x: RestrictionCategory,
-                                y: RestrictionCategory,
-                                max_family=None) -> bool:
-    """True iff fun maps the join of every compatible family to the join
-    of the image family."""
-    if not fun.check():
-        raise NotRestrictionFunctorError("not a functor")
-    if not is_restriction_functor(fun, x, y):
-        raise NotRestrictionFunctorError("functor does not preserve bar")
-    c = x.base
-    for a in c.objects:
-        for b in c.objects:
-            for fam in compatible_subsets(x, a, b, max_family):
-                if not fam.members:
-                    continue
-                j = join(x, fam)
-                if j is None:
-                    continue
-                image = CompatibleFamily(
-                    fun.obj_map[a], fun.obj_map[b],
-                    frozenset(fun.mor_map[s] for s in fam.members))
-                if join(y, image) != fun.mor_map[j]:
-                    return False
-    return True
+    return LawReport("join", certified_scan(x, fibres, JOIN_TEXT))

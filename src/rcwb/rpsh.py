@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .fincat import build_category
-from .joins import (CompatibleFamily, FinitePoset, compatible_subsets,
-                    join as hom_join)
+from .joins import FinitePoset, certified_scan, hom_poset, scan
 from .reports import LawReport
 from .restriction import RestrictionCategory, is_restriction_idempotent
 from .site import (NatTrans, Presheaf, check_presheaf, find_presheaf_iso,
@@ -114,54 +113,68 @@ def element_join(rp: RestrictionPresheaf, a, members):
     return element_poset(rp, a).join(members)
 
 
+# (tag, detail) of each finding of joins.scan on an element set
+JRP_TEXT = {
+    "missing": ("JRP-MISSING", "compatible element set without a join"),
+    "bar": ("JRP1", "bar(⋁S) != ⋁ s̄"),
+    ("pre", "compatible"): ("JRP2", "restricted set not compatible"),
+    ("pre", "join"): ("JRP2", "(⋁S)·g != ⋁(s·g)"),
+    ("post", "compatible"): ("JRP-ACT",
+                             "x·T not compatible: implementation bug"),
+    ("post", "join"): ("JRP-ACT", "x·(⋁T) != ⋁(x·t): implementation bug"),
+}
+
+
 def check_jrp_axioms(rp: RestrictionPresheaf, max_family=None) -> LawReport:
-    """Join existence plus JRP1/JRP2 over all compatible element sets; the
-    action-over-hom-joins identity (a consequence) is asserted as sanity."""
-    report = LawReport("join-restriction-presheaf")
-    rprep = check_rp_axioms(rp)
-    if not rprep.ok:
-        report.extend(rprep)
+    """Join existence, JRP1 and JRP2, (⋁S)·g == ⋁(s·g), over all compatible
+    element sets of at most max_family members, once check_rp_axioms
+    passes, with JRP2 on the generators first (joins.certified_scan); when
+    all that is clean, the sanity check JRP-ACT, x·(⋁T) == ⋁(x·t), for
+    every element x and every family T of maps with a join.
+
+    These are the join laws of the hom-sets read on elements: on
+    yoneda_jr(x, b) they are JOIN-MISSING, J1, J2 and POSTCOMP.  Over a base
+    that passes its join laws, JRP1 and JRP2 follow from RP1-RP3 and
+    JRP-MISSING.  Let w = ⋁S and e = ⋁ s̄ in hom(a, a).  Each s = w·s̄
+    gives s̄ = bar(w·s̄) = w̄∘s̄ (RP2), so e <= w̄.  Then w·e is an upper
+    bound of S, as (w·e)·s̄ = w·(e∘s̄) = w·s̄ = s, and its bar is w̄∘e = e
+    (RP2), so w = (w·e)·w̄ and w̄ = e∘w̄ (RP2), that is w̄ <= e: JRP1.  For
+    JRP2, w·g is an upper bound of S·g, as s·g = w·(s̄∘g) =
+    (w·g)·bar(s·g) (RP3), and JRP1 on S·g, J1 and J2 of the base and JRP1
+    on S give bar(⋁(s·g)) = ⋁ bar(s̄∘g) = bar(e∘g) = bar(w̄∘g) =
+    bar(w·g), so ⋁(s·g) = (w·g)·bar(w·g) = w·g (RP1).  The checks stay for
+    bases that fail their join laws.
+    """
+    report = LawReport("join-restriction-presheaf",
+                       check_rp_axioms(rp).violations)
+    if not report.ok:
         return report
     x = rp.rc
     c = x.base
     p = rp.presheaf
-    for a in c.objects:
-        if p.sizes[a] == 0:
-            continue
-        for fam in element_poset(rp, a).families(max_family):
-            if not fam:
-                continue  # same nonempty convention as the category-level check
-            j = element_join(rp, a, fam)
-            if j is None:
-                report.add("JRP-MISSING", (a,) + fam,
-                           "compatible element set without a join")
-                continue
-            # JRP1: bar(⋁S) == ⋁ s̄ (a join of morphisms in X)
-            jbar = hom_join(x, CompatibleFamily(
-                a, a, frozenset(rp.bar(a, s) for s in fam)))
-            if jbar is None or rp.bar(a, j) != jbar:
-                report.add("JRP1", (a,) + fam, "bar(⋁S) != ⋁ s̄")
-            # JRP2: (⋁S)·g == ⋁ (s·g)
-            for g in c.into(a):
-                b = c.mor_src[g]
-                jg = element_join(rp, b, [p.act(g, s) for s in fam])
-                if jg is None or p.act(g, j) != jg:
-                    report.add("JRP2", (a,) + fam + (g,), "(⋁S)·g != ⋁(s·g)")
-    # sanity: x·(⋁T) == ⋁(x·t) for hom-joins (a theorem given the above);
-    # the non-empty hom families with a join are built once per (b, a)
+    objs = [a for a in c.objects if p.sizes[a]]
+    elems = {a: element_poset(rp, a).families(max_family) for a in objs}
+
+    def fibres(pick):
+        for a in objs:
+            yield ((a,), a, element_poset(rp, a), elems[a], rp.bar_elem[a],
+                   [("pre", (a,), (g,),
+                     {s: p.act(g, s) for s in p.elements(a)},
+                     element_poset(rp, c.mor_src[g]))
+                    for g in pick(c.into(a))])
+
+    report.violations.extend(certified_scan(x, fibres, JRP_TEXT))
     if report.ok:
-        for a in c.objects:
-            if p.sizes[a] == 0:
-                continue
-            joined = [(b, fam.members, t) for b in c.objects if c.hom(b, a)
-                      for fam in compatible_subsets(x, b, a, max_family)
-                      if fam.members and (t := hom_join(x, fam)) is not None]
-            for e in p.elements(a):
-                for b, members, t in joined:
-                    want = element_join(rp, b, [p.act(s, e) for s in members])
-                    if want is None or p.act(t, e) != want:
-                        report.add("JRP-ACT", (a, e) + tuple(sorted(members)),
-                                   "x·(⋁T) != ⋁(x·t): implementation bug")
+        # x·t is t followed by x: a → * in the collage; the hom families
+        # are built once per (b, a), and one without a join is no finding
+        homs = {(b, a): hom_poset(x, b, a).families(max_family)
+                for a in objs for b in c.objects if c.hom(b, a)}
+        report.violations.extend(scan(x, (
+            ((a, e), b, hom_poset(x, b, a), homs[b, a], None,
+             [("post", (a, e), (), {t: p.act(t, e) for t in c.hom(b, a)},
+               element_poset(rp, b))])
+            for a in objs for e in p.elements(a)
+            for b in c.objects if c.hom(b, a)), dict(JRP_TEXT, missing=None)))
     return report
 
 

@@ -8,10 +8,13 @@ from functools import partial
 from rcwb.fincat import (Cocone, Functor, PullbackCone, colimit,
                          empty_diagram, pullback)
 from rcwb.fixtures import subsets_category
-from rcwb.joins import FinitePoset, compatible_subsets
+from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
+                        hom_poset, join as hom_join)
 from rcwb.reports import InternalInvariantError, LawReport
-from rcwb.restriction import (RestrictionCategory, compatible, leq,
+from rcwb.restriction import (RestrictionCategory, compatible,
+                              is_restriction_functor, leq,
                               restriction_idempotents)
+from rcwb.rpsh import check_rp_axioms, element_join, element_poset
 from rcwb.site import Presheaf, generate_sieve
 
 
@@ -293,6 +296,92 @@ def join_axioms(x, max_family=None):
                         report.add("POSTCOMP", (f,) + key,
                                    "f∘(⋁S) != ⋁(f∘s): implementation bug")
     return report
+
+
+def jrp_axioms(rp, max_family=None):
+    """JRP-MISSING, JRP1 and JRP2 over every compatible element set of at
+    most max_family members, JRP2 for every map into a, then, when all that
+    is clean, JRP-ACT for every element x of P(a) and every hom family into
+    a with a join; the reference for rpsh.check_jrp_axioms."""
+    report = LawReport("join-restriction-presheaf")
+    rprep = check_rp_axioms(rp)
+    if not rprep.ok:
+        report.extend(rprep)
+        return report
+    x = rp.rc
+    c = x.base
+    p = rp.presheaf
+    for a in c.objects:
+        if p.sizes[a] == 0:
+            continue
+        for fam in element_poset(rp, a).families(max_family):
+            if not fam:
+                continue  # same nonempty convention as the category-level check
+            j = element_join(rp, a, fam)
+            if j is None:
+                report.add("JRP-MISSING", (a,) + fam,
+                           "compatible element set without a join")
+                continue
+            # JRP1: bar(⋁S) == ⋁ s̄ (a join of morphisms in X)
+            jbar = hom_join(x, CompatibleFamily(
+                a, a, frozenset(rp.bar(a, s) for s in fam)))
+            if jbar is None or rp.bar(a, j) != jbar:
+                report.add("JRP1", (a,) + fam, "bar(⋁S) != ⋁ s̄")
+            # JRP2: (⋁S)·g == ⋁ (s·g)
+            for g in c.into(a):
+                b = c.mor_src[g]
+                jg = element_join(rp, b, [p.act(g, s) for s in fam])
+                if jg is None or p.act(g, j) != jg:
+                    report.add("JRP2", (a,) + fam + (g,), "(⋁S)·g != ⋁(s·g)")
+    # sanity: x·(⋁T) == ⋁(x·t) for hom-joins (a theorem given the above);
+    # the non-empty hom families with a join are built once per (b, a)
+    if report.ok:
+        for a in c.objects:
+            if p.sizes[a] == 0:
+                continue
+            joined = [(b, fam.members, t) for b in c.objects if c.hom(b, a)
+                      for fam in compatible_subsets(x, b, a, max_family)
+                      if fam.members and (t := hom_join(x, fam)) is not None]
+            for e in p.elements(a):
+                for b, members, t in joined:
+                    want = element_join(rp, b, [p.act(s, e) for s in members])
+                    if want is None or p.act(t, e) != want:
+                        report.add("JRP-ACT", (a, e) + tuple(sorted(members)),
+                                   "x·(⋁T) != ⋁(x·t): implementation bug")
+    return report
+
+
+def upper_bounds(x, fam):
+    """The maps of hom(fam.src, fam.tgt) above every member, in id order."""
+    return hom_poset(x, fam.src, fam.tgt).upper_bounds(fam.members)
+
+
+class NotRestrictionFunctorError(ValueError):
+    """The given functor is not a (bar-preserving) restriction functor."""
+
+
+def is_join_restriction_functor(fun, x, y, max_family=None) -> bool:
+    """True iff fun maps the join of every compatible family to the join
+    of the image family."""
+    if not fun.check():
+        raise NotRestrictionFunctorError("not a functor")
+    if not is_restriction_functor(fun, x, y):
+        raise NotRestrictionFunctorError("functor does not preserve bar")
+    c = x.base
+    for a in c.objects:
+        for b in c.objects:
+            for fam in compatible_subsets(x, a, b, max_family):
+                if not fam.members:
+                    continue
+                j = hom_join(x, fam)
+                if j is None:
+                    continue
+                image = CompatibleFamily(
+                    fun.obj_map[a], fun.obj_map[b],
+                    frozenset(fun.mor_map[s] for s in fam.members))
+                if hom_join(y, image) != fun.mor_map[j]:
+                    return False
+    return True
 
 
 # -- test-only helpers ----------------------------------------------------------

@@ -10,12 +10,12 @@ import time
 
 import pytest
 
-from oracles import nojoin_certified_pair, par_leq_oracle
+from oracles import nojoin_certified_pair, par_leq_oracle, upper_bounds
 from rcwb.bridge import (cocompletion_unit, roundtrip_report, sheaf_to_jrp,
                          transfer_report)
 from rcwb.fincat import validate_category
 from rcwb.fixtures import build_finset_p, subsets_category
-from rcwb.joins import CompatibleFamily, check_join_axioms, upper_bounds
+from rcwb.joins import CompatibleFamily, check_join_axioms
 from rcwb.mcat import (heyting_check, is_geometric, karoubi_r, mtotal, par,
                        split_unit_functor, sub_m)
 from rcwb.restriction import (check_restriction_axioms, compatible, leq,

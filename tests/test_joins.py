@@ -1,12 +1,14 @@
 import pytest
 
-from oracles import (identity_functor, join_collapsing_functor,
-                     nojoin_certified_pair)
+from oracles import (NotRestrictionFunctorError, identity_functor,
+                     is_join_restriction_functor, join_collapsing_functor,
+                     nojoin_certified_pair, upper_bounds)
 from rcwb.fixtures import build_finset_p, build_finset_p_data, subsets_category
-from rcwb.joins import (CompatibleFamily, NotRestrictionFunctorError,
-                        check_join_axioms, compatible_subsets, hom_poset,
-                        is_join_restriction_functor, join, upper_bounds)
+from rcwb.joins import (JOIN_TEXT, CompatibleFamily, FinitePoset,
+                        check_join_axioms, compatible_subsets, hom_poset, join,
+                        scan)
 from rcwb.restriction import check_restriction_axioms
+from rcwb.rpsh import JRP_TEXT
 
 
 def test_finset_p_passes_join_axioms(finset_p2):
@@ -72,3 +74,57 @@ def test_non_restriction_functor_rejected():
                     tuple(0 for _ in fun.mor_map))
     with pytest.raises(NotRestrictionFunctorError):
         is_join_restriction_functor(bad, x, y)
+
+
+# -- the one scan behind both checkers ----------------------------------------
+
+def _order(pairs):
+    """leq from the strict pairs (s, u), s below u; reflexive."""
+    return lambda s, u: s == u or (s, u) in pairs
+
+
+def _hand_fibres():
+    """Four fibres built by hand over the one object of subsets_category(2),
+    each firing one finding of scan on the family (0, 1), and one clean
+    fibre."""
+    anything = lambda s, u: True  # noqa: E731
+    # 0 and 1 below 2, all compatible
+    top = FinitePoset((0, 1, 2), _order({(0, 2), (1, 2)}), anything)
+    flat = FinitePoset((0, 1), _order(set()), anything)
+    # u and v below w, but not compatible
+    clash = FinitePoset(("u", "v", "w"), _order({("u", "w"), ("v", "w")}),
+                        lambda s, u: {s, u} != {"u", "v"})
+    # the join of u and v is w, below x
+    chain = FinitePoset(("u", "v", "w", "x"), _order(
+        {("u", "w"), ("v", "w"), ("w", "x"), ("u", "x"), ("v", "x")}),
+        anything)
+    # the maps {}, {0}, {1}, {0,1}, ordered by inclusion
+    families = [(), (0,), (0, 1)]
+    return [
+        (("none",), 0, flat, [(), (0, 1)], None, []),
+        # the bars of 0 and 1 join to {0,1}, not {0}
+        (("bar",), 0, top, families, {0: 1, 1: 2, 2: 1}, []),
+        (("maps",), 0, top, families, None,
+         [("pre", ("g",), ("h",), {0: "u", 1: "v", 2: "w"}, clash),
+          ("post", ("f",), (), {0: "u", 1: "v", 2: "x"}, chain)]),
+        (("clean",), 0, top, families, {0: 1, 1: 3, 2: 3},
+         [("pre", (), (), {0: "u", 1: "v", 2: "w"}, chain)]),
+    ]
+
+
+@pytest.mark.parametrize("text, tags", [
+    (JOIN_TEXT, ("JOIN-MISSING", "J1", "J2", "POSTCOMP")),
+    (JRP_TEXT, ("JRP-MISSING", "JRP1", "JRP2", "JRP-ACT")),
+])
+def test_scan_findings_on_hand_built_fibres(text, tags):
+    x = subsets_category(2)
+    got = list(scan(x, _hand_fibres(), text))
+    assert [(v.tag, v.ids) for v in got] == [
+        (tags[0], ("none", 0, 1)), (tags[1], ("bar", 0, 1)),
+        (tags[2], ("g", 0, 1, "h")), (tags[3], ("f", 0, 1))]
+    assert [v.detail for v in got] == [
+        text["missing"][1], text["bar"][1], text["pre", "compatible"][1],
+        text["post", "join"][1]]
+    # without a text for a missing join, a family without one is skipped
+    assert list(scan(x, _hand_fibres(), dict(text, missing=None))) == \
+        got[1:]

@@ -22,11 +22,13 @@ from rcwb.mcat import (MCategory, karoubi_r, matching_colimit,
                        matching_diagram, par, sub_m)
 from rcwb.restriction import (RestrictionCategory, check_restriction_axioms,
                               compatible, leq)
-from rcwb.rpsh import (collage, element_compatible, element_join, element_leq,
+from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, collage,
+                       element_compatible, element_join, element_leq,
                        element_poset, yoneda_jr)
 from rcwb.site import (all_nat_trans, basis_covers, check_presheaf,
                        constant_presheaf, find_presheaf_iso,
-                       matching_families, sieves_on, sigma_classifier, yoneda)
+                       matching_families, sieve_subpresheaf, sieves_on,
+                       sigma_classifier, yoneda)
 
 MCATS = {"finset_inj_2": build_finset_mcat(2, "inj"),
          "finset_iso_2": build_finset_mcat(2, "iso")}
@@ -769,6 +771,64 @@ def test_join_reports_match_oracle_with_one_bar_redirected(data):
     bar[f] = data.draw(st.sampled_from(
         [e for e in c.hom(c.mor_src[f], c.mor_src[f]) if e != P2.bar[f]]))
     _same_join_reports(RestrictionCategory(c, tuple(bar)))
+
+
+# -- the presheaf join laws --------------------------------------------------
+
+def _same_jrp_reports(rps, bounds=(None, 1, 2)):
+    """check_jrp_axioms equals the reference, entries and order, for each
+    bound; returns the tags of each report at the last bound."""
+    tags = []
+    for rp in rps:
+        for max_family in bounds:
+            report = check_jrp_axioms(rp, max_family)
+            assert report == oracles.jrp_axioms(rp, max_family)
+        tags.append(sorted(report.tags()))
+    return tags
+
+
+def _sieve_subpresheaves(x):
+    """The sub-presheaf of each representable of x cut out by each sieve,
+    with the element bars of the base."""
+    c = x.base
+    return [RestrictionPresheaf(x, sieve_subpresheaf(c, a, sieve)[0], tuple(
+        tuple(x.bar[h] for h in c.hom(b, a) if h in sieve)
+        for b in c.objects))
+        for a in c.objects for sieve in sieves_on(c, a)]
+
+
+def test_jrp_reports_match_oracle_on_representables():
+    xs = [build_finset_p(1), P2, subsets_category(3), build_nojoin_fixture()]
+    tags = _same_jrp_reports([yoneda_jr(x, a) for x in xs
+                              for a in x.base.objects])
+    # the representables are join restriction presheaves, but over nojoin
+    # two compatible maps into the point (object 0) have no join
+    assert tags == [[]] * 6 + [["JRP-MISSING"], []]
+
+
+def test_jrp_reports_match_oracle_on_transfers(transferred):
+    assert _same_jrp_reports(transferred) == [[]] * len(transferred)
+
+
+def test_jrp_reports_match_oracle_on_mutants():
+    from test_acceptance import _mutants
+    p1 = build_finset_p(1)
+    # the mutants of acceptance tests 12b and 9, drawn with their seeds
+    rps = _mutants(yoneda_jr(P2, 2), random.Random(7), 5)
+    rng = random.Random(20260823)
+    rps += _mutants(yoneda_jr(P2, 2), rng, 6) + \
+        _mutants(yoneda_jr(P2, 1), rng, 2) + _mutants(yoneda_jr(p1, 1), rng, 2)
+    assert all(_same_jrp_reports(rps))
+
+
+def test_jrp_reports_match_oracle_on_sieve_subpresheaves():
+    tags = _same_jrp_reports(_sieve_subpresheaves(P2))
+    assert (len(tags), tags.count(["JRP-MISSING"]), tags.count([])) == \
+        (11, 1, 10)
+    tags = _same_jrp_reports(_sieve_subpresheaves(build_finset_p(3)),
+                             bounds=(2,))
+    assert (len(tags), tags.count(["JRP-MISSING"]), tags.count([])) == \
+        (31, 12, 19)
 
 
 # -- the amalgamation check --------------------------------------------------
