@@ -21,11 +21,10 @@ from .joins import check_join_axioms
 from .mcat import check_m_system, is_geometric, karoubi_r, par
 from .reports import InternalInvariantError, LawReport
 from .restriction import check_restriction_axioms
-from .rpsh import (RestrictionPresheaf, check_jrp_axioms, check_rp_axioms,
-                   yoneda_jr)
-from .site import (check_presheaf, generate_topology, is_separated, is_sheaf,
-                   saturation_is_fixpoint, sheafify, subcanonical_report,
-                   yoneda)
+from .rpsh import RestrictionPresheaf, rp_reports, yoneda_jr
+from .site import (check_presheaf, generate_topology, is_sheaf,
+                   saturation_is_fixpoint, sheaf_reports, sheafify,
+                   subcanonical_report, yoneda)
 
 
 def _family_bound(text):
@@ -141,10 +140,9 @@ def _run(args) -> list:
         for name, (psh, bars) in sorted(bundle.presheaves.items()):
             reports.append(_presheaf_report(name, psh))
             if bars is not None and bundle.restriction is not None:
-                rp = RestrictionPresheaf(bundle.restriction, psh, bars)
-                reports.append(check_rp_axioms(rp))
-                if reports[-1].ok:
-                    reports.append(check_jrp_axioms(rp, args.max_family))
+                reports.extend(rp_reports(
+                    RestrictionPresheaf(bundle.restriction, psh, bars),
+                    args.max_family))
 
     elif cmd == "build-par":
         pc = par(bundle.mcat)
@@ -177,8 +175,8 @@ def _run(args) -> list:
 
     elif cmd in ("sheaf-check", "sheafify"):
         top = generate_topology(bundle.mcat)
-        reports.append(is_separated(psh, top))
-        sheaf_rep = is_sheaf(psh, top)
+        sep_rep, sheaf_rep = sheaf_reports(psh, top)
+        reports.append(sep_rep)
         if cmd == "sheaf-check":
             reports.append(sheaf_rep)
         else:

@@ -17,7 +17,8 @@ from functools import partial
 from .fincat import build_category
 from .joins import FinitePoset, certified_scan, hom_poset, scan
 from .reports import LawReport
-from .restriction import RestrictionCategory, is_restriction_idempotent
+from .restriction import (RestrictionCategory, distinct_bars,
+                          is_restriction_idempotent)
 from .site import (NatTrans, Presheaf, check_presheaf, find_presheaf_iso,
                    yoneda)
 
@@ -43,7 +44,12 @@ class RestrictionPresheaf:
 
 def check_rp_axioms(rp: RestrictionPresheaf) -> LawReport:
     """RP1-RP3 plus shape checks, and two derivable identities as sanity
-    assertions with their own tags."""
+    assertions with their own tags.
+
+    RP2, bar(x·f̄) == x̄∘f̄, reads f only through f̄, so it is checked once
+    per element x of P(a) and distinct bar at a; the maps out of a are
+    visited only for an element with a failing bar, which keeps the
+    entries and their order those of the loop over every map."""
     report = LawReport("restriction-presheaf")
     x = rp.rc
     c = x.base
@@ -60,16 +66,19 @@ def check_rp_axioms(rp: RestrictionPresheaf) -> LawReport:
                            "x̄ is not a restriction idempotent on the object")
     if not report.ok:
         return report
+    bars = distinct_bars(x)
     for a in c.objects:
         for e in p.elements(a):
             be = rp.bar(a, e)
             if p.act(be, e) != e:
                 report.add("RP1", (a, e), "x·x̄ != x")
-            for f in c.out_of(a):
-                # RP2: bar(x·f̄) == x̄ ∘ f̄
-                xf = p.act(x.bar[f], e)
-                if rp.bar(a, xf) != c.comp[(be, x.bar[f])]:
-                    report.add("RP2", (a, e, f), "bar(x·f̄) != x̄∘f̄")
+            # RP2: bar(x·d) == x̄∘d for each bar d = f̄ at a
+            bad = {d for d in bars[a]
+                   if rp.bar(a, p.act(d, e)) != c.comp[(be, d)]}
+            if bad:
+                for f in c.out_of(a):
+                    if x.bar[f] in bad:
+                        report.add("RP2", (a, e, f), "bar(x·f̄) != x̄∘f̄")
             for g in c.into(a):
                 b = c.mor_src[g]
                 xg = p.act(g, e)
@@ -145,10 +154,17 @@ def check_jrp_axioms(rp: RestrictionPresheaf, max_family=None) -> LawReport:
     bar(w·g), so ⋁(s·g) = (w·g)·bar(w·g) = w·g (RP1).  The checks stay for
     bases that fail their join laws.
     """
-    report = LawReport("join-restriction-presheaf",
-                       check_rp_axioms(rp).violations)
-    if not report.ok:
-        return report
+    return LawReport("join-restriction-presheaf",
+                     rp_reports(rp, max_family)[-1].violations)
+
+
+def rp_reports(rp: RestrictionPresheaf, max_family=None) -> list:
+    """[check_rp_axioms(rp)], followed, when that passes, by the join-law
+    report of check_jrp_axioms: the RP gate runs once for both."""
+    gate = check_rp_axioms(rp)
+    if not gate.ok:
+        return [gate]
+    report = LawReport("join-restriction-presheaf")
     x = rp.rc
     c = x.base
     p = rp.presheaf
@@ -175,7 +191,7 @@ def check_jrp_axioms(rp: RestrictionPresheaf, max_family=None) -> LawReport:
                element_poset(rp, b))])
             for a in objs for e in p.elements(a)
             for b in c.objects if c.hom(b, a)), dict(JRP_TEXT, missing=None)))
-    return report
+    return [gate, report]
 
 
 # -- the collage --------------------------------------------------------------

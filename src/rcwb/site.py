@@ -77,6 +77,18 @@ def build_presheaf(c: FinCategory, elements, act, names=None):
 
 
 def check_presheaf(p: Presheaf) -> bool:
+    """P is a presheaf: its action is total, P(id) = id, and P(f∘g) =
+    P(g)∘P(f) for g among the generators of the base
+    (FinCategory.generators) and every f composable after g, or for every
+    composable pair when the base has no certified generators.
+
+    The generators suffice.  Every map w is a word in them, and P(f∘w) =
+    P(w)∘P(f) for every f after w follows by induction on its length.  For
+    an identity it is P(id) = id.  For w = w'∘g with g a generator,
+    associativity (which the generators certify) and the law at g, taken
+    at f∘w' and at w', give P(f∘w) = P(g)P(f∘w') = P(g)P(w')P(f) =
+    P(w)P(f), the middle step by the law at the shorter word w'.
+    """
     c = p.cat
     for f in c.morphisms():
         a, b = c.mor_src[f], c.mor_tgt[f]
@@ -88,7 +100,11 @@ def check_presheaf(p: Presheaf) -> bool:
         for x in p.elements(a):
             if p.act(c.identity[a], x) != x:
                 return False
-    for (f, g), fg in c.comp.items():
+    gens = c.generators()
+    pairs = c.comp.items() if gens is None else (
+        ((f, g), c.comp[(f, g)])
+        for g in sorted(gens) for f in c.out_of(c.mor_tgt[g]))
+    for (f, g), fg in pairs:
         # f: B -> C, g: A -> B, so P(f∘g) = P(g)∘P(f)
         for x in p.elements(c.mor_tgt[f]):
             if p.act(fg, x) != p.act(g, p.act(f, x)):
@@ -330,32 +346,32 @@ def amalgamations(p: Presheaf, a, fs, fam):
             if all(p.act(f, x) == fam[i] for i, f in enumerate(fs))]
 
 
-def _amalgamation_counts(p: Presheaf, top: Topology):
-    """(a, fs, n) for each matching family over each covering sieve on a,
-    where fs lists the sieve and n counts the family's amalgamations."""
+def sheaf_reports(p: Presheaf, top: Topology):
+    """(separated, sheaf) reports from one pass over the matching families
+    of every covering sieve: SEP for a family with several amalgamations,
+    SHEAF for one without exactly one."""
+    sep = LawReport("separated")
+    sheaf = LawReport("sheaf")
     for a in p.cat.objects:
         for sieve in sorted(top.covers[a], key=sorted):
             fs, fams = matching_families(p, a, sieve)
             for fam in fams:
-                yield a, fs, len(amalgamations(p, a, fs, fam))
+                n = len(amalgamations(p, a, fs, fam))
+                if n > 1:
+                    sep.add("SEP", (a,) + tuple(fs),
+                            "matching family with several amalgamations")
+                if n != 1:
+                    sheaf.add("SHEAF", (a,) + tuple(fs),
+                              f"matching family with {n} amalgamations")
+    return sep, sheaf
 
 
 def is_separated(p: Presheaf, top: Topology) -> LawReport:
-    report = LawReport("separated")
-    for a, fs, n in _amalgamation_counts(p, top):
-        if n > 1:
-            report.add("SEP", (a,) + tuple(fs),
-                       "matching family with several amalgamations")
-    return report
+    return sheaf_reports(p, top)[0]
 
 
 def is_sheaf(p: Presheaf, top: Topology) -> LawReport:
-    report = LawReport("sheaf")
-    for a, fs, n in _amalgamation_counts(p, top):
-        if n != 1:
-            report.add("SHEAF", (a,) + tuple(fs),
-                       f"matching family with {n} amalgamations")
-    return report
+    return sheaf_reports(p, top)[1]
 
 
 # -- the plus construction ------------------------------------------------------

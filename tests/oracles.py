@@ -247,6 +247,111 @@ def assoc_violations(c):
     return out
 
 
+def restriction_axioms(x):
+    """BAR-SHAPE, then R1 on every map, R2 and R3 on every pair (g, f) of
+    maps with one source, R4 on every composable pair (h, f), each read
+    through the comp table; the reference for
+    restriction.check_restriction_axioms."""
+    c = x.base
+    bar = x.bar
+    report = LawReport("restriction")
+    for f in c.morphisms():
+        bf = bar[f]
+        a = c.mor_src[f]
+        if c.mor_src[bf] != a or c.mor_tgt[bf] != a:
+            report.add("BAR-SHAPE", (f, bf), "f̄ is not an endomorphism of src(f)")
+    if not report.ok:
+        return report
+    for f in c.morphisms():
+        if c.comp[(f, bar[f])] != f:
+            report.add("R1", (f,), "f∘f̄ != f")
+    for f in c.morphisms():
+        a = c.mor_src[f]
+        for g in c.out_of(a):
+            if c.comp[(bar[g], bar[f])] != c.comp[(bar[f], bar[g])]:
+                report.add("R2", (g, f), "ḡ∘f̄ != f̄∘ḡ")
+            gbf = c.comp[(g, bar[f])]
+            if bar[gbf] != c.comp[(bar[g], bar[f])]:
+                report.add("R3", (g, f), "bar(g∘f̄) != ḡ∘f̄")
+    for f in c.morphisms():
+        b = c.mor_tgt[f]
+        for h in c.out_of(b):
+            hf = c.comp[(h, f)]
+            if c.comp[(bar[h], f)] != c.comp[(f, bar[hf])]:
+                report.add("R4", (h, f), "h̄∘f != f∘bar(h∘f)")
+    return report
+
+
+def presheaf_laws(p):
+    """Whether p's action is total, P(id) = id and P(f∘g) = P(g)∘P(f) for
+    every entry (f, g) of the comp table; the reference for
+    site.check_presheaf."""
+    c = p.cat
+    for f in c.morphisms():
+        a, b = c.mor_src[f], c.mor_tgt[f]
+        for x in p.elements(b):
+            y = p.action.get((f, x))
+            if y is None or not 0 <= y < p.sizes[a]:
+                return False
+    for a in c.objects:
+        for x in p.elements(a):
+            if p.act(c.identity[a], x) != x:
+                return False
+    for (f, g), fg in c.comp.items():
+        # f: B -> C, g: A -> B, so P(f∘g) = P(g)∘P(f)
+        for x in p.elements(c.mor_tgt[f]):
+            if p.act(fg, x) != p.act(g, p.act(f, x)):
+                return False
+    return True
+
+
+def rp_axioms(rp):
+    """RP-PSH by presheaf_laws, RP-SHAPE, then per element x of P(a): RP1,
+    RP2 for every map out of a, RP3 and the two sanity identities for every
+    map into a; the reference for rpsh.check_rp_axioms."""
+    report = LawReport("restriction-presheaf")
+    x = rp.rc
+    c = x.base
+    p = rp.presheaf
+    if not presheaf_laws(p):
+        report.add("RP-PSH", (), "underlying data is not a presheaf")
+        return report
+    for a in c.objects:
+        for e in p.elements(a):
+            be = rp.bar(a, e)
+            if c.mor_src[be] != a or c.mor_tgt[be] != a or \
+                    x.bar[be] != be:
+                report.add("RP-SHAPE", (a, e, be),
+                           "x̄ is not a restriction idempotent on the object")
+    if not report.ok:
+        return report
+    for a in c.objects:
+        for e in p.elements(a):
+            be = rp.bar(a, e)
+            if p.act(be, e) != e:
+                report.add("RP1", (a, e), "x·x̄ != x")
+            for f in c.out_of(a):
+                # RP2: bar(x·f̄) == x̄ ∘ f̄
+                xf = p.act(x.bar[f], e)
+                if rp.bar(a, xf) != c.comp[(be, x.bar[f])]:
+                    report.add("RP2", (a, e, f), "bar(x·f̄) != x̄∘f̄")
+            for g in c.into(a):
+                b = c.mor_src[g]
+                xg = p.act(g, e)
+                # RP3: x̄ ∘ g == g ∘ bar(x·g)
+                if c.comp[(be, g)] != c.comp[(g, rp.bar(b, xg))]:
+                    report.add("RP3", (a, e, g), "x̄∘g != g∘bar(x·g)")
+                # derivable: ḡ ∘ bar(x·g) == bar(x·g)
+                if c.comp[(x.bar[g], rp.bar(b, xg))] != rp.bar(b, xg):
+                    report.add("RP-SANITY1", (a, e, g),
+                               "ḡ∘bar(x·g) != bar(x·g): implementation bug")
+                # derivable: bar(x̄∘g) == bar(x·g)
+                if x.bar[c.comp[(be, g)]] != rp.bar(b, xg):
+                    report.add("RP-SANITY2", (a, e, g),
+                               "bar(x̄∘g) != bar(x·g): implementation bug")
+    return report
+
+
 def join_axioms(x, max_family=None):
     """JOIN-MISSING, J1, J2 and POSTCOMP over every compatible family of at
     most max_family members, J2 for every map into a and POSTCOMP for every

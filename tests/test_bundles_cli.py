@@ -3,12 +3,15 @@ import json
 import pytest
 
 from oracles import trivial_restriction
+from rcwb import cli, rpsh, site
+from rcwb.bridge import sheaf_to_jrp
 from rcwb.bundles import (BundleError, build_fixture, bundle_dict,
                           dump_bundle, load_bundle, resolve_bundle)
 from rcwb.cli import main
 from rcwb.fincat import FinCategory
 from rcwb.fixtures import build_finset_mcat, build_finset_p
-from rcwb.site import Presheaf, check_presheaf, constant_presheaf
+from rcwb.mcat import par
+from rcwb.site import Presheaf, check_presheaf, constant_presheaf, yoneda
 
 
 def _finset_p2_text():
@@ -365,3 +368,58 @@ def test_cli_malformed_bundle_exits_2_with_its_path(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"bundle error: {path}: ")
     assert "Traceback" not in err
+
+
+def _par_inj2_rp_bundle(tmp_path):
+    # Par(finset_inj_2) with the transfer of each representable as a
+    # presheaf with element bars, one of them with two bars swapped so that
+    # its RP gate fails, and one presheaf without element bars
+    mc = build_finset_mcat(2, "inj")
+    pc = par(mc)
+    presheaves = {}
+    for w in mc.base.objects:
+        rp = sheaf_to_jrp(pc, yoneda(mc.base, w)).rp
+        presheaves[f"y{w}"] = (rp.presheaf, rp.bar_elem)
+    bars = [list(col) for col in rp.bar_elem]
+    bars[1][0], bars[1][1] = bars[1][1], bars[1][0]
+    assert bars != [list(col) for col in rp.bar_elem]
+    presheaves["swapped"] = (rp.presheaf, tuple(map(tuple, bars)))
+    presheaves["plain"] = (rp.presheaf, None)
+    bundle = tmp_path / "par_inj2_rp.json"
+    bundle.write_text(dump_bundle(bundle_dict(
+        pc.rc.base, restriction=pc.rc.bar, presheaves=presheaves)))
+    return str(bundle)
+
+
+def test_cli_check_laws_runs_the_rp_gate_once_per_presheaf(tmp_path,
+                                                           monkeypatch):
+    bundle = _par_inj2_rp_bundle(tmp_path)
+    calls = []
+    real = rpsh.check_rp_axioms
+    for module in (rpsh, cli):
+        # counted wherever the CLI would look it up
+        monkeypatch.setattr(module, "check_rp_axioms",
+                            lambda rp: calls.append(rp) or real(rp),
+                            raising=False)
+    out = tmp_path / "out.json"
+    assert main(["check-laws", bundle, "--out", str(out)]) == 1
+    # y0, y1, y2 and swapped have element bars, plain has none
+    assert len(calls) == 4
+    names = [rep["name"] for rep in json.loads(out.read_text())["reports"]]
+    # a presheaf whose RP gate fails gets no join-law report
+    assert names == ["category", "restriction", "join", "presheaf:plain",
+                     "presheaf:swapped", "restriction-presheaf"] + [
+        name for w in range(3) for name in (
+            f"presheaf:y{w}", "restriction-presheaf",
+            "join-restriction-presheaf")]
+
+
+def test_cli_sheaf_check_enumerates_matching_families_once(monkeypatch):
+    # one pass feeds the SEP and the SHEAF report: one matching_families
+    # call per covering sieve of finset_inj_2
+    calls = []
+    real = site.matching_families
+    monkeypatch.setattr(site, "matching_families",
+                        lambda *args: calls.append(args) or real(*args))
+    assert main(["sheaf-check", "finset_inj_2", "yset2"]) == 0
+    assert len(calls) == 5

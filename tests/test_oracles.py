@@ -25,7 +25,7 @@ from rcwb.restriction import (RestrictionCategory, check_restriction_axioms,
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, collage,
                        element_compatible, element_join, element_leq,
                        element_poset, yoneda_jr)
-from rcwb.site import (all_nat_trans, basis_covers, check_presheaf,
+from rcwb.site import (Presheaf, all_nat_trans, basis_covers, check_presheaf,
                        constant_presheaf, find_presheaf_iso,
                        matching_families, sieve_subpresheaf, sieves_on,
                        sigma_classifier, yoneda)
@@ -752,7 +752,7 @@ def test_join_reports_match_oracle_on_sub_restriction_categories(gens):
                       _closure(P2.base, gens, P2.bar))
     y = RestrictionCategory(sub.cat, tuple(sub.mor_new[P2.bar[f]]
                                            for f in sub.mor_old))
-    assert check_restriction_axioms(y).ok
+    assert _same_restriction_reports(y) == set()
     assert _closure(y.base, y.base.generators()) == set(y.base.morphisms())
     _same_join_reports(y)
 
@@ -771,6 +771,155 @@ def test_join_reports_match_oracle_with_one_bar_redirected(data):
     bar[f] = data.draw(st.sampled_from(
         [e for e in c.hom(c.mor_src[f], c.mor_src[f]) if e != P2.bar[f]]))
     _same_join_reports(RestrictionCategory(c, tuple(bar)))
+
+
+# -- the restriction laws -----------------------------------------------------
+
+def _same_restriction_reports(x):
+    """check_restriction_axioms equals the loop over every pair, entries
+    and order; returns the report's tags."""
+    report = check_restriction_axioms(x)
+    assert report == oracles.restriction_axioms(x)
+    return report.tags()
+
+
+RESTRICTION_RCATS = dict(JOIN_RCATS, **{
+    "finset_p_1": lambda: build_finset_p(1),
+    "finset_p_3": lambda: build_finset_p(3),
+    "karoubi_p_3": lambda: karoubi_r(build_finset_p(3)).rc,
+    "par_iso_2": lambda: par(MCATS["finset_iso_2"]).rc,
+    "par_inj_3": lambda: par(build_finset_mcat(3, "inj")).rc,
+    "trivial_3": lambda: oracles.trivial_restriction(build_finset(3)),
+    "collage": lambda: RCATS["collage"],
+})
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICTION_RCATS))
+def test_restriction_reports_match_oracle_on_fixtures(name):
+    assert _same_restriction_reports(RESTRICTION_RCATS[name]()) == set()
+
+
+def test_restriction_reports_match_oracle_with_one_bar_redirected():
+    # finset_p_2 with the bar of one map sent to each other map: to an
+    # endomorphism of its source, or elsewhere for BAR-SHAPE
+    c = P2.base
+    fired = set()
+    for f in c.morphisms():
+        for e in c.morphisms():
+            if e != P2.bar[f]:
+                bar = list(P2.bar)
+                bar[f] = e
+                fired |= _same_restriction_reports(
+                    RestrictionCategory(c, tuple(bar)))
+    assert fired == {"BAR-SHAPE", "R1", "R2", "R3", "R4"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_restriction_reports_match_oracle_with_one_composite_redirected(data):
+    # no longer a category: the laws read the redirected composite
+    c = P2.base
+    g, f = data.draw(st.sampled_from([k for k in sorted(c.comp)
+                                      if _others(c, *k)]))
+    d = _redirected(c, (g, f), data.draw(st.sampled_from(_others(c, g, f))))
+    _same_restriction_reports(RestrictionCategory(d, P2.bar))
+
+
+def _same_rp_reports(rps):
+    """check_rp_axioms equals the reference, entries and order; returns the
+    union of the reports' tags."""
+    tags = set()
+    for rp in rps:
+        report = rpsh.check_rp_axioms(rp)
+        assert report == oracles.rp_axioms(rp)
+        tags |= report.tags()
+    return tags
+
+
+def _bar_redirects(rp):
+    """rp with the bar of one element sent to each other map out of its
+    object, for every element."""
+    c = rp.rc.base
+    for a in c.objects:
+        for e in rp.presheaf.elements(a):
+            for d in c.out_of(a):
+                if d != rp.bar(a, e):
+                    bars = [list(col) for col in rp.bar_elem]
+                    bars[a][e] = d
+                    yield RestrictionPresheaf(rp.rc, rp.presheaf, tuple(
+                        tuple(col) for col in bars))
+
+
+def test_rp_reports_match_oracle_with_one_bar_redirected(transferred):
+    rps = [yoneda_jr(P2, a) for a in P2.base.objects] + transferred
+    assert _same_rp_reports(rps) == set()
+    assert _same_rp_reports(
+        mut for rp in rps for mut in _bar_redirects(rp)) == \
+        {"RP-SHAPE", "RP1", "RP2", "RP3", "RP-SANITY1", "RP-SANITY2"}
+
+
+def test_rp_reports_match_oracle_on_mutants():
+    from test_acceptance import _mutants
+    rps = _mutants(yoneda_jr(P2, 2), random.Random(7), 5) + \
+        _mutants(yoneda_jr(P2, 1), random.Random(20260823), 6)
+    assert "RP-PSH" in _same_rp_reports(rps)
+
+
+# -- the presheaf laws --------------------------------------------------------
+
+def _same_presheaf_verdicts(ps):
+    """check_presheaf equals the check on every entry of the comp table;
+    returns the number of presheaves that fail."""
+    verdicts = [check_presheaf(p) for p in ps]
+    assert verdicts == [oracles.presheaf_laws(p) for p in ps]
+    return verdicts.count(False)
+
+
+def _action_redirects(p):
+    """(f, p with one action entry of f sent to another element), for
+    every entry and element."""
+    c = p.cat
+    for (f, x), y in sorted(p.action.items()):
+        for z in p.elements(c.mor_src[f]):
+            if z != y:
+                yield f, Presheaf(c, p.sizes, {**p.action, (f, x): z},
+                                  p.elem_names)
+
+
+def test_presheaf_verdicts_match_oracle_on_fixtures(transferred, par_inj2):
+    ps = [p for name in sorted(CATS) for p in _presheaves(CATS[name])]
+    ps += [p for name in sorted(MCATS) for p in _fixture_presheaves(name)]
+    ps += [rp.presheaf for rp in transferred]
+    ps += [jrp_to_sheaf(par_inj2, rp).presheaf for rp in transferred]
+    assert _same_presheaf_verdicts(ps) == 0
+
+
+def test_presheaf_verdicts_match_oracle_on_sieve_subpresheaves():
+    for x in (P2, build_finset_p(3)):
+        assert _same_presheaf_verdicts(
+            [rp.presheaf for rp in _sieve_subpresheaves(x)]) == 0
+
+
+def test_presheaf_verdicts_match_oracle_with_one_action_redirected():
+    c = P2.base
+    muts = [m for a in c.objects for m in _action_redirects(yoneda(c, a))]
+    assert _same_presheaf_verdicts([p for f, p in muts]) > 0
+    # redirects at maps outside the generators are caught through them
+    gens = c.generators()
+    assert not any(check_presheaf(p) for f, p in muts
+                   if f not in gens and not c.is_identity(f))
+
+
+def test_presheaf_verdicts_match_oracle_over_a_broken_composite():
+    # no generators: every entry of the comp table is read
+    c = P2.base
+    ps = []
+    for g, f in sorted(c.comp)[::7]:
+        for h in _others(c, g, f)[:1]:
+            d = _redirected(c, (g, f), h)
+            assert d.generators() is None
+            ps += [Presheaf(d, p.sizes, p.action) for p in _presheaves(c)]
+    assert 0 < _same_presheaf_verdicts(ps) < len(ps)
 
 
 # -- the presheaf join laws --------------------------------------------------
