@@ -146,7 +146,7 @@ def _run(args) -> list:
 
     elif cmd == "build-par":
         pc = par(bundle.mcat)
-        reports.append(check_restriction_axioms(pc.rc))
+        reports.append(pc.axioms)
         extra["artifact"] = lambda: bundle_dict(pc.rc.base,
                                                 restriction=pc.rc.bar)
 

@@ -66,6 +66,7 @@ class FinCategory:
         self._out = {a: tuple(fs) for a, fs in out.items()}
         self._pullback_cache = {}
         self._isos = None
+        self._isos_into = None
         self._generators = _UNKNOWN
 
     # -- basic accessors ---------------------------------------------------
@@ -106,6 +107,15 @@ class FinCategory:
                         break
             self._isos = out
         return self._isos
+
+    def isos_into(self, b):
+        """The isomorphisms with target b, in ascending id order."""
+        if self._isos_into is None:
+            into = {a: [] for a in self.objects}
+            for f in self.isos():
+                into[self.mor_tgt[f]].append(f)
+            self._isos_into = {a: tuple(fs) for a, fs in into.items()}
+        return self._isos_into[b]
 
     def is_iso(self, f):
         return f in self.isos()

@@ -25,9 +25,11 @@ from .restriction import (RestrictionCategory, check_restriction_axioms,
 class MCategory:
     """A finite category with a class of monics.
 
-    matching_memo caches matching_colimit results by (family, object).  It
-    fills lazily, takes no part in equality or hashing, and hands the same
-    result object to every caller, so cached results must not be mutated.
+    matching_memo caches matching_colimit results by (family, object),
+    for the families asked for and for the families of their maximal
+    members that those results are rebuilt from.  It fills lazily, takes no
+    part in equality or hashing, and hands the same result object to every
+    caller, so cached results must not be mutated.
     """
     base: FinCategory
     monics: frozenset
@@ -70,8 +72,8 @@ def canonical_iso(mc: MCategory, m) -> int:
     c = mc.base
     dom = c.mor_src[m]
     best, best_phi = m, c.identity[dom]
-    for phi in c.isos():
-        if c.mor_tgt[phi] == dom and c.comp[(m, phi)] < best:
+    for phi in c.isos_into(dom):
+        if c.comp[(m, phi)] < best:
             best, best_phi = c.comp[(m, phi)], phi
     return best_phi
 
@@ -164,7 +166,31 @@ class MatchingColimit:
 
 def matching_colimit(mc: MCategory, family, obj=None):
     """Colimit of the matching diagram plus the induced map, or None.
-    Memoised in mc.matching_memo."""
+    Memoised in mc.matching_memo.
+
+    The cocone search runs on the maximal members only.  Member i is
+    dominated by member j when the canonical pullback (p, q) of (m_i, m_j)
+    has an iso p; dominated members are dropped one at a time, each for a
+    member still kept.  The result is the one the full search gives, in
+    every category where the pairwise pullbacks exist:
+
+    - In every cocone under the full diagram, leg_i∘p == leg_j∘q, so the
+      leg of a dropped i is forced: leg_i == leg_j∘q∘p⁻¹.
+    - Every other arrow condition of i follows from those of the members
+      still there: at the pullback (p', q') of (m_i, m_k), the cone
+      (q∘p⁻¹∘p', q') over (m_j, m_k) factors through their pullback, where
+      leg_j and leg_k agree; so leg_i∘p' == leg_k∘q'.  Adding the dropped
+      members back in reverse drop order, the cocones under the kept and
+      under the full family correspond naturally in the apex: the two
+      cocone functors are isomorphic, and the same apexes carry universal
+      cocones.
+    - The universal cocones at one apex L form a single orbit ψ∘legs under
+      the automorphisms ψ of L.  `colimit` picks the least of them in leg
+      order, and so does the least ψ∘legs over that orbit; the member legs
+      decide the order, since they determine the legs at pair vertices.
+
+    The kept family's own result comes from this memo too.
+    """
     c = mc.base
     family = tuple(family)
     if obj is None:
@@ -178,13 +204,58 @@ def matching_colimit(mc: MCategory, family, obj=None):
 def _matching_colimit(mc: MCategory, family, obj):
     c = mc.base
     d = matching_diagram(mc, family, obj)
-    coc = colimit(c, d)
+    drops = _dominated(c, family)
+    if not drops:
+        coc = colimit(c, d)
+    else:
+        dropped = {i for i, _, _ in drops}
+        kept = [i for i in range(len(family)) if i not in dropped]
+        sub = matching_colimit(mc, tuple(family[i] for i in kept), obj)
+        coc = None if sub is None else _rebuild(c, d, kept, drops, sub.cocone)
     if coc is None:
         return None
     mu = mediating(c, coc, obj, family)
     if mu is None:
         raise InternalInvariantError("no unique induced map from matching colimit")
     return MatchingColimit(d, coc, mu)
+
+
+def _dominated(c: FinCategory, family):
+    """The members of the family that are dropped, in drop order, as
+    (i, j, g): member j was still kept when i was dropped, and every cocone
+    under the matching diagram has leg_i == leg_j∘g.  Members are taken in
+    order, and each is dropped for the first kept j whose pullback leg p
+    is an iso."""
+    isos = c.isos()
+    kept = list(range(len(family)))
+    drops = []
+    for i, m in enumerate(family):
+        for j in kept:
+            if j == i:
+                continue
+            cone = pullback(c, m, family[j])
+            if cone.p in isos:
+                drops.append((i, j, c.comp[(cone.q, isos[cone.p])]))
+                kept.remove(i)
+                break
+    return drops
+
+
+def _rebuild(c: FinCategory, d: Diagram, kept, drops, sub: Cocone) -> Cocone:
+    """The colimit cocone under the full matching diagram d from sub, the
+    one under the members listed in kept: dropped legs filled in reverse
+    drop order, the least ψ∘legs over the automorphisms ψ of the apex, then
+    a leg at each pair vertex v from its first arrow (v, i, p)."""
+    legs = [None] * (len(kept) + len(drops))
+    for i, leg in zip(kept, sub.legs):
+        legs[i] = leg
+    for i, j, g in reversed(drops):
+        legs[i] = c.comp[(legs[j], g)]
+    apex = sub.apex
+    best = min(tuple([c.comp[(psi, leg)] for leg in legs])
+               for psi in c.isos_into(apex) if c.mor_src[psi] == apex)
+    return Cocone(apex, best + tuple([c.comp[(best[i], p)]
+                                      for _, i, p in d.arrows[::2]]))
 
 
 def is_geometric(mc: MCategory, max_family=None) -> LawReport:
@@ -271,11 +342,10 @@ def canonical_span(mc: MCategory, m, f):
     c = mc.base
     dom = c.mor_src[m]
     best = (dom, m, f)
-    for phi in c.isos():
-        if c.mor_tgt[phi] == dom:
-            cand = (c.mor_src[phi], c.comp[(m, phi)], c.comp[(f, phi)])
-            if cand < best:
-                best = cand
+    for phi in c.isos_into(dom):
+        cand = (c.mor_src[phi], c.comp[(m, phi)], c.comp[(f, phi)])
+        if cand < best:
+            best = cand
     return best[1], best[2]
 
 
@@ -295,12 +365,14 @@ class ParCategory:
     """Par(C, M) with canonical span representatives.
 
     Objects are shared with the base M-category; morphism i is the span
-    spans[i] == (m, f) with m in M.
+    spans[i] == (m, f) with m in M.  axioms is the restriction-axiom report
+    that `par` checked it against.
     """
     rc: RestrictionCategory
     mc: MCategory
     spans: tuple
     span_id: dict  # canonical (m, f) -> morphism id
+    axioms: LawReport
 
     def id_of_span(self, m, f):
         return self.span_id[canonical_span(self.mc, m, f)]
@@ -327,7 +399,7 @@ def par(mc: MCategory) -> ParCategory:
         raise InternalInvariantError(
             f"Par output fails restriction axioms:\n{rep}")
     _verify_split(rc)
-    return ParCategory(rc, mc, spans, span_id)
+    return ParCategory(rc, mc, spans, span_id, rep)
 
 
 def _verify_split(rc: RestrictionCategory):

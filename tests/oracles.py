@@ -5,11 +5,13 @@ fixtures."""
 import itertools
 from functools import partial
 
+from rcwb import fincat
 from rcwb.fincat import (Cocone, Functor, PullbackCone, colimit,
-                         empty_diagram, pullback)
+                         empty_diagram, mediating, pullback)
 from rcwb.fixtures import subsets_category
 from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
                         hom_poset, join as hom_join)
+from rcwb.mcat import MatchingColimit, matching_diagram
 from rcwb.reports import InternalInvariantError, LawReport
 from rcwb.restriction import (RestrictionCategory, compatible,
                               is_restriction_functor, leq,
@@ -173,6 +175,45 @@ def induced_map(c, d, coc, apex, legs):
              if all(c.comp[(h, leg)] == want
                     for leg, want in zip(coc.legs, target))]
     return found[0] if len(found) == 1 else None
+
+
+def matching_colimit(mc, family, obj):
+    """The colimit of the whole matching diagram of the family and the map
+    it induces into obj, with no member dropped, or None; the reference for
+    mcat.matching_colimit.  The cocone search is fincat.colimit's, which
+    the brute-force colimit above checks on smaller diagrams."""
+    c = mc.base
+    d = matching_diagram(mc, family, obj)
+    coc = fincat.colimit(c, d)
+    if coc is None:
+        return None
+    return MatchingColimit(d, coc, mediating(c, coc, obj, tuple(family)))
+
+
+def canonical_iso(mc, m):
+    """The first iso phi into dom m, over every iso of the category in id
+    order, that minimises m∘phi; the reference for mcat.canonical_iso."""
+    c = mc.base
+    dom = c.mor_src[m]
+    best, best_phi = m, c.identity[dom]
+    for phi in c.isos():
+        if c.mor_tgt[phi] == dom and c.comp[(m, phi)] < best:
+            best, best_phi = c.comp[(m, phi)], phi
+    return best_phi
+
+
+def canonical_span(mc, m, f):
+    """The least (apex, m∘phi, f∘phi) over every iso phi of the category
+    into dom m, in id order; the reference for mcat.canonical_span."""
+    c = mc.base
+    dom = c.mor_src[m]
+    best = (dom, m, f)
+    for phi in c.isos():
+        if c.mor_tgt[phi] == dom:
+            cand = (c.mor_src[phi], c.comp[(m, phi)], c.comp[(f, phi)])
+            if cand < best:
+                best = cand
+    return best[1], best[2]
 
 
 def _one_each(cones, images):

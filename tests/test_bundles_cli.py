@@ -3,7 +3,7 @@ import json
 import pytest
 
 from oracles import trivial_restriction
-from rcwb import cli, rpsh, site
+from rcwb import cli, mcat, restriction, rpsh, site
 from rcwb.bridge import sheaf_to_jrp
 from rcwb.bundles import (BundleError, build_fixture, bundle_dict,
                           dump_bundle, load_bundle, resolve_bundle)
@@ -423,3 +423,19 @@ def test_cli_sheaf_check_enumerates_matching_families_once(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     assert main(["sheaf-check", "finset_inj_2", "yset2"]) == 0
     assert len(calls) == 5
+
+
+def test_cli_build_par_checks_the_restriction_axioms_once(tmp_path,
+                                                         monkeypatch):
+    # par's own invariant check is the report the CLI prints
+    calls = []
+    real = restriction.check_restriction_axioms
+    for module in (restriction, mcat, cli):
+        monkeypatch.setattr(module, "check_restriction_axioms",
+                            lambda x: calls.append(x) or real(x))
+    out = tmp_path / "out.json"
+    assert main(["build-par", "finset_inj_2", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert [(rep["name"], rep["ok"])
+            for rep in json.loads(out.read_text())["reports"]] == [
+        ("restriction", True)]

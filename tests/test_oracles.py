@@ -17,7 +17,7 @@ from rcwb.fincat import (Diagram, FinCategory, cocones_at, colimit,
 from rcwb.fixtures import (build_finset, build_finset_data, build_finset_mcat,
                            build_finset_p, build_finset_p_data,
                            build_nojoin_fixture, subsets_category)
-from rcwb.joins import FinitePoset, check_join_axioms, hom_poset
+from rcwb.joins import FinitePoset, check_join_axioms, families, hom_poset
 from rcwb.mcat import (MCategory, karoubi_r, matching_colimit,
                        matching_diagram, par, sub_m)
 from rcwb.restriction import (RestrictionCategory, check_restriction_axioms,
@@ -446,6 +446,116 @@ def test_mediating_matches_induced_map_oracle_on_par_families(pc_inj):
             pairs += 1
             induced += gamma is not None
     assert (pairs, induced) == (126, 86)
+
+
+# -- matching colimits on the maximal members ---------------------------------
+
+def _inj3_all():
+    """The 24-map subcategory of FinSet<=3 whose maps are the injections,
+    with every map in M."""
+    data = build_finset_data(3)
+    c = data.cat
+    keep = [f for f in c.morphisms()
+            if len(set(data.graphs[f])) == len(data.graphs[f])]
+    cat = subcategory(c, c.objects, keep).cat
+    return MCategory(cat, frozenset(cat.morphisms()))
+
+
+def _same_matching_colimit(mc, fam, obj):
+    """matching_colimit equals the full search.  Returns whether the family
+    has a colimit and drops a member, and whether the kept family's colimit
+    legs then differ from the full search's at the kept members, so that
+    only an automorphism ψ != id of the apex carries one to the other."""
+    want = oracles.matching_colimit(mc, fam, obj)
+    assert matching_colimit(mc, fam, obj) == want
+    dropped = {i for i, _, _ in mcat._dominated(mc.base, fam)}
+    if not dropped or want is None:
+        return False, False
+    kept = [i for i in range(len(fam)) if i not in dropped]
+    sub = matching_colimit(mc, tuple(fam[i] for i in kept), obj)
+    legs = tuple(want.cocone.legs[i] for i in kept)
+    return True, legs != sub.cocone.legs[:len(kept)]
+
+
+MAXIMAL = {  # families, reduced, needing ψ != id, no colimit
+    "finset_inj_2": (lambda: build_finset_mcat(2, "inj"), (22, 11, 2, 0)),
+    "finset_inj_3": (lambda: build_finset_mcat(3, "inj"), (278, 247, 130, 0)),
+    "finset_iso_3": (lambda: build_finset_mcat(3, "iso"), (8, 0, 0, 0)),
+    "inj3_all": (_inj3_all, (278, 176, 90, 82)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAXIMAL))
+def test_matching_colimits_match_full_search(name):
+    # every family of canonical subobjects, unbounded, on a fresh memo; a
+    # build without the least ψ∘legs differs on the families of the third
+    # count
+    build, counts = MAXIMAL[name]
+    mc = build()
+    seen = [0, 0, 0, 0]
+    for obj in mc.base.objects:
+        for fam in families(sub_m(mc, obj).elements):
+            reduced, moved = _same_matching_colimit(mc, fam, obj)
+            seen[0] += 1
+            seen[1] += reduced
+            seen[2] += moved
+            seen[3] += matching_colimit(mc, fam, obj) is None
+    assert tuple(seen) == counts
+
+
+def test_matching_colimits_of_repeated_and_unsorted_families():
+    # subobjects of set3 by position in Sub_M: a repeated member is dropped
+    # for its other copy; the last two families need ψ != id
+    mc = build_finset_mcat(3, "inj")
+    els = sub_m(mc, 3).elements
+    fams = [(1, 1), (5, 5, 6), tuple(range(7, -1, -1)), (1, 2, 1), (2, 4, 0)]
+    seen = [_same_matching_colimit(mc, tuple(els[i] for i in fam), 3)
+            for fam in fams]
+    assert seen == [(True, False)] * 3 + [(True, True)] * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(MAXIMAL)), st.data())
+def test_matching_colimits_of_drawn_families_match_full_search(name, data):
+    # ordered families with repeats, over all of M rather than canonical reps
+    mc = MAXIMAL[name][0]()
+    c = mc.base
+    obj = data.draw(st.sampled_from(c.objects))
+    into = sorted(m for m in mc.monics if c.mor_tgt[m] == obj)
+    _same_matching_colimit(mc, data.draw(st.lists(st.sampled_from(into),
+                                                  max_size=4)), obj)
+
+
+def test_matching_colimits_of_par_monic_legs_match_full_search(pc_inj):
+    # the monic legs of every compatible family of spans in Par(finset_inj_2)
+    x = pc_inj.rc
+    monic_legs = {(a, tuple(pc_inj.spans[i][0] for i in fam))
+                  for a in x.base.objects for b in x.base.objects
+                  for fam in hom_poset(x, a, b).families()}
+    mc = MCategory(pc_inj.mc.base, pc_inj.mc.monics)
+    seen = [_same_matching_colimit(mc, monics, a)
+            for a, monics in sorted(monic_legs)]
+    assert (len(seen), sum(r for r, _ in seen),
+            sum(m for _, m in seen)) == (22, 11, 2)
+
+
+@pytest.mark.parametrize("n, kind, counts", [
+    (2, "inj", (8, 1, 28, 5)), (3, "inj", (24, 9, 380, 236)),
+    (3, "iso", (10, 6, 254, 194))])
+def test_canonical_isos_and_spans_match_the_scan_over_every_iso(n, kind,
+                                                                counts):
+    # every monic, and every span (m, f) out of its domain; counts: monics,
+    # those not already canonical, spans, those not already canonical
+    mc = build_finset_mcat(n, kind)
+    c = mc.base
+    monics = sorted(mc.monics)
+    spans = [(m, f) for m in monics for f in c.out_of(c.mor_src[m])]
+    isos = [mcat.canonical_iso(mc, m) for m in monics]
+    assert isos == [oracles.canonical_iso(mc, m) for m in monics]
+    canon = [mcat.canonical_span(mc, m, f) for m, f in spans]
+    assert canon == [oracles.canonical_span(mc, m, f) for m, f in spans]
+    assert (len(monics), sum(not c.is_identity(phi) for phi in isos),
+            len(spans), sum(s != t for s, t in zip(canon, spans))) == counts
 
 
 # -- the matching-colimit memo ------------------------------------------------
