@@ -86,9 +86,7 @@ def recipe_join(tr: TransferredJRP, a, members):
         return None, "no matching colimit"
     if mcol.mu not in pc.mc.monics:
         return None, "induced map not a monic of the system"
-    legs = mcol.cocone.legs[:len(family)]
-    apex = mcol.cocone.apex
-    amalg = amalgamations(p, apex, legs, felems)
+    amalg = amalgamations(p, mcol.cocone.apex, mcol.cocone.legs, felems)
     if len(amalg) != 1:
         return None, f"{len(amalg)} amalgamations"
     return tr.index[a][canonical_pair(pc.mc, p, mcol.mu, amalg[0])], None

@@ -127,20 +127,14 @@ def sub_m(mc: MCategory, obj) -> SubMPoset:
 
 # -- matching diagrams -------------------------------------------------------
 
-def matching_diagram(mc: MCategory, family, obj=None) -> Diagram:
+def matching_diagram(mc: MCategory, family, obj) -> Diagram:
     """The diagram of pairwise pullbacks of a family of M-subobjects: the
     members m_0..m_{k-1} are vertices 0..k-1, and each ordered pair i != j,
     in turn, adds the apex of the pullback (p, q) of m_i and m_j as a vertex
     v with the arrows (v, i, p) and (v, j, q)."""
     c = mc.base
     family = tuple(family)
-    if obj is None:
-        if not family:
-            raise ValueError("empty family needs an explicit target object")
-        obj = c.mor_tgt[family[0]]
-    for m in family:
-        if m not in mc.monics or c.mor_tgt[m] != obj:
-            raise ValueError(f"{m} is not an M-subobject of {obj}")
+    _require_subobjects(mc, family, obj)
     k = len(family)
     objs = [c.mor_src[m] for m in family]
     arrows = []
@@ -157,22 +151,32 @@ def matching_diagram(mc: MCategory, family, obj=None) -> Diagram:
     return Diagram(tuple(objs), tuple(arrows))
 
 
+def _require_subobjects(mc: MCategory, family, obj):
+    for m in family:
+        if m not in mc.monics or mc.base.mor_tgt[m] != obj:
+            raise ValueError(f"{m} is not an M-subobject of {obj}")
+
+
 @dataclass(frozen=True)
 class MatchingColimit:
-    diagram: Diagram
-    cocone: Cocone      # the colimit: legs a_i into the union
+    cocone: Cocone      # the colimit: one leg a_i per member, into the union
     mu: int             # induced map from the union into the target object
 
 
-def matching_colimit(mc: MCategory, family, obj=None):
+def matching_colimit(mc: MCategory, family, obj):
     """Colimit of the matching diagram plus the induced map, or None.
     Memoised in mc.matching_memo.
 
-    The cocone search runs on the maximal members only.  Member i is
-    dominated by member j when the canonical pullback (p, q) of (m_i, m_j)
-    has an iso p; dominated members are dropped one at a time, each for a
-    member still kept.  The result is the one the full search gives, in
-    every category where the pairwise pullbacks exist:
+    The cocone keeps the legs at the members only: the leg at a pair vertex
+    v with first arrow (v, i, p) is leg_i∘p, so the member legs decide a
+    cocone under the matching diagram.
+
+    The cocone search runs on the maximal members only, and the matching
+    diagram is built only for a family with no dominated member.  Member i
+    is dominated by member j when the canonical pullback (p, q) of
+    (m_i, m_j) has an iso p; dominated members are dropped one at a time,
+    each for a member still kept.  The result is the one the full search
+    gives, in every category where the pairwise pullbacks exist:
 
     - In every cocone under the full diagram, leg_i∘p == leg_j∘q, so the
       leg of a dropped i is forced: leg_i == leg_j∘q∘p⁻¹.
@@ -191,33 +195,31 @@ def matching_colimit(mc: MCategory, family, obj=None):
 
     The kept family's own result comes from this memo too.
     """
-    c = mc.base
-    family = tuple(family)
-    if obj is None:
-        obj = c.mor_tgt[family[0]]
-    key = (family, obj)
+    key = (tuple(family), obj)
     if key not in mc.matching_memo:
-        mc.matching_memo[key] = _matching_colimit(mc, family, obj)
+        mc.matching_memo[key] = _matching_colimit(mc, *key)
     return mc.matching_memo[key]
 
 
 def _matching_colimit(mc: MCategory, family, obj):
     c = mc.base
-    d = matching_diagram(mc, family, obj)
+    _require_subobjects(mc, family, obj)
     drops = _dominated(c, family)
     if not drops:
-        coc = colimit(c, d)
+        full = colimit(c, matching_diagram(mc, family, obj))
+        coc = None if full is None else Cocone(full.apex,
+                                               full.legs[:len(family)])
     else:
         dropped = {i for i, _, _ in drops}
         kept = [i for i in range(len(family)) if i not in dropped]
         sub = matching_colimit(mc, tuple(family[i] for i in kept), obj)
-        coc = None if sub is None else _rebuild(c, d, kept, drops, sub.cocone)
+        coc = None if sub is None else _rebuild(c, kept, drops, sub.cocone)
     if coc is None:
         return None
     mu = mediating(c, coc, obj, family)
     if mu is None:
         raise InternalInvariantError("no unique induced map from matching colimit")
-    return MatchingColimit(d, coc, mu)
+    return MatchingColimit(coc, mu)
 
 
 def _dominated(c: FinCategory, family):
@@ -241,21 +243,19 @@ def _dominated(c: FinCategory, family):
     return drops
 
 
-def _rebuild(c: FinCategory, d: Diagram, kept, drops, sub: Cocone) -> Cocone:
-    """The colimit cocone under the full matching diagram d from sub, the
-    one under the members listed in kept: dropped legs filled in reverse
-    drop order, the least ψ∘legs over the automorphisms ψ of the apex, then
-    a leg at each pair vertex v from its first arrow (v, i, p)."""
+def _rebuild(c: FinCategory, kept, drops, sub: Cocone) -> Cocone:
+    """The colimit cocone under the full family from sub, the one under the
+    members listed in kept: dropped legs filled in reverse drop order, then
+    the least ψ∘legs over the automorphisms ψ of the apex."""
     legs = [None] * (len(kept) + len(drops))
     for i, leg in zip(kept, sub.legs):
         legs[i] = leg
     for i, j, g in reversed(drops):
         legs[i] = c.comp[(legs[j], g)]
     apex = sub.apex
-    best = min(tuple([c.comp[(psi, leg)] for leg in legs])
-               for psi in c.isos_into(apex) if c.mor_src[psi] == apex)
-    return Cocone(apex, best + tuple([c.comp[(best[i], p)]
-                                      for _, i, p in d.arrows[::2]]))
+    return Cocone(apex, min(tuple([c.comp[(psi, leg)] for leg in legs])
+                            for psi in c.isos_into(apex)
+                            if c.mor_src[psi] == apex))
 
 
 def is_geometric(mc: MCategory, max_family=None) -> LawReport:

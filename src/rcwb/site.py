@@ -281,50 +281,43 @@ def generate_topology(mc: MCategory) -> Topology:
         for fam in fams:
             covers[a].add(generate_sieve(c, a, fam))
     all_sieves = {a: sieves_on(c, a) for a in c.objects}
-    changed = True
-    while changed:
-        changed = False
-        for a in c.objects:
-            if maximal_sieve(c, a) not in covers[a]:
-                covers[a].add(maximal_sieve(c, a))
-                changed = True
-            for s in list(covers[a]):
-                for f in c.into(a):
-                    b = c.mor_src[f]
-                    fs = sieve_pullback(c, s, f)
-                    if fs not in covers[b]:
-                        covers[b].add(fs)
-                        changed = True
-            for t in all_sieves[a]:
-                if t in covers[a]:
-                    continue
-                for r in covers[a]:
-                    if all(sieve_pullback(c, t, f) in covers[c.mor_src[f]]
-                           for f in r):
-                        covers[a].add(t)
-                        changed = True
-                        break
+    while _saturate(c, covers, all_sieves):
+        pass
     return Topology(c, tuple(frozenset(s) for s in covers))
 
 
 def saturation_is_fixpoint(top: Topology) -> bool:
     """One more saturation pass adds no covering sieve."""
     c = top.cat
+    return not _saturate(c, [set(s) for s in top.covers],
+                         {a: sieves_on(c, a) for a in c.objects})
+
+
+def _saturate(c: FinCategory, covers, sieves) -> bool:
+    """One pass of the maximality, stability and transitivity rules over
+    every object, adding to covers in place; whether any sieve was added."""
+    changed = False
     for a in c.objects:
-        if maximal_sieve(c, a) not in top.covers[a]:
-            return False
-        for s in top.covers[a]:
+        if maximal_sieve(c, a) not in covers[a]:
+            covers[a].add(maximal_sieve(c, a))
+            changed = True
+        for s in list(covers[a]):
             for f in c.into(a):
-                if sieve_pullback(c, s, f) not in top.covers[c.mor_src[f]]:
-                    return False
-        for t in sieves_on(c, a):
-            if t in top.covers[a]:
+                b = c.mor_src[f]
+                fs = sieve_pullback(c, s, f)
+                if fs not in covers[b]:
+                    covers[b].add(fs)
+                    changed = True
+        for t in sieves[a]:
+            if t in covers[a]:
                 continue
-            for r in top.covers[a]:
-                if all(sieve_pullback(c, t, f) in top.covers[c.mor_src[f]]
+            for r in covers[a]:
+                if all(sieve_pullback(c, t, f) in covers[c.mor_src[f]]
                        for f in r):
-                    return False
-    return True
+                    covers[a].add(t)
+                    changed = True
+                    break
+    return changed
 
 
 # -- matching families, sheaves ------------------------------------------------

@@ -6,7 +6,7 @@ import itertools
 from functools import partial
 
 from rcwb import fincat
-from rcwb.fincat import (Cocone, Functor, PullbackCone, colimit,
+from rcwb.fincat import (Cocone, Functor, PullbackCone,
                          empty_diagram, mediating, pullback)
 from rcwb.fixtures import subsets_category
 from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
@@ -17,7 +17,8 @@ from rcwb.restriction import (RestrictionCategory, compatible,
                               is_restriction_functor, leq,
                               restriction_idempotents)
 from rcwb.rpsh import check_rp_axioms, element_join, element_poset
-from rcwb.site import Presheaf, generate_sieve
+from rcwb.site import (Presheaf, generate_sieve, maximal_sieve,
+                       sieve_pullback)
 
 
 def least_upper_bound(elements, leq, members):
@@ -95,6 +96,29 @@ def sieves_on(c, a):
         for gens in itertools.combinations(into, r):
             out.add(generate_sieve(c, a, gens))
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def saturation_is_fixpoint(top) -> bool:
+    """Whether no maximality, stability or transitivity rule adds a sieve
+    to the covers, checked rule by rule on the covers as given, with the
+    sieves from the subset closure above; the reference for
+    site.saturation_is_fixpoint."""
+    c = top.cat
+    for a in c.objects:
+        if maximal_sieve(c, a) not in top.covers[a]:
+            return False
+        for s in top.covers[a]:
+            for f in c.into(a):
+                if sieve_pullback(c, s, f) not in top.covers[c.mor_src[f]]:
+                    return False
+        for t in sieves_on(c, a):
+            if t in top.covers[a]:
+                continue
+            for r in top.covers[a]:
+                if all(sieve_pullback(c, t, f) in top.covers[c.mor_src[f]]
+                       for f in r):
+                    return False
+    return True
 
 
 def cocones_at(c, d, apex):
@@ -181,13 +205,18 @@ def matching_colimit(mc, family, obj):
     """The colimit of the whole matching diagram of the family and the map
     it induces into obj, with no member dropped, or None; the reference for
     mcat.matching_colimit.  The cocone search is fincat.colimit's, which
-    the brute-force colimit above checks on smaller diagrams."""
+    the brute-force colimit above checks on smaller diagrams.  The result
+    keeps the legs at the members, after asserting that the leg at each
+    pair vertex v is leg_i∘p for the first arrow (v, i, p) out of v."""
     c = mc.base
     d = matching_diagram(mc, family, obj)
     coc = fincat.colimit(c, d)
     if coc is None:
         return None
-    return MatchingColimit(d, coc, mediating(c, coc, obj, tuple(family)))
+    for v, i, p in d.arrows[::2]:     # the first arrow out of each v
+        assert coc.legs[v] == c.comp[(coc.legs[i], p)]
+    return MatchingColimit(Cocone(coc.apex, coc.legs[:len(family)]),
+                           mediating(c, coc, obj, tuple(family)))
 
 
 def canonical_iso(mc, m):

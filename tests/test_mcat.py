@@ -46,6 +46,15 @@ def test_matching_colimit_of_singletons_covers_two_set(mc_inj):
     assert subobject_rep(mc_inj, mcol.mu) == poset.top()
 
 
+def test_matching_colimit_rejects_a_dominated_member_outside_m(mc_iso):
+    # an injection set1 -> set2 is not in M = isos, and the identity of set2
+    # dominates it, so it would be dropped before any diagram is built
+    c = mc_iso.base
+    inj = next(f for f in c.hom(1, 2) if f not in mc_iso.monics)
+    with pytest.raises(ValueError, match="not an M-subobject"):
+        matching_colimit(mc_iso, (c.identity[2], inj), 2)
+
+
 def test_geometric_accepts_inj(mc_inj):
     assert is_geometric(mc_inj).ok
 

@@ -25,9 +25,10 @@ from rcwb.restriction import (RestrictionCategory, check_restriction_axioms,
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, collage,
                        element_compatible, element_join, element_leq,
                        element_poset, yoneda_jr)
-from rcwb.site import (Presheaf, all_nat_trans, basis_covers, check_presheaf,
-                       constant_presheaf, find_presheaf_iso,
-                       matching_families, sieve_subpresheaf, sieves_on,
+from rcwb.site import (Presheaf, Topology, all_nat_trans, basis_covers,
+                       check_presheaf, constant_presheaf, find_presheaf_iso,
+                       generate_topology, matching_families,
+                       saturation_is_fixpoint, sieve_subpresheaf, sieves_on,
                        sigma_classifier, yoneda)
 
 MCATS = {"finset_inj_2": build_finset_mcat(2, "inj"),
@@ -282,6 +283,26 @@ def test_sieves_match_oracle_on_generated_subcategories(gens):
         assert sieves_on(sub, a) == oracles.sieves_on(sub, a)
 
 
+@pytest.mark.parametrize("name, counts", [("finset_inj_2", (5, 3)),
+                                          ("finset_iso_2", (4, 3))])
+def test_fixpoint_verdicts_match_oracle_on_topologies_less_one_sieve(name,
+                                                                     counts):
+    # each covering sieve of the generated topology deleted in turn; counts:
+    # mutants, and those a saturation pass adds a sieve back to (TOP-FIX)
+    top = generate_topology(MCATS[name])
+    assert saturation_is_fixpoint(top) and oracles.saturation_is_fixpoint(top)
+    mutants = rejected = 0
+    for a, covers in enumerate(top.covers):
+        for s in sorted(covers, key=sorted):
+            mutant = Topology(top.cat, top.covers[:a] + (covers - {s},)
+                              + top.covers[a + 1:])
+            verdict = saturation_is_fixpoint(mutant)
+            assert verdict == oracles.saturation_is_fixpoint(mutant)
+            mutants += 1
+            rejected += not verdict
+    assert (mutants, rejected) == counts
+
+
 # -- pullbacks ----------------------------------------------------------------
 
 def _same_pullbacks(c):
@@ -438,11 +459,14 @@ def test_mediating_matches_induced_map_oracle_on_par_families(pc_inj):
     pairs = induced = 0
     for a, b, monics in sorted(monic_legs):
         mcol = matching_colimit(pc_inj.mc, monics, a)
+        d = matching_diagram(pc_inj.mc, monics, a)
+        full = colimit(c, d)
+        assert full.apex == mcol.cocone.apex
+        assert full.legs[:len(monics)] == mcol.cocone.legs
         for legs in itertools.product(*(c.hom(c.mor_src[m], b)
                                         for m in monics)):
             gamma = mediating(c, mcol.cocone, b, legs)
-            assert gamma == oracles.induced_map(c, mcol.diagram, mcol.cocone,
-                                                b, legs)
+            assert gamma == oracles.induced_map(c, d, full, b, legs)
             pairs += 1
             induced += gamma is not None
     assert (pairs, induced) == (126, 86)
@@ -474,7 +498,7 @@ def _same_matching_colimit(mc, fam, obj):
     kept = [i for i in range(len(fam)) if i not in dropped]
     sub = matching_colimit(mc, tuple(fam[i] for i in kept), obj)
     legs = tuple(want.cocone.legs[i] for i in kept)
-    return True, legs != sub.cocone.legs[:len(kept)]
+    return True, legs != sub.cocone.legs
 
 
 MAXIMAL = {  # families, reduced, needing ψ != id, no colimit
@@ -537,6 +561,29 @@ def test_matching_colimits_of_par_monic_legs_match_full_search(pc_inj):
             for a, monics in sorted(monic_legs)]
     assert (len(seen), sum(r for r, _ in seen),
             sum(m for _, m in seen)) == (22, 11, 2)
+
+
+def test_matching_diagrams_are_built_for_kept_families_only(monkeypatch):
+    # every family of finset_inj_3 on a fresh memo: one diagram per distinct
+    # family of maximal members, and none for a family that drops a member
+    mc = build_finset_mcat(3, "inj")
+    built = []
+
+    def spy(mc, family, obj):
+        built.append((tuple(family), obj))
+        return matching_diagram(mc, family, obj)
+
+    monkeypatch.setattr(mcat, "matching_diagram", spy)
+    kept = set()
+    for obj in mc.base.objects:
+        for fam in families(sub_m(mc, obj).elements):
+            dropped = {i for i, _, _ in mcat._dominated(mc.base, fam)}
+            kept.add((tuple(m for i, m in enumerate(fam) if i not in dropped),
+                      obj))
+            matching_colimit(mc, fam, obj)
+    assert all(mcat._dominated(mc.base, fam) == [] for fam, _ in built)
+    assert sorted(built) == sorted(kept)
+    assert (len(built), len(kept)) == (31, 31)
 
 
 @pytest.mark.parametrize("n, kind, counts", [

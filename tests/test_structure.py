@@ -31,6 +31,10 @@ def _callers(pattern):
     (r"\bFinCategory\(", {("fincat", "build_category"),
                           ("bundles", "load_bundle")}),
     (r"\bPresheaf\(", {("site", "build_presheaf")}),
+    # its own def line, and the one caller, which builds the diagram only
+    # for a family with no dominated member
+    (r"\bmatching_diagram\(", {("mcat", "_matching_colimit"),
+                                ("mcat", "matching_diagram")}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
