@@ -20,9 +20,9 @@ from .reports import InternalInvariantError, LawReport
 from .restriction import RestrictionCategory, is_restriction_idempotent
 from .rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
                    element_poset, find_rp_iso, yoneda_jr)
-from .site import (Presheaf, Topology, amalgamations, basis_covers,
-                   build_presheaf, find_presheaf_iso, generate_topology,
-                   is_sheaf, subcanonical_report, yoneda)
+from .site import (Presheaf, Topology, amalgamations, build_presheaf,
+                   find_presheaf_iso, generate_topology, is_sheaf,
+                   subcanonical_report, yoneda)
 
 
 # -- sheaf -> join restriction presheaf ----------------------------------------
@@ -148,11 +148,12 @@ def amalgamation_formula_report(pc: ParCategory, top: Topology,
                                 rp: RestrictionPresheaf,
                                 max_family=None) -> LawReport:
     """The total-element presheaf is a sheaf, and each matching family for a
-    monic cover amalgamates to the join of the partial inverses, uniquely."""
+    monic cover amalgamates to the join of the partial inverses, uniquely.
+    The covers are top.basis, so top must be generated from pc.mc."""
     report = LawReport("amalgamation")
     dot = jrp_to_sheaf(pc, rp)
     report.extend(is_sheaf(dot.presheaf, top))
-    for a, fams in enumerate(basis_covers(pc.mc)):
+    for a, fams in enumerate(top.basis):
         for fam in fams:
             if not fam or (max_family is not None and len(fam) > max_family):
                 continue

@@ -102,14 +102,23 @@ def _resolve_presheaf(bundle: Bundle, name):
     if name in bundle.presheaves:
         psh = bundle.presheaves[name][0]
         return psh, _presheaf_report(name, psh)
-    cat = bundle.cat
+    obj = _object_named(bundle.cat, name)
+    if obj is None:
+        raise BundleError(
+            f"$.presheaves: no presheaf or object named {name!r}")
+    return yoneda(bundle.cat, obj), None
+
+
+def _object_named(cat, name):
+    """The object named name, or by name less a leading y (y<object>), or
+    None."""
     candidates = [name]
     if name.startswith("y"):
         candidates.append(name[1:])
     for cand in candidates:
         if cand in cat.obj_names:
-            return yoneda(cat, cat.obj_names.index(cand)), None
-    raise BundleError(f"$.presheaves: no presheaf or object named {name!r}")
+            return cat.obj_names.index(cand)
+    return None
 
 
 def _run(args) -> list:
@@ -127,6 +136,14 @@ def _run(args) -> list:
         psh, psh_gate = _resolve_presheaf(bundle, args.presheaf)
         if psh_gate is not None and not psh_gate.ok:
             return [psh_gate], extra
+    elif cmd == "transfer":
+        obj = _object_named(bundle.cat, args.presheaf)
+        if obj is None:
+            name = args.presheaf
+            cand = name[1:] if name.startswith("y") else name
+            raise BundleError(
+                f"$: to-sheaf expects a representable y<object>; "
+                f"no object named {cand!r}")
 
     if cmd == "check-laws":
         reports.append(validate_category(bundle.cat))
@@ -203,13 +220,7 @@ def _run(args) -> list:
                     presheaves={"transferred": (rp.presheaf, rp.bar_elem)})
             extra["artifact"] = artifact
         else:
-            name = args.presheaf
-            cand = name[1:] if name.startswith("y") else name
-            if cand not in pc.rc.base.obj_names:
-                raise BundleError(
-                    f"$: to-sheaf expects a representable y<object>; "
-                    f"no object named {cand!r}")
-            rp = yoneda_jr(pc.rc, pc.rc.base.obj_names.index(cand))
+            rp = yoneda_jr(pc.rc, obj)
             reports.append(amalgamation_formula_report(pc, top, rp,
                                                        args.max_family))
             extra["artifact"] = lambda: bundle_dict(

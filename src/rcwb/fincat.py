@@ -11,8 +11,8 @@ object are listed exhaustively and without duplicates, and composing a
 (co)cone with a map gives a (co)cone again; a caller that breaks any of the
 three gets answers that are not certified.
 
-Constructed categories (Par, the Karoubi splitting, subcategories, collages,
-the fixtures) come from `build_category`.  It refuses an endpoint, identity
+Constructed categories (Par, the Karoubi splitting, subcategories, the
+fixtures) come from `build_category`.  It refuses an endpoint, identity
 or composite outside its keys and leaves the category laws to
 `validate_category`; only bundles, whose tables are given explicitly, make a
 `FinCategory` directly.  `validate_category` certifies associativity on a
@@ -490,10 +490,6 @@ def mediating(c: FinCategory, coc: Cocone, apex, legs):
                 return None
             found = h
     return found
-
-
-def empty_diagram() -> Diagram:
-    return Diagram((), ())
 
 
 # -- functors ----------------------------------------------------------------

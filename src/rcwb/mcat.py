@@ -103,19 +103,28 @@ class SubMPoset:
     def top(self):
         return self.mc.base.identity[self.obj]
 
-    def meet(self, m, n) -> int:
-        c = self.mc.base
-        cone = pullback(c, m, n)
-        if cone is None:
-            raise InternalInvariantError("missing meet pullback in Sub_M")
-        return subobject_rep(self.mc, c.comp[(m, cone.p)])
-
     def join(self, family):
-        """Join via the matching-diagram colimit; None when it fails."""
-        mcol = matching_colimit(self.mc, tuple(family), self.obj)
-        if mcol is None or mcol.mu not in self.mc.monics:
-            return None
-        return subobject_rep(self.mc, mcol.mu)
+        return sub_m_join(self.mc, family, self.obj)
+
+
+def sub_m_join(mc: MCategory, family, obj):
+    """The join of a family of M-subobjects of obj, as the canonical Sub_M
+    element that its matching colimit glues to: None when the colimit is
+    missing or its induced map is not in M."""
+    mcol = matching_colimit(mc, tuple(family), obj)
+    if mcol is None or mcol.mu not in mc.monics:
+        return None
+    return subobject_rep(mc, mcol.mu)
+
+
+def pullback_stable(mc: MCategory, f, family, join) -> bool:
+    """f*(⋁S) == ⋁ f*(S): pulling the join of the family S back along f
+    gives the join of the pulled-back members.  join is a monic in M
+    representing ⋁S at tgt f, such as its canonical Sub_M element or the
+    induced map of its matching colimit."""
+    pulled = tuple(sorted({pullback_subobject(mc, f, m) for m in family}))
+    return sub_m_join(mc, pulled, mc.base.mor_src[f]) == \
+        pullback_subobject(mc, f, join)
 
 
 def sub_m(mc: MCategory, obj) -> SubMPoset:
@@ -275,62 +284,11 @@ def is_geometric(mc: MCategory, max_family=None) -> LawReport:
                 report.add("GEO-MU", (obj,) + family + (mcol.mu,),
                            "induced map not in M")
                 break
-            if not _stable_family(mc, obj, family, mcol.mu):
+            if not all(pullback_stable(mc, f, family, mcol.mu)
+                       for f in c.into(obj)):
                 report.add("GEO-STAB", (obj,) + family,
                            "matching colimit not stable under pullback")
                 break
-    return report
-
-
-def _stable_family(mc, obj, family, mu):
-    c = mc.base
-    for f in c.into(obj):
-        pulled = tuple(sorted({pullback_subobject(mc, f, m) for m in family}))
-        mcol = matching_colimit(mc, pulled, c.mor_src[f])
-        if mcol is None or mcol.mu not in mc.monics:
-            return False
-        if subobject_rep(mc, mcol.mu) != pullback_subobject(mc, f, mu):
-            return False
-    return True
-
-
-def heyting_check(mc: MCategory, obj, max_family=None) -> LawReport:
-    """Distributivity m ∧ ⋁ n_i == ⋁ (m ∧ n_i) over all finite families."""
-    report = LawReport("heyting")
-    poset = sub_m(mc, obj)
-    for m in poset.elements:
-        for family in families(poset.elements, max_family):
-            lhs_join = poset.join(family)
-            if lhs_join is None:
-                report.add("HEYT-JOIN", (obj,) + family, "join missing")
-                continue
-            lhs = poset.meet(m, lhs_join)
-            meets = tuple(sorted({poset.meet(m, n) for n in family}))
-            rhs = poset.join(meets)
-            if lhs != rhs:
-                report.add("HEYT-DIST", (obj, m) + family,
-                           "m ∧ ⋁n_i != ⋁(m ∧ n_i)")
-    return report
-
-
-def pullback_preserves_joins(mc: MCategory, f, max_family=None) -> LawReport:
-    """f*(⋁ m_i) == ⋁ f*(m_i) over all families in Sub_M(tgt f)."""
-    c = mc.base
-    report = LawReport("pullback-joins")
-    obj = c.mor_tgt[f]
-    poset = sub_m(mc, obj)
-    dom_poset = sub_m(mc, c.mor_src[f])
-    for family in families(poset.elements, max_family):
-        j = poset.join(family)
-        if j is None:
-            report.add("PBJ-JOIN", (obj,) + family, "join missing")
-            continue
-        lhs = pullback_subobject(mc, f, j)
-        pulled = tuple(sorted({pullback_subobject(mc, f, m)
-                               for m in family}))
-        rhs = dom_poset.join(pulled)
-        if lhs != rhs:
-            report.add("PBJ", (f,) + family, "f*(⋁m_i) != ⋁f*(m_i)")
     return report
 
 
@@ -420,29 +378,6 @@ def _splitting(c: FinCategory, e):
     return None
 
 
-def par_join_construction(pc: ParCategory, members, src=None, tgt=None):
-    """The (mu, gamma) join recipe for a compatible family of spans:
-    matching colimit of the monic legs, gamma induced by the f_i legs.
-    Returns a Par morphism id, or None when the construction fails.
-    src/tgt are required for the empty family."""
-    members = sorted(members)
-    if members:
-        src = pc.rc.base.mor_src[members[0]]
-        tgt = pc.rc.base.mor_tgt[members[0]]
-    elif src is None or tgt is None:
-        raise ValueError("empty family needs explicit hom endpoints")
-    family = tuple(pc.spans[i][0] for i in members)
-    mcol = matching_colimit(pc.mc, family, src)
-    if mcol is None or mcol.mu not in pc.mc.monics:
-        return None
-    # gamma: induced by the cocone of the f_i legs
-    gamma = mediating(pc.mc.base, mcol.cocone, tgt,
-                      [pc.spans[i][1] for i in members])
-    if gamma is None:
-        return None
-    return pc.id_of_span(mcol.mu, gamma)
-
-
 # -- MTotal and the Karoubi splitting ----------------------------------------
 
 def restriction_monic_candidates(x: RestrictionCategory):
@@ -465,20 +400,24 @@ def restriction_monic_candidates(x: RestrictionCategory):
 class MTotalResult:
     mcat: MCategory
     sub: Subcategory    # total subcategory with old<->new translation
+    splittings: dict    # restriction idempotent e of x -> (s, r), s∘r == e
 
 
 def mtotal(x: RestrictionCategory) -> MTotalResult:
     """(Total(x), restriction monics); requires all restriction idempotents
-    of x to split."""
+    of x to split, and keeps the splitting found for each."""
     c = x.base
+    splittings = {}
     for e in c.morphisms():
-        if x.bar[e] == e and _splitting(c, e) is None:
-            raise ValueError(f"restriction idempotent {e} does not split")
+        if x.bar[e] == e:
+            splittings[e] = _splitting(c, e)
+            if splittings[e] is None:
+                raise ValueError(f"restriction idempotent {e} does not split")
     sub = total_subcategory(x)
     monics_old = restriction_monic_candidates(x)
     monics = frozenset(sub.mor_new[m] for m in monics_old
                        if m in sub.mor_new)
-    return MTotalResult(MCategory(sub.cat, monics), sub)
+    return MTotalResult(MCategory(sub.cat, monics), sub, splittings)
 
 
 @dataclass(frozen=True)
@@ -538,8 +477,8 @@ class SplitUnitResult:
 def split_unit_functor(x: RestrictionCategory) -> SplitUnitResult:
     """The comparison x -> Par(Total(x), restriction monics) for a split
     restriction category: f maps to the span (m, f∘m) where (m, r) is the
-    canonical splitting of bar(f).  The comparison is verified to be an
-    isomorphism of restriction categories."""
+    splitting of bar(f) that mtotal found.  The comparison is verified to be
+    an isomorphism of restriction categories."""
     c = x.base
     mt = mtotal(x)
     pc = par(mt.mcat)
@@ -548,7 +487,7 @@ def split_unit_functor(x: RestrictionCategory) -> SplitUnitResult:
         raise InternalInvariantError("total subcategory must keep all objects")
     mor_map = []
     for f in c.morphisms():
-        split = _splitting(c, x.bar[f])
+        split = mt.splittings.get(x.bar[f])
         if split is None:
             raise InternalInvariantError(
                 f"idempotent {x.bar[f]} does not split")

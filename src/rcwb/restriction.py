@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fincat import FinCategory, Functor, Subcategory, subcategory
+from .fincat import FinCategory, Subcategory, subcategory
 from .reports import LawReport
 
 
@@ -141,12 +141,3 @@ def total_subcategory(x: RestrictionCategory) -> Subcategory:
     """The wide subcategory of total maps, reindexed to dense ids."""
     totals = [f for f in x.base.morphisms() if is_total(x, f)]
     return subcategory(x.base, x.base.objects, totals)
-
-
-def is_restriction_functor(fun: Functor, x: RestrictionCategory,
-                           y: RestrictionCategory) -> bool:
-    """fun preserves bar (fun must already be a functor between the bases)."""
-    if fun.source is not x.base or fun.target is not y.base:
-        raise ValueError("functor endpoints do not match the restriction categories")
-    return all(fun.mor_map[x.bar[f]] == y.bar[fun.mor_map[f]]
-               for f in x.base.morphisms())

@@ -3,10 +3,7 @@
 A restriction presheaf adds, to an ordinary presheaf over a restriction
 category, a restriction idempotent x̄ for every element x, subject to three
 axioms.  Being a *join* restriction presheaf is a property: every compatible
-set of elements has a least upper bound satisfying two join axioms.  The
-collage glues the presheaf onto its base category as maps into one extra
-object, and a candidate structure satisfies the presheaf axioms exactly when
-its collage satisfies the corresponding category axioms.
+set of elements has a least upper bound satisfying two join axioms.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .fincat import build_category
 from .joins import FinitePoset, certified_scan, hom_poset, scan
 from .reports import LawReport
 from .restriction import (RestrictionCategory, distinct_bars,
@@ -192,55 +188,6 @@ def rp_reports(rp: RestrictionPresheaf, max_family=None) -> list:
             for a in objs for e in p.elements(a)
             for b in c.objects if c.hom(b, a)), dict(JRP_TEXT, missing=None)))
     return [gate, report]
-
-
-# -- the collage --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Collage:
-    rc: RestrictionCategory
-    point: int              # the added object
-    mor_old: dict           # base morphism id -> collage morphism id
-    elem_mor: tuple         # per object: element -> collage morphism id
-
-
-def collage(rp: RestrictionPresheaf) -> Collage:
-    """One extra object; elements of P(A) become the maps A -> point.
-
-    Built from the raw tables without checking any axioms, so mutants can be
-    collaged and judged by the category-level law checkers.  A composite
-    outside the collage, such as an action value out of range, is refused
-    with ValueError.
-    """
-    x = rp.rc
-    c = x.base
-    p = rp.presheaf
-    point = "*"
-    # keys: base morphisms by id, the element e of P(a) as (a, e), then 1*
-    elems = [(a, e) for a in c.objects for e in p.elements(a)]
-    ends = {f: (c.mor_src[f], c.mor_tgt[f]) for f in c.morphisms()}
-    ends.update({k: (k[0], point) for k in elems})
-    ends[point] = (point, point)
-
-    def compose(g, f):
-        if g == point:
-            return f
-        if isinstance(g, tuple):
-            return c.mor_src[f], p.act(f, g[1])
-        return c.comp[(g, f)]
-
-    cat, _, mor_id = build_category(
-        list(c.objects) + [point], list(ends), ends.__getitem__,
-        lambda a: point if a == point else c.identity[a], compose,
-        obj_names=tuple(c.obj_names) + ("*",),
-        mor_names=list(c.mor_names) +
-        [f"elem:{p.name(a, e)}@{c.obj_names[a]}" for a, e in elems] + ["1*"])
-    bar = tuple(x.bar) + tuple(rp.bar(a, e) for a, e in elems) + \
-        (mor_id[point],)
-    return Collage(RestrictionCategory(cat, bar), c.n_objects,
-                   {f: f for f in c.morphisms()},
-                   tuple(tuple(mor_id[(a, e)] for e in p.elements(a))
-                         for a in c.objects))
 
 
 # -- the restriction category of presheaf maps --------------------------------

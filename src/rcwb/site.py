@@ -2,26 +2,26 @@
 
 A presheaf stores element counts per object and an explicit contravariant
 action table.  Constructed presheaves (representables, constant presheaves,
-sieve subpresheaves, Sigma, the plus construction, both transfers, pulled-back
-and loaded presheaves) come from `build_presheaf`.  It numbers the element
-keys it is given and refuses a duplicate key or an image that is not a key;
-the presheaf laws are left to `check_presheaf`.
+the plus construction, both transfers, pulled-back and loaded presheaves)
+come from `build_presheaf`.  It numbers the element keys it is given and
+refuses a duplicate key or an image that is not a key; the presheaf laws are
+left to `check_presheaf`.
 
 The topology on an M-category is generated by the families of monics whose
 subobject join is the whole object, then saturated to a fixpoint over all
-sieves.  Sheafification is the plus construction applied twice,
-with classes kept as canonical representatives so equality is plain.
+sieves; it keeps both the families and the sieves.  Sheafification is the
+plus construction applied twice, with classes kept as canonical
+representatives so equality is plain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate
 
 from .fincat import FinCategory, forced_assignments
 from .joins import families
-from .mcat import MCategory, pullback_subobject, sub_m
+from .mcat import MCategory, sub_m
 from .reports import InternalInvariantError, LawReport
 
 
@@ -198,20 +198,6 @@ def yoneda(c: FinCategory, a) -> Presheaf:
                           lambda b, h: c.mor_names[h])[0]
 
 
-def yoneda_map(c: FinCategory, f, ya=None, yb=None) -> NatTrans:
-    """y(f): hom(-, src f) -> hom(-, tgt f)."""
-    a, b = c.mor_src[f], c.mor_tgt[f]
-    ya = ya if ya is not None else yoneda(c, a)
-    yb = yb if yb is not None else yoneda(c, b)
-    comps = []
-    for o in c.objects:
-        hom_a = c.hom(o, a)
-        hom_b = c.hom(o, b)
-        idx = {h: i for i, h in enumerate(hom_b)}
-        comps.append(tuple(idx[c.comp[(f, h)]] for h in hom_a))
-    return NatTrans(ya, yb, tuple(comps))
-
-
 # -- sieves and topologies -----------------------------------------------------
 
 def sieves_on(c: FinCategory, a):
@@ -256,8 +242,14 @@ def sieve_pullback(c: FinCategory, s, f) -> frozenset:
 
 @dataclass(frozen=True)
 class Topology:
+    """A topology with the site data it was generated from, so that later
+    checks on the same M-category read them instead of enumerating again.
+    Every caller builds it with generate_topology from the M-category it
+    goes on to use (the CLI from the bundle's, which par keeps as pc.mc)."""
     cat: FinCategory
     covers: tuple   # per object: frozenset of covering sieves
+    sieves: tuple   # per object: every sieve, as sieves_on lists them
+    basis: tuple    # per object: the covering families, as basis_covers
 
 
 def basis_covers(mc: MCategory):
@@ -277,20 +269,19 @@ def generate_topology(mc: MCategory) -> Topology:
     under the maximality, stability and transitivity axioms."""
     c = mc.base
     covers = [set() for _ in c.objects]
-    for a, fams in enumerate(basis_covers(mc)):
+    basis = basis_covers(mc)
+    for a, fams in enumerate(basis):
         for fam in fams:
             covers[a].add(generate_sieve(c, a, fam))
-    all_sieves = {a: sieves_on(c, a) for a in c.objects}
-    while _saturate(c, covers, all_sieves):
+    sieves = tuple(tuple(sieves_on(c, a)) for a in c.objects)
+    while _saturate(c, covers, sieves):
         pass
-    return Topology(c, tuple(frozenset(s) for s in covers))
+    return Topology(c, tuple(frozenset(s) for s in covers), sieves, basis)
 
 
 def saturation_is_fixpoint(top: Topology) -> bool:
     """One more saturation pass adds no covering sieve."""
-    c = top.cat
-    return not _saturate(c, [set(s) for s in top.covers],
-                         {a: sieves_on(c, a) for a in c.objects})
+    return not _saturate(top.cat, [set(s) for s in top.covers], top.sieves)
 
 
 def _saturate(c: FinCategory, covers, sieves) -> bool:
@@ -375,7 +366,7 @@ class PlusData:
 
     classes[a] is the tuple of canonical representatives (fs, fam); fs is the
     sorted tuple of the sieve's morphisms, fam the matching family over it.
-    lookup memoises class_of by (a, fs, fam); it takes no part in equality.
+    lookup memoises _class_of by (a, fs, fam); it takes no part in equality.
     """
     source: Presheaf
     presheaf: Presheaf
@@ -383,10 +374,6 @@ class PlusData:
     classes: tuple
     unit: NatTrans
     lookup: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def class_of(self, a, fs, fam):
-        return _class_of(self.source, self.top, self.classes, self.lookup,
-                         a, fs, fam)
 
 
 def _class_of(p, top, classes, lookup, a, fs, fam):
@@ -457,25 +444,6 @@ def plus(p: Presheaf, top: Topology) -> PlusData:
     return data
 
 
-def plus_map(alpha: NatTrans, src_plus: PlusData, tgt_plus: PlusData) -> NatTrans:
-    """The plus construction on a natural transformation."""
-    p, q = alpha.source, alpha.target
-    c = p.cat
-    top = src_plus.top
-    comps = []
-    for a in c.objects:
-        col = []
-        for (fs, fam) in src_plus.classes[a]:
-            qfam = tuple(alpha.components[c.mor_src[f]][fam[i]]
-                         for i, f in enumerate(fs))
-            col.append(tgt_plus.class_of(a, fs, qfam))
-        comps.append(tuple(col))
-    nat = NatTrans(src_plus.presheaf, tgt_plus.presheaf, tuple(comps))
-    if not nat.check():
-        raise InternalInvariantError("plus of a natural map is not natural")
-    return nat
-
-
 @dataclass(frozen=True)
 class SheafifyResult:
     presheaf: Presheaf
@@ -491,25 +459,6 @@ def sheafify(p: Presheaf, top: Topology) -> SheafifyResult:
     return SheafifyResult(d2.presheaf, unit, d1, d2)
 
 
-def sheafify_map(alpha: NatTrans, src: SheafifyResult,
-                 tgt: SheafifyResult) -> NatTrans:
-    return plus_map(plus_map(alpha, src.plus1, tgt.plus1),
-                    src.plus2, tgt.plus2)
-
-
-def sieve_subpresheaf(c: FinCategory, a, sieve):
-    """The subpresheaf of yoneda(c, a) picked out by a sieve, with its
-    inclusion.  Raises ValueError when the maps into a that lie in sieve
-    are not closed under precomposition."""
-    ya = yoneda(c, a)
-    sub = build_presheaf(c, lambda b: [h for h in c.hom(b, a) if h in sieve],
-                         lambda f, h: c.comp[(h, f)],
-                         lambda b, h: c.mor_names[h])[0]
-    comps = tuple(tuple(i for i, h in enumerate(c.hom(b, a)) if h in sieve)
-                  for b in c.objects)
-    return sub, NatTrans(sub, ya, comps), ya
-
-
 # -- subcanonicity ----------------------------------------------------------------
 
 def subcanonical_report(top: Topology) -> LawReport:
@@ -518,107 +467,6 @@ def subcanonical_report(top: Topology) -> LawReport:
         rep = is_sheaf(yoneda(top.cat, a), top)
         if not rep.ok:
             report.add("SUBCAN", (a,), "representable is not a sheaf")
-    return report
-
-
-# -- M_PSh and the subobject classifier ----------------------------------------
-
-def image_sieve(mc: MCategory, alpha: NatTrans, a, x):
-    """{g into a | P(g)(x) lies in the image of alpha at src(g)}."""
-    c = mc.base
-    p = alpha.target
-    images = [set(comp) for comp in alpha.components]
-    return frozenset(g for g in c.into(a)
-                     if p.act(g, x) in images[c.mor_src[g]])
-
-
-def principal_generator(mc: MCategory, a, sieve):
-    """The canonical m in M generating the sieve, or None."""
-    c = mc.base
-    for m in sub_m(mc, a).elements:
-        if generate_sieve(c, a, (m,)) == sieve:
-            return m
-    return None
-
-
-def m_psh_member(mc: MCategory, alpha: NatTrans) -> bool:
-    """alpha is a componentwise-monic map whose pullback along every element
-    of the target is represented by a monic in M."""
-    if not alpha.is_monic_componentwise():
-        return False
-    c = mc.base
-    p = alpha.target
-    for a in c.objects:
-        for x in p.elements(a):
-            if principal_generator(mc, a, image_sieve(mc, alpha, a, x)) is None:
-                return False
-    return True
-
-
-def m_sh_member(mc: MCategory, top: Topology, alpha: NatTrans) -> bool:
-    return m_psh_member(mc, alpha) and \
-        is_sheaf(alpha.source, top).ok and is_sheaf(alpha.target, top).ok
-
-
-def sigma_classifier(mc: MCategory) -> Presheaf:
-    """Sigma(A) = canonical M-subobjects of A; action by pullback."""
-    c = mc.base
-    return build_presheaf(c, lambda a: sub_m(mc, a).elements,
-                          partial(pullback_subobject, mc),
-                          lambda a, m: c.mor_names[m])[0]
-
-
-def characteristic_map(mc: MCategory, sigma: Presheaf,
-                       alpha: NatTrans) -> NatTrans:
-    """chi: P -> Sigma sending x to the M-subobject classifying alpha at x."""
-    c = mc.base
-    p = alpha.target
-    index = [{m: i for i, m in enumerate(sub_m(mc, a).elements)}
-             for a in c.objects]
-    comps = []
-    for a in c.objects:
-        col = []
-        for x in p.elements(a):
-            m = principal_generator(mc, a, image_sieve(mc, alpha, a, x))
-            if m is None:
-                raise ValueError("alpha is not an M_PSh subobject")
-            col.append(index[a][m])
-        comps.append(tuple(col))
-    chi = NatTrans(p, sigma, tuple(comps))
-    if not chi.check():
-        raise InternalInvariantError("characteristic map is not natural")
-    return chi
-
-
-def classification_report(mc: MCategory, sigma: Presheaf,
-                          alpha: NatTrans) -> LawReport:
-    """chi is the unique map P -> Sigma whose top-preimage is exactly the
-    image of alpha."""
-    report = LawReport("classification")
-    c = mc.base
-    p = alpha.target
-    chi = characteristic_map(mc, sigma, alpha)
-    tops = tuple(sub_m(mc, a).elements.index(c.identity[a])
-                 for a in c.objects)
-    images = [set(comp) for comp in alpha.components]
-
-    def classifies(nat):
-        for a in c.objects:
-            for x in p.elements(a):
-                if (nat.components[a][x] == tops[a]) != (x in images[a]):
-                    return False
-        return True
-
-    if not classifies(chi):
-        report.add("CLASS-PB", (), "chi's top-preimage differs from alpha")
-    count = 0
-    for nat in all_nat_trans(p, sigma):
-        if classifies(nat):
-            count += 1
-            if nat.components != chi.components:
-                report.add("CLASS-UNIQUE", (), "a second classifying map exists")
-    if count == 0:
-        report.add("CLASS-NONE", (), "no classifying map at all")
     return report
 
 

@@ -1,24 +1,29 @@
 """Brute-force reference implementations that the faster library code is
-checked against.  They enumerate everything and are only fit for small
-fixtures."""
+checked against, and the constructions that only the tests use.  The
+references enumerate everything and are only fit for small fixtures."""
 
 import itertools
+from dataclasses import dataclass
 from functools import partial
 
-from rcwb import fincat
-from rcwb.fincat import (Cocone, Functor, PullbackCone,
-                         empty_diagram, mediating, pullback)
+from rcwb import fincat, mcat
+from rcwb.fincat import (Cocone, Diagram, FinCategory, Functor, PullbackCone,
+                         build_category, mediating, pullback)
 from rcwb.fixtures import subsets_category
 from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
-                        hom_poset, join as hom_join)
-from rcwb.mcat import MatchingColimit, matching_diagram
+                        families, hom_poset, join as hom_join)
+from rcwb.mcat import (MatchingColimit, MCategory, ParCategory, SubMPoset,
+                       matching_diagram, pullback_subobject, sub_m,
+                       subobject_rep)
 from rcwb.reports import InternalInvariantError, LawReport
-from rcwb.restriction import (RestrictionCategory, compatible,
-                              is_restriction_functor, leq,
+from rcwb.restriction import (RestrictionCategory, compatible, leq,
                               restriction_idempotents)
-from rcwb.rpsh import check_rp_axioms, element_join, element_poset
-from rcwb.site import (Presheaf, generate_sieve, maximal_sieve,
-                       sieve_pullback)
+from rcwb.rpsh import (RestrictionPresheaf, check_rp_axioms, element_join,
+                       element_poset)
+from rcwb.site import (NatTrans, PlusData, Presheaf, SheafifyResult,
+                       Topology, _class_of, all_nat_trans, build_presheaf,
+                       generate_sieve, is_sheaf, maximal_sieve,
+                       sieve_pullback, yoneda)
 
 
 def least_upper_bound(elements, leq, members):
@@ -563,7 +568,7 @@ def is_join_restriction_functor(fun, x, y, max_family=None) -> bool:
 
 def initial_object(c):
     """The initial object as the colimit of the empty diagram, or None."""
-    coc = colimit(c, empty_diagram())
+    coc = colimit(c, Diagram((), ()))
     return None if coc is None else coc.apex
 
 
@@ -631,3 +636,328 @@ def join_collapsing_functor():
                        else y_index[s])
     fun = Functor(x.base, y.base, (0,), tuple(mor_map))
     return fun, x, y
+
+
+def m3_bundle():
+    """The lattice M3, 0 < a, b, c < 1, as a thin category bundle with every
+    map in M: objects in that order, maps x <= y ordered by x, then y, named
+    "x<y" (identities "x=x").  Sub_M(1) is M3 itself, which is not
+    distributive, so pulling a join back along c<1 loses it: the join of
+    a<1 and b<1 is the top, but c∧a and c∧b are both 0."""
+    objs = ["0", "a", "b", "c", "1"]
+    pairs = [(x, y) for x in objs for y in objs
+             if x == y or x == "0" or y == "1"]
+
+    def name(x, y):
+        return f"{x}={y}" if x == y else f"{x}<{y}"
+
+    return {"objects": objs,
+            "morphisms": [{"id": name(x, y), "src": x, "tgt": y}
+                          for x, y in pairs],
+            "identities": {x: name(x, x) for x in objs},
+            "comp": [[name(y, z), name(x, y), name(x, z)]
+                     for x, y in pairs for w, z in pairs if w == y],
+            "monics": [name(x, y) for x, y in pairs]}
+
+
+# -- restriction functors --------------------------------------------------------
+
+def is_restriction_functor(fun: Functor, x: RestrictionCategory,
+                           y: RestrictionCategory) -> bool:
+    """fun preserves bar (fun must already be a functor between the bases)."""
+    if fun.source is not x.base or fun.target is not y.base:
+        raise ValueError("functor endpoints do not match the restriction categories")
+    return all(fun.mor_map[x.bar[f]] == y.bar[fun.mor_map[f]]
+               for f in x.base.morphisms())
+
+
+# -- Sub_M: meets, Heyting distributivity, pullback stability, the span join --
+
+def sub_m_meet(poset: SubMPoset, m, n) -> int:
+    """m ∧ n in Sub_M(poset.obj): the canonical subobject of the pullback
+    of m and n."""
+    c = poset.mc.base
+    cone = pullback(c, m, n)
+    if cone is None:
+        raise InternalInvariantError("missing meet pullback in Sub_M")
+    return subobject_rep(poset.mc, c.comp[(m, cone.p)])
+
+
+def heyting_check(mc: MCategory, obj, max_family=None) -> LawReport:
+    """Distributivity m ∧ ⋁ n_i == ⋁ (m ∧ n_i) over all finite families.
+    Joins stable under pullback make the subobject lattices distributive
+    (Johnstone, Sketches of an Elephant, A1.4), so the tests check it as a
+    property wherever is_geometric passes."""
+    report = LawReport("heyting")
+    poset = sub_m(mc, obj)
+    for m in poset.elements:
+        for family in families(poset.elements, max_family):
+            lhs_join = poset.join(family)
+            if lhs_join is None:
+                report.add("HEYT-JOIN", (obj,) + family, "join missing")
+                continue
+            lhs = sub_m_meet(poset, m, lhs_join)
+            meets = tuple(sorted({sub_m_meet(poset, m, n) for n in family}))
+            rhs = poset.join(meets)
+            if lhs != rhs:
+                report.add("HEYT-DIST", (obj, m) + family,
+                           "m ∧ ⋁n_i != ⋁(m ∧ n_i)")
+    return report
+
+
+def pullback_preserves_joins(mc: MCategory, f, max_family=None) -> LawReport:
+    """f*(⋁ m_i) == ⋁ f*(m_i) over all families in Sub_M(tgt f); the
+    reference for mcat.pullback_stable."""
+    c = mc.base
+    report = LawReport("pullback-joins")
+    obj = c.mor_tgt[f]
+    poset = sub_m(mc, obj)
+    dom_poset = sub_m(mc, c.mor_src[f])
+    for family in families(poset.elements, max_family):
+        j = poset.join(family)
+        if j is None:
+            report.add("PBJ-JOIN", (obj,) + family, "join missing")
+            continue
+        lhs = pullback_subobject(mc, f, j)
+        pulled = tuple(sorted({pullback_subobject(mc, f, m)
+                               for m in family}))
+        rhs = dom_poset.join(pulled)
+        if lhs != rhs:
+            report.add("PBJ", (f,) + family, "f*(⋁m_i) != ⋁f*(m_i)")
+    return report
+
+
+def par_join_construction(pc: ParCategory, members, src=None, tgt=None):
+    """The (mu, gamma) join recipe for a compatible family of spans:
+    matching colimit of the monic legs, gamma induced by the f_i legs.
+    Returns a Par morphism id, or None when the construction fails.
+    src/tgt are required for the empty family."""
+    members = sorted(members)
+    if members:
+        src = pc.rc.base.mor_src[members[0]]
+        tgt = pc.rc.base.mor_tgt[members[0]]
+    elif src is None or tgt is None:
+        raise ValueError("empty family needs explicit hom endpoints")
+    family = tuple(pc.spans[i][0] for i in members)
+    mcol = mcat.matching_colimit(pc.mc, family, src)
+    if mcol is None or mcol.mu not in pc.mc.monics:
+        return None
+    # gamma: induced by the cocone of the f_i legs
+    gamma = mediating(pc.mc.base, mcol.cocone, tgt,
+                      [pc.spans[i][1] for i in members])
+    if gamma is None:
+        return None
+    return pc.id_of_span(mcol.mu, gamma)
+
+
+# -- maps of presheaves: Yoneda, sieves, the plus construction ---------------
+
+def yoneda_map(c: FinCategory, f, ya=None, yb=None) -> NatTrans:
+    """y(f): hom(-, src f) -> hom(-, tgt f)."""
+    a, b = c.mor_src[f], c.mor_tgt[f]
+    ya = ya if ya is not None else yoneda(c, a)
+    yb = yb if yb is not None else yoneda(c, b)
+    comps = []
+    for o in c.objects:
+        hom_a = c.hom(o, a)
+        hom_b = c.hom(o, b)
+        idx = {h: i for i, h in enumerate(hom_b)}
+        comps.append(tuple(idx[c.comp[(f, h)]] for h in hom_a))
+    return NatTrans(ya, yb, tuple(comps))
+
+
+def sieve_subpresheaf(c: FinCategory, a, sieve):
+    """The subpresheaf of yoneda(c, a) picked out by a sieve, with its
+    inclusion.  Raises ValueError when the maps into a that lie in sieve
+    are not closed under precomposition."""
+    ya = yoneda(c, a)
+    sub = build_presheaf(c, lambda b: [h for h in c.hom(b, a) if h in sieve],
+                         lambda f, h: c.comp[(h, f)],
+                         lambda b, h: c.mor_names[h])[0]
+    comps = tuple(tuple(i for i, h in enumerate(c.hom(b, a)) if h in sieve)
+                  for b in c.objects)
+    return sub, NatTrans(sub, ya, comps), ya
+
+
+def class_of(data: PlusData, a, fs, fam):
+    """Index of the plus class of data at a holding the matching family
+    fam over fs."""
+    return _class_of(data.source, data.top, data.classes, data.lookup,
+                     a, fs, fam)
+
+
+def plus_map(alpha: NatTrans, src_plus: PlusData, tgt_plus: PlusData) -> NatTrans:
+    """The plus construction on a natural transformation."""
+    p, q = alpha.source, alpha.target
+    c = p.cat
+    top = src_plus.top
+    comps = []
+    for a in c.objects:
+        col = []
+        for (fs, fam) in src_plus.classes[a]:
+            qfam = tuple(alpha.components[c.mor_src[f]][fam[i]]
+                         for i, f in enumerate(fs))
+            col.append(class_of(tgt_plus, a, fs, qfam))
+        comps.append(tuple(col))
+    nat = NatTrans(src_plus.presheaf, tgt_plus.presheaf, tuple(comps))
+    if not nat.check():
+        raise InternalInvariantError("plus of a natural map is not natural")
+    return nat
+
+
+def sheafify_map(alpha: NatTrans, src: SheafifyResult,
+                 tgt: SheafifyResult) -> NatTrans:
+    return plus_map(plus_map(alpha, src.plus1, tgt.plus1),
+                    src.plus2, tgt.plus2)
+
+
+# -- M_PSh and the subobject classifier ----------------------------------------
+
+def image_sieve(mc: MCategory, alpha: NatTrans, a, x):
+    """{g into a | P(g)(x) lies in the image of alpha at src(g)}."""
+    c = mc.base
+    p = alpha.target
+    images = [set(comp) for comp in alpha.components]
+    return frozenset(g for g in c.into(a)
+                     if p.act(g, x) in images[c.mor_src[g]])
+
+
+def principal_generator(mc: MCategory, a, sieve):
+    """The canonical m in M generating the sieve, or None."""
+    c = mc.base
+    for m in sub_m(mc, a).elements:
+        if generate_sieve(c, a, (m,)) == sieve:
+            return m
+    return None
+
+
+def m_psh_member(mc: MCategory, alpha: NatTrans) -> bool:
+    """alpha is a componentwise-monic map whose pullback along every element
+    of the target is represented by a monic in M."""
+    if not alpha.is_monic_componentwise():
+        return False
+    c = mc.base
+    p = alpha.target
+    for a in c.objects:
+        for x in p.elements(a):
+            if principal_generator(mc, a, image_sieve(mc, alpha, a, x)) is None:
+                return False
+    return True
+
+
+def m_sh_member(mc: MCategory, top: Topology, alpha: NatTrans) -> bool:
+    return m_psh_member(mc, alpha) and \
+        is_sheaf(alpha.source, top).ok and is_sheaf(alpha.target, top).ok
+
+
+def sigma_classifier(mc: MCategory) -> Presheaf:
+    """Sigma(A) = canonical M-subobjects of A; action by pullback."""
+    c = mc.base
+    return build_presheaf(c, lambda a: sub_m(mc, a).elements,
+                          partial(pullback_subobject, mc),
+                          lambda a, m: c.mor_names[m])[0]
+
+
+def characteristic_map(mc: MCategory, sigma: Presheaf,
+                       alpha: NatTrans) -> NatTrans:
+    """chi: P -> Sigma sending x to the M-subobject classifying alpha at x."""
+    c = mc.base
+    p = alpha.target
+    index = [{m: i for i, m in enumerate(sub_m(mc, a).elements)}
+             for a in c.objects]
+    comps = []
+    for a in c.objects:
+        col = []
+        for x in p.elements(a):
+            m = principal_generator(mc, a, image_sieve(mc, alpha, a, x))
+            if m is None:
+                raise ValueError("alpha is not an M_PSh subobject")
+            col.append(index[a][m])
+        comps.append(tuple(col))
+    chi = NatTrans(p, sigma, tuple(comps))
+    if not chi.check():
+        raise InternalInvariantError("characteristic map is not natural")
+    return chi
+
+
+def classification_report(mc: MCategory, sigma: Presheaf,
+                          alpha: NatTrans) -> LawReport:
+    """chi is the unique map P -> Sigma whose top-preimage is exactly the
+    image of alpha."""
+    report = LawReport("classification")
+    c = mc.base
+    p = alpha.target
+    chi = characteristic_map(mc, sigma, alpha)
+    tops = tuple(sub_m(mc, a).elements.index(c.identity[a])
+                 for a in c.objects)
+    images = [set(comp) for comp in alpha.components]
+
+    def classifies(nat):
+        for a in c.objects:
+            for x in p.elements(a):
+                if (nat.components[a][x] == tops[a]) != (x in images[a]):
+                    return False
+        return True
+
+    if not classifies(chi):
+        report.add("CLASS-PB", (), "chi's top-preimage differs from alpha")
+    count = 0
+    for nat in all_nat_trans(p, sigma):
+        if classifies(nat):
+            count += 1
+            if nat.components != chi.components:
+                report.add("CLASS-UNIQUE", (), "a second classifying map exists")
+    if count == 0:
+        report.add("CLASS-NONE", (), "no classifying map at all")
+    return report
+
+
+# -- the collage --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Collage:
+    rc: RestrictionCategory
+    point: int              # the added object
+    mor_old: dict           # base morphism id -> collage morphism id
+    elem_mor: tuple         # per object: element -> collage morphism id
+
+
+def collage(rp: RestrictionPresheaf) -> Collage:
+    """One extra object; elements of P(A) become the maps A -> point.
+
+    Built from the raw tables without checking any axioms, so mutants can be
+    collaged and judged by the category-level law checkers.  A composite
+    outside the collage, such as an action value out of range, is refused
+    with ValueError.
+    """
+    x = rp.rc
+    c = x.base
+    p = rp.presheaf
+    point = "*"
+    # keys: base morphisms by id, the element e of P(a) as (a, e), then 1*
+    elems = [(a, e) for a in c.objects for e in p.elements(a)]
+    ends = {f: (c.mor_src[f], c.mor_tgt[f]) for f in c.morphisms()}
+    ends.update({k: (k[0], point) for k in elems})
+    ends[point] = (point, point)
+
+    def compose(g, f):
+        if g == point:
+            return f
+        if isinstance(g, tuple):
+            return c.mor_src[f], p.act(f, g[1])
+        return c.comp[(g, f)]
+
+    cat, _, mor_id = build_category(
+        list(c.objects) + [point], list(ends), ends.__getitem__,
+        lambda a: point if a == point else c.identity[a], compose,
+        obj_names=tuple(c.obj_names) + ("*",),
+        mor_names=list(c.mor_names) +
+        [f"elem:{p.name(a, e)}@{c.obj_names[a]}" for a, e in elems] + ["1*"])
+    bar = tuple(x.bar) + tuple(rp.bar(a, e) for a, e in elems) + \
+        (mor_id[point],)
+    return Collage(RestrictionCategory(cat, bar), c.n_objects,
+                   {f: f for f in c.morphisms()},
+                   tuple(tuple(mor_id[(a, e)] for e in p.elements(a))
+                         for a in c.objects))
+
+

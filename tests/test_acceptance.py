@@ -10,24 +10,25 @@ import time
 
 import pytest
 
-from oracles import nojoin_certified_pair, par_leq_oracle, upper_bounds
+from oracles import (classification_report, collage, heyting_check,
+                     m_psh_member, m_sh_member, nojoin_certified_pair,
+                     par_leq_oracle, sheafify_map, sieve_subpresheaf,
+                     sigma_classifier, upper_bounds, yoneda_map)
 from rcwb.bridge import (cocompletion_unit, roundtrip_report, sheaf_to_jrp,
                          transfer_report)
 from rcwb.fincat import validate_category
 from rcwb.fixtures import build_finset_p, subsets_category
 from rcwb.joins import CompatibleFamily, check_join_axioms
-from rcwb.mcat import (heyting_check, is_geometric, karoubi_r, mtotal, par,
+from rcwb.mcat import (is_geometric, karoubi_r, mtotal, par,
                        split_unit_functor, sub_m)
 from rcwb.restriction import (check_restriction_axioms, compatible, leq,
                               restriction_idempotents)
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, check_rp_axioms,
-                       collage, yoneda_jr)
+                       yoneda_jr)
 from rcwb.search import find_restriction_iso
-from rcwb.site import (Presheaf, classification_report, constant_presheaf,
-                       is_separated, is_sheaf, m_psh_member, m_sh_member,
-                       saturation_is_fixpoint, sheafify, sheafify_map,
-                       sieve_subpresheaf, sigma_classifier,
-                       subcanonical_report, yoneda, yoneda_map)
+from rcwb.site import (Presheaf, constant_presheaf, is_separated, is_sheaf,
+                       saturation_is_fixpoint, sheafify, subcanonical_report,
+                       yoneda)
 
 
 # -- 1: the law suites accept the partial-map category ------------------------

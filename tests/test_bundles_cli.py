@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oracles import trivial_restriction
+from oracles import m3_bundle, trivial_restriction
 from rcwb import cli, mcat, restriction, rpsh, site
 from rcwb.bridge import sheaf_to_jrp
 from rcwb.bundles import (BundleError, build_fixture, bundle_dict,
@@ -439,3 +439,60 @@ def test_cli_build_par_checks_the_restriction_axioms_once(tmp_path,
     assert [(rep["name"], rep["ok"])
             for rep in json.loads(out.read_text())["reports"]] == [
         ("restriction", True)]
+
+
+def test_cli_geometric_fires_geo_stab_on_m3(tmp_path, capsys):
+    bundle = tmp_path / "m3.json"
+    bundle.write_text(dump_bundle(m3_bundle()))
+    assert main(["geometric", str(bundle)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "geometric\tGEO-STAB\t4,6,8\tmatching colimit not stable under "
+        "pullback", f"FAIL\tgeometric\t{bundle}"]
+    assert "Traceback" not in err
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its calls."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_cli_topology_enumerates_each_object_s_sieves_once(monkeypatch):
+    # the fixpoint check reads the sieves the topology was saturated over
+    calls = _counted(monkeypatch, site, "sieves_on")
+    assert main(["topology", "finset_inj_3"]) == 0
+    assert len(calls) == 4
+
+
+def test_cli_to_sheaf_finds_the_basis_covers_once(monkeypatch):
+    # the amalgamation formula reads the families the topology came from
+    calls = _counted(monkeypatch, site, "basis_covers")
+    assert main(["transfer", "finset_inj_3", "yset3",
+                 "--direction", "to-sheaf"]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_to_sheaf_refuses_an_unknown_object_before_building(
+        monkeypatch, capsys):
+    par_calls = _counted(monkeypatch, cli, "par")
+    top_calls = _counted(monkeypatch, cli, "generate_topology")
+    assert main(["transfer", "finset_inj_2", "ynosuch",
+                 "--direction", "to-sheaf"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ("bundle error: $: to-sheaf expects a representable "
+                   "y<object>; no object named 'nosuch'\n")
+    assert "Traceback" not in err
+    assert par_calls == top_calls == []
+
+
+def test_cli_unit_searches_each_splitting_once(monkeypatch):
+    # karoubi_r and mtotal each split the 13 restriction idempotents of
+    # Karoubi(finset_p_2) once and par the 13 of its output; the comparison
+    # reads mtotal's splittings
+    calls = _counted(monkeypatch, mcat, "_splitting")
+    assert main(["unit", "finset_p_2"]) == 0
+    assert len(calls) == 39

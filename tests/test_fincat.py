@@ -1,9 +1,8 @@
 import pytest
 
 from oracles import identity_functor, initial_object
-from rcwb.fincat import (Diagram, FinCategory, Functor, colimit,
-                         empty_diagram, is_mono, mediating, pullback,
-                         subcategory, validate_category)
+from rcwb.fincat import (Diagram, FinCategory, Functor, colimit, is_mono,
+                         mediating, pullback, subcategory, validate_category)
 from rcwb.fixtures import build_finset, build_finset_data
 
 
@@ -58,7 +57,7 @@ def test_initial_object_of_finset_is_empty_set():
 
 def test_colimit_certifies_initiality():
     c = build_finset(2)
-    coc = colimit(c, empty_diagram())
+    coc = colimit(c, Diagram((), ()))
     assert coc is not None and coc.apex == 0
     # the mediating map to any other cocone exists and is found
     assert mediating(c, coc, 2, ()) is not None

@@ -1,12 +1,13 @@
 import pytest
 
-from oracles import par_leq_oracle
+from oracles import (heyting_check, m3_bundle, par_join_construction,
+                     par_leq_oracle, pullback_preserves_joins)
+from rcwb.bundles import load_bundle
 from rcwb.fincat import FinCategory, validate_category
 from rcwb.fixtures import build_finset_mcat, build_finset_p
-from rcwb.joins import check_join_axioms
-from rcwb.mcat import (MCategory, check_m_system, heyting_check,
-                       is_geometric, karoubi_r, matching_colimit, mtotal, par,
-                       par_join_construction, pullback_preserves_joins,
+from rcwb.joins import check_join_axioms, families
+from rcwb.mcat import (MCategory, check_m_system, is_geometric, karoubi_r,
+                       matching_colimit, mtotal, par, pullback_stable,
                        split_unit_functor, sub_m, subobject_rep)
 from rcwb.restriction import check_restriction_axioms, leq
 
@@ -94,6 +95,65 @@ def test_heyting_distributivity(mc_inj):
 def test_pullback_preserves_joins(mc_inj):
     for f in mc_inj.base.morphisms():
         assert pullback_preserves_joins(mc_inj, f).ok
+
+
+def _m3():
+    return load_bundle(m3_bundle()).mcat
+
+
+def test_geometric_reports_unstable_joins_on_m3():
+    # the join of a<1 and b<1 is the top, but along c<1 both pull back to 0
+    mc = _m3()
+    assert validate_category(mc.base).ok
+    assert check_m_system(mc).ok
+    assert is_geometric(mc).lines() == [
+        "GEO-STAB\t4,6,8\tmatching colimit not stable under pullback"]
+
+
+@pytest.mark.parametrize("name", ["finset_inj_2", "finset_inj_3",
+                                  "finset_iso_2", "finset_iso_3", "m3"])
+def test_pullback_stable_matches_pullback_preserves_joins(name):
+    # on every map f and every family of Sub_M(tgt f) with a join, given as
+    # the canonical element and as the matching colimit's induced map
+    if name == "m3":
+        mc = _m3()
+    else:
+        _, kind, n = name.split("_")
+        mc = build_finset_mcat(int(n), kind)
+    c = mc.base
+    compared = unstable = 0
+    for f in c.morphisms():
+        ref = pullback_preserves_joins(mc, f)
+        failing = {v.ids[1:] for v in ref.violations if v.tag == "PBJ"}
+        poset = sub_m(mc, c.mor_tgt[f])
+        for family in families(poset.elements):
+            join = poset.join(family)
+            if join is None:
+                continue
+            mu = matching_colimit(mc, family, c.mor_tgt[f]).mu
+            stable = pullback_stable(mc, f, family, join)
+            assert stable == pullback_stable(mc, f, family, mu)
+            assert stable == (family not in failing)
+            compared += 1
+            unstable += not stable
+    assert compared
+    # M3: two families along each of a<1, b<1 and c<1
+    assert unstable == (6 if name == "m3" else 0)
+
+
+@pytest.mark.parametrize("name", ["finset_inj_2", "finset_inj_3"])
+def test_heyting_holds_where_geometric_passes(name):
+    mc = build_finset_mcat(int(name[-1]), "inj")
+    assert is_geometric(mc).ok
+    for a in mc.base.objects:
+        assert heyting_check(mc, a).ok
+
+
+def test_heyting_fails_on_m3():
+    mc = _m3()
+    assert not is_geometric(mc).ok
+    assert [line.split("\t")[0] for line in heyting_check(mc, 4).lines()] == \
+        ["HEYT-DIST"] * 6
 
 
 def test_par_is_a_join_restriction_category(pc_inj):

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import collage, sieve_subpresheaf, sigma_classifier
 from rcwb import fincat, fixtures, mcat, rpsh
 from rcwb.bridge import _matching_tuples, jrp_to_sheaf, sheaf_to_jrp
 from rcwb.fincat import (Diagram, FinCategory, cocones_at, colimit,
-                         empty_diagram, mediating, pullback, subcategory,
-                         validate_category)
+                         mediating, pullback, subcategory, validate_category)
 from rcwb.fixtures import (build_finset, build_finset_data, build_finset_mcat,
                            build_finset_p, build_finset_p_data,
                            build_nojoin_fixture, subsets_category)
@@ -22,14 +22,13 @@ from rcwb.mcat import (MCategory, karoubi_r, matching_colimit,
                        matching_diagram, par, sub_m)
 from rcwb.restriction import (RestrictionCategory, check_restriction_axioms,
                               compatible, leq)
-from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, collage,
+from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms,
                        element_compatible, element_join, element_leq,
                        element_poset, yoneda_jr)
 from rcwb.site import (Presheaf, Topology, all_nat_trans, basis_covers,
                        check_presheaf, constant_presheaf, find_presheaf_iso,
                        generate_topology, matching_families,
-                       saturation_is_fixpoint, sieve_subpresheaf, sieves_on,
-                       sigma_classifier, yoneda)
+                       saturation_is_fixpoint, sieves_on, yoneda)
 
 MCATS = {"finset_inj_2": build_finset_mcat(2, "inj"),
          "finset_iso_2": build_finset_mcat(2, "iso")}
@@ -83,7 +82,8 @@ def _pair_scan_checked_builder():
         return cat, obj_id, mor_id
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (fincat, fixtures, mcat, rpsh):
+        # the collage is built in oracles
+        for module in (fincat, fixtures, mcat, oracles):
             mp.setattr(module, "build_category", checked)
         yield built
 
@@ -295,7 +295,7 @@ def test_fixpoint_verdicts_match_oracle_on_topologies_less_one_sieve(name,
     for a, covers in enumerate(top.covers):
         for s in sorted(covers, key=sorted):
             mutant = Topology(top.cat, top.covers[:a] + (covers - {s},)
-                              + top.covers[a + 1:])
+                              + top.covers[a + 1:], top.sieves, top.basis)
             verdict = saturation_is_fixpoint(mutant)
             assert verdict == oracles.saturation_is_fixpoint(mutant)
             mutants += 1
@@ -345,7 +345,7 @@ def test_pullbacks_match_oracle_on_generated_subcategories(gens):
 
 def test_cocones_of_empty_diagram_match_oracle():
     for c in list(CATS.values()):
-        _same_cocones(c, empty_diagram())
+        _same_cocones(c, Diagram((), ()))
 
 
 def test_cocones_of_every_small_matching_diagram_match_oracle():
@@ -408,7 +408,7 @@ def test_colimits_of_every_small_diagram_match_oracle():
     # the empty diagram, every parallel pair and every idempotent
     missing = 0
     for c in CATS.values():
-        for d in ([empty_diagram()] +
+        for d in ([Diagram((), ())] +
                   [_parallel_pair(c, f, g) for f in c.morphisms()
                    for g in c.hom(c.mor_src[f], c.mor_tgt[f])] +
                   [_idempotent(c, e) for e in _idempotents(c)]):

@@ -1,19 +1,19 @@
 import pytest
 
+from oracles import (classification_report, m_psh_member, m_sh_member,
+                     sheafify_map, sieve_subpresheaf, sigma_classifier,
+                     yoneda_map)
 from rcwb.bridge import jrp_to_sheaf
 from rcwb.fixtures import build_finset
 from rcwb.mcat import sub_m
 from rcwb.rpsh import RestrictionPresheaf, yoneda_jr
 from rcwb.site import (Presheaf, all_nat_trans, basis_covers,
-                       build_presheaf, characteristic_map,
-                       check_presheaf, classification_report,
-                       constant_presheaf, find_presheaf_iso, generate_sieve,
-                       generate_topology, is_separated, is_sheaf,
-                       matching_families, maximal_sieve, plus,
-                       saturation_is_fixpoint, sheafify, sheafify_map,
-                       sieve_pullback, sieve_subpresheaf, sieves_on,
-                       sigma_classifier, subcanonical_report, yoneda,
-                       yoneda_map, m_psh_member, m_sh_member)
+                       build_presheaf, check_presheaf, constant_presheaf,
+                       find_presheaf_iso, generate_sieve, generate_topology,
+                       is_separated, is_sheaf, matching_families,
+                       maximal_sieve, plus, saturation_is_fixpoint, sheafify,
+                       sieve_pullback, sieves_on, subcanonical_report,
+                       yoneda)
 
 
 def test_yoneda_is_a_presheaf(mc_inj):

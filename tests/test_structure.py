@@ -38,3 +38,49 @@ def _callers(pattern):
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
+
+
+# Public functions that nothing in src/ calls, each kept for a reason outside
+# src/.  Everything else without a caller belongs in tests/oracles.py or
+# nowhere.
+DECLARED_API = {
+    ("joins", "compatible_subsets"):
+        "perfbench/spans.py wraps it; tests/test_bench_names.py requires it",
+    ("site", "is_separated"):
+        "perfbench/spans.py wraps it; tests/test_bench_names.py requires it",
+    ("site", "constant_presheaf"):
+        "perfbench/workloads.py builds the inj3_iso_const bundles with it",
+    ("fixtures", "build_finset"): "an example category",
+    ("fixtures", "subsets_category"): "an example category",
+    ("search", "find_restriction_iso"): "ROADMAP item 8 names it",
+    ("rpsh", "nat_join"): "ROADMAP item 8 names it",
+    ("rpsh", "hom_restriction"): "ROADMAP item 8 names it",
+    ("site", "all_nat_trans"): "ROADMAP item 8 names it",
+}
+
+
+def _uncalled_public_functions():
+    """(module, name) for each public top-level function of src/rcwb/*.py
+    that no code in src/ refers to, outside its own def.  A reference is a
+    name or an attribute in the code; docstrings, comments and imports do
+    not count."""
+    defs = {}
+    refs = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and \
+                    not node.name.startswith("_"):
+                defs[(path.stem, node.name)] = (node.lineno, node.end_lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path.stem, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path.stem, node.attr, node.lineno))
+    return {(module, name) for (module, name), (lo, hi) in defs.items()
+            if not any(n == name and not (m == module and lo <= line <= hi)
+                       for m, n, line in refs)}
+
+
+def test_every_public_function_has_a_caller_or_is_declared_api():
+    assert _uncalled_public_functions() == set(DECLARED_API)
