@@ -42,11 +42,12 @@ def _id(value, path):
     return value
 
 
-def _table(value, path):
-    """value, which must be an object."""
-    if not isinstance(value, dict):
-        _fail(path, "expected dict")
-    return value
+def _ref(ids, value, path, what, where=""):
+    """ids[value] for value a string id that ids knows, else the bundle
+    error `unknown <what> <value><where>` at path."""
+    if _id(value, path) not in ids:
+        _fail(path, f"unknown {what} {value!r}{where}")
+    return ids[value]
 
 
 def _expect(data, key, kind, path):
@@ -84,24 +85,17 @@ def load_bundle(text_or_dict) -> Bundle:
         mid = _expect(entry, "id", str, path)
         if mid in mor_id:
             _fail(f"{path}.id", f"duplicate morphism {mid!r}")
-        for k in ("src", "tgt"):
-            v = _expect(entry, k, str, path)
-            if v not in obj_id:
-                _fail(f"{path}.{k}", f"unknown object {v!r}")
+        a, b = (_ref(obj_id, _expect(entry, k, str, path), f"{path}.{k}",
+                     "object") for k in ("src", "tgt"))
         mor_id[mid] = i
-        mor_src.append(obj_id[entry["src"]])
-        mor_tgt.append(obj_id[entry["tgt"]])
+        mor_src.append(a)
+        mor_tgt.append(b)
         mor_names.append(mid)
-    identities = _expect(data, "identities", dict, "$")
     identity = [None] * len(objects)
-    for name, mid in identities.items():
+    for name, mid in _expect(data, "identities", dict, "$").items():
         path = f"$.identities.{name}"
-        if name not in obj_id:
-            _fail(path, f"unknown object {name!r}")
-        if _id(mid, path) not in mor_id:
-            _fail(path, f"unknown morphism {mid!r}")
-        f = mor_id[mid]
-        a = obj_id[name]
+        a = _ref(obj_id, name, path, "object")
+        f = _ref(mor_id, mid, path, "morphism")
         if mor_src[f] != a or mor_tgt[f] != a:
             _fail(path, f"identity {mid!r} is not an endomorphism of {name!r}")
         identity[a] = f
@@ -113,10 +107,7 @@ def load_bundle(text_or_dict) -> Bundle:
         path = f"$.comp[{i}]"
         if not (isinstance(triple, list) and len(triple) == 3):
             _fail(path, "each entry must be [g, f, gf]")
-        for mid in triple:
-            if _id(mid, path) not in mor_id:
-                _fail(path, f"unknown morphism {mid!r}")
-        g, f, gf = (mor_id[m] for m in triple)
+        g, f, gf = [_ref(mor_id, mid, path, "morphism") for mid in triple]
         if mor_tgt[f] != mor_src[g]:
             _fail(path, f"{triple[0]!r} and {triple[1]!r} are not composable")
         if mor_src[gf] != mor_src[f] or mor_tgt[gf] != mor_tgt[g]:
@@ -135,43 +126,37 @@ def load_bundle(text_or_dict) -> Bundle:
     bundle = Bundle(cat)
     if "restriction" in data:
         bar = [None] * cat.n_morphisms
-        table = _expect(data, "restriction", dict, "$")
-        for mid, bid in table.items():
+        for mid, bid in _expect(data, "restriction", dict, "$").items():
             path = f"$.restriction.{mid}"
-            if mid not in mor_id:
-                _fail(path, f"unknown morphism {mid!r}")
-            if _id(bid, path) not in mor_id:
-                _fail(path, f"unknown morphism {bid!r}")
-            bar[mor_id[mid]] = mor_id[bid]
+            f = _ref(mor_id, mid, path, "morphism")
+            bar[f] = _ref(mor_id, bid, path, "morphism")
         for mid, f in mor_id.items():
             if bar[f] is None:
                 _fail("$.restriction", f"morphism {mid!r} has no entry")
         bundle.restriction = RestrictionCategory(cat, tuple(bar))
     if "monics" in data:
-        monics = set()
-        for i, mid in enumerate(_expect(data, "monics", list, "$")):
-            if _id(mid, f"$.monics[{i}]") not in mor_id:
-                _fail(f"$.monics[{i}]", f"unknown morphism {mid!r}")
-            monics.add(mor_id[mid])
-        bundle.mcat = MCategory(cat, frozenset(monics))
+        monics = frozenset(
+            _ref(mor_id, mid, f"$.monics[{i}]", "morphism")
+            for i, mid in enumerate(_expect(data, "monics", list, "$")))
+        bundle.mcat = MCategory(cat, monics)
     if "presheaves" in data:
-        for name, pdata in _expect(data, "presheaves", dict, "$").items():
+        table = _expect(data, "presheaves", dict, "$")
+        for name in table:
             bundle.presheaves[name] = _load_presheaf(
-                cat, obj_id, mor_id, name, pdata)
+                cat, obj_id, mor_id, name,
+                _expect(table, name, dict, "$.presheaves"))
     return bundle
 
 
 def _load_presheaf(cat, obj_id, mor_id, name, pdata):
     path = f"$.presheaves.{name}"
-    sections = _expect(_table(pdata, path), "sections", dict, path)
     elems = [None] * cat.n_objects
-    for oname, lst in sections.items():
+    for oname, lst in _expect(pdata, "sections", dict, path).items():
         spath = f"{path}.sections.{oname}"
-        if oname not in obj_id:
-            _fail(spath, f"unknown object {oname!r}")
+        a = _ref(obj_id, oname, spath, "object")
         if not isinstance(lst, list):
             _fail(spath, "expected list")
-        elems[obj_id[oname]] = es = {}
+        elems[a] = es = {}
         for i, e in enumerate(lst):
             if _id(e, f"{spath}[{i}]") in es:
                 _fail(f"{spath}[{i}]", f"duplicate element {e!r}")
@@ -181,17 +166,13 @@ def _load_presheaf(cat, obj_id, mor_id, name, pdata):
             _fail(f"{path}.sections", f"object {oname!r} has no section list")
     images = {}
     table = _expect(pdata, "action", dict, path)
-    for mid, mapping in table.items():
+    for mid in table:
         mpath = f"{path}.action.{mid}"
-        if mid not in mor_id:
-            _fail(mpath, f"unknown morphism {mid!r}")
-        f = mor_id[mid]
+        f = _ref(mor_id, mid, mpath, "morphism")
         a, b = cat.mor_src[f], cat.mor_tgt[f]
-        for e, img in _table(mapping, mpath).items():
-            if e not in elems[b]:
-                _fail(mpath, f"unknown element {e!r} at the target object")
-            if _id(img, mpath) not in elems[a]:
-                _fail(mpath, f"unknown image {img!r} at the source object")
+        for e, img in _expect(table, mid, dict, f"{path}.action").items():
+            _ref(elems[b], e, mpath, "element", " at the target object")
+            _ref(elems[a], img, mpath, "image", " at the source object")
             images[(f, e)] = img
     for f in cat.morphisms():
         for e in elems[cat.mor_tgt[f]]:
@@ -204,19 +185,15 @@ def _load_presheaf(cat, obj_id, mor_id, name, pdata):
     bars = None
     if "element_bar" in pdata:
         bars = [None] * cat.n_objects
-        for oname, mapping in _table(pdata["element_bar"],
-                                     f"{path}.element_bar").items():
+        table = _expect(pdata, "element_bar", dict, path)
+        for oname in table:
             bpath = f"{path}.element_bar.{oname}"
-            if oname not in obj_id:
-                _fail(bpath, f"unknown object {oname!r}")
-            a = obj_id[oname]
+            a = _ref(obj_id, oname, bpath, "object")
             col = [None] * len(elems[a])
-            for e, mid in _table(mapping, bpath).items():
-                if e not in pos[a]:
-                    _fail(bpath, f"unknown element {e!r}")
-                if _id(mid, bpath) not in mor_id:
-                    _fail(bpath, f"unknown morphism {mid!r}")
-                col[pos[a][e]] = mor_id[mid]
+            for e, mid in _expect(table, oname, dict,
+                                  f"{path}.element_bar").items():
+                i = _ref(pos[a], e, bpath, "element")
+                col[i] = _ref(mor_id, mid, bpath, "morphism")
             if None in col:
                 _fail(bpath, "element without a restriction entry")
             bars[a] = tuple(col)

@@ -147,16 +147,19 @@ def _run(args) -> list:
 
     if cmd == "check-laws":
         reports.append(validate_category(bundle.cat))
+        # the join laws and the presheaves' RP reports read a lawful bar
+        restriction_ok = False
         if bundle.restriction is not None:
             reports.append(check_restriction_axioms(bundle.restriction))
-            if reports[-1].ok:
+            restriction_ok = reports[-1].ok
+            if restriction_ok:
                 reports.append(check_join_axioms(bundle.restriction,
                                                  args.max_family))
         if bundle.mcat is not None:
             reports.append(check_m_system(bundle.mcat))
         for name, (psh, bars) in sorted(bundle.presheaves.items()):
             reports.append(_presheaf_report(name, psh))
-            if bars is not None and bundle.restriction is not None:
+            if bars is not None and restriction_ok:
                 reports.extend(rp_reports(
                     RestrictionPresheaf(bundle.restriction, psh, bars),
                     args.max_family))

@@ -546,7 +546,6 @@ class Subcategory:
     cat: FinCategory
     obj_old: tuple     # new object id -> old object id
     mor_old: tuple     # new morphism id -> old morphism id
-    obj_new: dict      # old -> new
     mor_new: dict      # old -> new
 
 
@@ -555,9 +554,9 @@ def subcategory(c: FinCategory, objs, mors) -> Subcategory:
     are closed under endpoints, identities and composition."""
     objs = sorted(objs)
     mors = sorted(mors)
-    cat, obj_new, mor_new = build_category(
+    cat, _, mor_new = build_category(
         objs, mors, lambda f: (c.mor_src[f], c.mor_tgt[f]),
         c.identity.__getitem__, lambda g, f: c.comp[(g, f)],
         obj_names=tuple(c.obj_names[a] for a in objs),
         mor_names=tuple(c.mor_names[f] for f in mors))
-    return Subcategory(cat, tuple(objs), tuple(mors), obj_new, mor_new)
+    return Subcategory(cat, tuple(objs), tuple(mors), mor_new)

@@ -356,15 +356,21 @@ def par(mc: MCategory) -> ParCategory:
     if not rep.ok:
         raise InternalInvariantError(
             f"Par output fails restriction axioms:\n{rep}")
-    _verify_split(rc)
+    for e, split in splittings(rc).items():
+        if split is None:
+            raise InternalInvariantError(
+                f"restriction idempotent {e} does not split")
     return ParCategory(rc, mc, spans, span_id, rep)
 
 
-def _verify_split(rc: RestrictionCategory):
-    for e in rc.base.morphisms():
-        if rc.bar[e] == e and _splitting(rc.base, e) is None:
-            raise InternalInvariantError(
-                f"restriction idempotent {e} does not split")
+def splittings(x: RestrictionCategory) -> dict:
+    """Each restriction idempotent e of x -> some (s, r) with s∘r == e and
+    r∘s an identity, or None; searched once per category and kept in
+    x.splits."""
+    if not x.splits:
+        x.splits.update((e, _splitting(x.base, e))
+                        for e in x.base.morphisms() if x.bar[e] == e)
+    return x.splits
 
 
 def _splitting(c: FinCategory, e):
@@ -400,24 +406,19 @@ def restriction_monic_candidates(x: RestrictionCategory):
 class MTotalResult:
     mcat: MCategory
     sub: Subcategory    # total subcategory with old<->new translation
-    splittings: dict    # restriction idempotent e of x -> (s, r), s∘r == e
 
 
 def mtotal(x: RestrictionCategory) -> MTotalResult:
     """(Total(x), restriction monics); requires all restriction idempotents
-    of x to split, and keeps the splitting found for each."""
-    c = x.base
-    splittings = {}
-    for e in c.morphisms():
-        if x.bar[e] == e:
-            splittings[e] = _splitting(c, e)
-            if splittings[e] is None:
-                raise ValueError(f"restriction idempotent {e} does not split")
+    of x to split."""
+    for e, split in splittings(x).items():
+        if split is None:
+            raise ValueError(f"restriction idempotent {e} does not split")
     sub = total_subcategory(x)
     monics_old = restriction_monic_candidates(x)
     monics = frozenset(sub.mor_new[m] for m in monics_old
                        if m in sub.mor_new)
-    return MTotalResult(MCategory(sub.cat, monics), sub, splittings)
+    return MTotalResult(MCategory(sub.cat, monics), sub)
 
 
 @dataclass(frozen=True)
@@ -461,7 +462,10 @@ def karoubi_r(x: RestrictionCategory) -> KaroubiResult:
                                  obj_idx[(c.mor_tgt[f], c.identity[c.mor_tgt[f]])],
                                  f)]
                         for f in c.morphisms()))
-    _verify_split(rc)
+    for e, split in splittings(rc).items():
+        if split is None:
+            raise InternalInvariantError(
+                f"restriction idempotent {e} does not split")
     if not emb.check() or not emb.is_full_and_faithful():
         raise InternalInvariantError("Karoubi embedding not full/faithful")
     return KaroubiResult(rc, tuple(objects), tuple(morphisms), emb)
@@ -470,15 +474,14 @@ def karoubi_r(x: RestrictionCategory) -> KaroubiResult:
 @dataclass(frozen=True)
 class SplitUnitResult:
     functor: Functor        # x.base -> par(mtotal(x)).rc.base, invertible
-    mt: MTotalResult
     pc: ParCategory
 
 
 def split_unit_functor(x: RestrictionCategory) -> SplitUnitResult:
     """The comparison x -> Par(Total(x), restriction monics) for a split
     restriction category: f maps to the span (m, f∘m) where (m, r) is the
-    splitting of bar(f) that mtotal found.  The comparison is verified to be
-    an isomorphism of restriction categories."""
+    splitting of bar(f) that splittings found.  The comparison is verified
+    to be an isomorphism of restriction categories."""
     c = x.base
     mt = mtotal(x)
     pc = par(mt.mcat)
@@ -487,7 +490,7 @@ def split_unit_functor(x: RestrictionCategory) -> SplitUnitResult:
         raise InternalInvariantError("total subcategory must keep all objects")
     mor_map = []
     for f in c.morphisms():
-        split = mt.splittings.get(x.bar[f])
+        split = splittings(x).get(x.bar[f])
         if split is None:
             raise InternalInvariantError(
                 f"idempotent {x.bar[f]} does not split")
@@ -509,4 +512,4 @@ def split_unit_functor(x: RestrictionCategory) -> SplitUnitResult:
     for f in c.morphisms():
         if mor_map[x.bar[f]] != pc.rc.bar[mor_map[f]]:
             raise InternalInvariantError("comparison does not preserve bar")
-    return SplitUnitResult(fun, mt, pc)
+    return SplitUnitResult(fun, pc)

@@ -22,11 +22,15 @@ class RestrictionCategory:
     posets caches the hom order of each hom-set as a joins.FinitePoset,
     keyed by (src, tgt) and built by joins.hom_poset on first use.  It fills
     lazily, takes no part in equality or hashing, and hands the same poset
-    to every caller, so cached posets must not be mutated.
+    to every caller, so cached posets must not be mutated.  splits caches,
+    the same way, the splitting of each restriction idempotent that
+    mcat.splittings finds.
     """
     base: FinCategory
     bar: tuple  # morphism id -> morphism id, an endomorphism of the source
     posets: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    splits: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def __post_init__(self):

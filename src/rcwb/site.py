@@ -118,9 +118,6 @@ class NatTrans:
     target: Presheaf
     components: tuple   # per object: tuple mapping source elems to target elems
 
-    def at(self, a, x):
-        return self.components[a][x]
-
     def check(self) -> bool:
         p, q = self.source, self.target
         c = p.cat

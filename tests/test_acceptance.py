@@ -8,8 +8,6 @@ fixtures.  Frozen expected values were computed with independent hand checks
 import random
 import time
 
-import pytest
-
 from oracles import (classification_report, collage, heyting_check,
                      m_psh_member, m_sh_member, nojoin_certified_pair,
                      par_leq_oracle, sheafify_map, sieve_subpresheaf,
@@ -19,8 +17,7 @@ from rcwb.bridge import (cocompletion_unit, roundtrip_report, sheaf_to_jrp,
 from rcwb.fincat import validate_category
 from rcwb.fixtures import build_finset_p, subsets_category
 from rcwb.joins import CompatibleFamily, check_join_axioms
-from rcwb.mcat import (is_geometric, karoubi_r, mtotal, par,
-                       split_unit_functor, sub_m)
+from rcwb.mcat import is_geometric, karoubi_r, mtotal, sub_m
 from rcwb.restriction import (check_restriction_axioms, compatible, leq,
                               restriction_idempotents)
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, check_rp_axioms,

@@ -1,5 +1,3 @@
-import pytest
-
 from rcwb.bridge import (amalgamation_formula_report, cocompletion_unit,
                          jrp_to_sheaf, recipe_join, roundtrip_report,
                          sheaf_to_jrp, transfer_report)

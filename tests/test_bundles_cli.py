@@ -1,16 +1,21 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import m3_bundle, trivial_restriction
 from rcwb import cli, mcat, restriction, rpsh, site
 from rcwb.bridge import sheaf_to_jrp
 from rcwb.bundles import (BundleError, build_fixture, bundle_dict,
-                          dump_bundle, load_bundle, resolve_bundle)
+                          dump_bundle, load_bundle)
 from rcwb.cli import main
 from rcwb.fincat import FinCategory
 from rcwb.fixtures import build_finset_mcat, build_finset_p
 from rcwb.mcat import par
+from rcwb.rpsh import yoneda_jr
 from rcwb.site import Presheaf, check_presheaf, constant_presheaf, yoneda
 
 
@@ -92,8 +97,6 @@ def test_fixture_registry_names():
 
 
 def test_presheaf_section_roundtrip(tmp_path):
-    from rcwb.fixtures import build_finset_mcat
-    from rcwb.site import yoneda
     mc = build_finset_mcat(1, "inj")
     psh = yoneda(mc.base, 1)
     text = dump_bundle(bundle_dict(mc.base, monics=mc.monics,
@@ -354,7 +357,6 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_cli_malformed_bundle_exits_2_with_its_path(tmp_path, capsys, case):
-    from rcwb.rpsh import yoneda_jr
     rc = build_finset_p(1)
     rp = yoneda_jr(rc, 1)
     data = json.loads(dump_bundle(bundle_dict(
@@ -490,9 +492,123 @@ def test_cli_to_sheaf_refuses_an_unknown_object_before_building(
 
 
 def test_cli_unit_searches_each_splitting_once(monkeypatch):
-    # karoubi_r and mtotal each split the 13 restriction idempotents of
-    # Karoubi(finset_p_2) once and par the 13 of its output; the comparison
-    # reads mtotal's splittings
+    # karoubi_r splits the 13 restriction idempotents of Karoubi(finset_p_2)
+    # once and par the 13 of its output; mtotal and the comparison read the
+    # splittings kept on Karoubi(finset_p_2)
     calls = _counted(monkeypatch, mcat, "_splitting")
     assert main(["unit", "finset_p_2"]) == 0
-    assert len(calls) == 39
+    assert len(calls) == 26
+
+
+# -- the exit-code contract under mutation -------------------------------------
+
+def _fuzz_bases():
+    """Three small valid bundles, each with a presheaf named P: finset_p_1
+    with the representable restriction presheaf at set1, finset_inj_2 with
+    the representable at set2, and Par(finset_inj_1) with the transfer of
+    the representable at set1.  The restriction bundles take the identities
+    as monics."""
+    rc = build_finset_p(1)
+    rp = yoneda_jr(rc, 1)
+    mc = build_finset_mcat(2, "inj")
+    pc = par(build_finset_mcat(1, "inj"))
+    tr = sheaf_to_jrp(pc, yoneda(pc.mc.base, 1)).rp
+    return {
+        "finset_p_1": bundle_dict(
+            rc.base, restriction=rc.bar, monics=rc.base.identity,
+            presheaves={"P": (rp.presheaf, rp.bar_elem)}),
+        "finset_inj_2": bundle_dict(
+            mc.base, monics=mc.monics,
+            presheaves={"P": (yoneda(mc.base, 2), None)}),
+        "par_inj_1": bundle_dict(
+            pc.rc.base, restriction=pc.rc.bar, monics=pc.rc.base.identity,
+            presheaves={"P": (tr.presheaf, tr.bar_elem)}),
+    }
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+def _fuzz_slots(data, section):
+    """(table, key) for each entry of one section of a bundle: a comp
+    triple, an identity, a monic, a bar, an action image, an element bar."""
+    psh = data.get("presheaves", {}).get("P", {})
+    if section in ("action", "element_bar"):
+        table = psh.get(section, {})
+        return [(row, key) for row in table.values() for key in row]
+    table = data.get(section, ())
+    return [(table, key) for key in (
+        range(len(table)) if isinstance(table, list) else table)]
+
+
+def _mutate(data, section, op, i, j, target):
+    """Delete, retarget or duplicate entry i of the section: a retarget
+    sets it (in a comp triple, its item j) to target; a duplicate copies it
+    to position j of a list, or over entry j of a table."""
+    slots = _fuzz_slots(data, section)
+    if not slots:
+        return
+    table, key = slots[i % len(slots)]
+    if op == "delete":
+        del table[key]
+    elif op == "retarget" and isinstance(table[key], list):
+        table[key][j % len(table[key])] = target
+    elif op == "retarget":
+        table[key] = target
+    elif isinstance(table, list):
+        table.insert(j % (len(table) + 1), copy.copy(table[key]))
+    else:
+        other, other_key = slots[j % len(slots)]
+        other[other_key] = table[key]
+
+
+FUZZ_NAMES = sorted({name for data in FUZZ_BASES.values()
+                     for name in [m["id"] for m in data["morphisms"]] + [
+                         e for lst in data["presheaves"]["P"][
+                             "sections"].values() for e in lst]})
+FUZZ_COMMANDS = [["check-laws"], ["build-par"], ["karoubi"], ["geometric"],
+                 ["topology"], ["sheaf-check", "P"], ["sheafify", "P"],
+                 ["transfer", "P", "--direction", "to-jrp"],
+                 ["transfer", "yset1", "--direction", "to-sheaf"],
+                 ["roundtrip", "P"], ["unit"]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_BASES)),
+       st.sampled_from(["comp", "identities", "monics", "restriction",
+                        "action", "element_bar"]),
+       st.sampled_from(["delete", "retarget", "duplicate"]),
+       st.integers(0, 40), st.integers(0, 40),
+       st.sampled_from(FUZZ_NAMES))
+# a bar that is no endomorphism of its source, under a presheaf with
+# element bars: check-laws once raised a KeyError in the RP2 check
+@example("finset_p_1", "restriction", "retarget", 1, 0, "p0->1:()")
+def test_cli_exits_0_1_or_2_on_mutated_bundles(tmp_path_factory, base,
+                                               section, op, i, j, target):
+    data = copy.deepcopy(FUZZ_BASES[base])
+    _mutate(data, section, op, i, j, target)
+    bundle = tmp_path_factory.mktemp("fuzz") / "bundle.json"
+    bundle.write_text(json.dumps(data))
+    for command in FUZZ_COMMANDS:
+        argv = command[:1] + [str(bundle)] + command[1:] + [
+            "--max-family", "2"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.getvalue().startswith("bundle error: $"), argv
+
+
+def test_cli_check_laws_skips_rp_reports_on_a_bad_bar(tmp_path, capsys):
+    data = copy.deepcopy(FUZZ_BASES["finset_p_1"])
+    data["restriction"]["p0->1:()"] = "p0->1:()"
+    bundle = tmp_path / "bad_bar.json"
+    bundle.write_text(json.dumps(data))
+    assert main(["check-laws", str(bundle)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "restriction\tBAR-SHAPE\t1,1\tf̄ is not an endomorphism of src(f)",
+        f"FAIL\tcheck-laws\t{bundle}"]
+    assert err == ""

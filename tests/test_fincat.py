@@ -1,8 +1,8 @@
 import pytest
 
 from oracles import identity_functor, initial_object
-from rcwb.fincat import (Diagram, FinCategory, Functor, colimit, is_mono,
-                         mediating, pullback, subcategory, validate_category)
+from rcwb.fincat import (Diagram, FinCategory, colimit, is_mono, mediating,
+                         pullback, subcategory, validate_category)
 from rcwb.fixtures import build_finset, build_finset_data
 
 

@@ -3,7 +3,7 @@ import pytest
 from oracles import (NotRestrictionFunctorError, identity_functor,
                      is_join_restriction_functor, join_collapsing_functor,
                      nojoin_certified_pair, upper_bounds)
-from rcwb.fixtures import build_finset_p, build_finset_p_data, subsets_category
+from rcwb.fixtures import subsets_category
 from rcwb.joins import (JOIN_TEXT, CompatibleFamily, FinitePoset,
                         check_join_axioms, compatible_subsets, hom_poset, join,
                         scan)

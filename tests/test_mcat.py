@@ -4,10 +4,10 @@ from oracles import (heyting_check, m3_bundle, par_join_construction,
                      par_leq_oracle, pullback_preserves_joins)
 from rcwb.bundles import load_bundle
 from rcwb.fincat import FinCategory, validate_category
-from rcwb.fixtures import build_finset_mcat, build_finset_p
+from rcwb.fixtures import build_finset_mcat
 from rcwb.joins import check_join_axioms, families
 from rcwb.mcat import (MCategory, check_m_system, is_geometric, karoubi_r,
-                       matching_colimit, mtotal, par, pullback_stable,
+                       matching_colimit, mtotal, pullback_stable,
                        split_unit_functor, sub_m, subobject_rep)
 from rcwb.restriction import check_restriction_axioms, leq
 

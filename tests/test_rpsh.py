@@ -5,10 +5,9 @@ from rcwb.fincat import validate_category
 from rcwb.joins import check_join_axioms
 from rcwb.restriction import check_restriction_axioms
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, check_rp_axioms,
-                       element_compatible, element_join, element_leq,
-                       element_poset, find_rp_iso, hom_restriction, nat_join,
-                       yoneda_jr)
-from rcwb.site import NatTrans, yoneda
+                       element_join, element_leq, element_poset, find_rp_iso,
+                       hom_restriction, nat_join, yoneda_jr)
+from rcwb.site import NatTrans
 
 
 def test_representables_are_join_restriction_presheaves(finset_p2):

@@ -9,11 +9,10 @@ from rcwb.mcat import sub_m
 from rcwb.rpsh import RestrictionPresheaf, yoneda_jr
 from rcwb.site import (Presheaf, all_nat_trans, basis_covers,
                        build_presheaf, check_presheaf, constant_presheaf,
-                       find_presheaf_iso, generate_sieve, generate_topology,
-                       is_separated, is_sheaf, matching_families,
-                       maximal_sieve, plus, saturation_is_fixpoint, sheafify,
-                       sieve_pullback, sieves_on, subcanonical_report,
-                       yoneda)
+                       find_presheaf_iso, generate_sieve, is_separated,
+                       is_sheaf, matching_families, maximal_sieve, plus,
+                       saturation_is_fixpoint, sheafify, sieve_pullback,
+                       sieves_on, subcanonical_report, yoneda)
 
 
 def test_yoneda_is_a_presheaf(mc_inj):

@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rcwb"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "rcwb"
 
 
 def _callers(pattern):
@@ -84,3 +85,29 @@ def _uncalled_public_functions():
 
 def test_every_public_function_has_a_caller_or_is_declared_api():
     assert _uncalled_public_functions() == set(DECLARED_API)
+
+
+def _unused_imports():
+    """(module, name) for each name that an import in src/rcwb/*.py or
+    tests/*.py binds and the module never reads; from __future__ imports
+    bind no name."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name).split(".")[0]
+                             for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and
+                isinstance(node.ctx, ast.Load)}
+        out.update((path.stem, name) for name in bound - read)
+    return out
+
+
+def test_every_imported_name_is_read():
+    assert _unused_imports() == set()
