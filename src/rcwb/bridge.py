@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import Functor, compose_functors, pullback
-from .mcat import (MCategory, ParCategory, canonical_iso, karoubi_r,
-                   matching_colimit, split_unit_functor, sub_m)
+from .fincat import Functor, compose_functors, least_iso, pullback
+from .mcat import (MCategory, ParCategory, karoubi_r, matching_colimit,
+                   split_unit_functor, sub_m)
 from .reports import InternalInvariantError, LawReport
 from .restriction import RestrictionCategory, is_restriction_idempotent
 from .rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
@@ -39,7 +39,7 @@ class TransferredJRP:
 def canonical_pair(mc: MCategory, p: Presheaf, mu, e):
     """The canonical pair in the class of (mu, e): (mu∘phi, P(phi)(e)) for
     the iso phi that makes mu∘phi the canonical monic."""
-    phi = canonical_iso(mc, mu)
+    phi = least_iso(mc.base, mu)
     return mc.base.comp[(mu, phi)], p.act(phi, e)
 
 

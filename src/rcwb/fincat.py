@@ -9,7 +9,12 @@ Pullbacks and colimits share one certificate, `_universal`, which counts
 maps against (co)cones.  It is sound only because the (co)cones at each
 object are listed exhaustively and without duplicates, and composing a
 (co)cone with a map gives a (co)cone again; a caller that breaks any of the
-three gets answers that are not certified.
+three gets answers that are not certified.  A pullback is searched only for
+the least cospan of its class under precomposing each leg with an iso, and
+moved to the other cospans of the class along those isos: their cone
+functors are isomorphic, and the universal cones at one apex form a single
+orbit under its automorphisms, so the least of that orbit is the cone the
+search would return (the proof is in `pullback`).
 
 Constructed categories (Par, the Karoubi splitting, subcategories, the
 fixtures) come from `build_category`.  It refuses an endpoint, identity
@@ -283,17 +288,29 @@ def _certified_generators(c: FinCategory):
 
 
 def is_mono(c: FinCategory, m) -> bool:
-    """True iff m is left-cancellable, decided by exhaustive pair scan."""
+    """True iff m is left-cancellable: h ↦ m∘h is one-to-one on every
+    hom(t, src m)."""
     if not 0 <= m < c.n_morphisms:
         raise ValueError(f"unknown morphism id {m}")
     a = c.mor_src[m]
-    for u in c.into(a):
-        for v in c.into(a):
-            if u >= v or c.mor_src[u] != c.mor_src[v]:
-                continue
-            if c.comp[(m, u)] == c.comp[(m, v)]:
-                return False
+    for t in c.objects:
+        hs = c.hom(t, a)
+        if len({c.comp[(m, h)] for h in hs}) != len(hs):
+            return False
     return True
+
+
+def least_iso(c: FinCategory, f) -> int:
+    """The iso phi into src f that minimises f∘phi, the first such in
+    `FinCategory.isos_into` order, and the identity when f is already the
+    least: f∘phi is the least member of f's orbit under precomposition
+    with isos."""
+    src = c.mor_src[f]
+    best, best_phi = f, c.identity[src]
+    for phi in c.isos_into(src):
+        if c.comp[(f, phi)] < best:
+            best, best_phi = c.comp[(f, phi)], phi
+    return best_phi
 
 
 # -- diagrams, cones, cocones ----------------------------------------------
@@ -333,18 +350,58 @@ class PullbackCone:
 
 
 def pullback(c: FinCategory, f, g):
-    """Canonical pullback of the cospan (f, g), or None.
+    """Canonical pullback of the cospan (f, g), or None: the first cone in
+    (apex, p, q) order that every cone factors through uniquely.  The
+    result is cached per cospan.
 
-    The cones at each object t are the pairs (p, q) with f∘p == g∘q, found
-    by indexing hom(t, src g) by g∘q.  The winner is the first cone in
-    (apex, p, q) order that every cone factors through uniquely, certified
-    by `_universal`; the result is cached per cospan.
+    Only the least cospan of each class is searched, by `_pullback_search`.
+    With phi = least_iso(c, f) and gamma = least_iso(c, g), the cospan
+    (f0, g0) = (f∘phi, g∘gamma) is searched (or read from the cache), and
+    its cone (p0, q0) is carried over to (f, g):
+
+    - (p0, q0) ↦ (phi∘p0, gamma∘q0) is a bijection from the cones of
+      (f0, g0) at t onto those of (f, g) at t, with inverse
+      (p, q) ↦ (phi⁻¹∘p, gamma⁻¹∘q), and it commutes with precomposition
+      by any h.  So the two cone functors are isomorphic, a cone is
+      universal for (f0, g0) iff its image is universal for (f, g), and
+      the same apexes carry universal cones: the first of them is the
+      apex of both canonical pullbacks.
+    - The universal cones of (f, g) at one apex L form a single orbit
+      (p∘psi, q∘psi) under the automorphisms psi of L: precomposing a
+      universal cone with an iso gives a universal cone, and the map
+      between two of them is an iso (Mac Lane, CWM §III.4).  The search
+      picks the least cone at L, so the canonical pullback of (f, g) is
+      the least (phi∘p0∘psi, gamma∘q0∘psi) over Aut(L).
     """
     if c.mor_tgt[f] != c.mor_tgt[g]:
         raise ValueError("pullback needs a cospan: tgt(f) != tgt(g)")
+    cache = c._pullback_cache
     key = (f, g)
-    if key in c._pullback_cache:
-        return c._pullback_cache[key]
+    if key in cache:
+        return cache[key]
+    comp = c.comp
+    phi, gamma = least_iso(c, f), least_iso(c, g)
+    rep = (comp[(f, phi)], comp[(g, gamma)])
+    if rep not in cache:
+        cache[rep] = _pullback_search(c, *rep)
+    cone = cache[rep]
+    if cone is not None and rep != key:
+        p, q = comp[(phi, cone.p)], comp[(gamma, cone.q)]
+        apex = cone.apex
+        cone = PullbackCone(apex, *min(
+            (comp[(p, psi)], comp[(q, psi)]) for psi in c.isos_into(apex)
+            if c.mor_src[psi] == apex))
+    cache[key] = cone
+    return cone
+
+
+def _pullback_search(c: FinCategory, f, g):
+    """The canonical pullback of (f, g) found by search, or None.
+
+    The cones at each object t are the pairs (p, q) with f∘p == g∘q, found
+    by indexing hom(t, src g) by g∘q, and the winner is certified by
+    `_universal`.
+    """
     comp = c.comp
     x, y = c.mor_src[f], c.mor_src[g]
     cones = []
@@ -356,9 +413,7 @@ def pullback(c: FinCategory, f, g):
                       for q in by_gq.get(comp[(f, p)], ())])
     found = _universal(c, cones, c.hom,
                        lambda h, pq: (comp[(pq[0], h)], comp[(pq[1], h)]))
-    result = None if found is None else PullbackCone(found[0], *found[1])
-    c._pullback_cache[key] = result
-    return result
+    return None if found is None else PullbackCone(found[0], *found[1])
 
 
 def _universal(c, cones, homs, act):

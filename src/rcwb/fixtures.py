@@ -30,7 +30,7 @@ def _partial_maps(a, b):
 
 def _compose_graph(g, f):
     """Partial-function composition of graphs (g after f)."""
-    return tuple(None if v is None else g[v] for v in f)
+    return tuple([None if v is None else g[v] for v in f])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .fincat import (Cocone, Diagram, FinCategory, Functor, Subcategory,
-                     build_category, colimit, is_mono, mediating, pullback)
+                     build_category, colimit, is_mono, least_iso, mediating,
+                     pullback)
 from .joins import families
 from .reports import InternalInvariantError, LawReport
 from .restriction import (RestrictionCategory, check_restriction_axioms,
@@ -66,21 +67,9 @@ def check_m_system(mc: MCategory) -> LawReport:
 
 # -- M-subobjects ------------------------------------------------------------
 
-def canonical_iso(mc: MCategory, m) -> int:
-    """The iso phi into dom m that minimises m∘phi, the identity when m is
-    already the smallest."""
-    c = mc.base
-    dom = c.mor_src[m]
-    best, best_phi = m, c.identity[dom]
-    for phi in c.isos_into(dom):
-        if c.comp[(m, phi)] < best:
-            best, best_phi = c.comp[(m, phi)], phi
-    return best_phi
-
-
 def subobject_rep(mc: MCategory, m) -> int:
     """Canonical representative of the iso-class of the monic m."""
-    return mc.base.comp[(m, canonical_iso(mc, m))]
+    return mc.base.comp[(m, least_iso(mc.base, m))]
 
 
 def pullback_subobject(mc: MCategory, f, m) -> int:

@@ -154,6 +154,16 @@ def cocones_at(c, d, apex):
     return out
 
 
+def is_mono(c, m):
+    """Whether no two distinct parallel maps u, v into src m have
+    m∘u == m∘v, by scanning every pair of maps into src m; the reference
+    for fincat.is_mono."""
+    into = c.into(c.mor_src[m])
+    return not any(c.comp[(m, u)] == c.comp[(m, v)]
+                   for u, v in itertools.combinations(into, 2)
+                   if c.mor_src[u] == c.mor_src[v])
+
+
 def pullback_cone(c, f, g):
     """The first cone (apex, p, q) over the cospan (f, g), in that order, to
     which every commuting square f∘p' == g∘q' maps by exactly one h, found
@@ -224,15 +234,14 @@ def matching_colimit(mc, family, obj):
                            mediating(c, coc, obj, tuple(family)))
 
 
-def canonical_iso(mc, m):
-    """The first iso phi into dom m, over every iso of the category in id
-    order, that minimises m∘phi; the reference for mcat.canonical_iso."""
-    c = mc.base
-    dom = c.mor_src[m]
-    best, best_phi = m, c.identity[dom]
+def least_iso(c, f):
+    """The first iso phi into src f, over every iso of the category in id
+    order, that minimises f∘phi; the reference for fincat.least_iso."""
+    dom = c.mor_src[f]
+    best, best_phi = f, c.identity[dom]
     for phi in c.isos():
-        if c.mor_tgt[phi] == dom and c.comp[(m, phi)] < best:
-            best, best_phi = c.comp[(m, phi)], phi
+        if c.mor_tgt[phi] == dom and c.comp[(f, phi)] < best:
+            best, best_phi = c.comp[(f, phi)], phi
     return best_phi
 
 

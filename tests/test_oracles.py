@@ -325,6 +325,10 @@ PULLBACK_CATS = {
     "finset_p_2": (lambda: build_finset_p(2).base, 71),
     "nojoin": (lambda: build_nojoin_fixture().base, 28),
     "subsets_3": (lambda: subsets_category(3).base, 37),
+    # isomorphic objects: an iso into src f may come from another object
+    "karoubi_finset_p_2": (lambda: karoubi_r(build_finset_p(2)).rc.base, 245),
+    "par_finset_inj_2": (lambda: par(build_finset_mcat(2, "inj")).rc.base,
+                         71),
 }
 
 
@@ -332,6 +336,37 @@ PULLBACK_CATS = {
 def test_pullbacks_match_oracle_on_fixtures(name):
     build, missing = PULLBACK_CATS[name]
     assert _same_pullbacks(build()) == missing
+
+
+def test_pullbacks_are_searched_once_per_class_of_cospans(monkeypatch):
+    # a cospan (f, g) is searched only when f and g are the least of their
+    # orbits under precomposition with isos; the rest are transported
+    c = build_finset(3)
+    searched = []
+    real = fincat._pullback_search
+    monkeypatch.setattr(fincat, "_pullback_search",
+                        lambda c, f, g: searched.append((f, g)) or
+                        real(c, f, g))
+    classes = set()
+    for b in c.objects:
+        for f in c.into(b):
+            for g in c.into(b):
+                pullback(c, f, g)
+                classes.add((c.comp[(f, oracles.least_iso(c, f))],
+                             c.comp[(g, oracles.least_iso(c, g))]))
+    assert sorted(searched) == sorted(classes)
+    assert (len(c._pullback_cache), len(searched)) == (1842, 517)
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("finset_3", (60, 24)), ("finset_p_2", (23, 8)),
+    ("karoubi_finset_p_2", (81, 38))])
+def test_is_mono_matches_the_pair_scan_on_every_map(name, counts):
+    # counts: maps, monics
+    c = PULLBACK_CATS[name][0]()
+    verdicts = [fincat.is_mono(c, m) for m in c.morphisms()]
+    assert verdicts == [oracles.is_mono(c, m) for m in c.morphisms()]
+    assert (len(verdicts), sum(verdicts)) == counts
 
 
 @settings(max_examples=40, deadline=None)
@@ -597,8 +632,8 @@ def test_canonical_isos_and_spans_match_the_scan_over_every_iso(n, kind,
     c = mc.base
     monics = sorted(mc.monics)
     spans = [(m, f) for m in monics for f in c.out_of(c.mor_src[m])]
-    isos = [mcat.canonical_iso(mc, m) for m in monics]
-    assert isos == [oracles.canonical_iso(mc, m) for m in monics]
+    isos = [fincat.least_iso(c, m) for m in monics]
+    assert isos == [oracles.least_iso(c, m) for m in monics]
     canon = [mcat.canonical_span(mc, m, f) for m, f in spans]
     assert canon == [oracles.canonical_span(mc, m, f) for m, f in spans]
     assert (len(monics), sum(not c.is_identity(phi) for phi in isos),

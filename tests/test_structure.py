@@ -36,6 +36,11 @@ def _callers(pattern):
     # for a family with no dominated member
     (r"\bmatching_diagram\(", {("mcat", "_matching_colimit"),
                                 ("mcat", "matching_diagram")}),
+    # its own def line, and the two searches it certifies: pullback reaches
+    # it only through _pullback_search, once per class of cospans
+    (r"\b_universal\(", {("fincat", "_universal"),
+                          ("fincat", "_pullback_search"),
+                          ("fincat", "colimit")}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
