@@ -41,6 +41,9 @@ SUITES = [
     (["unit", "finset_p_3"], 0),
     # guards the restriction-axiom check on the 796-map Karoubi envelope
     (["karoubi", "finset_p_3"], 0),
+    # size 4: guards the M-system gate's pullback transport and the
+    # pullback-stability pass of the geometric check
+    (["geometric", "finset_inj_4"], 0),
     # negative controls: these are supposed to fail with exit code 1
     (["check-laws", "nojoin"], 1),
     (["geometric", "finset_iso_2"], 1),

@@ -26,8 +26,12 @@ triple only when that certificate fails.  A diagram needs no shape
 category: it is a graph of objects and maps, and a cocone is one condition
 per arrow.
 
-A category's tables are fixed at construction, but its pullback and
-isomorphism caches fill lazily on first use.  The code is single-threaded.
+A category's tables are fixed at construction; its lazy tables fill on
+first use: the canonical pullback of each cospan asked for
+(`_pullback_cache`), the isomorphisms and their inverses (`isos`), the
+isomorphisms into each object (`isos_into`), the certified generators
+(`generators`) and the least iso of each map asked for (`least_iso`).  The
+code is single-threaded.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ class FinCategory:
         self._pullback_cache = {}
         self._isos = None
         self._isos_into = None
+        self._least_isos = {}
         self._generators = _UNKNOWN
 
     # -- basic accessors ---------------------------------------------------
@@ -304,13 +309,16 @@ def least_iso(c: FinCategory, f) -> int:
     """The iso phi into src f that minimises f∘phi, the first such in
     `FinCategory.isos_into` order, and the identity when f is already the
     least: f∘phi is the least member of f's orbit under precomposition
-    with isos."""
-    src = c.mor_src[f]
-    best, best_phi = f, c.identity[src]
-    for phi in c.isos_into(src):
-        if c.comp[(f, phi)] < best:
-            best, best_phi = c.comp[(f, phi)], phi
-    return best_phi
+    with isos.  Scanned once per map and kept in c._least_isos."""
+    memo = c._least_isos
+    if f not in memo:
+        src = c.mor_src[f]
+        best, best_phi = f, c.identity[src]
+        for phi in c.isos_into(src):
+            if c.comp[(f, phi)] < best:
+                best, best_phi = c.comp[(f, phi)], phi
+        memo[f] = best_phi
+    return memo[f]
 
 
 # -- diagrams, cones, cocones ----------------------------------------------

@@ -3,6 +3,11 @@ the geometric criterion, MTotal and the Karoubi splitting.
 
 Subobjects and spans are normalised to canonical representatives (smallest
 ids after explicit iso search), so equality is plain component equality.
+Two lazy tables on each MCategory keep the searches to one per key:
+matching_memo (the matching colimit of each family asked for) and
+span_isos (per first leg m, the iso that canonicalises every span (m, f)
+when m alone decides it); the base category keeps the least iso of each
+map asked for (fincat.least_iso), which canonicalises subobjects.
 A matching diagram is a graph of pairwise pullbacks, a `fincat.Diagram`;
 it builds no shape category.
 """
@@ -28,14 +33,18 @@ class MCategory:
 
     matching_memo caches matching_colimit results by (family, object),
     for the families asked for and for the families of their maximal
-    members that those results are rebuilt from.  It fills lazily, takes no
-    part in equality or hashing, and hands the same result object to every
-    caller, so cached results must not be mutated.
+    members that those results are rebuilt from.  span_isos caches, per
+    first leg m, the iso that canonical_span precomposes every (m, f) with,
+    or None when f must break a tie.  Both fill lazily, take no part in
+    equality or hashing, and hand the same result object to every caller,
+    so cached results must not be mutated.
     """
     base: FinCategory
     monics: frozenset
     matching_memo: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
+    span_isos: dict = field(default_factory=dict, init=False,
+                            repr=False, compare=False)
 
 
 def check_m_system(mc: MCategory) -> LawReport:
@@ -259,10 +268,41 @@ def _rebuild(c: FinCategory, kept, drops, sub: Cocone) -> Cocone:
 def is_geometric(mc: MCategory, max_family=None) -> LawReport:
     """Theorem-style criterion: matching colimits exist, their induced maps
     lie in M, and they are stable under pullback.  Lists the first failing
-    family per object."""
+    family per object.
+
+    GEO-STAB pulls back along the generators into each object first
+    (FinCategory.generators).  When that pass is clean it is the report;
+    when it has any finding, or the base has no certified generators, the
+    same loop runs along every map into the object, so the entries do not
+    depend on the generators.  A clean pass proves stability along every
+    map f, for every family S the bound allows, by induction on the length
+    of a word in the generators:
+
+    - Along an identity it is trivial: id*(m) is m.
+    - Pullbacks paste: (g∘h)*(m) == h*(g*(m)) as canonical subobjects.
+    - Write f = g∘h with g a generator into obj.  The pass gave
+      g*(⋁S) == ⋁(g*S).  g*S has at most |S| members, so it is a family at
+      src g that the pass checked, within max_family; as the pass was
+      clean, its matching colimit exists and its induced map is in M, so
+      ⋁(g*S) exists.  Then f*(⋁S) == h*(⋁(g*S)) == ⋁h*(g*S) == ⋁f*(S), by
+      the shorter word h on g*S and pasting.
+    """
+    gens = mc.base.generators()
+    if gens is not None:
+        report = _geometric_scan(mc, max_family,
+                                 lambda fs: [f for f in fs if f in gens])
+        if report.ok:
+            return report
+    return _geometric_scan(mc, max_family, list)
+
+
+def _geometric_scan(mc: MCategory, max_family, pick) -> LawReport:
+    """is_geometric with GEO-STAB checked along the maps pick(c.into(obj))
+    into each object obj."""
     c = mc.base
     report = LawReport("geometric")
     for obj in c.objects:
+        maps = pick(c.into(obj))
         for family in families(sub_m(mc, obj).elements, max_family):
             mcol = matching_colimit(mc, family, obj)
             if mcol is None:
@@ -274,7 +314,7 @@ def is_geometric(mc: MCategory, max_family=None) -> LawReport:
                            "induced map not in M")
                 break
             if not all(pullback_stable(mc, f, family, mcol.mu)
-                       for f in c.into(obj)):
+                       for f in maps):
                 report.add("GEO-STAB", (obj,) + family,
                            "matching colimit not stable under pullback")
                 break
@@ -285,8 +325,20 @@ def is_geometric(mc: MCategory, max_family=None) -> LawReport:
 
 def canonical_span(mc: MCategory, m, f):
     """The representative of the span (m, f) up to an iso of its apex: the
-    one with the smallest (apex, m∘phi, f∘phi)."""
+    one with the smallest (apex, m∘phi, f∘phi).
+
+    The iso phi into dom m with the least (apex, m∘phi) is found once per m
+    (_span_iso) and kept in mc.span_isos.  When it is the only minimiser,
+    as it is for a monic m, where phi ↦ m∘phi is one-to-one, f cannot
+    break the tie and phi is the answer for every f; otherwise the isos are
+    scanned for each f.
+    """
     c = mc.base
+    if m not in mc.span_isos:
+        mc.span_isos[m] = _span_iso(c, m)
+    phi = mc.span_isos[m]
+    if phi is not None:
+        return c.comp[(m, phi)], c.comp[(f, phi)]
     dom = c.mor_src[m]
     best = (dom, m, f)
     for phi in c.isos_into(dom):
@@ -294,6 +346,17 @@ def canonical_span(mc: MCategory, m, f):
         if cand < best:
             best = cand
     return best[1], best[2]
+
+
+def _span_iso(c: FinCategory, m):
+    """The iso phi into dom m, or the identity, with the least
+    (src phi, m∘phi), when only one phi attains it; otherwise None."""
+    dom = c.mor_src[m]
+    ranked = sorted((c.mor_src[phi], c.comp[(m, phi)], phi)
+                    for phi in {c.identity[dom], *c.isos_into(dom)})
+    if len(ranked) > 1 and ranked[0][:2] == ranked[1][:2]:
+        return None
+    return ranked[0][2]
 
 
 def compose_spans(mc: MCategory, second, first):

@@ -13,8 +13,8 @@ from rcwb.fixtures import subsets_category
 from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
                         families, hom_poset, join as hom_join)
 from rcwb.mcat import (MatchingColimit, MCategory, ParCategory, SubMPoset,
-                       matching_diagram, pullback_subobject, sub_m,
-                       subobject_rep)
+                       matching_colimit, matching_diagram, pullback_stable,
+                       pullback_subobject, sub_m, subobject_rep)
 from rcwb.reports import InternalInvariantError, LawReport
 from rcwb.restriction import (RestrictionCategory, compatible, leq,
                               restriction_idempotents)
@@ -647,6 +647,20 @@ def join_collapsing_functor():
     return fun, x, y
 
 
+def non_associative(c: FinCategory) -> FinCategory:
+    """c with one composite redirected: the first g∘f of two non-identities
+    whose hom-set has another map gives the first such other map instead.
+    Every entry stays in place, so only the category laws reject it."""
+    comp = dict(c.comp)
+    g, f = next((g, f) for g, f in sorted(comp)
+                if not c.is_identity(g) and not c.is_identity(f)
+                and len(c.hom(c.mor_src[f], c.mor_tgt[g])) > 1)
+    comp[(g, f)] = next(h for h in c.hom(c.mor_src[f], c.mor_tgt[g])
+                        if h != comp[(g, f)])
+    return FinCategory(c.n_objects, c.mor_src, c.mor_tgt, c.identity, comp,
+                       c.obj_names, c.mor_names)
+
+
 def m3_bundle():
     """The lattice M3, 0 < a, b, c < 1, as a thin category bundle with every
     map in M: objects in that order, maps x <= y ordered by x, then y, named
@@ -733,6 +747,31 @@ def pullback_preserves_joins(mc: MCategory, f, max_family=None) -> LawReport:
         rhs = dom_poset.join(pulled)
         if lhs != rhs:
             report.add("PBJ", (f,) + family, "f*(⋁m_i) != ⋁f*(m_i)")
+    return report
+
+
+def is_geometric(mc: MCategory, max_family=None) -> LawReport:
+    """GEO-COLIM, GEO-MU and GEO-STAB with the first failing family per
+    object, pulling back along every map into the object; the reference
+    for mcat.is_geometric."""
+    c = mc.base
+    report = LawReport("geometric")
+    for obj in c.objects:
+        for family in families(sub_m(mc, obj).elements, max_family):
+            mcol = matching_colimit(mc, family, obj)
+            if mcol is None:
+                report.add("GEO-COLIM", (obj,) + family,
+                           "matching colimit does not exist")
+                break
+            if mcol.mu not in mc.monics:
+                report.add("GEO-MU", (obj,) + family + (mcol.mu,),
+                           "induced map not in M")
+                break
+            if not all(pullback_stable(mc, f, family, mcol.mu)
+                       for f in c.into(obj)):
+                report.add("GEO-STAB", (obj,) + family,
+                           "matching colimit not stable under pullback")
+                break
     return report
 
 

@@ -6,13 +6,12 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import m3_bundle, trivial_restriction
+from oracles import m3_bundle, non_associative, trivial_restriction
 from rcwb import cli, mcat, restriction, rpsh, site
 from rcwb.bridge import sheaf_to_jrp
 from rcwb.bundles import (BundleError, build_fixture, bundle_dict,
                           dump_bundle, load_bundle)
 from rcwb.cli import main
-from rcwb.fincat import FinCategory
 from rcwb.fixtures import build_finset_mcat, build_finset_p
 from rcwb.mcat import par
 from rcwb.rpsh import yoneda_jr
@@ -291,19 +290,10 @@ def test_cli_gate_stops_on_a_non_functorial_presheaf(tmp_path, capsys,
 
 
 def _non_associative_bundle(tmp_path):
-    # finset_inj_2 with every map total and M the injections, and one
-    # composite of two non-identities redirected within its hom-set: the
-    # loader accepts the table, but (h∘g)∘f != h∘(g∘f) for some triples
+    # finset_inj_2 with every map total and M the injections, on a table
+    # the loader accepts but where (h∘g)∘f != h∘(g∘f) for some triples
     mc = build_finset_mcat(2, "inj")
-    c = mc.base
-    comp = dict(c.comp)
-    g, f = next((g, f) for g, f in sorted(comp)
-                if not c.is_identity(g) and not c.is_identity(f)
-                and len(c.hom(c.mor_src[f], c.mor_tgt[g])) > 1)
-    comp[(g, f)] = next(h for h in c.hom(c.mor_src[f], c.mor_tgt[g])
-                        if h != comp[(g, f)])
-    bad = FinCategory(c.n_objects, c.mor_src, c.mor_tgt, c.identity, comp,
-                      c.obj_names, c.mor_names)
+    bad = non_associative(mc.base)
     bundle = tmp_path / "bad_assoc.json"
     bundle.write_text(dump_bundle(bundle_dict(
         bad, restriction=trivial_restriction(bad).bar, monics=mc.monics)))

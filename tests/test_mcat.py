@@ -2,7 +2,9 @@ import pytest
 
 from oracles import (heyting_check, m3_bundle, par_join_construction,
                      par_leq_oracle, pullback_preserves_joins)
+from rcwb import mcat
 from rcwb.bundles import load_bundle
+from rcwb.cli import main
 from rcwb.fincat import FinCategory, validate_category
 from rcwb.fixtures import build_finset_mcat
 from rcwb.joins import check_join_axioms, families
@@ -108,6 +110,27 @@ def test_geometric_reports_unstable_joins_on_m3():
     assert check_m_system(mc).ok
     assert is_geometric(mc).lines() == [
         "GEO-STAB\t4,6,8\tmatching colimit not stable under pullback"]
+
+
+def test_geometric_pulls_back_along_the_generators_only(monkeypatch,
+                                                       capsys):
+    # a clean geometric run reads stability along exactly the generators
+    # into each object: 9 of the 40 maps into set3, 7 of the 15 into set2
+    seen = []
+    real = mcat.pullback_stable
+    monkeypatch.setattr(mcat, "pullback_stable", lambda mc, f, *rest:
+                        seen.append((mc.base, f)) or real(mc, f, *rest))
+    assert main(["geometric", "finset_inj_3", "--max-family", "3"]) == 0
+    assert capsys.readouterr().out == "PASS\tgeometric\tfinset_inj_3\n"
+    c = seen[0][0]
+    assert all(base is c for base, _ in seen)
+    called = {f for _, f in seen}
+    gens = c.generators()
+    assert [sorted(f for f in called if c.mor_tgt[f] == obj)
+            for obj in c.objects] == \
+        [sorted(f for f in c.into(obj) if f in gens) for obj in c.objects]
+    assert [(len(called & set(c.into(obj))), len(c.into(obj)))
+            for obj in c.objects] == [(0, 1), (3, 4), (7, 15), (9, 40)]
 
 
 @pytest.mark.parametrize("name", ["finset_inj_2", "finset_inj_3",

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import collage, sieve_subpresheaf, sigma_classifier
 from rcwb import fincat, fixtures, mcat, rpsh
+from rcwb.bundles import load_bundle
 from rcwb.bridge import _matching_tuples, jrp_to_sheaf, sheaf_to_jrp
 from rcwb.fincat import (Diagram, FinCategory, cocones_at, colimit,
                          mediating, pullback, subcategory, validate_category)
@@ -638,6 +639,49 @@ def test_canonical_isos_and_spans_match_the_scan_over_every_iso(n, kind,
     assert canon == [oracles.canonical_span(mc, m, f) for m, f in spans]
     assert (len(monics), sum(not c.is_identity(phi) for phi in isos),
             len(spans), sum(s != t for s, t in zip(canon, spans))) == counts
+    # once the memos have filled, in the reverse order
+    assert [fincat.least_iso(c, m) for m in reversed(monics)] == isos[::-1]
+    assert [mcat.canonical_span(mc, m, f) for m, f in reversed(spans)] == \
+        canon[::-1]
+
+
+def test_canonical_spans_with_a_non_monic_leg_match_the_scan():
+    # every span (m, f) of FinSet<=2 with any map m: for m not monic, two
+    # isos phi can give the least (apex, m∘phi), and f breaks the tie
+    c = build_finset(2)
+    mc = MCategory(c, frozenset())
+    spans = [(m, f) for m in c.morphisms() for f in c.out_of(c.mor_src[m])]
+    for order in (spans, spans[::-1]):
+        assert [mcat.canonical_span(mc, m, f) for m, f in order] == \
+            [oracles.canonical_span(mc, m, f) for m, f in order]
+    ties = [m for m in c.morphisms() if mcat._span_iso(c, m) is None]
+    assert len(ties) == 3     # the constant maps out of the 2-set
+    for m in ties:
+        assert not fincat.is_mono(c, m)
+        dom = c.mor_src[m]
+        key = {phi: (c.mor_src[phi], c.comp[(m, phi)])
+               for phi in c.isos_into(dom)}
+        least = [phi for phi in key if key[phi] == min(key.values())]
+        assert len(least) == 2
+        assert any(len({c.comp[(f, phi)] for phi in least}) == 2
+                   for f in c.out_of(dom))
+
+
+def test_par_scans_the_isos_once_per_monic_leg(monkeypatch):
+    # Par(finset_inj_3) on a fresh M-category canonicalises every span
+    # through one _span_iso scan per distinct first leg
+    mc = build_finset_mcat(3, "inj")
+    legs, scanned = [], []
+    canonical_span, span_iso = mcat.canonical_span, mcat._span_iso
+    monkeypatch.setattr(mcat, "canonical_span", lambda mc, m, f:
+                        legs.append(m) or canonical_span(mc, m, f))
+    monkeypatch.setattr(mcat, "_span_iso", lambda c, m:
+                        scanned.append(m) or span_iso(c, m))
+    pc = par(mc)
+    assert sorted(scanned) == sorted(set(legs)) == sorted(mc.monics)
+    assert all(phi is not None for phi in mc.span_isos.values())
+    assert (len(legs), len(scanned), pc.rc.base.n_morphisms) == \
+        (10394, 24, 144)
 
 
 # -- the matching-colimit memo ------------------------------------------------
@@ -654,6 +698,66 @@ def test_memoised_matching_colimit_equals_fresh_computation():
                     assert fresh == mc and not fresh.matching_memo
                     again = matching_colimit(fresh, fam, obj)
                     assert first == again
+
+
+# -- the geometric criterion ---------------------------------------------------
+
+def _no_generators_mcat():
+    """finset_inj_2 on a table that is not a category, so it has no
+    certified generators."""
+    mc = build_finset_mcat(2, "inj")
+    bad = oracles.non_associative(mc.base)
+    assert bad.generators() is None
+    return MCategory(bad, mc.monics)
+
+
+GEOMETRIC_MCATS = {
+    "finset_inj_2": lambda: build_finset_mcat(2, "inj"),
+    "finset_inj_3": lambda: build_finset_mcat(3, "inj"),
+    "finset_iso_2": lambda: build_finset_mcat(2, "iso"),
+    "finset_iso_3": lambda: build_finset_mcat(3, "iso"),
+    "m3": lambda: load_bundle(oracles.m3_bundle()).mcat,
+    "no_generators": _no_generators_mcat,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIC_MCATS))
+def test_is_geometric_matches_the_all_maps_scan(name):
+    # each verdict on a fresh M-category, so no memo is shared
+    build = GEOMETRIC_MCATS[name]
+    for max_family in (None, 1, 2, 3):
+        lines = mcat.is_geometric(build(), max_family).lines()
+        assert lines == oracles.is_geometric(build(), max_family).lines()
+        if name == "m3" and max_family != 1:
+            # GEO-STAB fires along c<1, a generator, so this is the rerun
+            assert lines == ["GEO-STAB\t4,6,8\t"
+                             "matching colimit not stable under pullback"]
+
+
+def _stable_system(c, members):
+    """The least class of maps of c holding members and the isos that is
+    closed under composition and under pulling back along any map: the
+    legs opposite each member of the canonical pullbacks."""
+    mors = set(members) | set(c.isos())
+    while True:
+        more = _closure(c, mors) | {
+            pullback(c, f, m).p for m in mors for f in c.into(c.mor_tgt[m])}
+        if more == mors:
+            return frozenset(mors)
+        mors = more
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sets(st.sampled_from(sorted(MCATS["finset_inj_2"].monics))))
+def test_is_geometric_matches_the_all_maps_scan_on_stable_systems(drawn):
+    # a drawn set of injections of FinSet<=2, closed with the isos under
+    # composition and pullback, is a stable system
+    c = MCATS["finset_inj_2"].base
+    monics = _stable_system(c, drawn)
+    assert mcat.check_m_system(MCategory(c, monics)).ok
+    for max_family in (None, 1):
+        assert mcat.is_geometric(MCategory(c, monics), max_family).lines() \
+            == oracles.is_geometric(MCategory(c, monics), max_family).lines()
 
 
 # -- representables and constructed presheaves ---------------------------------
