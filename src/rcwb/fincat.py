@@ -22,9 +22,9 @@ or composite outside its keys and leaves the category laws to
 `validate_category`; only bundles, whose tables are given explicitly, make a
 `FinCategory` directly.  `validate_category` certifies associativity on a
 generating set (Light's test, see `FinCategory.generators`) and scans every
-triple only when that certificate fails.  A diagram needs no shape
-category: it is a graph of objects and maps, and a cocone is one condition
-per arrow.
+triple only when that certificate fails; `certified` reads the other laws
+the same way.  A diagram needs no shape category: it is a graph of objects
+and maps, and a cocone is one condition per arrow.
 
 A category's tables are fixed at construction; its lazy tables fill on
 first use: the canonical pullback of each cospan asked for
@@ -212,6 +212,28 @@ def validate_category(c: FinCategory) -> LawReport:
     report = _table_report(c)
     _associativity(c, c.morphisms(), report)
     return report
+
+
+def certified(c: FinCategory, scan):
+    """scan(pick), with pick(ms) the generators of c among the maps ms in
+    their order (FinCategory.generators), when c has certified generators
+    and that pass finds nothing (a falsy result); otherwise scan(list), the
+    pass along every map, so the result never depends on the generators.
+
+    scan checks a law at each map that pick lets through.  A clean pass
+    along the generators proves it at every map, so the full pass would be
+    clean too, once the caller shows its induction step: the law holds at
+    the identities, and the law at a generator g, as the pass checked it,
+    with the law at a shorter word w, over all the pass would check at w,
+    gives the law at g∘w (or at w∘g).  Every map is a word in the
+    generators, so induction on its length does the rest.
+    """
+    gens = c.generators()
+    if gens is not None:
+        found = scan(lambda ms: [m for m in ms if m in gens])
+        if not found:
+            return found
+    return scan(list)
 
 
 def _table_report(c: FinCategory) -> LawReport:

@@ -10,8 +10,8 @@ once per P(a) of a restriction presheaf (kept on the RestrictionPresheaf,
 see rpsh).  One scan checks the join laws over every compatible family
 (optionally bounded in size for large fixtures), in the hom-sets for
 check_join_axioms and in the element sets for rpsh.check_jrp_axioms, with
-the laws at a map certified on the generators of the base category (see
-certified_scan).
+the laws at a map read on the generators of the base category first (see
+fincat.certified).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
+from .fincat import certified
 from .reports import LawReport, Violation
 from .restriction import RestrictionCategory, compatible, leq
 
@@ -171,6 +172,17 @@ def scan(x: RestrictionCategory, fibres, text):
     - "bar" when bar[⋁S] is not the hom-join of the bar[s];
     - at each map, (role, "compatible") when w·S is not compatible, or else
       (role, "join") when w·⋁S != ⋁(w·S).
+
+    Callers read the maps through fincat.certified, whose induction step
+    is this (the join lemmas of Guo, *Products, joins, meets, and ranges in
+    restriction categories*, PhD thesis, Calgary, 2012).  A map acts by a
+    composite, s ↦ s∘g, f∘s or P(g)(s), functorially: by associativity,
+    which the generators certify, or as P is a presheaf (check_presheaf,
+    the gate of check_rp_axioms).  For g = g1∘w with g1 a generator,
+    (⋁S)∘g1∘w = ⋁(S∘g1)∘w = ⋁(S∘g1∘w): the law at g1 on S, then at w on
+    S∘g1, which is compatible and has a join (checked at g1) and no more
+    members than S, so it is a family of the pass.  P(g) and f = w∘f1 go
+    the same way.
     """
     for ids, a, poset, fams, bar, maps in fibres:
         for fam in fams:
@@ -198,34 +210,6 @@ def scan(x: RestrictionCategory, fibres, text):
                     yield Violation(tag, before + fam + after, detail)
 
 
-def certified_scan(x: RestrictionCategory, fibres, text):
-    """The Violations of scan(x, fibres(pick), text), with pick(ms) the
-    generators of x.base among the maps ms (FinCategory.generators), when
-    that pass is clean; otherwise those of the scan over every map,
-    pick(ms) = ms, so that the entries do not depend on the generators.
-
-    A map acts on its fibre by a composite, s ↦ s∘g, f∘s or P(g)(s), and
-    functorially: by associativity, which the generators certify, or as P
-    is a presheaf (check_presheaf, the gate of check_rp_axioms).  So a clean
-    pass over the generators proves the laws at every map by induction on
-    the length of a word in them, for all families at once (the join lemmas
-    of Guo, *Products, joins, meets, and ranges in restriction categories*,
-    PhD thesis, Calgary, 2012).  The law holds at an identity.  For g =
-    g1∘w with g1 a generator, (⋁S)∘g1∘w = ⋁(S∘g1)∘w = ⋁(S∘g1∘w): the law
-    at g1 on S, then at the shorter word w on S∘g1, which is compatible and
-    has a join (the pass checked it at g1) and has no more members than S,
-    so the pass ran over it.  P(g) and postcomposition, f = w∘f1, go the
-    same way.
-    """
-    gens = x.base.generators()
-    if gens is not None:
-        found = list(scan(x, fibres(lambda ms: [m for m in ms if m in gens]),
-                          text))
-        if not found:
-            return found
-    return list(scan(x, fibres(list), text))
-
-
 # (tag, detail) of each finding of scan on a hom-set
 JOIN_TEXT = {
     "missing": ("JOIN-MISSING", "compatible family without a join"),
@@ -242,8 +226,8 @@ def check_join_axioms(x: RestrictionCategory, max_family=None) -> LawReport:
     """Join existence, J1, J2 and the sanity check POSTCOMP (a theorem
     when J1/J2 hold, flagged with its own tag if it alone fails) over all
     compatible families, with at most max_family members when a bound is
-    given; J2 and POSTCOMP are scanned on the generators first
-    (certified_scan)."""
+    given; J2 and POSTCOMP are read on the generators first
+    (fincat.certified)."""
     c = x.base
     # an empty hom-set has no compatible families to check; requiring an
     # empty join there would wrongly fail every collage, whose hom-sets out
@@ -261,4 +245,5 @@ def check_join_axioms(x: RestrictionCategory, max_family=None) -> LawReport:
                        hom_poset(x, a, c.mor_tgt[f]))
                       for f in pick(c.out_of(b))])
 
-    return LawReport("join", certified_scan(x, fibres, JOIN_TEXT))
+    return LawReport("join", certified(c, lambda pick: list(
+        scan(x, fibres(pick), JOIN_TEXT))))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .fincat import (Cocone, Diagram, FinCategory, Functor, Subcategory,
-                     build_category, colimit, is_mono, least_iso, mediating,
-                     pullback)
+                     build_category, certified, colimit, is_mono, least_iso,
+                     mediating, pullback)
 from .joins import families
 from .reports import InternalInvariantError, LawReport
 from .restriction import (RestrictionCategory, check_restriction_axioms,
@@ -243,6 +243,9 @@ def _dominated(c: FinCategory, family):
             if j == i:
                 continue
             cone = pullback(c, m, family[j])
+            if cone is None:
+                raise InternalInvariantError(
+                    "missing pairwise pullback in matching diagram")
             if cone.p in isos:
                 drops.append((i, j, c.comp[(cone.q, isos[cone.p])]))
                 kept.remove(i)
@@ -270,13 +273,9 @@ def is_geometric(mc: MCategory, max_family=None) -> LawReport:
     lie in M, and they are stable under pullback.  Lists the first failing
     family per object.
 
-    GEO-STAB pulls back along the generators into each object first
-    (FinCategory.generators).  When that pass is clean it is the report;
-    when it has any finding, or the base has no certified generators, the
-    same loop runs along every map into the object, so the entries do not
-    depend on the generators.  A clean pass proves stability along every
-    map f, for every family S the bound allows, by induction on the length
-    of a word in the generators:
+    GEO-STAB pulls back along the maps into each object that
+    fincat.certified picks, the generators first.  Its induction step, for
+    every family S the bound allows:
 
     - Along an identity it is trivial: id*(m) is m.
     - Pullbacks paste: (g∘h)*(m) == h*(g*(m)) as canonical subobjects.
@@ -287,18 +286,13 @@ def is_geometric(mc: MCategory, max_family=None) -> LawReport:
       ⋁(g*S) exists.  Then f*(⋁S) == h*(⋁(g*S)) == ⋁h*(g*S) == ⋁f*(S), by
       the shorter word h on g*S and pasting.
     """
-    gens = mc.base.generators()
-    if gens is not None:
-        report = _geometric_scan(mc, max_family,
-                                 lambda fs: [f for f in fs if f in gens])
-        if report.ok:
-            return report
-    return _geometric_scan(mc, max_family, list)
+    return LawReport("geometric", certified(
+        mc.base, partial(_geometric_scan, mc, max_family)))
 
 
-def _geometric_scan(mc: MCategory, max_family, pick) -> LawReport:
-    """is_geometric with GEO-STAB checked along the maps pick(c.into(obj))
-    into each object obj."""
+def _geometric_scan(mc: MCategory, max_family, pick) -> list:
+    """The violations of is_geometric with GEO-STAB checked along the maps
+    pick(c.into(obj)) into each object obj."""
     c = mc.base
     report = LawReport("geometric")
     for obj in c.objects:
@@ -318,7 +312,7 @@ def _geometric_scan(mc: MCategory, max_family, pick) -> LawReport:
                 report.add("GEO-STAB", (obj,) + family,
                            "matching colimit not stable under pullback")
                 break
-    return report
+    return report.violations
 
 
 # -- the Par construction ----------------------------------------------------

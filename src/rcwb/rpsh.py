@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .joins import FinitePoset, certified_scan, hom_poset, scan
+from .fincat import certified
+from .joins import FinitePoset, hom_poset, scan
 from .reports import LawReport
 from .restriction import (RestrictionCategory, distinct_bars,
                           is_restriction_idempotent)
@@ -133,7 +134,7 @@ JRP_TEXT = {
 def check_jrp_axioms(rp: RestrictionPresheaf, max_family=None) -> LawReport:
     """Join existence, JRP1 and JRP2, (⋁S)·g == ⋁(s·g), over all compatible
     element sets of at most max_family members, once check_rp_axioms
-    passes, with JRP2 on the generators first (joins.certified_scan); when
+    passes, with JRP2 on the generators first (fincat.certified); when
     all that is clean, the sanity check JRP-ACT, x·(⋁T) == ⋁(x·t), for
     every element x and every family T of maps with a join.
 
@@ -160,7 +161,6 @@ def rp_reports(rp: RestrictionPresheaf, max_family=None) -> list:
     gate = check_rp_axioms(rp)
     if not gate.ok:
         return [gate]
-    report = LawReport("join-restriction-presheaf")
     x = rp.rc
     c = x.base
     p = rp.presheaf
@@ -175,7 +175,8 @@ def rp_reports(rp: RestrictionPresheaf, max_family=None) -> list:
                      element_poset(rp, c.mor_src[g]))
                     for g in pick(c.into(a))])
 
-    report.violations.extend(certified_scan(x, fibres, JRP_TEXT))
+    report = LawReport("join-restriction-presheaf", certified(
+        c, lambda pick: list(scan(x, fibres(pick), JRP_TEXT))))
     if report.ok:
         # x·t is t followed by x: a → * in the collage; the hom families
         # are built once per (b, a), and one without a join is no finding

@@ -519,22 +519,27 @@ def _fuzz_bases():
 FUZZ_BASES = _fuzz_bases()
 
 
+def _keys(table):
+    return range(len(table)) if isinstance(table, list) else table
+
+
 def _fuzz_slots(data, section):
-    """(table, key) for each entry of one section of a bundle: a comp
-    triple, an identity, a monic, a bar, an action image, an element bar."""
+    """(table, key) for each entry of one section of a bundle: an object,
+    a morphism, a comp triple, an identity, a monic, a bar, a section
+    element, an action image, an element bar."""
     psh = data.get("presheaves", {}).get("P", {})
-    if section in ("action", "element_bar"):
+    if section in ("sections", "action", "element_bar"):
         table = psh.get(section, {})
-        return [(row, key) for row in table.values() for key in row]
+        return [(row, key) for row in table.values() for key in _keys(row)]
     table = data.get(section, ())
-    return [(table, key) for key in (
-        range(len(table)) if isinstance(table, list) else table)]
+    return [(table, key) for key in _keys(table)]
 
 
 def _mutate(data, section, op, i, j, target):
     """Delete, retarget or duplicate entry i of the section: a retarget
-    sets it (in a comp triple, its item j) to target; a duplicate copies it
-    to position j of a list, or over entry j of a table."""
+    sets it (in a comp triple, its item j; in a morphism, its src or tgt
+    by j) to target; a duplicate copies it to position j of a list, or over
+    entry j of a table."""
     slots = _fuzz_slots(data, section)
     if not slots:
         return
@@ -543,6 +548,8 @@ def _mutate(data, section, op, i, j, target):
         del table[key]
     elif op == "retarget" and isinstance(table[key], list):
         table[key][j % len(table[key])] = target
+    elif op == "retarget" and isinstance(table[key], dict):
+        table[key][("src", "tgt")[j % 2]] = target
     elif op == "retarget":
         table[key] = target
     elif isinstance(table, list):
@@ -553,7 +560,8 @@ def _mutate(data, section, op, i, j, target):
 
 
 FUZZ_NAMES = sorted({name for data in FUZZ_BASES.values()
-                     for name in [m["id"] for m in data["morphisms"]] + [
+                     for name in data["objects"] + [
+                         m["id"] for m in data["morphisms"]] + [
                          e for lst in data["presheaves"]["P"][
                              "sections"].values() for e in lst]})
 FUZZ_COMMANDS = [["check-laws"], ["build-par"], ["karoubi"], ["geometric"],
@@ -565,8 +573,9 @@ FUZZ_COMMANDS = [["check-laws"], ["build-par"], ["karoubi"], ["geometric"],
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(FUZZ_BASES)),
-       st.sampled_from(["comp", "identities", "monics", "restriction",
-                        "action", "element_bar"]),
+       st.sampled_from(["objects", "morphisms", "comp", "identities",
+                        "monics", "restriction", "sections", "action",
+                        "element_bar"]),
        st.sampled_from(["delete", "retarget", "duplicate"]),
        st.integers(0, 40), st.integers(0, 40),
        st.sampled_from(FUZZ_NAMES))

@@ -3,12 +3,16 @@ import pytest
 from oracles import (NotRestrictionFunctorError, identity_functor,
                      is_join_restriction_functor, join_collapsing_functor,
                      nojoin_certified_pair, upper_bounds)
+from rcwb import joins, rpsh
+from rcwb.bridge import sheaf_to_jrp
+from rcwb.cli import main
 from rcwb.fixtures import subsets_category
 from rcwb.joins import (JOIN_TEXT, CompatibleFamily, FinitePoset,
                         check_join_axioms, compatible_subsets, hom_poset, join,
                         scan)
 from rcwb.restriction import check_restriction_axioms
-from rcwb.rpsh import JRP_TEXT
+from rcwb.rpsh import JRP_TEXT, rp_reports
+from rcwb.site import yoneda
 
 
 def test_finset_p_passes_join_axioms(finset_p2):
@@ -128,3 +132,61 @@ def test_scan_findings_on_hand_built_fibres(text, tags):
     # without a text for a missing join, a family without one is skipped
     assert list(scan(x, _hand_fibres(), dict(text, missing=None))) == \
         got[1:]
+
+
+def _recorded_scans(monkeypatch, module):
+    """[(x, fibres)] for each call of scan through module, the fibres read
+    into a list before they reach the real scan."""
+    calls = []
+
+    def recording(x, fibres, text):
+        fibres = list(fibres)
+        calls.append((x, fibres))
+        return scan(x, fibres, text)
+
+    monkeypatch.setattr(module, "scan", recording)
+    return calls
+
+
+def _maps(fibre, role):
+    """The maps of one role at a fibre: the g of J2 or JRP2, the f of
+    POSTCOMP, each the last of its ids around the family."""
+    return [(before + after)[-1] for r, before, after, _, _ in fibre[5]
+            if r == role]
+
+
+def test_join_laws_read_the_generators_only(monkeypatch, capsys):
+    # a clean check-laws run reads J2 along exactly the generators into a
+    # and POSTCOMP along exactly the generators out of b, at each hom (a, b)
+    calls = _recorded_scans(monkeypatch, joins)
+    assert main(["check-laws", "finset_p_2"]) == 0
+    assert capsys.readouterr().out.endswith("PASS\tcheck-laws\tfinset_p_2\n")
+    [(x, fibres)] = calls
+    c = x.base
+    gens = c.generators()
+    assert [fibre[0] for fibre in fibres] == [
+        (a, b) for a in c.objects for b in c.objects if c.hom(a, b)]
+    for fibre in fibres:
+        a, b = fibre[0]
+        assert _maps(fibre, "pre") == [g for g in c.into(a) if g in gens]
+        assert _maps(fibre, "post") == [f for f in c.out_of(b) if f in gens]
+    # the pass skips maps: 10 generators of the 23 maps
+    assert (len(gens), c.n_morphisms) == (10, 23)
+
+
+def test_jrp2_reads_the_generators_only(monkeypatch, pc_inj, mc_inj):
+    # on each transferred representable over Par(finset_inj_2), a clean
+    # pass reads JRP2 along exactly the generators into a, at each P(a)
+    c = pc_inj.rc.base
+    gens = c.generators()
+    for w in mc_inj.base.objects:
+        rp = sheaf_to_jrp(pc_inj, yoneda(mc_inj.base, w)).rp
+        calls = _recorded_scans(monkeypatch, rpsh)
+        assert all(rep.ok for rep in rp_reports(rp))
+        # the JRP2 pass, then the JRP-ACT pass
+        [(_, pres), _] = calls
+        assert [fibre[0] for fibre in pres] == [
+            (a,) for a in c.objects if rp.presheaf.sizes[a]]
+        for fibre in pres:
+            [a] = fibre[0]
+            assert _maps(fibre, "pre") == [g for g in c.into(a) if g in gens]

@@ -5,12 +5,13 @@ from oracles import (heyting_check, m3_bundle, par_join_construction,
 from rcwb import mcat
 from rcwb.bundles import load_bundle
 from rcwb.cli import main
-from rcwb.fincat import FinCategory, validate_category
+from rcwb.fincat import FinCategory, build_category, validate_category
 from rcwb.fixtures import build_finset_mcat
 from rcwb.joins import check_join_axioms, families
 from rcwb.mcat import (MCategory, check_m_system, is_geometric, karoubi_r,
                        matching_colimit, mtotal, pullback_stable,
                        split_unit_functor, sub_m, subobject_rep)
+from rcwb.reports import InternalInvariantError
 from rcwb.restriction import check_restriction_axioms, leq
 
 
@@ -56,6 +57,26 @@ def test_matching_colimit_rejects_a_dominated_member_outside_m(mc_iso):
     inj = next(f for f in c.hom(1, 2) if f not in mc_iso.monics)
     with pytest.raises(ValueError, match="not an M-subobject"):
         matching_colimit(mc_iso, (c.identity[2], inj), 2)
+
+
+@pytest.mark.parametrize("build", [matching_colimit, mcat.matching_diagram])
+def test_a_missing_pairwise_pullback_is_an_invariant_breach(build):
+    # m1: A -> X and m2: B -> X with only identities besides: no object maps
+    # to both A and B, so m1 and m2 have no pullback; each object's key is
+    # also the key of its identity
+    objects = ("A", "B", "X")
+    ends = {"A": ("A", "A"), "B": ("B", "B"), "X": ("X", "X"),
+            "m1": ("A", "X"), "m2": ("B", "X")}
+
+    def compose(g, f):
+        return f if g in objects else g
+
+    c, _, mor = build_category(objects, list(ends), ends.get, str, compose)
+    assert validate_category(c).ok
+    mc = MCategory(c, frozenset(mor.values()))
+    with pytest.raises(InternalInvariantError,
+                       match="missing pairwise pullback in matching diagram"):
+        build(mc, (mor["m1"], mor["m2"]), 2)
 
 
 def test_geometric_accepts_inj(mc_inj):

@@ -41,6 +41,11 @@ def _callers(pattern):
     (r"\b_universal\(", {("fincat", "_universal"),
                           ("fincat", "_pullback_search"),
                           ("fincat", "colimit")}),
+    # its own def line, the category laws it certifies, and the one pass
+    # that reads every other law along the generators first
+    (r"\bgenerators\(", {("fincat", "generators"),
+                           ("fincat", "validate_category"),
+                           ("fincat", "certified")}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
