@@ -2,12 +2,14 @@
 """Run every verification suite over the bundled fixtures.
 
 Thin driver over the CLI: each line below is a (subcommand, bundle, extra
-args, expected exit code) tuple.  Prints one PASS/FAIL line per suite and
-exits nonzero if any suite deviates from its expectation.
+args, expected exit code) tuple.  Prints one PASS/FAIL line per suite, ending
+in its wall time, and a summary line with the total time; exits nonzero if
+any suite deviates from its expectation.
 """
 
 import argparse
 import sys
+import time
 
 from rcwb.cli import main as cli_main
 
@@ -60,14 +62,19 @@ def run(argv=None):
     args = parser.parse_args(argv)
 
     failures = 0
+    total = 0.0
     for cmd, expected in SUITES:
+        start = time.perf_counter()
         code = cli_main(cmd + ["--max-family", str(args.max_family)])
+        seconds = time.perf_counter() - start
+        total += seconds
         ok = code == expected
         failures += not ok
         verdict = "PASS" if ok else "FAIL"
         note = f"(exit {code}, expected {expected})"
-        print(f"{verdict}\t{' '.join(cmd)}\t{note}")
-    print(f"{len(SUITES) - failures}/{len(SUITES)} suites as expected")
+        print(f"{verdict}\t{' '.join(cmd)}\t{note}\t{seconds:.2f} s")
+    print(f"{len(SUITES) - failures}/{len(SUITES)} suites as expected "
+          f"in {total:.2f} s")
     return 1 if failures else 0
 
 

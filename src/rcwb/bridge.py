@@ -40,7 +40,7 @@ def canonical_pair(mc: MCategory, p: Presheaf, mu, e):
     """The canonical pair in the class of (mu, e): (mu∘phi, P(phi)(e)) for
     the iso phi that makes mu∘phi the canonical monic."""
     phi = least_iso(mc.base, mu)
-    return mc.base.comp[(mu, phi)], p.act(phi, e)
+    return mc.base.compose(mu, phi), p.act(phi, e)
 
 
 def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
@@ -56,7 +56,7 @@ def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
         cone = pullback(c, g, m)
         if cone is None:
             raise InternalInvariantError("missing pullback in transfer")
-        return canonical_pair(mc, p, c.comp[(n, cone.p)], p.act(cone.q, e))
+        return canonical_pair(mc, p, c.compose(n, cone.p), p.act(cone.q, e))
 
     def name(a, pair):
         m, e = pair

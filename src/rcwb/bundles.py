@@ -102,9 +102,10 @@ def load_bundle(text_or_dict) -> Bundle:
     for name, a in obj_id.items():
         if identity[a] is None:
             _fail("$.identities", f"object {name!r} has no identity")
-    comp = {}
+    section = "$.comp"
+    comp, seen = [], set()     # the pair table: (g, f, g∘f) triples
     for i, triple in enumerate(_expect(data, "comp", list, "$")):
-        path = f"$.comp[{i}]"
+        path = f"{section}[{i}]"
         if not (isinstance(triple, list) and len(triple) == 3):
             _fail(path, "each entry must be [g, f, gf]")
         g, f, gf = [_ref(mor_id, mid, path, "morphism") for mid in triple]
@@ -113,16 +114,17 @@ def load_bundle(text_or_dict) -> Bundle:
         if mor_src[gf] != mor_src[f] or mor_tgt[gf] != mor_tgt[g]:
             _fail(path, f"composite {triple[2]!r} of [{triple[0]!r}, "
                         f"{triple[1]!r}] has the wrong endpoints")
-        if (g, f) in comp:
+        if (g, f) in seen:
             _fail(path, "duplicate composition entry")
-        comp[(g, f)] = gf
+        seen.add((g, f))
+        comp.append((g, f, gf))
     cat = FinCategory(len(objects), mor_src, mor_tgt, identity, comp,
                       obj_names=objects, mor_names=mor_names)
-    for g in cat.morphisms():
-        for f in cat.into(mor_src[g]):
-            if (g, f) not in comp:
-                _fail("$.comp", f"no entry for the composable pair "
-                                f"[{mor_names[g]!r}, {mor_names[f]!r}]")
+    for g, row in enumerate(cat.rows):
+        if None in row:
+            f = cat.into(mor_src[g])[row.index(None)]
+            _fail(section, f"no entry for the composable pair "
+                           f"[{mor_names[g]!r}, {mor_names[f]!r}]")
     bundle = Bundle(cat)
     if "restriction" in data:
         bar = [None] * cat.n_morphisms
@@ -221,7 +223,7 @@ def bundle_dict(cat: FinCategory, restriction=None, monics=None,
                        for a in cat.objects},
         "comp": sorted([cat.mor_names[g], cat.mor_names[f],
                         cat.mor_names[gf]]
-                       for (g, f), gf in cat.comp.items()),
+                       for g, f, gf in cat.pairs()),
     }
     if restriction is not None:
         data["restriction"] = {cat.mor_names[f]: cat.mor_names[restriction[f]]

@@ -1,9 +1,15 @@
 """Finite categories as explicit composition tables.
 
 Objects and morphisms are dense non-negative integers.  Composition is a
-total table on composable pairs; limits and colimits are found by exhaustive
-search and verified against every (co)cone, so a returned answer is a
-certificate, not a guess.  All canonical choices break ties by smallest id.
+total table on composable pairs, stored once, as one row per map: rows[g]
+holds g∘f for each f in into(src g), in that order, and pos[f] is the index
+of f in into(tgt f), so g∘f is rows[g][pos[f]].  `FinCategory.compose`
+reads one entry and checks that the pair is composable; the hot loops here
+and in the law checks read rows directly, and `FinCategory.pairs` lists
+the table as (g, f, g∘f) triples.  Limits and colimits are found by
+exhaustive search and verified against every (co)cone, so a returned answer
+is a certificate, not a guess.  All canonical choices break ties by
+smallest id.
 
 Pullbacks and colimits share one certificate, `_universal`, which counts
 maps against (co)cones.  It is sound only because the (co)cones at each
@@ -18,13 +24,14 @@ search would return (the proof is in `pullback`).
 
 Constructed categories (Par, the Karoubi splitting, subcategories, the
 fixtures) come from `build_category`.  It refuses an endpoint, identity
-or composite outside its keys and leaves the category laws to
-`validate_category`; only bundles, whose tables are given explicitly, make a
-`FinCategory` directly.  `validate_category` certifies associativity on a
-generating set (Light's test, see `FinCategory.generators`) and scans every
-triple only when that certificate fails; `certified` reads the other laws
-the same way.  A diagram needs no shape category: it is a graph of objects
-and maps, and a cocone is one condition per arrow.
+or composite outside its keys, writes the rows itself and leaves the
+category laws to `validate_category`; only bundles, whose tables are given
+explicitly as (g, f, g∘f) triples, make a `FinCategory` from a pair table.
+`validate_category` certifies associativity on a generating set (Light's
+test, see `FinCategory.generators`) and scans every triple only when that
+certificate fails; `certified` reads the other laws the same way.  A
+diagram needs no shape category: it is a graph of objects and maps, and a
+cocone is one condition per arrow.
 
 A category's tables are fixed at construction; its lazy tables fill on
 first use: the canonical pullback of each cospan asked for
@@ -46,33 +53,56 @@ _UNKNOWN = object()     # FinCategory.generators not yet computed
 class FinCategory:
     """A finite category given by explicit tables.
 
-    comp maps (g, f) -> g∘f and is defined exactly when tgt(f) == src(g).
+    Composition is stored once, as rows: rows[g] holds g∘f for each f in
+    into(src g), in that order, and pos[f] is the index of f in
+    into(tgt f), so g∘f is rows[g][pos[f]] (`compose`).  A row entry is
+    None where the pair table left a composable pair out;
+    `validate_category` reports it as COMP-MISSING.
+
+    comp is the pair table, an iterable of (g, f, g∘f) triples with at most
+    one per pair, and __init__ writes the rows from it; an entry on a pair
+    that is not composable, or with an id that is not a map, raises
+    ValueError.  `build_category` passes finished rows instead.
     """
 
-    def __init__(self, n_objects, mor_src, mor_tgt, identity, comp,
-                 obj_names=None, mor_names=None):
+    def __init__(self, n_objects, mor_src, mor_tgt, identity, comp=(),
+                 obj_names=None, mor_names=None, *, rows=None):
         self.n_objects = n_objects
         self.objects = tuple(range(n_objects))
         self.mor_src = tuple(mor_src)
         self.mor_tgt = tuple(mor_tgt)
         self.identity = tuple(identity)
-        self.comp = dict(comp)
-        self.n_morphisms = len(self.mor_src)
+        self.n_morphisms = n = len(self.mor_src)
         self.obj_names = tuple(obj_names) if obj_names else tuple(
             str(a) for a in self.objects)
         self.mor_names = tuple(mor_names) if mor_names else tuple(
-            str(f) for f in range(self.n_morphisms))
+            str(f) for f in range(n))
 
         hom = {}
-        into = {b: [] for b in self.objects}
-        out = {a: [] for a in self.objects}
+        into = [[] for _ in self.objects]
+        out = [[] for _ in self.objects]
+        pos = []
         for f, (a, b) in enumerate(zip(self.mor_src, self.mor_tgt)):
             hom.setdefault((a, b), []).append(f)
             out[a].append(f)
+            pos.append(len(into[b]))
             into[b].append(f)
         self._hom = {k: tuple(v) for k, v in hom.items()}
-        self._into = {b: tuple(fs) for b, fs in into.items()}
-        self._out = {a: tuple(fs) for a, fs in out.items()}
+        self._into = tuple(map(tuple, into))
+        self._out = tuple(map(tuple, out))
+        self.pos = tuple(pos)
+        if rows is None:
+            rows = [[None] * len(into[a]) for a in self.mor_src]
+            for g, f, gf in comp:
+                if not (0 <= g < n and 0 <= f < n and 0 <= gf < n):
+                    raise ValueError(f"composition entry {(g, f, gf)} names "
+                                     f"a map that does not exist")
+                if self.mor_tgt[f] != self.mor_src[g]:
+                    raise ValueError(f"composition entry {(g, f, gf)} is on "
+                                     f"a pair that is not composable")
+                rows[g][pos[f]] = gf
+            rows = map(tuple, rows)
+        self.rows = tuple(rows)
         self._pullback_cache = {}
         self._isos = None
         self._isos_into = None
@@ -98,6 +128,22 @@ class FinCategory:
     def composable(self, g, f):
         return self.mor_tgt[f] == self.mor_src[g]
 
+    def compose(self, g, f):
+        """g∘f, or None where the pair table has no entry; ValueError
+        unless tgt f == src g.  Hot loops read rows[g][pos[f]] instead."""
+        if self.mor_tgt[f] != self.mor_src[g]:
+            raise ValueError(f"maps {g} and {f} are not composable")
+        return self.rows[g][self.pos[f]]
+
+    def pairs(self):
+        """Every (g, f, g∘f) of the table, g-major in id order and then f
+        in ascending id order."""
+        into = self._into
+        for g, row in enumerate(self.rows):
+            for f, gf in zip(into[self.mor_src[g]], row):
+                if gf is not None:
+                    yield g, f, gf
+
     def is_identity(self, f):
         return self.identity[self.mor_src[f]] == f and \
             self.mor_src[f] == self.mor_tgt[f]
@@ -108,11 +154,12 @@ class FinCategory:
         """All isomorphisms, with their inverses: dict f -> f_inv."""
         if self._isos is None:
             out = {}
+            rows, pos = self.rows, self.pos
             for f in self.morphisms():
                 a, b = self.mor_src[f], self.mor_tgt[f]
                 for g in self.hom(b, a):
-                    if self.comp[(g, f)] == self.identity[a] and \
-                            self.comp[(f, g)] == self.identity[b]:
+                    if rows[g][pos[f]] == self.identity[a] and \
+                            rows[f][pos[g]] == self.identity[b]:
                         out[f] = g
                         break
             self._isos = out
@@ -139,7 +186,7 @@ class FinCategory:
         The maps are scanned in id order, and each one outside the
         composition closure of the identities and the generators before it
         becomes a generator.  The set is returned only when the identity
-        laws and the comp-table checks of `validate_category` hold and
+        laws and the table checks of `validate_category` hold and
         (h∘g)∘f == h∘(g∘f) for every generator g and every composable h, f.
 
         That certifies every triple (F. W. Light's test; Clifford & Preston,
@@ -165,42 +212,47 @@ def build_category(objects, morphisms, ends, identity, compose,
     ends(f) is the (source, target) pair of object keys of morphism f,
     identity(a) the key of the identity on a, and compose(g, f) the key of
     g∘f.  compose runs once per composable pair, found through the morphisms
-    into each object, and the table is filled g-major in id order.  Raises
-    ValueError when an endpoint, identity or composite is not a key.
+    into each object, and writes the rows of the category (see FinCategory)
+    one map g at a time, in id order.  Raises ValueError when an endpoint,
+    identity or composite is not a key.
     """
     obj_id = {a: i for i, a in enumerate(objects)}
     mor_id = {f: i for i, f in enumerate(morphisms)}
     if len(obj_id) != len(objects) or len(mor_id) != len(morphisms):
         raise ValueError("duplicate object or morphism key")
     src, tgt = [], []
-    into = [[] for _ in obj_id]     # per object: (key, id) of each map in
-    for i, f in enumerate(mor_id):
+    into = [[] for _ in obj_id]     # per object: the key of each map in
+    for f in mor_id:
         a, b = ends(f)
         if a not in obj_id or b not in obj_id:
             raise ValueError(f"an endpoint of {f!r} is not an object")
         src.append(obj_id[a])
         tgt.append(obj_id[b])
-        into[obj_id[b]].append((f, i))
+        into[obj_id[b]].append(f)
     ids = []
     for a in obj_id:
         i = identity(a)
         if i not in mor_id:
             raise ValueError(f"identity {i!r} of {a!r} is not a morphism")
         ids.append(mor_id[i])
-    comp = {}
+    get = mor_id.get
+    rows = []
     for g, j in mor_id.items():
-        for f, i in into[src[j]]:
-            gf = mor_id.get(compose(g, f))
-            if gf is None:
-                raise ValueError(f"composite {compose(g, f)!r} of {g!r}, "
-                                 f"{f!r} is not a morphism")
-            comp[(j, i)] = gf
-    cat = FinCategory(len(obj_id), src, tgt, ids, comp, obj_names, mor_names)
+        fs = into[src[j]]
+        row = [get(compose(g, f)) for f in fs]
+        if None in row:
+            f = fs[row.index(None)]
+            raise ValueError(f"composite {compose(g, f)!r} of {g!r}, "
+                             f"{f!r} is not a morphism")
+        rows.append(tuple(row))
+    cat = FinCategory(len(obj_id), src, tgt, ids, obj_names=obj_names,
+                      mor_names=mor_names, rows=rows)
     return cat, obj_id, mor_id
 
 
 def validate_category(c: FinCategory) -> LawReport:
-    """Check identity and associativity laws plus comp-table totality.
+    """Check identity and associativity laws plus the shape and totality
+    of the composition rows.
 
     Violations are report entries; an empty report means c is a category.
     When c.generators() certifies c, no triple is scanned again; otherwise
@@ -237,49 +289,63 @@ def certified(c: FinCategory, scan):
 
 
 def _table_report(c: FinCategory) -> LawReport:
-    """The identity laws and the shape and totality of the comp table."""
+    """The identity laws and the shape and totality of the rows."""
     report = LawReport("category")
-    n = c.n_morphisms
+    n, src, tgt, rows, pos = (c.n_morphisms, c.mor_src, c.mor_tgt, c.rows,
+                              c.pos)
     for a in c.objects:
         i = c.identity[a]
-        if not (0 <= i < n and c.mor_src[i] == a and c.mor_tgt[i] == a):
+        if not (0 <= i < n and src[i] == a and tgt[i] == a):
             report.add("ID-SHAPE", (a,), "identity is not an endomorphism")
     for f in c.morphisms():
-        il = c.identity[c.mor_tgt[f]]
-        ir = c.identity[c.mor_src[f]]
-        if c.comp.get((il, f)) != f:
+        # an identity that is not a map, or does not meet f, has no entry
+        il = c.identity[tgt[f]]
+        ir = c.identity[src[f]]
+        if not (0 <= il < n and src[il] == tgt[f] and rows[il][pos[f]] == f):
             report.add("ID-LEFT", (il, f), "comp(id, f) != f")
-        if c.comp.get((f, ir)) != f:
+        if not (0 <= ir < n and tgt[ir] == src[f] and rows[f][pos[ir]] == f):
             report.add("ID-RIGHT", (f, ir), "comp(f, id) != f")
-    for (g, f), gf in c.comp.items():
-        if c.mor_tgt[f] != c.mor_src[g]:
-            report.add("COMP-DOMAIN", (g, f), "entry on non-composable pair")
-            continue
-        if not (c.mor_src[gf] == c.mor_src[f] and c.mor_tgt[gf] == c.mor_tgt[g]):
-            report.add("COMP-SHAPE", (g, f, gf), "composite has wrong endpoints")
-    for g in c.morphisms():
-        for f in c.into(c.mor_src[g]):
-            if (g, f) not in c.comp:
-                report.add("COMP-MISSING", (g, f), "composable pair without entry")
+    for g, row in enumerate(rows):
+        b = tgt[g]
+        for f, gf in zip(c.into(src[g]), row):
+            if gf is not None and not (src[gf] == src[f] and tgt[gf] == b):
+                report.add("COMP-SHAPE", (g, f, gf),
+                           "composite has wrong endpoints")
+    for g, row in enumerate(rows):
+        if None in row:
+            for f, gf in zip(c.into(src[g]), row):
+                if gf is None:
+                    report.add("COMP-MISSING", (g, f),
+                               "composable pair without entry")
     return report
 
 
 def _associativity(c: FinCategory, middles, report: LawReport):
     """Add an ASSOC entry for each composable (h, g, f) with g in middles
-    and h∘(g∘f) != (h∘g)∘f or a composite missing, in (g, f, h) order."""
-    # after[f][h] is h∘f: one dict per right factor, read a row at a time
-    after = [{} for _ in c.morphisms()]
-    for (g, f), gf in c.comp.items():
-        after[f][g] = gf
+    and h∘(g∘f) != (h∘g)∘f or a composite missing, in (g, f, h) order.
+
+    A composite with the wrong endpoints (COMP-SHAPE) has no entry to
+    compose it with: h∘(g∘f) is missing when g∘f does not end at tgt g, and
+    (h∘g)∘f when h∘g does not start at src g."""
+    src, tgt, rows, pos = c.mor_src, c.mor_tgt, c.rows, c.pos
     for g in middles:
-        hs = c.out_of(c.mor_tgt[g])
-        hgs = list(map(after[g].get, hs))
-        for f in c.into(c.mor_src[g]):
-            gf = after[f].get(g)
+        a, b, row_g = src[g], tgt[g], rows[g]
+        hs = c.out_of(b)
+        pg = pos[g]
+        # the row of each h∘g, read at f for (h∘g)∘f
+        hg_rows = [None if hg is None or src[hg] != a else rows[hg]
+                   for hg in [rows[h][pg] for h in hs]]
+        missing = [None] * len(hs)
+        for f, gf in zip(c.into(a), row_g):
             if gf is None:
                 continue
-            lhs = list(map(after[gf].get, hs))
-            rhs = list(map(after[f].get, hgs))
+            if tgt[gf] == b:
+                pgf = pos[gf]
+                lhs = [rows[h][pgf] for h in hs]
+            else:
+                lhs = missing
+            pf = pos[f]
+            rhs = [None if r is None else r[pf] for r in hg_rows]
             if lhs != rhs or None in lhs:
                 for h, l, r in zip(hs, lhs, rhs):
                     if l != r or l is None:
@@ -291,7 +357,7 @@ def _certified_generators(c: FinCategory):
     report = _table_report(c)
     if not report.ok:
         return None
-    comp = c.comp
+    rows, pos = c.rows, c.pos
     closed = set(c.identity)
     gens = []
     for m in c.morphisms():
@@ -303,9 +369,10 @@ def _certified_generators(c: FinCategory):
         # every pair of closed maps is composed once the later one is taken
         while todo:
             x = todo.pop()
-            for z in [comp[(x, y)] for y in c.into(c.mor_src[x])
+            px = pos[x]
+            for z in [xy for y, xy in zip(c.into(c.mor_src[x]), rows[x])
                       if y in closed] + \
-                    [comp[(y, x)] for y in c.out_of(c.mor_tgt[x])
+                    [rows[y][px] for y in c.out_of(c.mor_tgt[x])
                      if y in closed]:
                 if z not in closed:
                     closed.add(z)
@@ -320,9 +387,10 @@ def is_mono(c: FinCategory, m) -> bool:
     if not 0 <= m < c.n_morphisms:
         raise ValueError(f"unknown morphism id {m}")
     a = c.mor_src[m]
+    row, pos = c.rows[m], c.pos
     for t in c.objects:
         hs = c.hom(t, a)
-        if len({c.comp[(m, h)] for h in hs}) != len(hs):
+        if len({row[pos[h]] for h in hs}) != len(hs):
             return False
     return True
 
@@ -335,10 +403,11 @@ def least_iso(c: FinCategory, f) -> int:
     memo = c._least_isos
     if f not in memo:
         src = c.mor_src[f]
+        row, pos = c.rows[f], c.pos
         best, best_phi = f, c.identity[src]
         for phi in c.isos_into(src):
-            if c.comp[(f, phi)] < best:
-                best, best_phi = c.comp[(f, phi)], phi
+            if row[pos[phi]] < best:
+                best, best_phi = row[pos[phi]], phi
         memo[f] = best_phi
     return memo[f]
 
@@ -409,17 +478,18 @@ def pullback(c: FinCategory, f, g):
     key = (f, g)
     if key in cache:
         return cache[key]
-    comp = c.comp
+    rows, pos = c.rows, c.pos
     phi, gamma = least_iso(c, f), least_iso(c, g)
-    rep = (comp[(f, phi)], comp[(g, gamma)])
+    rep = (rows[f][pos[phi]], rows[g][pos[gamma]])
     if rep not in cache:
         cache[rep] = _pullback_search(c, *rep)
     cone = cache[rep]
     if cone is not None and rep != key:
-        p, q = comp[(phi, cone.p)], comp[(gamma, cone.q)]
+        row_p = rows[rows[phi][pos[cone.p]]]
+        row_q = rows[rows[gamma][pos[cone.q]]]
         apex = cone.apex
         cone = PullbackCone(apex, *min(
-            (comp[(p, psi)], comp[(q, psi)]) for psi in c.isos_into(apex)
+            (row_p[pos[psi]], row_q[pos[psi]]) for psi in c.isos_into(apex)
             if c.mor_src[psi] == apex))
     cache[key] = cone
     return cone
@@ -432,17 +502,18 @@ def _pullback_search(c: FinCategory, f, g):
     by indexing hom(t, src g) by g∘q, and the winner is certified by
     `_universal`.
     """
-    comp = c.comp
+    rows, pos = c.rows, c.pos
+    row_f, row_g = rows[f], rows[g]
     x, y = c.mor_src[f], c.mor_src[g]
     cones = []
     for t in c.objects:
         by_gq = {}
         for q in c.hom(t, y):
-            by_gq.setdefault(comp[(g, q)], []).append(q)
+            by_gq.setdefault(row_g[pos[q]], []).append(q)
         cones.append([(p, q) for p in c.hom(t, x)
-                      for q in by_gq.get(comp[(f, p)], ())])
+                      for q in by_gq.get(row_f[pos[p]], ())])
     found = _universal(c, cones, c.hom,
-                       lambda h, pq: (comp[(pq[0], h)], comp[(pq[1], h)]))
+                       lambda h, pq: (rows[pq[0]][pos[h]], rows[pq[1]][pos[h]]))
     return None if found is None else PullbackCone(found[0], *found[1])
 
 
@@ -537,9 +608,10 @@ def cocones_at(c: FinCategory, d: Diagram, apex):
     for i, j, f in d.arrows:
         forces[j].append((i, f))
     sources = {i for i, _, _ in d.arrows}
+    rows, pos = c.rows, c.pos
     return list(forced_assignments(
         n, lambda k: c.hom(d.obj_map[k], apex), forces,
-        lambda f, leg: c.comp[(leg, f)],
+        lambda f, leg: rows[leg][pos[f]],
         sorted(range(n), key=lambda k: k in sources)))
 
 
@@ -552,10 +624,14 @@ def colimit(c: FinCategory, d: Diagram):
     """
     if not d.check(c):
         raise ValueError("invalid diagram")
-    comp = c.comp
+    rows, pos = c.rows, c.pos
+
+    def act(h, legs):
+        row = rows[h]
+        return tuple([row[pos[leg]] for leg in legs])
+
     found = _universal(c, [cocones_at(c, d, apex) for apex in c.objects],
-                       lambda t, apex: c.hom(apex, t),
-                       lambda h, legs: tuple([comp[(h, leg)] for leg in legs]))
+                       lambda t, apex: c.hom(apex, t), act)
     return None if found is None else Cocone(*found)
 
 
@@ -569,8 +645,10 @@ def mediating(c: FinCategory, coc: Cocone, apex, legs):
     then h∘leg_i∘f.
     """
     found = None
+    pos = c.pos
     for h in c.hom(coc.apex, apex):
-        if all(c.comp[(h, leg)] == want for leg, want in zip(coc.legs, legs)):
+        row = c.rows[h]
+        if all(row[pos[leg]] == want for leg, want in zip(coc.legs, legs)):
             if found is not None:
                 return None
             found = h
@@ -597,9 +675,13 @@ class Functor:
         for a in s.objects:
             if self.mor_map[s.identity[a]] != t.identity[self.obj_map[a]]:
                 return False
-        for (g, f), gf in s.comp.items():
-            if t.comp[(self.mor_map[g], self.mor_map[f])] != self.mor_map[gf]:
-                return False
+        # F maps into(src g) into into(src Fg), so Fg's row holds Fg∘Ff
+        mm, pos = self.mor_map, t.pos
+        for g, row in enumerate(s.rows):
+            row_fg = t.rows[mm[g]]
+            for f, gf in zip(s.into(s.mor_src[g]), row):
+                if gf is not None and row_fg[pos[mm[f]]] != mm[gf]:
+                    return False
         return True
 
     def is_full_and_faithful(self) -> bool:
@@ -641,7 +723,7 @@ def subcategory(c: FinCategory, objs, mors) -> Subcategory:
     mors = sorted(mors)
     cat, _, mor_new = build_category(
         objs, mors, lambda f: (c.mor_src[f], c.mor_tgt[f]),
-        c.identity.__getitem__, lambda g, f: c.comp[(g, f)],
+        c.identity.__getitem__, c.compose,
         obj_names=tuple(c.obj_names[a] for a in objs),
         mor_names=tuple(c.mor_names[f] for f in mors))
     return Subcategory(cat, tuple(objs), tuple(mors), mor_new)

@@ -235,13 +235,16 @@ def check_join_axioms(x: RestrictionCategory, max_family=None) -> LawReport:
     homs = [(a, b, hom_poset(x, a, b).families(max_family))
             for a in c.objects for b in c.objects if c.hom(a, b)]
 
+    rows, pos = c.rows, c.pos
+
     def fibres(pick):
         for a, b, fams in homs:
             hom = c.hom(a, b)
             yield ((a, b), a, hom_poset(x, a, b), fams, x.bar,
-                   [("pre", (g,), (), {s: c.comp[(s, g)] for s in hom},
+                   [("pre", (g,), (), {s: rows[s][pos[g]] for s in hom},
                      hom_poset(x, c.mor_src[g], b)) for g in pick(c.into(a))]
-                   + [("post", (f,), (), {s: c.comp[(f, s)] for s in hom},
+                   + [("post", (f,), (),
+                       {s: rows[f][pos[s]] for s in hom},
                        hom_poset(x, a, c.mor_tgt[f]))
                       for f in pick(c.out_of(b))])
 

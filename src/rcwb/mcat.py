@@ -60,7 +60,7 @@ def check_m_system(mc: MCategory) -> LawReport:
     for m in sorted(mc.monics):
         for n in sorted(mc.monics):
             if c.mor_tgt[n] == c.mor_src[m]:
-                if c.comp[(m, n)] not in mc.monics:
+                if c.compose(m, n) not in mc.monics:
                     report.add("M-COMP", (m, n), "M not closed under composition")
     for m in sorted(mc.monics):
         b = c.mor_tgt[m]
@@ -78,7 +78,7 @@ def check_m_system(mc: MCategory) -> LawReport:
 
 def subobject_rep(mc: MCategory, m) -> int:
     """Canonical representative of the iso-class of the monic m."""
-    return mc.base.comp[(m, least_iso(mc.base, m))]
+    return mc.base.compose(m, least_iso(mc.base, m))
 
 
 def pullback_subobject(mc: MCategory, f, m) -> int:
@@ -247,7 +247,7 @@ def _dominated(c: FinCategory, family):
                 raise InternalInvariantError(
                     "missing pairwise pullback in matching diagram")
             if cone.p in isos:
-                drops.append((i, j, c.comp[(cone.q, isos[cone.p])]))
+                drops.append((i, j, c.compose(cone.q, isos[cone.p])))
                 kept.remove(i)
                 break
     return drops
@@ -261,9 +261,9 @@ def _rebuild(c: FinCategory, kept, drops, sub: Cocone) -> Cocone:
     for i, leg in zip(kept, sub.legs):
         legs[i] = leg
     for i, j, g in reversed(drops):
-        legs[i] = c.comp[(legs[j], g)]
+        legs[i] = c.compose(legs[j], g)
     apex = sub.apex
-    return Cocone(apex, min(tuple([c.comp[(psi, leg)] for leg in legs])
+    return Cocone(apex, min(tuple([c.compose(psi, leg) for leg in legs])
                             for psi in c.isos_into(apex)
                             if c.mor_src[psi] == apex))
 
@@ -328,15 +328,16 @@ def canonical_span(mc: MCategory, m, f):
     scanned for each f.
     """
     c = mc.base
+    rows, pos = c.rows, c.pos
     if m not in mc.span_isos:
         mc.span_isos[m] = _span_iso(c, m)
     phi = mc.span_isos[m]
     if phi is not None:
-        return c.comp[(m, phi)], c.comp[(f, phi)]
+        return rows[m][pos[phi]], rows[f][pos[phi]]
     dom = c.mor_src[m]
     best = (dom, m, f)
     for phi in c.isos_into(dom):
-        cand = (c.mor_src[phi], c.comp[(m, phi)], c.comp[(f, phi)])
+        cand = (c.mor_src[phi], rows[m][pos[phi]], rows[f][pos[phi]])
         if cand < best:
             best = cand
     return best[1], best[2]
@@ -346,7 +347,7 @@ def _span_iso(c: FinCategory, m):
     """The iso phi into dom m, or the identity, with the least
     (src phi, m∘phi), when only one phi attains it; otherwise None."""
     dom = c.mor_src[m]
-    ranked = sorted((c.mor_src[phi], c.comp[(m, phi)], phi)
+    ranked = sorted((c.mor_src[phi], c.compose(m, phi), phi)
                     for phi in {c.identity[dom], *c.isos_into(dom)})
     if len(ranked) > 1 and ranked[0][:2] == ranked[1][:2]:
         return None
@@ -361,7 +362,8 @@ def compose_spans(mc: MCategory, second, first):
     cone = pullback(c, f, n)
     if cone is None:
         raise InternalInvariantError("missing pullback in Par composition")
-    return canonical_span(mc, c.comp[(m, cone.p)], c.comp[(g, cone.q)])
+    return canonical_span(mc, c.rows[m][c.pos[cone.p]],
+                          c.rows[g][c.pos[cone.q]])
 
 
 @dataclass(frozen=True)
@@ -422,10 +424,11 @@ def splittings(x: RestrictionCategory) -> dict:
 def _splitting(c: FinCategory, e):
     """Some (s, r) with s∘r == e and r∘s an identity, or None."""
     a = c.mor_src[e]
+    rows, pos = c.rows, c.pos
     for obj in c.objects:
         for s in c.hom(obj, a):
             for r in c.hom(a, obj):
-                if c.comp[(s, r)] == e and c.comp[(r, s)] == c.identity[obj]:
+                if rows[s][pos[r]] == e and rows[r][pos[s]] == c.identity[obj]:
                     return s, r
     return None
 
@@ -441,8 +444,8 @@ def restriction_monic_candidates(x: RestrictionCategory):
             continue
         a, b = c.mor_src[m], c.mor_tgt[m]
         for r in c.hom(b, a):
-            if c.comp[(r, m)] == c.identity[a] and \
-                    c.comp[(m, r)] == x.bar[r]:
+            if c.compose(r, m) == c.identity[a] and \
+                    c.compose(m, r) == x.bar[r]:
                 out.add(m)
                 break
     return frozenset(out)
@@ -480,6 +483,7 @@ def karoubi_r(x: RestrictionCategory) -> KaroubiResult:
     f∘e == f and e'∘f == f, bar inherited.  The splitting and the full and
     faithful embedding of x are verified."""
     c = x.base
+    rows, pos = c.rows, c.pos
     objects = []
     for a in c.objects:
         for e in restriction_idempotents(x, a):
@@ -491,15 +495,15 @@ def karoubi_r(x: RestrictionCategory) -> KaroubiResult:
                  for i, (a, e) in enumerate(objects)
                  for j, (b, e2) in enumerate(objects)
                  for f in c.hom(a, b)
-                 if c.comp[(f, e)] == f and c.comp[(e2, f)] == f]
+                 if c.compose(f, e) == f and c.compose(e2, f) == f]
     cat, _, mor_idx = build_category(
         range(len(objects)), morphisms, lambda m: m[:2],
         lambda i: (i, i, objects[i][1]),
-        lambda g, f: (f[0], g[1], c.comp[(g[2], f[2])]),
+        lambda g, f: (f[0], g[1], rows[g[2]][pos[f[2]]]),
         obj_names=[f"({c.obj_names[a]},{c.mor_names[e]})"
                    for (a, e) in objects],
         mor_names=[f"{c.mor_names[f]}@{i}->{j}" for (i, j, f) in morphisms])
-    bar = tuple(mor_idx[(i, i, c.comp[(x.bar[f], objects[i][1])])]
+    bar = tuple(mor_idx[(i, i, c.compose(x.bar[f], objects[i][1]))]
                 for (i, j, f) in morphisms)
     rc = RestrictionCategory(cat, bar)
     emb = Functor(c, cat,
@@ -541,7 +545,7 @@ def split_unit_functor(x: RestrictionCategory) -> SplitUnitResult:
             raise InternalInvariantError(
                 f"idempotent {x.bar[f]} does not split")
         m = split[0]
-        fm = c.comp[(f, m)]
+        fm = c.compose(f, m)
         if m not in sub.mor_new or fm not in sub.mor_new:
             raise InternalInvariantError(
                 "splitting legs are not total; cannot land in the span category")

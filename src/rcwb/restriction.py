@@ -4,7 +4,7 @@ The bar assignment f -> f̄ is stored as a total table.  The four
 restriction axioms are checked on every map and pair, each law reading a
 map only through what it depends on: R2 once per pair of distinct bars at
 an object, R3 once per map and distinct bar at its source, R4 on every
-composable pair through two small bar tables per map.
+composable pair, one row of the composition table at a time.
 """
 
 from __future__ import annotations
@@ -55,16 +55,16 @@ def check_restriction_axioms(x: RestrictionCategory) -> LawReport:
     f̄, so it is checked once per g and distinct bar at src(g).  The loop
     over every such pair (g, f) runs only when one of the two tables holds
     a failure, and reads its entries from them.  R4, h̄∘f == f∘bar(h∘f),
-    is checked on every composable pair, read off the comp table, with
-    e∘f for each bar e at tgt(f) and f∘e for each bar e at src(f) tabled
-    once per f; the loop over f and h that writes the entries runs only
-    when that pass finds a failure.  These are exact rewrites, not
-    certificates: the entries and their order are those of the loop over
-    every pair.
+    is checked on every composable pair, one h at a time: h̄'s row is the
+    left side for every f in into(src h) at once, and h's row gives each
+    h∘f for the right side.  The loop over f and h that writes the entries
+    runs only when that pass finds a failure.  These are exact rewrites,
+    not certificates: the entries and their order are those of the loop
+    over every pair.
     """
     c = x.base
     bar = x.bar
-    comp = c.comp
+    rows, pos = c.rows, c.pos
     report = LawReport("restriction")
     for f in c.morphisms():
         bf = bar[f]
@@ -74,13 +74,13 @@ def check_restriction_axioms(x: RestrictionCategory) -> LawReport:
     if not report.ok:
         return report
     for f in c.morphisms():
-        if comp[(f, bar[f])] != f:
+        if rows[f][pos[bar[f]]] != f:
             report.add("R1", (f,), "f∘f̄ != f")
     bars = distinct_bars(x)
     r2 = {(e, d) for es in bars for e in es for d in es
-          if comp[(e, d)] != comp[(d, e)]}
+          if rows[e][pos[d]] != rows[d][pos[e]]}
     r3 = {(g, d) for g in c.morphisms() for d in bars[c.mor_src[g]]
-          if bar[comp[(g, d)]] != comp[(bar[g], d)]}
+          if bar[rows[g][pos[d]]] != rows[bar[g]][pos[d]]}
     if r2 or r3:
         for f in c.morphisms():
             d = bar[f]
@@ -89,16 +89,14 @@ def check_restriction_axioms(x: RestrictionCategory) -> LawReport:
                     report.add("R2", (g, f), "ḡ∘f̄ != f̄∘ḡ")
                 if (g, d) in r3:
                     report.add("R3", (g, f), "bar(g∘f̄) != ḡ∘f̄")
-    # comp holds each composable pair (h, f) once, as (h, f): h∘f
-    after = [{e: comp[(e, f)] for e in bars[c.mor_tgt[f]]}
-             for f in c.morphisms()]
-    before = [{e: comp[(f, e)] for e in bars[c.mor_src[f]]}
-              for f in c.morphisms()]
-    if any(after[f][bar[h]] != before[f][bar[hf]]
-           for (h, f), hf in comp.items()):
+    # bar(h) is an endomorphism of src h, so its row lines up with h's
+    if any(rows[bar[h]] != tuple([rows[f][pos[bar[hf]]] for f, hf in
+                                  zip(c.into(c.mor_src[h]), rows[h])])
+           for h in c.morphisms()):
         for f in c.morphisms():
+            pf = pos[f]
             for h in c.out_of(c.mor_tgt[f]):
-                if after[f][bar[h]] != before[f][bar[comp[(h, f)]]]:
+                if rows[bar[h]][pf] != rows[f][pos[bar[rows[h][pf]]]]:
                     report.add("R4", (h, f), "h̄∘f != f∘bar(h∘f)")
     return report
 
@@ -113,7 +111,8 @@ def leq(x: RestrictionCategory, f, g) -> bool:
     """f ≤ g iff f == g∘f̄.  Joins read the order from joins.hom_poset,
     which calls this once per pair of a hom-set."""
     _require_parallel(x, f, g)
-    return f == x.base.comp[(g, x.bar[f])]
+    c = x.base
+    return f == c.rows[g][c.pos[x.bar[f]]]
 
 
 def compatible(x: RestrictionCategory, f, g) -> bool:
@@ -121,7 +120,7 @@ def compatible(x: RestrictionCategory, f, g) -> bool:
     hom-set."""
     _require_parallel(x, f, g)
     c = x.base
-    return c.comp[(f, x.bar[g])] == c.comp[(g, x.bar[f])]
+    return c.rows[f][c.pos[x.bar[g]]] == c.rows[g][c.pos[x.bar[f]]]
 
 
 def is_total(x: RestrictionCategory, f) -> bool:

@@ -71,7 +71,7 @@ def check_rp_axioms(rp: RestrictionPresheaf) -> LawReport:
                 report.add("RP1", (a, e), "x·x̄ != x")
             # RP2: bar(x·d) == x̄∘d for each bar d = f̄ at a
             bad = {d for d in bars[a]
-                   if rp.bar(a, p.act(d, e)) != c.comp[(be, d)]}
+                   if rp.bar(a, p.act(d, e)) != c.compose(be, d)}
             if bad:
                 for f in c.out_of(a):
                     if x.bar[f] in bad:
@@ -80,14 +80,14 @@ def check_rp_axioms(rp: RestrictionPresheaf) -> LawReport:
                 b = c.mor_src[g]
                 xg = p.act(g, e)
                 # RP3: x̄ ∘ g == g ∘ bar(x·g)
-                if c.comp[(be, g)] != c.comp[(g, rp.bar(b, xg))]:
+                if c.compose(be, g) != c.compose(g, rp.bar(b, xg)):
                     report.add("RP3", (a, e, g), "x̄∘g != g∘bar(x·g)")
                 # derivable: ḡ ∘ bar(x·g) == bar(x·g)
-                if c.comp[(x.bar[g], rp.bar(b, xg))] != rp.bar(b, xg):
+                if c.compose(x.bar[g], rp.bar(b, xg)) != rp.bar(b, xg):
                     report.add("RP-SANITY1", (a, e, g),
                                "ḡ∘bar(x·g) != bar(x·g): implementation bug")
                 # derivable: bar(x̄∘g) == bar(x·g)
-                if x.bar[c.comp[(be, g)]] != rp.bar(b, xg):
+                if x.bar[c.compose(be, g)] != rp.bar(b, xg):
                     report.add("RP-SANITY2", (a, e, g),
                                "bar(x̄∘g) != bar(x·g): implementation bug")
     return report

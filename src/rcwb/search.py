@@ -32,24 +32,29 @@ def _extend_morphisms(c, d, bar_c, bar_d, obj_map):
     order = sorted(c.morphisms(), key=lambda f: len(candidates(f)))
 
     def consistent(f, ff):
+        """Whether f ↦ ff keeps the identities, the bars and the composites
+        among f and the maps already placed."""
         if c.is_identity(f) and not d.is_identity(ff):
             return False
         bf = bar_c[f]
-        if mor_map[bf] is not None and mor_map[bf] != bar_d[ff]:
+        img = ff if bf == f else mor_map[bf]
+        if img is not None and img != bar_d[ff]:
             return False
         for g in c.morphisms():
             gg = mor_map[g]
             if gg is None:
                 continue
+            if bar_c[g] == f and bar_d[gg] != ff:
+                return False
             if c.composable(g, f):
-                gf = c.comp[(g, f)]
+                gf = c.compose(g, f)
                 img = mor_map[gf]
-                if img is not None and d.comp[(gg, ff)] != img:
+                if img is not None and d.compose(gg, ff) != img:
                     return False
             if c.composable(f, g):
-                fg = c.comp[(f, g)]
+                fg = c.compose(f, g)
                 img = mor_map[fg]
-                if img is not None and d.comp[(ff, gg)] != img:
+                if img is not None and d.compose(ff, gg) != img:
                     return False
         return True
 
@@ -87,7 +92,8 @@ def _iso_search(c, d, bar_c, bar_d):
                for a in c.objects for b in c.objects):
             continue
         mor_map = _extend_morphisms(c, d, bar_c, bar_d, perm)
-        if mor_map is not None:
+        if mor_map is not None and all(mor_map[bar_c[f]] == bar_d[mor_map[f]]
+                                       for f in c.morphisms()):
             fun = Functor(c, d, perm, mor_map)
             if fun.check():
                 return fun

@@ -100,7 +100,7 @@ def check_presheaf(p: Presheaf) -> bool:
                 return False
     # f: B -> C, g: A -> B, so P(f∘g) = P(g)∘P(f)
     return not certified(c, lambda pick: any(
-        p.act(c.comp[(f, g)], x) != p.act(g, p.act(f, x))
+        p.act(c.compose(f, g), x) != p.act(g, p.act(f, x))
         for g in pick(c.morphisms()) for f in c.out_of(c.mor_tgt[g])
         for x in p.elements(c.mor_tgt[f])))
 
@@ -184,7 +184,7 @@ def constant_presheaf(c: FinCategory, k) -> Presheaf:
 def yoneda(c: FinCategory, a) -> Presheaf:
     """The representable presheaf hom(-, a)."""
     return build_presheaf(c, lambda b: c.hom(b, a),
-                          lambda f, h: c.comp[(h, f)],
+                          lambda f, h: c.compose(h, f),
                           lambda b, h: c.mor_names[h])[0]
 
 
@@ -198,9 +198,10 @@ def sieves_on(c: FinCategory, a):
     bit = {f: 1 << i for i, f in enumerate(into)}
     principal = set()
     for f in into:
+        # the principal sieve of f is the set of f∘g, f's row
         mask = 0
-        for g in c.into(c.mor_src[f]):
-            mask |= bit[c.comp[(f, g)]]
+        for fg in c.rows[f]:
+            mask |= bit[fg]
         principal.add(mask)
     found = {0}
     todo = [0]
@@ -216,9 +217,8 @@ def sieves_on(c: FinCategory, a):
 
 
 def generate_sieve(c: FinCategory, a, gens) -> frozenset:
-    return frozenset(c.comp[(f, g)]
-                     for f in gens for g in c.into(c.mor_src[f])) \
-        | frozenset(gens)
+    """gens and every f∘g for f in gens: the union of their rows."""
+    return frozenset(gens).union(*[c.rows[f] for f in gens])
 
 
 def maximal_sieve(c: FinCategory, a) -> frozenset:
@@ -227,7 +227,8 @@ def maximal_sieve(c: FinCategory, a) -> frozenset:
 
 def sieve_pullback(c: FinCategory, s, f) -> frozenset:
     """f*(s) = {g into src(f) | f∘g in s}."""
-    return frozenset(g for g in c.into(c.mor_src[f]) if c.comp[(f, g)] in s)
+    return frozenset(g for g, fg in zip(c.into(c.mor_src[f]), c.rows[f])
+                     if fg in s)
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,7 @@ def matching_families(p: Presheaf, a, sieve):
     c = p.cat
     fs = sorted(sieve)
     pos = {f: i for i, f in enumerate(fs)}
-    forces = [[(pos[c.comp[(f, g)]], g) for g in c.into(c.mor_src[f])]
+    forces = [[(pos[fg], g) for g, fg in zip(c.into(c.mor_src[f]), c.rows[f])]
               for f in fs]
     return fs, list(forced_assignments(
         len(fs), lambda k: p.elements(c.mor_src[fs[k]]), forces, p.act))
@@ -413,7 +414,7 @@ def plus(p: Presheaf, top: Topology) -> PlusData:
         fs, fam = cls
         d = dict(zip(fs, fam))
         pulled = sorted(sieve_pullback(c, frozenset(fs), f))
-        pfam = tuple(d[c.comp[(f, g)]] for g in pulled)
+        pfam = tuple(d[c.compose(f, g)] for g in pulled)
         return classes[a][_class_of(p, top, classes, lookup,
                                     a, tuple(pulled), pfam)]
 

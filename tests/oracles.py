@@ -55,6 +55,21 @@ def compatible_families(elements, compatible, max_family=None):
     return [tuple(elements[i] for i in fam) for fam in out]
 
 
+def pair_table(c: FinCategory) -> dict:
+    """The composition of c as a dict (g, f) -> g∘f, read through
+    FinCategory.pairs; tests edit it and rebuild with with_table."""
+    return {(g, f): gf for g, f, gf in c.pairs()}
+
+
+def with_table(c: FinCategory, table, identity=None) -> FinCategory:
+    """c with its composition replaced by the dict table (see pair_table)
+    and, when given, its identities by identity."""
+    return FinCategory(c.n_objects, c.mor_src, c.mor_tgt,
+                       c.identity if identity is None else identity,
+                       [(g, f, gf) for (g, f), gf in table.items()],
+                       c.obj_names, c.mor_names)
+
+
 def built_by_pair_scan(objects, morphisms, ends, identity, compose):
     """(object key -> id, morphism key -> id, sources, targets, identities,
     comp) of the category on the given keys, with comp filled by calling
@@ -76,7 +91,7 @@ def representable(c, a):
     h∘f, its position found by list.index; the reference for site.yoneda."""
     homs = [[h for h in c.morphisms()
              if (c.mor_src[h], c.mor_tgt[h]) == (b, a)] for b in c.objects]
-    action = {(f, i): homs[c.mor_src[f]].index(c.comp[(h, f)])
+    action = {(f, i): homs[c.mor_src[f]].index(c.compose(h, f))
               for f in c.morphisms()
               for i, h in enumerate(homs[c.mor_tgt[f]])}
     return Presheaf(c, tuple(map(len, homs)), action,
@@ -88,7 +103,7 @@ def is_sieve(c, a, s) -> bool:
         if c.mor_tgt[f] != a:
             return False
         for g in c.into(c.mor_src[f]):
-            if c.comp[(f, g)] not in s:
+            if c.compose(f, g) not in s:
                 return False
     return True
 
@@ -143,7 +158,7 @@ def cocones_at(c, d, apex):
             for i, j, f in d.arrows:
                 if legs[i] is None or legs[j] is None:
                     continue
-                if (i == k or j == k) and c.comp[(legs[j], f)] != legs[i]:
+                if (i == k or j == k) and c.compose(legs[j], f) != legs[i]:
                     ok = False
                     break
             if ok:
@@ -159,7 +174,7 @@ def is_mono(c, m):
     m∘u == m∘v, by scanning every pair of maps into src m; the reference
     for fincat.is_mono."""
     into = c.into(c.mor_src[m])
-    return not any(c.comp[(m, u)] == c.comp[(m, v)]
+    return not any(c.compose(m, u) == c.compose(m, v)
                    for u, v in itertools.combinations(into, 2)
                    if c.mor_src[u] == c.mor_src[v])
 
@@ -172,10 +187,10 @@ def pullback_cone(c, f, g):
     """
     x, y = c.mor_src[f], c.mor_src[g]
     cones = {t: [(p, q) for p in c.hom(t, x) for q in c.hom(t, y)
-                 if c.comp[(f, p)] == c.comp[(g, q)]] for t in c.objects}
+                 if c.compose(f, p) == c.compose(g, q)] for t in c.objects}
     for apex in c.objects:
         for p, q in cones[apex]:
-            if all(_one_each(cones[t], [(c.comp[(p, h)], c.comp[(q, h)])
+            if all(_one_each(cones[t], [(c.compose(p, h), c.compose(q, h))
                                         for h in c.hom(t, apex)])
                    for t in c.objects if cones[t]):
                 return PullbackCone(apex, p, q)
@@ -191,7 +206,7 @@ def colimit(c, d):
     for apex in c.objects:
         for legs in sorted(cocones[apex]):
             if all(len(c.hom(apex, t)) == len(cocones[t]) and
-                   _one_each(cocones[t], [tuple(c.comp[(h, leg)]
+                   _one_each(cocones[t], [tuple(c.compose(h, leg)
                                                 for leg in legs)
                                           for h in c.hom(apex, t)])
                    for t in c.objects):
@@ -208,10 +223,10 @@ def induced_map(c, d, coc, apex, legs):
     first = {}
     for v, i, p in d.arrows:
         first.setdefault(v, (i, p))
-    target = list(legs) + [c.comp[(legs[first[v][0]], first[v][1])]
+    target = list(legs) + [c.compose(legs[first[v][0]], first[v][1])
                            for v in range(len(legs), len(d.obj_map))]
     found = [h for h in c.hom(coc.apex, apex)
-             if all(c.comp[(h, leg)] == want
+             if all(c.compose(h, leg) == want
                     for leg, want in zip(coc.legs, target))]
     return found[0] if len(found) == 1 else None
 
@@ -229,7 +244,7 @@ def matching_colimit(mc, family, obj):
     if coc is None:
         return None
     for v, i, p in d.arrows[::2]:     # the first arrow out of each v
-        assert coc.legs[v] == c.comp[(coc.legs[i], p)]
+        assert coc.legs[v] == c.compose(coc.legs[i], p)
     return MatchingColimit(Cocone(coc.apex, coc.legs[:len(family)]),
                            mediating(c, coc, obj, tuple(family)))
 
@@ -240,8 +255,8 @@ def least_iso(c, f):
     dom = c.mor_src[f]
     best, best_phi = f, c.identity[dom]
     for phi in c.isos():
-        if c.mor_tgt[phi] == dom and c.comp[(f, phi)] < best:
-            best, best_phi = c.comp[(f, phi)], phi
+        if c.mor_tgt[phi] == dom and c.compose(f, phi) < best:
+            best, best_phi = c.compose(f, phi), phi
     return best_phi
 
 
@@ -253,7 +268,7 @@ def canonical_span(mc, m, f):
     best = (dom, m, f)
     for phi in c.isos():
         if c.mor_tgt[phi] == dom:
-            cand = (c.mor_src[phi], c.comp[(m, phi)], c.comp[(f, phi)])
+            cand = (c.mor_src[phi], c.compose(m, phi), c.compose(f, phi))
             if cand < best:
                 best = cand
     return best[1], best[2]
@@ -276,7 +291,7 @@ def matching_families(p, a, sieve):
     out = []
     for fam in itertools.product(*(p.elements(c.mor_src[f]) for f in fs)):
         x = dict(zip(fs, fam))
-        if all(x[c.comp[(f, g)]] == p.act(g, x[f])
+        if all(x[c.compose(f, g)] == p.act(g, x[f])
                for f in fs for g in c.into(c.mor_src[f])):
             out.append(fam)
     return fs, out
@@ -313,19 +328,23 @@ def matching_tuples(c, p, fam):
 def assoc_violations(c):
     """(h, g, f) for every composable triple with h(gf) != (hg)f or a
     missing composite, scanning every morphism for h."""
+    def get(g, f):
+        """g∘f, or None for a pair that is not composable or has no entry."""
+        return c.rows[g][c.pos[f]] if c.mor_tgt[f] == c.mor_src[g] else None
+
     out = []
     for g in c.morphisms():
         b = c.mor_tgt[g]
         for f in c.into(c.mor_src[g]):
-            gf = c.comp.get((g, f))
+            gf = get(g, f)
             if gf is None:
                 continue
             for h in c.morphisms():
                 if c.mor_src[h] != b:
                     continue
-                lhs = c.comp.get((h, gf))
-                hg = c.comp.get((h, g))
-                rhs = None if hg is None else c.comp.get((hg, f))
+                lhs = get(h, gf)
+                hg = get(h, g)
+                rhs = None if hg is None else get(hg, f)
                 if lhs != rhs or lhs is None:
                     out.append((h, g, f))
     return out
@@ -347,28 +366,28 @@ def restriction_axioms(x):
     if not report.ok:
         return report
     for f in c.morphisms():
-        if c.comp[(f, bar[f])] != f:
+        if c.compose(f, bar[f]) != f:
             report.add("R1", (f,), "f∘f̄ != f")
     for f in c.morphisms():
         a = c.mor_src[f]
         for g in c.out_of(a):
-            if c.comp[(bar[g], bar[f])] != c.comp[(bar[f], bar[g])]:
+            if c.compose(bar[g], bar[f]) != c.compose(bar[f], bar[g]):
                 report.add("R2", (g, f), "ḡ∘f̄ != f̄∘ḡ")
-            gbf = c.comp[(g, bar[f])]
-            if bar[gbf] != c.comp[(bar[g], bar[f])]:
+            gbf = c.compose(g, bar[f])
+            if bar[gbf] != c.compose(bar[g], bar[f]):
                 report.add("R3", (g, f), "bar(g∘f̄) != ḡ∘f̄")
     for f in c.morphisms():
         b = c.mor_tgt[f]
         for h in c.out_of(b):
-            hf = c.comp[(h, f)]
-            if c.comp[(bar[h], f)] != c.comp[(f, bar[hf])]:
+            hf = c.compose(h, f)
+            if c.compose(bar[h], f) != c.compose(f, bar[hf]):
                 report.add("R4", (h, f), "h̄∘f != f∘bar(h∘f)")
     return report
 
 
 def presheaf_laws(p):
     """Whether p's action is total, P(id) = id and P(f∘g) = P(g)∘P(f) for
-    every entry (f, g) of the comp table; the reference for
+    every entry (f, g) of the composition table; the reference for
     site.check_presheaf."""
     c = p.cat
     for f in c.morphisms():
@@ -381,7 +400,7 @@ def presheaf_laws(p):
         for x in p.elements(a):
             if p.act(c.identity[a], x) != x:
                 return False
-    for (f, g), fg in c.comp.items():
+    for f, g, fg in c.pairs():
         # f: B -> C, g: A -> B, so P(f∘g) = P(g)∘P(f)
         for x in p.elements(c.mor_tgt[f]):
             if p.act(fg, x) != p.act(g, p.act(f, x)):
@@ -417,20 +436,20 @@ def rp_axioms(rp):
             for f in c.out_of(a):
                 # RP2: bar(x·f̄) == x̄ ∘ f̄
                 xf = p.act(x.bar[f], e)
-                if rp.bar(a, xf) != c.comp[(be, x.bar[f])]:
+                if rp.bar(a, xf) != c.compose(be, x.bar[f]):
                     report.add("RP2", (a, e, f), "bar(x·f̄) != x̄∘f̄")
             for g in c.into(a):
                 b = c.mor_src[g]
                 xg = p.act(g, e)
                 # RP3: x̄ ∘ g == g ∘ bar(x·g)
-                if c.comp[(be, g)] != c.comp[(g, rp.bar(b, xg))]:
+                if c.compose(be, g) != c.compose(g, rp.bar(b, xg)):
                     report.add("RP3", (a, e, g), "x̄∘g != g∘bar(x·g)")
                 # derivable: ḡ ∘ bar(x·g) == bar(x·g)
-                if c.comp[(x.bar[g], rp.bar(b, xg))] != rp.bar(b, xg):
+                if c.compose(x.bar[g], rp.bar(b, xg)) != rp.bar(b, xg):
                     report.add("RP-SANITY1", (a, e, g),
                                "ḡ∘bar(x·g) != bar(x·g): implementation bug")
                 # derivable: bar(x̄∘g) == bar(x·g)
-                if x.bar[c.comp[(be, g)]] != rp.bar(b, xg):
+                if x.bar[c.compose(be, g)] != rp.bar(b, xg):
                     report.add("RP-SANITY2", (a, e, g),
                                "bar(x̄∘g) != bar(x·g): implementation bug")
     return report
@@ -464,24 +483,24 @@ def join_axioms(x, max_family=None):
                 if jbar is None or x.bar[j] != jbar:
                     report.add("J1", (a, b) + key, "bar(⋁S) != ⋁ s̄")
                 for g in c.into(a):
-                    famg = {c.comp[(s, g)] for s in fam.members}
+                    famg = {c.compose(s, g) for s in fam.members}
                     if not all(compatible(x, s, t) for s in famg
                                for t in famg):
                         report.add("J2", (g,) + key,
                                    "precomposed family not compatible")
                         continue
                     jg = lub(c.mor_src[g], b, famg)
-                    if jg is None or c.comp[(j, g)] != jg:
+                    if jg is None or c.compose(j, g) != jg:
                         report.add("J2", (g,) + key, "(⋁S)∘g != ⋁(s∘g)")
                 for f in c.out_of(b):
-                    famf = {c.comp[(f, s)] for s in fam.members}
+                    famf = {c.compose(f, s) for s in fam.members}
                     if not all(compatible(x, s, t) for s in famf
                                for t in famf):
                         report.add("POSTCOMP", (f,) + key,
                                    "postcomposed family not compatible")
                         continue
                     jf = lub(a, c.mor_tgt[f], famf)
-                    if jf is None or c.comp[(f, j)] != jf:
+                    if jf is None or c.compose(f, j) != jf:
                         report.add("POSTCOMP", (f,) + key,
                                    "f∘(⋁S) != ⋁(f∘s): implementation bug")
     return report
@@ -602,7 +621,7 @@ def par_leq_oracle(pc, i, j) -> bool:
     n, g = pc.spans[j]
     found = 0
     for phi in c.hom(c.mor_src[m], c.mor_src[n]):
-        if c.comp[(n, phi)] == m and c.comp[(g, phi)] == f:
+        if c.compose(n, phi) == m and c.compose(g, phi) == f:
             found += 1
     if found > 1:
         raise InternalInvariantError(
@@ -651,14 +670,13 @@ def non_associative(c: FinCategory) -> FinCategory:
     """c with one composite redirected: the first g∘f of two non-identities
     whose hom-set has another map gives the first such other map instead.
     Every entry stays in place, so only the category laws reject it."""
-    comp = dict(c.comp)
+    comp = pair_table(c)
     g, f = next((g, f) for g, f in sorted(comp)
                 if not c.is_identity(g) and not c.is_identity(f)
                 and len(c.hom(c.mor_src[f], c.mor_tgt[g])) > 1)
     comp[(g, f)] = next(h for h in c.hom(c.mor_src[f], c.mor_tgt[g])
                         if h != comp[(g, f)])
-    return FinCategory(c.n_objects, c.mor_src, c.mor_tgt, c.identity, comp,
-                       c.obj_names, c.mor_names)
+    return with_table(c, comp)
 
 
 def m3_bundle():
@@ -703,7 +721,7 @@ def sub_m_meet(poset: SubMPoset, m, n) -> int:
     cone = pullback(c, m, n)
     if cone is None:
         raise InternalInvariantError("missing meet pullback in Sub_M")
-    return subobject_rep(poset.mc, c.comp[(m, cone.p)])
+    return subobject_rep(poset.mc, c.compose(m, cone.p))
 
 
 def heyting_check(mc: MCategory, obj, max_family=None) -> LawReport:
@@ -810,7 +828,7 @@ def yoneda_map(c: FinCategory, f, ya=None, yb=None) -> NatTrans:
         hom_a = c.hom(o, a)
         hom_b = c.hom(o, b)
         idx = {h: i for i, h in enumerate(hom_b)}
-        comps.append(tuple(idx[c.comp[(f, h)]] for h in hom_a))
+        comps.append(tuple(idx[c.compose(f, h)] for h in hom_a))
     return NatTrans(ya, yb, tuple(comps))
 
 
@@ -820,7 +838,7 @@ def sieve_subpresheaf(c: FinCategory, a, sieve):
     are not closed under precomposition."""
     ya = yoneda(c, a)
     sub = build_presheaf(c, lambda b: [h for h in c.hom(b, a) if h in sieve],
-                         lambda f, h: c.comp[(h, f)],
+                         lambda f, h: c.compose(h, f),
                          lambda b, h: c.mor_names[h])[0]
     comps = tuple(tuple(i for i, h in enumerate(c.hom(b, a)) if h in sieve)
                   for b in c.objects)
@@ -993,7 +1011,7 @@ def collage(rp: RestrictionPresheaf) -> Collage:
             return f
         if isinstance(g, tuple):
             return c.mor_src[f], p.act(f, g[1])
-        return c.comp[(g, f)]
+        return c.compose(g, f)
 
     cat, _, mor_id = build_category(
         list(c.objects) + [point], list(ends), ends.__getitem__,

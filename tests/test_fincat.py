@@ -1,9 +1,15 @@
+import hashlib
+
 import pytest
 
-from oracles import identity_functor, initial_object
-from rcwb.fincat import (Diagram, FinCategory, colimit, is_mono, mediating,
+import oracles
+from oracles import identity_functor, initial_object, pair_table, with_table
+from rcwb.bundles import build_fixture
+from rcwb.fincat import (Diagram, colimit, is_mono, mediating,
                          pullback, subcategory, validate_category)
-from rcwb.fixtures import build_finset, build_finset_data
+from rcwb.fixtures import (build_finset, build_finset_data, build_finset_mcat,
+                           build_finset_p, subsets_category)
+from rcwb.mcat import karoubi_r, par
 
 
 def test_validate_accepts_finset():
@@ -13,19 +19,17 @@ def test_validate_accepts_finset():
 
 def test_validate_flags_broken_identity():
     c = build_finset(1)
-    broken = FinCategory(c.n_objects, c.mor_src, c.mor_tgt,
-                         (c.identity[0], c.identity[0]), c.comp)
+    broken = with_table(c, pair_table(c), (c.identity[0], c.identity[0]))
     rep = validate_category(broken)
     assert "ID-SHAPE" in rep.tags() or "ID-LEFT" in rep.tags()
 
 
 def test_validate_flags_missing_composite():
     c = build_finset(1)
-    comp = dict(c.comp)
+    comp = pair_table(c)
     victim = next(k for k in comp if k[0] != k[1])
     del comp[victim]
-    rep = validate_category(FinCategory(
-        c.n_objects, c.mor_src, c.mor_tgt, c.identity, comp))
+    rep = validate_category(with_table(c, comp))
     assert "COMP-MISSING" in rep.tags() or "ASSOC" in rep.tags()
 
 
@@ -99,3 +103,138 @@ def test_subcategory_rejects_non_closed():
     assert validate_category(subcategory(
         data.cat, data.cat.objects,
         ids + [point, swap, data.mor_id[(1, 2, (1,))]]).cat).ok
+
+
+# -- the composition rows -------------------------------------------------------
+
+def _table_digest(c):
+    """sha256 over the sorted (g, f, g∘f) triples, the ends, the identities
+    and the names of c."""
+    return hashlib.sha256(repr((
+        sorted(c.pairs()), c.mor_src, c.mor_tgt, c.identity, c.obj_names,
+        c.mor_names)).encode()).hexdigest()
+
+
+# the digests of the tables as the tuple-keyed composition dict gave them,
+# before composition was stored as rows
+TABLE_DIGESTS = {
+    "finset_p_1":
+        "cd9e95a3343def8ec957f8bbe46de92bef98658e064579d9b4cb1ed94bafe310",
+    "finset_p_2":
+        "6cd8c94b8f1dabdd6d35af09967b6f52e3c9c518897bf86e650e99cd293517ec",
+    "finset_p_3":
+        "f678964e0e84da967f307003c0c09843397963ff616913edcec6e8914c0f2053",
+    "finset_inj_1":
+        "65d5c17941b186a7be7dc310f2d110069dcac8aae27169afd52fff9b1357b2a8",
+    "finset_inj_2":
+        "a194e3ac43809c46ceff5ff2fe27046af04d483975718af2988ab17b4cf546f9",
+    "finset_inj_3":
+        "5ba8f5c6a4d7471cb79562cc8bf26b9d03ca87b5057627d82f7a47f6adfa3f2e",
+    "finset_iso_2":
+        "a194e3ac43809c46ceff5ff2fe27046af04d483975718af2988ab17b4cf546f9",
+    "nojoin":
+        "95574fd09fd760a6373a90085398671bb972cdff53336afbde90aed1415dcaab",
+}
+BUILT_DIGESTS = {
+    "subsets_3": (
+        lambda: subsets_category(3).base,
+        "77d3bad8fb5e3a2806e03eba7a82f69e7554dffc31a306499cc38eb90f3c29e2"),
+    "karoubi_finset_p_2": (
+        lambda: karoubi_r(build_finset_p(2)).rc.base,
+        "8665510da45989ab7b9d0858432d5c12556ee54060b04ae403dddd8e02497ccf"),
+    "karoubi_finset_p_3": (
+        lambda: karoubi_r(build_finset_p(3)).rc.base,
+        "2880705df5302d77cd8546d95876c9d6a701966554c3730f7541136f14d9e7b5"),
+    "par_finset_inj_2": (
+        lambda: par(build_finset_mcat(2, "inj")).rc.base,
+        "9f7f6addcf7c49163c6736ab365077648544c3efa4117aa70c8228bd92202693"),
+    "par_finset_inj_3": (
+        lambda: par(build_finset_mcat(3, "inj")).rc.base,
+        "245d6a5bb123cef4badd3a5ec1843d4c248502787185aea37558ecdf5b1e0cee"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_fixture_tables_are_unchanged(name):
+    assert _table_digest(build_fixture(name).cat) == TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_DIGESTS))
+def test_constructed_tables_are_unchanged(name):
+    build, digest = BUILT_DIGESTS[name]
+    assert _table_digest(build()) == digest
+
+
+def test_rows_hold_each_composite_at_the_position_of_its_right_factor():
+    c = karoubi_r(build_finset_p(2)).rc.base
+    for g in c.morphisms():
+        assert len(c.rows[g]) == len(c.into(c.mor_src[g]))
+    for f in c.morphisms():
+        assert c.into(c.mor_tgt[f])[c.pos[f]] == f
+    triples = list(c.pairs())
+    assert triples == sorted(triples)
+    assert len(triples) == sum(len(r) for r in c.rows)
+    assert all(c.rows[g][c.pos[f]] == gf == c.compose(g, f)
+               for g, f, gf in triples)
+
+
+def test_compose_refuses_a_pair_that_is_not_composable():
+    c = build_finset(1)
+    g = c.hom(1, 1)[0]
+    f = c.hom(0, 0)[0]
+    with pytest.raises(ValueError, match="not composable"):
+        c.compose(g, f)
+
+
+def test_a_missing_entry_is_reported_where_it_is_missing():
+    # every pair of finset_p_2 left out in turn: COMP-MISSING names it,
+    # and the ASSOC entries come in the order of the triple scan
+    c = build_finset_p(2).base
+    table = pair_table(c)
+    for key in sorted(table)[::11]:
+        holed = dict(table)
+        del holed[key]
+        d = with_table(c, holed)
+        rep = validate_category(d)
+        assert [v.ids for v in rep.violations if v.tag == "COMP-MISSING"] \
+            == [key]
+        assert [v.ids for v in rep.violations if v.tag == "ASSOC"] == \
+            oracles.assoc_violations(d)
+        assert d.compose(*key) is None
+        assert key not in {(g, f) for g, f, _ in d.pairs()}
+
+
+def test_a_pair_table_entry_off_a_composable_pair_raises():
+    c = build_finset(1)
+    g, f = c.hom(1, 1)[0], c.hom(0, 0)[0]
+    table = pair_table(c)
+    with pytest.raises(ValueError, match="not composable"):
+        with_table(c, {**table, (g, f): g})
+    with pytest.raises(ValueError, match="does not exist"):
+        with_table(c, {**table, (g, c.n_morphisms): g})
+
+
+def test_an_identity_that_is_not_a_map_is_reported_not_raised():
+    c = build_finset(1)
+    for bad in (c.n_morphisms, -1):
+        rep = validate_category(with_table(c, pair_table(c),
+                                           (c.identity[0], bad)))
+        assert {"ID-SHAPE", "ID-LEFT"} <= set(rep.tags())
+        assert (1,) in [v.ids for v in rep.violations if v.tag == "ID-SHAPE"]
+
+
+def test_a_composite_with_wrong_endpoints_is_reported_and_composes_nowhere():
+    # g∘f redirected to a map out of another object: COMP-SHAPE names it,
+    # and the triples through it read as missing, as in the triple scan
+    c = build_finset_p(2).base
+    table = pair_table(c)
+    for (g, f), gf in sorted(table.items())[::17]:
+        wrong = next(h for h in c.morphisms()
+                     if (c.mor_src[h], c.mor_tgt[h]) !=
+                     (c.mor_src[gf], c.mor_tgt[gf]))
+        d = with_table(c, {**table, (g, f): wrong})
+        rep = validate_category(d)
+        assert (g, f, wrong) in [v.ids for v in rep.violations
+                                 if v.tag == "COMP-SHAPE"]
+        assert [v.ids for v in rep.violations if v.tag == "ASSOC"] == \
+            oracles.assoc_violations(d)

@@ -99,7 +99,8 @@ def test_geometric_reports_a_missing_matching_colimit():
     comp = {(7, 5): 11, (8, 6): 11, (9, 5): 12, (10, 6): 12}
     for f in range(len(src)):
         comp[(tgt[f], f)] = comp[(f, src[f])] = f
-    c = FinCategory(5, src, tgt, range(5), comp)
+    c = FinCategory(5, src, tgt, range(5),
+                    [(g, f, gf) for (g, f), gf in comp.items()])
     assert validate_category(c).ok
     mc = MCategory(c, frozenset(range(9)) | {11})
     assert check_m_system(mc).ok

@@ -110,7 +110,7 @@ def _postcompose_nat(x, rp, f):
     for b in c.objects:
         hom = c.hom(b, a)
         pos = {h: i for i, h in enumerate(hom)}
-        comps.append(tuple(pos[c.comp[(f, h)]] for h in hom))
+        comps.append(tuple(pos[c.compose(f, h)] for h in hom))
     return NatTrans(rp.presheaf, rp.presheaf, tuple(comps))
 
 

@@ -32,7 +32,7 @@ def test_sieves_are_closed(mc_inj):
         for s in sieves_on(c, a):
             for f in s:
                 for g in c.into(c.mor_src[f]):
-                    assert c.comp[(f, g)] in s
+                    assert c.compose(f, g) in s
 
 
 def test_sieve_counts_on_finset_3_are_dedekind_numbers():
@@ -173,7 +173,7 @@ def test_build_presheaf_numbers_keys_and_acts_once_per_pair(mc_inj):
 
     def act(f, h):
         calls.append((f, h))
-        return c.comp[(h, f)]
+        return c.compose(h, f)
 
     p, index = build_presheaf(c, lambda b: c.hom(b, 2), act,
                               lambda b, h: c.mor_names[h])

@@ -2,6 +2,7 @@
 by its one builder."""
 
 import ast
+import functools
 import pathlib
 import re
 
@@ -11,14 +12,22 @@ TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "rcwb"
 
 
+@functools.cache
+def _parsed(path):
+    """(text, tree) of a source file, read and parsed once per run; the
+    trees are shared and must not be changed."""
+    text = path.read_text(encoding="utf-8")
+    return text, ast.parse(text)
+
+
 def _callers(pattern):
     """(module, function) for each line of src/rcwb/*.py that matches the
     pattern: the innermost def around the line, or None at module level."""
     out = set()
     for path in sorted(SRC.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
+        text, tree = _parsed(path)
         defs = [(node.lineno, node.end_lineno, node.name)
-                for node in ast.walk(ast.parse(text))
+                for node in ast.walk(tree)
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for lineno, line in enumerate(text.splitlines(), 1):
             if re.search(pattern, line):
@@ -51,6 +60,57 @@ def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
 
 
+def _row_writers():
+    """(module, function) for each place in src/rcwb/*.py that writes a
+    composition row: an assignment to an attribute named rows, to an item
+    of rows (rows[g] = ..., rows[g][i] = ...), or a list method called on
+    rows.  Binding a local name to a category's rows does not count."""
+    def is_rows(node):
+        return isinstance(node, ast.Name) and node.id == "rows" or \
+            isinstance(node, ast.Attribute) and node.attr == "rows"
+
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parsed(path)[1]
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            written = []
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                for target in getattr(node, "targets", None) or [node.target]:
+                    if isinstance(target, ast.Attribute) and \
+                            target.attr == "rows":
+                        written.append(target)
+                    while isinstance(target, ast.Subscript):
+                        target = target.value
+                        if is_rows(target):
+                            written.append(target)
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in ("append", "extend", "insert",
+                                       "__setitem__") and \
+                    is_rows(node.func.value):
+                written.append(node)
+            for w in written:
+                around = [d for d in defs
+                          if d.lineno <= w.lineno <= d.end_lineno]
+                out.add((path.stem, max(around, key=lambda d: d.lineno).name
+                         if around else None))
+    return out
+
+
+def test_only_the_builders_write_composition_rows():
+    assert _row_writers() == {("fincat", "__init__"),
+                              ("fincat", "build_category")}
+
+
+def test_no_module_reads_a_tuple_keyed_composition_table():
+    assert _callers(r"\.comp\[") == set()
+    assert not [(path.stem, node.lineno) for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(_parsed(path)[1])
+                if isinstance(node, ast.Attribute) and node.attr == "comp"]
+
+
 # Public functions that nothing in src/ calls, each kept for a reason outside
 # src/.  Everything else without a caller belongs in tests/oracles.py or
 # nowhere.
@@ -78,7 +138,7 @@ def _uncalled_public_functions():
     defs = {}
     refs = []
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = _parsed(path)[1]
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and \
                     not node.name.startswith("_"):
@@ -103,7 +163,7 @@ def _unused_imports():
     bind no name."""
     out = set()
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = _parsed(path)[1]
         bound = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
