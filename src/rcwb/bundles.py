@@ -289,6 +289,6 @@ def resolve_bundle(name_or_path: str) -> Bundle:
     try:
         with open(name_or_path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BundleError(f"$: cannot read {name_or_path!r} ({exc})") from exc
     return load_bundle(text)

@@ -3,7 +3,9 @@
 Every subcommand takes a bundle (a registered fixture name or a JSON file),
 prints sorted law-report lines, writes a machine-readable JSON summary when
 --out is given, and exits 0 on success, 1 on a law failure or a failed
-precondition, 2 on an unreadable bundle, 3 on an internal invariant breach.
+precondition, 2 on an unreadable bundle or an --out file that cannot be
+written (after the report lines are printed), 3 on an internal invariant
+breach.
 """
 
 from __future__ import annotations
@@ -266,8 +268,13 @@ def main(argv=None) -> int:
             "reports": [rep.summary() for rep in reports],
         }
         summary.update((key, build()) for key, build in extra.items())
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dump_bundle(summary))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(dump_bundle(summary))
+        except OSError as exc:
+            print(f"output error: cannot write {args.out!r} ({exc})",
+                  file=sys.stderr)
+            return 2
     return 0 if ok else 1
 
 

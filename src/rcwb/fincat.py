@@ -23,9 +23,10 @@ orbit under its automorphisms, so the least of that orbit is the cone the
 search would return (the proof is in `pullback`).
 
 Constructed categories (Par, the Karoubi splitting, subcategories, the
-fixtures) come from `build_category`.  It refuses an endpoint, identity
-or composite outside its keys, writes the rows itself and leaves the
-category laws to `validate_category`; only bundles, whose tables are given
+fixtures) come from `build_category`.  It asks for one row of composites
+per map, refuses an endpoint, identity or composite outside its keys,
+writes the rows itself and leaves the category laws to
+`validate_category`; only bundles, whose tables are given
 explicitly as (g, f, g∘f) triples, make a `FinCategory` from a pair table.
 `validate_category` certifies associativity on a generating set (Light's
 test, see `FinCategory.generators`) and scans every triple only when that
@@ -183,11 +184,15 @@ class FinCategory:
         """A generating set certified by Light's associativity test, as a
         frozenset of morphism ids, or None when this is not a category.
 
-        The maps are scanned in id order, and each one outside the
-        composition closure of the identities and the generators before it
-        becomes a generator.  The set is returned only when the identity
-        laws and the table checks of `validate_category` hold and
-        (h∘g)∘f == h∘(g∘f) for every generator g and every composable h, f.
+        The isomorphisms are scanned first, in id order, then the other
+        maps in id order, and each map outside the composition closure of
+        the identities and the generators scanned before it becomes a
+        generator.  Taking the isos first keeps the set small: a composite
+        with an iso factor is seldom a generator then (finset_p_3 has 19
+        generators this way and 33 in plain id order).  The set is returned
+        only when the identity laws and the table checks of
+        `validate_category` hold and (h∘g)∘f == h∘(g∘f) for every generator
+        g and every composable h, f.
 
         That certifies every triple (F. W. Light's test; Clifford & Preston,
         *The Algebraic Theory of Semigroups* I, 1961).  Call g
@@ -210,10 +215,10 @@ def build_category(objects, morphisms, ends, identity, compose,
     morphism key -> id).
 
     ends(f) is the (source, target) pair of object keys of morphism f,
-    identity(a) the key of the identity on a, and compose(g, f) the key of
-    g∘f.  compose runs once per composable pair, found through the morphisms
-    into each object, and writes the rows of the category (see FinCategory)
-    one map g at a time, in id order.  Raises ValueError when an endpoint,
+    identity(a) the key of the identity on a, and compose(g, fs) the list of
+    the keys of g∘f for each f in fs, the keys of the maps into src g in id
+    order.  compose runs once per map g, in id order, and its list is the
+    row of g (see FinCategory).  Raises ValueError when an endpoint,
     identity or composite is not a key.
     """
     obj_id = {a: i for i, a in enumerate(objects)}
@@ -239,12 +244,13 @@ def build_category(objects, morphisms, ends, identity, compose,
     rows = []
     for g, j in mor_id.items():
         fs = into[src[j]]
-        row = [get(compose(g, f)) for f in fs]
+        keys = compose(g, fs)
+        row = tuple(map(get, keys))
         if None in row:
-            f = fs[row.index(None)]
-            raise ValueError(f"composite {compose(g, f)!r} of {g!r}, "
-                             f"{f!r} is not a morphism")
-        rows.append(tuple(row))
+            i = row.index(None)
+            raise ValueError(f"composite {keys[i]!r} of {g!r}, {fs[i]!r} "
+                             f"is not a morphism")
+        rows.append(row)
     cat = FinCategory(len(obj_id), src, tgt, ids, obj_names=obj_names,
                       mor_names=mor_names, rows=rows)
     return cat, obj_id, mor_id
@@ -358,9 +364,10 @@ def _certified_generators(c: FinCategory):
     if not report.ok:
         return None
     rows, pos = c.rows, c.pos
+    isos = c.isos()
     closed = set(c.identity)
     gens = []
-    for m in c.morphisms():
+    for m in sorted(isos) + [m for m in c.morphisms() if m not in isos]:
         if m in closed:
             continue
         gens.append(m)
@@ -721,9 +728,11 @@ def subcategory(c: FinCategory, objs, mors) -> Subcategory:
     are closed under endpoints, identities and composition."""
     objs = sorted(objs)
     mors = sorted(mors)
+    rows, pos = c.rows, c.pos
     cat, _, mor_new = build_category(
         objs, mors, lambda f: (c.mor_src[f], c.mor_tgt[f]),
-        c.identity.__getitem__, c.compose,
+        c.identity.__getitem__,
+        lambda g, fs: [rows[g][pos[f]] for f in fs],
         obj_names=tuple(c.obj_names[a] for a in objs),
         mor_names=tuple(c.mor_names[f] for f in mors))
     return Subcategory(cat, tuple(objs), tuple(mors), mor_new)

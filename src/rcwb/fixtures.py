@@ -28,9 +28,12 @@ def _partial_maps(a, b):
                                                 repeat=a)]
 
 
-def _compose_graph(g, f):
-    """Partial-function composition of graphs (g after f)."""
-    return tuple([None if v is None else g[v] for v in f])
+def _compose_row(g, fs):
+    """The key of g∘f for each key f in fs: graphs compose as partial
+    functions, g after f."""
+    b, graph = g[1], g[2]
+    return [(a, b, tuple([None if v is None else graph[v] for v in m]))
+            for a, _, m in fs]
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ def _build_maps_category(n, maps_of, prefix):
     cat, _, mor_id = build_category(
         range(n + 1), keys, lambda f: f[:2],
         lambda a: (a, a, tuple(range(a))),
-        lambda g, f: (f[0], g[1], _compose_graph(g[2], f[2])),
+        _compose_row,
         obj_names=[f"set{a}" for a in range(n + 1)],
         mor_names=[f"{prefix}{a}->{b}:{m}" for a, b, m in keys])
     return FinSetData(cat, tuple(m for _, _, m in keys), mor_id)
@@ -136,6 +139,6 @@ def subsets_category(k) -> RestrictionCategory:
     subsets.sort(key=lambda s: (len(s), sorted(s)))
     cat, _, _ = build_category(
         ["*"], subsets, lambda s: ("*", "*"), lambda _: frozenset(range(k)),
-        frozenset.__and__, obj_names=["*"],
+        lambda g, fs: [g & f for f in fs], obj_names=["*"],
         mor_names=[f"{{{','.join(map(str, sorted(s)))}}}" for s in subsets])
     return RestrictionCategory(cat, tuple(range(len(subsets))))

@@ -396,7 +396,8 @@ def par(mc: MCategory) -> ParCategory:
     cat, _, span_id = build_category(
         c.objects, spans, lambda s: (c.mor_tgt[s[0]], c.mor_tgt[s[1]]),
         lambda a: canonical_span(mc, c.identity[a], c.identity[a]),
-        partial(compose_spans, mc), obj_names=c.obj_names,
+        lambda g, fs: [compose_spans(mc, g, f) for f in fs],
+        obj_names=c.obj_names,
         mor_names=[f"({c.mor_names[m]},{c.mor_names[f]})" for m, f in spans])
     bar = tuple(span_id[canonical_span(mc, m, m)] for (m, f) in spans)
     rc = RestrictionCategory(cat, bar)
@@ -495,22 +496,31 @@ def karoubi_r(x: RestrictionCategory) -> KaroubiResult:
                  for i, (a, e) in enumerate(objects)
                  for j, (b, e2) in enumerate(objects)
                  for f in c.hom(a, b)
-                 if c.compose(f, e) == f and c.compose(e2, f) == f]
-    cat, _, mor_idx = build_category(
-        range(len(objects)), morphisms, lambda m: m[:2],
-        lambda i: (i, i, objects[i][1]),
-        lambda g, f: (f[0], g[1], rows[g[2]][pos[f[2]]]),
+                 if rows[f][pos[e]] == f and rows[e2][pos[f]] == f]
+    # ids[j][i]: base map -> the id of the Karoubi map from i to j on it
+    ids = [[{} for _ in objects] for _ in objects]
+    for n, (i, j, f) in enumerate(morphisms):
+        ids[j][i][f] = n
+    src = [i for i, _, _ in morphisms]
+    base_pos = [pos[f] for _, _, f in morphisms]
+
+    def compose(g, fs):
+        _, j, h = morphisms[g]
+        row, into_j = rows[h], ids[j]
+        return [into_j[src[f]].get(row[base_pos[f]]) for f in fs]
+
+    cat, _, _ = build_category(
+        range(len(objects)), range(len(morphisms)), lambda n: morphisms[n][:2],
+        lambda i: ids[i][i].get(objects[i][1]), compose,
         obj_names=[f"({c.obj_names[a]},{c.mor_names[e]})"
                    for (a, e) in objects],
         mor_names=[f"{c.mor_names[f]}@{i}->{j}" for (i, j, f) in morphisms])
-    bar = tuple(mor_idx[(i, i, c.compose(x.bar[f], objects[i][1]))]
+    bar = tuple(ids[i][i][rows[x.bar[f]][pos[objects[i][1]]]]
                 for (i, j, f) in morphisms)
     rc = RestrictionCategory(cat, bar)
-    emb = Functor(c, cat,
-                  tuple(obj_idx[(a, c.identity[a])] for a in c.objects),
-                  tuple(mor_idx[(obj_idx[(c.mor_src[f], c.identity[c.mor_src[f]])],
-                                 obj_idx[(c.mor_tgt[f], c.identity[c.mor_tgt[f]])],
-                                 f)]
+    unit = [obj_idx[(a, c.identity[a])] for a in c.objects]
+    emb = Functor(c, cat, tuple(unit),
+                  tuple(ids[unit[c.mor_tgt[f]]][unit[c.mor_src[f]]][f]
                         for f in c.morphisms()))
     for e, split in splittings(rc).items():
         if split is None:

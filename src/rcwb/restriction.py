@@ -101,28 +101,6 @@ def check_restriction_axioms(x: RestrictionCategory) -> LawReport:
     return report
 
 
-def _require_parallel(x: RestrictionCategory, f, g):
-    c = x.base
-    if c.mor_src[f] != c.mor_src[g] or c.mor_tgt[f] != c.mor_tgt[g]:
-        raise ValueError(f"morphisms {f} and {g} are not parallel")
-
-
-def leq(x: RestrictionCategory, f, g) -> bool:
-    """f ≤ g iff f == g∘f̄.  Joins read the order from joins.hom_poset,
-    which calls this once per pair of a hom-set."""
-    _require_parallel(x, f, g)
-    c = x.base
-    return f == c.rows[g][c.pos[x.bar[f]]]
-
-
-def compatible(x: RestrictionCategory, f, g) -> bool:
-    """f ⌣ g iff f∘ḡ == g∘f̄.  joins.hom_poset reads it once per pair of a
-    hom-set."""
-    _require_parallel(x, f, g)
-    c = x.base
-    return c.rows[f][c.pos[x.bar[g]]] == c.rows[g][c.pos[x.bar[f]]]
-
-
 def is_total(x: RestrictionCategory, f) -> bool:
     return x.bar[f] == x.base.identity[x.base.mor_src[f]]
 

@@ -9,10 +9,9 @@ set of elements has a least upper bound satisfying two join axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from .fincat import certified
-from .joins import FinitePoset, hom_poset, scan
+from .joins import FinitePoset, bar_masks, hom_poset, scan
 from .reports import LawReport
 from .restriction import (RestrictionCategory, distinct_bars,
                           is_restriction_idempotent)
@@ -93,24 +92,15 @@ def check_rp_axioms(rp: RestrictionPresheaf) -> LawReport:
     return report
 
 
-def element_leq(rp: RestrictionPresheaf, a, x, y) -> bool:
-    """x <= y iff x == y·x̄."""
-    return x == rp.presheaf.act(rp.bar(a, x), y)
-
-
-def element_compatible(rp: RestrictionPresheaf, a, x, y) -> bool:
-    """x ⌣ y iff x·ȳ == y·x̄."""
-    act = rp.presheaf.act
-    return act(rp.bar(a, y), x) == act(rp.bar(a, x), y)
-
-
 def element_poset(rp: RestrictionPresheaf, a) -> FinitePoset:
-    """The element order on P(a), built on first use and kept in
+    """The element order on P(a), x ≤ y iff x == y·x̄, with x ⌣ y iff
+    x·ȳ == y·x̄ (joins.bar_masks), built on first use and kept in
     rp.posets."""
     if a not in rp.posets:
-        rp.posets[a] = FinitePoset(rp.presheaf.elements(a),
-                                   partial(element_leq, rp, a),
-                                   partial(element_compatible, rp, a))
+        elements, act = rp.presheaf.elements(a), rp.presheaf.act
+        rp.posets[a] = FinitePoset(elements, *bar_masks(
+            elements, rp.bar_elem[a],
+            lambda d: [act(d, t) for t in elements]))
     return rp.posets[a]
 
 
@@ -165,7 +155,8 @@ def rp_reports(rp: RestrictionPresheaf, max_family=None) -> list:
     c = x.base
     p = rp.presheaf
     objs = [a for a in c.objects if p.sizes[a]]
-    elems = {a: element_poset(rp, a).families(max_family) for a in objs}
+    elems = {a: element_poset(rp, a).position_families(max_family)
+             for a in objs}
 
     def fibres(pick):
         for a in objs:
@@ -180,7 +171,7 @@ def rp_reports(rp: RestrictionPresheaf, max_family=None) -> list:
     if report.ok:
         # x·t is t followed by x: a → * in the collage; the hom families
         # are built once per (b, a), and one without a join is no finding
-        homs = {(b, a): hom_poset(x, b, a).families(max_family)
+        homs = {(b, a): hom_poset(x, b, a).position_families(max_family)
                 for a in objs for b in c.objects if c.hom(b, a)}
         report.violations.extend(scan(x, (
             ((a, e), b, hom_poset(x, b, a), homs[b, a], None,

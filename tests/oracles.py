@@ -15,15 +15,65 @@ from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
 from rcwb.mcat import (MatchingColimit, MCategory, ParCategory, SubMPoset,
                        matching_colimit, matching_diagram, pullback_stable,
                        pullback_subobject, sub_m, subobject_rep)
-from rcwb.reports import InternalInvariantError, LawReport
-from rcwb.restriction import (RestrictionCategory, compatible, leq,
-                              restriction_idempotents)
+from rcwb.reports import InternalInvariantError, LawReport, Violation
+from rcwb.restriction import RestrictionCategory, restriction_idempotents
 from rcwb.rpsh import (RestrictionPresheaf, check_rp_axioms, element_join,
                        element_poset)
 from rcwb.site import (NatTrans, PlusData, Presheaf, SheafifyResult,
                        Topology, _class_of, all_nat_trans, build_presheaf,
                        generate_sieve, is_sheaf, maximal_sieve,
                        sieve_pullback, yoneda)
+
+
+def _require_parallel(x: RestrictionCategory, f, g):
+    c = x.base
+    if c.mor_src[f] != c.mor_src[g] or c.mor_tgt[f] != c.mor_tgt[g]:
+        raise ValueError(f"morphisms {f} and {g} are not parallel")
+
+
+def leq(x: RestrictionCategory, f, g) -> bool:
+    """f ≤ g iff f == g∘f̄, read for one pair; with compatible, the
+    reference for the masks of joins.hom_poset."""
+    _require_parallel(x, f, g)
+    c = x.base
+    return f == c.rows[g][c.pos[x.bar[f]]]
+
+
+def compatible(x: RestrictionCategory, f, g) -> bool:
+    """f ⌣ g iff f∘ḡ == g∘f̄, read for one pair."""
+    _require_parallel(x, f, g)
+    c = x.base
+    return c.rows[f][c.pos[x.bar[g]]] == c.rows[g][c.pos[x.bar[f]]]
+
+
+def element_leq(rp, a, x, y) -> bool:
+    """x ≤ y in P(a) iff x == y·x̄, read for one pair; with
+    element_compatible, the reference for the masks of rpsh.element_poset."""
+    return x == rp.presheaf.act(rp.bar(a, x), y)
+
+
+def element_compatible(rp, a, x, y) -> bool:
+    """x ⌣ y in P(a) iff x·ȳ == y·x̄, read for one pair."""
+    act = rp.presheaf.act
+    return act(rp.bar(a, y), x) == act(rp.bar(a, x), y)
+
+
+def predicate_masks(elements, leq, compatible):
+    """The up and ok masks of joins.FinitePoset read pair by pair: bit j of
+    up[i] is leq(elements[i], elements[j]) and bit j of ok[i] is
+    compatible(elements[j], elements[i]), 2n² predicate calls; the
+    reference for joins.bar_masks."""
+    elements = tuple(elements)
+    return ([sum(1 << j for j, v in enumerate(elements) if leq(u, v))
+             for u in elements],
+            [sum(1 << j for j, v in enumerate(elements) if compatible(v, u))
+             for u in elements])
+
+
+def predicate_poset(elements, leq, compatible) -> FinitePoset:
+    """The FinitePoset of the order leq and the relation compatible, each
+    read pair by pair (predicate_masks)."""
+    return FinitePoset(elements, *predicate_masks(elements, leq, compatible))
 
 
 def least_upper_bound(elements, leq, members):
@@ -73,11 +123,11 @@ def with_table(c: FinCategory, table, identity=None) -> FinCategory:
 def built_by_pair_scan(objects, morphisms, ends, identity, compose):
     """(object key -> id, morphism key -> id, sources, targets, identities,
     comp) of the category on the given keys, with comp filled by calling
-    compose on every ordered pair of morphism keys whose ends meet; the
-    reference for fincat.build_category."""
+    compose(g, [f]) on every ordered pair of morphism keys whose ends meet,
+    one pair at a time; the reference for fincat.build_category."""
     obj_id = {a: i for i, a in enumerate(objects)}
     mor_id = {f: i for i, f in enumerate(morphisms)}
-    comp = {(mor_id[g], mor_id[f]): mor_id[compose(g, f)]
+    comp = {(mor_id[g], mor_id[f]): mor_id[compose(g, [f])[0]]
             for g in morphisms for f in morphisms
             if ends(f)[1] == ends(g)[0]}
     return (obj_id, mor_id,
@@ -506,6 +556,37 @@ def join_axioms(x, max_family=None):
     return report
 
 
+def scan(x, fibres, text):
+    """The Violations of joins.scan on fibres whose families are tuples of
+    elements, read family by family: each family, its bars and its image
+    under each map are handed to the posets' join and compatible as
+    element sets, and every image is read from the map's image afresh; the
+    reference for joins.scan."""
+    for ids, a, poset, fams, bar, maps in fibres:
+        for fam in fams:
+            if not fam:
+                continue
+            j = poset.join(fam)
+            if j is None:
+                if text["missing"]:
+                    tag, detail = text["missing"]
+                    yield Violation(tag, ids + fam, detail)
+                continue
+            if bar is not None:
+                jbar = hom_join(x, CompatibleFamily(a, a, frozenset(
+                    bar[s] for s in fam)))
+                if jbar is None or bar[j] != jbar:
+                    tag, detail = text["bar"]
+                    yield Violation(tag, ids + fam, detail)
+            for role, before, after, image, target in maps:
+                members = frozenset(image[s] for s in fam)
+                ok = target.compatible(members)
+                jw = target.join(members)
+                if not ok or jw is None or image[j] != jw:
+                    tag, detail = text[role, "join" if ok else "compatible"]
+                    yield Violation(tag, before + fam + after, detail)
+
+
 def jrp_axioms(rp, max_family=None):
     """JRP-MISSING, JRP1 and JRP2 over every compatible element set of at
     most max_family members, JRP2 for every map into a, then, when all that
@@ -637,8 +718,8 @@ def nojoin_certified_pair(x):
     c = x.base
     a, b = 1, 0
     # the least upper bound of the empty family is the least element
-    least = FinitePoset(restriction_idempotents(x, a), partial(leq, x),
-                        partial(compatible, x)).join(())
+    least = predicate_poset(restriction_idempotents(x, a), partial(leq, x),
+                            partial(compatible, x)).join(())
     singles = [f for f in c.hom(a, b)
                if x.bar[f] != c.identity[a] and x.bar[f] != least]
     return tuple(sorted(singles))
@@ -1006,12 +1087,12 @@ def collage(rp: RestrictionPresheaf) -> Collage:
     ends.update({k: (k[0], point) for k in elems})
     ends[point] = (point, point)
 
-    def compose(g, f):
+    def compose(g, fs):
         if g == point:
-            return f
+            return fs
         if isinstance(g, tuple):
-            return c.mor_src[f], p.act(f, g[1])
-        return c.compose(g, f)
+            return [(c.mor_src[f], p.act(f, g[1])) for f in fs]
+        return [c.compose(g, f) for f in fs]
 
     cat, _, mor_id = build_category(
         list(c.objects) + [point], list(ends), ends.__getitem__,

@@ -148,6 +148,26 @@ def test_cli_unreadable_bundle(tmp_path, capsys):
     assert main(["check-laws", str(bad)]) == 2
 
 
+def test_cli_refuses_a_bundle_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "b.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["check-laws", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"bundle error: $: cannot read {str(bad)!r}")
+
+
+def test_cli_reports_an_unwritable_out_file(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["check-laws", "nojoin", "--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    # the report is printed before the write fails
+    assert printed.endswith("FAIL\tcheck-laws\tnojoin\n")
+    assert "Traceback" not in err
+    assert err.startswith(f"output error: cannot write {str(out)!r}")
+    assert not out.exists()
+
+
 def test_cli_topology_summary(tmp_path, capsys):
     out = tmp_path / "summary.json"
     assert main(["topology", "finset_inj_2", "--out", str(out)]) == 0

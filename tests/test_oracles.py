@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import collage, sieve_subpresheaf, sigma_classifier
-from rcwb import fincat, fixtures, mcat, rpsh
+from rcwb import fincat, fixtures, joins, mcat, rpsh
 from rcwb.bundles import load_bundle
 from rcwb.bridge import _matching_tuples, jrp_to_sheaf, sheaf_to_jrp
 from rcwb.fincat import (Diagram, cocones_at, colimit,
@@ -18,14 +18,12 @@ from rcwb.fincat import (Diagram, cocones_at, colimit,
 from rcwb.fixtures import (build_finset, build_finset_data, build_finset_mcat,
                            build_finset_p, build_finset_p_data,
                            build_nojoin_fixture, subsets_category)
-from rcwb.joins import FinitePoset, check_join_axioms, families, hom_poset
+from rcwb.joins import check_join_axioms, families, hom_poset
 from rcwb.mcat import (MCategory, karoubi_r, matching_colimit,
                        matching_diagram, par, sub_m)
-from rcwb.restriction import (RestrictionCategory, check_restriction_axioms,
-                              compatible, leq)
-from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms,
-                       element_compatible, element_join, element_leq,
-                       element_poset, yoneda_jr)
+from rcwb.restriction import RestrictionCategory, check_restriction_axioms
+from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
+                       element_poset, rp_reports, yoneda_jr)
 from rcwb.site import (Presheaf, Topology, all_nat_trans, basis_covers,
                        check_presheaf, constant_presheaf, find_presheaf_iso,
                        generate_topology, matching_families,
@@ -240,7 +238,7 @@ def _generator_fixtures():
 
 
 # name -> number of generators; finset_inj_3 has the base finset_3
-GENERATOR_COUNTS = {"finset_p_2": 10, "finset_p_3": 33, "finset_3": 19}
+GENERATOR_COUNTS = {"finset_p_2": 8, "finset_p_3": 19, "finset_3": 12}
 
 
 def test_generators_close_to_every_map_on_fixtures():
@@ -254,13 +252,16 @@ def test_generators_close_to_every_map_on_fixtures():
 @settings(max_examples=40, deadline=None)
 @given(st.sets(st.sampled_from(range(CATS["finset_p_2"].n_morphisms))))
 def test_generators_are_the_maps_outside_the_closure_of_earlier_ones(gens):
-    # the scan in id order: a map is a generator iff the identities and the
-    # generators before it do not generate it
+    # the scan takes the isos in id order, then the other maps in id order:
+    # a map is a generator iff the identities and the generators before it
+    # in that order do not generate it
     sub = _generated(CATS["finset_p_2"], gens)
     found = sub.generators()
-    for m in sub.morphisms():
+    isos = sub.isos()
+    order = sorted(isos) + [m for m in sub.morphisms() if m not in isos]
+    for k, m in enumerate(order):
         assert (m in found) == \
-            (m not in _closure(sub, [g for g in found if g < m]))
+            (m not in _closure(sub, [g for g in order[:k] if g in found]))
 
 
 # -- sieves -------------------------------------------------------------------
@@ -930,8 +931,8 @@ def test_hom_joins_match_oracle(name):
             poset = hom_poset(x, a, b)
             assert poset.elements == x.base.hom(a, b)
             assert hom_poset(x, a, b) is poset
-            _same_as_scans(poset, lambda f, g: leq(x, f, g),
-                           lambda f, g: compatible(x, f, g))
+            _same_as_scans(poset, lambda f, g: oracles.leq(x, f, g),
+                           lambda f, g: oracles.compatible(x, f, g))
 
 
 def test_element_joins_match_oracle(transferred):
@@ -939,8 +940,9 @@ def test_element_joins_match_oracle(transferred):
         for a in rp.rc.base.objects:
             poset = element_poset(rp, a)
             assert poset.elements == tuple(rp.presheaf.elements(a))
-            _same_as_scans(poset, lambda s, u: element_leq(rp, a, s, u),
-                           lambda s, u: element_compatible(rp, a, s, u))
+            _same_as_scans(
+                poset, lambda s, u: oracles.element_leq(rp, a, s, u),
+                lambda s, u: oracles.element_compatible(rp, a, s, u))
 
 
 def _preorder(n, pairs):
@@ -965,25 +967,28 @@ def test_joins_match_oracle_on_random_preorders(data):
     order = lambda s, u: (s, u) in rel  # noqa: E731
     # pairs also serve as a compatibility relation, not even symmetric
     compat = lambda s, u: (s, u) in pairs  # noqa: E731
-    _same_as_scans(FinitePoset(elements, order, compat), order, compat)
+    _same_as_scans(oracles.predicate_poset(elements, order, compat), order,
+                   compat)
 
 
 def test_join_of_equivalent_elements_is_the_first():
     # "a" and "b" lie below each other and below "top", which comes first
     rel = {("a", "b"), ("b", "a"), ("a", "top"), ("b", "top")} | \
         {(e, e) for e in ("a", "b", "top")}
-    poset = FinitePoset(["top", "b", "a"], lambda s, u: (s, u) in rel,
-                        lambda s, u: True)
+    poset = oracles.predicate_poset(["top", "b", "a"],
+                                    lambda s, u: (s, u) in rel,
+                                    lambda s, u: True)
     assert poset.join([]) == "b"
     assert poset.join(["a"]) == "b"
     assert poset.join(["top"]) == "top"
     assert poset.upper_bounds(["a"]) == ("top", "b", "a")
-    assert FinitePoset([], lambda s, u: True, lambda s, u: True).join([]) \
-        is None
+    assert oracles.predicate_poset([], lambda s, u: True,
+                                   lambda s, u: True).join([]) is None
 
 
 def test_join_rejects_a_member_outside_the_poset(transferred):
-    poset = FinitePoset([1, 2], lambda s, u: s <= u, lambda s, u: True)
+    poset = oracles.predicate_poset([1, 2], lambda s, u: s <= u,
+                                    lambda s, u: True)
     with pytest.raises(ValueError):
         poset.join([3])
     with pytest.raises(ValueError):
@@ -999,6 +1004,70 @@ def test_join_rejects_a_member_outside_the_poset(transferred):
         element_join(rp, 0, [rp.presheaf.sizes[0]])
     with pytest.raises(ValueError):
         element_poset(rp, 0).compatible([rp.presheaf.sizes[0]])
+
+
+# -- the masks from bars ------------------------------------------------------
+
+def _same_hom_masks(x):
+    """Every hom-set's up and ok masks, grouped by bar in hom_poset, equal
+    the pair-by-pair reading of leq and compatible."""
+    c = x.base
+    for a in c.objects:
+        for b in c.objects:
+            poset = hom_poset(x, a, b)
+            assert (list(poset.up), list(poset.ok)) == \
+                oracles.predicate_masks(
+                    poset.elements, lambda f, g: oracles.leq(x, f, g),
+                    lambda f, g: oracles.compatible(x, f, g))
+
+
+MASK_RCATS = {
+    "finset_p_1": lambda: build_finset_p(1),
+    "finset_p_2": lambda: P2,
+    "finset_p_3": lambda: build_finset_p(3),
+    "nojoin": build_nojoin_fixture,
+    "karoubi_p_2": lambda: karoubi_r(P2).rc,
+    "par_inj_2": lambda: par(MCATS["finset_inj_2"]).rc,
+    "par_inj_3": lambda: par(build_finset_mcat(3, "inj")).rc,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASK_RCATS))
+def test_hom_masks_match_the_pair_reading_on_fixtures(name):
+    _same_hom_masks(MASK_RCATS[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(range(P2.base.n_morphisms)), max_size=6))
+def test_hom_masks_match_the_pair_reading_on_sub_restriction_categories(gens):
+    sub = subcategory(P2.base, P2.base.objects,
+                      _closure(P2.base, gens, P2.bar))
+    _same_hom_masks(RestrictionCategory(
+        sub.cat, tuple(sub.mor_new[P2.bar[f]] for f in sub.mor_old)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hom_masks_match_the_pair_reading_with_one_bar_redirected(data):
+    # the grouping rewrites the two relations exactly, restriction axioms
+    # or not
+    c = P2.base
+    f = data.draw(st.sampled_from(c.morphisms()))
+    a = c.mor_src[f]
+    bar = list(P2.bar)
+    bar[f] = data.draw(st.sampled_from(c.hom(a, a)))
+    _same_hom_masks(RestrictionCategory(c, tuple(bar)))
+
+
+def test_element_masks_match_the_pair_reading(transferred):
+    for rp in transferred:
+        for a in rp.rc.base.objects:
+            poset = element_poset(rp, a)
+            assert (list(poset.up), list(poset.ok)) == \
+                oracles.predicate_masks(
+                    poset.elements,
+                    lambda s, u: oracles.element_leq(rp, a, s, u),
+                    lambda s, u: oracles.element_compatible(rp, a, s, u))
 
 
 # -- the join laws ------------------------------------------------------------
@@ -1020,6 +1089,76 @@ JOIN_RCATS = {
     "karoubi_p_2": lambda: karoubi_r(P2).rc,
     "par_inj_2": lambda: par(MCATS["finset_inj_2"]).rc,
 }
+
+
+@contextlib.contextmanager
+def _scans_checked_against_oracle():
+    """Check every joins.scan call that check_join_axioms and rp_reports
+    make, in this block, against oracles.scan on the same fibres with each
+    family given as elements; yields the list of the number of findings of
+    each scan."""
+    real = joins.scan
+    found = []
+
+    def checked(x, fibres, text):
+        fibres = list(fibres)
+        got = list(real(x, fibres, text))
+        assert got == list(oracles.scan(x, [
+            (ids, a, poset, [tuple(poset.elements[i] for i in fam)
+                             for fam in fams], bar, maps)
+            for ids, a, poset, fams, bar, maps in fibres], text))
+        found.append(len(got))
+        return iter(got)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (joins, rpsh):
+            mp.setattr(module, "scan", checked)
+        yield found
+
+
+def _scan_mutants():
+    """Join mutants by name: restriction categories whose join laws fail
+    (collages of the acceptance test's presheaf mutants, finset_p_2 with a
+    bar redirected, nojoin) and ones that pass."""
+    from test_acceptance import _mutants
+    out = {name: build() for name, build in JOIN_RCATS.items()}
+    rps = _mutants(yoneda_jr(P2, 2), random.Random(7), 5)
+    out.update((f"collage_{i}", collage(rp).rc) for i, rp in enumerate(rps))
+    c = P2.base
+    rng = random.Random(23)
+    for i in range(6):
+        f = rng.choice([f for f in c.morphisms()
+                        if len(c.hom(c.mor_src[f], c.mor_src[f])) > 1])
+        bar = list(P2.bar)
+        bar[f] = rng.choice([e for e in c.hom(c.mor_src[f], c.mor_src[f])
+                             if e != P2.bar[f]])
+        out[f"bar_{i}"] = RestrictionCategory(c, tuple(bar))
+    return out
+
+
+def test_scan_matches_the_frozenset_scan_on_join_mutants(transferred):
+    # per mutant: the findings of the scans at bound 1, then at bound 2
+    counts = {}
+    for name, x in _scan_mutants().items():
+        counts[name] = []
+        for max_family in (1, 2):
+            with _scans_checked_against_oracle() as found:
+                check_join_axioms(x, max_family)
+            counts[name].append(sum(found))
+    with _scans_checked_against_oracle() as found:
+        for rp in transferred + [yoneda_jr(build_nojoin_fixture(), 0)]:
+            rp_reports(rp)
+    # the JRP2 and JRP-ACT scans of each transfer; the nojoin representable
+    # finds JRP-MISSING along the generators, then along every map, and
+    # stops there
+    assert len(found) == 2 * len(transferred) + 2
+    assert found[-2] == found[-1] > 0
+    # some mutants fail at a singleton, and some, nojoin among them, only
+    # at a pair
+    assert counts["nojoin"] == [0, 2]
+    assert any(one > 0 for one, _ in counts.values())
+    assert len({name for name, (one, two) in counts.items()
+                if one == 0 < two}) > 1
 
 
 @pytest.mark.parametrize("name", sorted(JOIN_RCATS))

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import trivial_restriction
+from oracles import compatible, leq, trivial_restriction
 from rcwb.fincat import FinCategory
 from rcwb.fixtures import build_finset, build_finset_p, build_finset_p_data
 from rcwb.restriction import (RestrictionCategory, check_restriction_axioms,
-                              compatible, is_total, leq,
-                              restriction_idempotents, total_subcategory)
+                              is_total, restriction_idempotents,
+                              total_subcategory)
 from rcwb.search import find_restriction_iso
 
 

@@ -1,11 +1,11 @@
 import pytest
 
-from oracles import collage
+from oracles import collage, element_leq, leq
 from rcwb.fincat import validate_category
 from rcwb.joins import check_join_axioms
 from rcwb.restriction import check_restriction_axioms
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, check_rp_axioms,
-                       element_join, element_leq, element_poset, find_rp_iso,
+                       element_join, element_poset, find_rp_iso,
                        hom_restriction, nat_join, yoneda_jr)
 from rcwb.site import NatTrans
 
@@ -18,7 +18,6 @@ def test_representables_are_join_restriction_presheaves(finset_p2):
 
 
 def test_element_order_mirrors_hom_order(finset_p2):
-    from rcwb.restriction import leq
     rp = yoneda_jr(finset_p2, 2)
     c = finset_p2.base
     for b in c.objects:

@@ -41,6 +41,9 @@ def _callers(pattern):
     (r"\bFinCategory\(", {("fincat", "build_category"),
                           ("bundles", "load_bundle")}),
     (r"\bPresheaf\(", {("site", "build_presheaf")}),
+    # the two posets of the join kernel, each with its masks from the bars
+    (r"\bFinitePoset\(", {("joins", "hom_poset"),
+                            ("rpsh", "element_poset")}),
     # its own def line, and the one caller, which builds the diagram only
     # for a family with no dominated member
     (r"\bmatching_diagram\(", {("mcat", "_matching_colimit"),
