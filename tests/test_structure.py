@@ -41,9 +41,6 @@ def _callers(pattern):
     (r"\bFinCategory\(", {("fincat", "build_category"),
                           ("bundles", "load_bundle")}),
     (r"\bPresheaf\(", {("site", "build_presheaf")}),
-    # the two posets of the join kernel, each with its masks from the bars
-    (r"\bFinitePoset\(", {("joins", "hom_poset"),
-                            ("rpsh", "element_poset")}),
     # its own def line, and the one caller, which builds the diagram only
     # for a family with no dominated member
     (r"\bmatching_diagram\(", {("mcat", "_matching_colimit"),
@@ -58,6 +55,9 @@ def _callers(pattern):
     (r"\bgenerators\(", {("fincat", "generators"),
                            ("fincat", "validate_category"),
                            ("fincat", "certified")}),
+    # the two posets of the join kernel, each with its masks from the bars
+    (r"\bFinitePoset\(", {("joins", "hom_poset"),
+                            ("rpsh", "element_poset")}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
