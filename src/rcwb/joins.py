@@ -93,6 +93,10 @@ class FinitePoset:
                      None))
         return facts
 
+    def known(self, mask):
+        """True iff the member set with position mask mask is memoised."""
+        return mask in self._memo
+
     def compatible(self, members):
         """True iff the members form a compatible family."""
         return self._facts(self._mask(members))[0]
@@ -217,7 +221,9 @@ def scan(x: RestrictionCategory, fibres, text):
     The scan runs on positions: each map's image, and the bars, are read
     once per element as a position in the target poset, and every family,
     image family and bar family is looked up in its poset's memo by its
-    position mask.  Element tuples are built only for the ids of findings.
+    position mask; a bar family that misses the memo is joined through
+    join, from its members.  Element tuples are otherwise built only for
+    the ids of findings.
 
     Callers read the maps through fincat.certified, whose induction step
     is this (the join lemmas of Guo, *Products, joins, meets, and ranges in
@@ -245,8 +251,7 @@ def scan(x: RestrictionCategory, fibres, text):
         if bar is not None:
             bars = hom_poset(x, a, a)
             bar_pos = [bars.index[bar[s]] for s in elements]
-        # a memo hit on a bar or image family is read inline, without a call
-        checks = [(role, before, after, target._memo, target._facts,
+        checks = [(role, before, after, target._facts,
                    [target.index[image[s]] for s in elements])
                   for role, before, after, image, target in maps]
         for fam in fams:
@@ -268,15 +273,23 @@ def scan(x: RestrictionCategory, fibres, text):
                 mask = 0
                 for i in fam:
                     mask |= 1 << bar_pos[i]
-                if (bars._memo.get(mask) or bars._facts(mask))[1] != \
-                        bar_pos[j]:
+                if bars.known(mask):
+                    jbar = bars._facts(mask)[1]
+                else:
+                    # a bar family the memo does not hold yet is joined
+                    # through join, the hom-set join, which fills the entry
+                    # for its repeats: a traced pass (perfbench/spans.py)
+                    # counts and times one join call per such miss
+                    jbar = bars.index.get(join(x, CompatibleFamily(
+                        a, a, frozenset(bar[elements[i]] for i in fam))))
+                if jbar != bar_pos[j]:
                     tag, detail = text["bar"]
                     yield Violation(tag, ids + _at(elements, fam), detail)
-            for role, before, after, memo, target_facts, image in checks:
+            for role, before, after, target_facts, image in checks:
                 mask = 0
                 for i in fam:
                     mask |= 1 << image[i]
-                ok, jw = memo.get(mask) or target_facts(mask)
+                ok, jw = target_facts(mask)
                 if not ok or jw != image[j]:
                     tag, detail = text[role, "join" if ok else "compatible"]
                     yield Violation(tag, before + _at(elements, fam) + after,
