@@ -63,10 +63,10 @@ def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
         return f"({c.mor_names[m]},{p.name(c.mor_src[m], e)})"
 
     psh, index = build_presheaf(
-        pc.rc.base, lambda a: [(m, e) for m in sub_m(mc, a).elements
+        pc.rc.base, lambda a: [(m, e) for m in sub_m(mc, a)
                                for e in p.elements(c.mor_src[m])], act, name)
     elems = tuple(tuple(ix) for ix in index)
-    bar_elem = tuple(tuple(pc.id_of_span(m, m) for (m, e) in es)
+    bar_elem = tuple(tuple(pc.span_id[(m, m)] for (m, e) in es)
                      for es in elems)
     return TransferredJRP(RestrictionPresheaf(pc.rc, psh, bar_elem), pc, p,
                           elems, index)

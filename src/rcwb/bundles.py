@@ -264,14 +264,15 @@ def dump_bundle(data: dict) -> str:
 
 def build_fixture(name: str) -> Bundle:
     """Named fixtures accepted anywhere a bundle path is: finset_p_<n>,
-    finset_inj_<n>, finset_iso_<n>, nojoin."""
+    finset_inj_<n>, finset_iso_<n>, nojoin, with n in ASCII digits."""
     if name == "nojoin":
         rc = fixtures.build_nojoin_fixture()
         return Bundle(rc.base, restriction=rc)
     for prefix, maker in (("finset_p_", "p"), ("finset_inj_", "inj"),
                           ("finset_iso_", "iso")):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            n = int(name[len(prefix):])
+        digits = name[len(prefix):]
+        if name.startswith(prefix) and digits.isascii() and digits.isdigit():
+            n = int(digits)
             if maker == "p":
                 rc = fixtures.build_finset_p(n)
                 return Bundle(rc.base, restriction=rc)

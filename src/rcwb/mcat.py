@@ -1,13 +1,11 @@
 """M-categories, Sub_M posets, the Par construction, matching diagrams,
 the geometric criterion, MTotal and the Karoubi splitting.
 
-Subobjects and spans are normalised to canonical representatives (smallest
-ids after explicit iso search), so equality is plain component equality.
-Two lazy tables on each MCategory keep the searches to one per key:
-matching_memo (the matching colimit of each family asked for) and
-span_isos (per first leg m, the iso that canonicalises every span (m, f)
-when m alone decides it); the base category keeps the least iso of each
-map asked for (fincat.least_iso), which canonicalises subobjects.
+Subobjects and spans have one canonical form, so equality is plain
+component equality: a monic m becomes m∘phi and a span (m, f) becomes
+(m∘phi, f∘phi), with phi = fincat.least_iso(c, m), the iso that the base
+category c keeps per map.  One lazy table on each MCategory, matching_memo,
+keeps the matching colimit of each family asked for.
 A matching diagram is a graph of pairwise pullbacks, a `fincat.Diagram`;
 it builds no shape category.
 """
@@ -33,18 +31,14 @@ class MCategory:
 
     matching_memo caches matching_colimit results by (family, object),
     for the families asked for and for the families of their maximal
-    members that those results are rebuilt from.  span_isos caches, per
-    first leg m, the iso that canonical_span precomposes every (m, f) with,
-    or None when f must break a tie.  Both fill lazily, take no part in
-    equality or hashing, and hand the same result object to every caller,
-    so cached results must not be mutated.
+    members that those results are rebuilt from.  It fills lazily, takes
+    no part in equality or hashing, and hands the same result object to
+    every caller, so cached results must not be mutated.
     """
     base: FinCategory
     monics: frozenset
     matching_memo: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
-    span_isos: dict = field(default_factory=dict, init=False,
-                            repr=False, compare=False)
 
 
 def check_m_system(mc: MCategory) -> LawReport:
@@ -91,20 +85,6 @@ def pullback_subobject(mc: MCategory, f, m) -> int:
     return subobject_rep(mc, cone.p)
 
 
-@dataclass(frozen=True)
-class SubMPoset:
-    """The poset of canonical M-subobjects of one object."""
-    mc: MCategory
-    obj: int
-    elements: tuple
-
-    def top(self):
-        return self.mc.base.identity[self.obj]
-
-    def join(self, family):
-        return sub_m_join(self.mc, family, self.obj)
-
-
 def sub_m_join(mc: MCategory, family, obj):
     """The join of a family of M-subobjects of obj, as the canonical Sub_M
     element that its matching colimit glues to: None when the colimit is
@@ -125,11 +105,13 @@ def pullback_stable(mc: MCategory, f, family, join) -> bool:
         pullback_subobject(mc, f, join)
 
 
-def sub_m(mc: MCategory, obj) -> SubMPoset:
+def sub_m(mc: MCategory, obj) -> tuple:
+    """Sub_M(obj): the canonical M-subobjects of obj, sorted.  Its top is
+    subobject_rep(mc, identity[obj]), which is not the identity when an iso
+    into obj has a smaller id."""
     c = mc.base
-    reps = sorted({subobject_rep(mc, m)
-                   for m in mc.monics if c.mor_tgt[m] == obj})
-    return SubMPoset(mc, obj, tuple(reps))
+    return tuple(sorted({subobject_rep(mc, m)
+                         for m in mc.monics if c.mor_tgt[m] == obj}))
 
 
 # -- matching diagrams -------------------------------------------------------
@@ -297,7 +279,7 @@ def _geometric_scan(mc: MCategory, max_family, pick) -> list:
     report = LawReport("geometric")
     for obj in c.objects:
         maps = pick(c.into(obj))
-        for family in families(sub_m(mc, obj).elements, max_family):
+        for family in families(sub_m(mc, obj), max_family):
             mcol = matching_colimit(mc, family, obj)
             if mcol is None:
                 report.add("GEO-COLIM", (obj,) + family,
@@ -318,40 +300,14 @@ def _geometric_scan(mc: MCategory, max_family, pick) -> list:
 # -- the Par construction ----------------------------------------------------
 
 def canonical_span(mc: MCategory, m, f):
-    """The representative of the span (m, f) up to an iso of its apex: the
-    one with the smallest (apex, m∘phi, f∘phi).
-
-    The iso phi into dom m with the least (apex, m∘phi) is found once per m
-    (_span_iso) and kept in mc.span_isos.  When it is the only minimiser,
-    as it is for a monic m, where phi ↦ m∘phi is one-to-one, f cannot
-    break the tie and phi is the answer for every f; otherwise the isos are
-    scanned for each f.
-    """
+    """The representative of the span (m, f) up to an iso of its apex:
+    (m∘phi, f∘phi) with phi = least_iso(c, m), so its first leg is
+    subobject_rep(m).  m must be monic, as every caller's is (a member of
+    a gated M-system, or a restriction monic of mtotal): then phi ↦ m∘phi
+    is one-to-one, and phi is the only iso that gives that first leg."""
     c = mc.base
-    rows, pos = c.rows, c.pos
-    if m not in mc.span_isos:
-        mc.span_isos[m] = _span_iso(c, m)
-    phi = mc.span_isos[m]
-    if phi is not None:
-        return rows[m][pos[phi]], rows[f][pos[phi]]
-    dom = c.mor_src[m]
-    best = (dom, m, f)
-    for phi in c.isos_into(dom):
-        cand = (c.mor_src[phi], rows[m][pos[phi]], rows[f][pos[phi]])
-        if cand < best:
-            best = cand
-    return best[1], best[2]
-
-
-def _span_iso(c: FinCategory, m):
-    """The iso phi into dom m, or the identity, with the least
-    (src phi, m∘phi), when only one phi attains it; otherwise None."""
-    dom = c.mor_src[m]
-    ranked = sorted((c.mor_src[phi], c.compose(m, phi), phi)
-                    for phi in {c.identity[dom], *c.isos_into(dom)})
-    if len(ranked) > 1 and ranked[0][:2] == ranked[1][:2]:
-        return None
-    return ranked[0][2]
+    p = c.pos[least_iso(c, m)]
+    return c.rows[m][p], c.rows[f][p]
 
 
 def compose_spans(mc: MCategory, second, first):
@@ -387,19 +343,25 @@ class ParCategory:
 def par(mc: MCategory) -> ParCategory:
     """The partial map category: spans (m, f) with m in M, composition by
     pullback, restriction (m, f) -> (m, m).  Its restriction axioms and the
-    splitting of its restriction idempotents are verified."""
+    splitting of its restriction idempotents are verified.
+
+    The maps are the canonical spans, listed as (s, f) for s in Sub_M and
+    f out of dom s: canonical_span(m, f) is (s, f∘phi) with s =
+    subobject_rep(m) and phi an iso, and as f runs over every map out of
+    dom m, f∘phi runs over every map out of dom s.  The bar of (s, f) is
+    (s, s)."""
     c = mc.base
-    canon = {canonical_span(mc, m, f) for m in mc.monics
-             for f in c.out_of(c.mor_src[m])}
-    spans = tuple(sorted(canon, key=lambda s: (c.mor_tgt[s[0]],
-                                               c.mor_tgt[s[1]], s[0], s[1])))
+    spans = tuple(sorted(
+        ((m, f) for a in c.objects for m in sub_m(mc, a)
+         for f in c.out_of(c.mor_src[m])),
+        key=lambda s: (c.mor_tgt[s[0]], c.mor_tgt[s[1]], s[0], s[1])))
     cat, _, span_id = build_category(
         c.objects, spans, lambda s: (c.mor_tgt[s[0]], c.mor_tgt[s[1]]),
         lambda a: canonical_span(mc, c.identity[a], c.identity[a]),
         lambda g, fs: [compose_spans(mc, g, f) for f in fs],
         obj_names=c.obj_names,
         mor_names=[f"({c.mor_names[m]},{c.mor_names[f]})" for m, f in spans])
-    bar = tuple(span_id[canonical_span(mc, m, m)] for (m, f) in spans)
+    bar = tuple(span_id[(m, m)] for (m, f) in spans)
     rc = RestrictionCategory(cat, bar)
     rep = check_restriction_axioms(rc)
     if not rep.ok:

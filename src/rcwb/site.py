@@ -21,7 +21,7 @@ from itertools import accumulate
 
 from .fincat import FinCategory, certified, forced_assignments
 from .joins import families
-from .mcat import MCategory, sub_m
+from .mcat import MCategory, sub_m, sub_m_join, subobject_rep
 from .reports import InternalInvariantError, LawReport
 
 
@@ -244,14 +244,14 @@ class Topology:
 
 
 def basis_covers(mc: MCategory):
-    """Per object, the families of canonical monics whose Sub_M join is the
-    identity (the whole object)."""
+    """Per object a, the families of canonical monics whose Sub_M join is
+    the top, the canonical subobject of the identity (the whole object)."""
     c = mc.base
     out = []
     for a in c.objects:
-        poset = sub_m(mc, a)
-        out.append(tuple(fam for fam in families(poset.elements)
-                         if poset.join(fam) == poset.top()))
+        top = subobject_rep(mc, c.identity[a])
+        out.append(tuple(fam for fam in families(sub_m(mc, a))
+                         if sub_m_join(mc, fam, a) == top))
     return tuple(out)
 
 

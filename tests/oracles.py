@@ -12,9 +12,9 @@ from rcwb.fincat import (Cocone, Diagram, FinCategory, Functor, PullbackCone,
 from rcwb.fixtures import subsets_category
 from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
                         families, hom_poset, join as hom_join)
-from rcwb.mcat import (MatchingColimit, MCategory, ParCategory, SubMPoset,
+from rcwb.mcat import (MatchingColimit, MCategory, ParCategory,
                        matching_colimit, matching_diagram, pullback_stable,
-                       pullback_subobject, sub_m, subobject_rep)
+                       pullback_subobject, sub_m, sub_m_join, subobject_rep)
 from rcwb.reports import InternalInvariantError, LawReport, Violation
 from rcwb.restriction import RestrictionCategory, restriction_idempotents
 from rcwb.rpsh import (RestrictionPresheaf, check_rp_axioms, element_join,
@@ -311,17 +311,23 @@ def least_iso(c, f):
 
 
 def canonical_span(mc, m, f):
-    """The least (apex, m∘phi, f∘phi) over every iso phi of the category
-    into dom m, in id order; the reference for mcat.canonical_span."""
+    """The least (m∘phi, f∘phi) over every iso phi of the category into
+    dom m; the reference for mcat.canonical_span."""
     c = mc.base
     dom = c.mor_src[m]
-    best = (dom, m, f)
-    for phi in c.isos():
-        if c.mor_tgt[phi] == dom:
-            cand = (c.mor_src[phi], c.compose(m, phi), c.compose(f, phi))
-            if cand < best:
-                best = cand
-    return best[1], best[2]
+    return min([(m, f)] + [(c.compose(m, phi), c.compose(f, phi))
+                           for phi in c.isos() if c.mor_tgt[phi] == dom])
+
+
+def par_spans(mc):
+    """The maps of Par(mc) as canonical_span of every (m, f) with m in M and
+    f out of dom m, in the order of mcat.par; the reference for its
+    listing from Sub_M."""
+    c = mc.base
+    canon = {canonical_span(mc, m, f) for m in mc.monics
+             for f in c.out_of(c.mor_src[m])}
+    return tuple(sorted(canon, key=lambda s: (c.mor_tgt[s[0]],
+                                              c.mor_tgt[s[1]], s[0], s[1])))
 
 
 def _one_each(cones, images):
@@ -782,6 +788,34 @@ def m3_bundle():
             "monics": [name(x, y) for x, y in pairs]}
 
 
+def z2_bundle(order):
+    """The group Z/2 as a one-object bundle, maps "s" and "1" with s∘s = 1,
+    listed in the given order, both in M.  When "s" comes first, the
+    canonical subobject of the identity is s."""
+    return {"objects": ["*"],
+            "morphisms": [{"id": m, "src": "*", "tgt": "*"} for m in order],
+            "identities": {"*": "1"},
+            "comp": [["s", "s", "1"], ["s", "1", "s"], ["1", "s", "s"],
+                     ["1", "1", "1"]],
+            "monics": list(order)}
+
+
+def iso_pair_bundle(order):
+    """Two isomorphic objects A and B, maps 1A, 1B, i: A -> B and its
+    inverse j, listed in the given order, all in M.  When 1B comes before
+    i, the canonical subobject of i is 1B, over the larger apex B."""
+    ends = {"1A": ("A", "A"), "1B": ("B", "B"), "i": ("A", "B"),
+            "j": ("B", "A")}
+    return {"objects": ["A", "B"],
+            "morphisms": [{"id": m, "src": ends[m][0], "tgt": ends[m][1]}
+                          for m in order],
+            "identities": {"A": "1A", "B": "1B"},
+            "comp": [["1A", "1A", "1A"], ["1B", "1B", "1B"], ["i", "1A", "i"],
+                     ["1B", "i", "i"], ["j", "1B", "j"], ["1A", "j", "j"],
+                     ["j", "i", "1A"], ["i", "j", "1B"]],
+            "monics": list(order)}
+
+
 # -- restriction functors --------------------------------------------------------
 
 def is_restriction_functor(fun: Functor, x: RestrictionCategory,
@@ -795,14 +829,13 @@ def is_restriction_functor(fun: Functor, x: RestrictionCategory,
 
 # -- Sub_M: meets, Heyting distributivity, pullback stability, the span join --
 
-def sub_m_meet(poset: SubMPoset, m, n) -> int:
-    """m ∧ n in Sub_M(poset.obj): the canonical subobject of the pullback
-    of m and n."""
-    c = poset.mc.base
+def sub_m_meet(mc: MCategory, m, n) -> int:
+    """m ∧ n in Sub_M: the canonical subobject of the pullback of m and n."""
+    c = mc.base
     cone = pullback(c, m, n)
     if cone is None:
         raise InternalInvariantError("missing meet pullback in Sub_M")
-    return subobject_rep(poset.mc, c.compose(m, cone.p))
+    return subobject_rep(mc, c.compose(m, cone.p))
 
 
 def heyting_check(mc: MCategory, obj, max_family=None) -> LawReport:
@@ -811,16 +844,16 @@ def heyting_check(mc: MCategory, obj, max_family=None) -> LawReport:
     (Johnstone, Sketches of an Elephant, A1.4), so the tests check it as a
     property wherever is_geometric passes."""
     report = LawReport("heyting")
-    poset = sub_m(mc, obj)
-    for m in poset.elements:
-        for family in families(poset.elements, max_family):
-            lhs_join = poset.join(family)
+    elements = sub_m(mc, obj)
+    for m in elements:
+        for family in families(elements, max_family):
+            lhs_join = sub_m_join(mc, family, obj)
             if lhs_join is None:
                 report.add("HEYT-JOIN", (obj,) + family, "join missing")
                 continue
-            lhs = sub_m_meet(poset, m, lhs_join)
-            meets = tuple(sorted({sub_m_meet(poset, m, n) for n in family}))
-            rhs = poset.join(meets)
+            lhs = sub_m_meet(mc, m, lhs_join)
+            meets = tuple(sorted({sub_m_meet(mc, m, n) for n in family}))
+            rhs = sub_m_join(mc, meets, obj)
             if lhs != rhs:
                 report.add("HEYT-DIST", (obj, m) + family,
                            "m ∧ ⋁n_i != ⋁(m ∧ n_i)")
@@ -833,17 +866,15 @@ def pullback_preserves_joins(mc: MCategory, f, max_family=None) -> LawReport:
     c = mc.base
     report = LawReport("pullback-joins")
     obj = c.mor_tgt[f]
-    poset = sub_m(mc, obj)
-    dom_poset = sub_m(mc, c.mor_src[f])
-    for family in families(poset.elements, max_family):
-        j = poset.join(family)
+    for family in families(sub_m(mc, obj), max_family):
+        j = sub_m_join(mc, family, obj)
         if j is None:
             report.add("PBJ-JOIN", (obj,) + family, "join missing")
             continue
         lhs = pullback_subobject(mc, f, j)
         pulled = tuple(sorted({pullback_subobject(mc, f, m)
                                for m in family}))
-        rhs = dom_poset.join(pulled)
+        rhs = sub_m_join(mc, pulled, c.mor_src[f])
         if lhs != rhs:
             report.add("PBJ", (f,) + family, "f*(⋁m_i) != ⋁f*(m_i)")
     return report
@@ -856,7 +887,7 @@ def is_geometric(mc: MCategory, max_family=None) -> LawReport:
     c = mc.base
     report = LawReport("geometric")
     for obj in c.objects:
-        for family in families(sub_m(mc, obj).elements, max_family):
+        for family in families(sub_m(mc, obj), max_family):
             mcol = matching_colimit(mc, family, obj)
             if mcol is None:
                 report.add("GEO-COLIM", (obj,) + family,
@@ -972,7 +1003,7 @@ def image_sieve(mc: MCategory, alpha: NatTrans, a, x):
 def principal_generator(mc: MCategory, a, sieve):
     """The canonical m in M generating the sieve, or None."""
     c = mc.base
-    for m in sub_m(mc, a).elements:
+    for m in sub_m(mc, a):
         if generate_sieve(c, a, (m,)) == sieve:
             return m
     return None
@@ -1000,7 +1031,7 @@ def m_sh_member(mc: MCategory, top: Topology, alpha: NatTrans) -> bool:
 def sigma_classifier(mc: MCategory) -> Presheaf:
     """Sigma(A) = canonical M-subobjects of A; action by pullback."""
     c = mc.base
-    return build_presheaf(c, lambda a: sub_m(mc, a).elements,
+    return build_presheaf(c, lambda a: sub_m(mc, a),
                           partial(pullback_subobject, mc),
                           lambda a, m: c.mor_names[m])[0]
 
@@ -1010,7 +1041,7 @@ def characteristic_map(mc: MCategory, sigma: Presheaf,
     """chi: P -> Sigma sending x to the M-subobject classifying alpha at x."""
     c = mc.base
     p = alpha.target
-    index = [{m: i for i, m in enumerate(sub_m(mc, a).elements)}
+    index = [{m: i for i, m in enumerate(sub_m(mc, a))}
              for a in c.objects]
     comps = []
     for a in c.objects:
@@ -1035,7 +1066,7 @@ def classification_report(mc: MCategory, sigma: Presheaf,
     c = mc.base
     p = alpha.target
     chi = characteristic_map(mc, sigma, alpha)
-    tops = tuple(sub_m(mc, a).elements.index(c.identity[a])
+    tops = tuple(sub_m(mc, a).index(subobject_rep(mc, c.identity[a]))
                  for a in c.objects)
     images = [set(comp) for comp in alpha.components]
 

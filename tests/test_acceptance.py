@@ -107,7 +107,7 @@ def test_07_sigma_classifier(mc_inj, top_inj):
     assert is_separated(sigma, top_inj).ok
     assert is_sheaf(sigma, top_inj).ok
     for a in mc_inj.base.objects:
-        for m in sub_m(mc_inj, a).elements:
+        for m in sub_m(mc_inj, a):
             ym = yoneda_map(mc_inj.base, m)
             assert m_psh_member(mc_inj, ym)
             assert m_sh_member(mc_inj, top_inj, ym)

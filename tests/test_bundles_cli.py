@@ -157,6 +157,16 @@ def test_cli_refuses_a_bundle_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith(f"bundle error: $: cannot read {str(bad)!r}")
 
 
+@pytest.mark.parametrize("name", ["finset_p_\u00b2", "finset_p_\u0662"])
+def test_cli_reads_a_fixture_name_with_other_digits_as_a_path(name, capsys):
+    # a superscript two and an Arabic-Indic two are digits to str.isdigit,
+    # but not fixture sizes: the name is tried as a file and is not there
+    assert main(["check-laws", name]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"bundle error: $: cannot read {name!r}")
+
+
 def test_cli_reports_an_unwritable_out_file(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     assert main(["check-laws", "nojoin", "--out", str(out)]) == 2

@@ -20,7 +20,7 @@ from rcwb.fixtures import (build_finset, build_finset_data, build_finset_mcat,
                            build_nojoin_fixture, subsets_category)
 from rcwb.joins import check_join_axioms, families, hom_poset
 from rcwb.mcat import (MCategory, karoubi_r, matching_colimit,
-                       matching_diagram, par, sub_m)
+                       matching_diagram, mtotal, par, sub_m)
 from rcwb.restriction import RestrictionCategory, check_restriction_axioms
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
                        element_poset, rp_reports, yoneda_jr)
@@ -135,7 +135,7 @@ def test_fixtures_and_matching_diagrams_build_like_the_pair_scan():
         mc = build_finset_mcat(2, "inj")
         fixtures_built = len(built)
         # a matching diagram is a graph: it builds no shape category
-        for fam in itertools.combinations(sub_m(mc, 2).elements, 3):
+        for fam in itertools.combinations(sub_m(mc, 2), 3):
             matching_diagram(mc, fam, 2)
     assert len(built) == fixtures_built > 10
 
@@ -387,7 +387,7 @@ def test_cocones_of_empty_diagram_match_oracle():
 def test_cocones_of_every_small_matching_diagram_match_oracle():
     for mc in MCATS.values():
         for obj in mc.base.objects:
-            elements = sub_m(mc, obj).elements
+            elements = sub_m(mc, obj)
             for r in range(4):
                 for fam in itertools.combinations(elements, r):
                     _same_cocones(mc.base, matching_diagram(mc, fam, obj))
@@ -464,7 +464,7 @@ def test_matching_colimits_of_size_3_match_oracle():
         c = mc.base
         for obj in c.objects:
             for r in range(4):
-                for fam in itertools.combinations(sub_m(mc, obj).elements, r):
+                for fam in itertools.combinations(sub_m(mc, obj), r):
                     d = matching_diagram(mc, fam, obj)
                     coc = colimit(c, d)
                     assert coc == oracles.colimit(c, d)
@@ -554,7 +554,7 @@ def test_matching_colimits_match_full_search(name):
     mc = build()
     seen = [0, 0, 0, 0]
     for obj in mc.base.objects:
-        for fam in families(sub_m(mc, obj).elements):
+        for fam in families(sub_m(mc, obj)):
             reduced, moved = _same_matching_colimit(mc, fam, obj)
             seen[0] += 1
             seen[1] += reduced
@@ -567,7 +567,7 @@ def test_matching_colimits_of_repeated_and_unsorted_families():
     # subobjects of set3 by position in Sub_M: a repeated member is dropped
     # for its other copy; the last two families need ψ != id
     mc = build_finset_mcat(3, "inj")
-    els = sub_m(mc, 3).elements
+    els = sub_m(mc, 3)
     fams = [(1, 1), (5, 5, 6), tuple(range(7, -1, -1)), (1, 2, 1), (2, 4, 0)]
     seen = [_same_matching_colimit(mc, tuple(els[i] for i in fam), 3)
             for fam in fams]
@@ -612,7 +612,7 @@ def test_matching_diagrams_are_built_for_kept_families_only(monkeypatch):
     monkeypatch.setattr(mcat, "matching_diagram", spy)
     kept = set()
     for obj in mc.base.objects:
-        for fam in families(sub_m(mc, obj).elements):
+        for fam in families(sub_m(mc, obj)):
             dropped = {i for i, _, _ in mcat._dominated(mc.base, fam)}
             kept.add((tuple(m for i, m in enumerate(fam) if i not in dropped),
                       obj))
@@ -645,43 +645,80 @@ def test_canonical_isos_and_spans_match_the_scan_over_every_iso(n, kind,
         canon[::-1]
 
 
-def test_canonical_spans_with_a_non_monic_leg_match_the_scan():
-    # every span (m, f) of FinSet<=2 with any map m: for m not monic, two
-    # isos phi can give the least (apex, m∘phi), and f breaks the tie
-    c = build_finset(2)
-    mc = MCategory(c, frozenset())
-    spans = [(m, f) for m in c.morphisms() for f in c.out_of(c.mor_src[m])]
-    for order in (spans, spans[::-1]):
-        assert [mcat.canonical_span(mc, m, f) for m, f in order] == \
-            [oracles.canonical_span(mc, m, f) for m, f in order]
-    ties = [m for m in c.morphisms() if mcat._span_iso(c, m) is None]
-    assert len(ties) == 3     # the constant maps out of the 2-set
-    for m in ties:
-        assert not fincat.is_mono(c, m)
+SPAN_MCATS = {
+    "finset_inj_2": lambda: build_finset_mcat(2, "inj"),
+    "finset_inj_3": lambda: build_finset_mcat(3, "inj"),
+    "finset_iso_3": lambda: build_finset_mcat(3, "iso"),
+    "karoubi_total_finset_p_2":
+        lambda: mtotal(karoubi_r(build_finset_p(2)).rc).mcat,
+    "iso_pair": lambda: load_bundle(
+        oracles.iso_pair_bundle(["1A", "1B", "i", "j"])).mcat,
+    "z2": lambda: load_bundle(oracles.z2_bundle(["s", "1"])).mcat,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_MCATS))
+def test_canonical_span_is_constant_on_each_class_of_spans(name):
+    # every span (m, f) with m in M, and every (m∘phi, f∘phi) in its class:
+    # one representative, whose first leg is the canonical subobject of m
+    mc = SPAN_MCATS[name]()
+    c = mc.base
+    for m in mc.monics:
         dom = c.mor_src[m]
-        key = {phi: (c.mor_src[phi], c.compose(m, phi))
-               for phi in c.isos_into(dom)}
-        least = [phi for phi in key if key[phi] == min(key.values())]
-        assert len(least) == 2
-        assert any(len({c.compose(f, phi) for phi in least}) == 2
-                   for f in c.out_of(dom))
+        for f in c.out_of(dom):
+            canon = mcat.canonical_span(mc, m, f)
+            assert canon == oracles.canonical_span(mc, m, f)
+            assert canon[0] == mcat.subobject_rep(mc, m)
+            for phi in (c.identity[dom], *c.isos_into(dom)):
+                assert mcat.canonical_span(mc, c.compose(m, phi),
+                                           c.compose(f, phi)) == canon
 
 
-def test_par_scans_the_isos_once_per_monic_leg(monkeypatch):
-    # Par(finset_inj_3) on a fresh M-category canonicalises every span
-    # through one _span_iso scan per distinct first leg
+@pytest.mark.parametrize("name", sorted(SPAN_MCATS))
+def test_par_lists_the_canonical_span_of_every_pair(name):
+    mc = SPAN_MCATS[name]()
+    assert par(mc).spans == oracles.par_spans(mc)
+
+
+def test_par_canonicalises_only_identities_and_composites(monkeypatch):
+    # Par(finset_inj_3) lists its maps from Sub_M with no canonical_span
+    # call: one call per object for its identity, and one per composable
+    # pair through compose_spans
     mc = build_finset_mcat(3, "inj")
-    legs, scanned = [], []
-    canonical_span, span_iso = mcat.canonical_span, mcat._span_iso
+    c = mc.base
+    calls, composing = [], []
+    canonical_span, compose_spans = mcat.canonical_span, mcat.compose_spans
     monkeypatch.setattr(mcat, "canonical_span", lambda mc, m, f:
-                        legs.append(m) or canonical_span(mc, m, f))
-    monkeypatch.setattr(mcat, "_span_iso", lambda c, m:
-                        scanned.append(m) or span_iso(c, m))
+                        calls.append((bool(composing), m, f)) or
+                        canonical_span(mc, m, f))
+
+    def spy(mc, second, first):
+        composing.append(first)
+        try:
+            return compose_spans(mc, second, first)
+        finally:
+            composing.pop()
+
+    monkeypatch.setattr(mcat, "compose_spans", spy)
     pc = par(mc)
-    assert sorted(scanned) == sorted(set(legs)) == sorted(mc.monics)
-    assert all(phi is not None for phi in mc.span_isos.values())
-    assert (len(legs), len(scanned), pc.rc.base.n_morphisms) == \
-        (10394, 24, 144)
+    assert [(m, f) for inside, m, f in calls if not inside] == \
+        [(c.identity[a], c.identity[a]) for a in c.objects]
+    inside = sum(inside for inside, _, _ in calls)
+    assert inside == sum(1 for _ in pc.rc.base.pairs())
+    assert (len(calls), inside, pc.rc.base.n_morphisms) == \
+        (len(c.objects) + inside, 9866, 144)
+
+
+def test_par_names_the_maps_of_an_iso_pair_by_their_canonical_subobjects():
+    # with 1B listed before i: A -> B, the canonical subobject of i is 1B,
+    # so the spans into B start with 1B; listed after i, they start with i
+    names = {}
+    for order in (["1A", "1B", "i", "j"], ["1A", "i", "1B", "j"]):
+        pc = par(load_bundle(oracles.iso_pair_bundle(order)).mcat)
+        names[tuple(order)] = pc.rc.base.mor_names
+    assert names == {
+        ("1A", "1B", "i", "j"): ("(1A,1A)", "(1A,i)", "(1B,j)", "(1B,1B)"),
+        ("1A", "i", "1B", "j"): ("(1A,1A)", "(1A,i)", "(i,1A)", "(i,i)")}
 
 
 # -- the matching-colimit memo ------------------------------------------------
@@ -689,7 +726,7 @@ def test_par_scans_the_isos_once_per_monic_leg(monkeypatch):
 def test_memoised_matching_colimit_equals_fresh_computation():
     for mc in MCATS.values():
         for obj in mc.base.objects:
-            elements = sub_m(mc, obj).elements
+            elements = sub_m(mc, obj)
             for r in range(4):
                 for fam in itertools.combinations(elements, r):
                     first = matching_colimit(mc, fam, obj)

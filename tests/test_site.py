@@ -1,8 +1,9 @@
 import pytest
 
-from oracles import (classification_report, m_psh_member, m_sh_member,
-                     sheafify_map, sieve_subpresheaf, sigma_classifier,
-                     yoneda_map)
+from oracles import (classification_report, iso_pair_bundle, m_psh_member,
+                     m_sh_member, sheafify_map, sieve_subpresheaf,
+                     sigma_classifier, yoneda_map, z2_bundle)
+from rcwb.bundles import load_bundle
 from rcwb.bridge import jrp_to_sheaf
 from rcwb.fixtures import build_finset
 from rcwb.mcat import sub_m
@@ -52,7 +53,7 @@ def test_topology_is_saturated(top_inj):
 
 def test_topology_has_singleton_cover_of_two_set(mc_inj, top_inj):
     c = mc_inj.base
-    singles = tuple(m for m in sub_m(mc_inj, 2).elements
+    singles = tuple(m for m in sub_m(mc_inj, 2)
                     if c.mor_src[m] == 1)
     assert generate_sieve(c, 2, singles) in top_inj.covers[2]
 
@@ -119,11 +120,33 @@ def test_sigma_is_separated_sheaf(mc_inj, top_inj):
 def test_classification_unique_for_all_canonical_monics(mc_inj, top_inj):
     sigma = sigma_classifier(mc_inj)
     for a in mc_inj.base.objects:
-        for m in sub_m(mc_inj, a).elements:
+        for m in sub_m(mc_inj, a):
             ym = yoneda_map(mc_inj.base, m)
             assert m_psh_member(mc_inj, ym)
             assert m_sh_member(mc_inj, top_inj, ym)
             assert classification_report(mc_inj, sigma, ym).ok
+
+
+@pytest.mark.parametrize("bundle, orders, basis", [
+    # id 0 is the top in both orders: s in the first, 1 in the second
+    (z2_bundle, (["s", "1"], ["1", "s"]), (((0,),),)),
+    # A and B are initial, so the empty family covers; id 1 is the top of
+    # Sub_M(B) in both orders: 1B in the first, i in the second
+    (iso_pair_bundle, (["1A", "1B", "i", "j"], ["1A", "i", "1B", "j"]),
+     (((), (0,)), ((), (1,))))])
+def test_basis_covers_do_not_depend_on_the_order_of_the_maps(bundle, orders,
+                                                             basis):
+    for order in orders:
+        assert basis_covers(load_bundle(bundle(order)).mcat) == basis
+
+
+@pytest.mark.parametrize("order", [["s", "1"], ["1", "s"]])
+def test_classification_unique_when_the_top_is_not_the_identity(order):
+    mc = load_bundle(z2_bundle(order)).mcat
+    sigma = sigma_classifier(mc)
+    for m in sub_m(mc, 0):
+        assert classification_report(mc, sigma,
+                                     yoneda_map(mc.base, m)).ok
 
 
 def test_non_monic_rejected_from_m_psh(mc_inj):

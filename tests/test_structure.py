@@ -136,24 +136,41 @@ DECLARED_API = {
 def _uncalled_public_functions():
     """(module, name) for each public top-level function of src/rcwb/*.py
     that no code in src/ refers to, outside its own def.  A reference is a
-    name or an attribute in the code; docstrings, comments and imports do
-    not count."""
+    name read in the code that resolves to the function: a name in its
+    defining module, a name bound by `from .module import name` (or its
+    alias), or `module.name` on a module bound by `from . import module`.
+    An attribute that only shares the function's name does not count, nor
+    do docstrings, comments and the imports themselves."""
     defs = {}
     refs = []
     for path in sorted(SRC.glob("*.py")):
-        tree = _parsed(path)[1]
+        here, tree = path.stem, _parsed(path)[1]
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and \
                     not node.name.startswith("_"):
-                defs[(path.stem, node.name)] = (node.lineno, node.end_lineno)
+                defs[(here, node.name)] = (node.lineno, node.end_lineno)
+        names, modules = {}, {}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs.append((path.stem, node.id, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                refs.append((path.stem, node.attr, node.lineno))
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        modules[a.asname or a.name] = a.name
+                    else:
+                        names[a.asname or a.name] = (node.module, a.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                target = names.get(node.id, (here, node.id))
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in modules:
+                target = (modules[node.value.id], node.attr)
+            else:
+                continue
+            refs.append((here, target, node.lineno))
     return {(module, name) for (module, name), (lo, hi) in defs.items()
-            if not any(n == name and not (m == module and lo <= line <= hi)
-                       for m, n, line in refs)}
+            if not any(target == (module, name) and
+                       not (m == module and lo <= line <= hi)
+                       for m, target, line in refs)}
 
 
 def test_every_public_function_has_a_caller_or_is_declared_api():
