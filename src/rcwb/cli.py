@@ -30,10 +30,11 @@ from .site import (check_presheaf, generate_topology, is_sheaf,
 
 
 def _family_bound(text):
-    """A --max-family value: a non-negative int.  A negative bound would
-    admit no family at all, not even the empty one, and every scan would
-    pass vacuously."""
-    if not text.isdecimal():
+    """A --max-family value: a non-negative int in ASCII digits.  A negative
+    bound would admit no family at all, not even the empty one, and every
+    scan would pass vacuously; int() would also read other decimal digits,
+    such as '٣' or '３', as 3."""
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
     return int(text)

@@ -64,7 +64,7 @@ class FinitePoset:
         self.ok = tuple(ok)
         self._memo = {}
 
-    def _mask(self, members):
+    def mask(self, members):
         """The bitmask of the members' positions; ValueError for a member
         that is not an element."""
         out = 0
@@ -74,6 +74,11 @@ class FinitePoset:
                 raise ValueError(f"{s!r} is not an element of the poset")
             out |= 1 << i
         return out
+
+    def maximal(self, mask):
+        """The positions of mask that lie below no other position of mask,
+        as a mask: the maximal members of a partial order."""
+        return sum(1 << i for i in _bits(mask) if self.up[i] & mask == 1 << i)
 
     def _upper(self, mask):
         ubs = (1 << len(self.elements)) - 1
@@ -99,17 +104,17 @@ class FinitePoset:
 
     def compatible(self, members):
         """True iff the members form a compatible family."""
-        return self._facts(self._mask(members))[0]
+        return self._facts(self.mask(members))[0]
 
     def join(self, members):
         """The least upper bound of the members, or None."""
-        j = self._facts(self._mask(members))[1]
+        j = self._facts(self.mask(members))[1]
         return None if j is None else self.elements[j]
 
     def upper_bounds(self, members):
         """The elements above every member, in element order."""
         return tuple(self.elements[i]
-                     for i in _bits(self._upper(self._mask(members))))
+                     for i in _bits(self._upper(self.mask(members))))
 
     def position_families(self, max_family=None):
         """Every compatible set of positions, the empty one included, as

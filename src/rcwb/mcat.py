@@ -4,10 +4,32 @@ the geometric criterion, MTotal and the Karoubi splitting.
 Subobjects and spans have one canonical form, so equality is plain
 component equality: a monic m becomes m∘phi and a span (m, f) becomes
 (m∘phi, f∘phi), with phi = fincat.least_iso(c, m), the iso that the base
-category c keeps per map.  One lazy table on each MCategory, matching_memo,
-keeps the matching colimit of each family asked for.
+category c keeps per map.
 A matching diagram is a graph of pairwise pullbacks, a `fincat.Diagram`;
 it builds no shape category.
+
+Sub_M(a) is ordered by s ≤ t iff s factors through t, that is, iff the
+pullback leg opposite t is an iso (the relation `_dominated` reads).  A
+family S of Sub_M(a) and its antichain max S of maximal members agree on
+all that the site and the geometric criterion read:
+
+- The join.  The matching colimit of S is that of max S with the dropped
+  legs filled in (see matching_colimit), so mu_S == mu_maxS∘psi for an
+  automorphism psi of the apex.  So mu_S is in M iff mu_maxS is, by M-ISO
+  and M-COMP, which the gate (check_m_system) checks; the antichain memo
+  below relies on it.
+- The generated sieve.  A dominated s == t∘g lies in the sieve of t, and
+  so does every s∘h.
+- GEO-STAB.  f* is monotone, so each f*(s) with s dominated lies below
+  some f*(t) with t in max S: f*(S) and f*(max S) have the same maximal
+  members, hence the same join, and ⋁S == ⋁max S on the other side.
+
+So each object keeps its Sub_M order once, as a `joins.FinitePoset` whose
+families are the antichains, and joins are matched once per antichain.
+Three lazy tables on each MCategory hold this: sub_m_orders, the order of
+each object; antichain_memo, the matching colimit of each antichain that a
+join asked for; and matching_memo, the matching colimit of each family
+asked for.
 """
 
 from __future__ import annotations
@@ -18,7 +40,7 @@ from functools import partial
 from .fincat import (Cocone, Diagram, FinCategory, Functor, Subcategory,
                      build_category, certified, colimit, is_mono, least_iso,
                      mediating, pullback)
-from .joins import families
+from .joins import FinitePoset
 from .reports import InternalInvariantError, LawReport
 from .restriction import (RestrictionCategory, check_restriction_axioms,
                           is_total, restriction_idempotents,
@@ -31,14 +53,21 @@ class MCategory:
 
     matching_memo caches matching_colimit results by (family, object),
     for the families asked for and for the families of their maximal
-    members that those results are rebuilt from.  It fills lazily, takes
-    no part in equality or hashing, and hands the same result object to
-    every caller, so cached results must not be mutated.
+    members that those results are rebuilt from.  sub_m_orders keeps the
+    order of Sub_M(a) per object a (sub_m_order), and antichain_memo the
+    matching colimit of an antichain of Sub_M(a) by (a, position mask).
+    They fill lazily, take no part in equality or hashing, and hand the
+    same result object to every caller, so cached results must not be
+    mutated.
     """
     base: FinCategory
     monics: frozenset
     matching_memo: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
+    sub_m_orders: dict = field(default_factory=dict, init=False,
+                               repr=False, compare=False)
+    antichain_memo: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
 
 def check_m_system(mc: MCategory) -> LawReport:
@@ -85,11 +114,66 @@ def pullback_subobject(mc: MCategory, f, m) -> int:
     return subobject_rep(mc, cone.p)
 
 
+def sub_m_order(mc: MCategory, obj) -> FinitePoset:
+    """Sub_M(obj) as a FinitePoset, built on first use and kept in
+    mc.sub_m_orders.  Its elements are the canonical M-subobjects of obj,
+    sorted.  s ≤ t iff s is t∘g for some g, which for a monic t is the
+    pullback criterion of _dominated.  s is compatible with t iff the two
+    are equal or incomparable, so the poset's families are the antichains
+    of Sub_M(obj).  The top is subobject_rep(mc, identity[obj]), which is
+    not the identity when an iso into obj has a smaller id."""
+    order = mc.sub_m_orders.get(obj)
+    if order is None:
+        c = mc.base
+        elements = sorted({subobject_rep(mc, m)
+                           for m in mc.monics if c.mor_tgt[m] == obj})
+        index = {s: i for i, s in enumerate(elements)}
+        up = [0] * len(elements)
+        down = [0] * len(elements)
+        for j, t in enumerate(elements):
+            # the row of t holds every t∘g
+            for i in {index[s] for s in c.rows[t] if s in index}:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+        full = (1 << len(elements)) - 1
+        ok = [full & ~(u | d) | 1 << i
+              for i, (u, d) in enumerate(zip(up, down))]
+        order = mc.sub_m_orders[obj] = FinitePoset(elements, up, ok)
+    return order
+
+
+def sub_m(mc: MCategory, obj) -> tuple:
+    """Sub_M(obj): the canonical M-subobjects of obj, sorted."""
+    return sub_m_order(mc, obj).elements
+
+
+def antichains(mc: MCategory, obj, max_family=None) -> list:
+    """The antichains of Sub_M(obj) with at most max_family members, in
+    the order of joins.families: by size, then in combinations order."""
+    return sub_m_order(mc, obj).families(max_family)
+
+
+def _antichain_colimit(mc: MCategory, obj, mask):
+    """The matching colimit of the antichain at the positions mask of
+    Sub_M(obj), kept in mc.antichain_memo: one matching_colimit call per
+    antichain."""
+    key = (obj, mask)
+    memo = mc.antichain_memo
+    if key not in memo:
+        elements = sub_m_order(mc, obj).elements
+        memo[key] = matching_colimit(
+            mc, tuple(s for i, s in enumerate(elements) if mask >> i & 1),
+            obj)
+    return memo[key]
+
+
 def sub_m_join(mc: MCategory, family, obj):
-    """The join of a family of M-subobjects of obj, as the canonical Sub_M
-    element that its matching colimit glues to: None when the colimit is
-    missing or its induced map is not in M."""
-    mcol = matching_colimit(mc, tuple(family), obj)
+    """The join of a family of canonical M-subobjects of obj, as the
+    canonical Sub_M element that its matching colimit glues to: None when
+    the colimit is missing or its induced map is not in M.  It is read
+    from the family's maximal members (see the module docstring)."""
+    order = sub_m_order(mc, obj)
+    mcol = _antichain_colimit(mc, obj, order.maximal(order.mask(family)))
     if mcol is None or mcol.mu not in mc.monics:
         return None
     return subobject_rep(mc, mcol.mu)
@@ -100,18 +184,9 @@ def pullback_stable(mc: MCategory, f, family, join) -> bool:
     gives the join of the pulled-back members.  join is a monic in M
     representing ⋁S at tgt f, such as its canonical Sub_M element or the
     induced map of its matching colimit."""
-    pulled = tuple(sorted({pullback_subobject(mc, f, m) for m in family}))
+    pulled = {pullback_subobject(mc, f, m) for m in family}
     return sub_m_join(mc, pulled, mc.base.mor_src[f]) == \
         pullback_subobject(mc, f, join)
-
-
-def sub_m(mc: MCategory, obj) -> tuple:
-    """Sub_M(obj): the canonical M-subobjects of obj, sorted.  Its top is
-    subobject_rep(mc, identity[obj]), which is not the identity when an iso
-    into obj has a smaller id."""
-    c = mc.base
-    return tuple(sorted({subobject_rep(mc, m)
-                         for m in mc.monics if c.mor_tgt[m] == obj}))
 
 
 # -- matching diagrams -------------------------------------------------------
@@ -274,13 +349,20 @@ def is_geometric(mc: MCategory, max_family=None) -> LawReport:
 
 def _geometric_scan(mc: MCategory, max_family, pick) -> list:
     """The violations of is_geometric with GEO-STAB checked along the maps
-    pick(c.into(obj)) into each object obj."""
+    pick(c.into(obj)) into each object obj.
+
+    Only the antichains of Sub_M(obj) are scanned.  A family's verdict is
+    that of its maximal members (see the module docstring), and a family
+    with a dominated member comes after its smaller antichain of maximal
+    members in families order, so the first failing family of each object
+    is an antichain either way."""
     c = mc.base
     report = LawReport("geometric")
     for obj in c.objects:
         maps = pick(c.into(obj))
-        for family in families(sub_m(mc, obj), max_family):
-            mcol = matching_colimit(mc, family, obj)
+        order = sub_m_order(mc, obj)
+        for family in antichains(mc, obj, max_family):
+            mcol = _antichain_colimit(mc, obj, order.mask(family))
             if mcol is None:
                 report.add("GEO-COLIM", (obj,) + family,
                            "matching colimit does not exist")

@@ -21,7 +21,8 @@ from itertools import accumulate
 
 from .fincat import FinCategory, certified, forced_assignments
 from .joins import families
-from .mcat import MCategory, sub_m, sub_m_join, subobject_rep
+from .mcat import (MCategory, antichains, sub_m, sub_m_join,
+                   subobject_rep)
 from .reports import InternalInvariantError, LawReport
 
 
@@ -245,25 +246,29 @@ class Topology:
 
 def basis_covers(mc: MCategory):
     """Per object a, the families of canonical monics whose Sub_M join is
-    the top, the canonical subobject of the identity (the whole object)."""
-    c = mc.base
-    out = []
-    for a in c.objects:
-        top = subobject_rep(mc, c.identity[a])
-        out.append(tuple(fam for fam in families(sub_m(mc, a))
-                         if sub_m_join(mc, fam, a) == top))
-    return tuple(out)
+    the top, the canonical subobject of the identity (the whole object),
+    in families order.  The joins are read once per antichain (see
+    mcat.sub_m_join)."""
+    return tuple(_covering(mc, a, families(sub_m(mc, a)))
+                 for a in mc.base.objects)
+
+
+def _covering(mc: MCategory, a, fams) -> tuple:
+    """The families among fams whose Sub_M join is the top of Sub_M(a)."""
+    top = subobject_rep(mc, mc.base.identity[a])
+    return tuple(fam for fam in fams if sub_m_join(mc, fam, a) == top)
 
 
 def generate_topology(mc: MCategory) -> Topology:
     """Sieves generated by the covering families, saturated to a fixpoint
-    under the maximality, stability and transitivity axioms."""
+    under the maximality, stability and transitivity axioms.  A family
+    generates the sieve of its maximal members (see mcat), so the sieves
+    are generated from the covering antichains only."""
     c = mc.base
-    covers = [set() for _ in c.objects]
     basis = basis_covers(mc)
-    for a, fams in enumerate(basis):
-        for fam in fams:
-            covers[a].add(generate_sieve(c, a, fam))
+    covers = [{generate_sieve(c, a, fam)
+               for fam in _covering(mc, a, antichains(mc, a))}
+              for a in c.objects]
     sieves = tuple(tuple(sieves_on(c, a)) for a in c.objects)
     while _saturate(c, covers, sieves):
         pass

@@ -13,8 +13,8 @@ from rcwb.fixtures import subsets_category
 from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
                         families, hom_poset, join as hom_join)
 from rcwb.mcat import (MatchingColimit, MCategory, ParCategory,
-                       matching_colimit, matching_diagram, pullback_stable,
-                       pullback_subobject, sub_m, sub_m_join, subobject_rep)
+                       matching_colimit, matching_diagram,
+                       pullback_subobject, sub_m_join, subobject_rep)
 from rcwb.reports import InternalInvariantError, LawReport, Violation
 from rcwb.restriction import RestrictionCategory, restriction_idempotents
 from rcwb.rpsh import (RestrictionPresheaf, check_rp_axioms, element_join,
@@ -860,35 +860,84 @@ def heyting_check(mc: MCategory, obj, max_family=None) -> LawReport:
     return report
 
 
-def pullback_preserves_joins(mc: MCategory, f, max_family=None) -> LawReport:
-    """f*(⋁ m_i) == ⋁ f*(m_i) over all families in Sub_M(tgt f); the
-    reference for mcat.pullback_stable."""
-    c = mc.base
+def pullback_preserves_joins(mc: MCategory, f, max_family=None,
+                             memo=None) -> LawReport:
+    """f*(⋁ m_i) == ⋁ f*(m_i) over all families in Sub_M(tgt f), each join
+    from the whole family's matching colimit, kept in memo (a fresh dict
+    when None) by (family, object); the reference for
+    mcat.pullback_stable."""
+    memo = {} if memo is None else memo
     report = LawReport("pullback-joins")
-    obj = c.mor_tgt[f]
+    obj = mc.base.mor_tgt[f]
     for family in families(sub_m(mc, obj), max_family):
-        j = sub_m_join(mc, family, obj)
+        j = _full_join(mc, family, obj, memo)
         if j is None:
             report.add("PBJ-JOIN", (obj,) + family, "join missing")
             continue
-        lhs = pullback_subobject(mc, f, j)
-        pulled = tuple(sorted({pullback_subobject(mc, f, m)
-                               for m in family}))
-        rhs = sub_m_join(mc, pulled, c.mor_src[f])
-        if lhs != rhs:
+        if not _stable(mc, f, family, j, memo):
             report.add("PBJ", (f,) + family, "f*(⋁m_i) != ⋁f*(m_i)")
     return report
 
 
+def sub_m(mc: MCategory, obj) -> tuple:
+    """Sub_M(obj) read off M: the canonical representatives of the members
+    of M into obj, sorted; the reference for mcat.sub_m, which reads them
+    from the memoised order."""
+    c = mc.base
+    return tuple(sorted({subobject_rep(mc, m)
+                         for m in mc.monics if c.mor_tgt[m] == obj}))
+
+
+def _full_colimit(mc, family, obj, memo):
+    """The matching colimit of the whole family, no member dropped, kept in
+    memo, a dict of the caller's own, by (family, obj)."""
+    key = (tuple(family), obj)
+    if key not in memo:
+        memo[key] = matching_colimit(mc, family, obj)
+    return memo[key]
+
+
+def _full_join(mc, family, obj, memo):
+    """The canonical join of the family from its whole matching colimit, or
+    None when that is missing or its induced map is not in M."""
+    mcol = _full_colimit(mc, family, obj, memo)
+    if mcol is None or mcol.mu not in mc.monics:
+        return None
+    return subobject_rep(mc, mcol.mu)
+
+
+def basis_covers(mc: MCategory):
+    """Per object a, every family of Sub_M(a) whose whole matching colimit
+    joins to the top, family by family; the reference for
+    site.basis_covers, which joins once per antichain."""
+    c = mc.base
+    memo = {}
+    return tuple(
+        tuple(fam for fam in families(sub_m(mc, a))
+              if _full_join(mc, fam, a, memo) ==
+              subobject_rep(mc, c.identity[a]))
+        for a in c.objects)
+
+
+def _stable(mc, f, family, mu, memo):
+    """f*(mu) is the join of the pulled-back members f*(S), read from the
+    whole matching colimit of f*(S)."""
+    pulled = tuple(sorted({pullback_subobject(mc, f, m) for m in family}))
+    return _full_join(mc, pulled, mc.base.mor_src[f], memo) == \
+        pullback_subobject(mc, f, mu)
+
+
 def is_geometric(mc: MCategory, max_family=None) -> LawReport:
     """GEO-COLIM, GEO-MU and GEO-STAB with the first failing family per
-    object, pulling back along every map into the object; the reference
-    for mcat.is_geometric."""
+    object, over every family and pulling back along every map into the
+    object, each join from the whole family's matching colimit; the
+    reference for mcat.is_geometric, which reads antichains only."""
     c = mc.base
     report = LawReport("geometric")
+    memo = {}
     for obj in c.objects:
         for family in families(sub_m(mc, obj), max_family):
-            mcol = matching_colimit(mc, family, obj)
+            mcol = _full_colimit(mc, family, obj, memo)
             if mcol is None:
                 report.add("GEO-COLIM", (obj,) + family,
                            "matching colimit does not exist")
@@ -897,7 +946,7 @@ def is_geometric(mc: MCategory, max_family=None) -> LawReport:
                 report.add("GEO-MU", (obj,) + family + (mcol.mu,),
                            "induced map not in M")
                 break
-            if not all(pullback_stable(mc, f, family, mcol.mu)
+            if not all(_stable(mc, f, family, mcol.mu, memo)
                        for f in c.into(obj)):
                 report.add("GEO-STAB", (obj,) + family,
                            "matching colimit not stable under pullback")

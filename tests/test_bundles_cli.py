@@ -121,6 +121,13 @@ def test_cli_check_laws_fail_on_nojoin(capsys):
     assert "JOIN-MISSING" in out
 
 
+def test_cli_geometric_passes_unbounded_on_finset_inj_4(capsys):
+    # 65,536 families of Sub_M(set4), scanned as its 168 antichains; the
+    # suites script always passes --max-family, so it cannot hold this run
+    assert main(["geometric", "finset_inj_4"]) == 0
+    assert capsys.readouterr().out == "PASS\tgeometric\tfinset_inj_4\n"
+
+
 def test_cli_geometric_rejects_iso(capsys):
     assert main(["geometric", "finset_iso_2"]) == 1
     assert "GEO-MU" in capsys.readouterr().out
@@ -140,6 +147,19 @@ def test_cli_refuses_a_negative_max_family(capsys, command):
     assert "PASS" not in out and "Traceback" not in err
     assert "--max-family: expected a non-negative integer, got '-1'" in err
     assert main(command + ["--max-family", "0"]) in (0, 1)
+
+
+@pytest.mark.parametrize("bound", ["\u0663", "\uff13", "\u00b3"])
+def test_cli_refuses_a_max_family_in_other_digits(capsys, bound):
+    # an Arabic-Indic three, a fullwidth three and a superscript three: int()
+    # reads the first two as 3, and the gate takes ASCII digits only
+    with pytest.raises(SystemExit) as exc:
+        main(["geometric", "finset_iso_2", "--max-family", bound])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"--max-family: expected a non-negative integer, got {bound!r}" \
+        in err
 
 
 def test_cli_unreadable_bundle(tmp_path, capsys):

@@ -170,8 +170,9 @@ def test_pullback_stable_matches_pullback_preserves_joins(name):
         mc = build_finset_mcat(int(n), kind)
     c = mc.base
     compared = unstable = 0
+    memo = {}
     for f in c.morphisms():
-        ref = pullback_preserves_joins(mc, f)
+        ref = pullback_preserves_joins(mc, f, memo=memo)
         failing = {v.ids[1:] for v in ref.violations if v.tag == "PBJ"}
         obj = c.mor_tgt[f]
         for family in families(sub_m(mc, obj)):

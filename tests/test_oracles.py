@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import collage, sieve_subpresheaf, sigma_classifier
-from rcwb import fincat, fixtures, joins, mcat, rpsh
+from rcwb import fincat, fixtures, joins, mcat, rpsh, site
 from rcwb.bundles import load_bundle
 from rcwb.bridge import _matching_tuples, jrp_to_sheaf, sheaf_to_jrp
 from rcwb.fincat import (Diagram, cocones_at, colimit,
@@ -759,6 +759,43 @@ GEOMETRIC_MCATS = {
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIC_MCATS))
+def test_basis_covers_match_the_family_by_family_scan(name):
+    # on fresh M-categories, so neither side reads the other's memo
+    build = GEOMETRIC_MCATS[name]
+    mc = build()
+    assert [sub_m(mc, a) for a in mc.base.objects] == \
+        [oracles.sub_m(mc, a) for a in mc.base.objects]
+    assert basis_covers(build()) == oracles.basis_covers(build())
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIC_MCATS))
+def test_covering_families_generate_the_sieves_of_their_antichains(name):
+    # so the saturation of the antichains' sieves is that of every family's
+    mc = GEOMETRIC_MCATS[name]()
+    c = mc.base
+    top = generate_topology(mc)
+    for a in c.objects:
+        kept = set(mcat.antichains(mc, a))
+        assert {site.generate_sieve(c, a, fam) for fam in top.basis[a]} == \
+            {site.generate_sieve(c, a, fam) for fam in top.basis[a]
+             if fam in kept}
+
+
+def test_topology_generates_one_sieve_per_covering_antichain(monkeypatch):
+    mc = build_finset_mcat(3, "inj")
+    calls = []
+    real = site.generate_sieve
+    monkeypatch.setattr(site, "generate_sieve", lambda c, a, gens:
+                        calls.append((a, gens)) or real(c, a, gens))
+    top = generate_topology(mc)
+    want = [(a, fam) for a in mc.base.objects for fam in top.basis[a]
+            if fam in mcat.antichains(mc, a)]
+    assert sorted(calls) == sorted(want)
+    # 2 + 1 + 2 + 9 covering antichains for 2 + 2 + 10 + 218 families
+    assert (len(calls), sum(map(len, top.basis))) == (14, 232)
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIC_MCATS))
 def test_is_geometric_matches_the_all_maps_scan(name):
     # each verdict on a fresh M-category, so no memo is shared
     build = GEOMETRIC_MCATS[name]
@@ -792,9 +829,43 @@ def test_is_geometric_matches_the_all_maps_scan_on_stable_systems(drawn):
     c = MCATS["finset_inj_2"].base
     monics = _stable_system(c, drawn)
     assert mcat.check_m_system(MCategory(c, monics)).ok
-    for max_family in (None, 1):
+    for max_family in (None, 1, 2, 3):
         assert mcat.is_geometric(MCategory(c, monics), max_family).lines() \
             == oracles.is_geometric(MCategory(c, monics), max_family).lines()
+    assert basis_covers(MCategory(c, monics)) == \
+        oracles.basis_covers(MCategory(c, monics))
+
+
+# Dedekind numbers: Sub_M(set_n) is the lattice of subsets of n, with 2,
+# 3, 6 and 20 antichains for n = 0..3
+@pytest.mark.parametrize("n, entries", [(2, 2 + 3 + 6), (3, 2 + 3 + 6 + 20)])
+def test_basis_covers_join_once_per_antichain(n, entries):
+    # one entry per antichain; joining each family through its own
+    # matching colimit would leave one per family, 22 and 278
+    mc = build_finset_mcat(n, "inj")
+    basis_covers(mc)
+    assert sorted(mc.matching_memo) == sorted(
+        (fam, a) for a in mc.base.objects for fam in mcat.antichains(mc, a))
+    assert len(mc.matching_memo) == entries
+
+
+@pytest.mark.parametrize("max_family", [3, None])
+def test_geometric_pulls_back_once_per_antichain_and_generator(monkeypatch,
+                                                               max_family):
+    # 3·3 + 6·4 + 20·5 = 133: antichains of Sub_M(set_n) times the
+    # generators into set_n, n = 1..3 (none into set0); the largest
+    # antichain has 3 members, so the bound of 3 cuts nothing
+    mc = build_finset_mcat(3, "inj")
+    c = mc.base
+    seen = []
+    real = mcat.pullback_stable
+    monkeypatch.setattr(mcat, "pullback_stable", lambda mc, f, *rest:
+                        seen.append(f) or real(mc, f, *rest))
+    assert mcat.is_geometric(mc, max_family).ok
+    gens = c.generators()
+    assert len(seen) == sum(
+        len(mcat.antichains(mc, a)) * len(set(c.into(a)) & gens)
+        for a in c.objects) == 133
 
 
 # -- representables and constructed presheaves ---------------------------------

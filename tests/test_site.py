@@ -1,12 +1,13 @@
 import pytest
 
+import oracles
 from oracles import (classification_report, iso_pair_bundle, m_psh_member,
                      m_sh_member, sheafify_map, sieve_subpresheaf,
                      sigma_classifier, yoneda_map, z2_bundle)
 from rcwb.bundles import load_bundle
 from rcwb.bridge import jrp_to_sheaf
 from rcwb.fixtures import build_finset
-from rcwb.mcat import sub_m
+from rcwb.mcat import is_geometric, sub_m
 from rcwb.rpsh import RestrictionPresheaf, yoneda_jr
 from rcwb.site import (Presheaf, all_nat_trans, basis_covers,
                        build_presheaf, check_presheaf, constant_presheaf,
@@ -138,6 +139,20 @@ def test_basis_covers_do_not_depend_on_the_order_of_the_maps(bundle, orders,
                                                              basis):
     for order in orders:
         assert basis_covers(load_bundle(bundle(order)).mcat) == basis
+
+
+@pytest.mark.parametrize("bundle, order", [
+    (z2_bundle, ["s", "1"]), (z2_bundle, ["1", "s"]),
+    (iso_pair_bundle, ["1A", "1B", "i", "j"]),
+    (iso_pair_bundle, ["1A", "i", "1B", "j"])])
+def test_antichain_route_matches_the_family_by_family_scan(bundle, order):
+    # each side on its own load, so neither reads the other's memo
+    def load():
+        return load_bundle(bundle(order)).mcat
+    assert basis_covers(load()) == oracles.basis_covers(load())
+    for max_family in (None, 1, 2, 3):
+        assert is_geometric(load(), max_family).lines() == \
+            oracles.is_geometric(load(), max_family).lines()
 
 
 @pytest.mark.parametrize("order", [["s", "1"], ["1", "s"]])

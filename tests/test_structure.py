@@ -55,9 +55,11 @@ def _callers(pattern):
     (r"\bgenerators\(", {("fincat", "generators"),
                            ("fincat", "validate_category"),
                            ("fincat", "certified")}),
-    # the two posets of the join kernel, each with its masks from the bars
+    # the two posets of the join kernel, each with its masks from the bars,
+    # and the order of Sub_M(a), whose families are the antichains
     (r"\bFinitePoset\(", {("joins", "hom_poset"),
-                            ("rpsh", "element_poset")}),
+                            ("rpsh", "element_poset"),
+                            ("mcat", "sub_m_order")}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
