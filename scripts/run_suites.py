@@ -8,10 +8,14 @@ any suite deviates from its expectation.
 """
 
 import argparse
+import os
 import sys
 import time
 
-from rcwb.cli import main as cli_main
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from rcwb.cli import main as cli_main  # noqa: E402
 
 SUITES = [
     # positive fixtures

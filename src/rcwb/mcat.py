@@ -8,6 +8,13 @@ category c keeps per map.
 A matching diagram is a graph of pairwise pullbacks, a `fincat.Diagram`;
 it builds no shape category.
 
+Each pullback is paid for once where it can be.  The gate check_m_system
+reads M-PB along the generators of the base through fincat.certified, as
+is_geometric reads GEO-STAB: pullbacks paste, so pulling m back along a
+word in the generators is pulling back one generator at a time.  Par
+composes a whole row (n, g) from the legs of the pullbacks of n along
+the maps into tgt n, read once per n.
+
 Sub_M(a) is ordered by s ≤ t iff s factors through t, that is, iff the
 pullback leg opposite t is an iso (the relation `_dominated` reads).  A
 family S of Sub_M(a) and its antichain max S of maximal members agree on
@@ -71,7 +78,23 @@ class MCategory:
 
 
 def check_m_system(mc: MCategory) -> LawReport:
-    """The three stable-system conditions, checked exhaustively."""
+    """The three stable-system conditions, checked exhaustively.
+
+    M-PB pulls each m in M back along the maps into tgt m that
+    fincat.certified picks, the generators first, once M-MONO, M-ISO and
+    M-COMP found nothing; otherwise along every map, as the step below
+    needs M-ISO and M-COMP.  Its induction step, over every m in M:
+
+    - At an identity the pullback exists, and its leg opposite m is m∘iso,
+      in M by M-ISO and M-COMP.
+    - Pullbacks paste.  Pulling m back along g∘w, with g a generator into
+      tgt m, is pulling p_g back along w, where p_g is the leg opposite m
+      of the pullback of m along g; p_g is in M by the generator pass, so
+      the pullback along w exists and its leg is in M by the shorter word
+      w, and the pasted square is a pullback of m along g∘w.
+    - The canonical pullback differs from the pasted one by an iso of the
+      apex, so its leg is the pasted leg∘iso, in M by M-ISO and M-COMP.
+    """
     c = mc.base
     report = LawReport("m-system")
     for m in mc.monics:
@@ -85,16 +108,26 @@ def check_m_system(mc: MCategory) -> LawReport:
             if c.mor_tgt[n] == c.mor_src[m]:
                 if c.compose(m, n) not in mc.monics:
                     report.add("M-COMP", (m, n), "M not closed under composition")
+    scan = partial(_m_pb_scan, mc)
+    report.violations += scan(list) if report.violations else \
+        certified(c, scan)
+    return report
+
+
+def _m_pb_scan(mc: MCategory, pick) -> list:
+    """The M-PB violations of check_m_system with each m in M pulled back
+    along the maps pick(c.into(tgt m))."""
+    c = mc.base
+    report = LawReport("m-system")
     for m in sorted(mc.monics):
-        b = c.mor_tgt[m]
-        for f in c.into(b):
+        for f in pick(c.into(c.mor_tgt[m])):
             cone = pullback(c, f, m)
             if cone is None:
                 report.add("M-PB", (m, f), "pullback of m along f missing")
             elif cone.p not in mc.monics:
                 report.add("M-PB", (m, f, cone.p),
                            "pullback leg opposite m not in M")
-    return report
+    return report.violations
 
 
 # -- M-subobjects ------------------------------------------------------------
@@ -392,18 +425,6 @@ def canonical_span(mc: MCategory, m, f):
     return c.rows[m][p], c.rows[f][p]
 
 
-def compose_spans(mc: MCategory, second, first):
-    """(n, g) ∘ (m, f) by pullback, canonicalised."""
-    c = mc.base
-    m, f = first
-    n, g = second
-    cone = pullback(c, f, n)
-    if cone is None:
-        raise InternalInvariantError("missing pullback in Par composition")
-    return canonical_span(mc, c.rows[m][c.pos[cone.p]],
-                          c.rows[g][c.pos[cone.q]])
-
-
 @dataclass(frozen=True)
 class ParCategory:
     """Par(C, M) with canonical span representatives.
@@ -431,17 +452,48 @@ def par(mc: MCategory) -> ParCategory:
     f out of dom s: canonical_span(m, f) is (s, f∘phi) with s =
     subobject_rep(m) and phi an iso, and as f runs over every map out of
     dom m, f∘phi runs over every map out of dom s.  The bar of (s, f) is
-    (s, s)."""
+    (s, s).
+
+    (n, g)∘(m, f) is the canonical span of (m∘p, g∘q), with (p, q) the
+    pullback of (f, n).  The legs of pullback(f, n) for every f into
+    tgt n are read once per n, on its first row, and kept for the rows of
+    every (n, g)."""
     c = mc.base
+    rows, pos = c.rows, c.pos
     spans = tuple(sorted(
         ((m, f) for a in c.objects for m in sub_m(mc, a)
          for f in c.out_of(c.mor_src[m])),
         key=lambda s: (c.mor_tgt[s[0]], c.mor_tgt[s[1]], s[0], s[1])))
+    legs = {}   # n -> {f: (pos[p], pos[q])} for each f into tgt n
+
+    def pullback_legs(n):
+        at = {}
+        for f in c.into(c.mor_tgt[n]):
+            cone = pullback(c, f, n)
+            if cone is None:
+                raise InternalInvariantError(
+                    "missing pullback in Par composition")
+            at[f] = pos[cone.p], pos[cone.q]
+        return at
+
+    def compose(second, fs):
+        n, g = second
+        if n not in legs:
+            legs[n] = pullback_legs(n)
+        at, row_g = legs[n], rows[g]
+        out = []
+        for m, f in fs:
+            p, q = at[f]
+            mp = rows[m][p]
+            # canonical_span(mp, g∘q), read inline
+            phi = pos[least_iso(c, mp)]
+            out.append((rows[mp][phi], rows[row_g[q]][phi]))
+        return out
+
     cat, _, span_id = build_category(
         c.objects, spans, lambda s: (c.mor_tgt[s[0]], c.mor_tgt[s[1]]),
         lambda a: canonical_span(mc, c.identity[a], c.identity[a]),
-        lambda g, fs: [compose_spans(mc, g, f) for f in fs],
-        obj_names=c.obj_names,
+        compose, obj_names=c.obj_names,
         mor_names=[f"({c.mor_names[m]},{c.mor_names[f]})" for m, f in spans])
     bar = tuple(span_id[(m, m)] for (m, f) in spans)
     rc = RestrictionCategory(cat, bar)

@@ -330,6 +330,48 @@ def par_spans(mc):
                                               c.mor_tgt[s[1]], s[0], s[1])))
 
 
+def compose_spans(mc, second, first):
+    """(n, g) ∘ (m, f) by its own pullback of (f, n), canonicalised: one
+    pair at a time; the reference for the rows of mcat.par."""
+    c = mc.base
+    m, f = first
+    n, g = second
+    cone = pullback(c, f, n)
+    if cone is None:
+        raise InternalInvariantError("missing pullback in Par composition")
+    return mcat.canonical_span(mc, c.rows[m][c.pos[cone.p]],
+                               c.rows[g][c.pos[cone.q]])
+
+
+def check_m_system(mc: MCategory) -> LawReport:
+    """The three stable-system conditions, with M-PB pulling each m in M
+    back along every map into tgt m; the reference for
+    mcat.check_m_system, which reads M-PB along the generators."""
+    c = mc.base
+    report = LawReport("m-system")
+    for m in mc.monics:
+        if not fincat.is_mono(c, m):
+            report.add("M-MONO", (m,), "member of M is not monic")
+    for f, _ in c.isos().items():
+        if f not in mc.monics:
+            report.add("M-ISO", (f,), "isomorphism missing from M")
+    for m in sorted(mc.monics):
+        for n in sorted(mc.monics):
+            if c.mor_tgt[n] == c.mor_src[m]:
+                if c.compose(m, n) not in mc.monics:
+                    report.add("M-COMP", (m, n), "M not closed under composition")
+    for m in sorted(mc.monics):
+        b = c.mor_tgt[m]
+        for f in c.into(b):
+            cone = pullback(c, f, m)
+            if cone is None:
+                report.add("M-PB", (m, f), "pullback of m along f missing")
+            elif cone.p not in mc.monics:
+                report.add("M-PB", (m, f, cone.p),
+                           "pullback leg opposite m not in M")
+    return report
+
+
 def _one_each(cones, images):
     """Whether every cone occurs exactly once among images."""
     counts = {}

@@ -682,31 +682,32 @@ def test_par_lists_the_canonical_span_of_every_pair(name):
 
 def test_par_canonicalises_only_identities_and_composites(monkeypatch):
     # Par(finset_inj_3) lists its maps from Sub_M with no canonical_span
-    # call: one call per object for its identity, and one per composable
-    # pair through compose_spans
+    # call but one per object for its identity, and composes by reading
+    # pullback(f, n) once for each n in Sub_M and f into tgt n; a lookup
+    # per composable pair would make 9,866
     mc = build_finset_mcat(3, "inj")
     c = mc.base
-    calls, composing = [], []
-    canonical_span, compose_spans = mcat.canonical_span, mcat.compose_spans
+    spans, cones = [], []
+    canonical_span = mcat.canonical_span
     monkeypatch.setattr(mcat, "canonical_span", lambda mc, m, f:
-                        calls.append((bool(composing), m, f)) or
-                        canonical_span(mc, m, f))
-
-    def spy(mc, second, first):
-        composing.append(first)
-        try:
-            return compose_spans(mc, second, first)
-        finally:
-            composing.pop()
-
-    monkeypatch.setattr(mcat, "compose_spans", spy)
+                        spans.append((m, f)) or canonical_span(mc, m, f))
+    monkeypatch.setattr(mcat, "pullback", lambda c, f, n:
+                        cones.append((f, n)) or pullback(c, f, n))
     pc = par(mc)
-    assert [(m, f) for inside, m, f in calls if not inside] == \
-        [(c.identity[a], c.identity[a]) for a in c.objects]
-    inside = sum(inside for inside, _, _ in calls)
-    assert inside == sum(1 for _ in pc.rc.base.pairs())
-    assert (len(calls), inside, pc.rc.base.n_morphisms) == \
-        (len(c.objects) + inside, 9866, 144)
+    assert spans == [(c.identity[a], c.identity[a]) for a in c.objects]
+    assert sorted(cones) == sorted((f, n) for a in c.objects
+                                   for n in sub_m(mc, a) for f in c.into(a))
+    assert (len(cones), len(set(cones)), pc.rc.base.n_morphisms) == \
+        (389, 389, 144)
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_MCATS))
+def test_par_composes_like_the_pair_at_a_time_reference(name):
+    mc = SPAN_MCATS[name]()
+    pc = par(mc)
+    assert [(g, f, pc.span_id[oracles.compose_spans(
+        mc, pc.spans[g], pc.spans[f])]) for g, f, _ in pc.rc.base.pairs()] \
+        == list(pc.rc.base.pairs())
 
 
 def test_par_names_the_maps_of_an_iso_pair_by_their_canonical_subobjects():
@@ -834,6 +835,101 @@ def test_is_geometric_matches_the_all_maps_scan_on_stable_systems(drawn):
             == oracles.is_geometric(MCategory(c, monics), max_family).lines()
     assert basis_covers(MCategory(c, monics)) == \
         oracles.basis_covers(MCategory(c, monics))
+
+
+# -- the stable-system gate -----------------------------------------------------
+
+def _z2(order):
+    return lambda: load_bundle(oracles.z2_bundle(order)).mcat
+
+
+def _iso_pair(order):
+    return lambda: load_bundle(oracles.iso_pair_bundle(order)).mcat
+
+
+M_SYSTEMS = {
+    **GEOMETRIC_MCATS,
+    "finset_inj_4": lambda: build_finset_mcat(4, "inj"),
+    "karoubi_total_finset_p_2":
+        lambda: mtotal(karoubi_r(build_finset_p(2)).rc).mcat,
+    "karoubi_total_finset_p_3":
+        lambda: mtotal(karoubi_r(build_finset_p(3)).rc).mcat,
+    "z2_s1": _z2(["s", "1"]),
+    "z2_1s": _z2(["1", "s"]),
+    "iso_pair_1B_i": _iso_pair(["1A", "1B", "i", "j"]),
+    "iso_pair_i_1B": _iso_pair(["1A", "i", "1B", "j"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(M_SYSTEMS))
+def test_check_m_system_matches_the_all_maps_scan(name):
+    build = M_SYSTEMS[name]
+    lines = mcat.check_m_system(build()).lines()
+    assert lines == oracles.check_m_system(build()).lines()
+    # the redirected composite leaves an iso of no_generators out of M
+    assert bool(lines) == (name == "no_generators")
+
+
+FINSET_CATS = {n: build_finset_mcat(n, "inj") for n in (2, 3)}
+
+
+@st.composite
+def _drawn_m(draw, n):
+    """A class of maps of FinSet<=n: drawn injections and at most one other
+    map, closed with the isos under composition when a drawn flag says so.
+    Unclosed draws fail M-ISO or M-COMP, closed ones at most M-MONO and
+    M-PB."""
+    mc = FINSET_CATS[n]
+    c = mc.base
+    members = draw(st.sets(st.sampled_from(sorted(mc.monics))))
+    members |= draw(st.sets(st.sampled_from(
+        sorted(set(c.morphisms()) - mc.monics)), max_size=1))
+    if draw(st.booleans()):
+        members = _closure(c, members | set(c.isos()))
+    return MCategory(c, frozenset(members))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FINSET_CATS)).flatmap(_drawn_m))
+def test_check_m_system_matches_the_all_maps_scan_on_drawn_classes(mc):
+    assert mcat.check_m_system(mc).lines() == \
+        oracles.check_m_system(mc).lines()
+
+
+def _pullbacks_asked(monkeypatch, mc):
+    """check_m_system(mc), and the (m, f) of each pullback of m along f
+    that it asked for, in order."""
+    asked = []
+    monkeypatch.setattr(mcat, "pullback", lambda c, f, m:
+                        asked.append((m, f)) or pullback(c, f, m))
+    return mcat.check_m_system(mc), asked
+
+
+def _m_pb_pairs(mc, maps):
+    c = mc.base
+    return [(m, f) for m in sorted(mc.monics)
+            for f in c.into(c.mor_tgt[m]) if f in maps]
+
+
+def test_m_pb_reads_the_generators_only(monkeypatch):
+    mc = build_finset_mcat(3, "inj")
+    c = mc.base
+    report, asked = _pullbacks_asked(monkeypatch, mc)
+    assert report.ok
+    assert asked == _m_pb_pairs(mc, c.generators())
+    # the all-maps scan asks for 724
+    assert (len(asked), len(_m_pb_pairs(mc, c.morphisms()))) == (106, 724)
+    # on finset_inj_2 with M the isos and both maps set1 -> set2, the pass
+    # along the generators fails: pulling one map back along the other
+    # gives the empty set, whose map into set1 is not in M.  So the pass
+    # is run again along every map, and its lines are the oracle's
+    c = FINSET_CATS[2].base
+    mc = MCategory(c, frozenset(c.isos()) | set(c.hom(1, 2)))
+    report, asked = _pullbacks_asked(monkeypatch, mc)
+    assert asked == _m_pb_pairs(mc, c.generators()) + \
+        _m_pb_pairs(mc, c.morphisms())
+    assert report.tags() == {"M-PB"}
+    assert report.lines() == oracles.check_m_system(mc).lines()
 
 
 # Dedekind numbers: Sub_M(set_n) is the lattice of subsets of n, with 2,
