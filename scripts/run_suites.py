@@ -50,6 +50,9 @@ SUITES = [
     # size 4: guards the M-system gate's pullback transport and the
     # pullback-stability pass of the geometric check
     (["geometric", "finset_inj_4"], 0),
+    # size 4: guards the join-test covers and the SUBCAN certificate against
+    # a return to the saturation loop and the per-representable sheaf scan
+    (["topology", "finset_inj_4"], 0),
     # negative controls: these are supposed to fail with exit code 1
     (["check-laws", "nojoin"], 1),
     (["geometric", "finset_iso_2"], 1),

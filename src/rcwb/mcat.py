@@ -34,9 +34,9 @@ all that the site and the geometric criterion read:
 So each object keeps its Sub_M order once, as a `joins.FinitePoset` whose
 families are the antichains, and joins are matched once per antichain.
 Three lazy tables on each MCategory hold this: sub_m_orders, the order of
-each object; antichain_memo, the matching colimit of each antichain that a
-join asked for; and matching_memo, the matching colimit of each family
-asked for.
+each object; antichain_memo, each antichain that a join asked for, with
+its matching colimit; and matching_memo, the matching colimit of each
+family asked for.
 """
 
 from __future__ import annotations
@@ -61,11 +61,11 @@ class MCategory:
     matching_memo caches matching_colimit results by (family, object),
     for the families asked for and for the families of their maximal
     members that those results are rebuilt from.  sub_m_orders keeps the
-    order of Sub_M(a) per object a (sub_m_order), and antichain_memo the
-    matching colimit of an antichain of Sub_M(a) by (a, position mask).
-    They fill lazily, take no part in equality or hashing, and hand the
-    same result object to every caller, so cached results must not be
-    mutated.
+    order of Sub_M(a) per object a (sub_m_order), and antichain_memo each
+    antichain of Sub_M(a) with its matching colimit by (a, position mask)
+    (join_colimit).  They fill lazily, take no part in equality or
+    hashing, and hand the same result object to every caller, so cached
+    results must not be mutated.
     """
     base: FinCategory
     monics: frozenset
@@ -186,17 +186,19 @@ def antichains(mc: MCategory, obj, max_family=None) -> list:
     return sub_m_order(mc, obj).families(max_family)
 
 
-def _antichain_colimit(mc: MCategory, obj, mask):
-    """The matching colimit of the antichain at the positions mask of
-    Sub_M(obj), kept in mc.antichain_memo: one matching_colimit call per
-    antichain."""
-    key = (obj, mask)
+def join_colimit(mc: MCategory, family, obj):
+    """(max S, the matching colimit of max S or None) for a family S of
+    canonical M-subobjects of obj: the antichain of its maximal members,
+    and the colimit its join is read from (see the module docstring).
+    Kept in mc.antichain_memo by (obj, position mask of max S): one
+    matching_colimit call per antichain."""
+    order = sub_m_order(mc, obj)
+    key = (obj, order.maximal(order.mask(family)))
     memo = mc.antichain_memo
     if key not in memo:
-        elements = sub_m_order(mc, obj).elements
-        memo[key] = matching_colimit(
-            mc, tuple(s for i, s in enumerate(elements) if mask >> i & 1),
-            obj)
+        antichain = tuple(s for i, s in enumerate(order.elements)
+                          if key[1] >> i & 1)
+        memo[key] = antichain, matching_colimit(mc, antichain, obj)
     return memo[key]
 
 
@@ -205,8 +207,7 @@ def sub_m_join(mc: MCategory, family, obj):
     canonical Sub_M element that its matching colimit glues to: None when
     the colimit is missing or its induced map is not in M.  It is read
     from the family's maximal members (see the module docstring)."""
-    order = sub_m_order(mc, obj)
-    mcol = _antichain_colimit(mc, obj, order.maximal(order.mask(family)))
+    mcol = join_colimit(mc, family, obj)[1]
     if mcol is None or mcol.mu not in mc.monics:
         return None
     return subobject_rep(mc, mcol.mu)
@@ -393,9 +394,8 @@ def _geometric_scan(mc: MCategory, max_family, pick) -> list:
     report = LawReport("geometric")
     for obj in c.objects:
         maps = pick(c.into(obj))
-        order = sub_m_order(mc, obj)
         for family in antichains(mc, obj, max_family):
-            mcol = _antichain_colimit(mc, obj, order.mask(family))
+            mcol = join_colimit(mc, family, obj)[1]
             if mcol is None:
                 report.add("GEO-COLIM", (obj,) + family,
                            "matching colimit does not exist")

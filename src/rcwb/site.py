@@ -8,10 +8,14 @@ refuses a duplicate key or an image that is not a key; the presheaf laws are
 left to `check_presheaf`.
 
 The topology on an M-category is generated by the families of monics whose
-subobject join is the whole object, then saturated to a fixpoint over all
-sieves; it keeps both the families and the sieves.  Sheafification is the
-plus construction applied twice, with classes kept as canonical
-representatives so equality is plain.
+subobject join is the whole object.  A sieve covers in it exactly when the
+Sub_M join of its M-members is the whole object, so the covers are read
+off that join test, one sieve at a time, and one saturation pass over them
+certifies that they form a topology; the saturation loop runs only when
+that pass adds a sieve.  A topology so certified is subcanonical with no
+sheaf scan.  It keeps the covering families and every sieve.
+Sheafification is the plus construction applied twice, with classes kept
+as canonical representatives so equality is plain.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from itertools import accumulate
 
 from .fincat import FinCategory, certified, forced_assignments
 from .joins import families
-from .mcat import (MCategory, antichains, sub_m, sub_m_join,
+from .mcat import (MCategory, join_colimit, sub_m, sub_m_join,
                    subobject_rep)
 from .reports import InternalInvariantError, LawReport
 
@@ -217,11 +221,6 @@ def sieves_on(c: FinCategory, a):
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def generate_sieve(c: FinCategory, a, gens) -> frozenset:
-    """gens and every f∘g for f in gens: the union of their rows."""
-    return frozenset(gens).union(*[c.rows[f] for f in gens])
-
-
 def maximal_sieve(c: FinCategory, a) -> frozenset:
     return frozenset(c.into(a))
 
@@ -237,11 +236,19 @@ class Topology:
     """A topology with the site data it was generated from, so that later
     checks on the same M-category read them instead of enumerating again.
     Every caller builds it with generate_topology from the M-category it
-    goes on to use (the CLI from the bundle's, which par keeps as pc.mc)."""
+    goes on to use (the CLI from the bundle's, which par keeps as pc.mc).
+
+    joined records how the covers were found: the M-category whose Sub_M
+    joins gave them, when they are exactly the sieves that pass the join
+    test and one saturation pass added nothing to them; None when the
+    saturation loop ran.  Only generate_topology sets it, so a Topology
+    built by hand never claims it."""
     cat: FinCategory
     covers: tuple   # per object: frozenset of covering sieves
     sieves: tuple   # per object: every sieve, as sieves_on lists them
     basis: tuple    # per object: the covering families, as basis_covers
+    joined: MCategory | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
 
 def basis_covers(mc: MCategory):
@@ -249,30 +256,49 @@ def basis_covers(mc: MCategory):
     the top, the canonical subobject of the identity (the whole object),
     in families order.  The joins are read once per antichain (see
     mcat.sub_m_join)."""
-    return tuple(_covering(mc, a, families(sub_m(mc, a)))
+    return tuple(tuple(filter(_joins_to_top(mc, a), families(sub_m(mc, a))))
                  for a in mc.base.objects)
 
 
-def _covering(mc: MCategory, a, fams) -> tuple:
-    """The families among fams whose Sub_M join is the top of Sub_M(a)."""
+def _joins_to_top(mc: MCategory, a):
+    """Whether a family of Sub_M(a) joins to the top of Sub_M(a)."""
     top = subobject_rep(mc, mc.base.identity[a])
-    return tuple(fam for fam in fams if sub_m_join(mc, fam, a) == top)
+    return lambda fam: sub_m_join(mc, fam, a) == top
 
 
 def generate_topology(mc: MCategory) -> Topology:
-    """Sieves generated by the covering families, saturated to a fixpoint
-    under the maximality, stability and transitivity axioms.  A family
-    generates the sieve of its maximal members (see mcat), so the sieves
-    are generated from the covering antichains only."""
+    """The topology generated by the covering families: the least one that
+    holds the sieve of each.
+
+    A sieve S on a covers in it iff the Sub_M join of the canonical
+    M-members of S (the empty family counts) is the top:
+    - If S passes, the maximal members of its M-members form a covering
+      family whose sieve lies in S, and a topology is upward closed, so S
+      lies in the generated topology.
+    - The sieve of a covering family F passes: its other M-members factor
+      through members of F, so its M-members and F have the same maximal
+      members, hence the same join.
+    So the sieves that pass lie in the generated topology and hold its
+    basis.  One _saturate pass over them is the certificate: if it adds
+    nothing, they are a topology, hence the generated one, and joined
+    records mc.  Otherwise the loop runs on from them to the fixpoint,
+    which is the generated topology, as they lie inside it."""
     c = mc.base
-    basis = basis_covers(mc)
-    covers = [{generate_sieve(c, a, fam)
-               for fam in _covering(mc, a, antichains(mc, a))}
-              for a in c.objects]
     sieves = tuple(tuple(sieves_on(c, a)) for a in c.objects)
-    while _saturate(c, covers, sieves):
-        pass
-    return Topology(c, tuple(frozenset(s) for s in covers), sieves, basis)
+    covers = []
+    for a in c.objects:
+        members, covering = sub_m(mc, a), _joins_to_top(mc, a)
+        covers.append({s for s in sieves[a]
+                       if covering([m for m in members if m in s])})
+    joined = not _saturate(c, covers, sieves)
+    if not joined:
+        while _saturate(c, covers, sieves):
+            pass
+    top = Topology(c, tuple(frozenset(s) for s in covers), sieves,
+                   basis_covers(mc))
+    if joined:
+        object.__setattr__(top, "joined", mc)
+    return top
 
 
 def saturation_is_fixpoint(top: Topology) -> bool:
@@ -458,12 +484,57 @@ def sheafify(p: Presheaf, top: Topology) -> SheafifyResult:
 # -- subcanonicity ----------------------------------------------------------------
 
 def subcanonical_report(top: Topology) -> LawReport:
+    """SUBCAN for each object whose representable is not a sheaf.
+
+    A topology certified by the join test needs no sheaf scan.  Let S be a
+    covering sieve on a and F the antichain of its maximal M-members that
+    the join was read from, with matching colimit (L, l) and induced map
+    mu: L -> a, mu∘l_m == m for m in F.  Suppose every such mu is an iso.
+    - Then (a, F) is a colimit of F's matching diagram.  So two maps
+      u, v: a -> b with u∘m == v∘m for every m in F are equal: yoneda(b)
+      is separated on S.
+    - A matching family x of yoneda(b) on S gives a cocone (b, x_m) under
+      that diagram: m∘p == n∘q at the pullback (p, q) of members m and n,
+      so x_m∘p == x_{m∘p} == x_n∘q.  Its mediating map h: a -> b is the
+      one amalgamation of x on the sieve of F.
+    - For f in S, the sieve of F covers, so f*(sieve of F) covers by
+      stability, and h∘f agrees with x_f along each of its maps g, as
+      h∘f∘g == x_{f∘g} == x_f∘g.  By separation on f*(sieve of F),
+      h∘f == x_f, so h amalgamates x on S (Mac Lane and Moerdijk,
+      Sheaves in Geometry and Logic, III.4; Johnstone, Sketches of an
+      Elephant, C2.1).
+    The certificate checks what this uses: top.joined (each cover passes
+    the join test, and the covers are a topology), each mu in c.isos(),
+    and the sieve of each F among the covers.  No M-system law is
+    assumed, so it holds on bridge.cocompletion_unit's ungated
+    M-category.  Otherwise each representable is scanned with is_sheaf.
+    """
     report = LawReport("subcanonical")
+    if _join_certified(top):
+        return report
     for a in top.cat.objects:
         rep = is_sheaf(yoneda(top.cat, a), top)
         if not rep.ok:
             report.add("SUBCAN", (a,), "representable is not a sheaf")
     return report
+
+
+def _join_certified(top: Topology) -> bool:
+    """top.joined is set, and every covering sieve's antichain of maximal
+    M-members has a matching colimit with an iso mu and generates a
+    covering sieve."""
+    mc, c = top.joined, top.cat
+    if mc is None:
+        return False
+    isos = c.isos()
+    for a in c.objects:
+        members = sub_m(mc, a)
+        for s in top.covers[a]:
+            fam, mcol = join_colimit(mc, [m for m in members if m in s], a)
+            if mcol is None or mcol.mu not in isos or frozenset().union(
+                    *(c.rows[m] for m in fam)) not in top.covers[a]:
+                return False
+    return True
 
 
 def all_nat_trans(p: Presheaf, q: Presheaf):

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from rcwb import fincat, mcat
+from rcwb import fincat, mcat, site
 from rcwb.fincat import (Cocone, Diagram, FinCategory, Functor, PullbackCone,
                          build_category, mediating, pullback)
 from rcwb.fixtures import subsets_category
@@ -21,8 +21,7 @@ from rcwb.rpsh import (RestrictionPresheaf, check_rp_axioms, element_join,
                        element_poset)
 from rcwb.site import (NatTrans, PlusData, Presheaf, SheafifyResult,
                        Topology, _class_of, all_nat_trans, build_presheaf,
-                       generate_sieve, is_sheaf, maximal_sieve,
-                       sieve_pullback, yoneda)
+                       is_sheaf, maximal_sieve, sieve_pullback, yoneda)
 
 
 def _require_parallel(x: RestrictionCategory, f, g):
@@ -158,6 +157,11 @@ def is_sieve(c, a, s) -> bool:
     return True
 
 
+def generate_sieve(c, a, gens) -> frozenset:
+    """gens and every f∘g for f in gens: the union of their rows."""
+    return frozenset(gens).union(*[c.rows[f] for f in gens])
+
+
 def sieves_on(c, a):
     """All sieves on a, by closing each subset of generators."""
     into = c.into(a)
@@ -168,27 +172,62 @@ def sieves_on(c, a):
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
 
+def _added_sieve(c, covers, sieves):
+    """The first (object, sieve) that the maximality, stability or
+    transitivity rule adds to covers, checked rule by rule over the sieves
+    given per object, or None."""
+    for a in c.objects:
+        if maximal_sieve(c, a) not in covers[a]:
+            return a, maximal_sieve(c, a)
+        for s in covers[a]:
+            for f in c.into(a):
+                fs = sieve_pullback(c, s, f)
+                if fs not in covers[c.mor_src[f]]:
+                    return c.mor_src[f], fs
+        for t in sieves[a]:
+            if t in covers[a]:
+                continue
+            for r in covers[a]:
+                if all(sieve_pullback(c, t, f) in covers[c.mor_src[f]]
+                       for f in r):
+                    return a, t
+    return None
+
+
 def saturation_is_fixpoint(top) -> bool:
     """Whether no maximality, stability or transitivity rule adds a sieve
     to the covers, checked rule by rule on the covers as given, with the
     sieves from the subset closure above; the reference for
     site.saturation_is_fixpoint."""
     c = top.cat
-    for a in c.objects:
-        if maximal_sieve(c, a) not in top.covers[a]:
-            return False
-        for s in top.covers[a]:
-            for f in c.into(a):
-                if sieve_pullback(c, s, f) not in top.covers[c.mor_src[f]]:
-                    return False
-        for t in sieves_on(c, a):
-            if t in top.covers[a]:
-                continue
-            for r in top.covers[a]:
-                if all(sieve_pullback(c, t, f) in top.covers[c.mor_src[f]]
-                       for f in r):
-                    return False
-    return True
+    return _added_sieve(c, top.covers,
+                        [sieves_on(c, a) for a in c.objects]) is None
+
+
+def generate_topology(mc: MCategory) -> Topology:
+    """The sieves of the covering families of site.basis_covers, saturated
+    one added sieve at a time until no rule adds one: the least topology
+    holding them; the reference for site.generate_topology, which reads
+    its covers off the join test.  Built by hand, so not joined."""
+    c = mc.base
+    basis = site.basis_covers(mc)
+    sieves = tuple(tuple(site.sieves_on(c, a)) for a in c.objects)
+    covers = [{generate_sieve(c, a, fam) for fam in fams} for a, fams in
+              zip(c.objects, basis)]
+    while (added := _added_sieve(c, covers, sieves)) is not None:
+        covers[added[0]].add(added[1])
+    return Topology(c, tuple(frozenset(s) for s in covers), sieves, basis)
+
+
+def subcanonical_report(top) -> LawReport:
+    """SUBCAN for each object whose representable fails is_sheaf, scanned
+    on every covering sieve; the reference for site.subcanonical_report,
+    which needs no scan on a join-certified topology."""
+    report = LawReport("subcanonical")
+    for a in top.cat.objects:
+        if not is_sheaf(yoneda(top.cat, a), top).ok:
+            report.add("SUBCAN", (a,), "representable is not a sheaf")
+    return report
 
 
 def cocones_at(c, d, apex):

@@ -2,6 +2,7 @@
 oracles.py on small fixtures."""
 
 import contextlib
+import dataclasses
 import itertools
 import random
 
@@ -777,23 +778,9 @@ def test_covering_families_generate_the_sieves_of_their_antichains(name):
     top = generate_topology(mc)
     for a in c.objects:
         kept = set(mcat.antichains(mc, a))
-        assert {site.generate_sieve(c, a, fam) for fam in top.basis[a]} == \
-            {site.generate_sieve(c, a, fam) for fam in top.basis[a]
+        assert {oracles.generate_sieve(c, a, fam) for fam in top.basis[a]} == \
+            {oracles.generate_sieve(c, a, fam) for fam in top.basis[a]
              if fam in kept}
-
-
-def test_topology_generates_one_sieve_per_covering_antichain(monkeypatch):
-    mc = build_finset_mcat(3, "inj")
-    calls = []
-    real = site.generate_sieve
-    monkeypatch.setattr(site, "generate_sieve", lambda c, a, gens:
-                        calls.append((a, gens)) or real(c, a, gens))
-    top = generate_topology(mc)
-    want = [(a, fam) for a in mc.base.objects for fam in top.basis[a]
-            if fam in mcat.antichains(mc, a)]
-    assert sorted(calls) == sorted(want)
-    # 2 + 1 + 2 + 9 covering antichains for 2 + 2 + 10 + 218 families
-    assert (len(calls), sum(map(len, top.basis))) == (14, 232)
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIC_MCATS))
@@ -930,6 +917,147 @@ def test_m_pb_reads_the_generators_only(monkeypatch):
         _m_pb_pairs(mc, c.morphisms())
     assert report.tags() == {"M-PB"}
     assert report.lines() == oracles.check_m_system(mc).lines()
+
+
+# -- covers read off the join test, and SUBCAN ------------------------------
+
+TOPOLOGY_MCATS = {
+    **GEOMETRIC_MCATS,
+    "karoubi_total_finset_p_2": M_SYSTEMS["karoubi_total_finset_p_2"],
+    "karoubi_total_finset_p_3": M_SYSTEMS["karoubi_total_finset_p_3"],
+    "z2_s1": _z2(["s", "1"]),
+    "z2_1s": _z2(["1", "s"]),
+    **{"iso_pair_" + "_".join(order): _iso_pair(list(order))
+       for order in itertools.permutations(["1A", "1B", "i", "j"])},
+}
+# their join-test covers are no topology, so the saturation loop runs on
+THROUGH_THE_LOOP = {"m3", "no_generators"}
+
+
+def _same_topology(build):
+    """generate_topology of a fresh build(), after checking its covers and
+    SUBCAN lines against the saturation loop and the sheaf scan, each on a
+    build of its own so that no memo is shared."""
+    top, ref = generate_topology(build()), oracles.generate_topology(build())
+    assert (top.covers, top.sieves, top.basis) == \
+        (ref.covers, ref.sieves, ref.basis)
+    assert ref.joined is None
+    assert _subcan(site.subcanonical_report, top) == \
+        _subcan(oracles.subcanonical_report, ref) == \
+        _subcan(oracles.subcanonical_report, top)
+    return top
+
+
+def _subcan(report, top):
+    """The SUBCAN lines of report(top), or the exception type it raises:
+    on a table that is no category (no_generators) the sieve scan fails."""
+    try:
+        return report(top).lines()
+    except KeyError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGY_MCATS))
+def test_join_test_covers_match_the_saturation_loop(name):
+    top = _same_topology(TOPOLOGY_MCATS[name])
+    assert (top.joined is None) == (name in THROUGH_THE_LOOP)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sets(st.sampled_from(sorted(MCATS["finset_inj_2"].monics))))
+def test_join_test_covers_match_the_saturation_loop_on_stable_systems(drawn):
+    c = MCATS["finset_inj_2"].base
+    monics = _stable_system(c, drawn)
+    assert _same_topology(lambda: MCategory(c, monics)).joined is not None
+
+
+def _sheaf_scans(monkeypatch):
+    """The presheaves that site.is_sheaf is asked about from now on."""
+    scanned = []
+    real = site.is_sheaf
+    monkeypatch.setattr(site, "is_sheaf", lambda p, top:
+                        scanned.append(p) or real(p, top))
+    return scanned
+
+
+@pytest.mark.parametrize("name", sorted(set(TOPOLOGY_MCATS) -
+                                        THROUGH_THE_LOOP))
+def test_joined_topologies_are_subcanonical_with_no_sheaf_scan(monkeypatch,
+                                                               name):
+    mc = TOPOLOGY_MCATS[name]()
+    top = generate_topology(mc)
+    assert top.joined is mc
+    scanned = _sheaf_scans(monkeypatch)
+    assert site.subcanonical_report(top).ok and scanned == []
+    # the same covers built by hand, or copied with replace, claim nothing,
+    # so each representable is scanned
+    for other in (Topology(top.cat, top.covers, top.sieves, top.basis),
+                  dataclasses.replace(top)):
+        assert other.joined is None and other == top
+        scanned.clear()
+        assert site.subcanonical_report(other).ok
+        assert len(scanned) == top.cat.n_objects
+
+
+@pytest.mark.parametrize("name", ["finset_inj_2", "finset_iso_2"])
+def test_mutant_topologies_run_the_sheaf_scan(monkeypatch, name):
+    # each covering sieve deleted in turn: no mutant is joined, and SUBCAN
+    # is the scan's on every one
+    top = generate_topology(MCATS[name])
+    scanned = _sheaf_scans(monkeypatch)
+    for a, covers in enumerate(top.covers):
+        for s in sorted(covers, key=sorted):
+            mutant = Topology(top.cat, top.covers[:a] + (covers - {s},)
+                              + top.covers[a + 1:], top.sieves, top.basis)
+            scanned.clear()
+            assert site.subcanonical_report(mutant).lines() == \
+                oracles.subcanonical_report(mutant).lines()
+            assert len(scanned) == top.cat.n_objects
+
+
+def test_subcan_certificate_checks_each_mu_and_each_generated_sieve(
+        monkeypatch):
+    # a tampered antichain memo: an induced map that is no iso, or an
+    # antichain whose sieve does not cover, sends SUBCAN to the scan
+    mc = build_finset_mcat(2, "inj")
+    top = generate_topology(mc)
+    c = mc.base
+    scanned = _sheaf_scans(monkeypatch)
+    key = next(k for k, (fam, _) in mc.antichain_memo.items()
+               if k[0] == 2 and len(fam) == 2)
+    fam, mcol = mc.antichain_memo[key]
+    assert mcol.mu in c.isos()
+    not_iso = next(f for f in c.into(2) if f not in c.isos())
+    for tampered in ((fam, mcat.MatchingColimit(mcol.cocone, not_iso)),
+                     (fam[:1], mcol)):
+        mc.antichain_memo[key] = tampered
+        scanned.clear()
+        assert site.subcanonical_report(top).ok
+        assert len(scanned) == c.n_objects
+    mc.antichain_memo[key] = fam, mcol
+    scanned.clear()
+    assert site.subcanonical_report(top).ok and scanned == []
+
+
+def test_topology_joins_once_per_sieve_and_saturates_once(monkeypatch):
+    mc = build_finset_mcat(3, "inj")
+    c = mc.base
+    joins, passes = [], []
+    real_join, real_saturate = site.sub_m_join, site._saturate
+    monkeypatch.setattr(site, "sub_m_join", lambda mc, fam, a:
+                        joins.append((a, tuple(fam))) or
+                        real_join(mc, fam, a))
+    monkeypatch.setattr(site, "_saturate", lambda *args:
+                        passes.append(args) or real_saturate(*args))
+    top = generate_topology(mc)
+    assert top.joined is mc and len(passes) == 1
+    tested = [(a, tuple(m for m in sub_m(mc, a) if m in s))
+              for a in c.objects for s in top.sieves[a]]
+    listed = [(a, fam) for a in c.objects for fam in families(sub_m(mc, a))]
+    assert sorted(joins) == sorted(tested + listed)
+    # one join test for each of the 2 + 3 + 6 + 20 sieves; Topology.basis
+    # still joins each of the 2 + 4 + 16 + 256 families
+    assert (len(tested), len(listed)) == (31, 278)
 
 
 # Dedekind numbers: Sub_M(set_n) is the lattice of subsets of n, with 2,

@@ -1,9 +1,10 @@
 import pytest
 
 import oracles
-from oracles import (classification_report, iso_pair_bundle, m_psh_member,
-                     m_sh_member, sheafify_map, sieve_subpresheaf,
-                     sigma_classifier, yoneda_map, z2_bundle)
+from oracles import (classification_report, generate_sieve, iso_pair_bundle,
+                     m_psh_member, m_sh_member, sheafify_map,
+                     sieve_subpresheaf, sigma_classifier, yoneda_map,
+                     z2_bundle)
 from rcwb.bundles import load_bundle
 from rcwb.bridge import jrp_to_sheaf
 from rcwb.fixtures import build_finset
@@ -11,8 +12,8 @@ from rcwb.mcat import is_geometric, sub_m
 from rcwb.rpsh import RestrictionPresheaf, yoneda_jr
 from rcwb.site import (Presheaf, all_nat_trans, basis_covers,
                        build_presheaf, check_presheaf, constant_presheaf,
-                       find_presheaf_iso, generate_sieve, is_separated,
-                       is_sheaf, matching_families, maximal_sieve, plus,
+                       find_presheaf_iso, is_separated, is_sheaf,
+                       matching_families, maximal_sieve, plus,
                        saturation_is_fixpoint, sheafify, sieve_pullback,
                        sieves_on, subcanonical_report, yoneda)
 
