@@ -53,6 +53,9 @@ SUITES = [
     # size 4: guards the join-test covers and the SUBCAN certificate against
     # a return to the saturation loop and the per-representable sheaf scan
     (["topology", "finset_inj_4"], 0),
+    # size 4: guards the amalgamation formula's covering antichains against
+    # a return to listing every covering family of Sub_M(set4)
+    (["transfer", "finset_inj_4", "yset1", "--direction", "to-sheaf"], 0),
     # negative controls: these are supposed to fail with exit code 1
     (["check-laws", "nojoin"], 1),
     (["geometric", "finset_iso_2"], 1),

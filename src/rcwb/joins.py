@@ -18,7 +18,6 @@ the generators of the base category first (see fincat.certified).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .fincat import certified
@@ -167,15 +166,6 @@ def bar_masks(elements, bars, act):
             ok[s] = sum(by_image.get(images[e][s], 0) & mask
                         for e, mask in with_bar.items())
     return up, ok
-
-
-def families(elements, max_family=None):
-    """Every subset of elements in combinations order, smallest first,
-    up to max_family members."""
-    top = len(elements) if max_family is None else min(max_family,
-                                                       len(elements))
-    for r in range(top + 1):
-        yield from itertools.combinations(elements, r)
 
 
 def hom_poset(x: RestrictionCategory, a, b) -> FinitePoset:

@@ -16,27 +16,26 @@ composes a whole row (n, g) from the legs of the pullbacks of n along
 the maps into tgt n, read once per n.
 
 Sub_M(a) is ordered by s ≤ t iff s factors through t, that is, iff the
-pullback leg opposite t is an iso (the relation `_dominated` reads).  A
-family S of Sub_M(a) and its antichain max S of maximal members agree on
-all that the site and the geometric criterion read:
+pullback leg opposite t is an iso.  A family S of Sub_M(a) and its
+antichain max S of maximal members agree on all that the site and the
+geometric criterion read:
 
-- The join.  The matching colimit of S is that of max S with the dropped
-  legs filled in (see matching_colimit), so mu_S == mu_maxS∘psi for an
-  automorphism psi of the apex.  So mu_S is in M iff mu_maxS is, by M-ISO
-  and M-COMP, which the gate (check_m_system) checks; the antichain memo
-  below relies on it.
+- The join.  Cocones under S and under max S correspond, so
+  mu_S == mu_maxS∘psi for an automorphism psi of the apex (see
+  join_colimit).  So mu_S is in M iff mu_maxS is, by M-ISO and M-COMP,
+  which the gate (check_m_system) checks.
 - The generated sieve.  A dominated s == t∘g lies in the sieve of t, and
   so does every s∘h.
 - GEO-STAB.  f* is monotone, so each f*(s) with s dominated lies below
   some f*(t) with t in max S: f*(S) and f*(max S) have the same maximal
   members, hence the same join, and ⋁S == ⋁max S on the other side.
 
-So each object keeps its Sub_M order once, as a `joins.FinitePoset` whose
-families are the antichains, and joins are matched once per antichain.
-Three lazy tables on each MCategory hold this: sub_m_orders, the order of
-each object; antichain_memo, each antichain that a join asked for, with
-its matching colimit; and matching_memo, the matching colimit of each
-family asked for.
+So a family is read only through its antichain: each object keeps its
+Sub_M order once, as a `joins.FinitePoset` whose families are the
+antichains, and matching_colimit runs once per antichain, from
+join_colimit.  Two lazy tables on each MCategory hold this: sub_m_orders,
+the order of each object, and antichain_memo, each antichain that a join
+asked for, with its matching colimit.
 """
 
 from __future__ import annotations
@@ -58,19 +57,14 @@ from .restriction import (RestrictionCategory, check_restriction_axioms,
 class MCategory:
     """A finite category with a class of monics.
 
-    matching_memo caches matching_colimit results by (family, object),
-    for the families asked for and for the families of their maximal
-    members that those results are rebuilt from.  sub_m_orders keeps the
-    order of Sub_M(a) per object a (sub_m_order), and antichain_memo each
-    antichain of Sub_M(a) with its matching colimit by (a, position mask)
-    (join_colimit).  They fill lazily, take no part in equality or
-    hashing, and hand the same result object to every caller, so cached
-    results must not be mutated.
+    sub_m_orders keeps the order of Sub_M(a) per object a (sub_m_order),
+    and antichain_memo each antichain of Sub_M(a) with its matching
+    colimit by (a, position mask) (join_colimit).  They fill lazily, take
+    no part in equality or hashing, and hand the same result object to
+    every caller, so cached results must not be mutated.
     """
     base: FinCategory
     monics: frozenset
-    matching_memo: dict = field(default_factory=dict, init=False,
-                                repr=False, compare=False)
     sub_m_orders: dict = field(default_factory=dict, init=False,
                                repr=False, compare=False)
     antichain_memo: dict = field(default_factory=dict, init=False,
@@ -150,10 +144,10 @@ def pullback_subobject(mc: MCategory, f, m) -> int:
 def sub_m_order(mc: MCategory, obj) -> FinitePoset:
     """Sub_M(obj) as a FinitePoset, built on first use and kept in
     mc.sub_m_orders.  Its elements are the canonical M-subobjects of obj,
-    sorted.  s ≤ t iff s is t∘g for some g, which for a monic t is the
-    pullback criterion of _dominated.  s is compatible with t iff the two
-    are equal or incomparable, so the poset's families are the antichains
-    of Sub_M(obj).  The top is subobject_rep(mc, identity[obj]), which is
+    sorted.  s ≤ t iff s is t∘g for some g, which for a monic t holds iff
+    the pullback leg opposite t is an iso.  s is compatible with t iff the
+    two are equal or incomparable, so the poset's families are the
+    antichains of Sub_M(obj).  The top is subobject_rep(mc, identity[obj]), which is
     not the identity when an iso into obj has a smaller id."""
     order = mc.sub_m_orders.get(obj)
     if order is None:
@@ -181,17 +175,37 @@ def sub_m(mc: MCategory, obj) -> tuple:
 
 
 def antichains(mc: MCategory, obj, max_family=None) -> list:
-    """The antichains of Sub_M(obj) with at most max_family members, in
-    the order of joins.families: by size, then in combinations order."""
+    """The antichains of Sub_M(obj) with at most max_family members, by
+    size and then in combinations order of the sorted Sub_M(obj)."""
     return sub_m_order(mc, obj).families(max_family)
 
 
 def join_colimit(mc: MCategory, family, obj):
     """(max S, the matching colimit of max S or None) for a family S of
     canonical M-subobjects of obj: the antichain of its maximal members,
-    and the colimit its join is read from (see the module docstring).
-    Kept in mc.antichain_memo by (obj, position mask of max S): one
-    matching_colimit call per antichain."""
+    and the colimit its join is read from.  Kept in mc.antichain_memo by
+    (obj, position mask of max S): one matching_colimit call per
+    antichain, and the package calls matching_colimit nowhere else.
+
+    S may repeat members.  Cocones under S and under max S correspond, in
+    every category where the pairwise pullbacks exist:
+
+    - Say member i is dominated by member j: the pullback (p, q) of
+      (m_i, m_j) has an iso p.  In every cocone under S,
+      leg_i∘p == leg_j∘q, so leg_i == leg_j∘q∘p⁻¹ is forced.
+    - Every other arrow condition of i follows from those of the members
+      still there: at the pullback (p', q') of (m_i, m_k), the cone
+      (q∘p⁻¹∘p', q') over (m_j, m_k) factors through their pullback, where
+      leg_j and leg_k agree; so leg_i∘p' == leg_k∘q'.  Dropping dominated
+      members one at a time, each for a member still kept, leaves max S,
+      and the cocones under S and under max S correspond naturally in the
+      apex: the two cocone functors are isomorphic, and the same apexes
+      carry universal cocones.
+    - The universal cocones at one apex L form a single orbit ψ∘legs under
+      the automorphisms ψ of L.  So the colimit of S restricts, at the
+      members of max S, to ψ∘legs for the colimit legs of max S, and
+      mu_S == mu_maxS∘ψ⁻¹: the two joins are the same subobject of obj.
+    """
     order = sub_m_order(mc, obj)
     key = (obj, order.maximal(order.mask(family)))
     memo = mc.antichain_memo
@@ -263,100 +277,21 @@ class MatchingColimit:
 
 def matching_colimit(mc: MCategory, family, obj):
     """Colimit of the matching diagram plus the induced map, or None.
-    Memoised in mc.matching_memo.
 
     The cocone keeps the legs at the members only: the leg at a pair vertex
     v with first arrow (v, i, p) is leg_i∘p, so the member legs decide a
-    cocone under the matching diagram.
-
-    The cocone search runs on the maximal members only, and the matching
-    diagram is built only for a family with no dominated member.  Member i
-    is dominated by member j when the canonical pullback (p, q) of
-    (m_i, m_j) has an iso p; dominated members are dropped one at a time,
-    each for a member still kept.  The result is the one the full search
-    gives, in every category where the pairwise pullbacks exist:
-
-    - In every cocone under the full diagram, leg_i∘p == leg_j∘q, so the
-      leg of a dropped i is forced: leg_i == leg_j∘q∘p⁻¹.
-    - Every other arrow condition of i follows from those of the members
-      still there: at the pullback (p', q') of (m_i, m_k), the cone
-      (q∘p⁻¹∘p', q') over (m_j, m_k) factors through their pullback, where
-      leg_j and leg_k agree; so leg_i∘p' == leg_k∘q'.  Adding the dropped
-      members back in reverse drop order, the cocones under the kept and
-      under the full family correspond naturally in the apex: the two
-      cocone functors are isomorphic, and the same apexes carry universal
-      cocones.
-    - The universal cocones at one apex L form a single orbit ψ∘legs under
-      the automorphisms ψ of L.  `colimit` picks the least of them in leg
-      order, and so does the least ψ∘legs over that orbit; the member legs
-      decide the order, since they determine the legs at pair vertices.
-
-    The kept family's own result comes from this memo too.
-    """
-    key = (tuple(family), obj)
-    if key not in mc.matching_memo:
-        mc.matching_memo[key] = _matching_colimit(mc, *key)
-    return mc.matching_memo[key]
-
-
-def _matching_colimit(mc: MCategory, family, obj):
+    cocone under the matching diagram.  Nothing is memoised here: the site
+    reads joins through join_colimit, one call per antichain."""
     c = mc.base
-    _require_subobjects(mc, family, obj)
-    drops = _dominated(c, family)
-    if not drops:
-        full = colimit(c, matching_diagram(mc, family, obj))
-        coc = None if full is None else Cocone(full.apex,
-                                               full.legs[:len(family)])
-    else:
-        dropped = {i for i, _, _ in drops}
-        kept = [i for i in range(len(family)) if i not in dropped]
-        sub = matching_colimit(mc, tuple(family[i] for i in kept), obj)
-        coc = None if sub is None else _rebuild(c, kept, drops, sub.cocone)
-    if coc is None:
+    family = tuple(family)
+    full = colimit(c, matching_diagram(mc, family, obj))
+    if full is None:
         return None
+    coc = Cocone(full.apex, full.legs[:len(family)])
     mu = mediating(c, coc, obj, family)
     if mu is None:
         raise InternalInvariantError("no unique induced map from matching colimit")
     return MatchingColimit(coc, mu)
-
-
-def _dominated(c: FinCategory, family):
-    """The members of the family that are dropped, in drop order, as
-    (i, j, g): member j was still kept when i was dropped, and every cocone
-    under the matching diagram has leg_i == leg_j∘g.  Members are taken in
-    order, and each is dropped for the first kept j whose pullback leg p
-    is an iso."""
-    isos = c.isos()
-    kept = list(range(len(family)))
-    drops = []
-    for i, m in enumerate(family):
-        for j in kept:
-            if j == i:
-                continue
-            cone = pullback(c, m, family[j])
-            if cone is None:
-                raise InternalInvariantError(
-                    "missing pairwise pullback in matching diagram")
-            if cone.p in isos:
-                drops.append((i, j, c.compose(cone.q, isos[cone.p])))
-                kept.remove(i)
-                break
-    return drops
-
-
-def _rebuild(c: FinCategory, kept, drops, sub: Cocone) -> Cocone:
-    """The colimit cocone under the full family from sub, the one under the
-    members listed in kept: dropped legs filled in reverse drop order, then
-    the least ψ∘legs over the automorphisms ψ of the apex."""
-    legs = [None] * (len(kept) + len(drops))
-    for i, leg in zip(kept, sub.legs):
-        legs[i] = leg
-    for i, j, g in reversed(drops):
-        legs[i] = c.compose(legs[j], g)
-    apex = sub.apex
-    return Cocone(apex, min(tuple([c.compose(psi, leg) for leg in legs])
-                            for psi in c.isos_into(apex)
-                            if c.mor_src[psi] == apex))
 
 
 def is_geometric(mc: MCategory, max_family=None) -> LawReport:
@@ -388,8 +323,8 @@ def _geometric_scan(mc: MCategory, max_family, pick) -> list:
     Only the antichains of Sub_M(obj) are scanned.  A family's verdict is
     that of its maximal members (see the module docstring), and a family
     with a dominated member comes after its smaller antichain of maximal
-    members in families order, so the first failing family of each object
-    is an antichain either way."""
+    members when families are listed by size, so the first failing family
+    of each object is an antichain either way."""
     c = mc.base
     report = LawReport("geometric")
     for obj in c.objects:

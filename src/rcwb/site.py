@@ -13,7 +13,10 @@ Sub_M join of its M-members is the whole object, so the covers are read
 off that join test, one sieve at a time, and one saturation pass over them
 certifies that they form a topology; the saturation loop runs only when
 that pass adds a sieve.  A topology so certified is subcanonical with no
-sheaf scan.  It keeps the covering families and every sieve.
+sheaf scan.  It keeps every sieve and, as its basis, the covering
+antichains of Sub_M: a family has the same join and generates the same
+sieve as its antichain of maximal members (see the mcat docstring), so no
+other family is listed.
 Sheafification is the plus construction applied twice, with classes kept
 as canonical representatives so equality is plain.
 """
@@ -24,8 +27,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .fincat import FinCategory, certified, forced_assignments
-from .joins import families
-from .mcat import (MCategory, join_colimit, sub_m, sub_m_join,
+from .mcat import (MCategory, antichains, join_colimit, sub_m, sub_m_join,
                    subobject_rep)
 from .reports import InternalInvariantError, LawReport
 
@@ -246,17 +248,17 @@ class Topology:
     cat: FinCategory
     covers: tuple   # per object: frozenset of covering sieves
     sieves: tuple   # per object: every sieve, as sieves_on lists them
-    basis: tuple    # per object: the covering families, as basis_covers
+    basis: tuple    # per object: the covering antichains, as basis_covers
     joined: MCategory | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
 
 def basis_covers(mc: MCategory):
-    """Per object a, the families of canonical monics whose Sub_M join is
-    the top, the canonical subobject of the identity (the whole object),
-    in families order.  The joins are read once per antichain (see
-    mcat.sub_m_join)."""
-    return tuple(tuple(filter(_joins_to_top(mc, a), families(sub_m(mc, a))))
+    """Per object a, the antichains of Sub_M(a) whose join is the top, the
+    canonical subobject of the identity (the whole object), in the order
+    of mcat.antichains: one join per antichain, and no family with a
+    dominated member, as its join is its antichain's."""
+    return tuple(tuple(filter(_joins_to_top(mc, a), antichains(mc, a)))
                  for a in mc.base.objects)
 
 
@@ -268,7 +270,7 @@ def _joins_to_top(mc: MCategory, a):
 
 def generate_topology(mc: MCategory) -> Topology:
     """The topology generated by the covering families: the least one that
-    holds the sieve of each.
+    holds the sieve of each, with the covering antichains as its basis.
 
     A sieve S on a covers in it iff the Sub_M join of the canonical
     M-members of S (the empty family counts) is the top:

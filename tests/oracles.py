@@ -6,14 +6,13 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from rcwb import fincat, mcat, site
+from rcwb import bridge, fincat, mcat, site
 from rcwb.fincat import (Cocone, Diagram, FinCategory, Functor, PullbackCone,
                          build_category, mediating, pullback)
 from rcwb.fixtures import subsets_category
 from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
-                        families, hom_poset, join as hom_join)
-from rcwb.mcat import (MatchingColimit, MCategory, ParCategory,
-                       matching_colimit, matching_diagram,
+                        hom_poset, join as hom_join)
+from rcwb.mcat import (MCategory, ParCategory, matching_colimit,
                        pullback_subobject, sub_m_join, subobject_rep)
 from rcwb.reports import InternalInvariantError, LawReport, Violation
 from rcwb.restriction import RestrictionCategory, restriction_idempotents
@@ -205,7 +204,7 @@ def saturation_is_fixpoint(top) -> bool:
 
 
 def generate_topology(mc: MCategory) -> Topology:
-    """The sieves of the covering families of site.basis_covers, saturated
+    """The sieves of the covering antichains of site.basis_covers, saturated
     one added sieve at a time until no rule adds one: the least topology
     holding them; the reference for site.generate_topology, which reads
     its covers off the join test.  Built by hand, so not joined."""
@@ -320,22 +319,14 @@ def induced_map(c, d, coc, apex, legs):
     return found[0] if len(found) == 1 else None
 
 
-def matching_colimit(mc, family, obj):
-    """The colimit of the whole matching diagram of the family and the map
-    it induces into obj, with no member dropped, or None; the reference for
-    mcat.matching_colimit.  The cocone search is fincat.colimit's, which
-    the brute-force colimit above checks on smaller diagrams.  The result
-    keeps the legs at the members, after asserting that the leg at each
-    pair vertex v is leg_i∘p for the first arrow (v, i, p) out of v."""
-    c = mc.base
-    d = matching_diagram(mc, family, obj)
-    coc = fincat.colimit(c, d)
-    if coc is None:
-        return None
-    for v, i, p in d.arrows[::2]:     # the first arrow out of each v
-        assert coc.legs[v] == c.compose(coc.legs[i], p)
-    return MatchingColimit(Cocone(coc.apex, coc.legs[:len(family)]),
-                           mediating(c, coc, obj, tuple(family)))
+def families(elements, max_family=None):
+    """Every subset of elements in combinations order, smallest first,
+    up to max_family members; the family-by-family references read every
+    family of Sub_M through it, where the package reads antichains."""
+    top = len(elements) if max_family is None else min(max_family,
+                                                       len(elements))
+    for r in range(top + 1):
+        yield from itertools.combinations(elements, r)
 
 
 def least_iso(c, f):
@@ -990,7 +981,7 @@ def _full_join(mc, family, obj, memo):
 def basis_covers(mc: MCategory):
     """Per object a, every family of Sub_M(a) whose whole matching colimit
     joins to the top, family by family; the reference for
-    site.basis_covers, which joins once per antichain."""
+    site.basis_covers, which lists the antichains among them."""
     c = mc.base
     memo = {}
     return tuple(
@@ -998,6 +989,43 @@ def basis_covers(mc: MCategory):
               if _full_join(mc, fam, a, memo) ==
               subobject_rep(mc, c.identity[a]))
         for a in c.objects)
+
+
+def maximal_members(mc: MCategory, family) -> tuple:
+    """The canonical subobjects of the family's members that factor through
+    no other, sorted, each tested by a search for the factoring map; the
+    reference for the antichain of mcat.join_colimit."""
+    c = mc.base
+    canon = {subobject_rep(mc, m) for m in family}
+    return tuple(sorted(
+        s for s in canon
+        if not any(t != s and any(c.compose(t, g) == s for g in
+                                  c.hom(c.mor_src[s], c.mor_src[t]))
+                   for t in canon)))
+
+
+def covering_antichains(mc: MCategory):
+    """The antichains among the covering families of basis_covers, in its
+    order; the reference for site.basis_covers."""
+    return tuple(tuple(fam for fam in fams if maximal_members(mc, fam) == fam)
+                 for fams in basis_covers(mc))
+
+
+def amalgamation_formula_report(pc: ParCategory, top: Topology,
+                                rp: RestrictionPresheaf,
+                                max_family=None) -> LawReport:
+    """The formula checked on every covering family of basis_covers above,
+    family by family, the empty one included; the reference for
+    bridge.amalgamation_formula_report, which checks the covering
+    antichains only."""
+    report = LawReport("amalgamation")
+    dot = bridge.jrp_to_sheaf(pc, rp)
+    report.extend(is_sheaf(dot.presheaf, top))
+    for a, fams in enumerate(basis_covers(pc.mc)):
+        for fam in fams:
+            if max_family is None or len(fam) <= max_family:
+                bridge._check_formula(pc, rp, dot, report, a, fam)
+    return report
 
 
 def _stable(mc, f, family, mu, memo):

@@ -1,9 +1,24 @@
+import functools
+
+import pytest
+
+import oracles
+from rcwb import bridge
 from rcwb.bridge import (amalgamation_formula_report, cocompletion_unit,
                          jrp_to_sheaf, recipe_join, roundtrip_report,
                          sheaf_to_jrp, transfer_report)
+from rcwb.fixtures import build_finset_mcat
+from rcwb.mcat import par, sub_m_order
 from rcwb.rpsh import (check_jrp_axioms, element_join, element_poset,
                        find_rp_iso, yoneda_jr)
-from rcwb.site import find_presheaf_iso, is_sheaf, yoneda
+from rcwb.site import find_presheaf_iso, generate_topology, is_sheaf, yoneda
+
+
+@functools.cache
+def _site(n):
+    """(Par, topology) of finset_inj_n, built once per run."""
+    mc = build_finset_mcat(n, "inj")
+    return par(mc), generate_topology(mc)
 
 
 def test_transferred_representables_are_jrps(pc_inj, top_inj):
@@ -32,6 +47,28 @@ def test_recipe_join_matches_search(pc_inj, top_inj):
             assert got == element_join(tr.rp, a, fam)
 
 
+def test_recipe_join_matches_search_on_every_family_unbounded():
+    # every non-empty compatible family of the transferred representables
+    # of finset_inj_3; most have a dominated monic, whose element the join
+    # reads off its dominator's
+    pc, _ = _site(3)
+    c = pc.mc.base
+    seen = dominated = 0
+    for w in c.objects:
+        tr = sheaf_to_jrp(pc, yoneda(c, w))
+        for a in pc.rc.base.objects:
+            order = sub_m_order(pc.mc, a)
+            for fam in element_poset(tr.rp, a).families():
+                if not fam:
+                    continue
+                assert recipe_join(tr, a, fam) == \
+                    (element_join(tr.rp, a, fam), None)
+                mask = order.mask(tr.elems[a][i][0] for i in fam)
+                seen += 1
+                dominated += order.maximal(mask) != mask
+    assert (seen, dominated) == (8496, 8008)
+
+
 def test_transfer_rejects_non_sheaf(pc_inj, top_inj):
     from rcwb.site import constant_presheaf
     rep = transfer_report(pc_inj, top_inj,
@@ -51,6 +88,34 @@ def test_amalgamation_formula(pc_inj, top_inj):
                                           yoneda_jr(pc_inj.rc, w),
                                           max_family=3)
         assert rep.ok
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_amalgamation_formula_matches_the_family_by_family_check(n):
+    pc, top = _site(n)
+    for w in pc.rc.base.objects:
+        rp = yoneda_jr(pc.rc, w)
+        for max_family in (None, 1, 2, 3):
+            assert amalgamation_formula_report(pc, top, rp,
+                                               max_family).lines() == \
+                oracles.amalgamation_formula_report(pc, top, rp,
+                                                    max_family).lines()
+
+
+def test_amalgamation_formula_checks_the_covering_antichains(pc_inj, top_inj,
+                                                              monkeypatch):
+    # the empty antichain covers set0, and it is checked, cleanly
+    checked = []
+    real = bridge._check_formula
+    monkeypatch.setattr(bridge, "_check_formula",
+                        lambda pc, rp, dot, report, a, fam:
+                        checked.append((a, fam)) or
+                        real(pc, rp, dot, report, a, fam))
+    assert amalgamation_formula_report(pc_inj, top_inj,
+                                       yoneda_jr(pc_inj.rc, 0)).ok
+    assert (0, ()) in checked
+    assert checked == [(a, fam) for a, fams in enumerate(top_inj.basis)
+                       for fam in fams]
 
 
 def test_roundtrips_are_natural_isos(pc_inj):

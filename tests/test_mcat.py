@@ -2,14 +2,15 @@ import hashlib
 
 import pytest
 
-from oracles import (heyting_check, leq, m3_bundle, par_join_construction,
-                     par_leq_oracle, pullback_preserves_joins)
+from oracles import (families, heyting_check, leq, m3_bundle,
+                     par_join_construction, par_leq_oracle,
+                     pullback_preserves_joins)
 from rcwb import mcat
 from rcwb.bundles import load_bundle
 from rcwb.cli import main
 from rcwb.fincat import FinCategory, build_category, validate_category
 from rcwb.fixtures import build_finset_mcat
-from rcwb.joins import check_join_axioms, families
+from rcwb.joins import check_join_axioms
 from rcwb.mcat import (MCategory, check_m_system, is_geometric, karoubi_r,
                        matching_colimit, mtotal, par, pullback_stable,
                        split_unit_functor, sub_m, sub_m_join,
@@ -54,8 +55,8 @@ def test_matching_colimit_of_singletons_covers_two_set(mc_inj):
 
 
 def test_matching_colimit_rejects_a_dominated_member_outside_m(mc_iso):
-    # an injection set1 -> set2 is not in M = isos, and the identity of set2
-    # dominates it, so it would be dropped before any diagram is built
+    # an injection set1 -> set2 is not in M = isos, though the identity of
+    # set2 dominates it; the search refuses it before building a diagram
     c = mc_iso.base
     inj = next(f for f in c.hom(1, 2) if f not in mc_iso.monics)
     with pytest.raises(ValueError, match="not an M-subobject"):
@@ -179,7 +180,9 @@ def test_pullback_stable_matches_pullback_preserves_joins(name):
             join = sub_m_join(mc, family, obj)
             if join is None:
                 continue
-            mu = matching_colimit(mc, family, c.mor_tgt[f]).mu
+            # the whole family's matching colimit, which the reference
+            # keeps in memo by (family, object)
+            mu = memo[(family, obj)].mu
             stable = pullback_stable(mc, f, family, join)
             assert stable == pullback_stable(mc, f, family, mu)
             assert stable == (family not in failing)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import collage, sieve_subpresheaf, sigma_classifier
+from oracles import collage, families, sieve_subpresheaf, sigma_classifier
 from rcwb import fincat, fixtures, joins, mcat, rpsh, site
 from rcwb.bundles import load_bundle
 from rcwb.bridge import _matching_tuples, jrp_to_sheaf, sheaf_to_jrp
@@ -19,9 +19,10 @@ from rcwb.fincat import (Diagram, cocones_at, colimit,
 from rcwb.fixtures import (build_finset, build_finset_data, build_finset_mcat,
                            build_finset_p, build_finset_p_data,
                            build_nojoin_fixture, subsets_category)
-from rcwb.joins import check_join_axioms, families, hom_poset
-from rcwb.mcat import (MCategory, karoubi_r, matching_colimit,
-                       matching_diagram, mtotal, par, sub_m)
+from rcwb.joins import check_join_axioms, hom_poset
+from rcwb.mcat import (MCategory, join_colimit, karoubi_r, matching_colimit,
+                       matching_diagram, mtotal, par, sub_m, sub_m_join,
+                       subobject_rep)
 from rcwb.restriction import RestrictionCategory, check_restriction_axioms
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
                        element_poset, rp_reports, yoneda_jr)
@@ -522,57 +523,67 @@ def _inj3_all():
     return MCategory(cat, frozenset(cat.morphisms()))
 
 
-def _same_matching_colimit(mc, fam, obj):
-    """matching_colimit equals the full search.  Returns whether the family
-    has a colimit and drops a member, and whether the kept family's colimit
-    legs then differ from the full search's at the kept members, so that
-    only an automorphism ψ != id of the apex carries one to the other."""
-    want = oracles.matching_colimit(mc, fam, obj)
-    assert matching_colimit(mc, fam, obj) == want
-    dropped = {i for i, _, _ in mcat._dominated(mc.base, fam)}
-    if not dropped or want is None:
-        return False, False
-    kept = [i for i in range(len(fam)) if i not in dropped]
-    sub = matching_colimit(mc, tuple(fam[i] for i in kept), obj)
-    legs = tuple(want.cocone.legs[i] for i in kept)
-    return True, legs != sub.cocone.legs
+def _same_join_colimit(mc, fam, obj):
+    """join_colimit and sub_m_join on the family, its members made
+    canonical first, agree with the full search on the family as given:
+    the antichain is that of the maximal members, the two colimits exist
+    together and share their apex, the full search's mu is the antichain's
+    mu∘ψ for an automorphism ψ of that apex, and the joins are equal.
+    Returns whether the antichain is shorter than the family, and whether
+    ψ is not the identity."""
+    c = mc.base
+    canon = [subobject_rep(mc, m) for m in fam]
+    antichain, mcol = join_colimit(mc, canon, obj)
+    assert antichain == oracles.maximal_members(mc, fam)
+    want = matching_colimit(mc, fam, obj)
+    assert (mcol is None) == (want is None)
+    join = None if want is None or want.mu not in mc.monics else \
+        subobject_rep(mc, want.mu)
+    assert sub_m_join(mc, canon, obj) == join
+    if want is None:
+        return len(antichain) < len(fam), False
+    apex = mcol.cocone.apex
+    assert want.cocone.apex == apex
+    assert any(c.compose(mcol.mu, psi) == want.mu
+               for psi in c.isos_into(apex) if c.mor_src[psi] == apex)
+    return len(antichain) < len(fam), want.mu != mcol.mu
 
 
 MAXIMAL = {  # families, reduced, needing ψ != id, no colimit
     "finset_inj_2": (lambda: build_finset_mcat(2, "inj"), (22, 11, 2, 0)),
     "finset_inj_3": (lambda: build_finset_mcat(3, "inj"), (278, 247, 130, 0)),
     "finset_iso_3": (lambda: build_finset_mcat(3, "iso"), (8, 0, 0, 0)),
-    "inj3_all": (_inj3_all, (278, 176, 90, 82)),
+    "inj3_all": (_inj3_all, (278, 247, 90, 82)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MAXIMAL))
 def test_matching_colimits_match_full_search(name):
-    # every family of canonical subobjects, unbounded, on a fresh memo; a
-    # build without the least ψ∘legs differs on the families of the third
-    # count
+    # every family of canonical subobjects, unbounded, on a fresh memo
     build, counts = MAXIMAL[name]
     mc = build()
     seen = [0, 0, 0, 0]
     for obj in mc.base.objects:
         for fam in families(sub_m(mc, obj)):
-            reduced, moved = _same_matching_colimit(mc, fam, obj)
+            reduced, moved = _same_join_colimit(mc, fam, obj)
             seen[0] += 1
             seen[1] += reduced
             seen[2] += moved
-            seen[3] += matching_colimit(mc, fam, obj) is None
+            seen[3] += join_colimit(mc, fam, obj)[1] is None
     assert tuple(seen) == counts
 
 
 def test_matching_colimits_of_repeated_and_unsorted_families():
-    # subobjects of set3 by position in Sub_M: a repeated member is dropped
-    # for its other copy; the last two families need ψ != id
+    # subobjects of set3 by position in Sub_M: a repeated member is
+    # dominated by its other copy; the full search on the last family, with
+    # its members out of order, picks another universal cocone, so it
+    # needs ψ != id
     mc = build_finset_mcat(3, "inj")
     els = sub_m(mc, 3)
     fams = [(1, 1), (5, 5, 6), tuple(range(7, -1, -1)), (1, 2, 1), (2, 4, 0)]
-    seen = [_same_matching_colimit(mc, tuple(els[i] for i in fam), 3)
+    seen = [_same_join_colimit(mc, tuple(els[i] for i in fam), 3)
             for fam in fams]
-    assert seen == [(True, False)] * 3 + [(True, True)] * 2
+    assert seen == [(True, False)] * 4 + [(True, True)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -583,8 +594,8 @@ def test_matching_colimits_of_drawn_families_match_full_search(name, data):
     c = mc.base
     obj = data.draw(st.sampled_from(c.objects))
     into = sorted(m for m in mc.monics if c.mor_tgt[m] == obj)
-    _same_matching_colimit(mc, data.draw(st.lists(st.sampled_from(into),
-                                                  max_size=4)), obj)
+    _same_join_colimit(mc, data.draw(st.lists(st.sampled_from(into),
+                                              max_size=4)), obj)
 
 
 def test_matching_colimits_of_par_monic_legs_match_full_search(pc_inj):
@@ -594,15 +605,16 @@ def test_matching_colimits_of_par_monic_legs_match_full_search(pc_inj):
                   for a in x.base.objects for b in x.base.objects
                   for fam in hom_poset(x, a, b).families()}
     mc = MCategory(pc_inj.mc.base, pc_inj.mc.monics)
-    seen = [_same_matching_colimit(mc, monics, a)
+    seen = [_same_join_colimit(mc, monics, a)
             for a, monics in sorted(monic_legs)]
     assert (len(seen), sum(r for r, _ in seen),
             sum(m for _, m in seen)) == (22, 11, 2)
 
 
 def test_matching_diagrams_are_built_for_kept_families_only(monkeypatch):
-    # every family of finset_inj_3 on a fresh memo: one diagram per distinct
-    # family of maximal members, and none for a family that drops a member
+    # every family of finset_inj_3 on a fresh memo, joined: one diagram per
+    # antichain of maximal members, and none for a family with a dominated
+    # member
     mc = build_finset_mcat(3, "inj")
     built = []
 
@@ -614,13 +626,36 @@ def test_matching_diagrams_are_built_for_kept_families_only(monkeypatch):
     kept = set()
     for obj in mc.base.objects:
         for fam in families(sub_m(mc, obj)):
-            dropped = {i for i, _, _ in mcat._dominated(mc.base, fam)}
-            kept.add((tuple(m for i, m in enumerate(fam) if i not in dropped),
-                      obj))
-            matching_colimit(mc, fam, obj)
-    assert all(mcat._dominated(mc.base, fam) == [] for fam, _ in built)
+            kept.add((oracles.maximal_members(mc, fam), obj))
+            sub_m_join(mc, fam, obj)
+    assert all(oracles.maximal_members(mc, fam) == fam for fam, _ in built)
     assert sorted(built) == sorted(kept)
     assert (len(built), len(kept)) == (31, 31)
+
+
+def test_matching_colimit_keeps_the_member_legs_of_the_full_colimit():
+    # the leg at each pair vertex v is leg_i∘p for the first arrow (v, i, p)
+    # out of v, so the member legs decide the cocone; every family of
+    # canonical subobjects, dominated members included
+    checked = 0
+    for kind in ("inj", "iso"):
+        mc = build_finset_mcat(3, kind)
+        c = mc.base
+        for obj in c.objects:
+            for fam in families(sub_m(mc, obj)):
+                d = matching_diagram(mc, fam, obj)
+                full = colimit(c, d)
+                mcol = matching_colimit(mc, fam, obj)
+                assert (full is None) == (mcol is None)
+                if full is None:
+                    continue
+                for v, i, p in d.arrows[::2]:
+                    assert full.legs[v] == c.compose(full.legs[i], p)
+                assert mcol.cocone.apex == full.apex
+                assert mcol.cocone.legs == full.legs[:len(fam)]
+                assert mcol.mu == oracles.induced_map(c, d, full, obj, fam)
+                checked += 1
+    assert checked == 278 + 8
 
 
 @pytest.mark.parametrize("n, kind, counts", [
@@ -726,17 +761,19 @@ def test_par_names_the_maps_of_an_iso_pair_by_their_canonical_subobjects():
 # -- the matching-colimit memo ------------------------------------------------
 
 def test_memoised_matching_colimit_equals_fresh_computation():
+    # join_colimit's memo hands back one object per antichain, equal to a
+    # fresh computation and to the antichain's own search
     for mc in MCATS.values():
         for obj in mc.base.objects:
             elements = sub_m(mc, obj)
             for r in range(4):
                 for fam in itertools.combinations(elements, r):
-                    first = matching_colimit(mc, fam, obj)
-                    assert matching_colimit(mc, fam, obj) is first
+                    first = join_colimit(mc, fam, obj)
+                    assert join_colimit(mc, fam, obj) is first
                     fresh = MCategory(mc.base, mc.monics)
-                    assert fresh == mc and not fresh.matching_memo
-                    again = matching_colimit(fresh, fam, obj)
-                    assert first == again
+                    assert fresh == mc and not fresh.antichain_memo
+                    assert join_colimit(fresh, fam, obj) == first
+                    assert first[1] == matching_colimit(mc, first[0], obj)
 
 
 # -- the geometric criterion ---------------------------------------------------
@@ -767,7 +804,7 @@ def test_basis_covers_match_the_family_by_family_scan(name):
     mc = build()
     assert [sub_m(mc, a) for a in mc.base.objects] == \
         [oracles.sub_m(mc, a) for a in mc.base.objects]
-    assert basis_covers(build()) == oracles.basis_covers(build())
+    assert basis_covers(build()) == oracles.covering_antichains(build())
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIC_MCATS))
@@ -776,11 +813,9 @@ def test_covering_families_generate_the_sieves_of_their_antichains(name):
     mc = GEOMETRIC_MCATS[name]()
     c = mc.base
     top = generate_topology(mc)
-    for a in c.objects:
-        kept = set(mcat.antichains(mc, a))
-        assert {oracles.generate_sieve(c, a, fam) for fam in top.basis[a]} == \
-            {oracles.generate_sieve(c, a, fam) for fam in top.basis[a]
-             if fam in kept}
+    for a, fams in enumerate(oracles.basis_covers(mc)):
+        assert {oracles.generate_sieve(c, a, fam) for fam in fams} == \
+            {oracles.generate_sieve(c, a, fam) for fam in top.basis[a]}
 
 
 @pytest.mark.parametrize("name", sorted(GEOMETRIC_MCATS))
@@ -821,7 +856,7 @@ def test_is_geometric_matches_the_all_maps_scan_on_stable_systems(drawn):
         assert mcat.is_geometric(MCategory(c, monics), max_family).lines() \
             == oracles.is_geometric(MCategory(c, monics), max_family).lines()
     assert basis_covers(MCategory(c, monics)) == \
-        oracles.basis_covers(MCategory(c, monics))
+        oracles.covering_antichains(MCategory(c, monics))
 
 
 # -- the stable-system gate -----------------------------------------------------
@@ -1053,24 +1088,30 @@ def test_topology_joins_once_per_sieve_and_saturates_once(monkeypatch):
     assert top.joined is mc and len(passes) == 1
     tested = [(a, tuple(m for m in sub_m(mc, a) if m in s))
               for a in c.objects for s in top.sieves[a]]
-    listed = [(a, fam) for a in c.objects for fam in families(sub_m(mc, a))]
+    listed = [(a, fam) for a in c.objects for fam in mcat.antichains(mc, a)]
     assert sorted(joins) == sorted(tested + listed)
-    # one join test for each of the 2 + 3 + 6 + 20 sieves; Topology.basis
-    # still joins each of the 2 + 4 + 16 + 256 families
-    assert (len(tested), len(listed)) == (31, 278)
+    # one join test for each of the 2 + 3 + 6 + 20 sieves, and one for each
+    # of as many antichains in Topology.basis
+    assert (len(tested), len(listed)) == (31, 31)
 
 
 # Dedekind numbers: Sub_M(set_n) is the lattice of subsets of n, with 2,
 # 3, 6 and 20 antichains for n = 0..3
 @pytest.mark.parametrize("n, entries", [(2, 2 + 3 + 6), (3, 2 + 3 + 6 + 20)])
-def test_basis_covers_join_once_per_antichain(n, entries):
-    # one entry per antichain; joining each family through its own
-    # matching colimit would leave one per family, 22 and 278
+def test_basis_covers_join_once_per_antichain(n, entries, monkeypatch):
+    # one search and one memo entry per antichain; joining each family
+    # through its own matching colimit would make one per family, 22 and 278
     mc = build_finset_mcat(n, "inj")
+    searched = []
+    real = mcat.matching_colimit
+    monkeypatch.setattr(mcat, "matching_colimit", lambda mc, fam, a:
+                        searched.append((tuple(fam), a)) or real(mc, fam, a))
     basis_covers(mc)
-    assert sorted(mc.matching_memo) == sorted(
+    assert sorted(searched) == sorted(
         (fam, a) for a in mc.base.objects for fam in mcat.antichains(mc, a))
-    assert len(mc.matching_memo) == entries
+    assert sorted(searched) == sorted(
+        (fam, a) for (a, _), (fam, _) in mc.antichain_memo.items())
+    assert len(searched) == entries
 
 
 @pytest.mark.parametrize("max_family", [3, None])
@@ -1752,7 +1793,7 @@ def test_matching_tuples_match_oracle(par_inj2, transferred):
     c = par_inj2.mc.base
     for rp in transferred:
         p = jrp_to_sheaf(par_inj2, rp).presheaf
-        for fams in basis_covers(par_inj2.mc):
+        for fams in oracles.basis_covers(par_inj2.mc):
             for fam in fams:
                 assert list(_matching_tuples(c, p, fam)) == \
                     oracles.matching_tuples(c, p, fam)

@@ -150,7 +150,7 @@ def test_antichain_route_matches_the_family_by_family_scan(bundle, order):
     # each side on its own load, so neither reads the other's memo
     def load():
         return load_bundle(bundle(order)).mcat
-    assert basis_covers(load()) == oracles.basis_covers(load())
+    assert basis_covers(load()) == oracles.covering_antichains(load())
     for max_family in (None, 1, 2, 3):
         assert is_geometric(load(), max_family).lines() == \
             oracles.is_geometric(load(), max_family).lines()

@@ -41,9 +41,8 @@ def _callers(pattern):
     (r"\bFinCategory\(", {("fincat", "build_category"),
                           ("bundles", "load_bundle")}),
     (r"\bPresheaf\(", {("site", "build_presheaf")}),
-    # its own def line, and the one caller, which builds the diagram only
-    # for a family with no dominated member
-    (r"\bmatching_diagram\(", {("mcat", "_matching_colimit"),
+    # its own def line, and the one search that builds the diagram
+    (r"\bmatching_diagram\(", {("mcat", "matching_colimit"),
                                 ("mcat", "matching_diagram")}),
     # its own def line, and the two searches it certifies: pullback reaches
     # it only through _pullback_search, once per class of cospans
@@ -60,6 +59,10 @@ def _callers(pattern):
     (r"\bFinitePoset\(", {("joins", "hom_poset"),
                             ("rpsh", "element_poset"),
                             ("mcat", "sub_m_order")}),
+    # its own def line, and the antichain memo: the package reads every
+    # family through its maximal members, one search per antichain
+    (r"\bmatching_colimit\(", {("mcat", "join_colimit"),
+                                ("mcat", "matching_colimit")}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
