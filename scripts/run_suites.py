@@ -15,7 +15,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from rcwb.cli import main as cli_main  # noqa: E402
+from rcwb.cli import _family_bound, main as cli_main  # noqa: E402
 
 SUITES = [
     # positive fixtures
@@ -67,7 +67,7 @@ SUITES = [
 
 def run(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-family", type=int, default=3,
+    parser.add_argument("--max-family", type=_family_bound, default=3,
                         help="cap on family sizes in the join/cover scans")
     args = parser.parse_args(argv)
 

@@ -11,6 +11,7 @@ breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bridge import (amalgamation_formula_report, cocompletion_unit,
@@ -40,7 +41,12 @@ def _family_bound(text):
     return int(text)
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on the first main call and shared by
+    every later one in the process: parse_args returns a fresh Namespace
+    each time and keeps no state on the parser, so the shared parser must
+    never be mutated (no add_argument or set_defaults after it is built)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-family", type=_family_bound, default=None,
                         help="bound on the size of families in join suites")

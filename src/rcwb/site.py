@@ -304,7 +304,13 @@ def generate_topology(mc: MCategory) -> Topology:
 
 
 def saturation_is_fixpoint(top: Topology) -> bool:
-    """One more saturation pass adds no covering sieve."""
+    """One more saturation pass adds no covering sieve.  A topology that
+    records joined was certified by generate_topology's own pass over
+    these covers and sieves, which added nothing, so it is not run again;
+    one built by hand, or copied with dataclasses.replace, records None
+    and runs the pass."""
+    if top.joined is not None:
+        return True
     return not _saturate(top.cat, [set(s) for s in top.covers], top.sieves)
 
 

@@ -1,7 +1,12 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +21,8 @@ from rcwb.fixtures import build_finset_mcat, build_finset_p
 from rcwb.mcat import par
 from rcwb.rpsh import yoneda_jr
 from rcwb.site import Presheaf, check_presheaf, constant_presheaf, yoneda
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _finset_p2_text():
@@ -160,6 +167,64 @@ def test_cli_refuses_a_max_family_in_other_digits(capsys, bound):
     assert out == "" and "Traceback" not in err
     assert f"--max-family: expected a non-negative integer, got {bound!r}" \
         in err
+
+
+def test_suites_script_refuses_a_negative_max_family():
+    # the script reads the bound as the CLI does, so a bad one stops it
+    # before any suite runs, with its own usage line
+    for bound in ("-1", "\u0663"):
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_suites.py"),
+             "--max-family", bound],
+            capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("usage: run_suites.py")
+        assert ("--max-family: expected a non-negative integer, "
+                f"got {bound!r}") in run.stderr
+
+
+def _fresh_cli(argv):
+    """(exit code, stdout) of argv run by a fresh `python -m rcwb.cli`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "rcwb.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
+    return run.returncode, run.stdout
+
+
+def test_cli_builds_one_parser_per_process(monkeypatch, tmp_path, capsys):
+    # the top parser, the shared --max-family/--out parent and the ten
+    # subcommand parsers are built on the first main call only; a bound, a
+    # refused bound and a refused missing --direction leave no trace on the
+    # shared parser, so the last call reads as in a fresh process
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self)
+                        or real_init(self, *args, **kwargs))
+    cli._parser.cache_clear()
+    here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+    counts, codes = [], []
+    for argv in (["check-laws", "finset_p_2", "--max-family", "3"],
+                 ["check-laws", "finset_p_2", "--max-family", "-1"],
+                 ["transfer", "finset_inj_2", "yset2"],
+                 ["check-laws", "finset_p_2", "--out", str(here)]):
+        before = len(built)
+        capsys.readouterr()
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(("exit", exc.code))
+        counts.append(len(built) - before)
+    assert counts == [12, 0, 0, 0]
+    assert codes == [0, ("exit", 2), ("exit", 2), 0]
+    out = capsys.readouterr().out
+    assert _fresh_cli(["check-laws", "finset_p_2", "--out", str(fresh)]) \
+        == (0, out)
+    text = here.read_text(encoding="utf-8")
+    assert json.loads(text)["max_family"] is None
+    assert text == fresh.read_text(encoding="utf-8")
 
 
 def test_cli_unreadable_bundle(tmp_path, capsys):
@@ -508,6 +573,13 @@ def test_cli_topology_enumerates_each_object_s_sieves_once(monkeypatch):
     calls = _counted(monkeypatch, site, "sieves_on")
     assert main(["topology", "finset_inj_3"]) == 0
     assert len(calls) == 4
+
+
+def test_cli_topology_saturates_once(monkeypatch):
+    # TOP-FIX reads the certificate pass generate_topology already ran
+    calls = _counted(monkeypatch, site, "_saturate")
+    assert main(["topology", "finset_inj_3"]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_to_sheaf_finds_the_basis_covers_once(monkeypatch):

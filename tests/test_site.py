@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import oracles
@@ -50,7 +52,11 @@ def test_empty_family_covers_initial_object(mc_inj):
 
 
 def test_topology_is_saturated(top_inj):
-    assert saturation_is_fixpoint(top_inj)
+    # the generated topology records its certificate; a copy does not, and
+    # runs the saturation pass over the same covers
+    copy = dataclasses.replace(top_inj)
+    assert top_inj.joined is not None and copy.joined is None
+    assert saturation_is_fixpoint(top_inj) and saturation_is_fixpoint(copy)
 
 
 def test_topology_has_singleton_cover_of_two_set(mc_inj, top_inj):

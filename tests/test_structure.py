@@ -63,6 +63,10 @@ def _callers(pattern):
     # family through its maximal members, one search per antichain
     (r"\bmatching_colimit\(", {("mcat", "join_colimit"),
                                 ("mcat", "matching_colimit")}),
+    # one argument parser per process: built by the cached _parser, which
+    # only main calls
+    (r"\bArgumentParser\(", {("cli", "_parser")}),
+    (r"\b_parser\(", {("cli", "_parser"), ("cli", "main")}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
