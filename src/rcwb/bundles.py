@@ -5,10 +5,17 @@ sections for a restriction structure, a class of monics, and named
 presheaves.  All ids are strings in the file and are interned to dense
 integers in file order on load.  Load errors carry the JSON path of the
 offending entry.
+
+A loaded Bundle is frozen.  The named fixtures (`build_fixture`) are
+built once per process and shared by every caller, together with the
+tables their categories fill lazily, so they must not be mutated; a bundle
+file is read and loaded again on every call, as it can change between
+calls.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -23,7 +30,7 @@ class BundleError(ValueError):
     """Unreadable or inconsistent bundle; message includes the JSON path."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bundle:
     cat: FinCategory
     restriction: RestrictionCategory = None
@@ -125,7 +132,7 @@ def load_bundle(text_or_dict) -> Bundle:
             f = cat.into(mor_src[g])[row.index(None)]
             _fail(section, f"no entry for the composable pair "
                            f"[{mor_names[g]!r}, {mor_names[f]!r}]")
-    bundle = Bundle(cat)
+    restriction = mcat = None
     if "restriction" in data:
         bar = [None] * cat.n_morphisms
         for mid, bid in _expect(data, "restriction", dict, "$").items():
@@ -135,19 +142,20 @@ def load_bundle(text_or_dict) -> Bundle:
         for mid, f in mor_id.items():
             if bar[f] is None:
                 _fail("$.restriction", f"morphism {mid!r} has no entry")
-        bundle.restriction = RestrictionCategory(cat, tuple(bar))
+        restriction = RestrictionCategory(cat, tuple(bar))
     if "monics" in data:
         monics = frozenset(
             _ref(mor_id, mid, f"$.monics[{i}]", "morphism")
             for i, mid in enumerate(_expect(data, "monics", list, "$")))
-        bundle.mcat = MCategory(cat, monics)
+        mcat = MCategory(cat, monics)
+    presheaves = {}
     if "presheaves" in data:
         table = _expect(data, "presheaves", dict, "$")
         for name in table:
-            bundle.presheaves[name] = _load_presheaf(
+            presheaves[name] = _load_presheaf(
                 cat, obj_id, mor_id, name,
                 _expect(table, name, dict, "$.presheaves"))
-    return bundle
+    return Bundle(cat, restriction, mcat, presheaves)
 
 
 def _load_presheaf(cat, obj_id, mor_id, name, pdata):
@@ -262,22 +270,39 @@ def dump_bundle(data: dict) -> str:
 
 # -- the fixture registry ---------------------------------------------------------
 
+@functools.cache
 def build_fixture(name: str) -> Bundle:
     """Named fixtures accepted anywhere a bundle path is: finset_p_<n>,
-    finset_inj_<n>, finset_iso_<n>, nojoin, with n in ASCII digits."""
+    finset_inj_<n>, finset_iso_<n>, nojoin, with n in ASCII digits.
+
+    Each fixture is built once per process and the same bundle is handed
+    to every later caller, so the tables its category fills lazily
+    (generators, isos, pullbacks, posets, splittings, Sub_M orders) fill
+    once too; shared bundles must not be mutated.  A name with leading
+    zeros gives the bundle of its plain form (finset_p_03 is finset_p_3),
+    and finset_iso_<n> is FinSet<=n with its isomorphisms as M, on the
+    category of finset_inj_<n>.  An unknown name raises KeyError and is
+    not remembered."""
     if name == "nojoin":
         rc = fixtures.build_nojoin_fixture()
         return Bundle(rc.base, restriction=rc)
-    for prefix, maker in (("finset_p_", "p"), ("finset_inj_", "inj"),
-                          ("finset_iso_", "iso")):
+    for prefix, family in (("finset_p_", "p"), ("finset_inj_", "inj"),
+                           ("finset_iso_", "iso")):
         digits = name[len(prefix):]
         if name.startswith(prefix) and digits.isascii() and digits.isdigit():
             n = int(digits)
-            if maker == "p":
+            if name != f"{prefix}{n}":
+                return build_fixture(f"{prefix}{n}")
+            if family == "p":
                 rc = fixtures.build_finset_p(n)
                 return Bundle(rc.base, restriction=rc)
-            mc = fixtures.build_finset_mcat(n, maker)
-            return Bundle(mc.base, mcat=mc)
+            if family == "inj":
+                mc = fixtures.build_finset_mcat(n, "inj")
+                return Bundle(mc.base, mcat=mc)
+            # the isos of FinSet<=n are its injective endomaps, the maps
+            # that fixtures.build_finset_mcat(n, "iso") takes as M
+            c = build_fixture(f"finset_inj_{n}").cat
+            return Bundle(c, mcat=MCategory(c, frozenset(c.isos())))
     raise KeyError(name)
 
 

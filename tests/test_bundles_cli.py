@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import m3_bundle, non_associative, trivial_restriction
-from rcwb import cli, mcat, restriction, rpsh, site
+from rcwb import cli, fincat, mcat, restriction, rpsh, site
 from rcwb.bridge import sheaf_to_jrp
 from rcwb.bundles import (BundleError, build_fixture, bundle_dict,
                           dump_bundle, load_bundle)
@@ -225,6 +225,54 @@ def test_cli_builds_one_parser_per_process(monkeypatch, tmp_path, capsys):
     text = here.read_text(encoding="utf-8")
     assert json.loads(text)["max_family"] is None
     assert text == fresh.read_text(encoding="utf-8")
+
+
+def test_cli_builds_each_fixture_once_per_process(monkeypatch, tmp_path,
+                                                  capsys):
+    # the registry hands every later caller the bundle it built first, with
+    # the tables its category filled, so a second command on a fixture
+    # builds no category and still reads as in a fresh process
+    build_fixture.cache_clear()
+    assert build_fixture("finset_p_2") is build_fixture("finset_p_2")
+    assert build_fixture("finset_p_02") is build_fixture("finset_p_2")
+    assert build_fixture("finset_iso_2").cat is \
+        build_fixture("finset_inj_2").cat
+    build_fixture.cache_clear()
+    built = []
+    real_init = fincat.FinCategory.__init__
+    monkeypatch.setattr(fincat.FinCategory, "__init__",
+                        lambda self, *args, **kwargs: built.append(self)
+                        or real_init(self, *args, **kwargs))
+    here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+    counts = []
+    for argv in (["check-laws", "finset_p_2"],
+                 ["check-laws", "finset_p_2", "--out", str(here)]):
+        before = len(built)
+        capsys.readouterr()
+        assert main(argv) == 0
+        counts.append(len(built) - before)
+    assert counts[0] > 0 and counts[1] == 0
+    out = capsys.readouterr().out
+    assert _fresh_cli(["check-laws", "finset_p_2", "--out", str(fresh)]) \
+        == (0, out)
+    assert here.read_text(encoding="utf-8") == \
+        fresh.read_text(encoding="utf-8")
+
+
+def test_cli_reads_a_bundle_file_again_on_every_call(tmp_path, capsys):
+    # a file can change between calls: the second run reads the broken law
+    rc = build_finset_p(1)
+    data = bundle_dict(rc.base, restriction=rc.bar)
+    path = tmp_path / "b.json"
+    path.write_text(dump_bundle(data), encoding="utf-8")
+    assert main(["check-laws", str(path)]) == 0
+    lawful = capsys.readouterr().out
+    data["restriction"]["p1->1:(0,)"] = "p1->1:(None,)"
+    path.write_text(dump_bundle(data), encoding="utf-8")
+    assert main(["check-laws", str(path)]) == 1
+    broken = capsys.readouterr().out
+    assert "\tR1\t" not in lawful and "\tR1\t" in broken
+    assert broken.endswith(f"FAIL\tcheck-laws\t{path}\n")
 
 
 def test_cli_unreadable_bundle(tmp_path, capsys):

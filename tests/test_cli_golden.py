@@ -17,6 +17,7 @@ import tempfile
 
 import pytest
 
+from rcwb.bundles import build_fixture
 from rcwb.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -58,6 +59,21 @@ def test_every_suite_has_a_golden(golden):
 @pytest.mark.parametrize("cmd", [cmd for cmd, _ in SUITES], ids=_key)
 def test_suite_output_matches_golden(golden, cmd):
     assert run_suite(cmd) == golden[_key(cmd)]
+
+
+def _size(bundle):
+    """The n of a finset_*_<n> fixture; nojoin lives in FinSet_p<=2."""
+    return 2 if bundle == "nojoin" else int(bundle.rsplit("_", 1)[1])
+
+
+def test_small_suites_match_their_goldens_in_either_order(golden):
+    # the fixtures are built once per process and fill their tables on
+    # first use: no verdict may depend on which command warmed them
+    small = [cmd for cmd, _ in SUITES if _size(cmd[1]) <= 3]
+    for order in (small, small[::-1]):
+        build_fixture.cache_clear()
+        for cmd in order:
+            assert run_suite(cmd) == golden[_key(cmd)], _key(cmd)
 
 
 if __name__ == "__main__":

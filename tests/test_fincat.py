@@ -159,6 +159,21 @@ def test_fixture_tables_are_unchanged(name):
     assert _table_digest(build_fixture(name).cat) == TABLE_DIGESTS[name]
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_finset_iso_is_built_on_the_category_of_finset_inj(n):
+    # the isos of FinSet<=n are exactly the injective endomaps that
+    # build_finset_mcat(n, "iso") takes as M
+    iso = build_fixture(f"finset_iso_{n}")
+    built = build_finset_mcat(n, "iso")
+    assert iso.cat is build_fixture(f"finset_inj_{n}").cat
+    assert iso.mcat.base is iso.cat and iso.restriction is None
+    assert iso.mcat.monics == built.monics
+    c, d = iso.cat, built.base
+    assert (c.rows, c.obj_names, c.mor_names) == \
+        (d.rows, d.obj_names, d.mor_names)
+    assert _table_digest(c) == _table_digest(d)
+
+
 @pytest.mark.parametrize("name", sorted(BUILT_DIGESTS))
 def test_constructed_tables_are_unchanged(name):
     build, digest = BUILT_DIGESTS[name]

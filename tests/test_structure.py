@@ -22,11 +22,14 @@ def _parsed(path):
 
 def _callers(pattern):
     """(module, function) for each line of src/rcwb/*.py that matches the
-    pattern: the innermost def around the line, or None at module level."""
+    pattern: the innermost def around the line, or None at module level.
+    A def's decorator lines belong to it."""
     out = set()
     for path in sorted(SRC.glob("*.py")):
         text, tree = _parsed(path)
-        defs = [(node.lineno, node.end_lineno, node.name)
+        defs = [(min([node.lineno] +
+                     [d.lineno for d in node.decorator_list]),
+                 node.end_lineno, node.name)
                 for node in ast.walk(tree)
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -67,6 +70,13 @@ def _callers(pattern):
     # only main calls
     (r"\bArgumentParser\(", {("cli", "_parser")}),
     (r"\b_parser\(", {("cli", "_parser"), ("cli", "main")}),
+    # one fixture per process: the registry and the parser are the only
+    # memoised functions, and no module (fixtures included) keeps a memo
+    # of its own in a module-level container or a global
+    (r"^\s*@.*\b(lru_)?cache\b", {("cli", "_parser"),
+                                   ("bundles", "build_fixture")}),
+    (r"\bglobal\b|^\w+\s*(:.*)?=\s*(\{|\[|dict\(|set\(|defaultdict\()",
+     {("joins", None), ("rpsh", None)}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
