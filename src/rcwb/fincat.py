@@ -36,15 +36,19 @@ cocone is one condition per arrow.
 
 A category's tables are fixed at construction; its lazy tables fill on
 first use: the canonical pullback of each cospan asked for
-(`_pullback_cache`), the isomorphisms and their inverses (`isos`), the
-isomorphisms into each object (`isos_into`), the certified generators
-(`generators`) and the least iso of each map asked for (`least_iso`).  The
-code is single-threaded.
+(`_pullback_cache`), the maps into the source of each second leg a
+pullback search read, indexed by their composite with it
+(`_second_legs`), the size of every hom-set (`_hom_counts`), the
+isomorphisms and their inverses (`isos`), the isomorphisms into each
+object (`isos_into`), the certified generators (`generators`) and the
+least iso of each map asked for (`least_iso`).  The code is
+single-threaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .reports import LawReport
 
@@ -90,6 +94,8 @@ class FinCategory:
             into[b].append(f)
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._into = tuple(map(tuple, into))
+        self._into_src = tuple(tuple(self.mor_src[f] for f in fs)
+                               for fs in into)
         self._out = tuple(map(tuple, out))
         self.pos = tuple(pos)
         if rows is None:
@@ -105,6 +111,8 @@ class FinCategory:
             rows = map(tuple, rows)
         self.rows = tuple(rows)
         self._pullback_cache = {}
+        self._second_legs = {}
+        self._hom_counts = None
         self._isos = None
         self._isos_into = None
         self._least_isos = {}
@@ -158,6 +166,9 @@ class FinCategory:
             rows, pos = self.rows, self.pos
             for f in self.morphisms():
                 a, b = self.mor_src[f], self.mor_tgt[f]
+                # f∘g is the identity of b only if rows[f] holds it
+                if self.identity[b] not in rows[f]:
+                    continue
                 for g in self.hom(b, a):
                     if rows[g][pos[f]] == self.identity[a] and \
                             rows[f][pos[g]] == self.identity[b]:
@@ -311,8 +322,16 @@ def _table_report(c: FinCategory) -> LawReport:
             report.add("ID-LEFT", (il, f), "comp(id, f) != f")
         if not (0 <= ir < n and tgt[ir] == src[f] and rows[f][pos[ir]] == f):
             report.add("ID-RIGHT", (f, ir), "comp(f, id) != f")
+    # a full row of g: a -> b holds a map s -> b for each map s -> a
+    ends = tuple(s * c.n_objects + t for s, t in zip(src, tgt))
+    want = {}
     for g, row in enumerate(rows):
-        b = tgt[g]
+        a, b = src[g], tgt[g]
+        if (a, b) not in want:
+            want[a, b] = tuple(s * c.n_objects + b for s in c._into_src[a])
+        if len(row) > 1 and None not in row and \
+                itemgetter(*row)(ends) == want[a, b]:
+            continue
         for f, gf in zip(c.into(src[g]), row):
             if gf is not None and not (src[gf] == src[f] and tgt[gf] == b):
                 report.add("COMP-SHAPE", (g, f, gf),
@@ -334,25 +353,32 @@ def _associativity(c: FinCategory, middles, report: LawReport):
     compose it with: h∘(g∘f) is missing when g∘f does not end at tgt g, and
     (h∘g)∘f when h∘g does not start at src g."""
     src, tgt, rows, pos = c.mor_src, c.mor_tgt, c.rows, c.pos
+    # with no entry missing, h∘(g∘f) == (h∘g)∘f for every h says it all
+    full = not any(None in row for row in rows)
+    columns = {}    # b -> the column at each k of the rows of out_of(b)
     for g in middles:
         a, b, row_g = src[g], tgt[g], rows[g]
         hs = c.out_of(b)
+        if not hs:
+            continue
         pg = pos[g]
+        if b not in columns:
+            # column k holds h∘x for every h, with x at k in into(b)
+            columns[b] = list(zip(*[rows[h] for h in hs]))
+        cols_hgf = columns[b]
         # the row of each h∘g, read at f for (h∘g)∘f
         hg_rows = [None if hg is None or src[hg] != a else rows[hg]
                    for hg in [rows[h][pg] for h in hs]]
-        missing = [None] * len(hs)
+        cols_hg_f = list(zip(*hg_rows)) if None not in hg_rows else None
+        missing = (None,) * len(hs)
         for f, gf in zip(c.into(a), row_g):
             if gf is None:
                 continue
-            if tgt[gf] == b:
-                pgf = pos[gf]
-                lhs = [rows[h][pgf] for h in hs]
-            else:
-                lhs = missing
+            lhs = cols_hgf[pos[gf]] if tgt[gf] == b else missing
             pf = pos[f]
-            rhs = [None if r is None else r[pf] for r in hg_rows]
-            if lhs != rhs or None in lhs:
+            rhs = tuple([None if r is None else r[pf] for r in hg_rows]) \
+                if cols_hg_f is None else cols_hg_f[pf]
+            if lhs != rhs or not full and None in lhs:
                 for h, l, r in zip(hs, lhs, rhs):
                     if l != r or l is None:
                         report.add("ASSOC", (h, g, f), "h(gf) != (hg)f")
@@ -363,24 +389,30 @@ def _certified_generators(c: FinCategory):
     report = _table_report(c)
     if not report.ok:
         return None
-    rows, pos = c.rows, c.pos
+    rows, pos, src, tgt = c.rows, c.pos, c.mor_src, c.mor_tgt
     isos = c.isos()
     closed = set(c.identity)
     gens = []
+    gens_into = [[] for _ in c.objects]
+    gens_out = [[] for _ in c.objects]
     for m in sorted(isos) + [m for m in c.morphisms() if m not in isos]:
         if m in closed:
             continue
         gens.append(m)
+        gens_into[tgt[m]].append(m)
+        gens_out[src[m]].append(m)
         closed.add(m)
         todo = [m]
-        # every pair of closed maps is composed once the later one is taken
+        # the closure is the least set holding the identities and the
+        # generators that is closed under composing with a generator on
+        # either side; a map w∘m with w in the closure before m is reached
+        # from m one letter of w at a time, and once a step lands in that
+        # closure the rest stays in it, so only the new maps need composing
         while todo:
             x = todo.pop()
-            px = pos[x]
-            for z in [xy for y, xy in zip(c.into(c.mor_src[x]), rows[x])
-                      if y in closed] + \
-                    [rows[y][px] for y in c.out_of(c.mor_tgt[x])
-                     if y in closed]:
+            row_x, px = rows[x], pos[x]
+            for z in [row_x[pos[g]] for g in gens_into[src[x]]] + \
+                    [rows[g][px] for g in gens_out[tgt[x]]]:
                 if z not in closed:
                     closed.add(z)
                     todo.append(z)
@@ -506,51 +538,79 @@ def _pullback_search(c: FinCategory, f, g):
     """The canonical pullback of (f, g) found by search, or None.
 
     The cones at each object t are the pairs (p, q) with f∘p == g∘q, found
-    by indexing hom(t, src g) by g∘q, and the winner is certified by
-    `_universal`.
+    by looking f∘p up, for each p in hom(t, src f), in an index of
+    hom(t, src g) by g∘q that is built once per g and kept in
+    c._second_legs; the winner is certified by `_universal`.
     """
     rows, pos = c.rows, c.pos
-    row_f, row_g = rows[f], rows[g]
-    x, y = c.mor_src[f], c.mor_src[g]
-    cones = []
+    row_f = rows[f]
+    x = c.mor_src[f]
+    index = c._second_legs.get(g)
+    if index is None:
+        index = c._second_legs[g] = _second_leg_index(c, g)
+    cones = [[(p, q) for p in c.hom(t, x)
+              for q in by_gq.get(row_f[pos[p]], ())]
+             for t, by_gq in zip(c.objects, index)]
+
+    def one_to_one(apex):
+        # h ↦ (p∘h, q∘h, src h) is one-to-one on into(apex) iff h ↦ (p∘h,
+        # q∘h) is on each hom(t, apex), as t is src h
+        srcs = c._into_src[apex]
+        return lambda pq: len(set(zip(rows[pq[0]], rows[pq[1]], srcs))) \
+            == len(srcs)
+
+    found = _universal(c, cones, _hom_counts(c)[0], one_to_one)
+    return None if found is None else PullbackCone(found[0], *found[1])
+
+
+def _second_leg_index(c: FinCategory, g):
+    """Per object t, g∘q -> the maps q in hom(t, src g) with that composite,
+    in id order."""
+    row_g, pos, y = c.rows[g], c.pos, c.mor_src[g]
+    index = []
     for t in c.objects:
         by_gq = {}
         for q in c.hom(t, y):
             by_gq.setdefault(row_g[pos[q]], []).append(q)
-        cones.append([(p, q) for p in c.hom(t, x)
-                      for q in by_gq.get(row_f[pos[p]], ())])
-    found = _universal(c, cones, c.hom,
-                       lambda h, pq: (rows[pq[0]][pos[h]], rows[pq[1]][pos[h]]))
-    return None if found is None else PullbackCone(found[0], *found[1])
+        index.append(by_gq)
+    return index
 
 
-def _universal(c, cones, homs, act):
+def _hom_counts(c: FinCategory):
+    """(into, out): into[b] lists |hom(t, b)| and out[a] lists |hom(a, t)|
+    for every object t, as tuples; computed once per category."""
+    if c._hom_counts is None:
+        objs = c.objects
+        c._hom_counts = (
+            tuple(tuple(len(c.hom(t, b)) for t in objs) for b in objs),
+            tuple(tuple(len(c.hom(a, t)) for t in objs) for a in objs))
+    return c._hom_counts
+
+
+def _universal(c, cones, counts, one_to_one):
     """The first (apex, cone), in apex order and then in sorted cone order,
     that is universal, or None.
 
-    cones[t] lists the cones at object t, homs(t, apex) is a hom-set, and
-    act(h, cone) is the cone at t that h carries the cone at apex to.  A
-    cone is universal iff h ↦ act(h, cone) is a bijection from
+    cones[t] lists the cones at object t, counts[apex][t] is the size of
+    the hom-set homs(t, apex) whose maps act on the cones at apex, and
+    one_to_one(apex)(cone) says whether h ↦ act(h, cone), the cone at t
+    that h carries the cone at apex to, is one-to-one on homs(t, apex) for
+    every t.  A cone is universal iff that map is a bijection from
     homs(t, apex) onto cones[t] for every t: limits and colimits represent
     their cone functors (Mac Lane, CWM §III.4).  That is certified by
     counting, |homs(t, apex)| == |cones[t]| for every t (it depends only on
-    the apex, so it is tested once per apex), plus h ↦ act(h, cone) being
-    one-to-one.  The count is sound only if every cones[t] is exhaustive
-    and free of duplicates, and every act(h, cone) is a cone at t: then a
-    one-to-one map between finite sets of one size is onto.
+    the apex, so it is tested once per apex), plus one_to_one.  The count
+    is sound only if every cones[t] is exhaustive and free of duplicates,
+    and every act(h, cone) is a cone at t: then a one-to-one map between
+    finite sets of one size is onto.
     """
-    sizes = [len(ct) for ct in cones]
+    sizes = tuple(map(len, cones))
     for apex in c.objects:
-        if not sizes[apex]:
-            continue
-        hsets = [homs(t, apex) for t in c.objects]
-        if [len(hs) for hs in hsets] != sizes:
-            continue
-        # a map out of at most one element is one-to-one
-        hsets = [hs for hs in hsets if len(hs) > 1]
-        for cone in sorted(cones[apex]):
-            if all(len({act(h, cone) for h in hs}) == len(hs) for hs in hsets):
-                return apex, cone
+        if sizes[apex] and counts[apex] == sizes:
+            test = one_to_one(apex)
+            for cone in sorted(cones[apex]):
+                if test(cone):
+                    return apex, cone
     return None
 
 
@@ -637,8 +697,15 @@ def colimit(c: FinCategory, d: Diagram):
         row = rows[h]
         return tuple([row[pos[leg]] for leg in legs])
 
+    def one_to_one(apex):
+        # a map out of at most one element is one-to-one
+        hsets = [hs for hs in (c.hom(apex, t) for t in c.objects)
+                 if len(hs) > 1]
+        return lambda legs: all(len({act(h, legs) for h in hs}) == len(hs)
+                                for hs in hsets)
+
     found = _universal(c, [cocones_at(c, d, apex) for apex in c.objects],
-                       lambda t, apex: c.hom(apex, t), act)
+                       _hom_counts(c)[1], one_to_one)
     return None if found is None else Cocone(*found)
 
 

@@ -17,23 +17,14 @@ from .mcat import MCategory
 from .restriction import RestrictionCategory
 
 
-def _total_maps(a, b):
-    """All functions {0..a-1} -> {0..b-1} as value tuples."""
-    return [tuple(m) for m in itertools.product(range(b), repeat=a)]
+def _total_values(b):
+    """The values a total function into {0..b-1} takes."""
+    return range(b)
 
 
-def _partial_maps(a, b):
-    """All partial functions, None = undefined."""
-    return [tuple(m) for m in itertools.product([None] + list(range(b)),
-                                                repeat=a)]
-
-
-def _compose_row(g, fs):
-    """The key of g∘f for each key f in fs: graphs compose as partial
-    functions, g after f."""
-    b, graph = g[1], g[2]
-    return [(a, b, tuple([None if v is None else graph[v] for v in m]))
-            for a, _, m in fs]
+def _partial_values(b):
+    """The values a partial function into {0..b-1} takes, None = undefined."""
+    return [None] + list(range(b))
 
 
 @dataclass(frozen=True)
@@ -44,26 +35,65 @@ class FinSetData:
     mor_id: dict           # (src, tgt, graph) -> morphism id
 
 
-def _build_maps_category(n, maps_of, prefix):
-    keys = [(a, b, m) for a in range(n + 1) for b in range(n + 1)
-            for m in maps_of(a, b)]
-    cat, _, mor_id = build_category(
-        range(n + 1), keys, lambda f: f[:2],
-        lambda a: (a, a, tuple(range(a))),
-        _compose_row,
-        obj_names=[f"set{a}" for a in range(n + 1)],
-        mor_names=[f"{prefix}{a}->{b}:{m}" for a, b, m in keys])
-    return FinSetData(cat, tuple(m for _, _, m in keys), mor_id)
+def _build_maps_category(n, values, prefix):
+    """The maps a -> b, for a, b <= n, are the tuples over values(b) of
+    length a.  They are numbered by (a, b) and then in itertools.product
+    order over values(b), and the numbers are the keys build_category is
+    given, so the map at position i of that product has id first[a][b] + i
+    and the key of a composite is read off its digits."""
+    objs = range(n + 1)
+    vals = [list(values(b)) for b in objs]
+    digit = [{v: k for k, v in enumerate(vs)} for vs in vals]
+    graphs, ends, first = [], [], []
+    for a in objs:
+        first.append([])
+        for b in objs:
+            first[a].append(len(graphs))
+            for m in itertools.product(vals[b], repeat=a):
+                graphs.append(m)
+                ends.append((a, b))
+    mor_id = {(a, b, m): f for f, ((a, b), m) in enumerate(zip(ends, graphs))}
+    into = [[f for f, (_, b) in enumerate(ends) if b == a] for a in objs]
+
+    def compose(g, fs):
+        # graphs compose as partial functions, g after f
+        (a, b), graph = ends[g], graphs[g]
+        if fs != into[a]:
+            return [mor_id[(ends[f][0], b, tuple(
+                [None if v is None else graph[v] for v in graphs[f]]))]
+                for f in fs]
+        # fs lists the maps c -> a by c and then in product order over
+        # vals[a]; g∘- sends the digit of each value to the digit of its
+        # image in vals[b], so the ids of the composites are sums of digits
+        # weighted by powers of |vals[b]|
+        e = [digit[b][None if v is None else graph[v]] for v in vals[a]]
+        base = len(vals[b])
+        out = []
+        for c in objs:
+            ids = [first[c][b]]
+            for i in range(c):
+                w = base ** (c - 1 - i)
+                ids = [x + k * w for x in ids for k in e]
+            out += ids
+        return out
+
+    cat, _, _ = build_category(
+        objs, range(len(graphs)), ends.__getitem__,
+        lambda a: mor_id[(a, a, tuple(range(a)))], compose,
+        obj_names=[f"set{a}" for a in objs],
+        mor_names=[f"{prefix}{a}->{b}:{m}"
+                   for (a, b), m in zip(ends, graphs)])
+    return FinSetData(cat, tuple(graphs), mor_id)
 
 
 def build_finset_data(n) -> FinSetData:
     """FinSet on sets of size <= n (total functions)."""
-    return _build_maps_category(n, _total_maps, "")
+    return _build_maps_category(n, _total_values, "")
 
 
 def build_finset_p_data(n) -> FinSetData:
     """FinSet_p on sets of size <= n (partial functions)."""
-    return _build_maps_category(n, _partial_maps, "p")
+    return _build_maps_category(n, _partial_values, "p")
 
 
 def build_finset(n) -> FinCategory:

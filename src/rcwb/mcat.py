@@ -390,9 +390,10 @@ def par(mc: MCategory) -> ParCategory:
     (s, s).
 
     (n, g)∘(m, f) is the canonical span of (m∘p, g∘q), with (p, q) the
-    pullback of (f, n).  The legs of pullback(f, n) for every f into
-    tgt n are read once per n, on its first row, and kept for the rows of
-    every (n, g)."""
+    pullback of (f, n).  Only the second leg g∘q depends on g, so the
+    legs of pullback(f, n) for every f into tgt n, and the canonical first
+    leg m∘p∘phi of each (m, f) with its iso phi, are read once per n, on
+    its first row, and kept for the rows of every (n, g)."""
     c = mc.base
     rows, pos = c.rows, c.pos
     spans = tuple(sorted(
@@ -400,6 +401,7 @@ def par(mc: MCategory) -> ParCategory:
          for f in c.out_of(c.mor_src[m])),
         key=lambda s: (c.mor_tgt[s[0]], c.mor_tgt[s[1]], s[0], s[1])))
     legs = {}   # n -> {f: (pos[p], pos[q])} for each f into tgt n
+    firsts = {}     # n -> (fs, the first leg of each composite in fs)
 
     def pullback_legs(n):
         at = {}
@@ -411,19 +413,28 @@ def par(mc: MCategory) -> ParCategory:
             at[f] = pos[cone.p], pos[cone.q]
         return at
 
-    def compose(second, fs):
-        n, g = second
+    def first_legs(n, fs):
+        """(m∘p∘phi, pos[q], pos[phi]) for each (m, f) in fs."""
         if n not in legs:
             legs[n] = pullback_legs(n)
-        at, row_g = legs[n], rows[g]
+        at = legs[n]
         out = []
         for m, f in fs:
             p, q = at[f]
             mp = rows[m][p]
-            # canonical_span(mp, g∘q), read inline
             phi = pos[least_iso(c, mp)]
-            out.append((rows[mp][phi], rows[row_g[q]][phi]))
+            out.append((rows[mp][phi], q, phi))
         return out
+
+    def compose(second, fs):
+        n, g = second
+        # build_category hands the rows of every (n, g) one list fs
+        kept = firsts.get(n)
+        if kept is None or kept[0] is not fs:
+            kept = firsts[n] = fs, first_legs(n, fs)
+        row_g = rows[g]
+        # canonical_span(m∘p, g∘q), read inline
+        return [(mp_phi, rows[row_g[q]][phi]) for mp_phi, q, phi in kept[1]]
 
     cat, _, span_id = build_category(
         c.objects, spans, lambda s: (c.mor_tgt[s[0]], c.mor_tgt[s[1]]),
