@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import fixtures
-from .fincat import FinCategory
+from .fincat import FinCategory, build_category
 from .mcat import MCategory
 from .restriction import RestrictionCategory
 from .site import Presheaf, build_presheaf
@@ -110,7 +110,7 @@ def load_bundle(text_or_dict) -> Bundle:
         if identity[a] is None:
             _fail("$.identities", f"object {name!r} has no identity")
     section = "$.comp"
-    comp, seen = [], set()     # the pair table: (g, f, g∘f) triples
+    table = {}     # (g, f) -> g∘f
     for i, triple in enumerate(_expect(data, "comp", list, "$")):
         path = f"{section}[{i}]"
         if not (isinstance(triple, list) and len(triple) == 3):
@@ -121,17 +121,24 @@ def load_bundle(text_or_dict) -> Bundle:
         if mor_src[gf] != mor_src[f] or mor_tgt[gf] != mor_tgt[g]:
             _fail(path, f"composite {triple[2]!r} of [{triple[0]!r}, "
                         f"{triple[1]!r}] has the wrong endpoints")
-        if (g, f) in seen:
+        if (g, f) in table:
             _fail(path, "duplicate composition entry")
-        seen.add((g, f))
-        comp.append((g, f, gf))
-    cat = FinCategory(len(objects), mor_src, mor_tgt, identity, comp,
-                      obj_names=objects, mor_names=mor_names)
-    for g, row in enumerate(cat.rows):
-        if None in row:
-            f = cat.into(mor_src[g])[row.index(None)]
+        table[g, f] = gf
+
+    def row(g, fs):
+        """g∘f for each f in fs, refusing the first pair without an entry;
+        build_category asks for g in id order."""
+        out = [table.get((g, f)) for f in fs]
+        if None in out:
+            f = fs[out.index(None)]
             _fail(section, f"no entry for the composable pair "
                            f"[{mor_names[g]!r}, {mor_names[f]!r}]")
+        return out
+
+    cat, _, _ = build_category(
+        range(len(objects)), range(len(morphisms)),
+        lambda f: (mor_src[f], mor_tgt[f]), identity.__getitem__, row,
+        obj_names=objects, mor_names=mor_names)
     restriction = mcat = None
     if "restriction" in data:
         bar = [None] * cat.n_morphisms

@@ -22,14 +22,15 @@ functors are isomorphic, and the universal cones at one apex form a single
 orbit under its automorphisms, so the least of that orbit is the cone the
 search would return (the proof is in `pullback`).
 
-Constructed categories (Par, the Karoubi splitting, subcategories, the
-fixtures) come from `build_category`.  It asks for one row of composites
-per map, refuses an endpoint, identity or composite outside its keys,
-writes the rows itself and leaves the category laws to
-`validate_category`; only bundles, whose tables are given
-explicitly as (g, f, g∘f) triples, make a `FinCategory` from a pair table.
-`validate_category` certifies associativity on a generating set (Light's
-test, see `FinCategory.generators`) and scans every triple only when that
+Every category comes from `build_category`: Par, the Karoubi splitting,
+subcategories, the fixtures and loaded bundles.  It asks for one row of
+composites per map, refuses an endpoint, identity or composite outside its
+keys and an identity that is not an endomorphism of its object, and writes
+the rows itself.  So every table is total: each composable pair has an
+entry, and each entry is a map.  The category laws, the endpoints of each
+composite among them, are left to `validate_category`.  It certifies
+associativity on a generating set (Light's test, see
+`FinCategory.generators`) and scans every triple only when that
 certificate fails; `certified` reads the other laws the same way.  A
 diagram needs no shape category: it is a graph of objects and maps, and a
 cocone is one condition per arrow.
@@ -60,18 +61,13 @@ class FinCategory:
 
     Composition is stored once, as rows: rows[g] holds g∘f for each f in
     into(src g), in that order, and pos[f] is the index of f in
-    into(tgt f), so g∘f is rows[g][pos[f]] (`compose`).  A row entry is
-    None where the pair table left a composable pair out;
-    `validate_category` reports it as COMP-MISSING.
-
-    comp is the pair table, an iterable of (g, f, g∘f) triples with at most
-    one per pair, and __init__ writes the rows from it; an entry on a pair
-    that is not composable, or with an id that is not a map, raises
-    ValueError.  `build_category` passes finished rows instead.
+    into(tgt f), so g∘f is rows[g][pos[f]] (`compose`).  The rows come
+    finished from `build_category`, the one caller, which has checked that
+    every entry is a map and every identity an endomorphism of its object.
     """
 
-    def __init__(self, n_objects, mor_src, mor_tgt, identity, comp=(),
-                 obj_names=None, mor_names=None, *, rows=None):
+    def __init__(self, n_objects, mor_src, mor_tgt, identity, rows,
+                 obj_names=None, mor_names=None):
         self.n_objects = n_objects
         self.objects = tuple(range(n_objects))
         self.mor_src = tuple(mor_src)
@@ -98,17 +94,6 @@ class FinCategory:
                                for fs in into)
         self._out = tuple(map(tuple, out))
         self.pos = tuple(pos)
-        if rows is None:
-            rows = [[None] * len(into[a]) for a in self.mor_src]
-            for g, f, gf in comp:
-                if not (0 <= g < n and 0 <= f < n and 0 <= gf < n):
-                    raise ValueError(f"composition entry {(g, f, gf)} names "
-                                     f"a map that does not exist")
-                if self.mor_tgt[f] != self.mor_src[g]:
-                    raise ValueError(f"composition entry {(g, f, gf)} is on "
-                                     f"a pair that is not composable")
-                rows[g][pos[f]] = gf
-            rows = map(tuple, rows)
         self.rows = tuple(rows)
         self._pullback_cache = {}
         self._second_legs = {}
@@ -138,8 +123,8 @@ class FinCategory:
         return self.mor_tgt[f] == self.mor_src[g]
 
     def compose(self, g, f):
-        """g∘f, or None where the pair table has no entry; ValueError
-        unless tgt f == src g.  Hot loops read rows[g][pos[f]] instead."""
+        """g∘f; ValueError unless tgt f == src g.  Hot loops read
+        rows[g][pos[f]] instead."""
         if self.mor_tgt[f] != self.mor_src[g]:
             raise ValueError(f"maps {g} and {f} are not composable")
         return self.rows[g][self.pos[f]]
@@ -150,8 +135,7 @@ class FinCategory:
         into = self._into
         for g, row in enumerate(self.rows):
             for f, gf in zip(into[self.mor_src[g]], row):
-                if gf is not None:
-                    yield g, f, gf
+                yield g, f, gf
 
     def is_identity(self, f):
         return self.identity[self.mor_src[f]] == f and \
@@ -230,7 +214,8 @@ def build_category(objects, morphisms, ends, identity, compose,
     the keys of g∘f for each f in fs, the keys of the maps into src g in id
     order.  compose runs once per map g, in id order, and its list is the
     row of g (see FinCategory).  Raises ValueError when an endpoint,
-    identity or composite is not a key.
+    identity or composite is not a key, or an identity is not an
+    endomorphism of its object.
     """
     obj_id = {a: i for i, a in enumerate(objects)}
     mor_id = {f: i for i, f in enumerate(morphisms)}
@@ -246,10 +231,13 @@ def build_category(objects, morphisms, ends, identity, compose,
         tgt.append(obj_id[b])
         into[obj_id[b]].append(f)
     ids = []
-    for a in obj_id:
+    for a, k in obj_id.items():
         i = identity(a)
         if i not in mor_id:
             raise ValueError(f"identity {i!r} of {a!r} is not a morphism")
+        if src[mor_id[i]] != k or tgt[mor_id[i]] != k:
+            raise ValueError(f"identity {i!r} of {a!r} is not an "
+                             f"endomorphism of it")
         ids.append(mor_id[i])
     get = mor_id.get
     rows = []
@@ -262,24 +250,26 @@ def build_category(objects, morphisms, ends, identity, compose,
             raise ValueError(f"composite {keys[i]!r} of {g!r}, {fs[i]!r} "
                              f"is not a morphism")
         rows.append(row)
-    cat = FinCategory(len(obj_id), src, tgt, ids, obj_names=obj_names,
-                      mor_names=mor_names, rows=rows)
+    cat = FinCategory(len(obj_id), src, tgt, ids, rows, obj_names=obj_names,
+                      mor_names=mor_names)
     return cat, obj_id, mor_id
 
 
 def validate_category(c: FinCategory) -> LawReport:
-    """Check identity and associativity laws plus the shape and totality
-    of the composition rows.
+    """Check identity and associativity laws plus the shape of the
+    composition rows.
 
     Violations are report entries; an empty report means c is a category.
     When c.generators() certifies c, no triple is scanned again; otherwise
     every triple is, so the entries and their order do not depend on the
-    generators.
+    generators.  A table with a composite of the wrong endpoints
+    (COMP-SHAPE) has no triples to compose, and gets no ASSOC scan.
     """
     if c.generators() is not None:
         return LawReport("category")
     report = _table_report(c)
-    _associativity(c, c.morphisms(), report)
+    if "COMP-SHAPE" not in report.tags():
+        _associativity(c, c.morphisms(), report)
     return report
 
 
@@ -306,21 +296,15 @@ def certified(c: FinCategory, scan):
 
 
 def _table_report(c: FinCategory) -> LawReport:
-    """The identity laws and the shape and totality of the rows."""
+    """The identity laws and the shape of the rows."""
     report = LawReport("category")
-    n, src, tgt, rows, pos = (c.n_morphisms, c.mor_src, c.mor_tgt, c.rows,
-                              c.pos)
-    for a in c.objects:
-        i = c.identity[a]
-        if not (0 <= i < n and src[i] == a and tgt[i] == a):
-            report.add("ID-SHAPE", (a,), "identity is not an endomorphism")
+    src, tgt, rows, pos = c.mor_src, c.mor_tgt, c.rows, c.pos
     for f in c.morphisms():
-        # an identity that is not a map, or does not meet f, has no entry
         il = c.identity[tgt[f]]
         ir = c.identity[src[f]]
-        if not (0 <= il < n and src[il] == tgt[f] and rows[il][pos[f]] == f):
+        if rows[il][pos[f]] != f:
             report.add("ID-LEFT", (il, f), "comp(id, f) != f")
-        if not (0 <= ir < n and tgt[ir] == src[f] and rows[f][pos[ir]] == f):
+        if rows[f][pos[ir]] != f:
             report.add("ID-RIGHT", (f, ir), "comp(f, id) != f")
     # a full row of g: a -> b holds a map s -> b for each map s -> a
     ends = tuple(s * c.n_objects + t for s, t in zip(src, tgt))
@@ -329,58 +313,38 @@ def _table_report(c: FinCategory) -> LawReport:
         a, b = src[g], tgt[g]
         if (a, b) not in want:
             want[a, b] = tuple(s * c.n_objects + b for s in c._into_src[a])
-        if len(row) > 1 and None not in row and \
-                itemgetter(*row)(ends) == want[a, b]:
+        if len(row) > 1 and itemgetter(*row)(ends) == want[a, b]:
             continue
         for f, gf in zip(c.into(src[g]), row):
-            if gf is not None and not (src[gf] == src[f] and tgt[gf] == b):
+            if not (src[gf] == src[f] and tgt[gf] == b):
                 report.add("COMP-SHAPE", (g, f, gf),
                            "composite has wrong endpoints")
-    for g, row in enumerate(rows):
-        if None in row:
-            for f, gf in zip(c.into(src[g]), row):
-                if gf is None:
-                    report.add("COMP-MISSING", (g, f),
-                               "composable pair without entry")
     return report
 
 
 def _associativity(c: FinCategory, middles, report: LawReport):
     """Add an ASSOC entry for each composable (h, g, f) with g in middles
-    and h∘(g∘f) != (h∘g)∘f or a composite missing, in (g, f, h) order.
+    and h∘(g∘f) != (h∘g)∘f, in (g, f, h) order.
 
-    A composite with the wrong endpoints (COMP-SHAPE) has no entry to
-    compose it with: h∘(g∘f) is missing when g∘f does not end at tgt g, and
-    (h∘g)∘f when h∘g does not start at src g."""
+    The rows must have the right endpoints (no COMP-SHAPE entry): then g∘f
+    ends at tgt g and h∘g starts at src g, so both sides are entries."""
     src, tgt, rows, pos = c.mor_src, c.mor_tgt, c.rows, c.pos
-    # with no entry missing, h∘(g∘f) == (h∘g)∘f for every h says it all
-    full = not any(None in row for row in rows)
     columns = {}    # b -> the column at each k of the rows of out_of(b)
     for g in middles:
         a, b, row_g = src[g], tgt[g], rows[g]
         hs = c.out_of(b)
-        if not hs:
-            continue
         pg = pos[g]
         if b not in columns:
             # column k holds h∘x for every h, with x at k in into(b)
             columns[b] = list(zip(*[rows[h] for h in hs]))
         cols_hgf = columns[b]
-        # the row of each h∘g, read at f for (h∘g)∘f
-        hg_rows = [None if hg is None or src[hg] != a else rows[hg]
-                   for hg in [rows[h][pg] for h in hs]]
-        cols_hg_f = list(zip(*hg_rows)) if None not in hg_rows else None
-        missing = (None,) * len(hs)
+        # column k holds (h∘g)∘x for every h, with x at k in into(a)
+        cols_hg_f = list(zip(*[rows[rows[h][pg]] for h in hs]))
         for f, gf in zip(c.into(a), row_g):
-            if gf is None:
-                continue
-            lhs = cols_hgf[pos[gf]] if tgt[gf] == b else missing
-            pf = pos[f]
-            rhs = tuple([None if r is None else r[pf] for r in hg_rows]) \
-                if cols_hg_f is None else cols_hg_f[pf]
-            if lhs != rhs or not full and None in lhs:
+            lhs, rhs = cols_hgf[pos[gf]], cols_hg_f[pos[f]]
+            if lhs != rhs:
                 for h, l, r in zip(hs, lhs, rhs):
-                    if l != r or l is None:
+                    if l != r:
                         report.add("ASSOC", (h, g, f), "h(gf) != (hg)f")
 
 
@@ -754,7 +718,7 @@ class Functor:
         for g, row in enumerate(s.rows):
             row_fg = t.rows[mm[g]]
             for f, gf in zip(s.into(s.mor_src[g]), row):
-                if gf is not None and row_fg[pos[mm[f]]] != mm[gf]:
+                if row_fg[pos[mm[f]]] != mm[gf]:
                     return False
         return True
 

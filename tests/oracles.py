@@ -111,11 +111,21 @@ def pair_table(c: FinCategory) -> dict:
 
 def with_table(c: FinCategory, table, identity=None) -> FinCategory:
     """c with its composition replaced by the dict table (see pair_table)
-    and, when given, its identities by identity."""
-    return FinCategory(c.n_objects, c.mor_src, c.mor_tgt,
-                       c.identity if identity is None else identity,
-                       [(g, f, gf) for (g, f), gf in table.items()],
-                       c.obj_names, c.mor_names)
+    and, when given, its identities by identity, built by
+    fincat.build_category.  That raises ValueError for a composable pair
+    without an entry, an entry or identity that is not a map, and an
+    identity that is not an endomorphism; an entry on a pair that is not
+    composable, which build_category never asks for, raises here."""
+    left = dict(table)
+    cat, _, _ = build_category(
+        c.objects, c.morphisms(), lambda f: (c.mor_src[f], c.mor_tgt[f]),
+        (c.identity if identity is None else identity).__getitem__,
+        lambda g, fs: [left.pop((g, f), None) for f in fs],
+        c.obj_names, c.mor_names)
+    if left:
+        raise ValueError(f"entries on pairs that are not composable: "
+                         f"{sorted(left)}")
+    return cat
 
 
 def built_by_pair_scan(objects, morphisms, ends, identity, compose):
@@ -454,26 +464,17 @@ def matching_tuples(c, p, fam):
 
 
 def assoc_violations(c):
-    """(h, g, f) for every composable triple with h(gf) != (hg)f or a
-    missing composite, scanning every morphism for h."""
-    def get(g, f):
-        """g∘f, or None for a pair that is not composable or has no entry."""
-        return c.rows[g][c.pos[f]] if c.mor_tgt[f] == c.mor_src[g] else None
-
+    """(h, g, f) for every composable triple with h(gf) != (hg)f, scanning
+    every morphism for h.  Every composite must have the right endpoints
+    (no COMP-SHAPE entry), or compose raises ValueError."""
     out = []
     for g in c.morphisms():
         b = c.mor_tgt[g]
         for f in c.into(c.mor_src[g]):
-            gf = get(g, f)
-            if gf is None:
-                continue
             for h in c.morphisms():
-                if c.mor_src[h] != b:
-                    continue
-                lhs = get(h, gf)
-                hg = get(h, g)
-                rhs = None if hg is None else get(hg, f)
-                if lhs != rhs or lhs is None:
+                if c.mor_src[h] == b and \
+                        c.compose(h, c.compose(g, f)) != \
+                        c.compose(c.compose(h, g), f):
                     out.append((h, g, f))
     return out
 
@@ -514,16 +515,9 @@ def restriction_axioms(x):
 
 
 def presheaf_laws(p):
-    """Whether p's action is total, P(id) = id and P(f∘g) = P(g)∘P(f) for
-    every entry (f, g) of the composition table; the reference for
-    site.check_presheaf."""
+    """Whether P(id) = id and P(f∘g) = P(g)∘P(f) for every entry (f, g) of
+    the composition table; the reference for site.check_presheaf."""
     c = p.cat
-    for f in c.morphisms():
-        a, b = c.mor_src[f], c.mor_tgt[f]
-        for x in p.elements(b):
-            y = p.action.get((f, x))
-            if y is None or not 0 <= y < p.sizes[a]:
-                return False
     for a in c.objects:
         for x in p.elements(a):
             if p.act(c.identity[a], x) != x:

@@ -503,6 +503,9 @@ MALFORMED = {
         "$.restriction.p0->0:()"),
     "action-list": (lambda d: d["presheaves"]["P"]["action"].update(
         {"p0->0:()": ["x"]}), "$.presheaves.P.action.p0->0:()"),
+    # a map with no image for an element: every action is total on load
+    "action-missing": (lambda d: d["presheaves"]["P"]["action"][
+        "p0->0:()"].clear(), "$.presheaves.P.action"),
     "element-bar-list": (lambda d: d["presheaves"]["P"].update(
         element_bar=[]), "$.presheaves.P.element_bar"),
 }

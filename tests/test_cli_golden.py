@@ -9,6 +9,7 @@ when a change is meant to alter output:
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -17,8 +18,12 @@ import tempfile
 
 import pytest
 
-from rcwb.bundles import build_fixture
+from rcwb.bundles import build_fixture, bundle_dict, load_bundle
 from rcwb.cli import main
+from rcwb.fincat import validate_category
+from rcwb.restriction import check_restriction_axioms
+from rcwb.rpsh import RestrictionPresheaf, check_rp_axioms
+from rcwb.site import check_presheaf
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "cli_golden.json")
@@ -46,10 +51,17 @@ def run_suite(cmd):
             "out": out}
 
 
-@pytest.fixture(scope="module")
-def golden():
+@functools.cache
+def _golden():
+    """The goldens, read once per process: the artifact tests are
+    parametrized from them too.  Shared, so they must not be changed."""
     with open(GOLDEN, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return _golden()
 
 
 def test_every_suite_has_a_golden(golden):
@@ -59,6 +71,30 @@ def test_every_suite_has_a_golden(golden):
 @pytest.mark.parametrize("cmd", [cmd for cmd, _ in SUITES], ids=_key)
 def test_suite_output_matches_golden(golden, cmd):
     assert run_suite(cmd) == golden[_key(cmd)]
+
+
+def _artifacts():
+    """The suite keys whose --out JSON holds an artifact bundle."""
+    return sorted(k for k, v in _golden().items() if "artifact" in v["out"])
+
+
+@pytest.mark.parametrize("key", _artifacts())
+def test_every_artifact_reloads_as_a_lawful_bundle(golden, key):
+    # the printed construction is a bundle in its own right: it loads, its
+    # laws hold, and dumping it again gives the same tables
+    art = golden[key]["out"]["artifact"]
+    b = load_bundle(art)
+    assert validate_category(b.cat).ok
+    if b.restriction is not None:
+        assert check_restriction_axioms(b.restriction).ok
+    for psh, bars in b.presheaves.values():
+        assert check_presheaf(psh)
+        if bars is not None:
+            assert check_rp_axioms(
+                RestrictionPresheaf(b.restriction, psh, bars)).ok
+    assert bundle_dict(
+        b.cat, restriction=b.restriction and b.restriction.bar,
+        presheaves=b.presheaves) == art
 
 
 def _size(bundle):

@@ -8,7 +8,7 @@ from oracles import (families, heyting_check, leq, m3_bundle,
 from rcwb import mcat
 from rcwb.bundles import load_bundle
 from rcwb.cli import main
-from rcwb.fincat import FinCategory, build_category, validate_category
+from rcwb.fincat import build_category, validate_category
 from rcwb.fixtures import build_finset_mcat
 from rcwb.joins import check_join_axioms
 from rcwb.mcat import (MCategory, check_m_system, is_geometric, karoubi_r,
@@ -103,8 +103,9 @@ def test_geometric_reports_a_missing_matching_colimit():
     comp = {(7, 5): 11, (8, 6): 11, (9, 5): 12, (10, 6): 12}
     for f in range(len(src)):
         comp[(tgt[f], f)] = comp[(f, src[f])] = f
-    c = FinCategory(5, src, tgt, range(5),
-                    [(g, f, gf) for (g, f), gf in comp.items()])
+    c, _, _ = build_category(range(5), range(len(src)),
+                             lambda f: (src[f], tgt[f]), lambda a: a,
+                             lambda g, fs: [comp[g, f] for f in fs])
     assert validate_category(c).ok
     mc = MCategory(c, frozenset(range(9)) | {11})
     assert check_m_system(mc).ok

@@ -179,7 +179,7 @@ def _between_non_generators(c):
 @given(st.data())
 def test_assoc_violations_match_oracle(data):
     # a finset_p_2 table with some composites redirected within their
-    # hom-set and some deleted
+    # hom-set
     c = CATS["finset_p_2"]
     comp = oracles.pair_table(c)
     keys = sorted(comp)
@@ -187,8 +187,6 @@ def test_assoc_violations_match_oracle(data):
         g, f = k
         comp[k] = data.draw(st.sampled_from(
             c.hom(c.mor_src[f], c.mor_tgt[g])))
-    for k in data.draw(st.lists(st.sampled_from(keys), max_size=2)):
-        comp.pop(k, None)
     _same_assoc(oracles.with_table(c, comp))
 
 

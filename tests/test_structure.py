@@ -41,8 +41,7 @@ def _callers(pattern):
 
 
 @pytest.mark.parametrize("pattern, builders", [
-    (r"\bFinCategory\(", {("fincat", "build_category"),
-                          ("bundles", "load_bundle")}),
+    (r"\bFinCategory\(", {("fincat", "build_category")}),
     (r"\bPresheaf\(", {("site", "build_presheaf")}),
     # its own def line, and the one search that builds the diagram
     (r"\bmatching_diagram\(", {("mcat", "matching_colimit"),
