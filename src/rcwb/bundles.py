@@ -304,10 +304,9 @@ def build_fixture(name: str) -> Bundle:
                 rc = fixtures.build_finset_p(n)
                 return Bundle(rc.base, restriction=rc)
             if family == "inj":
-                mc = fixtures.build_finset_mcat(n, "inj")
+                mc = fixtures.build_finset_mcat(n)
                 return Bundle(mc.base, mcat=mc)
-            # the isos of FinSet<=n are its injective endomaps, the maps
-            # that fixtures.build_finset_mcat(n, "iso") takes as M
+            # the isos of FinSet<=n are its bijective endomaps
             c = build_fixture(f"finset_inj_{n}").cat
             return Bundle(c, mcat=MCategory(c, frozenset(c.isos())))
     raise KeyError(name)

@@ -105,17 +105,15 @@ def _presheaf_report(name, psh) -> LawReport:
 
 
 def _resolve_presheaf(bundle: Bundle, name):
-    """(presheaf, precondition report): a named presheaf from the bundle
-    with its presheaf-law report, or the representable for y<object> /
-    <object>, which needs no report."""
+    """A named presheaf from the bundle, or the representable for
+    y<object> / <object>."""
     if name in bundle.presheaves:
-        psh = bundle.presheaves[name][0]
-        return psh, _presheaf_report(name, psh)
+        return bundle.presheaves[name][0]
     obj = _object_named(bundle.cat, name)
     if obj is None:
         raise BundleError(
             f"$.presheaves: no presheaf or object named {name!r}")
-    return yoneda(bundle.cat, obj), None
+    return yoneda(bundle.cat, obj)
 
 
 def _object_named(cat, name):
@@ -142,9 +140,12 @@ def _run(args) -> list:
         return [gate], extra
     if cmd in ("sheaf-check", "sheafify") or (
             cmd == "transfer" and args.direction == "to-jrp"):
-        psh, psh_gate = _resolve_presheaf(bundle, args.presheaf)
-        if psh_gate is not None and not psh_gate.ok:
-            return [psh_gate], extra
+        psh = _resolve_presheaf(bundle, args.presheaf)
+        # a representable is a presheaf by construction; a bundle's is gated
+        if args.presheaf in bundle.presheaves:
+            psh_gate = _presheaf_report(args.presheaf, psh)
+            if not psh_gate.ok:
+                return [psh_gate], extra
     elif cmd == "transfer":
         obj = _object_named(bundle.cat, args.presheaf)
         if obj is None:

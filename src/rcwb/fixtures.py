@@ -116,21 +116,15 @@ def build_finset_p(n) -> RestrictionCategory:
 
 
 def build_finset_mcat(n, monic_class="inj") -> MCategory:
-    """FinSet<=n with injections or isomorphisms as the monic class."""
-    data = build_finset_data(n)
-    cat = data.cat
-    monics = set()
-    for f in cat.morphisms():
-        graph = data.graphs[f]
-        injective = len(set(graph)) == len(graph)
-        if monic_class == "inj" and injective:
-            monics.add(f)
-        elif monic_class == "iso" and injective and \
-                cat.mor_src[f] == cat.mor_tgt[f]:
-            monics.add(f)
-    if monic_class not in ("inj", "iso"):
+    """FinSet<=n with the injections as M.  monic_class must be "inj"; it
+    stays because perfbench/workloads.py passes it.  finset_iso_<n> takes
+    the isos of this category as M (bundles.build_fixture)."""
+    if monic_class != "inj":
         raise ValueError(f"unknown monic class {monic_class!r}")
-    return MCategory(cat, frozenset(monics))
+    data = build_finset_data(n)
+    return MCategory(data.cat, frozenset(
+        f for f in data.cat.morphisms()
+        if len(set(data.graphs[f])) == len(data.graphs[f])))
 
 
 def build_nojoin_fixture() -> RestrictionCategory:

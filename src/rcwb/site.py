@@ -17,8 +17,9 @@ sheaf scan.  It keeps every sieve and, as its basis, the covering
 antichains of Sub_M: a family has the same join and generates the same
 sieve as its antichain of maximal members (see the mcat docstring), so no
 other family is listed.
-Sheafification is the plus construction applied twice, with classes kept
-as canonical representatives so equality is plain.
+Sheafification is the plus construction applied twice.  Each application
+reads the matching families on one sieve per object, the least cover,
+which every cover holds (see `plus`), so no two families are compared.
 """
 
 from __future__ import annotations
@@ -389,84 +390,61 @@ def is_sheaf(p: Presheaf, top: Topology) -> LawReport:
 class PlusData:
     """One application of the plus construction.
 
-    classes[a] is the tuple of canonical representatives (fs, fam); fs is the
-    sorted tuple of the sieve's morphisms, fam the matching family over it.
-    lookup memoises _class_of by (a, fs, fam); it takes no part in equality.
+    classes[a] is the tuple of elements (fs, fam) of P+(a): fs is the sorted
+    tuple of the maps of L(a), the least covering sieve on a, and fam a
+    matching family over it, in matching_families order.
     """
-    source: Presheaf
     presheaf: Presheaf
     top: Topology
     classes: tuple
     unit: NatTrans
-    lookup: dict = field(default_factory=dict, repr=False, compare=False)
-
-
-def _class_of(p, top, classes, lookup, a, fs, fam):
-    """Index of the plus class at a holding the matching family fam over
-    fs, memoised in lookup."""
-    key = (a, fs, fam)
-    if key not in lookup:
-        for i, (fs2, fam2) in enumerate(classes[a]):
-            if _agree_on_refinement(p, top, a, fs, fam, fs2, fam2):
-                lookup[key] = i
-                break
-        else:
-            raise InternalInvariantError(
-                "matching family matches no plus class")
-    return lookup[key]
-
-
-def _agree_on_refinement(p, top, a, fs1, fam1, fs2, fam2):
-    d1 = dict(zip(fs1, fam1))
-    d2 = dict(zip(fs2, fam2))
-    both = frozenset(d1) & frozenset(d2)
-    for r in top.covers[a]:
-        if r <= both and all(d1[f] == d2[f] for f in r):
-            return True
-    return False
 
 
 def plus(p: Presheaf, top: Topology) -> PlusData:
+    """P+, with its unit P -> P+, read off one sieve per object.
+
+    P+(a) is the colimit of the matching families of P over the covering
+    sieves of a, ordered by reverse inclusion (Mac Lane and Moerdijk,
+    Sheaves in Geometry and Logic, III.5).  In a finite site that diagram
+    has a greatest element.  The covers of a are closed under binary
+    intersection: if R and S cover, then f*(R ∩ S) = f*(S) covers for each
+    f in R, so R ∩ S covers by transitivity.  So the intersection L(a) of
+    all of them covers, and lies inside every cover; the colimit is the set
+    of matching families on L(a), each other family being identified with
+    its restriction to L(a), and two families on L(a) only when equal.
+    - P+(f), for f: b -> a, sends x to (x_{f∘g}) for g in L(b): f*(L(a))
+      covers b, so it holds L(b).
+    - The unit sends x in P(a) to (P(g)x) for g in L(a).
+    Raises ValueError when the covers at some object do not hold L(a),
+    which no topology from generate_topology does.
+    """
     c = p.cat
-    classes = []
+    least, classes, index = [], [], []
     for a in c.objects:
-        pairs = []
-        for sieve in sorted(top.covers[a], key=lambda s: (len(s), sorted(s))):
-            fs, fams = matching_families(p, a, sieve)
-            for fam in fams:
-                pairs.append((tuple(fs), fam))
-        reps = []
-        for pair in pairs:
-            if not any(_agree_on_refinement(p, top, a, pair[0], pair[1],
-                                            r[0], r[1]) for r in reps):
-                reps.append(pair)
-        classes.append(tuple(reps))
-    lookup = {}
+        la = maximal_sieve(c, a).intersection(*top.covers[a])
+        if la not in top.covers[a]:
+            raise ValueError(f"the covers of {c.obj_names[a]} do not hold "
+                             f"their intersection")
+        fs, fams = matching_families(p, a, la)
+        least.append(tuple(fs))
+        classes.append(tuple((least[a], fam) for fam in fams))
+        index.append({fam: i for i, fam in enumerate(fams)})
 
     def act(f, cls):
-        a = c.mor_src[f]
+        b = c.mor_src[f]
         fs, fam = cls
         d = dict(zip(fs, fam))
-        pulled = sorted(sieve_pullback(c, frozenset(fs), f))
-        pfam = tuple(d[c.compose(f, g)] for g in pulled)
-        return classes[a][_class_of(p, top, classes, lookup,
-                                    a, tuple(pulled), pfam)]
+        return classes[b][index[b][tuple(d[c.compose(f, g)]
+                                         for g in least[b])]]
 
     plus_p = build_presheaf(c, classes.__getitem__, act)[0]
-    # unit: x |-> class of (maximal sieve, restrictions of x)
-    comps = []
-    for a in c.objects:
-        ms = tuple(sorted(maximal_sieve(c, a)))
-        col = []
-        for x in p.elements(a):
-            fam = tuple(p.act(f, x) for f in ms)
-            col.append(_class_of(p, top, classes, lookup, a, ms, fam))
-        comps.append(tuple(col))
-    unit = NatTrans(p, plus_p, tuple(comps))
-    data = PlusData(p, plus_p, top, tuple(classes), unit, lookup)
+    unit = NatTrans(p, plus_p, tuple(
+        tuple(index[a][tuple(p.act(g, x) for g in least[a])]
+              for x in p.elements(a))
+        for a in c.objects))
     if not check_presheaf(plus_p) or not unit.check():
         raise InternalInvariantError("plus construction produced bad data")
-    return data
+    return PlusData(plus_p, top, tuple(classes), unit)
 
 
 @dataclass(frozen=True)

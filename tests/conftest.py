@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import finset_iso_mcat
 from rcwb.fixtures import (build_finset_mcat, build_finset_p,
                            build_finset_p_data, build_nojoin_fixture)
 from rcwb.mcat import par
@@ -18,12 +19,12 @@ def finset_p2_data():
 
 @pytest.fixture(scope="session")
 def mc_inj():
-    return build_finset_mcat(2, "inj")
+    return build_finset_mcat(2)
 
 
 @pytest.fixture(scope="session")
 def mc_iso():
-    return build_finset_mcat(2, "iso")
+    return finset_iso_mcat(2)
 
 
 @pytest.fixture(scope="session")

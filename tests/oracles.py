@@ -9,7 +9,7 @@ from functools import partial
 from rcwb import bridge, fincat, mcat, site
 from rcwb.fincat import (Cocone, Diagram, FinCategory, Functor, PullbackCone,
                          build_category, mediating, pullback)
-from rcwb.fixtures import subsets_category
+from rcwb.fixtures import build_finset_mcat, subsets_category
 from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
                         hom_poset, join as hom_join)
 from rcwb.mcat import (MCategory, ParCategory, matching_colimit,
@@ -19,7 +19,7 @@ from rcwb.restriction import RestrictionCategory, restriction_idempotents
 from rcwb.rpsh import (RestrictionPresheaf, check_rp_axioms, element_join,
                        element_poset)
 from rcwb.site import (NatTrans, PlusData, Presheaf, SheafifyResult,
-                       Topology, _class_of, all_nat_trans, build_presheaf,
+                       Topology, all_nat_trans, build_presheaf,
                        is_sheaf, maximal_sieve, sieve_pullback, yoneda)
 
 
@@ -747,6 +747,17 @@ def is_join_restriction_functor(fun, x, y, max_family=None) -> bool:
 
 # -- test-only helpers ----------------------------------------------------------
 
+def finset_iso_mcat(n) -> MCategory:
+    """FinSet<=n, built fresh, with its isos as M: the M-category that
+    bundles.build_fixture gives finset_iso_<n>, on a category of its own."""
+    c = build_finset_mcat(n).base
+    return MCategory(c, frozenset(c.isos()))
+
+
+# FinSet<=n, built fresh, with the injections or the isos as M
+FINSET_MCATS = {"inj": build_finset_mcat, "iso": finset_iso_mcat}
+
+
 def initial_object(c):
     """The initial object as the colimit of the empty diagram, or None."""
     coc = colimit(c, Diagram((), ()))
@@ -1109,18 +1120,100 @@ def sieve_subpresheaf(c: FinCategory, a, sieve):
     return sub, NatTrans(sub, ya, comps), ya
 
 
+def _class_of(p, top, classes, lookup, a, fs, fam):
+    """Index of the plus class at a holding the matching family fam over
+    fs, memoised in lookup."""
+    key = (a, fs, fam)
+    if key not in lookup:
+        for i, (fs2, fam2) in enumerate(classes[a]):
+            if _agree_on_refinement(p, top, a, fs, fam, fs2, fam2):
+                lookup[key] = i
+                break
+        else:
+            raise InternalInvariantError(
+                "matching family matches no plus class")
+    return lookup[key]
+
+
+def _agree_on_refinement(p, top, a, fs1, fam1, fs2, fam2):
+    d1 = dict(zip(fs1, fam1))
+    d2 = dict(zip(fs2, fam2))
+    both = frozenset(d1) & frozenset(d2)
+    for r in top.covers[a]:
+        if r <= both and all(d1[f] == d2[f] for f in r):
+            return True
+    return False
+
+
+def plus_by_refinement(p: Presheaf, top: Topology) -> PlusData:
+    """The reference for site.plus: the matching families of every covering
+    sieve, taken by (size, sorted ids), each kept as a class representative
+    unless it agrees with an earlier one on some cover inside both sieves;
+    the action and the unit look each family up by that search."""
+    c = p.cat
+    classes = []
+    for a in c.objects:
+        pairs = []
+        for sieve in sorted(top.covers[a], key=lambda s: (len(s), sorted(s))):
+            fs, fams = site.matching_families(p, a, sieve)
+            for fam in fams:
+                pairs.append((tuple(fs), fam))
+        reps = []
+        for pair in pairs:
+            if not any(_agree_on_refinement(p, top, a, pair[0], pair[1],
+                                            r[0], r[1]) for r in reps):
+                reps.append(pair)
+        classes.append(tuple(reps))
+    lookup = {}
+
+    def act(f, cls):
+        a = c.mor_src[f]
+        fs, fam = cls
+        d = dict(zip(fs, fam))
+        pulled = sorted(sieve_pullback(c, frozenset(fs), f))
+        pfam = tuple(d[c.compose(f, g)] for g in pulled)
+        return classes[a][_class_of(p, top, classes, lookup,
+                                    a, tuple(pulled), pfam)]
+
+    plus_p = build_presheaf(c, classes.__getitem__, act)[0]
+    # unit: x |-> class of (maximal sieve, restrictions of x)
+    comps = []
+    for a in c.objects:
+        ms = tuple(sorted(maximal_sieve(c, a)))
+        col = []
+        for x in p.elements(a):
+            fam = tuple(p.act(f, x) for f in ms)
+            col.append(_class_of(p, top, classes, lookup, a, ms, fam))
+        comps.append(tuple(col))
+    unit = NatTrans(p, plus_p, tuple(comps))
+    data = PlusData(plus_p, top, tuple(classes), unit)
+    if not site.check_presheaf(plus_p) or not unit.check():
+        raise InternalInvariantError("plus construction produced bad data")
+    return data
+
+
+def refined_class(p: Presheaf, data: PlusData, a, fs, fam):
+    """Index of the class of data, plus_by_refinement(p, data.top), at a
+    that holds the matching family fam over fs, by the refinement
+    search."""
+    return _class_of(p, data.top, data.classes, {}, a, fs, fam)
+
+
 def class_of(data: PlusData, a, fs, fam):
     """Index of the plus class of data at a holding the matching family
-    fam over fs."""
-    return _class_of(data.source, data.top, data.classes, data.lookup,
-                     a, fs, fam)
+    fam over fs: the class of its restriction to the least cover L(a),
+    which every covering sieve fs holds."""
+    c = data.presheaf.cat
+    least = sorted(maximal_sieve(c, a).intersection(*data.top.covers[a]))
+    x = dict(zip(fs, fam))
+    return [rep for _, rep in data.classes[a]].index(
+        tuple(x[g] for g in least))
 
 
 def plus_map(alpha: NatTrans, src_plus: PlusData, tgt_plus: PlusData) -> NatTrans:
     """The plus construction on a natural transformation."""
     p, q = alpha.source, alpha.target
     c = p.cat
-    top = src_plus.top
     comps = []
     for a in c.objects:
         col = []

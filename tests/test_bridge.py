@@ -17,7 +17,7 @@ from rcwb.site import find_presheaf_iso, generate_topology, is_sheaf, yoneda
 @functools.cache
 def _site(n):
     """(Par, topology) of finset_inj_n, built once per run."""
-    mc = build_finset_mcat(n, "inj")
+    mc = build_finset_mcat(n)
     return par(mc), generate_topology(mc)
 
 

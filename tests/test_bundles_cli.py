@@ -74,7 +74,7 @@ def test_loader_rejects_garbage():
 
 
 def _finset_inj2_data():
-    mc = build_finset_mcat(2, "inj")
+    mc = build_finset_mcat(2)
     return json.loads(dump_bundle(bundle_dict(mc.base, monics=mc.monics)))
 
 
@@ -103,7 +103,7 @@ def test_fixture_registry_names():
 
 
 def test_presheaf_section_roundtrip(tmp_path):
-    mc = build_finset_mcat(1, "inj")
+    mc = build_finset_mcat(1)
     psh = yoneda(mc.base, 1)
     text = dump_bundle(bundle_dict(mc.base, monics=mc.monics,
                                    presheaves={"y1": (psh, None)}))
@@ -425,7 +425,7 @@ def test_cli_roundtrip_rejects_an_unknown_presheaf(capsys):
 def _non_functorial_bundle(tmp_path):
     # the constant presheaf with two elements on finset_inj_2, with one
     # injection set1 -> set2 acting by the swap: P(f∘g) != P(g)∘P(f)
-    mc = build_finset_mcat(2, "inj")
+    mc = build_finset_mcat(2)
     c = mc.base
     p = constant_presheaf(c, 2)
     f = c.hom(1, 2)[0]
@@ -452,10 +452,27 @@ def test_cli_gate_stops_on_a_non_functorial_presheaf(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_cli_roundtrip_resolves_its_presheaf_without_checking_it(
+        tmp_path, capsys, monkeypatch):
+    # roundtrip reads only the name, so not even a presheaf that breaks the
+    # laws is checked; sheaf-check, which gates on it, checks it once
+    bundle = _non_functorial_bundle(tmp_path)
+    checked = []
+    real = cli.check_presheaf
+    monkeypatch.setattr(cli, "check_presheaf",
+                        lambda p: checked.append(p) or real(p))
+    assert main(["roundtrip", bundle, "bad"]) == 0
+    assert checked == []
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"PASS\troundtrip\t{bundle}"
+    assert main(["sheaf-check", bundle, "bad"]) == 1
+    assert len(checked) == 1
+
+
 def _non_associative_bundle(tmp_path):
     # finset_inj_2 with every map total and M the injections, on a table
     # the loader accepts but where (h∘g)∘f != h∘(g∘f) for some triples
-    mc = build_finset_mcat(2, "inj")
+    mc = build_finset_mcat(2)
     bad = non_associative(mc.base)
     bundle = tmp_path / "bad_assoc.json"
     bundle.write_text(dump_bundle(bundle_dict(
@@ -532,7 +549,7 @@ def _par_inj2_rp_bundle(tmp_path):
     # Par(finset_inj_2) with the transfer of each representable as a
     # presheaf with element bars, one of them with two bars swapped so that
     # its RP gate fails, and one presheaf without element bars
-    mc = build_finset_mcat(2, "inj")
+    mc = build_finset_mcat(2)
     pc = par(mc)
     presheaves = {}
     for w in mc.base.objects:
@@ -673,8 +690,8 @@ def _fuzz_bases():
     as monics."""
     rc = build_finset_p(1)
     rp = yoneda_jr(rc, 1)
-    mc = build_finset_mcat(2, "inj")
-    pc = par(build_finset_mcat(1, "inj"))
+    mc = build_finset_mcat(2)
+    pc = par(build_finset_mcat(1))
     tr = sheaf_to_jrp(pc, yoneda(pc.mc.base, 1)).rp
     return {
         "finset_p_1": bundle_dict(

@@ -148,10 +148,10 @@ BUILT_DIGESTS = {
         lambda: karoubi_r(build_finset_p(3)).rc.base,
         "2880705df5302d77cd8546d95876c9d6a701966554c3730f7541136f14d9e7b5"),
     "par_finset_inj_2": (
-        lambda: par(build_finset_mcat(2, "inj")).rc.base,
+        lambda: par(build_finset_mcat(2)).rc.base,
         "9f7f6addcf7c49163c6736ab365077648544c3efa4117aa70c8228bd92202693"),
     "par_finset_inj_3": (
-        lambda: par(build_finset_mcat(3, "inj")).rc.base,
+        lambda: par(build_finset_mcat(3)).rc.base,
         "245d6a5bb123cef4badd3a5ec1843d4c248502787185aea37558ecdf5b1e0cee"),
 }
 
@@ -163,17 +163,24 @@ def test_fixture_tables_are_unchanged(name):
 
 @pytest.mark.parametrize("n", range(5))
 def test_finset_iso_is_built_on_the_category_of_finset_inj(n):
-    # the isos of FinSet<=n are exactly the injective endomaps that
-    # build_finset_mcat(n, "iso") takes as M
+    # the isos of FinSet<=n are exactly its bijective endomaps
     iso = build_fixture(f"finset_iso_{n}")
-    built = build_finset_mcat(n, "iso")
+    data = build_finset_data(n)
+    d = data.cat
     assert iso.cat is build_fixture(f"finset_inj_{n}").cat
     assert iso.mcat.base is iso.cat and iso.restriction is None
-    assert iso.mcat.monics == built.monics
-    c, d = iso.cat, built.base
+    assert iso.mcat.monics == frozenset(
+        f for f in d.morphisms() if d.mor_src[f] == d.mor_tgt[f] and
+        len(set(data.graphs[f])) == len(data.graphs[f]))
+    c = iso.cat
     assert (c.rows, c.obj_names, c.mor_names) == \
         (d.rows, d.obj_names, d.mor_names)
     assert _table_digest(c) == _table_digest(d)
+
+
+def test_build_finset_mcat_takes_only_the_injections():
+    with pytest.raises(ValueError, match="unknown monic class 'iso'"):
+        build_finset_mcat(2, "iso")
 
 
 @pytest.mark.parametrize("name", sorted(BUILT_DIGESTS))

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from oracles import (families, heyting_check, leq, m3_bundle,
+from oracles import (FINSET_MCATS, families, heyting_check, leq, m3_bundle,
                      par_join_construction, par_leq_oracle,
                      pullback_preserves_joins)
 from rcwb import mcat
@@ -169,7 +169,7 @@ def test_pullback_stable_matches_pullback_preserves_joins(name):
         mc = _m3()
     else:
         _, kind, n = name.split("_")
-        mc = build_finset_mcat(int(n), kind)
+        mc = FINSET_MCATS[kind](int(n))
     c = mc.base
     compared = unstable = 0
     memo = {}
@@ -196,7 +196,7 @@ def test_pullback_stable_matches_pullback_preserves_joins(name):
 
 @pytest.mark.parametrize("name", ["finset_inj_2", "finset_inj_3"])
 def test_heyting_holds_where_geometric_passes(name):
-    mc = build_finset_mcat(int(name[-1]), "inj")
+    mc = build_finset_mcat(int(name[-1]))
     assert is_geometric(mc).ok
     for a in mc.base.objects:
         assert heyting_check(mc, a).ok
@@ -238,7 +238,7 @@ PAR_DIGESTS = {
 
 @pytest.mark.parametrize("n, kind", sorted(PAR_DIGESTS))
 def test_par_tables_are_unchanged(n, kind):
-    pc = par(build_finset_mcat(n, kind))
+    pc = par(FINSET_MCATS[kind](n))
     table = (pc.spans, pc.rc.bar, list(pc.rc.base.rows))
     assert hashlib.sha256(repr(table).encode()).hexdigest() == \
         PAR_DIGESTS[(n, kind)]

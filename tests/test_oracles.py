@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import collage, families, sieve_subpresheaf, sigma_classifier
+from oracles import (FINSET_MCATS, collage, families, finset_iso_mcat,
+                     sieve_subpresheaf, sigma_classifier)
 from rcwb import fincat, fixtures, joins, mcat, rpsh, site
 from rcwb.bundles import load_bundle
 from rcwb.bridge import _matching_tuples, jrp_to_sheaf, sheaf_to_jrp
@@ -28,11 +29,11 @@ from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
                        element_poset, rp_reports, yoneda_jr)
 from rcwb.site import (Presheaf, Topology, all_nat_trans, basis_covers,
                        check_presheaf, constant_presheaf, find_presheaf_iso,
-                       generate_topology, matching_families,
+                       generate_topology, matching_families, plus,
                        saturation_is_fixpoint, sieves_on, yoneda)
 
-MCATS = {"finset_inj_2": build_finset_mcat(2, "inj"),
-         "finset_iso_2": build_finset_mcat(2, "iso")}
+MCATS = {"finset_inj_2": build_finset_mcat(2),
+         "finset_iso_2": finset_iso_mcat(2)}
 CATS = {"finset_2": build_finset(2), "finset_p_2": build_finset_p(2).base,
         # most colimits are missing in these two
         "nojoin": build_nojoin_fixture().base,
@@ -134,7 +135,7 @@ def test_fixtures_and_matching_diagrams_build_like_the_pair_scan():
             build_finset_p_data(n)
             subsets_category(n)
         build_nojoin_fixture()
-        mc = build_finset_mcat(2, "inj")
+        mc = build_finset_mcat(2)
         fixtures_built = len(built)
         # a matching diagram is a graph: it builds no shape category
         for fam in itertools.combinations(sub_m(mc, 2), 3):
@@ -328,7 +329,7 @@ PULLBACK_CATS = {
     "subsets_3": (lambda: subsets_category(3).base, 37),
     # isomorphic objects: an iso into src f may come from another object
     "karoubi_finset_p_2": (lambda: karoubi_r(build_finset_p(2)).rc.base, 245),
-    "par_finset_inj_2": (lambda: par(build_finset_mcat(2, "inj")).rc.base,
+    "par_finset_inj_2": (lambda: par(build_finset_mcat(2)).rc.base,
                          71),
 }
 
@@ -460,7 +461,7 @@ def test_matching_colimits_of_size_3_match_oracle():
     # to each tuple of legs into the target is checked against the oracle
     count = pairs = induced = 0
     for kind in ("inj", "iso"):
-        mc = build_finset_mcat(3, kind)
+        mc = FINSET_MCATS[kind](3)
         c = mc.base
         for obj in c.objects:
             for r in range(4):
@@ -548,9 +549,9 @@ def _same_join_colimit(mc, fam, obj):
 
 
 MAXIMAL = {  # families, reduced, needing ψ != id, no colimit
-    "finset_inj_2": (lambda: build_finset_mcat(2, "inj"), (22, 11, 2, 0)),
-    "finset_inj_3": (lambda: build_finset_mcat(3, "inj"), (278, 247, 130, 0)),
-    "finset_iso_3": (lambda: build_finset_mcat(3, "iso"), (8, 0, 0, 0)),
+    "finset_inj_2": (lambda: build_finset_mcat(2), (22, 11, 2, 0)),
+    "finset_inj_3": (lambda: build_finset_mcat(3), (278, 247, 130, 0)),
+    "finset_iso_3": (lambda: finset_iso_mcat(3), (8, 0, 0, 0)),
     "inj3_all": (_inj3_all, (278, 247, 90, 82)),
 }
 
@@ -576,7 +577,7 @@ def test_matching_colimits_of_repeated_and_unsorted_families():
     # dominated by its other copy; the full search on the last family, with
     # its members out of order, picks another universal cocone, so it
     # needs ψ != id
-    mc = build_finset_mcat(3, "inj")
+    mc = build_finset_mcat(3)
     els = sub_m(mc, 3)
     fams = [(1, 1), (5, 5, 6), tuple(range(7, -1, -1)), (1, 2, 1), (2, 4, 0)]
     seen = [_same_join_colimit(mc, tuple(els[i] for i in fam), 3)
@@ -613,7 +614,7 @@ def test_matching_diagrams_are_built_for_kept_families_only(monkeypatch):
     # every family of finset_inj_3 on a fresh memo, joined: one diagram per
     # antichain of maximal members, and none for a family with a dominated
     # member
-    mc = build_finset_mcat(3, "inj")
+    mc = build_finset_mcat(3)
     built = []
 
     def spy(mc, family, obj):
@@ -637,7 +638,7 @@ def test_matching_colimit_keeps_the_member_legs_of_the_full_colimit():
     # canonical subobjects, dominated members included
     checked = 0
     for kind in ("inj", "iso"):
-        mc = build_finset_mcat(3, kind)
+        mc = FINSET_MCATS[kind](3)
         c = mc.base
         for obj in c.objects:
             for fam in families(sub_m(mc, obj)):
@@ -663,7 +664,7 @@ def test_canonical_isos_and_spans_match_the_scan_over_every_iso(n, kind,
                                                                 counts):
     # every monic, and every span (m, f) out of its domain; counts: monics,
     # those not already canonical, spans, those not already canonical
-    mc = build_finset_mcat(n, kind)
+    mc = FINSET_MCATS[kind](n)
     c = mc.base
     monics = sorted(mc.monics)
     spans = [(m, f) for m in monics for f in c.out_of(c.mor_src[m])]
@@ -680,9 +681,9 @@ def test_canonical_isos_and_spans_match_the_scan_over_every_iso(n, kind,
 
 
 SPAN_MCATS = {
-    "finset_inj_2": lambda: build_finset_mcat(2, "inj"),
-    "finset_inj_3": lambda: build_finset_mcat(3, "inj"),
-    "finset_iso_3": lambda: build_finset_mcat(3, "iso"),
+    "finset_inj_2": lambda: build_finset_mcat(2),
+    "finset_inj_3": lambda: build_finset_mcat(3),
+    "finset_iso_3": lambda: finset_iso_mcat(3),
     "karoubi_total_finset_p_2":
         lambda: mtotal(karoubi_r(build_finset_p(2)).rc).mcat,
     "iso_pair": lambda: load_bundle(
@@ -719,7 +720,7 @@ def test_par_canonicalises_only_identities_and_composites(monkeypatch):
     # call but one per object for its identity, and composes by reading
     # pullback(f, n) once for each n in Sub_M and f into tgt n; a lookup
     # per composable pair would make 9,866
-    mc = build_finset_mcat(3, "inj")
+    mc = build_finset_mcat(3)
     c = mc.base
     spans, cones = [], []
     canonical_span = mcat.canonical_span
@@ -779,17 +780,17 @@ def test_memoised_matching_colimit_equals_fresh_computation():
 def _no_generators_mcat():
     """finset_inj_2 on a table that is not a category, so it has no
     certified generators."""
-    mc = build_finset_mcat(2, "inj")
+    mc = build_finset_mcat(2)
     bad = oracles.non_associative(mc.base)
     assert bad.generators() is None
     return MCategory(bad, mc.monics)
 
 
 GEOMETRIC_MCATS = {
-    "finset_inj_2": lambda: build_finset_mcat(2, "inj"),
-    "finset_inj_3": lambda: build_finset_mcat(3, "inj"),
-    "finset_iso_2": lambda: build_finset_mcat(2, "iso"),
-    "finset_iso_3": lambda: build_finset_mcat(3, "iso"),
+    "finset_inj_2": lambda: build_finset_mcat(2),
+    "finset_inj_3": lambda: build_finset_mcat(3),
+    "finset_iso_2": lambda: finset_iso_mcat(2),
+    "finset_iso_3": lambda: finset_iso_mcat(3),
     "m3": lambda: load_bundle(oracles.m3_bundle()).mcat,
     "no_generators": _no_generators_mcat,
 }
@@ -869,7 +870,7 @@ def _iso_pair(order):
 
 M_SYSTEMS = {
     **GEOMETRIC_MCATS,
-    "finset_inj_4": lambda: build_finset_mcat(4, "inj"),
+    "finset_inj_4": lambda: build_finset_mcat(4),
     "karoubi_total_finset_p_2":
         lambda: mtotal(karoubi_r(build_finset_p(2)).rc).mcat,
     "karoubi_total_finset_p_3":
@@ -890,7 +891,7 @@ def test_check_m_system_matches_the_all_maps_scan(name):
     assert bool(lines) == (name == "no_generators")
 
 
-FINSET_CATS = {n: build_finset_mcat(n, "inj") for n in (2, 3)}
+FINSET_CATS = {n: build_finset_mcat(n) for n in (2, 3)}
 
 
 @st.composite
@@ -932,7 +933,7 @@ def _m_pb_pairs(mc, maps):
 
 
 def test_m_pb_reads_the_generators_only(monkeypatch):
-    mc = build_finset_mcat(3, "inj")
+    mc = build_finset_mcat(3)
     c = mc.base
     report, asked = _pullbacks_asked(monkeypatch, mc)
     assert report.ok
@@ -1052,7 +1053,7 @@ def test_subcan_certificate_checks_each_mu_and_each_generated_sieve(
         monkeypatch):
     # a tampered antichain memo: an induced map that is no iso, or an
     # antichain whose sieve does not cover, sends SUBCAN to the scan
-    mc = build_finset_mcat(2, "inj")
+    mc = build_finset_mcat(2)
     top = generate_topology(mc)
     c = mc.base
     scanned = _sheaf_scans(monkeypatch)
@@ -1073,7 +1074,7 @@ def test_subcan_certificate_checks_each_mu_and_each_generated_sieve(
 
 
 def test_topology_joins_once_per_sieve_and_saturates_once(monkeypatch):
-    mc = build_finset_mcat(3, "inj")
+    mc = build_finset_mcat(3)
     c = mc.base
     joins, passes = [], []
     real_join, real_saturate = site.sub_m_join, site._saturate
@@ -1099,7 +1100,7 @@ def test_topology_joins_once_per_sieve_and_saturates_once(monkeypatch):
 def test_basis_covers_join_once_per_antichain(n, entries, monkeypatch):
     # one search and one memo entry per antichain; joining each family
     # through its own matching colimit would make one per family, 22 and 278
-    mc = build_finset_mcat(n, "inj")
+    mc = build_finset_mcat(n)
     searched = []
     real = mcat.matching_colimit
     monkeypatch.setattr(mcat, "matching_colimit", lambda mc, fam, a:
@@ -1118,7 +1119,7 @@ def test_geometric_pulls_back_once_per_antichain_and_generator(monkeypatch,
     # 3·3 + 6·4 + 20·5 = 133: antichains of Sub_M(set_n) times the
     # generators into set_n, n = 1..3 (none into set0); the largest
     # antichain has 3 members, so the bound of 3 cuts nothing
-    mc = build_finset_mcat(3, "inj")
+    mc = build_finset_mcat(3)
     c = mc.base
     seen = []
     real = mcat.pullback_stable
@@ -1251,6 +1252,56 @@ def test_searches_match_oracle_on_generated_subcategories(gens, data):
     q = data.draw(st.sampled_from(presheaves))
     _same_matching_families(p)
     _same_nat_trans(p, q)
+
+
+# -- the plus construction ----------------------------------------------------
+
+PLUS_BASES = {
+    **{f"finset_inj_{n}": (lambda n=n: build_finset_mcat(n))
+       for n in range(4)},
+    "finset_iso_2": lambda: finset_iso_mcat(2),
+    "finset_iso_3": lambda: finset_iso_mcat(3),
+    # generate_topology runs the saturation loop on m3
+    "m3": lambda: load_bundle(oracles.m3_bundle()).mcat,
+    "z2": lambda: load_bundle(oracles.z2_bundle(["s", "1"])).mcat,
+}
+
+
+def _plus_presheaves(mc, top):
+    """The representables, the constants with 0 to 3 elements, the
+    subpresheaf of each covering sieve and Sigma."""
+    c = mc.base
+    return [yoneda(c, a) for a in c.objects] + \
+        [constant_presheaf(c, k) for k in range(4)] + \
+        [sieve_subpresheaf(c, a, s)[0] for a in c.objects
+         for s in sorted(top.covers[a], key=sorted)] + \
+        [sigma_classifier(mc)]
+
+
+@pytest.mark.parametrize("name", sorted(PLUS_BASES))
+def test_plus_matches_the_refinement_route(name):
+    # the least cover comes first in the reference's scan, its families are
+    # never merged, and every later family merges into its restriction to
+    # it: the same classes, action, names and unit, at both applications,
+    # and class_of finds each family of each cover where the search does
+    mc = PLUS_BASES[name]()
+    top = generate_topology(mc)
+    for p in _plus_presheaves(mc, top):
+        got, want = plus(p, top), oracles.plus_by_refinement(p, top)
+        for a in mc.base.objects:
+            for s in top.covers[a]:
+                fs, fams = matching_families(p, a, s)
+                for fam in fams:
+                    assert oracles.class_of(got, a, fs, fam) == \
+                        oracles.refined_class(p, want, a, tuple(fs), fam)
+        for got, want in ((got, want),
+                          (plus(got.presheaf, top),
+                           oracles.plus_by_refinement(want.presheaf, top))):
+            assert got.classes == want.classes
+            q, r = got.presheaf, want.presheaf
+            assert (q.sizes, q.action, q.elem_names) == \
+                (r.sizes, r.action, r.elem_names)
+            assert got.unit.components == want.unit.components
 
 
 # -- joins --------------------------------------------------------------------
@@ -1399,7 +1450,7 @@ MASK_RCATS = {
     "nojoin": build_nojoin_fixture,
     "karoubi_p_2": lambda: karoubi_r(P2).rc,
     "par_inj_2": lambda: par(MCATS["finset_inj_2"]).rc,
-    "par_inj_3": lambda: par(build_finset_mcat(3, "inj")).rc,
+    "par_inj_3": lambda: par(build_finset_mcat(3)).rc,
 }
 
 
@@ -1593,7 +1644,7 @@ RESTRICTION_RCATS = dict(JOIN_RCATS, **{
     "finset_p_3": lambda: build_finset_p(3),
     "karoubi_p_3": lambda: karoubi_r(build_finset_p(3)).rc,
     "par_iso_2": lambda: par(MCATS["finset_iso_2"]).rc,
-    "par_inj_3": lambda: par(build_finset_mcat(3, "inj")).rc,
+    "par_inj_3": lambda: par(build_finset_mcat(3)).rc,
     "trivial_3": lambda: oracles.trivial_restriction(build_finset(3)),
     "collage": lambda: RCATS["collage"],
 })

@@ -7,15 +7,16 @@ from oracles import (classification_report, generate_sieve, iso_pair_bundle,
                      m_psh_member, m_sh_member, sheafify_map,
                      sieve_subpresheaf, sigma_classifier, yoneda_map,
                      z2_bundle)
-from rcwb.bundles import load_bundle
+from rcwb import site
+from rcwb.bundles import build_fixture, load_bundle
 from rcwb.bridge import jrp_to_sheaf
 from rcwb.fixtures import build_finset
 from rcwb.mcat import is_geometric, sub_m
 from rcwb.rpsh import RestrictionPresheaf, yoneda_jr
 from rcwb.site import (Presheaf, all_nat_trans, basis_covers,
                        build_presheaf, check_presheaf, constant_presheaf,
-                       find_presheaf_iso, is_separated, is_sheaf,
-                       matching_families, maximal_sieve, plus,
+                       find_presheaf_iso, generate_topology, is_separated,
+                       is_sheaf, matching_families, maximal_sieve, plus,
                        saturation_is_fixpoint, sheafify, sieve_pullback,
                        sieves_on, subcanonical_report, yoneda)
 
@@ -208,6 +209,41 @@ def test_plus_on_separated_presheaf_gives_sheaf(mc_inj, top_inj):
     p = yoneda(mc_inj.base, 2)
     d = plus(p, top_inj)
     assert is_sheaf(d.presheaf, top_inj).ok
+
+
+@pytest.mark.parametrize("fixture", ["finset_inj_2", "finset_iso_3"])
+def test_plus_enumerates_the_least_cover_once_per_object(monkeypatch,
+                                                         fixture):
+    # the least cover is a cover, and lies inside every other one
+    mc = build_fixture(fixture).mcat
+    c, top = mc.base, generate_topology(mc)
+    calls = []
+    real = site.matching_families
+
+    def counting(p, a, sieve):
+        calls.append((a, sieve))
+        return real(p, a, sieve)
+
+    monkeypatch.setattr(site, "matching_families", counting)
+    plus(constant_presheaf(c, 2), top)
+    assert [a for a, _ in calls] == list(c.objects)
+    for a, least in calls:
+        assert least in top.covers[a]
+        assert all(least <= s for s in top.covers[a])
+
+
+def test_plus_refuses_covers_that_omit_their_intersection(mc_inj, top_inj):
+    # the principal sieves of the two points of set2 both cover in this
+    # hand-built site, but their intersection, the sieve of the empty map,
+    # does not
+    c = mc_inj.base
+    covers = list(top_inj.covers)
+    covers[2] = frozenset([maximal_sieve(c, 2)] +
+                          [frozenset(c.rows[m]) for m in c.hom(1, 2)])
+    top = dataclasses.replace(top_inj, covers=tuple(covers))
+    with pytest.raises(ValueError, match="set2 do not hold their "
+                                         "intersection"):
+        plus(yoneda(c, 2), top)
 
 
 # -- the presheaf builder ---------------------------------------------------------

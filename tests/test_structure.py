@@ -76,9 +76,19 @@ def _callers(pattern):
                                    ("bundles", "build_fixture")}),
     (r"\bglobal\b|^\w+\s*(:.*)?=\s*(\{|\[|dict\(|set\(|defaultdict\()",
      {("joins", None), ("rpsh", None)}),
+    # its own def line, the sheaf scan over every cover, and the plus
+    # construction, once per object on the least cover
+    (r"\bmatching_families\(", {("site", "matching_families"),
+                                 ("site", "sheaf_reports"),
+                                 ("site", "plus")}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
+
+
+def test_plus_classes_need_no_search_over_refinements():
+    # the refinement route lives on only as oracles.plus_by_refinement
+    assert _callers(r"\b_class_of\b|\b_agree_on_refinement\b") == set()
 
 
 def _row_writers():
