@@ -56,6 +56,8 @@ SUITES = [
     # size 4: guards the amalgamation formula's covering antichains against
     # a return to listing every covering family of Sub_M(set4)
     (["transfer", "finset_inj_4", "yset1", "--direction", "to-sheaf"], 0),
+    # size 4: guards the comparison maps against a return to iso search
+    (["roundtrip", "finset_inj_4", "yset1"], 0),
     # negative controls: these are supposed to fail with exit code 1
     (["check-laws", "nojoin"], 1),
     (["geometric", "finset_iso_2"], 1),

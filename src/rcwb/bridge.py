@@ -44,9 +44,9 @@ from .mcat import (MCategory, ParCategory, join_colimit, karoubi_r,
 from .reports import InternalInvariantError, LawReport
 from .restriction import RestrictionCategory, is_restriction_idempotent
 from .rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
-                   element_poset, find_rp_iso, yoneda_jr)
-from .site import (Presheaf, Topology, amalgamations, build_presheaf,
-                   find_presheaf_iso, generate_topology, is_sheaf,
+                   element_poset, yoneda_jr)
+from .site import (NatTrans, Presheaf, Topology, amalgamations,
+                   build_presheaf, generate_topology, is_sheaf,
                    subcanonical_report, yoneda)
 
 
@@ -159,6 +159,7 @@ def transfer_report(pc: ParCategory, top: Topology, p: Presheaf,
 class DotPresheaf:
     presheaf: Presheaf      # over pc.mc.base
     orig: tuple             # per object: tuple of source element indices
+    index: tuple            # per object: dict source element -> index
 
 
 def jrp_to_sheaf(pc: ParCategory, rp: RestrictionPresheaf) -> DotPresheaf:
@@ -175,7 +176,7 @@ def jrp_to_sheaf(pc: ParCategory, rp: RestrictionPresheaf) -> DotPresheaf:
         c, lambda a: [e for e in q.elements(a)
                       if rp.bar(a, e) == rcb.identity[a]],
         lambda f, e: q.act(total_span[f], e), q.name)
-    return DotPresheaf(psh, tuple(tuple(ix) for ix in index))
+    return DotPresheaf(psh, tuple(tuple(ix) for ix in index), index)
 
 
 def amalgamation_formula_report(pc: ParCategory, top: Topology,
@@ -202,13 +203,12 @@ def _check_formula(pc, rp, dot, report, a, fam):
     partial inverses of its legs, uniquely."""
     c = pc.mc.base
     p = dot.presheaf
-    doms = [c.mor_src[m] for m in fam]
+    legs = [(pc.id_of_span(m, c.identity[c.mor_src[m]]), c.mor_src[m])
+            for m in fam]
     for felems in _matching_tuples(c, p, fam):
         # x = join of f_i · (m_i, 1), computed inside the source presheaf
-        parts = []
-        for i, mi in enumerate(fam):
-            j = pc.id_of_span(mi, c.identity[c.mor_src[mi]])
-            parts.append(rp.presheaf.act(j, dot.orig[doms[i]][felems[i]]))
+        parts = [rp.presheaf.act(j, dot.orig[d][e])
+                 for (j, d), e in zip(legs, felems)]
         x = element_join(rp, a, parts)
         if x is None:
             report.add("AMALG-JOIN", (a,) + fam, "join of partial inverses missing")
@@ -216,7 +216,7 @@ def _check_formula(pc, rp, dot, report, a, fam):
         if rp.bar(a, x) != pc.rc.base.identity[a]:
             report.add("AMALG-TOTAL", (a,) + fam, "join is not a total element")
             continue
-        if amalgamations(p, a, fam, felems) != [dot.orig[a].index(x)]:
+        if amalgamations(p, a, fam, felems) != [dot.index[a][x]]:
             report.add("AMALG-UNIQUE", (a,) + fam,
                        "join is not the unique amalgamation")
 
@@ -248,24 +248,46 @@ def _matching_tuples(c, p, fam):
 # -- round trips ------------------------------------------------------------------
 
 def roundtrip_report(pc: ParCategory) -> LawReport:
-    """Representable fixtures go around both ways up to natural isomorphism."""
+    """Representable fixtures go around both ways through comparison maps."""
     report = LawReport("roundtrip")
     c = pc.mc.base
     for w in c.objects:
         p = yoneda(c, w)
         tr = sheaf_to_jrp(pc, p)
         dot = jrp_to_sheaf(pc, tr.rp)
-        if find_presheaf_iso(p, dot.presheaf) is None:
+        # x goes to the total element (1, x), in its canonical pair
+        if not _is_witness(p, dot.presheaf, lambda a, x: dot.index[a].get(
+                tr.index[a].get(canonical_pair(pc.mc, p, c.identity[a], x)))):
             report.add("RT-SHEAF", (w,),
                        "sheaf -> presheaf -> sheaf is not the identity up to iso")
     for w in pc.rc.base.objects:
         q = yoneda_jr(pc.rc, w)
         dot = jrp_to_sheaf(pc, q)
         tr = sheaf_to_jrp(pc, dot.presheaf)
-        if find_rp_iso(q, tr.rp) is None:
+        if not _is_witness(q.presheaf, tr.rp.presheaf,
+                           lambda a, t: _restricted_pair(pc, q, dot, tr, a, t),
+                           (q.bar_elem, tr.rp.bar_elem)):
             report.add("RT-JRP", (w,),
                        "presheaf -> sheaf -> presheaf is not the identity up to iso")
     return report
+
+
+def _restricted_pair(pc, q, dot, tr, a, t):
+    """The index in tr of (m, t·(1, m)), for t at a with bar (m, m)."""
+    m = pc.spans[q.bar(a, t)][0]
+    d = pc.mc.base.mor_src[m]
+    total = q.presheaf.act(pc.id_of_span(pc.mc.base.identity[d], m), t)
+    return tr.index[a].get((m, dot.index[d].get(total)))
+
+
+def _is_witness(p: Presheaf, q: Presheaf, image, bars=None) -> bool:
+    """image(a, x), an index in q(a) or None (which is_iso rejects), is a
+    natural isomorphism p -> q that keeps bars = (p's, q's) if given."""
+    nat = NatTrans(p, q, tuple(tuple(image(a, x) for x in p.elements(a))
+                               for a in p.cat.objects))
+    return nat.is_iso() and nat.check() and (bars is None or all(
+        bars[0][a][x] == bars[1][a][y]
+        for a, comp in enumerate(nat.components) for x, y in enumerate(comp)))
 
 
 # -- the unit of the cocompletion ---------------------------------------------------
@@ -273,9 +295,6 @@ def roundtrip_report(pc: ParCategory) -> LawReport:
 @dataclass(frozen=True)
 class UnitResult:
     report: LawReport
-    functor: Functor            # x.base -> the span category over the totals
-    pc: ParCategory
-    top: Topology
     transferred: tuple          # per object of x: the pulled-back presheaf
 
 
@@ -288,27 +307,36 @@ def cocompletion_unit(x: RestrictionCategory) -> UnitResult:
     su = split_unit_functor(kr.rc)
     fun = compose_functors(su.functor, kr.embedding)
     pc = su.pc
-    top = generate_topology(pc.mc)
-    sub = subcanonical_report(top)
+    c = pc.mc.base
+    sub = subcanonical_report(generate_topology(pc.mc))
     if not sub.ok:
         report.add("UNIT-SUBCAN", (),
                    "representables are not sheaves; cannot skip sheafification")
         report.extend(sub)
-        return UnitResult(report, fun, pc, top, ())
+        return UnitResult(report, ())
     transferred = []
     for a in x.base.objects:
         w = fun.obj_map[a]
-        tr = sheaf_to_jrp(pc, yoneda(pc.mc.base, w))
+        tr = sheaf_to_jrp(pc, yoneda(c, w))
         pulled = _pull_back_rp(x, fun, tr.rp)
         if pulled is None:
             report.add("UNIT-BAR", (a,),
                        "an element restriction is not in the image of x")
             continue
         transferred.append(pulled)
-        if find_rp_iso(pulled, yoneda_jr(x, a)) is None:
+        y = yoneda_jr(x, a)
+
+        def image(b, i):
+            # fun(f) = (m, g) is the pair (m, g), g by its place in hom(-, w)
+            m, g = pc.spans[fun.mor_map[x.base.hom(b, a)[i]]]
+            return tr.index[fun.obj_map[b]].get(
+                (m, c.hom(c.mor_src[m], w).index(g)))
+
+        if not _is_witness(y.presheaf, pulled.presheaf, image,
+                           (y.bar_elem, pulled.bar_elem)):
             report.add("UNIT-ISO", (a,),
                        "unit route differs from the representable presheaf")
-    return UnitResult(report, fun, pc, top, tuple(transferred))
+    return UnitResult(report, tuple(transferred))
 
 
 def _pull_back_rp(x: RestrictionCategory, fun: Functor,

@@ -15,8 +15,7 @@ from .joins import FinitePoset, bar_masks, hom_poset, scan
 from .reports import LawReport
 from .restriction import (RestrictionCategory, distinct_bars,
                           is_restriction_idempotent)
-from .site import (NatTrans, Presheaf, check_presheaf, find_presheaf_iso,
-                   yoneda)
+from .site import NatTrans, Presheaf, check_presheaf, yoneda
 
 
 @dataclass(frozen=True)
@@ -215,15 +214,6 @@ def nat_join(rp_src, rp_tgt, alphas) -> NatTrans:
 
 
 # -- representables ------------------------------------------------------------
-
-def find_rp_iso(rp1: RestrictionPresheaf, rp2: RestrictionPresheaf):
-    """A natural isomorphism of the underlying presheaves that also matches
-    the element restrictions, or None."""
-    def same_bar(a, x, y):
-        return rp1.bar_elem[a][x] == rp2.bar_elem[a][y]
-
-    return find_presheaf_iso(rp1.presheaf, rp2.presheaf, same_bar)
-
 
 def yoneda_jr(x: RestrictionCategory, a) -> RestrictionPresheaf:
     """hom(-, a) with the element restriction inherited from the category."""

@@ -130,8 +130,8 @@ class NatTrans:
 
     def is_iso(self) -> bool:
         return self.is_monic_componentwise() and all(
-            len(self.components[a]) == self.target.sizes[a]
-            for a in self.source.cat.objects)
+            set(comp) == set(self.target.elements(a))
+            for a, comp in enumerate(self.components))
 
 
 def compose_nat(beta: NatTrans, alpha: NatTrans) -> NatTrans:
@@ -161,20 +161,6 @@ def _nat_trans(p: Presheaf, q: Presheaf):
             order):
         yield NatTrans(p, q, tuple(values[offset[a]:offset[a + 1]]
                                    for a in c.objects))
-
-
-def find_presheaf_iso(p: Presheaf, q: Presheaf, elem_constraint=None):
-    """The first natural isomorphism p -> q, in search order, whose every
-    component pair (a, x, y) passes elem_constraint, or None."""
-    if p.sizes != q.sizes:
-        return None
-    allowed = elem_constraint or (lambda a, x, y: True)
-    for nat in _nat_trans(p, q):
-        if nat.is_monic_componentwise() and all(
-                allowed(a, x, y) for a, comp in enumerate(nat.components)
-                for x, y in enumerate(comp)):
-            return nat
-    return None
 
 
 def constant_presheaf(c: FinCategory, k) -> Presheaf:

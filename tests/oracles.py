@@ -451,6 +451,32 @@ def nat_trans(p, q):
     return out
 
 
+# the iso searches: the reference for the comparison maps that decide the
+# round trips and the unit in bridge
+
+def find_presheaf_iso(p: Presheaf, q: Presheaf, elem_constraint=None):
+    """The first natural isomorphism p -> q, in search order, whose every
+    component pair (a, x, y) passes elem_constraint, or None."""
+    if p.sizes != q.sizes:
+        return None
+    allowed = elem_constraint or (lambda a, x, y: True)
+    for nat in site._nat_trans(p, q):
+        if nat.is_monic_componentwise() and all(
+                allowed(a, x, y) for a, comp in enumerate(nat.components)
+                for x, y in enumerate(comp)):
+            return nat
+    return None
+
+
+def find_rp_iso(rp1: RestrictionPresheaf, rp2: RestrictionPresheaf):
+    """A natural isomorphism of the underlying presheaves that also matches
+    the element restrictions, or None."""
+    def same_bar(a, x, y):
+        return rp1.bar_elem[a][x] == rp2.bar_elem[a][y]
+
+    return find_presheaf_iso(rp1.presheaf, rp2.presheaf, same_bar)
+
+
 def matching_tuples(c, p, fam):
     """Every tuple of elements x_i in P(dom m_i), in product order, kept
     when it agrees on the pullback of each ordered pair m_i, m_j (i != j)."""

@@ -1,17 +1,21 @@
+import contextlib
 import functools
+import io
+import itertools
 
 import pytest
 
 import oracles
-from rcwb import bridge
-from rcwb.bridge import (amalgamation_formula_report, cocompletion_unit,
-                         jrp_to_sheaf, recipe_join, roundtrip_report,
-                         sheaf_to_jrp, transfer_report)
-from rcwb.fixtures import build_finset_mcat
+from rcwb import bridge, site
+from rcwb.bridge import (amalgamation_formula_report, canonical_pair,
+                         cocompletion_unit, jrp_to_sheaf, recipe_join,
+                         roundtrip_report, sheaf_to_jrp, transfer_report)
+from rcwb.bundles import build_fixture, load_bundle
+from rcwb.cli import main
+from rcwb.fixtures import build_finset_mcat, subsets_category
 from rcwb.mcat import par, sub_m_order
-from rcwb.rpsh import (check_jrp_axioms, element_join, element_poset,
-                       find_rp_iso, yoneda_jr)
-from rcwb.site import find_presheaf_iso, generate_topology, is_sheaf, yoneda
+from rcwb.rpsh import check_jrp_axioms, element_join, element_poset, yoneda_jr
+from rcwb.site import NatTrans, generate_topology, is_sheaf, yoneda
 
 
 @functools.cache
@@ -123,17 +127,41 @@ def test_roundtrips_are_natural_isos(pc_inj):
 
 
 def test_roundtrip_sheaf_side_explicitly(pc_inj, top_inj):
+    # x in P(a) goes to the total element (1, x): in FinSet the identity is
+    # its own canonical monic, so that is the pair (1, x) itself
     c = pc_inj.mc.base
     p = yoneda(c, 2)
-    dot = jrp_to_sheaf(pc_inj, sheaf_to_jrp(pc_inj, p).rp)
-    nat = find_presheaf_iso(p, dot.presheaf)
-    assert nat is not None and nat.check() and nat.is_iso()
+    tr = sheaf_to_jrp(pc_inj, p)
+    dot = jrp_to_sheaf(pc_inj, tr.rp)
+    comps = tuple(tuple(dot.index[a][tr.index[a][(c.identity[a], x)]]
+                        for x in p.elements(a)) for a in c.objects)
+    assert all(canonical_pair(pc_inj.mc, p, c.identity[a], x) ==
+               (c.identity[a], x) for a in c.objects for x in p.elements(a))
+    nat = NatTrans(p, dot.presheaf, comps)
+    assert nat.check() and nat.is_iso()
 
 
 def test_roundtrip_presheaf_side_explicitly(pc_inj, top_inj):
+    # t with bar (m, m) goes to (m, t·(1, m)), t·(1, m) a total element at
+    # dom m, and keeps its bar
+    c = pc_inj.mc.base
     q = yoneda_jr(pc_inj.rc, 2)
-    tr = sheaf_to_jrp(pc_inj, jrp_to_sheaf(pc_inj, q).presheaf)
-    assert find_rp_iso(q, tr.rp) is not None
+    dot = jrp_to_sheaf(pc_inj, q)
+    tr = sheaf_to_jrp(pc_inj, dot.presheaf)
+    comps = []
+    for a in c.objects:
+        col = []
+        for t in q.presheaf.elements(a):
+            m, n = pc_inj.spans[q.bar(a, t)]
+            d = c.mor_src[m]
+            total = q.presheaf.act(pc_inj.id_of_span(c.identity[d], m), t)
+            assert m == n and q.bar(d, total) == pc_inj.rc.base.identity[d]
+            col.append(tr.index[a][(m, dot.index[d][total])])
+        comps.append(tuple(col))
+    nat = NatTrans(q.presheaf, tr.rp.presheaf, tuple(comps))
+    assert nat.check() and nat.is_iso()
+    assert all(tr.rp.bar(a, y) == q.bar(a, t)
+               for a, col in enumerate(comps) for t, y in enumerate(col))
 
 
 def test_cocompletion_unit_matches_representables(finset_p2):
@@ -146,3 +174,170 @@ def test_cocompletion_unit_on_small_join_category():
     from rcwb.fixtures import subsets_category
     res = cocompletion_unit(subsets_category(2))
     assert res.report.ok
+
+
+# -- the comparison maps against the iso search ---------------------------------
+#
+# roundtrip_report and cocompletion_unit check one comparison map each; the
+# iso search they once ran is oracles.find_presheaf_iso / find_rp_iso.
+
+ISO_PAIR_ORDERS = list(itertools.permutations(["1A", "1B", "i", "j"]))
+
+# the bundles the site tests draw: M3, and the canonical subobjects that are
+# not identities in Z/2 and in the A ≅ B pair, in every map order
+BUNDLE_BASES = {
+    "m3": lambda: load_bundle(oracles.m3_bundle()).mcat,
+    # with "s" first the top subobject is s, not the identity
+    "z2_s1": lambda: load_bundle(oracles.z2_bundle(["s", "1"])).mcat,
+    "z2_1s": lambda: load_bundle(oracles.z2_bundle(["1", "s"])).mcat,
+    **{"iso_pair_" + "_".join(order):
+       (lambda order=order: load_bundle(oracles.iso_pair_bundle(order)).mcat)
+       for order in ISO_PAIR_ORDERS},
+}
+
+RT_BASES = {
+    **{name: (lambda name=name: build_fixture(name).mcat)
+       for name in ("finset_inj_1", "finset_inj_2", "finset_inj_3",
+                    "finset_iso_2", "finset_iso_3")},
+    **BUNDLE_BASES,
+}
+
+UNIT_BASES = {
+    **{name: (lambda name=name: build_fixture(name).restriction)
+       for name in ("finset_p_1", "finset_p_2", "finset_p_3", "nojoin")},
+    **{f"subsets_{n}": (lambda n=n: subsets_category(n)) for n in (1, 2, 3)},
+    # every map total: the restriction categories the bundles carry
+    **{name: (lambda base=base: oracles.trivial_restriction(base().base))
+       for name, base in BUNDLE_BASES.items()},
+}
+
+
+def _spy_on_comparisons(monkeypatch):
+    """Record each comparison map that bridge checks, as (natural
+    transformation, bars or None, the helper's verdict)."""
+    calls = []
+    real = bridge._is_witness
+
+    def spy(p, q, image, bars=None):
+        comps = tuple(tuple(image(a, x) for x in p.elements(a))
+                      for a in p.cat.objects)
+        ok = real(p, q, image, bars)
+        calls.append((NatTrans(p, q, comps), bars, ok))
+        return ok
+
+    monkeypatch.setattr(bridge, "_is_witness", spy)
+    return calls
+
+
+def _lines(report):
+    return {(v.tag, v.ids) for v in report.violations}
+
+
+def _is_comparison_iso(nat, bars):
+    return nat.is_iso() and nat.check() and (bars is None or all(
+        bars[0][a][x] == bars[1][a][y]
+        for a, comp in enumerate(nat.components) for x, y in enumerate(comp)))
+
+
+@pytest.mark.parametrize("name", sorted(RT_BASES))
+def test_roundtrip_witnesses_match_the_iso_search(name, monkeypatch):
+    pc = par(RT_BASES[name]())
+    c = pc.mc.base
+    calls = _spy_on_comparisons(monkeypatch)
+    got = _lines(roundtrip_report(pc))
+    want = set()
+    for w in c.objects:
+        p = yoneda(c, w)
+        dot = jrp_to_sheaf(pc, sheaf_to_jrp(pc, p).rp)
+        if oracles.find_presheaf_iso(p, dot.presheaf) is None:
+            want.add(("RT-SHEAF", (w,)))
+    for w in pc.rc.base.objects:
+        q = yoneda_jr(pc.rc, w)
+        tr = sheaf_to_jrp(pc, jrp_to_sheaf(pc, q).presheaf)
+        if oracles.find_rp_iso(q, tr.rp) is None:
+            want.add(("RT-JRP", (w,)))
+    assert got == want == set()
+    assert len(calls) == 2 * c.n_objects
+    assert all(ok and _is_comparison_iso(nat, bars)
+               for nat, bars, ok in calls)
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_BASES))
+def test_unit_witnesses_match_the_iso_search(name, monkeypatch):
+    x = UNIT_BASES[name]()
+    calls = _spy_on_comparisons(monkeypatch)
+    res = cocompletion_unit(x)
+    # no UNIT-SUBCAN or UNIT-BAR line, so every object has its presheaf
+    assert len(res.transferred) == x.base.n_objects
+    want = {("UNIT-ISO", (a,)) for a, pulled in enumerate(res.transferred)
+            if oracles.find_rp_iso(pulled, yoneda_jr(x, a)) is None}
+    assert _lines(res.report) == want == set()
+    assert len(calls) == x.base.n_objects
+    assert all(ok and _is_comparison_iso(nat, bars)
+               for nat, bars, ok in calls)
+
+
+def test_roundtrip_and_unit_make_no_iso_search(pc_inj, finset_p2,
+                                               monkeypatch):
+    def no_search(p, q):
+        raise AssertionError("a search over natural transformations")
+
+    monkeypatch.setattr(site, "_nat_trans", no_search)
+    p = yoneda(pc_inj.mc.base, 1)
+    with pytest.raises(AssertionError):
+        oracles.find_presheaf_iso(p, p)
+    assert roundtrip_report(pc_inj).ok
+    assert cocompletion_unit(finset_p2).report.ok
+
+
+def test_a_comparison_undefined_somewhere_fails_without_an_error(mc_inj):
+    p = yoneda(mc_inj.base, 2)
+    assert bridge._is_witness(p, p, lambda a, x: x)
+    assert not bridge._is_witness(p, p, lambda a, x: None if x == 0 else x)
+    # an index outside q(a) is no element either
+    assert not bridge._is_witness(p, p, lambda a, x: x + 1)
+    bars = tuple(tuple(range(n)) for n in p.sizes)
+    assert bridge._is_witness(p, p, lambda a, x: x, (bars, bars))
+    moved = tuple(tuple(b + 1 for b in col) for col in bars)
+    assert not bridge._is_witness(p, p, lambda a, x: x, (bars, moved))
+
+
+def _swap_two(real):
+    """bridge._is_witness on a comparison with the images of the first two
+    elements at the first object with two or more swapped."""
+    def swapped(p, q, image, bars=None):
+        at = next((a for a in p.cat.objects if p.sizes[a] > 1), None)
+        return real(p, q, lambda a, x: image(a, 1 - x if a == at and x < 2
+                                             else x), bars)
+
+    return swapped
+
+
+def _shift_canonical_pair(real):
+    """bridge.canonical_pair with each element moved one place along
+    P(dom m): the transfer's action and the RT-SHEAF map go wrong, but
+    every pair stays a pair of the transfer."""
+    def shifted(mc, p, mu, e):
+        m, x = real(mc, p, mu, e)
+        return m, (x + 1) % p.sizes[mc.base.mor_src[m]]
+
+    return shifted
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("_is_witness", _swap_two), ("canonical_pair", _shift_canonical_pair)])
+def test_a_wrong_comparison_is_a_failed_law(name, corrupt, pc_inj, finset_p2,
+                                            monkeypatch):
+    monkeypatch.setattr(bridge, name, corrupt(getattr(bridge, name)))
+    assert {"RT-SHEAF", "RT-JRP"} <= roundtrip_report(pc_inj).tags()
+    assert cocompletion_unit(finset_p2).report.tags() == {"UNIT-ISO"}
+    for argv in (["roundtrip", "finset_inj_2", "yset1"],
+                 ["unit", "finset_p_2"]):
+        code, out = _run(argv)
+        assert code == 1 and out.splitlines()[-1].startswith("FAIL"), argv

@@ -28,9 +28,9 @@ from rcwb.restriction import RestrictionCategory, check_restriction_axioms
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
                        element_poset, rp_reports, yoneda_jr)
 from rcwb.site import (Presheaf, Topology, all_nat_trans, basis_covers,
-                       check_presheaf, constant_presheaf, find_presheaf_iso,
-                       generate_topology, matching_families, plus,
-                       saturation_is_fixpoint, sieves_on, yoneda)
+                       check_presheaf, constant_presheaf, generate_topology,
+                       matching_families, plus, saturation_is_fixpoint,
+                       sieves_on, yoneda)
 
 MCATS = {"finset_inj_2": build_finset_mcat(2),
          "finset_iso_2": finset_iso_mcat(2)}
@@ -1208,7 +1208,7 @@ def _same_nat_trans(p, q):
         allowed = [t for t in bijections if constraint is None or all(
             constraint(a, x, y) for a, comp in enumerate(t)
             for x, y in enumerate(comp))]
-        iso = find_presheaf_iso(p, q, constraint)
+        iso = oracles.find_presheaf_iso(p, q, constraint)
         assert (iso is None) == (not allowed)
         if iso is not None:
             assert iso.components == min(

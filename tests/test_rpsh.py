@@ -1,12 +1,12 @@
 import pytest
 
-from oracles import collage, element_leq, leq
+from oracles import collage, element_leq, find_rp_iso, leq
 from rcwb.fincat import validate_category
 from rcwb.joins import check_join_axioms
 from rcwb.restriction import check_restriction_axioms
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, check_rp_axioms,
-                       element_join, element_poset, find_rp_iso,
-                       hom_restriction, nat_join, yoneda_jr)
+                       element_join, element_poset, hom_restriction,
+                       nat_join, yoneda_jr)
 from rcwb.site import NatTrans
 
 

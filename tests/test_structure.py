@@ -81,9 +81,18 @@ def _callers(pattern):
     (r"\bmatching_families\(", {("site", "matching_families"),
                                  ("site", "sheaf_reports"),
                                  ("site", "plus")}),
+    # its own def line, and all_nat_trans (declared API): the round trips
+    # and the unit check their comparison maps and search for no iso
+    (r"\b_nat_trans\(", {("site", "_nat_trans"), ("site", "all_nat_trans")}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
+
+
+def test_iso_searches_are_test_references_only():
+    # the round trips and the unit are decided by their comparison maps;
+    # the searches live on as oracles.find_presheaf_iso and find_rp_iso
+    assert _callers(r"\bfind_presheaf_iso\b|\bfind_rp_iso\b") == set()
 
 
 def test_plus_classes_need_no_search_over_refinements():
