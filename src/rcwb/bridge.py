@@ -36,7 +36,7 @@ passes yoneda_jr, which is one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fincat import Functor, compose_functors, least_iso, pullback
 from .mcat import (MCategory, ParCategory, join_colimit, karoubi_r,
@@ -52,20 +52,20 @@ from .site import (NatTrans, Presheaf, Topology, amalgamations,
 
 # -- sheaf -> join restriction presheaf ----------------------------------------
 
-@dataclass(frozen=True)
-class TransferredJRP:
-    rp: RestrictionPresheaf     # over pc.rc
-    pc: ParCategory
-    sheaf: Presheaf             # the source presheaf over pc.mc.base
-    elems: tuple                # per object: tuple of (monic, element) pairs
-    index: tuple                # per object: dict (monic, element) -> index
+class TransferredJRP(namedtuple("TransferredJRP",
+                                 "rp pc sheaf elems index")):
+    """rp over pc.rc, transferred from the presheaf sheaf over pc.mc.base;
+    per object, elems is the tuple of (monic, element) pairs and index the
+    dict from each pair to its index."""
+    __slots__ = ()
 
 
 def canonical_pair(mc: MCategory, p: Presheaf, mu, e):
     """The canonical pair in the class of (mu, e): (mu∘phi, P(phi)(e)) for
     the iso phi that makes mu∘phi the canonical monic."""
-    phi = least_iso(mc.base, mu)
-    return mc.base.compose(mu, phi), p.act(phi, e)
+    c = mc.base
+    phi = least_iso(c, mu)
+    return c.compose(mu, phi), p.act(phi, e)
 
 
 def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
@@ -155,11 +155,10 @@ def transfer_report(pc: ParCategory, top: Topology, p: Presheaf,
 
 # -- join restriction presheaf -> sheaf -----------------------------------------
 
-@dataclass(frozen=True)
-class DotPresheaf:
-    presheaf: Presheaf      # over pc.mc.base
-    orig: tuple             # per object: tuple of source element indices
-    index: tuple            # per object: dict source element -> index
+class DotPresheaf(namedtuple("DotPresheaf", "presheaf orig index")):
+    """The presheaf over pc.mc.base; per object, orig is the tuple of
+    source element indices and index the dict from each to its index."""
+    __slots__ = ()
 
 
 def jrp_to_sheaf(pc: ParCategory, rp: RestrictionPresheaf) -> DotPresheaf:
@@ -230,7 +229,7 @@ def _matching_tuples(c, p, fam):
     checks = [[(i, j, pullback(c, fam[i], fam[j]))
                for e in range(k) for i, j in ((e, k), (k, e))]
               for k in range(n)]
-    chosen = [None] * n
+    chosen, act = [None] * n, p.action
 
     def grow(k):
         if k == n:
@@ -238,8 +237,8 @@ def _matching_tuples(c, p, fam):
             return
         for x in p.elements(c.mor_src[fam[k]]):
             chosen[k] = x
-            if all(p.act(cone.p, chosen[i]) == p.act(cone.q, chosen[j])
-                   for i, j, cone in checks[k]):
+            if all(act[cone_p, chosen[i]] == act[cone_q, chosen[j]]
+                   for i, j, (_, cone_p, cone_q) in checks[k]):
                 yield from grow(k + 1)
 
     return grow(0)
@@ -292,10 +291,9 @@ def _is_witness(p: Presheaf, q: Presheaf, image, bars=None) -> bool:
 
 # -- the unit of the cocompletion ---------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitResult:
-    report: LawReport
-    transferred: tuple          # per object of x: the pulled-back presheaf
+class UnitResult(namedtuple("UnitResult", "report transferred")):
+    """The unit report, and per object of x the pulled-back presheaf."""
+    __slots__ = ()
 
 
 def cocompletion_unit(x: RestrictionCategory) -> UnitResult:

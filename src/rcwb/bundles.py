@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import fixtures
 from .fincat import FinCategory, build_category
@@ -30,12 +30,12 @@ class BundleError(ValueError):
     """Unreadable or inconsistent bundle; message includes the JSON path."""
 
 
-@dataclass(frozen=True)
-class Bundle:
-    cat: FinCategory
-    restriction: RestrictionCategory = None
-    mcat: MCategory = None
-    presheaves: dict = field(default_factory=dict)  # name -> (Presheaf, bars)
+class Bundle(namedtuple("Bundle", "cat restriction mcat presheaves",
+                        defaults=(None, None, {}))):
+    """A category with its optional sections; presheaves maps each name to
+    (Presheaf, bars).  The default presheaves dict is shared: no caller
+    adds to a bundle's presheaves."""
+    __slots__ = ()
 
 
 def _fail(path, msg):

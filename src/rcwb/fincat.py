@@ -48,7 +48,7 @@ single-threaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .reports import LawReport
@@ -417,14 +417,12 @@ def least_iso(c: FinCategory, f) -> int:
 
 # -- diagrams, cones, cocones ----------------------------------------------
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(namedtuple("Diagram", "obj_map arrows")):
     """A diagram given by a graph that generates its shape: obj_map[v] is
     the object at vertex v, and each arrow (i, j, f) is a map f from
     obj_map[i] to obj_map[j].  A cocone needs leg_j∘f == leg_i for each
     arrow only (Mac Lane, CWM §II.7, §III.3)."""
-    obj_map: tuple
-    arrows: tuple
+    __slots__ = ()
 
     def check(self, c: FinCategory) -> bool:
         """Whether every vertex is an object of c and every arrow a map of c
@@ -437,18 +435,15 @@ class Diagram:
             for i, j, f in self.arrows)
 
 
-@dataclass(frozen=True)
-class Cocone:
-    apex: int
-    legs: tuple  # indexed by vertex
+class Cocone(namedtuple("Cocone", "apex legs")):
+    """A cocone with apex object apex and legs indexed by vertex."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PullbackCone:
-    """Terminal cone over a cospan (f, g): f∘p == g∘q."""
-    apex: int
-    p: int  # apex -> src(f)
-    q: int  # apex -> src(g)
+class PullbackCone(namedtuple("PullbackCone", "apex p q")):
+    """Terminal cone over a cospan (f, g): f∘p == g∘q, with p: apex ->
+    src(f) and q: apex -> src(g)."""
+    __slots__ = ()
 
 
 def pullback(c: FinCategory, f, g):
@@ -639,9 +634,9 @@ def cocones_at(c: FinCategory, d: Diagram, apex):
     for i, j, f in d.arrows:
         forces[j].append((i, f))
     sources = {i for i, _, _ in d.arrows}
-    rows, pos = c.rows, c.pos
+    rows, pos, objs = c.rows, c.pos, d.obj_map
     return list(forced_assignments(
-        n, lambda k: c.hom(d.obj_map[k], apex), forces,
+        n, lambda k: c.hom(objs[k], apex), forces,
         lambda f, leg: rows[leg][pos[f]],
         sorted(range(n), key=lambda k: k in sources)))
 
@@ -695,26 +690,24 @@ def mediating(c: FinCategory, coc: Cocone, apex, legs):
 
 # -- functors ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Functor:
-    source: FinCategory
-    target: FinCategory
-    obj_map: tuple
-    mor_map: tuple
+class Functor(namedtuple("Functor", "source target obj_map mor_map")):
+    """A functor between finite categories, given by its object and
+    morphism tables."""
+    __slots__ = ()
 
     def check(self) -> bool:
-        s, t = self.source, self.target
+        s, t, om, mm = self
         for f in s.morphisms():
-            ff = self.mor_map[f]
-            if t.mor_src[ff] != self.obj_map[s.mor_src[f]]:
+            ff = mm[f]
+            if t.mor_src[ff] != om[s.mor_src[f]]:
                 return False
-            if t.mor_tgt[ff] != self.obj_map[s.mor_tgt[f]]:
+            if t.mor_tgt[ff] != om[s.mor_tgt[f]]:
                 return False
         for a in s.objects:
-            if self.mor_map[s.identity[a]] != t.identity[self.obj_map[a]]:
+            if mm[s.identity[a]] != t.identity[om[a]]:
                 return False
         # F maps into(src g) into into(src Fg), so Fg's row holds Fg∘Ff
-        mm, pos = self.mor_map, t.pos
+        pos = t.pos
         for g, row in enumerate(s.rows):
             row_fg = t.rows[mm[g]]
             for f, gf in zip(s.into(s.mor_src[g]), row):
@@ -745,13 +738,11 @@ def compose_functors(g: Functor, f: Functor) -> Functor:
 
 # -- subcategories -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subcategory:
-    """A subcategory with reindexed dense ids, plus translation tables."""
-    cat: FinCategory
-    obj_old: tuple     # new object id -> old object id
-    mor_old: tuple     # new morphism id -> old morphism id
-    mor_new: dict      # old -> new
+class Subcategory(namedtuple("Subcategory", "cat obj_old mor_old mor_new")):
+    """A subcategory with reindexed dense ids, plus translation tables:
+    obj_old and mor_old map new object and morphism ids to old ones, and
+    the dict mor_new maps old morphism ids to new ones."""
+    __slots__ = ()
 
 
 def subcategory(c: FinCategory, objs, mors) -> Subcategory:

@@ -10,7 +10,7 @@ graphs lexicographically, so identical inputs give identical categories.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fincat import FinCategory, build_category, subcategory
 from .mcat import MCategory
@@ -27,12 +27,11 @@ def _partial_values(b):
     return [None] + list(range(b))
 
 
-@dataclass(frozen=True)
-class FinSetData:
-    """A finite-set fixture with its element-level graphs for oracles."""
-    cat: FinCategory
-    graphs: tuple          # morphism id -> graph tuple
-    mor_id: dict           # (src, tgt, graph) -> morphism id
+class FinSetData(namedtuple("FinSetData", "cat graphs mor_id")):
+    """A finite-set fixture with its element-level graphs for oracles:
+    graphs[f] is the graph tuple of morphism f, and mor_id maps (src, tgt,
+    graph) to the morphism id."""
+    __slots__ = ()
 
 
 def _build_maps_category(n, values, prefix):

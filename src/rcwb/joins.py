@@ -18,20 +18,17 @@ the generators of the base category first (see fincat.certified).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fincat import certified
 from .reports import LawReport, Violation
 from .restriction import RestrictionCategory
 
 
-@dataclass(frozen=True)
-class CompatibleFamily:
-    """A set of members of hom(src, tgt); hom_poset(x, src, tgt).compatible
-    decides whether it is compatible."""
-    src: int
-    tgt: int
-    members: frozenset
+class CompatibleFamily(namedtuple("CompatibleFamily", "src tgt members")):
+    """A frozenset of members of hom(src, tgt); hom_poset(x, src,
+    tgt).compatible decides whether it is compatible."""
+    __slots__ = ()
 
 
 def _bits(mask):

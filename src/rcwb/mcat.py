@@ -40,10 +40,10 @@ asked for, with its matching colimit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 
-from .fincat import (Cocone, Diagram, FinCategory, Functor, Subcategory,
+from .fincat import (Cocone, Diagram, FinCategory, Functor,
                      build_category, certified, colimit, is_mono, least_iso,
                      mediating, pullback)
 from .joins import FinitePoset
@@ -53,9 +53,8 @@ from .restriction import (RestrictionCategory, check_restriction_axioms,
                           total_subcategory)
 
 
-@dataclass(frozen=True)
-class MCategory:
-    """A finite category with a class of monics.
+class MCategory(namedtuple("MCategory", "base monics")):
+    """A finite category base with a class of monics, a frozenset of ids.
 
     sub_m_orders keeps the order of Sub_M(a) per object a (sub_m_order),
     and antichain_memo each antichain of Sub_M(a) with its matching
@@ -63,12 +62,14 @@ class MCategory:
     no part in equality or hashing, and hand the same result object to
     every caller, so cached results must not be mutated.
     """
-    base: FinCategory
-    monics: frozenset
-    sub_m_orders: dict = field(default_factory=dict, init=False,
-                               repr=False, compare=False)
-    antichain_memo: dict = field(default_factory=dict, init=False,
-                                 repr=False, compare=False)
+
+    def __new__(cls, base, monics):
+        self = super().__new__(cls, base, monics)
+        self.sub_m_orders, self.antichain_memo = {}, {}
+        return self
+
+    # _replace builds through _make: start empty caches
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def check_m_system(mc: MCategory) -> LawReport:
@@ -269,10 +270,10 @@ def _require_subobjects(mc: MCategory, family, obj):
             raise ValueError(f"{m} is not an M-subobject of {obj}")
 
 
-@dataclass(frozen=True)
-class MatchingColimit:
-    cocone: Cocone      # the colimit: one leg a_i per member, into the union
-    mu: int             # induced map from the union into the target object
+class MatchingColimit(namedtuple("MatchingColimit", "cocone mu")):
+    """The colimit cocone, with one leg a_i per member into the union, and
+    the induced map mu from the union into the target object."""
+    __slots__ = ()
 
 
 def matching_colimit(mc: MCategory, family, obj):
@@ -360,19 +361,15 @@ def canonical_span(mc: MCategory, m, f):
     return c.rows[m][p], c.rows[f][p]
 
 
-@dataclass(frozen=True)
-class ParCategory:
+class ParCategory(namedtuple("ParCategory", "rc mc spans span_id axioms")):
     """Par(C, M) with canonical span representatives.
 
-    Objects are shared with the base M-category; morphism i is the span
-    spans[i] == (m, f) with m in M.  axioms is the restriction-axiom report
-    that `par` checked it against.
+    Objects are shared with the base M-category mc; morphism i of the
+    restriction category rc is the span spans[i] == (m, f) with m in M, and
+    span_id maps each canonical (m, f) to its id.  axioms is the
+    restriction-axiom report that `par` checked it against.
     """
-    rc: RestrictionCategory
-    mc: MCategory
-    spans: tuple
-    span_id: dict  # canonical (m, f) -> morphism id
-    axioms: LawReport
+    __slots__ = ()
 
     def id_of_span(self, m, f):
         return self.span_id[canonical_span(self.mc, m, f)]
@@ -494,10 +491,10 @@ def restriction_monic_candidates(x: RestrictionCategory):
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class MTotalResult:
-    mcat: MCategory
-    sub: Subcategory    # total subcategory with old<->new translation
+class MTotalResult(namedtuple("MTotalResult", "mcat sub")):
+    """Total(x) with the restriction monics as mcat, and the total
+    subcategory sub with its old<->new translation."""
+    __slots__ = ()
 
 
 def mtotal(x: RestrictionCategory) -> MTotalResult:
@@ -513,12 +510,12 @@ def mtotal(x: RestrictionCategory) -> MTotalResult:
     return MTotalResult(MCategory(sub.cat, monics), sub)
 
 
-@dataclass(frozen=True)
-class KaroubiResult:
-    rc: RestrictionCategory
-    objects: tuple      # new object id -> (base object, idempotent)
-    morphisms: tuple    # new morphism id -> (src idx, tgt idx, base morphism)
-    embedding: Functor  # x -> karoubi_r(x)
+class KaroubiResult(namedtuple("KaroubiResult",
+                                "rc objects morphisms embedding")):
+    """The splitting rc: objects[i] is (base object, idempotent) and
+    morphisms[n] is (src idx, tgt idx, base morphism); embedding is the
+    functor x -> karoubi_r(x)."""
+    __slots__ = ()
 
 
 def karoubi_r(x: RestrictionCategory) -> KaroubiResult:
@@ -573,10 +570,9 @@ def karoubi_r(x: RestrictionCategory) -> KaroubiResult:
     return KaroubiResult(rc, tuple(objects), tuple(morphisms), emb)
 
 
-@dataclass(frozen=True)
-class SplitUnitResult:
-    functor: Functor        # x.base -> par(mtotal(x)).rc.base, invertible
-    pc: ParCategory
+class SplitUnitResult(namedtuple("SplitUnitResult", "functor pc")):
+    """The invertible functor x.base -> pc.rc.base, pc = par(mtotal(x))."""
+    __slots__ = ()
 
 
 def split_unit_functor(x: RestrictionCategory) -> SplitUnitResult:

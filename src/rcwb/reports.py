@@ -2,28 +2,37 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 class InternalInvariantError(RuntimeError):
     """A structural guarantee the code itself relies on was violated."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    tag: str
-    ids: tuple
-    detail: str = ""
+class Violation(namedtuple("Violation", "tag ids detail", defaults=("",))):
+    """A law's tag, the ids it failed on and an optional detail."""
+    __slots__ = ()
 
     def line(self) -> str:
         ids = ",".join(str(i) for i in self.ids)
         return f"{self.tag}\t{ids}" + (f"\t{self.detail}" if self.detail else "")
 
 
-@dataclass
 class LawReport:
-    name: str
-    violations: list = field(default_factory=list)
+    """The named list of violations a check found; two reports are equal
+    when their names and violation lists are."""
+
+    def __init__(self, name, violations=None):
+        self.name = name
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if not isinstance(other, LawReport):
+            return NotImplemented
+        return (self.name, self.violations) == (other.name, other.violations)
+
+    def __repr__(self):
+        return f"LawReport(name={self.name!r}, violations={self.violations!r})"
 
     def add(self, tag, ids, detail=""):
         self.violations.append(Violation(tag, tuple(ids), detail))

@@ -3,21 +3,23 @@
 The bar assignment f -> f̄ is stored as a total table.  The four
 restriction axioms are checked on every map and pair, each law reading a
 map only through what it depends on: R2 once per pair of distinct bars at
-an object, R3 once per map and distinct bar at its source, R4 on every
-composable pair, one row of the composition table at a time.
+an object, R3 once per map and distinct bar at its source, R4 once per
+distinct pair of h̄ and the bars of h's composites, one row of the
+composition table at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from operator import itemgetter
 
-from .fincat import FinCategory, Subcategory, subcategory
+from .fincat import Subcategory, subcategory
 from .reports import LawReport
 
 
-@dataclass(frozen=True)
-class RestrictionCategory:
-    """A finite category with a bar table.
+class RestrictionCategory(namedtuple("RestrictionCategory", "base bar")):
+    """A finite category base with a bar table: bar[f] is the id of f̄, an
+    endomorphism of src f.
 
     posets caches the hom order of each hom-set as a joins.FinitePoset,
     keyed by (src, tgt) and built by joins.hom_poset on first use.  It fills
@@ -26,16 +28,16 @@ class RestrictionCategory:
     the same way, the splitting of each restriction idempotent that
     mcat.splittings finds.
     """
-    base: FinCategory
-    bar: tuple  # morphism id -> morphism id, an endomorphism of the source
-    posets: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-    splits: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
-    def __post_init__(self):
-        if len(self.bar) != self.base.n_morphisms:
+    def __new__(cls, base, bar):
+        if len(bar) != base.n_morphisms:
             raise ValueError("bar table must cover every morphism")
+        self = super().__new__(cls, base, bar)
+        self.posets, self.splits = {}, {}
+        return self
+
+    # _replace builds through _make: check the bar and start empty caches
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def distinct_bars(x: RestrictionCategory):
@@ -55,12 +57,12 @@ def check_restriction_axioms(x: RestrictionCategory) -> LawReport:
     f̄, so it is checked once per g and distinct bar at src(g).  The loop
     over every such pair (g, f) runs only when one of the two tables holds
     a failure, and reads its entries from them.  R4, h̄∘f == f∘bar(h∘f),
-    is checked on every composable pair, one h at a time: h̄'s row is the
-    left side for every f in into(src h) at once, and h's row gives each
-    h∘f for the right side.  The loop over f and h that writes the entries
-    runs only when that pass finds a failure.  These are exact rewrites,
-    not certificates: the entries and their order are those of the loop
-    over every pair.
+    reads h only through h̄ and the bars of its composites, so it is
+    checked once per distinct such key: h̄'s row is the left side for every
+    f in into(src h) at once, and the bar of each h∘f gives the right side.
+    The loop over f and h that writes the entries runs only when that pass
+    finds a failure.  These are exact rewrites, not certificates: the
+    entries and their order are those of the loop over every pair.
     """
     c = x.base
     bar = x.bar
@@ -89,10 +91,12 @@ def check_restriction_axioms(x: RestrictionCategory) -> LawReport:
                     report.add("R2", (g, f), "ḡ∘f̄ != f̄∘ḡ")
                 if (g, d) in r3:
                     report.add("R3", (g, f), "bar(g∘f̄) != ḡ∘f̄")
-    # bar(h) is an endomorphism of src h, so its row lines up with h's
+    # bar(h) is an endomorphism of src h, so its row lines up with h's;
+    # one h per key (h̄, the bars of h's composites) is checked
+    by_key = {(bar[h], itemgetter(*rows[h])(bar)): h for h in c.morphisms()}
     if any(rows[bar[h]] != tuple([rows[f][pos[bar[hf]]] for f, hf in
                                   zip(c.into(c.mor_src[h]), rows[h])])
-           for h in c.morphisms()):
+           for h in by_key.values()):
         for f in c.morphisms():
             pf = pos[f]
             for h in c.out_of(c.mor_tgt[f]):

@@ -8,30 +8,34 @@ set of elements has a least upper bound satisfying two join axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .fincat import certified
 from .joins import FinitePoset, bar_masks, hom_poset, scan
 from .reports import LawReport
 from .restriction import (RestrictionCategory, distinct_bars,
                           is_restriction_idempotent)
-from .site import NatTrans, Presheaf, check_presheaf, yoneda
+from .site import NatTrans, check_presheaf, yoneda
 
 
-@dataclass(frozen=True)
-class RestrictionPresheaf:
-    """A presheaf over rc.base with a restriction idempotent per element.
+class RestrictionPresheaf(namedtuple("RestrictionPresheaf",
+                                     "rc presheaf bar_elem")):
+    """A presheaf over rc.base with a restriction idempotent per element:
+    bar_elem[a][x] is the morphism id of x̄ for x in presheaf(a).
 
     posets caches the element order of each P(a) as a joins.FinitePoset,
     keyed by object and built by element_poset on first use.  It fills
     lazily, takes no part in equality or hashing, and hands the same poset
     to every caller, so cached posets must not be mutated.
     """
-    rc: RestrictionCategory
-    presheaf: Presheaf          # over rc.base
-    bar_elem: tuple             # per object: tuple, element -> morphism id
-    posets: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+
+    def __new__(cls, rc, presheaf, bar_elem):
+        self = super().__new__(cls, rc, presheaf, bar_elem)
+        self.posets = {}
+        return self
+
+    # _replace builds through _make: start an empty cache
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def bar(self, a, x):
         return self.bar_elem[a][x]

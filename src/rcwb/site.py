@@ -24,7 +24,7 @@ which every cover holds (see `plus`), so no two families are compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
 
 from .fincat import FinCategory, certified, forced_assignments
@@ -35,14 +35,12 @@ from .reports import InternalInvariantError, LawReport
 
 # -- presheaves and natural transformations ----------------------------------
 
-@dataclass(frozen=True)
-class Presheaf:
-    """sizes[A] = |P(A)|; action[(f, x)] = P(f)(x) for f: A -> B and
-    x in P(B), landing in P(A)."""
-    cat: FinCategory
-    sizes: tuple
-    action: dict
-    elem_names: tuple = None
+class Presheaf(namedtuple("Presheaf", "cat sizes action elem_names",
+                          defaults=(None,))):
+    """A presheaf over cat: sizes[A] = |P(A)|; action[(f, x)] = P(f)(x) for
+    f: A -> B and x in P(B), landing in P(A); elem_names[A][x], if given,
+    names x."""
+    __slots__ = ()
 
     def act(self, f, x):
         return self.action[(f, x)]
@@ -96,32 +94,30 @@ def check_presheaf(p: Presheaf) -> bool:
     P(g)P(f∘w') = P(g)P(w')P(f) = P(w)P(f), the middle step by the law at
     the shorter word w'.
     """
-    c = p.cat
+    c, act = p.cat, p.action
     for a in c.objects:
         for x in p.elements(a):
-            if p.act(c.identity[a], x) != x:
+            if act[c.identity[a], x] != x:
                 return False
     # f: B -> C, g: A -> B, so P(f∘g) = P(g)∘P(f)
     return not certified(c, lambda pick: any(
-        p.act(c.compose(f, g), x) != p.act(g, p.act(f, x))
+        act[c.compose(f, g), x] != act[g, act[f, x]]
         for g in pick(c.morphisms()) for f in c.out_of(c.mor_tgt[g])
         for x in p.elements(c.mor_tgt[f])))
 
 
-@dataclass(frozen=True)
-class NatTrans:
-    source: Presheaf
-    target: Presheaf
-    components: tuple   # per object: tuple mapping source elems to target elems
+class NatTrans(namedtuple("NatTrans", "source target components")):
+    """A natural transformation source -> target: components[a] maps each
+    element of source(a) to one of target(a)."""
+    __slots__ = ()
 
     def check(self) -> bool:
-        p, q = self.source, self.target
-        c = p.cat
+        p, q, comps = self
+        c, p_act, q_act = p.cat, p.action, q.action
         for f in c.morphisms():
             a, b = c.mor_src[f], c.mor_tgt[f]
             for x in p.elements(b):
-                if q.act(f, self.components[b][x]) != \
-                        self.components[a][p.act(f, x)]:
+                if q_act[f, comps[b][x]] != comps[a][p_act[f, x]]:
                     return False
         return True
 
@@ -215,24 +211,22 @@ def sieve_pullback(c: FinCategory, s, f) -> frozenset:
                      if fg in s)
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(namedtuple("Topology", "cat covers sieves basis")):
     """A topology with the site data it was generated from, so that later
     checks on the same M-category read them instead of enumerating again.
     Every caller builds it with generate_topology from the M-category it
     goes on to use (the CLI from the bundle's, which par keeps as pc.mc).
+    Per object, covers holds the frozenset of covering sieves, sieves
+    every sieve as sieves_on lists them, and basis the covering antichains
+    as basis_covers lists them.
 
     joined records how the covers were found: the M-category whose Sub_M
     joins gave them, when they are exactly the sieves that pass the join
     test and one saturation pass added nothing to them; None when the
-    saturation loop ran.  Only generate_topology sets it, so a Topology
-    built by hand never claims it."""
-    cat: FinCategory
-    covers: tuple   # per object: frozenset of covering sieves
-    sieves: tuple   # per object: every sieve, as sieves_on lists them
-    basis: tuple    # per object: the covering antichains, as basis_covers
-    joined: MCategory | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    saturation loop ran.  Only generate_topology sets it, on the instance,
+    so a Topology built by hand or copied with _replace never claims it;
+    it takes no part in equality or hashing."""
+    joined = None
 
 
 def basis_covers(mc: MCategory):
@@ -281,7 +275,7 @@ def generate_topology(mc: MCategory) -> Topology:
     top = Topology(c, tuple(frozenset(s) for s in covers), sieves,
                    basis_covers(mc))
     if joined:
-        object.__setattr__(top, "joined", mc)
+        top.joined = mc
     return top
 
 
@@ -289,8 +283,8 @@ def saturation_is_fixpoint(top: Topology) -> bool:
     """One more saturation pass adds no covering sieve.  A topology that
     records joined was certified by generate_topology's own pass over
     these covers and sieves, which added nothing, so it is not run again;
-    one built by hand, or copied with dataclasses.replace, records None
-    and runs the pass."""
+    one built by hand, or copied with _replace, records None and runs the
+    pass."""
     if top.joined is not None:
         return True
     return not _saturate(top.cat, [set(s) for s in top.covers], top.sieves)
@@ -338,8 +332,9 @@ def matching_families(p: Presheaf, a, sieve):
 
 
 def amalgamations(p: Presheaf, a, fs, fam):
+    act = p.action
     return [x for x in p.elements(a)
-            if all(p.act(f, x) == fam[i] for i, f in enumerate(fs))]
+            if all(act[f, x] == fam[i] for i, f in enumerate(fs))]
 
 
 def sheaf_reports(p: Presheaf, top: Topology):
@@ -372,18 +367,15 @@ def is_sheaf(p: Presheaf, top: Topology) -> LawReport:
 
 # -- the plus construction ------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlusData:
-    """One application of the plus construction.
+class PlusData(namedtuple("PlusData", "presheaf top classes unit")):
+    """One application of the plus construction: the presheaf P+ over the
+    topology top, with its unit P -> P+.
 
     classes[a] is the tuple of elements (fs, fam) of P+(a): fs is the sorted
     tuple of the maps of L(a), the least covering sieve on a, and fam a
     matching family over it, in matching_families order.
     """
-    presheaf: Presheaf
-    top: Topology
-    classes: tuple
-    unit: NatTrans
+    __slots__ = ()
 
 
 def plus(p: Presheaf, top: Topology) -> PlusData:
@@ -433,12 +425,10 @@ def plus(p: Presheaf, top: Topology) -> PlusData:
     return PlusData(plus_p, top, tuple(classes), unit)
 
 
-@dataclass(frozen=True)
-class SheafifyResult:
-    presheaf: Presheaf
-    unit: NatTrans          # P -> P++
-    plus1: PlusData
-    plus2: PlusData
+class SheafifyResult(namedtuple("SheafifyResult",
+                                 "presheaf unit plus1 plus2")):
+    """P++ with its unit P -> P++ and the two plus applications."""
+    __slots__ = ()
 
 
 def sheafify(p: Presheaf, top: Topology) -> SheafifyResult:

@@ -2,7 +2,6 @@
 oracles.py on small fixtures."""
 
 import contextlib
-import dataclasses
 import itertools
 import random
 
@@ -1023,10 +1022,10 @@ def test_joined_topologies_are_subcanonical_with_no_sheaf_scan(monkeypatch,
     assert top.joined is mc
     scanned = _sheaf_scans(monkeypatch)
     assert site.subcanonical_report(top).ok and scanned == []
-    # the same covers built by hand, or copied with replace, claim nothing,
+    # the same covers built by hand, or copied with _replace, claim nothing,
     # so each representable is scanned
     for other in (Topology(top.cat, top.covers, top.sieves, top.basis),
-                  dataclasses.replace(top)):
+                  top._replace()):
         assert other.joined is None and other == top
         scanned.clear()
         assert site.subcanonical_report(other).ok

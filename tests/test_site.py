@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import oracles
@@ -55,7 +53,7 @@ def test_empty_family_covers_initial_object(mc_inj):
 def test_topology_is_saturated(top_inj):
     # the generated topology records its certificate; a copy does not, and
     # runs the saturation pass over the same covers
-    copy = dataclasses.replace(top_inj)
+    copy = top_inj._replace()
     assert top_inj.joined is not None and copy.joined is None
     assert saturation_is_fixpoint(top_inj) and saturation_is_fixpoint(copy)
 
@@ -240,7 +238,7 @@ def test_plus_refuses_covers_that_omit_their_intersection(mc_inj, top_inj):
     covers = list(top_inj.covers)
     covers[2] = frozenset([maximal_sieve(c, 2)] +
                           [frozenset(c.rows[m]) for m in c.hom(1, 2)])
-    top = dataclasses.replace(top_inj, covers=tuple(covers))
+    top = top_inj._replace(covers=tuple(covers))
     with pytest.raises(ValueError, match="set2 do not hold their "
                                          "intersection"):
         plus(yoneda(c, 2), top)

@@ -23,7 +23,8 @@ def _parsed(path):
 def _callers(pattern):
     """(module, function) for each line of src/rcwb/*.py that matches the
     pattern: the innermost def around the line, or None at module level.
-    A def's decorator lines belong to it."""
+    A def's decorator lines belong to it.  A class statement is no call:
+    `class Presheaf(namedtuple(...))` names the record's base class."""
     out = set()
     for path in sorted(SRC.glob("*.py")):
         text, tree = _parsed(path)
@@ -33,7 +34,8 @@ def _callers(pattern):
                 for node in ast.walk(tree)
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for lineno, line in enumerate(text.splitlines(), 1):
-            if re.search(pattern, line):
+            if re.search(pattern, line) and \
+                    not line.lstrip().startswith("class "):
                 # the innermost def starts last
                 around = [d for d in defs if d[0] <= lineno <= d[1]]
                 out.add((path.stem, max(around)[2] if around else None))
