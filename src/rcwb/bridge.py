@@ -47,7 +47,7 @@ from .rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
                    element_poset, yoneda_jr)
 from .site import (NatTrans, Presheaf, Topology, amalgamations,
                    build_presheaf, generate_topology, is_sheaf,
-                   subcanonical_report, yoneda)
+                   matching_tuples, subcanonical_report, yoneda)
 
 
 # -- sheaf -> join restriction presheaf ----------------------------------------
@@ -204,7 +204,7 @@ def _check_formula(pc, rp, dot, report, a, fam):
     p = dot.presheaf
     legs = [(pc.id_of_span(m, c.identity[c.mor_src[m]]), c.mor_src[m])
             for m in fam]
-    for felems in _matching_tuples(c, p, fam):
+    for felems in matching_tuples(p, pc.mc, fam, a):
         # x = join of f_i · (m_i, 1), computed inside the source presheaf
         parts = [rp.presheaf.act(j, dot.orig[d][e])
                  for (j, d), e in zip(legs, felems)]
@@ -218,30 +218,6 @@ def _check_formula(pc, rp, dot, report, a, fam):
         if amalgamations(p, a, fam, felems) != [dot.index[a][x]]:
             report.add("AMALG-UNIQUE", (a,) + fam,
                        "join is not the unique amalgamation")
-
-
-def _matching_tuples(c, p, fam):
-    """Every tuple (x_0, .., x_{n-1}) with x_i in P(dom m_i) that agrees on
-    the pullback of each ordered pair m_i, m_j (i != j), in lexicographic
-    order.  Grown one member at a time: member k is checked against the
-    pullbacks with every earlier member, so a clash prunes its subtree."""
-    n = len(fam)
-    checks = [[(i, j, pullback(c, fam[i], fam[j]))
-               for e in range(k) for i, j in ((e, k), (k, e))]
-              for k in range(n)]
-    chosen, act = [None] * n, p.action
-
-    def grow(k):
-        if k == n:
-            yield tuple(chosen)
-            return
-        for x in p.elements(c.mor_src[fam[k]]):
-            chosen[k] = x
-            if all(act[cone_p, chosen[i]] == act[cone_q, chosen[j]]
-                   for i, j, (_, cone_p, cone_q) in checks[k]):
-                yield from grow(k + 1)
-
-    return grow(0)
 
 
 # -- round trips ------------------------------------------------------------------

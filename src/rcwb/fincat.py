@@ -623,22 +623,26 @@ def forced_assignments(n, domain, forces, push, order=None):
     return extend(0)
 
 
-def cocones_at(c: FinCategory, d: Diagram, apex):
-    """All cocones under d with the given apex.
-
-    Choosing leg_j forces leg_i = leg_j∘f for every arrow (i, j, f), so the
-    search branches first on vertices that are the source of no arrow.
-    """
+def diagram_assignments(d: Diagram, domain, push):
+    """Every assignment of a value in domain(v) to each vertex v of d with
+    value_i == push(f, value_j) for each arrow (i, j, f), lazily, from
+    forced_assignments: the value at j forces the one at i, so it branches
+    first on the vertices that are the source of no arrow, in id order.
+    Cocones have push(f, leg) == leg∘f, matching tuples P(f)(x)."""
     n = len(d.obj_map)
     forces = [[] for _ in range(n)]     # j -> [(i, f) for (i, j, f)]
     for i, j, f in d.arrows:
         forces[j].append((i, f))
     sources = {i for i, _, _ in d.arrows}
+    return forced_assignments(n, domain, forces, push,
+                              sorted(range(n), key=lambda k: k in sources))
+
+
+def cocones_at(c: FinCategory, d: Diagram, apex):
+    """All cocones under d with the given apex, from diagram_assignments."""
     rows, pos, objs = c.rows, c.pos, d.obj_map
-    return list(forced_assignments(
-        n, lambda k: c.hom(objs[k], apex), forces,
-        lambda f, leg: rows[leg][pos[f]],
-        sorted(range(n), key=lambda k: k in sources)))
+    return list(diagram_assignments(
+        d, lambda k: c.hom(objs[k], apex), lambda f, leg: rows[leg][pos[f]]))
 
 
 def colimit(c: FinCategory, d: Diagram):

@@ -5,8 +5,8 @@ Subobjects and spans have one canonical form, so equality is plain
 component equality: a monic m becomes m∘phi and a span (m, f) becomes
 (m∘phi, f∘phi), with phi = fincat.least_iso(c, m), the iso that the base
 category c keeps per map.
-A matching diagram is a graph of pairwise pullbacks, a `fincat.Diagram`;
-it builds no shape category.
+A matching diagram is a graph of pairwise pullbacks, one for each pair
+i < j of members, a `fincat.Diagram`; it builds no shape category.
 
 Each pullback is paid for once where it can be.  The gate check_m_system
 reads M-PB along the generators of the base through fincat.certified, as
@@ -49,8 +49,7 @@ from .fincat import (Cocone, Diagram, FinCategory, Functor,
 from .joins import FinitePoset
 from .reports import InternalInvariantError, LawReport
 from .restriction import (RestrictionCategory, check_restriction_axioms,
-                          is_total, restriction_idempotents,
-                          total_subcategory)
+                          restriction_idempotents, total_subcategory)
 
 
 class MCategory(namedtuple("MCategory", "base monics")):
@@ -242,9 +241,12 @@ def pullback_stable(mc: MCategory, f, family, join) -> bool:
 
 def matching_diagram(mc: MCategory, family, obj) -> Diagram:
     """The diagram of pairwise pullbacks of a family of M-subobjects: the
-    members m_0..m_{k-1} are vertices 0..k-1, and each ordered pair i != j,
-    in turn, adds the apex of the pullback (p, q) of m_i and m_j as a vertex
-    v with the arrows (v, i, p) and (v, j, q)."""
+    members m_0..m_{k-1} are vertices 0..k-1, and each pair i < j, in turn,
+    adds the apex of the pullback (p, q) of m_i and m_j as a vertex v with
+    the arrows (v, i, p) and (v, j, q).  The pair (j, i) would bind the
+    member legs by the same condition: its canonical pullback is
+    (q∘ψ, p∘ψ) for an iso ψ of the apex, and leg_j∘q∘ψ == leg_i∘p∘ψ iff
+    leg_i∘p == leg_j∘q."""
     c = mc.base
     family = tuple(family)
     _require_subobjects(mc, family, obj)
@@ -252,9 +254,7 @@ def matching_diagram(mc: MCategory, family, obj) -> Diagram:
     objs = [c.mor_src[m] for m in family]
     arrows = []
     for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
+        for j in range(i + 1, k):
             cone = pullback(c, family[i], family[j])
             if cone is None:
                 raise InternalInvariantError(
@@ -475,22 +475,6 @@ def _splitting(c: FinCategory, e):
 
 # -- MTotal and the Karoubi splitting ----------------------------------------
 
-def restriction_monic_candidates(x: RestrictionCategory):
-    """Total maps m admitting r with r∘m == id and m∘r == bar(r)."""
-    c = x.base
-    out = set()
-    for m in c.morphisms():
-        if not is_total(x, m):
-            continue
-        a, b = c.mor_src[m], c.mor_tgt[m]
-        for r in c.hom(b, a):
-            if c.compose(r, m) == c.identity[a] and \
-                    c.compose(m, r) == x.bar[r]:
-                out.add(m)
-                break
-    return frozenset(out)
-
-
 class MTotalResult(namedtuple("MTotalResult", "mcat sub")):
     """Total(x) with the restriction monics as mcat, and the total
     subcategory sub with its old<->new translation."""
@@ -499,14 +483,25 @@ class MTotalResult(namedtuple("MTotalResult", "mcat sub")):
 
 def mtotal(x: RestrictionCategory) -> MTotalResult:
     """(Total(x), restriction monics); requires all restriction idempotents
-    of x to split."""
-    for e, split in splittings(x).items():
+    of x to split.
+
+    A restriction monic m, total with r∘m == 1 and m∘r == bar(r), is a
+    section of a splitting of e = bar(r), and two splittings (m, r) and
+    (s, r') of one idempotent differ by a unique iso phi = r'∘m (inverse
+    r∘s), with s∘phi == e∘m == m.  Conversely s∘phi, for a splitting
+    (s, r) of e and an iso phi into dom s, is one with r'' = phi⁻¹∘r: s is
+    total as r∘s is, and bar(r'') == bar(r) == bar(s∘r) == e.  So M is
+    read off the splittings that splittings found, with no search.
+    """
+    splits = splittings(x)
+    for e, split in splits.items():
         if split is None:
             raise ValueError(f"restriction idempotent {e} does not split")
     sub = total_subcategory(x)
-    monics_old = restriction_monic_candidates(x)
-    monics = frozenset(sub.mor_new[m] for m in monics_old
-                       if m in sub.mor_new)
+    c = x.base
+    monics = frozenset(sub.mor_new[c.compose(s, phi)]
+                       for s, _ in splits.values()
+                       for phi in c.isos_into(c.mor_src[s]))
     return MTotalResult(MCategory(sub.cat, monics), sub)
 
 

@@ -27,9 +27,10 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate
 
-from .fincat import FinCategory, certified, forced_assignments
-from .mcat import (MCategory, antichains, join_colimit, sub_m, sub_m_join,
-                   subobject_rep)
+from .fincat import (FinCategory, certified, diagram_assignments,
+                     forced_assignments)
+from .mcat import (MCategory, antichains, join_colimit, matching_diagram,
+                   sub_m, sub_m_join, subobject_rep)
 from .reports import InternalInvariantError, LawReport
 
 
@@ -329,6 +330,16 @@ def matching_families(p: Presheaf, a, sieve):
               for f in fs]
     return fs, list(forced_assignments(
         len(fs), lambda k: p.elements(c.mor_src[fs[k]]), forces, p.act))
+
+
+def matching_tuples(p: Presheaf, mc: MCategory, family, a):
+    """The tuples (x_i in P(dom m_i)) on a family of M-subobjects m_i of a
+    that agree on each pairwise pullback, in lexicographic order: the
+    P-valued cocones under its matching diagram, read at the members."""
+    k = len(family)
+    d = matching_diagram(mc, family, a)
+    return [x[:k] for x in diagram_assignments(
+        d, lambda v: p.elements(d.obj_map[v]), p.act)]
 
 
 def amalgamations(p: Presheaf, a, fs, fam):

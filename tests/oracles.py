@@ -15,7 +15,8 @@ from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
 from rcwb.mcat import (MCategory, ParCategory, matching_colimit,
                        pullback_subobject, sub_m_join, subobject_rep)
 from rcwb.reports import InternalInvariantError, LawReport, Violation
-from rcwb.restriction import RestrictionCategory, restriction_idempotents
+from rcwb.restriction import (RestrictionCategory, is_total,
+                              restriction_idempotents)
 from rcwb.rpsh import (RestrictionPresheaf, check_rp_axioms, element_join,
                        element_poset)
 from rcwb.site import (NatTrans, PlusData, Presheaf, SheafifyResult,
@@ -327,6 +328,48 @@ def induced_map(c, d, coc, apex, legs):
              if all(c.compose(h, leg) == want
                     for leg, want in zip(coc.legs, target))]
     return found[0] if len(found) == 1 else None
+
+
+def ordered_matching_diagram(mc: MCategory, family, obj) -> Diagram:
+    """The diagram of pairwise pullbacks with a vertex for each ordered
+    pair i != j of members, in turn, with the arrows (v, i, p) and
+    (v, j, q) for the pullback (p, q) of m_i and m_j; the reference for
+    mcat.matching_diagram, which keeps the pairs i < j only."""
+    c = mc.base
+    family = tuple(family)
+    mcat._require_subobjects(mc, family, obj)
+    k = len(family)
+    objs = [c.mor_src[m] for m in family]
+    arrows = []
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            cone = pullback(c, family[i], family[j])
+            if cone is None:
+                raise InternalInvariantError(
+                    "missing pairwise pullback in matching diagram")
+            arrows += [(len(objs), i, cone.p), (len(objs), j, cone.q)]
+            objs.append(cone.apex)
+    return Diagram(tuple(objs), tuple(arrows))
+
+
+def restriction_monic_candidates(x: RestrictionCategory):
+    """Total maps m admitting r with r∘m == id and m∘r == bar(r), by
+    scanning every map r back; the reference for the restriction monics
+    that mcat.mtotal reads off the splittings."""
+    c = x.base
+    out = set()
+    for m in c.morphisms():
+        if not is_total(x, m):
+            continue
+        a, b = c.mor_src[m], c.mor_tgt[m]
+        for r in c.hom(b, a):
+            if c.compose(r, m) == c.identity[a] and \
+                    c.compose(m, r) == x.bar[r]:
+                out.add(m)
+                break
+    return frozenset(out)
 
 
 def families(elements, max_family=None):

@@ -13,7 +13,7 @@ from oracles import (FINSET_MCATS, collage, families, finset_iso_mcat,
                      sieve_subpresheaf, sigma_classifier)
 from rcwb import fincat, fixtures, joins, mcat, rpsh, site
 from rcwb.bundles import load_bundle
-from rcwb.bridge import _matching_tuples, jrp_to_sheaf, sheaf_to_jrp
+from rcwb.bridge import jrp_to_sheaf, sheaf_to_jrp
 from rcwb.fincat import (Diagram, cocones_at, colimit,
                          mediating, pullback, subcategory, validate_category)
 from rcwb.fixtures import (build_finset, build_finset_data, build_finset_mcat,
@@ -506,6 +506,72 @@ def test_mediating_matches_induced_map_oracle_on_par_families(pc_inj):
             pairs += 1
             induced += gamma is not None
     assert (pairs, induced) == (126, 86)
+
+
+def _same_as_ordered_pairs(mc, fam, obj):
+    """The matching diagram has one pair vertex per pair i < j, and its
+    colimit's apex and member legs, and the map mediating gives from them
+    to the members, are those of the ordered-pair reference diagram under
+    the brute-force oracles.  Returns whether the colimit exists."""
+    c = mc.base
+    k = len(fam)
+    d = matching_diagram(mc, fam, obj)
+    assert len(d.obj_map) - k == k * (k - 1) // 2
+    od = oracles.ordered_matching_diagram(mc, fam, obj)
+    want, got = oracles.colimit(c, od), colimit(c, d)
+    assert (got is None) == (want is None)
+    if got is None:
+        return False
+    assert (got.apex, got.legs[:k]) == (want.apex, want.legs[:k])
+    mu = oracles.induced_map(c, od, want, obj, fam)
+    assert mediating(c, got, obj, fam) == mu
+    assert matching_colimit(mc, fam, obj).mu == mu
+    return True
+
+
+def test_matching_diagrams_over_pairs_match_the_ordered_pairs():
+    # every family of at most 3 canonical subobjects, as in the size-3
+    # colimit test above
+    seen = []
+    for kind in ("inj", "iso"):
+        mc = FINSET_MCATS[kind](3)
+        seen += [_same_as_ordered_pairs(mc, fam, obj)
+                 for obj in mc.base.objects for r in range(4)
+                 for fam in itertools.combinations(sub_m(mc, obj), r)]
+    assert (len(seen), sum(seen)) == (122, 122)
+
+
+def test_matching_diagrams_over_pairs_match_on_par_families(pc_inj):
+    # the monic legs of every compatible family of spans in Par(finset_inj_2)
+    x = pc_inj.rc
+    monic_legs = {(a, tuple(pc_inj.spans[i][0] for i in fam))
+                  for a in x.base.objects for b in x.base.objects
+                  for fam in hom_poset(x, a, b).families()}
+    seen = [_same_as_ordered_pairs(pc_inj.mc, monics, a)
+            for a, monics in sorted(monic_legs)]
+    assert (len(seen), sum(seen)) == (22, 22)
+
+
+# -- restriction monics ---------------------------------------------------------
+
+RESTRICTION_MONIC_CATS = {
+    **{f"karoubi_finset_p_{n}": lambda n=n: karoubi_r(build_finset_p(n)).rc
+       for n in range(4)},
+    "karoubi_nojoin": lambda: karoubi_r(build_nojoin_fixture()).rc,
+    **{f"karoubi_subsets_{k}": lambda k=k: karoubi_r(subsets_category(k)).rc
+       for k in (1, 2, 3)},
+    **{f"par_finset_{kind}_{n}":
+       lambda kind=kind, n=n: par(FINSET_MCATS[kind](n)).rc
+       for kind in ("inj", "iso") for n in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICTION_MONIC_CATS))
+def test_restriction_monics_are_read_off_the_splittings(name):
+    x = RESTRICTION_MONIC_CATS[name]()
+    mt = mtotal(x)
+    assert mt.mcat.monics == frozenset(
+        mt.sub.mor_new[m] for m in oracles.restriction_monic_candidates(x))
 
 
 # -- matching colimits on the maximal members ---------------------------------
@@ -1841,7 +1907,7 @@ def test_matching_tuples_match_oracle(par_inj2, transferred):
     c = par_inj2.mc.base
     for rp in transferred:
         p = jrp_to_sheaf(par_inj2, rp).presheaf
-        for fams in oracles.basis_covers(par_inj2.mc):
+        for a, fams in enumerate(oracles.basis_covers(par_inj2.mc)):
             for fam in fams:
-                assert list(_matching_tuples(c, p, fam)) == \
+                assert site.matching_tuples(p, par_inj2.mc, fam, a) == \
                     oracles.matching_tuples(c, p, fam)

@@ -45,9 +45,11 @@ def _callers(pattern):
 @pytest.mark.parametrize("pattern, builders", [
     (r"\bFinCategory\(", {("fincat", "build_category")}),
     (r"\bPresheaf\(", {("site", "build_presheaf")}),
-    # its own def line, and the one search that builds the diagram
+    # its own def line, the one search that builds the diagram, and the
+    # matching tuples of the amalgamation formula, its P-valued cocones
     (r"\bmatching_diagram\(", {("mcat", "matching_colimit"),
-                                ("mcat", "matching_diagram")}),
+                                ("mcat", "matching_diagram"),
+                                ("site", "matching_tuples")}),
     # its own def line, and the two searches it certifies: pullback reaches
     # it only through _pullback_search, once per class of cospans
     (r"\b_universal\(", {("fincat", "_universal"),
@@ -95,6 +97,18 @@ def test_iso_searches_are_test_references_only():
     # the round trips and the unit are decided by their comparison maps;
     # the searches live on as oracles.find_presheaf_iso and find_rp_iso
     assert _callers(r"\bfind_presheaf_iso\b|\bfind_rp_iso\b") == set()
+
+
+def test_forced_assignments_is_the_one_recursive_generator():
+    # cocones, matching tuples, matching families and natural
+    # transformations are all enumerated by its extend
+    assert _callers(r"\byield from\b") == {("fincat", "extend")}
+
+
+def test_restriction_monics_need_no_search_for_retractions():
+    # mtotal reads them off the splittings; the retraction scan lives on
+    # only as oracles.restriction_monic_candidates
+    assert _callers(r"\brestriction_monic_candidates\b") == set()
 
 
 def test_plus_classes_need_no_search_over_refinements():
