@@ -31,8 +31,8 @@ SUITES = [
     (["transfer", "finset_inj_2", "yset2", "--direction", "to-sheaf"], 0),
     (["roundtrip", "finset_inj_2", "yset1"], 0),
     (["unit", "finset_p_2"], 0),
-    # size-3 fixtures: guard the cocone, sieve, matching-family and iso
-    # searches against a return to brute force
+    # size-3 fixtures: guard the cocone, sieve and matching-family searches
+    # against a return to brute force
     (["topology", "finset_inj_3"], 0),
     (["geometric", "finset_inj_3"], 0),
     (["sheafify", "finset_inj_3", "yset1"], 0),

@@ -119,9 +119,6 @@ class FinCategory:
     def morphisms(self):
         return range(self.n_morphisms)
 
-    def composable(self, g, f):
-        return self.mor_tgt[f] == self.mor_src[g]
-
     def compose(self, g, f):
         """g∘f; ValueError unless tgt f == src g.  Hot loops read
         rows[g][pos[f]] instead."""

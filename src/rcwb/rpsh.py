@@ -15,7 +15,7 @@ from .joins import FinitePoset, bar_masks, hom_poset, scan
 from .reports import LawReport
 from .restriction import (RestrictionCategory, distinct_bars,
                           is_restriction_idempotent)
-from .site import NatTrans, check_presheaf, yoneda
+from .site import check_presheaf, yoneda
 
 
 class RestrictionPresheaf(namedtuple("RestrictionPresheaf",
@@ -183,38 +183,6 @@ def rp_reports(rp: RestrictionPresheaf, max_family=None) -> list:
             for a in objs for e in p.elements(a)
             for b in c.objects if c.hom(b, a)), dict(JRP_TEXT, missing=None)))
     return [gate, report]
-
-
-# -- the restriction category of presheaf maps --------------------------------
-
-def hom_restriction(rp_src: RestrictionPresheaf, rp_tgt: RestrictionPresheaf,
-                    alpha: NatTrans) -> NatTrans:
-    """bar(alpha) componentwise: x -> x · bar(alpha_A(x))."""
-    comps = []
-    for a in rp_src.rc.base.objects:
-        comps.append(tuple(
-            rp_src.presheaf.act(rp_tgt.bar(a, alpha.components[a][e]), e)
-            for e in rp_src.presheaf.elements(a)))
-    return NatTrans(alpha.source, alpha.source, tuple(comps))
-
-
-def nat_join(rp_src, rp_tgt, alphas) -> NatTrans:
-    """Componentwise join of a compatible set of presheaf maps."""
-    alphas = list(alphas)
-    if not alphas:
-        raise ValueError("empty family needs explicit endpoints; join it "
-                         "componentwise from the element joins instead")
-    p = rp_src.presheaf
-    comps = []
-    for a in rp_src.rc.base.objects:
-        col = []
-        for e in p.elements(a):
-            j = element_join(rp_tgt, a, [al.components[a][e] for al in alphas])
-            if j is None:
-                raise ValueError("componentwise join missing")
-            col.append(j)
-        comps.append(tuple(col))
-    return NatTrans(alphas[0].source, alphas[0].target, tuple(comps))
 
 
 # -- representables ------------------------------------------------------------

@@ -25,7 +25,6 @@ which every cover holds (see `plus`), so no two families are compared.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
 
 from .fincat import (FinCategory, certified, diagram_assignments,
                      forced_assignments)
@@ -137,27 +136,6 @@ def compose_nat(beta: NatTrans, alpha: NatTrans) -> NatTrans:
     return NatTrans(alpha.source, beta.target,
                     tuple(tuple(beta.components[a][x] for x in comp)
                           for a, comp in enumerate(alpha.components)))
-
-
-def _nat_trans(p: Presheaf, q: Presheaf):
-    """Every natural transformation p -> q, lazily.  A slot is an element
-    x of some P(B); its value a_B(x) forces a_A(P(f)x) = Q(f)(a_B(x)) for
-    every f: A -> B.  Slots are tried object by object, smallest P(A)
-    first."""
-    c = p.cat
-    offset = (0, *accumulate(p.sizes))
-    obj_of = [a for a in c.objects for _ in p.elements(a)]
-    forces = [[] for _ in obj_of]
-    for f in c.morphisms():
-        a, b = c.mor_src[f], c.mor_tgt[f]
-        for x in p.elements(b):
-            forces[offset[b] + x].append((offset[a] + p.act(f, x), f))
-    order = sorted(range(len(obj_of)), key=lambda k: p.sizes[obj_of[k]])
-    for values in forced_assignments(
-            len(obj_of), lambda k: q.elements(obj_of[k]), forces, q.act,
-            order):
-        yield NatTrans(p, q, tuple(values[offset[a]:offset[a + 1]]
-                                   for a in c.objects))
 
 
 def constant_presheaf(c: FinCategory, k) -> Presheaf:
@@ -503,8 +481,3 @@ def _join_certified(top: Topology) -> bool:
                     *(c.rows[m] for m in fam)) not in top.covers[a]:
                 return False
     return True
-
-
-def all_nat_trans(p: Presheaf, q: Presheaf):
-    """Every natural transformation p -> q."""
-    return list(_nat_trans(p, q))

@@ -8,7 +8,8 @@ from functools import partial
 
 from rcwb import bridge, fincat, mcat, site
 from rcwb.fincat import (Cocone, Diagram, FinCategory, Functor, PullbackCone,
-                         build_category, mediating, pullback)
+                         build_category, forced_assignments, mediating,
+                         pullback)
 from rcwb.fixtures import build_finset_mcat, subsets_category
 from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
                         hom_poset, join as hom_join)
@@ -20,8 +21,8 @@ from rcwb.restriction import (RestrictionCategory, is_total,
 from rcwb.rpsh import (RestrictionPresheaf, check_rp_axioms, element_join,
                        element_poset)
 from rcwb.site import (NatTrans, PlusData, Presheaf, SheafifyResult,
-                       Topology, all_nat_trans, build_presheaf,
-                       is_sheaf, maximal_sieve, sieve_pullback, yoneda)
+                       Topology, build_presheaf, is_sheaf, maximal_sieve,
+                       sieve_pullback, yoneda)
 
 
 def _require_parallel(x: RestrictionCategory, f, g):
@@ -494,8 +495,35 @@ def nat_trans(p, q):
     return out
 
 
-# the iso searches: the reference for the comparison maps that decide the
-# round trips and the unit in bridge
+# the natural-transformation search and the iso searches on it: the
+# reference for the comparison maps that decide the round trips and the unit
+# in bridge
+
+def _nat_trans(p: Presheaf, q: Presheaf):
+    """Every natural transformation p -> q, lazily.  A slot is an element
+    x of some P(B); its value a_B(x) forces a_A(P(f)x) = Q(f)(a_B(x)) for
+    every f: A -> B.  Slots are tried object by object, smallest P(A)
+    first."""
+    c = p.cat
+    offset = (0, *itertools.accumulate(p.sizes))
+    obj_of = [a for a in c.objects for _ in p.elements(a)]
+    forces = [[] for _ in obj_of]
+    for f in c.morphisms():
+        a, b = c.mor_src[f], c.mor_tgt[f]
+        for x in p.elements(b):
+            forces[offset[b] + x].append((offset[a] + p.act(f, x), f))
+    order = sorted(range(len(obj_of)), key=lambda k: p.sizes[obj_of[k]])
+    for values in forced_assignments(
+            len(obj_of), lambda k: q.elements(obj_of[k]), forces, q.act,
+            order):
+        yield NatTrans(p, q, tuple(values[offset[a]:offset[a + 1]]
+                                   for a in c.objects))
+
+
+def all_nat_trans(p: Presheaf, q: Presheaf):
+    """Every natural transformation p -> q."""
+    return list(_nat_trans(p, q))
+
 
 def find_presheaf_iso(p: Presheaf, q: Presheaf, elem_constraint=None):
     """The first natural isomorphism p -> q, in search order, whose every
@@ -503,7 +531,7 @@ def find_presheaf_iso(p: Presheaf, q: Presheaf, elem_constraint=None):
     if p.sizes != q.sizes:
         return None
     allowed = elem_constraint or (lambda a, x, y: True)
-    for nat in site._nat_trans(p, q):
+    for nat in _nat_trans(p, q):
         if nat.is_monic_componentwise() and all(
                 allowed(a, x, y) for a, comp in enumerate(nat.components)
                 for x, y in enumerate(comp)):

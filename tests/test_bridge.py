@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 import oracles
-from rcwb import bridge, site
+from rcwb import bridge
 from rcwb.bridge import (amalgamation_formula_report, canonical_pair,
                          cocompletion_unit, jrp_to_sheaf, recipe_join,
                          roundtrip_report, sheaf_to_jrp, transfer_report)
@@ -282,7 +282,7 @@ def test_roundtrip_and_unit_make_no_iso_search(pc_inj, finset_p2,
     def no_search(p, q):
         raise AssertionError("a search over natural transformations")
 
-    monkeypatch.setattr(site, "_nat_trans", no_search)
+    monkeypatch.setattr(oracles, "_nat_trans", no_search)
     p = yoneda(pc_inj.mc.base, 1)
     with pytest.raises(AssertionError):
         oracles.find_presheaf_iso(p, p)

@@ -2,12 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import compatible, leq, trivial_restriction
-from rcwb.fincat import build_category
 from rcwb.fixtures import build_finset, build_finset_p, build_finset_p_data
 from rcwb.restriction import (RestrictionCategory, check_restriction_axioms,
                               is_total, restriction_idempotents,
                               total_subcategory)
-from rcwb.search import find_restriction_iso
 
 
 def test_finset_p_satisfies_axioms(finset_p2):
@@ -93,17 +91,3 @@ def test_restriction_idempotents_are_partial_identities(finset_p2,
     idems = restriction_idempotents(finset_p2, 2)
     graphs = {finset_p2_data.graphs[e] for e in idems}
     assert graphs == {(None, None), (0, None), (None, 1), (0, 1)}
-
-
-def test_restriction_iso_search_refuses_a_functor_that_loses_bars():
-    # one object, maps id and an idempotent e; x has ē = e, y has ē = id.
-    # Both are restriction categories, and the identity functor is the only
-    # iso of categories, but it does not carry x's bar of e to y's
-    comp = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}
-    c, _, _ = build_category((0,), (0, 1), lambda f: (0, 0), lambda a: 0,
-                             lambda g, fs: [comp[g, f] for f in fs])
-    x, y = RestrictionCategory(c, (0, 1)), RestrictionCategory(c, (0, 0))
-    assert check_restriction_axioms(x).ok and check_restriction_axioms(y).ok
-    assert find_restriction_iso(x, y) is None
-    assert find_restriction_iso(y, x) is None
-    assert find_restriction_iso(x, x).mor_map == (0, 1)

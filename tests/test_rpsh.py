@@ -5,9 +5,7 @@ from rcwb.fincat import validate_category
 from rcwb.joins import check_join_axioms
 from rcwb.restriction import check_restriction_axioms
 from rcwb.rpsh import (RestrictionPresheaf, check_jrp_axioms, check_rp_axioms,
-                       element_join, element_poset, hom_restriction,
-                       nat_join, yoneda_jr)
-from rcwb.site import NatTrans
+                       element_join, element_poset, yoneda_jr)
 
 
 def test_representables_are_join_restriction_presheaves(finset_p2):
@@ -90,40 +88,6 @@ def test_mutant_bar_fails_both_sides(finset_p2):
                               tuple(tuple(col) for col in bars))
     assert not check_rp_axioms(mut).ok
     assert not check_restriction_axioms(collage(mut).rc).ok
-
-
-def test_hom_restriction_is_restriction_of_collage_map(finset_p2):
-    rp = yoneda_jr(finset_p2, 2)
-    # identity natural transformation: its restriction is the identity
-    ident = NatTrans(rp.presheaf, rp.presheaf,
-                     tuple(tuple(rp.presheaf.elements(a))
-                           for a in finset_p2.base.objects))
-    assert hom_restriction(rp, rp, ident).components == ident.components
-
-
-def _postcompose_nat(x, rp, f):
-    """The transformation hom(-, A) -> hom(-, A) given by g -> f∘g."""
-    c = x.base
-    a = c.mor_tgt[f]
-    comps = []
-    for b in c.objects:
-        hom = c.hom(b, a)
-        pos = {h: i for i, h in enumerate(hom)}
-        comps.append(tuple(pos[c.compose(f, h)] for h in hom))
-    return NatTrans(rp.presheaf, rp.presheaf, tuple(comps))
-
-
-def test_nat_join_componentwise(finset_p2, finset_p2_data):
-    rp = yoneda_jr(finset_p2, 2)
-    e1 = finset_p2_data.mor_id[(2, 2, (0, None))]
-    e2 = finset_p2_data.mor_id[(2, 2, (None, 1))]
-    parts = [_postcompose_nat(finset_p2, rp, e) for e in (e1, e2)]
-    assert all(p.check() for p in parts)
-    joined = nat_join(rp, rp, parts)
-    assert joined.check()
-    # e1 ∨ e2 == id, so the join is the identity transformation
-    ident = _postcompose_nat(finset_p2, rp, finset_p2.base.identity[2])
-    assert joined.components == ident.components
 
 
 def test_find_rp_iso_respects_bars(finset_p2):

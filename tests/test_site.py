@@ -11,8 +11,8 @@ from rcwb.bridge import jrp_to_sheaf
 from rcwb.fixtures import build_finset
 from rcwb.mcat import is_geometric, sub_m
 from rcwb.rpsh import RestrictionPresheaf, yoneda_jr
-from rcwb.site import (Presheaf, all_nat_trans, basis_covers,
-                       build_presheaf, check_presheaf, constant_presheaf,
+from rcwb.site import (Presheaf, basis_covers, build_presheaf,
+                       check_presheaf, constant_presheaf,
                        generate_topology, is_separated,
                        is_sheaf, matching_families, maximal_sieve, plus,
                        saturation_is_fixpoint, sheafify, sieve_pullback,
@@ -192,7 +192,7 @@ def test_find_presheaf_iso_rejects_different_sizes(mc_inj):
 def test_all_nat_trans_to_terminal(mc_inj):
     p = yoneda(mc_inj.base, 2)
     one = constant_presheaf(mc_inj.base, 1)
-    assert len(all_nat_trans(p, one)) == 1
+    assert len(oracles.all_nat_trans(p, one)) == 1
 
 
 def test_sieve_pullback_of_maximal_is_maximal(mc_inj):

@@ -85,9 +85,6 @@ def _callers(pattern):
     (r"\bmatching_families\(", {("site", "matching_families"),
                                  ("site", "sheaf_reports"),
                                  ("site", "plus")}),
-    # its own def line, and all_nat_trans (declared API): the round trips
-    # and the unit check their comparison maps and search for no iso
-    (r"\b_nat_trans\(", {("site", "_nat_trans"), ("site", "all_nat_trans")}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
@@ -95,13 +92,18 @@ def test_only_the_builders_call_the_constructors(pattern, builders):
 
 def test_iso_searches_are_test_references_only():
     # the round trips and the unit are decided by their comparison maps;
-    # the searches live on as oracles.find_presheaf_iso and find_rp_iso
+    # the searches live on as oracles.find_presheaf_iso and find_rp_iso,
+    # on the natural-transformation search oracles.all_nat_trans
     assert _callers(r"\bfind_presheaf_iso\b|\bfind_rp_iso\b") == set()
+    # Par(FinSet, inj) ≅ FinSet_p is checked through its comparison functor,
+    # and the presheaf maps have no restriction or join of their own
+    assert _callers(r"\b(_nat_trans|all_nat_trans|find_restriction_iso|"
+                    r"nat_join|hom_restriction)\b") == set()
 
 
 def test_forced_assignments_is_the_one_recursive_generator():
-    # cocones, matching tuples, matching families and natural
-    # transformations are all enumerated by its extend
+    # cocones, matching tuples and matching families are all enumerated by
+    # its extend, and so are the natural transformations of the oracles
     assert _callers(r"\byield from\b") == {("fincat", "extend")}
 
 
@@ -155,6 +157,29 @@ def _row_writers():
     return out
 
 
+def _reached_from(start):
+    """The modules of src/rcwb that start imports, directly or through
+    other modules, along `from .x import ...` and `from . import x`."""
+    reached, todo = {start}, [start]
+    while todo:
+        tree = _parsed(SRC / f"{todo.pop()}.py")[1]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for name in ([node.module] if node.module else
+                             [a.name for a in node.names]):
+                    if name not in reached:
+                        reached.add(name)
+                        todo.append(name)
+    return reached
+
+
+def test_the_cli_reaches_every_module():
+    # a module the command line never imports is dead code or a test
+    # reference, and belongs in tests/oracles.py or nowhere
+    assert _reached_from("cli") == \
+        {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+
+
 def test_only_the_builders_write_composition_rows():
     assert _row_writers() == {("fincat", "__init__"),
                               ("fincat", "build_category")}
@@ -179,10 +204,6 @@ DECLARED_API = {
         "perfbench/workloads.py builds the inj3_iso_const bundles with it",
     ("fixtures", "build_finset"): "an example category",
     ("fixtures", "subsets_category"): "an example category",
-    ("search", "find_restriction_iso"): "ROADMAP item 8 names it",
-    ("rpsh", "nat_join"): "ROADMAP item 8 names it",
-    ("rpsh", "hom_restriction"): "ROADMAP item 8 names it",
-    ("site", "all_nat_trans"): "ROADMAP item 8 names it",
 }
 
 
