@@ -2,11 +2,13 @@
 over its partial map category, in both directions, with round trips.
 
 A sheaf P over (C, M) becomes the presheaf over Par(C, M) whose elements at X
-are pairs (m, e) of a canonical monic m into X and an element e of P(dom m);
-conversely a join restriction presheaf over Par(C, M) restricts to its total
-elements, which form a sheaf.  Joins on the transferred side are produced by
-the matching-colimit recipe and cross-checked against least upper bounds
-found by plain search.
+are pairs (m, e) of a canonical monic m into X and an element e of P(dom m).
+This transfer is stated once, in _transfer: sheaf_to_jrp builds it over all
+of Par, and cocompletion_unit along the comparison functor from x, on the
+maps of x only.  Conversely a join restriction presheaf over Par(C, M)
+restricts to its total elements, which form a sheaf.  Joins on the
+transferred side are produced by the matching-colimit recipe and
+cross-checked against least upper bounds found by plain search.
 
 Both directions read a family of monics through its antichain of maximal
 members, as the site does (see the mcat docstring).  For the amalgamation
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .fincat import Functor, compose_functors, least_iso, pullback
+from .fincat import compose_functors, least_iso, pullback
 from .mcat import (MCategory, ParCategory, join_colimit, karoubi_r,
                    split_unit_functor, sub_m)
 from .reports import InternalInvariantError, LawReport
@@ -68,12 +70,16 @@ def canonical_pair(mc: MCategory, p: Presheaf, mu, e):
     return c.compose(mu, phi), p.act(phi, e)
 
 
-def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
-    """Elements at X are pairs (m, e): a canonical monic m into X together
-    with an element e of P(dom m); the element restriction of (m, e) is the
-    span (m, m)."""
+def _transfer(pc: ParCategory, p: Presheaf):
+    """The transfer of P over pc.mc.base to Par, as the elements, action and
+    names callbacks of build_presheaf.  Elements at X are pairs (m, e): a
+    canonical monic m into X together with an element e of P(dom m); a span
+    acts by pulling m back along its map leg, then canonical_pair."""
     mc = pc.mc
     c = mc.base
+
+    def elements(a):
+        return [(m, e) for m in sub_m(mc, a) for e in p.elements(c.mor_src[m])]
 
     def act(j, pair):
         n, g = pc.spans[j]          # a span src(j) <- D -> tgt(j)
@@ -87,9 +93,13 @@ def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
         m, e = pair
         return f"({c.mor_names[m]},{p.name(c.mor_src[m], e)})"
 
-    psh, index = build_presheaf(
-        pc.rc.base, lambda a: [(m, e) for m in sub_m(mc, a)
-                               for e in p.elements(c.mor_src[m])], act, name)
+    return elements, act, name
+
+
+def sheaf_to_jrp(pc: ParCategory, p: Presheaf) -> TransferredJRP:
+    """The transfer of P (see _transfer) over all of Par; the element
+    restriction of (m, e) is the span (m, m)."""
+    psh, index = build_presheaf(pc.rc.base, *_transfer(pc, p))
     elems = tuple(tuple(ix) for ix in index)
     bar_elem = tuple(tuple(pc.span_id[(m, m)] for (m, e) in es)
                      for es in elems)
@@ -268,69 +278,58 @@ def _is_witness(p: Presheaf, q: Presheaf, image, bars=None) -> bool:
 # -- the unit of the cocompletion ---------------------------------------------------
 
 class UnitResult(namedtuple("UnitResult", "report transferred")):
-    """The unit report, and per object of x the pulled-back presheaf."""
+    """The unit report, and per object of x the presheaf built along fun."""
     __slots__ = ()
 
 
 def cocompletion_unit(x: RestrictionCategory) -> UnitResult:
     """Route an object of x through idempotent splitting, the span category
     of its total maps, the (sheaf) representable there, and the transfer back;
-    compare against the representable restriction presheaf of x."""
+    compare against the representable restriction presheaf of x.  The
+    transfer is built along the comparison functor fun, on x's own maps."""
     report = LawReport("unit")
     kr = karoubi_r(x)
     su = split_unit_functor(kr.rc)
     fun = compose_functors(su.functor, kr.embedding)
     pc = su.pc
     c = pc.mc.base
+    xb = x.base
     sub = subcanonical_report(generate_topology(pc.mc))
     if not sub.ok:
         report.add("UNIT-SUBCAN", (),
                    "representables are not sheaves; cannot skip sheafification")
         report.extend(sub)
         return UnitResult(report, ())
+    # per object b, the span fun(g) -> g on hom(b, b); None if two g share it
+    back = [{} for b in xb.objects]
+    for b, inv in enumerate(back):
+        for g in xb.hom(b, b):
+            inv[fun.mor_map[g]] = None if fun.mor_map[g] in inv else g
     transferred = []
-    for a in x.base.objects:
+    for a in xb.objects:
         w = fun.obj_map[a]
-        tr = sheaf_to_jrp(pc, yoneda(c, w))
-        pulled = _pull_back_rp(x, fun, tr.rp)
-        if pulled is None:
+        elements, act, name = _transfer(pc, yoneda(c, w))
+        psh, index = build_presheaf(
+            xb, lambda b: elements(fun.obj_map[b]),
+            lambda f, t: act(fun.mor_map[f], t),
+            lambda b, t: name(fun.obj_map[b], t))
+        # the bar of (m, e) is the map of x sent to the span (m, m)
+        bar_elem = tuple(tuple(back[b].get(pc.span_id[(m, m)]) for m, e in ix)
+                         for b, ix in enumerate(index))
+        if not all(g is not None and is_restriction_idempotent(x, g)
+                   for col in bar_elem for g in col):
             report.add("UNIT-BAR", (a,),
                        "an element restriction is not in the image of x")
             continue
-        transferred.append(pulled)
+        transferred.append(RestrictionPresheaf(x, psh, bar_elem))
         y = yoneda_jr(x, a)
 
         def image(b, i):
             # fun(f) = (m, g) is the pair (m, g), g by its place in hom(-, w)
-            m, g = pc.spans[fun.mor_map[x.base.hom(b, a)[i]]]
-            return tr.index[fun.obj_map[b]].get(
-                (m, c.hom(c.mor_src[m], w).index(g)))
+            m, g = pc.spans[fun.mor_map[xb.hom(b, a)[i]]]
+            return index[b].get((m, c.hom(c.mor_src[m], w).index(g)))
 
-        if not _is_witness(y.presheaf, pulled.presheaf, image,
-                           (y.bar_elem, pulled.bar_elem)):
+        if not _is_witness(y.presheaf, psh, image, (y.bar_elem, bar_elem)):
             report.add("UNIT-ISO", (a,),
                        "unit route differs from the representable presheaf")
     return UnitResult(report, tuple(transferred))
-
-
-def _pull_back_rp(x: RestrictionCategory, fun: Functor,
-                  rp: RestrictionPresheaf):
-    """Restrict a presheaf over the target of fun back along fun, translating
-    each element restriction through the (faithful) functor."""
-    c = x.base
-    p = rp.presheaf
-    pulled = build_presheaf(c, lambda a: p.elements(fun.obj_map[a]),
-                            lambda f, e: p.act(fun.mor_map[f], e),
-                            lambda a, e: p.name(fun.obj_map[a], e))[0]
-    bar_elem = []
-    for a in c.objects:
-        fa = fun.obj_map[a]
-        col = []
-        for e in pulled.elements(a):
-            b = rp.bar_elem[fa][e]
-            back = [g for g in c.hom(a, a) if fun.mor_map[g] == b]
-            if len(back) != 1 or not is_restriction_idempotent(x, back[0]):
-                return None
-            col.append(back[0])
-        bar_elem.append(tuple(col))
-    return RestrictionPresheaf(x, pulled, tuple(bar_elem))

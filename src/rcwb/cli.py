@@ -116,16 +116,16 @@ def _resolve_presheaf(bundle: Bundle, name):
     return yoneda(bundle.cat, obj)
 
 
+def _object_names(name):
+    """The names that name may give an object by: name, then name less a
+    leading y (y<object>)."""
+    return (name, name[1:]) if name.startswith("y") else (name,)
+
+
 def _object_named(cat, name):
-    """The object named name, or by name less a leading y (y<object>), or
-    None."""
-    candidates = [name]
-    if name.startswith("y"):
-        candidates.append(name[1:])
-    for cand in candidates:
-        if cand in cat.obj_names:
-            return cat.obj_names.index(cand)
-    return None
+    """The object that name gives (see _object_names), or None."""
+    return next((cat.obj_names.index(cand) for cand in _object_names(name)
+                 if cand in cat.obj_names), None)
 
 
 def _run(args) -> list:
@@ -149,11 +149,9 @@ def _run(args) -> list:
     elif cmd == "transfer":
         obj = _object_named(bundle.cat, args.presheaf)
         if obj is None:
-            name = args.presheaf
-            cand = name[1:] if name.startswith("y") else name
             raise BundleError(
                 f"$: to-sheaf expects a representable y<object>; "
-                f"no object named {cand!r}")
+                f"no object named {_object_names(args.presheaf)[-1]!r}")
 
     if cmd == "check-laws":
         reports.append(validate_category(bundle.cat))

@@ -16,8 +16,8 @@ from rcwb.joins import (CompatibleFamily, FinitePoset, compatible_subsets,
 from rcwb.mcat import (MCategory, ParCategory, matching_colimit,
                        pullback_subobject, sub_m_join, subobject_rep)
 from rcwb.reports import InternalInvariantError, LawReport, Violation
-from rcwb.restriction import (RestrictionCategory, is_total,
-                              restriction_idempotents)
+from rcwb.restriction import (RestrictionCategory, is_restriction_idempotent,
+                              is_total, restriction_idempotents)
 from rcwb.rpsh import (RestrictionPresheaf, check_rp_axioms, element_join,
                        element_poset)
 from rcwb.site import (NatTrans, PlusData, Presheaf, SheafifyResult,
@@ -546,6 +546,46 @@ def find_rp_iso(rp1: RestrictionPresheaf, rp2: RestrictionPresheaf):
         return rp1.bar_elem[a][x] == rp2.bar_elem[a][y]
 
     return find_presheaf_iso(rp1.presheaf, rp2.presheaf, same_bar)
+
+
+def unit_transferred(x: RestrictionCategory) -> tuple:
+    """bridge.cocompletion_unit's presheaves by the route over all of Par:
+    per object a, the representable at fun(a) transferred with sheaf_to_jrp,
+    then pulled back along fun; an object whose bars do not pull back is
+    skipped, as UNIT-BAR skips it."""
+    kr = mcat.karoubi_r(x)
+    su = mcat.split_unit_functor(kr.rc)
+    fun = fincat.compose_functors(su.functor, kr.embedding)
+    out = []
+    for a in x.base.objects:
+        tr = bridge.sheaf_to_jrp(su.pc, yoneda(su.pc.mc.base, fun.obj_map[a]))
+        pulled = _pull_back_rp(x, fun, tr.rp)
+        if pulled is not None:
+            out.append(pulled)
+    return tuple(out)
+
+
+def _pull_back_rp(x: RestrictionCategory, fun: Functor,
+                  rp: RestrictionPresheaf):
+    """Restrict a presheaf over the target of fun back along fun, translating
+    each element restriction through the (faithful) functor."""
+    c = x.base
+    p = rp.presheaf
+    pulled = build_presheaf(c, lambda a: p.elements(fun.obj_map[a]),
+                            lambda f, e: p.act(fun.mor_map[f], e),
+                            lambda a, e: p.name(fun.obj_map[a], e))[0]
+    bar_elem = []
+    for a in c.objects:
+        fa = fun.obj_map[a]
+        col = []
+        for e in pulled.elements(a):
+            b = rp.bar_elem[fa][e]
+            back = [g for g in c.hom(a, a) if fun.mor_map[g] == b]
+            if len(back) != 1 or not is_restriction_idempotent(x, back[0]):
+                return None
+            col.append(back[0])
+        bar_elem.append(tuple(col))
+    return RestrictionPresheaf(x, pulled, tuple(bar_elem))
 
 
 def matching_tuples(c, p, fam):

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 import oracles
-from rcwb import bridge
+from rcwb import bridge, fincat
 from rcwb.bridge import (amalgamation_formula_report, canonical_pair,
                          cocompletion_unit, jrp_to_sheaf, recipe_join,
                          roundtrip_report, sheaf_to_jrp, transfer_report)
@@ -277,17 +277,79 @@ def test_unit_witnesses_match_the_iso_search(name, monkeypatch):
                for nat, bars, ok in calls)
 
 
-def test_roundtrip_and_unit_make_no_iso_search(pc_inj, finset_p2,
-                                               monkeypatch):
-    def no_search(p, q):
-        raise AssertionError("a search over natural transformations")
+@pytest.mark.parametrize("name", sorted(UNIT_BASES))
+def test_unit_transfer_matches_the_route_over_par(name):
+    x = UNIT_BASES[name]()
+    got = cocompletion_unit(x).transferred
+    want = oracles.unit_transferred(x)
+    assert len(got) == len(want) == x.base.n_objects
+    for rp, ref in zip(got, want):
+        assert rp.presheaf.sizes == ref.presheaf.sizes
+        assert rp.presheaf.action == ref.presheaf.action
+        assert rp.presheaf.elem_names == ref.presheaf.elem_names
+        assert rp.bar_elem == ref.bar_elem
+    assert got == want
 
-    monkeypatch.setattr(oracles, "_nat_trans", no_search)
-    p = yoneda(pc_inj.mc.base, 1)
-    with pytest.raises(AssertionError):
-        oracles.find_presheaf_iso(p, p)
-    assert roundtrip_report(pc_inj).ok
+
+def test_the_unit_builds_no_presheaf_over_par(finset_p2, monkeypatch):
+    def no_par_transfer(pc, p):
+        raise AssertionError("a transfer over all of Par")
+
+    built_on = []
+    real = bridge.build_presheaf
+
+    def spy(c, *args):
+        built_on.append(c)
+        return real(c, *args)
+
+    monkeypatch.setattr(bridge, "sheaf_to_jrp", no_par_transfer)
+    monkeypatch.setattr(bridge, "build_presheaf", spy)
     assert cocompletion_unit(finset_p2).report.ok
+    assert built_on and all(c is finset_p2.base for c in built_on)
+
+
+def test_bars_outside_the_idempotents_of_x_are_unit_bar_lines(finset_p2,
+                                                              monkeypatch):
+    monkeypatch.setattr(bridge, "is_restriction_idempotent",
+                        lambda x, e: False)
+    res = cocompletion_unit(finset_p2)
+    assert _lines(res.report) == {("UNIT-BAR", (a,))
+                                  for a in finset_p2.base.objects}
+    assert res.transferred == ()
+    code, out = _run(["unit", "finset_p_2"])
+    assert code == 1 and out.splitlines()[-1].startswith("FAIL")
+    assert "UNIT-BAR" in out and "UNIT-ISO" not in out
+
+
+def _merge_two_maps(real, x, order):
+    """fincat.compose_functors with, per object b of x, one map h of
+    hom(b, b) that is no restriction idempotent sent where a restriction
+    idempotent e is sent; h comes before or after e in hom(b, b)."""
+    def merged(g, f):
+        fun = real(g, f)
+        mor_map = list(fun.mor_map)
+        for b in x.base.objects:
+            hom = x.base.hom(b, b)
+            pairs = [(h, e) for i, e in enumerate(hom) if x.bar[e] == e
+                     for h in (hom[:i] if order == "before" else hom[i + 1:])
+                     if x.bar[h] != h]
+            if pairs:
+                h, e = pairs[0]
+                mor_map[h] = mor_map[e]
+        return fun._replace(mor_map=tuple(mor_map))
+
+    return merged
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_a_bar_with_two_preimages_is_a_unit_bar_line(order, finset_p2,
+                                                     monkeypatch):
+    merged = _merge_two_maps(fincat.compose_functors, finset_p2, order)
+    monkeypatch.setattr(bridge, "compose_functors", merged)
+    monkeypatch.setattr(fincat, "compose_functors", merged)
+    res = cocompletion_unit(finset_p2)
+    assert res.report.tags() == {"UNIT-BAR"}
+    assert res.transferred == oracles.unit_transferred(finset_p2)
 
 
 def test_a_comparison_undefined_somewhere_fails_without_an_error(mc_inj):
