@@ -8,9 +8,10 @@ offending entry.
 
 A loaded Bundle is frozen.  The named fixtures (`build_fixture`) are
 built once per process and shared by every caller, together with the
-tables their categories fill lazily, so they must not be mutated; a bundle
-file is read and loaded again on every call, as it can change between
-calls.
+tables their categories fill lazily, so they must not be mutated.  A
+bundle file is read again on every call, as it can change between calls,
+but a text identical to the last one loaded gives back the same Bundle,
+tables and all (`resolve_bundle`).
 """
 
 from __future__ import annotations
@@ -312,8 +313,20 @@ def build_fixture(name: str) -> Bundle:
     raise KeyError(name)
 
 
+@functools.lru_cache(maxsize=1)
+def _load_text(text: str) -> Bundle:
+    """load_bundle(text), kept for the last text loaded: a byte-identical
+    text gets back the same frozen bundle, so the tables its category and
+    M-category fill lazily fill once, and an edited file is loaded afresh.
+    A text that fails to load raises on every call, as lru_cache keeps no
+    exception.  One entry is enough for a batch that reads one file
+    bundle at a time."""
+    return load_bundle(text)
+
+
 def resolve_bundle(name_or_path: str) -> Bundle:
-    """A registered fixture name, or a path to a bundle file."""
+    """A registered fixture name, or a path to a bundle file, whose text
+    is read on every call and loaded by _load_text."""
     try:
         return build_fixture(name_or_path)
     except KeyError:
@@ -323,4 +336,4 @@ def resolve_bundle(name_or_path: str) -> Bundle:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise BundleError(f"$: cannot read {name_or_path!r} ({exc})") from exc
-    return load_bundle(text)
+    return _load_text(text)

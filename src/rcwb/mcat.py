@@ -57,14 +57,18 @@ class MCategory(namedtuple("MCategory", "base monics")):
 
     sub_m_orders keeps the order of Sub_M(a) per object a (sub_m_order),
     and antichain_memo each antichain of Sub_M(a) with its matching
-    colimit by (a, position mask) (join_colimit).  They fill lazily, take
-    no part in equality or hashing, and hand the same result object to
-    every caller, so cached results must not be mutated.
+    colimit by (a, position mask) (join_colimit).  par_memo keeps Par of
+    this M-category (par) and topology_memo the topology it generates
+    (site.generate_topology), each None until first asked for.  They fill
+    lazily, take no part in equality or hashing, and hand the same result
+    object to every caller, so cached results must not be mutated.  A
+    _replace copy starts with all four empty.
     """
 
     def __new__(cls, base, monics):
         self = super().__new__(cls, base, monics)
         self.sub_m_orders, self.antichain_memo = {}, {}
+        self.par_memo = self.topology_memo = None
         return self
 
     # _replace builds through _make: start empty caches
@@ -390,7 +394,12 @@ def par(mc: MCategory) -> ParCategory:
     pullback of (f, n).  Only the second leg g∘q depends on g, so the
     legs of pullback(f, n) for every f into tgt n, and the canonical first
     leg m∘p∘phi of each (m, f) with its iso phi, are read once per n, on
-    its first row, and kept for the rows of every (n, g)."""
+    its first row, and kept for the rows of every (n, g).
+
+    Built once per M-category and kept in mc.par_memo; a build that
+    raises keeps nothing."""
+    if mc.par_memo is not None:
+        return mc.par_memo
     c = mc.base
     rows, pos = c.rows, c.pos
     spans = tuple(sorted(
@@ -448,7 +457,8 @@ def par(mc: MCategory) -> ParCategory:
         if split is None:
             raise InternalInvariantError(
                 f"restriction idempotent {e} does not split")
-    return ParCategory(rc, mc, spans, span_id, rep)
+    mc.par_memo = ParCategory(rc, mc, spans, span_id, rep)
+    return mc.par_memo
 
 
 def splittings(x: RestrictionCategory) -> dict:

@@ -193,11 +193,13 @@ def sieve_pullback(c: FinCategory, s, f) -> frozenset:
 class Topology(namedtuple("Topology", "cat covers sieves basis")):
     """A topology with the site data it was generated from, so that later
     checks on the same M-category read them instead of enumerating again.
-    Every caller builds it with generate_topology from the M-category it
-    goes on to use (the CLI from the bundle's, which par keeps as pc.mc).
-    Per object, covers holds the frozenset of covering sieves, sieves
-    every sieve as sieves_on lists them, and basis the covering antichains
-    as basis_covers lists them.
+    Every caller takes it from generate_topology on the M-category it goes
+    on to use (the CLI from the bundle's, which par keeps as pc.mc).  That
+    builds it once per M-category and keeps it in mc.topology_memo, so
+    every later check on the same M-category reads the same instance,
+    which must not be mutated.  Per object, covers holds the frozenset of
+    covering sieves, sieves every sieve as sieves_on lists them, and basis
+    the covering antichains as basis_covers lists them.
 
     joined records how the covers were found: the M-category whose Sub_M
     joins gave them, when they are exactly the sieves that pass the join
@@ -239,7 +241,11 @@ def generate_topology(mc: MCategory) -> Topology:
     basis.  One _saturate pass over them is the certificate: if it adds
     nothing, they are a topology, hence the generated one, and joined
     records mc.  Otherwise the loop runs on from them to the fixpoint,
-    which is the generated topology, as they lie inside it."""
+    which is the generated topology, as they lie inside it.
+
+    Built once per M-category and kept in mc.topology_memo."""
+    if mc.topology_memo is not None:
+        return mc.topology_memo
     c = mc.base
     sieves = tuple(tuple(sieves_on(c, a)) for a in c.objects)
     covers = []
@@ -255,6 +261,7 @@ def generate_topology(mc: MCategory) -> Topology:
                    basis_covers(mc))
     if joined:
         top.joined = mc
+    mc.topology_memo = top
     return top
 
 

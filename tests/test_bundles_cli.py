@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import m3_bundle, non_associative, trivial_restriction
-from rcwb import cli, fincat, mcat, restriction, rpsh, site
+from rcwb import bundles, cli, fincat, mcat, restriction, rpsh, site
 from rcwb.bridge import sheaf_to_jrp
 from rcwb.bundles import (BundleError, build_fixture, bundle_dict,
                           dump_bundle, load_bundle)
@@ -273,6 +273,64 @@ def test_cli_reads_a_bundle_file_again_on_every_call(tmp_path, capsys):
     broken = capsys.readouterr().out
     assert "\tR1\t" not in lawful and "\tR1\t" in broken
     assert broken.endswith(f"FAIL\tcheck-laws\t{path}\n")
+
+
+def _mcat_text(name):
+    """The category and monics of fixture name as bundle text."""
+    mc = build_fixture(name).mcat
+    return dump_bundle(bundle_dict(mc.base, monics=mc.monics))
+
+
+def test_cli_loads_a_rewritten_bundle_file_afresh(tmp_path, capsys):
+    # a loaded bundle is kept by its text, not its path: after the file is
+    # rewritten, the verdicts and the topology are the new text's, not
+    # those the old text's M-category keeps
+    path, out = tmp_path / "b.json", tmp_path / "out.json"
+    covers = {}
+    for name, geometric in (("finset_inj_2", 0), ("finset_iso_2", 1)):
+        path.write_text(_mcat_text(name), encoding="utf-8")
+        assert main(["geometric", str(path)]) == geometric
+        assert main(["topology", str(path), "--out", str(out)]) == 0
+        covers[name] = json.loads(out.read_text())["topology"]
+        assert main(["topology", name, "--out", str(out)]) == 0
+        assert covers[name] == json.loads(out.read_text())["topology"]
+    assert covers["finset_inj_2"] != covers["finset_iso_2"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"PASS\tgeometric\t{path}"
+    assert f"FAIL\tgeometric\t{path}" in lines
+
+
+def test_the_same_bundle_text_gives_the_same_bundle(tmp_path):
+    # two files with one text share one load, with its lazy tables
+    text = _mcat_text("finset_inj_2")
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(text, encoding="utf-8")
+    second.write_text(text, encoding="utf-8")
+    bundle = bundles.resolve_bundle(str(first))
+    assert bundles.resolve_bundle(str(first)) is bundle
+    assert bundles.resolve_bundle(str(second)) is bundle
+    assert par(bundle.mcat) is par(bundles.resolve_bundle(str(second)).mcat)
+
+
+def test_a_malformed_bundle_text_exits_2_on_every_call(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"objects": []}', encoding="utf-8")
+    for _ in range(2):
+        assert main(["check-laws", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "bundle error: $: missing required field 'morphisms'\n"
+
+
+def test_load_bundle_keeps_no_bundle():
+    # only resolve_bundle's file texts are kept; a dict, or a text handed
+    # to load_bundle directly, is loaded afresh every time
+    data = _finset_inj2_data()
+    text = dump_bundle(data)
+    before = bundles._load_text.cache_info()
+    assert load_bundle(data) is not load_bundle(data)
+    assert load_bundle(text) is not load_bundle(text)
+    assert bundles._load_text.cache_info() == before
 
 
 def test_cli_unreadable_bundle(tmp_path, capsys):
@@ -600,20 +658,32 @@ def test_cli_sheaf_check_enumerates_matching_families_once(monkeypatch):
     assert len(calls) == 5
 
 
+def _cold(monkeypatch, name):
+    """Empty the Par and topology memos of fixture name's M-category for
+    this test, so a count below sees the first command on it; the warm
+    memos come back when the test ends."""
+    mc = build_fixture(name).mcat
+    monkeypatch.setattr(mc, "par_memo", None)
+    monkeypatch.setattr(mc, "topology_memo", None)
+
+
 def test_cli_build_par_checks_the_restriction_axioms_once(tmp_path,
                                                          monkeypatch):
-    # par's own invariant check is the report the CLI prints
+    # par's own invariant check is the report the CLI prints, and a second
+    # command on the same M-category reads the Par the first one built
+    _cold(monkeypatch, "finset_inj_2")
     calls = []
     real = restriction.check_restriction_axioms
     for module in (restriction, mcat, cli):
         monkeypatch.setattr(module, "check_restriction_axioms",
                             lambda x: calls.append(x) or real(x))
     out = tmp_path / "out.json"
-    assert main(["build-par", "finset_inj_2", "--out", str(out)]) == 0
-    assert len(calls) == 1
-    assert [(rep["name"], rep["ok"])
-            for rep in json.loads(out.read_text())["reports"]] == [
-        ("restriction", True)]
+    for _ in range(2):
+        assert main(["build-par", "finset_inj_2", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert [(rep["name"], rep["ok"])
+                for rep in json.loads(out.read_text())["reports"]] == [
+            ("restriction", True)]
 
 
 def test_cli_geometric_fires_geo_stab_on_m3(tmp_path, capsys):
@@ -636,26 +706,33 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
+def _once_per_m_category(monkeypatch, module, name, argv, count):
+    """On a cold finset_inj_3, the first main(argv) calls module.name count
+    times and a second one on the same bundle calls it no more."""
+    _cold(monkeypatch, "finset_inj_3")
+    calls = _counted(monkeypatch, module, name)
+    for _ in range(2):
+        assert main(argv) == 0
+        assert len(calls) == count
+
+
 def test_cli_topology_enumerates_each_object_s_sieves_once(monkeypatch):
     # the fixpoint check reads the sieves the topology was saturated over
-    calls = _counted(monkeypatch, site, "sieves_on")
-    assert main(["topology", "finset_inj_3"]) == 0
-    assert len(calls) == 4
+    _once_per_m_category(monkeypatch, site, "sieves_on",
+                         ["topology", "finset_inj_3"], 4)
 
 
 def test_cli_topology_saturates_once(monkeypatch):
     # TOP-FIX reads the certificate pass generate_topology already ran
-    calls = _counted(monkeypatch, site, "_saturate")
-    assert main(["topology", "finset_inj_3"]) == 0
-    assert len(calls) == 1
+    _once_per_m_category(monkeypatch, site, "_saturate",
+                         ["topology", "finset_inj_3"], 1)
 
 
 def test_cli_to_sheaf_finds_the_basis_covers_once(monkeypatch):
     # the amalgamation formula reads the families the topology came from
-    calls = _counted(monkeypatch, site, "basis_covers")
-    assert main(["transfer", "finset_inj_3", "yset3",
-                 "--direction", "to-sheaf"]) == 0
-    assert len(calls) == 1
+    _once_per_m_category(monkeypatch, site, "basis_covers",
+                         ["transfer", "finset_inj_3", "yset3",
+                          "--direction", "to-sheaf"], 1)
 
 
 def test_cli_to_sheaf_refuses_an_unknown_object_before_building(

@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import sys
 import tempfile
 
@@ -31,6 +32,11 @@ from rcwb.site import check_presheaf
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "cli_golden.json")
+PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
+EXPECTED = os.path.join(PERFBENCH, "expected.json")
+# the benchmark's job lists and bundle generators, read, not imported, so
+# nothing is written next to them
+WORKLOADS = runpy.run_path(os.path.join(PERFBENCH, "workloads.py"))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "scripts"))
 
 from run_suites import SUITES  # noqa: E402
@@ -44,11 +50,16 @@ def _key(cmd):
 
 def run_suite(cmd):
     """{"exit", "stdout", "out"} of one suite command run in-process."""
+    return run_cli(cmd + ["--max-family", MAX_FAMILY])
+
+
+def run_cli(argv):
+    """{"exit", "stdout", "out"} of main(argv) with an --out file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = main(cmd + ["--max-family", MAX_FAMILY, "--out", path])
+            code = main(argv + ["--out", path])
         with open(path, encoding="utf-8") as fh:
             out = json.load(fh)
     return {"exit": code, "stdout": stdout.getvalue().splitlines(),
@@ -119,6 +130,18 @@ def test_suite_output_matches_golden(golden, cmd):
     assert_matches(_run(_key(cmd)), golden[_key(cmd)], _key(cmd))
 
 
+def test_every_suite_matches_its_golden_again_in_reverse_order(golden):
+    # Par, the topology and the tables a command fills on a fixture are
+    # shared with every later command on it: none may change them, so a
+    # second pass over every suite, in reverse order, reads as the first
+    # (_run's, whose tables the fixtures still hold: no test of this file
+    # clears the registry before this one)
+    for cmd, _ in SUITES:
+        assert_matches(_run(_key(cmd)), golden[_key(cmd)], _key(cmd))
+    for cmd, _ in reversed(SUITES):
+        assert_matches(run_suite(cmd), golden[_key(cmd)], _key(cmd))
+
+
 def _artifacts():
     """The suite keys whose --out JSON holds an artifact bundle."""
     return sorted(k for k, v in _golden().items() if "artifact" in v["out"])
@@ -156,6 +179,25 @@ def test_small_suites_match_their_goldens_in_either_order(golden):
         build_fixture.cache_clear()
         for cmd in order:
             assert_matches(run_suite(cmd), golden[_key(cmd)], _key(cmd))
+
+
+def test_the_sites_jobs_read_the_same_on_a_second_pass(tmp_path):
+    # the sites benchmark runs six commands on one generated bundle file,
+    # which is loaded once; both passes print the pinned lines, and the
+    # second, in reverse order, writes the first one's --out files
+    jobs = WORKLOADS["expand"]("sites", {"const": "const2"})
+    paths = WORKLOADS["write_bundles"](WORKLOADS["bundle_names"](jobs),
+                                       str(tmp_path))
+    with open(EXPECTED, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    first = {}
+    for order in (jobs, jobs[::-1]):
+        for job in order:
+            key = WORKLOADS["job_key"](job)
+            run = golden_form(run_cli(WORKLOADS["resolve"](job, paths)))
+            assert {"exit": run["exit"], "stdout": WORKLOADS["normalise"](
+                run["stdout"], paths)} == pinned[key], key
+            assert first.setdefault(key, run) == run, key
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from oracles import (FINSET_MCATS, families, heyting_check, leq, m3_bundle,
                      par_join_construction, par_leq_oracle,
                      pullback_preserves_joins)
 from rcwb import mcat
-from rcwb.bundles import load_bundle
+from rcwb.bundles import build_fixture, load_bundle
 from rcwb.cli import main
 from rcwb.fincat import build_category, validate_category
 from rcwb.fixtures import build_finset_mcat
@@ -15,8 +15,9 @@ from rcwb.mcat import (MCategory, check_m_system, is_geometric, karoubi_r,
                        matching_colimit, mtotal, par, pullback_stable,
                        split_unit_functor, sub_m, sub_m_join,
                        subobject_rep)
-from rcwb.reports import InternalInvariantError
+from rcwb.reports import InternalInvariantError, LawReport
 from rcwb.restriction import check_restriction_axioms
+from rcwb.site import generate_topology
 
 
 def test_m_system_checks(mc_inj, mc_iso):
@@ -238,10 +239,43 @@ PAR_DIGESTS = {
 
 @pytest.mark.parametrize("n, kind", sorted(PAR_DIGESTS))
 def test_par_tables_are_unchanged(n, kind):
-    pc = par(FINSET_MCATS[kind](n))
+    assert _par_digest(par(FINSET_MCATS[kind](n))) == PAR_DIGESTS[(n, kind)]
+
+
+def _par_digest(pc):
     table = (pc.spans, pc.rc.bar, list(pc.rc.base.rows))
-    assert hashlib.sha256(repr(table).encode()).hexdigest() == \
-        PAR_DIGESTS[(n, kind)]
+    return hashlib.sha256(repr(table).encode()).hexdigest()
+
+
+def test_a_replace_copy_builds_its_own_topology_and_par():
+    # the memos sit on the instance: a copy with other monics starts cold
+    # and builds Par and the topology of its own monics, and the original
+    # keeps what it built
+    inj = build_fixture("finset_inj_3").mcat
+    iso = build_fixture("finset_iso_3").mcat
+    pc, top = par(inj), generate_topology(inj)
+    copy = inj._replace(monics=iso.monics)
+    assert copy == iso and copy.base is inj.base
+    assert copy.par_memo is None and copy.topology_memo is None
+    copy_pc, copy_top = par(copy), generate_topology(copy)
+    assert copy_pc.mc is copy and copy_top.joined is copy
+    assert _par_digest(copy_pc) == PAR_DIGESTS[(3, "iso")]
+    assert copy_top.covers == generate_topology(iso).covers != top.covers
+    assert par(copy) is copy_pc and generate_topology(copy) is copy_top
+    assert par(inj) is pc and generate_topology(inj) is top
+    assert _par_digest(pc) == PAR_DIGESTS[(3, "inj")]
+
+
+def test_a_par_that_raises_keeps_nothing(monkeypatch):
+    mc = build_finset_mcat(2)
+    failed = LawReport("restriction")
+    failed.add("R1", (), "patched")
+    monkeypatch.setattr(mcat, "check_restriction_axioms", lambda x: failed)
+    with pytest.raises(InternalInvariantError, match="restriction axioms"):
+        par(mc)
+    assert mc.par_memo is None
+    monkeypatch.undo()
+    assert par(mc).axioms.ok and mc.par_memo is par(mc)
 
 
 def test_par_leq_oracle_agrees_with_hom_order(pc_inj):

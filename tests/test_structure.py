@@ -73,11 +73,13 @@ def _callers(pattern):
     # only main calls
     (r"\bArgumentParser\(", {("cli", "_parser")}),
     (r"\b_parser\(", {("cli", "_parser"), ("cli", "main")}),
-    # one fixture per process: the registry and the parser are the only
-    # memoised functions, and no module (fixtures included) keeps a memo
-    # of its own in a module-level container or a global
+    # one fixture per process, one loaded bundle per text: the registry,
+    # the text loader and the parser are the only memoised functions, and
+    # no module (fixtures included) keeps a memo of its own in a
+    # module-level container or a global
     (r"^\s*@.*\b(lru_)?cache\b", {("cli", "_parser"),
-                                   ("bundles", "build_fixture")}),
+                                   ("bundles", "build_fixture"),
+                                   ("bundles", "_load_text")}),
     (r"\bglobal\b|^\w+\s*(:.*)?=\s*(\{|\[|dict\(|set\(|defaultdict\()",
      {("joins", None), ("rpsh", None)}),
     # its own def line, the sheaf scan over every cover, and the plus
