@@ -58,6 +58,9 @@ SUITES = [
     (["transfer", "finset_inj_4", "yset1", "--direction", "to-sheaf"], 0),
     # size 4: guards the comparison maps against a return to iso search
     (["roundtrip", "finset_inj_4", "yset1"], 0),
+    # refused at once: a fixture too large to build exits 2 before any
+    # table is made
+    (["check-laws", "finset_p_9"], 2),
     # negative controls: these are supposed to fail with exit code 1
     (["check-laws", "nojoin"], 1),
     (["geometric", "finset_iso_2"], 1),

@@ -278,6 +278,40 @@ def dump_bundle(data: dict) -> str:
 
 # -- the fixture registry ---------------------------------------------------------
 
+# the composition-table entries of finset_inj_5, the largest fixture built
+MAX_FIXTURE_TABLE = 18_705_846
+
+
+def _table_size(n, partial, bound):
+    """The number of composition-table entries of FinSet<=n (FinSet_p<=n
+    when partial), or the first partial sum above bound.
+
+    The table holds g∘f for each map g and each f into src g, so it has
+    |maps out of b|·|maps into b| entries at each object b; FinSet has b^a
+    maps a -> b, and FinSet_p (b+1)^a."""
+    def hom(a, b):
+        return (b + 1) ** a if partial else b ** a
+    total = 0
+    for b in range(n + 1):
+        total += sum(hom(b, t) for t in range(n + 1)) * \
+            sum(hom(t, b) for t in range(n + 1))
+        if total > bound:
+            break
+    return total
+
+
+def _too_large(digits, partial):
+    """Whether the fixture of size n, written as digits with no leading
+    zero, has more than MAX_FIXTURE_TABLE composites.  The row of the
+    identity of set n alone holds n^n >= 2^n of them, so an n above the
+    bound's bit length is too large, and no longer digit string is
+    converted (int() refuses more than 4,300 digits)."""
+    limit = MAX_FIXTURE_TABLE.bit_length()
+    return len(digits) > len(str(limit)) or int(digits) > limit or \
+        _table_size(int(digits), partial, MAX_FIXTURE_TABLE) > \
+        MAX_FIXTURE_TABLE
+
+
 @functools.cache
 def build_fixture(name: str) -> Bundle:
     """Named fixtures accepted anywhere a bundle path is: finset_p_<n>,
@@ -290,7 +324,10 @@ def build_fixture(name: str) -> Bundle:
     zeros gives the bundle of its plain form (finset_p_03 is finset_p_3),
     and finset_iso_<n> is FinSet<=n with its isomorphisms as M, on the
     category of finset_inj_<n>.  An unknown name raises KeyError and is
-    not remembered."""
+    not remembered.  A fixture whose composition table would have more
+    than MAX_FIXTURE_TABLE entries raises BundleError before anything is
+    built: finset_inj_<n> and finset_iso_<n> are built up to n = 5, and
+    finset_p_<n> up to n = 4."""
     if name == "nojoin":
         rc = fixtures.build_nojoin_fixture()
         return Bundle(rc.base, restriction=rc)
@@ -298,6 +335,12 @@ def build_fixture(name: str) -> Bundle:
                            ("finset_iso_", "iso")):
         digits = name[len(prefix):]
         if name.startswith(prefix) and digits.isascii() and digits.isdigit():
+            digits = digits.lstrip("0") or "0"
+            if _too_large(digits, family == "p"):
+                shown = digits if len(digits) <= 12 else digits[:12] + "..."
+                raise BundleError(
+                    f"$: fixture {prefix}{shown} is too large to build "
+                    f"(more than {MAX_FIXTURE_TABLE:,} composites)")
             n = int(digits)
             if name != f"{prefix}{n}":
                 return build_fixture(f"{prefix}{n}")

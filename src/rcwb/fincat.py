@@ -15,12 +15,16 @@ Pullbacks and colimits share one certificate, `_universal`, which counts
 maps against (co)cones.  It is sound only because the (co)cones at each
 object are listed exhaustively and without duplicates, and composing a
 (co)cone with a map gives a (co)cone again; a caller that breaks any of the
-three gets answers that are not certified.  A pullback is searched only for
+three gets answers that are not certified.  A pullback is solved only for
 the least cospan of its class under precomposing each leg with an iso, and
 moved to the other cospans of the class along those isos: their cone
 functors are isomorphic, and the universal cones at one apex form a single
 orbit under its automorphisms, so the least of that orbit is the cone the
-search would return (the proof is in `pullback`).
+search would return (the proof is in `pullback`).  A class with an iso leg
+is not searched at all: its cone functor is representable by Yoneda, and
+its universal cones are read off the isos (`_pullback_along_iso`).  The
+matching colimits of families of at most one member are read off the same
+way, in `mcat.matching_colimit`, with `initial_object` for the empty one.
 
 Every category comes from `build_category`: Par, the Karoubi splitting,
 subcategories, the fixtures and loaded bundles.  It asks for one row of
@@ -448,10 +452,13 @@ def pullback(c: FinCategory, f, g):
     (apex, p, q) order that every cone factors through uniquely.  The
     result is cached per cospan.
 
-    Only the least cospan of each class is searched, by `_pullback_search`.
-    With phi = least_iso(c, f) and gamma = least_iso(c, g), the cospan
-    (f0, g0) = (f∘phi, g∘gamma) is searched (or read from the cache), and
-    its cone (p0, q0) is carried over to (f, g):
+    Only the least cospan of each class is solved, and only a class with
+    no iso leg is searched: with phi = least_iso(c, f) and
+    gamma = least_iso(c, g), the cone (p0, q0) of (f0, g0) =
+    (f∘phi, g∘gamma) is read off the isos by `_pullback_along_iso` when
+    f0 or g0 is an iso (as f or g is) and c is a category, searched by
+    `_pullback_search` otherwise, or read from the cache, and carried over
+    to (f, g):
 
     - (p0, q0) ↦ (phi∘p0, gamma∘q0) is a bijection from the cones of
       (f0, g0) at t onto those of (f, g) at t, with inverse
@@ -477,7 +484,10 @@ def pullback(c: FinCategory, f, g):
     phi, gamma = least_iso(c, f), least_iso(c, g)
     rep = (rows[f][pos[phi]], rows[g][pos[gamma]])
     if rep not in cache:
-        cache[rep] = _pullback_search(c, *rep)
+        isos = c.isos()
+        cache[rep] = _pullback_along_iso(c, *rep) \
+            if (rep[0] in isos or rep[1] in isos) and \
+            validate_category(c).ok else _pullback_search(c, *rep)
     cone = cache[rep]
     if cone is not None and rep != key:
         row_p = rows[rows[phi][pos[cone.p]]]
@@ -488,6 +498,36 @@ def pullback(c: FinCategory, f, g):
             if c.mor_src[psi] == apex))
     cache[key] = cone
     return cone
+
+
+def _pullback_along_iso(c: FinCategory, f, g):
+    """The canonical pullback of (f, g) when f or g is an iso, read off
+    the isos: the cone `_pullback_search` would return, with no search.
+
+    - g an iso.  The cones at t are the pairs (p, g⁻¹∘f∘p) for p in
+      hom(t, src f), naturally in t, so the cone functor is represented by
+      (src f, id, g⁻¹∘f), and a cone is universal iff its p is an iso
+      (Yoneda; Mac Lane, CWM §III.2).  The first apex that carries one is
+      the least src p over the isos p into src f, and the least cone there
+      is the one with the least p, as the cones are ordered by p first.
+    - Only f an iso.  The cones at t are (f⁻¹∘g∘q, q) for q in
+      hom(t, src g), and the universal ones those with an iso q.  The
+      apex is the first object with an iso q into src g, and the cone the
+      least (f⁻¹∘g∘q, q) over those q out of it: q ↦ f⁻¹∘g∘q need not
+      keep the order of the q.
+
+    Both read the category laws, so c must be a category
+    (validate_category); on a table that is not one, pullback searches.
+    """
+    rows, pos, src, isos = c.rows, c.pos, c.mor_src, c.isos()
+    if g in isos:
+        p = min(c.isos_into(src[f]), key=lambda p: (src[p], p))
+        return PullbackCone(src[p], p, rows[rows[isos[g]][pos[f]]][pos[p]])
+    qs = c.isos_into(src[g])
+    apex = min(src[q] for q in qs)
+    row = rows[rows[isos[f]][pos[g]]]
+    return PullbackCone(apex, *min((row[pos[q]], q) for q in qs
+                                   if src[q] == apex))
 
 
 def _pullback_search(c: FinCategory, f, g):
@@ -667,6 +707,16 @@ def colimit(c: FinCategory, d: Diagram):
     found = _universal(c, [cocones_at(c, d, apex) for apex in c.objects],
                        _hom_counts(c)[1], one_to_one)
     return None if found is None else Cocone(*found)
+
+
+def initial_object(c: FinCategory):
+    """The first object with exactly one map into every object, or None:
+    the apex `colimit` finds for the empty diagram, whose one cocone at
+    each object is (), so that the count test of `_universal` is
+    |hom(apex, t)| == 1 for every t, and nothing is left to be one-to-one."""
+    ones = (1,) * c.n_objects
+    return next((a for a, row in enumerate(_hom_counts(c)[1]) if row == ones),
+                None)
 
 
 def mediating(c: FinCategory, coc: Cocone, apex, legs):

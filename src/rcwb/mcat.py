@@ -35,7 +35,11 @@ Sub_M order once, as a `joins.FinitePoset` whose families are the
 antichains, and matching_colimit runs once per antichain, from
 join_colimit.  Two lazy tables on each MCategory hold this: sub_m_orders,
 the order of each object, and antichain_memo, each antichain that a join
-asked for, with its matching colimit.
+asked for, with its matching colimit.  Only an antichain of two or more
+members has its matching diagram built and its colimit searched: the
+empty one is read off the initial object, and a single member m off the
+isos out of dom m, as the universal cocones under one object are its isos
+(matching_colimit).
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ from collections import namedtuple
 from functools import partial
 
 from .fincat import (Cocone, Diagram, FinCategory, Functor,
-                     build_category, certified, colimit, is_mono, least_iso,
-                     mediating, pullback)
+                     build_category, certified, colimit, initial_object,
+                     is_mono, least_iso, mediating, pullback,
+                     validate_category)
 from .joins import FinitePoset
 from .reports import InternalInvariantError, LawReport
 from .restriction import (RestrictionCategory, check_restriction_axioms,
@@ -58,17 +63,18 @@ class MCategory(namedtuple("MCategory", "base monics")):
     sub_m_orders keeps the order of Sub_M(a) per object a (sub_m_order),
     and antichain_memo each antichain of Sub_M(a) with its matching
     colimit by (a, position mask) (join_colimit).  par_memo keeps Par of
-    this M-category (par) and topology_memo the topology it generates
-    (site.generate_topology), each None until first asked for.  They fill
-    lazily, take no part in equality or hashing, and hand the same result
-    object to every caller, so cached results must not be mutated.  A
-    _replace copy starts with all four empty.
+    this M-category (par), topology_memo the topology it generates
+    (site.generate_topology) and m_system_memo the report of its gate
+    (check_m_system), each None until first asked for.  They fill lazily,
+    take no part in equality or hashing, and hand the same result object
+    to every caller, so cached results must not be mutated.  A _replace
+    copy starts with all five empty.
     """
 
     def __new__(cls, base, monics):
         self = super().__new__(cls, base, monics)
         self.sub_m_orders, self.antichain_memo = {}, {}
-        self.par_memo = self.topology_memo = None
+        self.par_memo = self.topology_memo = self.m_system_memo = None
         return self
 
     # _replace builds through _make: start empty caches
@@ -76,7 +82,9 @@ class MCategory(namedtuple("MCategory", "base monics")):
 
 
 def check_m_system(mc: MCategory) -> LawReport:
-    """The three stable-system conditions, checked exhaustively.
+    """The three stable-system conditions, checked exhaustively, once per
+    M-category: the report is kept in mc.m_system_memo and shared by every
+    later caller, which must not mutate it.
 
     M-PB pulls each m in M back along the maps into tgt m that
     fincat.certified picks, the generators first, once M-MONO, M-ISO and
@@ -93,6 +101,8 @@ def check_m_system(mc: MCategory) -> LawReport:
     - The canonical pullback differs from the pasted one by an iso of the
       apex, so its leg is the pasted leg∘iso, in M by M-ISO and M-COMP.
     """
+    if mc.m_system_memo is not None:
+        return mc.m_system_memo
     c = mc.base
     report = LawReport("m-system")
     for m in mc.monics:
@@ -109,6 +119,7 @@ def check_m_system(mc: MCategory) -> LawReport:
     scan = partial(_m_pb_scan, mc)
     report.violations += scan(list) if report.violations else \
         certified(c, scan)
+    mc.m_system_memo = report
     return report
 
 
@@ -189,7 +200,9 @@ def join_colimit(mc: MCategory, family, obj):
     canonical M-subobjects of obj: the antichain of its maximal members,
     and the colimit its join is read from.  Kept in mc.antichain_memo by
     (obj, position mask of max S): one matching_colimit call per
-    antichain, and the package calls matching_colimit nowhere else.
+    antichain, and the package calls matching_colimit nowhere else.  That
+    call searches a colimit only for an antichain of two or more members;
+    the empty family and a single member are read off the isos.
 
     S may repeat members.  Cocones under S and under max S correspond, in
     every category where the pairwise pullbacks exist:
@@ -269,6 +282,8 @@ def matching_diagram(mc: MCategory, family, obj) -> Diagram:
 
 
 def _require_subobjects(mc: MCategory, family, obj):
+    if not 0 <= obj < mc.base.n_objects:
+        raise ValueError(f"{obj} is not an object")
     for m in family:
         if m not in mc.monics or mc.base.mor_tgt[m] != obj:
             raise ValueError(f"{m} is not an M-subobject of {obj}")
@@ -285,10 +300,16 @@ def matching_colimit(mc: MCategory, family, obj):
 
     The cocone keeps the legs at the members only: the leg at a pair vertex
     v with first arrow (v, i, p) is leg_i∘p, so the member legs decide a
-    cocone under the matching diagram.  Nothing is memoised here: the site
-    reads joins through join_colimit, one call per antichain."""
+    cocone under the matching diagram.  A family of at most one member has
+    a diagram with no arrow, and in a category its colimit is read off the
+    isos with no search (_small_matching_colimit); a larger one is searched
+    by fincat.colimit.  Nothing is memoised here: the site reads joins through
+    join_colimit, one call per antichain."""
     c = mc.base
     family = tuple(family)
+    if len(family) < 2 and validate_category(c).ok:
+        _require_subobjects(mc, family, obj)
+        return _small_matching_colimit(c, family, obj)
     full = colimit(c, matching_diagram(mc, family, obj))
     if full is None:
         return None
@@ -297,6 +318,41 @@ def matching_colimit(mc: MCategory, family, obj):
     if mu is None:
         raise InternalInvariantError("no unique induced map from matching colimit")
     return MatchingColimit(coc, mu)
+
+
+def _small_matching_colimit(c: FinCategory, family, obj):
+    """The matching colimit of a family of at most one member, equal to
+    the one fincat.colimit and mediating find, the first apex in object
+    order with its least universal cocone, with no cocone listed.
+
+    - The empty family.  Its diagram is empty, with the one cocone () at
+      each object, so a universal cocone is an initial object L
+      (fincat.initial_object), and mu is the one map L -> obj.  With no
+      initial object there is no colimit.
+    - One member m.  Its diagram is the object dom m alone, and a cocone
+      at L is a leg φ: dom m -> L.  It is universal iff h ↦ h∘φ is a
+      bijection hom(L, t) -> hom(dom m, t) for every t, that is iff φ is
+      an iso (Yoneda; Mac Lane, CWM §III.2).  So the search's count test
+      first passes, with a universal cocone, at the least tgt φ over the
+      isos φ out of dom m, whose least cocone there is the least such φ,
+      and mu, the one h with h∘φ == m, is m∘φ⁻¹.  The identity of dom m is
+      such a φ, so the colimit exists.
+
+    Both read the category laws, so c must be a category
+    (fincat.validate_category); on a table that is not one,
+    matching_colimit searches.
+    """
+    if not family:
+        apex = initial_object(c)
+        return None if apex is None else \
+            MatchingColimit(Cocone(apex, ()), c.hom(apex, obj)[0])
+    m = family[0]
+    isos, tgt = c.isos(), c.mor_tgt
+    # the isos φ out of dom m are the inverses of the isos into it
+    inv = min(c.isos_into(c.mor_src[m]),
+              key=lambda psi: (tgt[isos[psi]], isos[psi]))
+    phi = isos[inv]
+    return MatchingColimit(Cocone(tgt[phi], (phi,)), c.rows[m][c.pos[inv]])
 
 
 def is_geometric(mc: MCategory, max_family=None) -> LawReport:

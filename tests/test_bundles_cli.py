@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -100,6 +101,41 @@ def test_fixture_registry_names():
         assert bundle.cat.n_morphisms > 0
     with pytest.raises(KeyError):
         build_fixture("unknown_fixture")
+
+
+@pytest.mark.parametrize("name", ["finset_p_5", "finset_inj_6",
+                                  "finset_iso_6", "finset_p_" + "9" * 5000])
+def test_cli_refuses_a_fixture_too_large_to_build(name, capsys):
+    # the table size is read off n before anything is built, and a name of
+    # more digits than int() converts is refused without converting it
+    start = time.perf_counter()
+    assert main(["check-laws", name]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"bundle error: $: fixture {name[:21]}")
+    assert "is too large to build" in err
+
+
+def test_fixture_table_sizes_are_read_off_n():
+    # the formula counts the entries of the built tables, and the largest
+    # fixtures built are finset_inj_5 (finset_iso_5) and finset_p_4
+    for n in range(4):
+        for name, partial in (("finset_inj", False), ("finset_p", True)):
+            rows = build_fixture(f"{name}_{n}").cat.rows
+            assert bundles._table_size(n, partial, float("inf")) == \
+                sum(map(len, rows))
+    assert bundles._table_size(5, False, float("inf")) == \
+        bundles.MAX_FIXTURE_TABLE == 18_705_846
+    assert bundles._table_size(4, True, float("inf")) == 848_469
+    assert bundles._table_size(5, True, float("inf")) > \
+        bundles.MAX_FIXTURE_TABLE
+    # the sum stops at the first partial sum above the bound: 26·26 at set0
+    assert bundles._table_size(25, True, 100) == 676
+    assert not bundles._too_large("4", True) and bundles._too_large("5", True)
+    assert bundles._too_large("26", False) and bundles._too_large("9" * 5000,
+                                                                  False)
+    assert build_fixture("finset_p_03") is build_fixture("finset_p_3")
 
 
 def test_presheaf_section_roundtrip(tmp_path):
@@ -659,12 +695,13 @@ def test_cli_sheaf_check_enumerates_matching_families_once(monkeypatch):
 
 
 def _cold(monkeypatch, name):
-    """Empty the Par and topology memos of fixture name's M-category for
-    this test, so a count below sees the first command on it; the warm
+    """Empty the Par, topology and gate memos of fixture name's M-category
+    for this test, so a count below sees the first command on it; the warm
     memos come back when the test ends."""
     mc = build_fixture(name).mcat
     monkeypatch.setattr(mc, "par_memo", None)
     monkeypatch.setattr(mc, "topology_memo", None)
+    monkeypatch.setattr(mc, "m_system_memo", None)
 
 
 def test_cli_build_par_checks_the_restriction_axioms_once(tmp_path,
@@ -714,6 +751,35 @@ def _once_per_m_category(monkeypatch, module, name, argv, count):
     for _ in range(2):
         assert main(argv) == 0
         assert len(calls) == count
+
+
+def test_cli_gates_each_m_category_once(monkeypatch):
+    # the M-system report of the first gated command is kept on the
+    # M-category, and a second command on the same bundle reads it
+    _cold(monkeypatch, "finset_inj_3")
+    calls = _counted(monkeypatch, mcat, "_m_pb_scan")
+    for argv in (["build-par", "finset_inj_3"],
+                 ["geometric", "finset_inj_3"]):
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+
+def test_cli_searches_no_cone_that_the_isos_give(monkeypatch):
+    # on a cold finset_inj_3, with its joins and pullbacks forgotten too:
+    # colimit sees no matching diagram of at most one member (at most one
+    # vertex), and _pullback_search no cospan with an iso leg
+    _cold(monkeypatch, "finset_inj_3")
+    mc = build_fixture("finset_inj_3").mcat
+    c = mc.base
+    monkeypatch.setattr(mc, "antichain_memo", {})
+    monkeypatch.setattr(c, "_pullback_cache", {})
+    colimits = _counted(monkeypatch, mcat, "colimit")
+    searched = _counted(monkeypatch, fincat, "_pullback_search")
+    assert main(["geometric", "finset_inj_3"]) == 0
+    assert main(["build-par", "finset_inj_3"]) == 0
+    assert colimits and searched
+    assert min(len(d.obj_map) for _, d in colimits) == 3
+    assert not any(c.is_iso(f) or c.is_iso(g) for _, f, g in searched)
 
 
 def test_cli_topology_enumerates_each_object_s_sieves_once(monkeypatch):

@@ -2,7 +2,8 @@
 
 Each SUITES command runs in-process with the suite runner's default
 --max-family 3 and an --out file; the exit code, the stdout lines and the
---out JSON must equal tests/cli_golden.json.  Every --out key is kept in
+--out JSON (null for a command refused before any report, which writes
+none) must equal tests/cli_golden.json.  Every --out key is kept in
 full but the artifact bundle, which is kept as its object and morphism
 counts and the SHA-256 of each top-level section's canonical JSON
 (`digest`).  Regenerate the goldens only when a change is meant to alter
@@ -54,14 +55,17 @@ def run_suite(cmd):
 
 
 def run_cli(argv):
-    """{"exit", "stdout", "out"} of main(argv) with an --out file."""
+    """{"exit", "stdout", "out"} of main(argv) with an --out file; out is
+    None when main wrote none."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main(argv + ["--out", path])
-        with open(path, encoding="utf-8") as fh:
-            out = json.load(fh)
+        out = None
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                out = json.load(fh)
     return {"exit": code, "stdout": stdout.getvalue().splitlines(),
             "out": out}
 
@@ -81,7 +85,7 @@ def digest(artifact):
 def golden_form(run):
     """A run_suite result with its artifact, if any, replaced by digest."""
     out = run["out"]
-    if "artifact" in out:
+    if out is not None and "artifact" in out:
         out = dict(out, artifact=digest(out["artifact"]))
     return dict(run, out=out)
 
@@ -90,7 +94,8 @@ def assert_matches(run, want, key):
     """The run's golden form equals want; when both hold an artifact and
     they differ, the failure names the first section that differs."""
     got = golden_form(run)
-    art, pinned = got["out"].get("artifact"), want["out"].get("artifact")
+    art, pinned = (got["out"] or {}).get("artifact"), \
+        (want["out"] or {}).get("artifact")
     if art and pinned and art != pinned:
         ours, theirs = art["sha256"], pinned["sha256"]
         first = next((name for name in sorted(set(ours) | set(theirs))
@@ -144,7 +149,8 @@ def test_every_suite_matches_its_golden_again_in_reverse_order(golden):
 
 def _artifacts():
     """The suite keys whose --out JSON holds an artifact bundle."""
-    return sorted(k for k, v in _golden().items() if "artifact" in v["out"])
+    return sorted(k for k, v in _golden().items()
+                  if "artifact" in (v["out"] or {}))
 
 
 @pytest.mark.parametrize("key", _artifacts())

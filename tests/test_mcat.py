@@ -249,14 +249,17 @@ def _par_digest(pc):
 
 def test_a_replace_copy_builds_its_own_topology_and_par():
     # the memos sit on the instance: a copy with other monics starts cold
-    # and builds Par and the topology of its own monics, and the original
-    # keeps what it built
+    # and builds Par, the topology and the gate report of its own monics,
+    # and the original keeps what it built
     inj = build_fixture("finset_inj_3").mcat
     iso = build_fixture("finset_iso_3").mcat
-    pc, top = par(inj), generate_topology(inj)
+    pc, top, gate = par(inj), generate_topology(inj), check_m_system(inj)
     copy = inj._replace(monics=iso.monics)
     assert copy == iso and copy.base is inj.base
     assert copy.par_memo is None and copy.topology_memo is None
+    assert copy.m_system_memo is None
+    assert check_m_system(copy) is copy.m_system_memo is not gate
+    assert check_m_system(inj) is gate
     copy_pc, copy_top = par(copy), generate_topology(copy)
     assert copy_pc.mc is copy and copy_top.joined is copy
     assert _par_digest(copy_pc) == PAR_DIGESTS[(3, "iso")]

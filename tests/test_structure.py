@@ -51,7 +51,8 @@ def _callers(pattern):
                                 ("mcat", "matching_diagram"),
                                 ("site", "matching_tuples")}),
     # its own def line, and the two searches it certifies: pullback reaches
-    # it only through _pullback_search, once per class of cospans
+    # it only through _pullback_search, once per class of cospans with no
+    # iso leg
     (r"\b_universal\(", {("fincat", "_universal"),
                           ("fincat", "_pullback_search"),
                           ("fincat", "colimit")}),
