@@ -58,6 +58,12 @@ SUITES = [
     (["transfer", "finset_inj_4", "yset1", "--direction", "to-sheaf"], 0),
     # size 4: guards the comparison maps against a return to iso search
     (["roundtrip", "finset_inj_4", "yset1"], 0),
+    # M = the isos: pins the transferred action byte for byte (through the
+    # --out artifact) and its round trip on a Par whose spans are all total
+    (["transfer", "finset_iso_3", "yset3", "--direction", "to-jrp"], 0),
+    (["roundtrip", "finset_iso_3", "yset3"], 0),
+    # the unit's transfer on a base other than FinSet_p
+    (["unit", "nojoin"], 0),
     # refused at once: a fixture too large to build exits 2 before any
     # table is made
     (["check-laws", "finset_p_9"], 2),

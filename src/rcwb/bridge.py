@@ -3,12 +3,12 @@ over its partial map category, in both directions, with round trips.
 
 A sheaf P over (C, M) becomes the presheaf over Par(C, M) whose elements at X
 are pairs (m, e) of a canonical monic m into X and an element e of P(dom m).
-This transfer is stated once, in _transfer: sheaf_to_jrp builds it over all
-of Par, and cocompletion_unit along the comparison functor from x, on the
-maps of x only.  Conversely a join restriction presheaf over Par(C, M)
-restricts to its total elements, which form a sheaf.  Joins on the
-transferred side are produced by the matching-colimit recipe and
-cross-checked against least upper bounds found by plain search.
+This transfer is stated once, in _transfer, on Par's legs: sheaf_to_jrp
+builds it over all of Par, and cocompletion_unit along the comparison
+functor from x, on the maps of x only.  Conversely a join restriction
+presheaf over Par(C, M) restricts to its total elements, which form a
+sheaf.  Joins on the transferred side are produced by the matching-colimit
+recipe and cross-checked against least upper bounds found by plain search.
 
 Both directions read a family of monics through its antichain of maximal
 members, as the site does (see the mcat docstring).  For the amalgamation
@@ -40,10 +40,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .fincat import compose_functors, least_iso, pullback
+from .fincat import compose_functors, least_iso
 from .mcat import (MCategory, ParCategory, join_colimit, karoubi_r,
                    split_unit_functor, sub_m)
-from .reports import InternalInvariantError, LawReport
+from .reports import LawReport
 from .restriction import RestrictionCategory, is_restriction_idempotent
 from .rpsh import (RestrictionPresheaf, check_jrp_axioms, element_join,
                    element_poset, yoneda_jr)
@@ -73,21 +73,22 @@ def canonical_pair(mc: MCategory, p: Presheaf, mu, e):
 def _transfer(pc: ParCategory, p: Presheaf):
     """The transfer of P over pc.mc.base to Par, as the elements, action and
     names callbacks of build_presheaf.  Elements at X are pairs (m, e): a
-    canonical monic m into X together with an element e of P(dom m); a span
-    acts by pulling m back along its map leg, then canonical_pair."""
+    canonical monic m into X together with an element e of P(dom m).  A
+    span j acts as in Par: j·(m, e) == (s, P(q)(e)) for (s, q) =
+    pc.legs[m][j], the canonical pair of (n∘p, P(q')(e)) for j == (n, g)
+    and (p, q') the pullback of (g, m), by the laws of mcat.par; P is a
+    presheaf (PSH gates a bundle's; the rest are by construction)."""
     mc = pc.mc
     c = mc.base
+    legs = pc.legs
 
     def elements(a):
         return [(m, e) for m in sub_m(mc, a) for e in p.elements(c.mor_src[m])]
 
     def act(j, pair):
-        n, g = pc.spans[j]          # a span src(j) <- D -> tgt(j)
         m, e = pair
-        cone = pullback(c, g, m)
-        if cone is None:
-            raise InternalInvariantError("missing pullback in transfer")
-        return canonical_pair(mc, p, c.compose(n, cone.p), p.act(cone.q, e))
+        s, q = legs[m][j]
+        return s, p.act(q, e)
 
     def name(a, pair):
         m, e = pair

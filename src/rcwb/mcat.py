@@ -12,8 +12,8 @@ Each pullback is paid for once where it can be.  The gate check_m_system
 reads M-PB along the generators of the base through fincat.certified, as
 is_geometric reads GEO-STAB: pullbacks paste, so pulling m back along a
 word in the generators is pulling back one generator at a time.  Par
-composes a whole row (n, g) from the legs of the pullbacks of n along
-the maps into tgt n, read once per n.
+restricts each span along each canonical monic once, in its table legs,
+which its composition and the sheaf transfer both read.
 
 Sub_M(a) is ordered by s ≤ t iff s factors through t, that is, iff the
 pullback leg opposite t is an iso.  A family S of Sub_M(a) and its
@@ -421,13 +421,19 @@ def canonical_span(mc: MCategory, m, f):
     return c.rows[m][p], c.rows[f][p]
 
 
-class ParCategory(namedtuple("ParCategory", "rc mc spans span_id axioms")):
+class ParCategory(namedtuple("ParCategory",
+                               "rc mc spans span_id axioms legs")):
     """Par(C, M) with canonical span representatives.
 
     Objects are shared with the base M-category mc; morphism i of the
     restriction category rc is the span spans[i] == (m, f) with m in M, and
     span_id maps each canonical (m, f) to its id.  axioms is the
     restriction-axiom report that `par` checked it against.
+
+    legs[n], for each canonical monic n, maps the id j of each span (m, f)
+    into tgt n, in id order, to (s, q) = (m∘p∘phi, q'∘phi): (p, q') is the
+    pullback of (f, n) and phi the least iso of m∘p.  Par composes by it
+    and the transfer acts by it (see par and bridge._transfer).
     """
     __slots__ = ()
 
@@ -446,11 +452,11 @@ def par(mc: MCategory) -> ParCategory:
     dom m, f∘phi runs over every map out of dom s.  The bar of (s, f) is
     (s, s).
 
-    (n, g)∘(m, f) is the canonical span of (m∘p, g∘q), with (p, q) the
-    pullback of (f, n).  Only the second leg g∘q depends on g, so the
-    legs of pullback(f, n) for every f into tgt n, and the canonical first
-    leg m∘p∘phi of each (m, f) with its iso phi, are read once per n, on
-    its first row, and kept for the rows of every (n, g).
+    (n, g)∘(m, f) is the canonical span of (m∘p, g∘q'), with (p, q') the
+    pullback of (f, n), and so (s, g∘q) for (s, q) = legs[n][j], j the id
+    of (m, f), by associativity, (g∘q')∘phi == g∘(q'∘phi): Par is built
+    only on gated categories and on the unit's Total(Karoubi(x)).  The
+    transfer reads legs by functoriality, P(q'∘phi) == P(phi)∘P(q').
 
     Built once per M-category and kept in mc.par_memo; a build that
     raises keeps nothing."""
@@ -462,43 +468,34 @@ def par(mc: MCategory) -> ParCategory:
         ((m, f) for a in c.objects for m in sub_m(mc, a)
          for f in c.out_of(c.mor_src[m])),
         key=lambda s: (c.mor_tgt[s[0]], c.mor_tgt[s[1]], s[0], s[1])))
-    legs = {}   # n -> {f: (pos[p], pos[q])} for each f into tgt n
-    firsts = {}     # n -> (fs, the first leg of each composite in fs)
-
-    def pullback_legs(n):
-        at = {}
-        for f in c.into(c.mor_tgt[n]):
-            cone = pullback(c, f, n)
-            if cone is None:
+    span_id = {s: j for j, s in enumerate(spans)}    # build_category's ids
+    into = [[] for _ in c.objects]  # per object: (j, m, f) of each span in
+    for j, (m, f) in enumerate(spans):
+        into[c.mor_tgt[f]].append((j, m, f))
+    legs = {}   # one pullback(f, n) per map f into tgt n, for every n
+    for a in c.objects:
+        for n in sub_m(mc, a):
+            cones = {f: pullback(c, f, n) for f in c.into(a)}
+            if None in cones.values():
                 raise InternalInvariantError(
                     "missing pullback in Par composition")
-            at[f] = pos[cone.p], pos[cone.q]
-        return at
-
-    def first_legs(n, fs):
-        """(m∘p∘phi, pos[q], pos[phi]) for each (m, f) in fs."""
-        if n not in legs:
-            legs[n] = pullback_legs(n)
-        at = legs[n]
-        out = []
-        for m, f in fs:
-            p, q = at[f]
-            mp = rows[m][p]
-            phi = pos[least_iso(c, mp)]
-            out.append((rows[mp][phi], q, phi))
-        return out
+            at = legs[n] = {}
+            for j, m, f in into[a]:
+                _, p, q = cones[f]
+                mp = rows[m][pos[p]]
+                phi = pos[least_iso(c, mp)]
+                at[j] = rows[mp][phi], rows[q][phi]
 
     def compose(second, fs):
         n, g = second
-        # build_category hands the rows of every (n, g) one list fs
-        kept = firsts.get(n)
-        if kept is None or kept[0] is not fs:
-            kept = firsts[n] = fs, first_legs(n, fs)
+        at = legs[n]
+        # build_category hands every row the spans into tgt n in id order
+        kept = at.values() if len(fs) == len(at) else \
+            [at[span_id[f]] for f in fs]
         row_g = rows[g]
-        # canonical_span(m∘p, g∘q), read inline
-        return [(mp_phi, rows[row_g[q]][phi]) for mp_phi, q, phi in kept[1]]
+        return [(s, row_g[pos[q]]) for s, q in kept]
 
-    cat, _, span_id = build_category(
+    cat, _, _ = build_category(
         c.objects, spans, lambda s: (c.mor_tgt[s[0]], c.mor_tgt[s[1]]),
         lambda a: canonical_span(mc, c.identity[a], c.identity[a]),
         compose, obj_names=c.obj_names,
@@ -513,7 +510,7 @@ def par(mc: MCategory) -> ParCategory:
         if split is None:
             raise InternalInvariantError(
                 f"restriction idempotent {e} does not split")
-    mc.par_memo = ParCategory(rc, mc, spans, span_id, rep)
+    mc.par_memo = ParCategory(rc, mc, spans, span_id, rep, legs)
     return mc.par_memo
 
 

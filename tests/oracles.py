@@ -548,17 +548,44 @@ def find_rp_iso(rp1: RestrictionPresheaf, rp2: RestrictionPresheaf):
     return find_presheaf_iso(rp1.presheaf, rp2.presheaf, same_bar)
 
 
+def transfer_by_pullbacks(pc: ParCategory, p: Presheaf):
+    """bridge.sheaf_to_jrp with each span acting on each pair by its own
+    pullback, the reference for the transfer through Par's legs: (n, g)
+    takes (m, e) to the canonical pair of (n∘p, P(q')(e)), for (p, q') the
+    pullback of (g, m)."""
+    mc = pc.mc
+    c = mc.base
+    elements, _, name = bridge._transfer(pc, p)
+
+    def act(j, pair):
+        n, g = pc.spans[j]          # a span src(j) <- D -> tgt(j)
+        m, e = pair
+        cone = pullback(c, g, m)
+        if cone is None:
+            raise InternalInvariantError("missing pullback in transfer")
+        return bridge.canonical_pair(mc, p, c.compose(n, cone.p),
+                                     p.act(cone.q, e))
+
+    psh, index = build_presheaf(pc.rc.base, elements, act, name)
+    elems = tuple(tuple(ix) for ix in index)
+    bar_elem = tuple(tuple(pc.span_id[(m, m)] for (m, e) in es)
+                     for es in elems)
+    return bridge.TransferredJRP(RestrictionPresheaf(pc.rc, psh, bar_elem),
+                                 pc, p, elems, index)
+
+
 def unit_transferred(x: RestrictionCategory) -> tuple:
     """bridge.cocompletion_unit's presheaves by the route over all of Par:
-    per object a, the representable at fun(a) transferred with sheaf_to_jrp,
-    then pulled back along fun; an object whose bars do not pull back is
-    skipped, as UNIT-BAR skips it."""
+    per object a, the representable at fun(a) transferred by
+    transfer_by_pullbacks, then pulled back along fun; an object whose bars
+    do not pull back is skipped, as UNIT-BAR skips it."""
     kr = mcat.karoubi_r(x)
     su = mcat.split_unit_functor(kr.rc)
     fun = fincat.compose_functors(su.functor, kr.embedding)
     out = []
     for a in x.base.objects:
-        tr = bridge.sheaf_to_jrp(su.pc, yoneda(su.pc.mc.base, fun.obj_map[a]))
+        tr = transfer_by_pullbacks(su.pc,
+                                   yoneda(su.pc.mc.base, fun.obj_map[a]))
         pulled = _pull_back_rp(x, fun, tr.rp)
         if pulled is not None:
             out.append(pulled)

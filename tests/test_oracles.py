@@ -847,6 +847,41 @@ def test_par_names_the_maps_of_an_iso_pair_by_their_canonical_subobjects():
         ("1A", "i", "1B", "j"): ("(1A,1A)", "(1A,i)", "(i,1A)", "(i,i)")}
 
 
+def _transfer_tables(tr):
+    psh = tr.rp.presheaf
+    return (psh.sizes, psh.action, psh.elem_names, tr.elems, tr.index,
+            tr.rp.bar_elem)
+
+
+def _assert_transfers_like_the_reference(pc, p):
+    assert _transfer_tables(sheaf_to_jrp(pc, p)) == \
+        _transfer_tables(oracles.transfer_by_pullbacks(pc, p))
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_MCATS))
+def test_the_transfer_acts_like_the_per_element_reference(name):
+    # a span acts on a pair through Par's legs exactly as by pulling the
+    # pair's monic back along it and taking the canonical pair: on every
+    # representable and on the constant presheaves (no sheaves)
+    mc = SPAN_MCATS[name]()
+    c = mc.base
+    pc = par(mc)
+    for p in [yoneda(c, w) for w in c.objects] + \
+            [constant_presheaf(c, k) for k in (1, 2)]:
+        _assert_transfers_like_the_reference(pc, p)
+
+
+def test_the_transfer_of_a_sheafification_acts_like_the_reference():
+    # P⁺⁺ of yset1 on finset_inj_2, a presheaf built by the plus
+    # construction; the unit's transfer along fun is checked against the
+    # reference by test_bridge's test_unit_transfer_matches_the_route_over_par
+    mc = build_finset_mcat(2)
+    c = mc.base
+    p = site.sheafify(yoneda(c, c.obj_names.index("set1")),
+                      generate_topology(mc)).presheaf
+    _assert_transfers_like_the_reference(par(mc), p)
+
+
 # -- the matching-colimit memo ------------------------------------------------
 
 def test_memoised_matching_colimit_equals_fresh_computation():

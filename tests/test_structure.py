@@ -91,6 +91,19 @@ def _callers(pattern):
     # the natural-transformation search is a test oracle: the round trips
     # and the unit check their comparison maps, and no module calls it
     (r"\b_nat_trans\(", set()),
+    # one place restricts a span along a monic: its own def line, the
+    # gate's scan, f*(m), the matching diagram and Par's table legs, which
+    # the transfer reads with no pullback of its own
+    (r"\bpullback\(", {("fincat", "pullback"), ("mcat", "_m_pb_scan"),
+                         ("mcat", "pullback_subobject"),
+                         ("mcat", "matching_diagram"), ("mcat", "par")}),
+    # the transfer takes its canonical pairs off Par's legs too: only the
+    # recipe join and the RT-SHEAF map name a canonical pair
+    (r"\bleast_iso\(|\bcanonical_pair\(",
+     {("fincat", "least_iso"), ("fincat", "pullback"),
+      ("mcat", None), ("mcat", "subobject_rep"), ("mcat", "canonical_span"),
+      ("mcat", "par"), ("bridge", "canonical_pair"),
+      ("bridge", "recipe_join"), ("bridge", "roundtrip_report")}),
 ])
 def test_only_the_builders_call_the_constructors(pattern, builders):
     assert _callers(pattern) == builders
